@@ -7,7 +7,6 @@
 // Usage:
 //
 //	eta2loadgen                              # self-hosted, 1/8/64 clients
-//	eta2loadgen -fsync always -baseline      # also run the single-mutex baseline
 //	eta2loadgen -addr http://host:8080       # drive an external server
 //	eta2loadgen -clients 8 -duration 2s -out bench.json
 //	eta2loadgen -preset read-mostly          # 95% reads, up to 1024 clients
@@ -15,9 +14,7 @@
 //
 // In self-hosted mode (the default) each scenario gets a fresh durable
 // server on a fresh data directory, so scenarios do not contaminate each
-// other. With -baseline every scenario is also run with the handler
-// wrapped in a single global mutex — the pre-RWMutex serving model —
-// which is what the speedup figures compare against.
+// other.
 package main
 
 import (
@@ -65,7 +62,6 @@ type config struct {
 	readFraction float64
 	batch        int
 	fsyncDelay   time.Duration
-	baseline     bool
 	replica      bool
 	out          string
 	// nUsers/nTasks size the seeded population (-users/-tasks; the
@@ -87,7 +83,6 @@ func run() error {
 		readFrac   = flag.Float64("read-fraction", 0.5, "fraction of requests that are reads (truth/expertise/durability)")
 		batch      = flag.Int("batch", 4, "observations per submit request")
 		fsyncDelay = flag.Duration("fsync-delay", 0, "artificial latency added to every WAL fsync (self-hosted only) — emulates network block storage on dev machines with write-back caches")
-		baseline   = flag.Bool("baseline", false, "also run each scenario against a single-mutex serialized handler (self-hosted only)")
 		out        = flag.String("out", "", "write the JSON report to this file (default: stdout)")
 		preset     = flag.String("preset", "", `scenario preset; "read-mostly" = -read-fraction 0.95 -clients 1,8,64,256,512,1024, "replica-read" = the same mix with reads served by a replication follower, "ingest-heavy" = 95% writes against a 1M named-user population (explicitly set flags win)`)
 		nUsers     = flag.Int("users", 0, "seeded user population per scenario (0 = preset default, plain scenarios seed 16)")
@@ -168,7 +163,6 @@ func run() error {
 		readFraction: *readFrac,
 		batch:        *batch,
 		fsyncDelay:   *fsyncDelay,
-		baseline:     *baseline,
 		replica:      replica,
 		out:          *out,
 		nUsers:       *nUsers,
@@ -191,11 +185,8 @@ func run() error {
 		}
 		cfg.clients = append(cfg.clients, n)
 	}
-	if cfg.addr != "" && cfg.baseline {
-		return fmt.Errorf("-baseline needs a self-hosted server (drop -addr)")
-	}
-	if cfg.replica && (cfg.addr != "" || cfg.baseline) {
-		return fmt.Errorf("-preset replica-read needs a self-hosted server without -baseline")
+	if cfg.replica && cfg.addr != "" {
+		return fmt.Errorf("-preset replica-read needs a self-hosted server (drop -addr)")
 	}
 	if cfg.addr != "" && cfg.fsyncDelay > 0 {
 		return fmt.Errorf("-fsync-delay needs a self-hosted server (drop -addr)")
@@ -223,34 +214,27 @@ func run() error {
 		Users:        cfg.nUsers,
 		Tasks:        cfg.nTasks,
 	}
-	modes := []string{"concurrent"}
-	if cfg.baseline {
-		modes = append(modes, "serialized")
-	}
 	for _, n := range cfg.clients {
-		for _, mode := range modes {
-			slog.Info("scenario", "clients", n, "mode", mode, "fsync", cfg.fsync, "duration", cfg.duration)
-			// The bytes/user capacity model is measured once, while the
-			// first scenario seeds its population.
-			measure := cfg.addr == "" && rep.Capacity == nil
-			sc, cap, err := runScenario(cfg, n, mode == "serialized", measure)
-			if err != nil {
-				return fmt.Errorf("%d clients (%s): %w", n, mode, err)
-			}
-			if cap != nil {
-				rep.Capacity = cap
-			}
-			slog.Info("scenario done",
-				"write_rps", fmt.Sprintf("%.0f", sc.Writes.RPS),
-				"write_p50_ms", fmt.Sprintf("%.2f", sc.Writes.P50Ms),
-				"write_p99_ms", fmt.Sprintf("%.2f", sc.Writes.P99Ms),
-				"read_rps", fmt.Sprintf("%.0f", sc.Reads.RPS),
-				"read_p50_ms", fmt.Sprintf("%.2f", sc.Reads.P50Ms),
-				"read_p99_ms", fmt.Sprintf("%.2f", sc.Reads.P99Ms))
-			rep.Scenarios = append(rep.Scenarios, sc)
+		slog.Info("scenario", "clients", n, "fsync", cfg.fsync, "duration", cfg.duration)
+		// The bytes/user capacity model is measured once, while the
+		// first scenario seeds its population.
+		measure := cfg.addr == "" && rep.Capacity == nil
+		sc, cap, err := runScenario(cfg, n, measure)
+		if err != nil {
+			return fmt.Errorf("%d clients: %w", n, err)
 		}
+		if cap != nil {
+			rep.Capacity = cap
+		}
+		slog.Info("scenario done",
+			"write_rps", fmt.Sprintf("%.0f", sc.Writes.RPS),
+			"write_p50_ms", fmt.Sprintf("%.2f", sc.Writes.P50Ms),
+			"write_p99_ms", fmt.Sprintf("%.2f", sc.Writes.P99Ms),
+			"read_rps", fmt.Sprintf("%.0f", sc.Reads.RPS),
+			"read_p50_ms", fmt.Sprintf("%.2f", sc.Reads.P50Ms),
+			"read_p99_ms", fmt.Sprintf("%.2f", sc.Reads.P99Ms))
+		rep.Scenarios = append(rep.Scenarios, sc)
 	}
-	rep.Speedups = speedups(rep.Scenarios)
 	rep.PeakRSSBytes = vmHWM()
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -284,9 +268,6 @@ type report struct {
 	// taken while the first scenario seeded its population.
 	Capacity  *capacityReport `json:"capacity,omitempty"`
 	Scenarios []scenario      `json:"scenarios"`
-	// Speedups maps client counts to concurrent/serialized write
-	// throughput ratios; present only when -baseline ran.
-	Speedups map[string]float64 `json:"write_speedup_vs_serialized,omitempty"`
 	// PeakRSSBytes is the process's high-water resident set (VmHWM) when
 	// the run finished — server and load generator combined in
 	// self-hosted mode. 0 on platforms without procfs.
@@ -308,7 +289,7 @@ type capacityReport struct {
 }
 
 type scenario struct {
-	Mode    string  `json:"mode"` // concurrent | serialized | replica
+	Mode    string  `json:"mode"` // concurrent | replica
 	Clients int     `json:"clients"`
 	Writes  opStats `json:"writes"`
 	Reads   opStats `json:"reads"`
@@ -356,20 +337,7 @@ type opStats struct {
 	MaxMs float64 `json:"max_ms"`
 }
 
-// serializedHandler emulates the pre-PR serving model: one global mutex
-// around every request, fsync waits included.
-type serializedHandler struct {
-	mu sync.Mutex
-	h  http.Handler
-}
-
-func (s *serializedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.h.ServeHTTP(w, r)
-}
-
-func runScenario(cfg config, clients int, serialized bool, measure bool) (scenario, *capacityReport, error) {
+func runScenario(cfg config, clients int, measure bool) (scenario, *capacityReport, error) {
 	baseURL := cfg.addr
 	readURL := cfg.addr
 	httpClient := http.DefaultClient
@@ -377,7 +345,7 @@ func runScenario(cfg config, clients int, serialized bool, measure bool) (scenar
 	// the flight recorder holds only measured-window traces.
 	var tracedSrv *eta2.Server
 	if cfg.addr == "" {
-		dir := filepath.Join(cfg.dataDir, fmt.Sprintf("c%d-%s", clients, map[bool]string{false: "conc", true: "ser"}[serialized]))
+		dir := filepath.Join(cfg.dataDir, fmt.Sprintf("c%d", clients))
 		srv, err := eta2.NewServer(eta2.WithDurability(dir, eta2.DurabilityPolicy{
 			Fsync:      eta2.FsyncPolicy(cfg.fsync),
 			FsyncDelay: cfg.fsyncDelay,
@@ -386,10 +354,7 @@ func runScenario(cfg config, clients int, serialized bool, measure bool) (scenar
 		if err != nil {
 			return scenario{}, nil, err
 		}
-		var handler http.Handler = httpapi.New(srv)
-		if serialized {
-			handler = &serializedHandler{h: handler}
-		}
+		handler := httpapi.New(srv)
 		// Same composition as cmd/eta2server: business API plus /metrics,
 		// so the scrape path is identical for self-hosted and external runs.
 		mux := http.NewServeMux()
@@ -675,7 +640,7 @@ func runScenario(cfg config, clients int, serialized bool, measure bool) (scenar
 		writes = append(writes, workers[i].writes...)
 		errors += workers[i].errors
 	}
-	mode := map[bool]string{false: "concurrent", true: "serialized"}[serialized]
+	mode := "concurrent"
 	if cfg.replica {
 		mode = "replica"
 	}
@@ -849,28 +814,4 @@ func summarize(lat []time.Duration, elapsed time.Duration) opStats {
 		P99Ms: pct(0.99),
 		MaxMs: float64(lat[len(lat)-1]) / float64(time.Millisecond),
 	}
-}
-
-// speedups computes, per client count, the concurrent write throughput
-// over the serialized baseline's. Empty when no baseline scenarios ran.
-func speedups(scs []scenario) map[string]float64 {
-	conc := map[int]float64{}
-	ser := map[int]float64{}
-	for _, sc := range scs {
-		if sc.Mode == "concurrent" {
-			conc[sc.Clients] = sc.Writes.RPS
-		} else {
-			ser[sc.Clients] = sc.Writes.RPS
-		}
-	}
-	out := map[string]float64{}
-	for n, c := range conc {
-		if s, ok := ser[n]; ok && s > 0 {
-			out[strconv.Itoa(n)] = c / s
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

@@ -122,7 +122,7 @@ func run() error {
 			return err
 		}
 		follower.Server().Tracer().SetSampleEvery(*traceEvery)
-		st := follower.DurabilityStats()
+		st := follower.Server().DurabilityStats()
 		slog.Info("follower mode",
 			"primary", *follow, "dir", *dataDir, "fsync", *fsyncMode,
 			"resume_lsn", st.LastLSN, "snapshot_lsn", st.SnapshotLSN)

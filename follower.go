@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -19,15 +17,15 @@ import (
 )
 
 // This file implements the follower side of replication (DESIGN.md §14).
-// A Follower wraps a journal-detached Server plus its own local WAL: a
-// pull loop fetches committed records from the primary's /v1/repl/log,
-// appends each payload verbatim to the local log (same LSNs, same bytes),
-// and applies it through applyEvent — the exact code path startup
-// recovery replays — under the copy-on-write + publishLocked discipline,
-// so follower reads stay lock-free and follower state is bit-identical
-// to the primary's at the same LSN. The local WAL copy means a follower
-// restart resumes from its own disk instead of refetching history, and
-// promotion just attaches that log as the write journal.
+// A follower is a Server in role follower whose journal is fed by the
+// pull loop here instead of by its own mutations: the loop fetches
+// committed records from the primary's /v1/repl/log, appends each payload
+// verbatim to the journal (same LSNs, same bytes), and applies it through
+// applyEvent — the exact code path startup recovery replays — so follower
+// reads stay lock-free and follower state is bit-identical to the
+// primary's at the same LSN. Everything durable — recovery, stats,
+// compaction, the final snapshot in Close — is the Server's own; Follower
+// holds only what the pull loop knows.
 
 // errLSNGap reports a hole in the shipped stream (the primary compacted
 // past our cursor, or lost a tail across a restart). The follower
@@ -83,10 +81,6 @@ func (o *FollowerOptions) applyDefaults() {
 type Follower struct {
 	s          *Server
 	cli        *repl.Client
-	wlog       *wal.Log
-	dir        string
-	policy     DurabilityPolicy
-	primaryURL string
 	restoreOpt []Option
 	opts       FollowerOptions
 
@@ -98,30 +92,25 @@ type Follower struct {
 	timings       [applyTimingRing]applyTiming
 	pendingTraces []*trace.Trace
 
-	// mu guards the pull-loop bookkeeping below. Lock ordering: never
-	// held while calling into f.s or f.wlog methods that block (apply,
-	// commit, snapshot) — those run between short mu critical sections.
-	mu             sync.Mutex
-	applied        uint64 // newest LSN applied to f.s (== local log tail)
-	snapLSN        uint64 // newest local snapshot frontier
-	frontier       uint64 // primary's committed frontier at last fetch
-	behindSince    time.Time
-	connected      bool
-	reconnects     uint64
-	bootstraps     uint64
-	compactions    int
-	lastCompaction time.Time
-	promoted       bool
-	fatalErr       error
+	// mu guards the pull loop's view of the primary below. Never held
+	// while calling into f.s.
+	mu          sync.Mutex
+	frontier    uint64 // primary's committed frontier at last fetch
+	behindSince time.Time
+	connected   bool
+	reconnects  uint64
+	bootstraps  uint64
+	fatalErr    error
 }
 
 // OpenFollower starts a read replica of the primary at primaryURL (base
 // URL, e.g. "http://10.0.0.1:8080"). dataDir state from a previous run
-// is recovered first — local snapshot plus local WAL replay — and the
-// pull loop resumes from that frontier, so restarts never refetch
-// history they already hold. opts configure the server exactly like
-// NewServer (embedder, tuning knobs); WithDurability is rejected — the
-// follower's local log is configured by FollowerOptions instead.
+// is recovered first — local snapshot plus local WAL replay, the same
+// path a primary opens its directory through — and the pull loop resumes
+// from that frontier, so restarts never refetch history they already
+// hold. opts configure the server exactly like NewServer (embedder,
+// tuning knobs); WithDurability is rejected — the follower's local log is
+// configured by FollowerOptions instead.
 func OpenFollower(primaryURL string, fopts FollowerOptions, opts ...Option) (*Follower, error) {
 	if primaryURL == "" {
 		return nil, errors.New("eta2: follower requires a primary URL")
@@ -143,35 +132,16 @@ func OpenFollower(primaryURL string, fopts FollowerOptions, opts ...Option) (*Fo
 	policy.applyDefaults()
 	fopts.applyDefaults()
 
-	// Same recovery core as a primary, but the journal stays detached:
-	// the local log is written by the apply loop (verbatim primary
-	// payloads at primary LSNs), never by mutations.
-	s, wlog, snapLSN, lastLSN, err := recoverDurableState(cfg, opts, fopts.DataDir, policy)
+	s, err := openDurable(cfg, opts, fopts.DataDir, policy, roleFollower, primaryURL)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.role = roleFollower
-	s.primaryAddr = primaryURL
-	s.journalDir = fopts.DataDir
-	s.journalPolicy = policy
-	s.snapLSN = snapLSN
-	s.lastLSN = lastLSN
-	s.publishLocked()
-	s.mu.Unlock()
-
 	f := &Follower{
 		s:          s,
 		cli:        repl.NewClient(primaryURL, fopts.HTTPClient),
-		wlog:       wlog,
-		dir:        fopts.DataDir,
-		policy:     policy,
-		primaryURL: primaryURL,
 		restoreOpt: opts,
 		opts:       fopts,
 		done:       make(chan struct{}),
-		applied:    lastLSN,
-		snapLSN:    snapLSN,
 	}
 	// Shipped write traces (X-Eta2-Trace on log responses) continue on
 	// this follower; the sink runs on the pull-loop goroutine inside
@@ -204,9 +174,10 @@ func (f *Follower) run(ctx context.Context) {
 	defer close(f.done)
 	backoff := f.opts.RetryMin
 	for ctx.Err() == nil {
-		f.mu.Lock()
-		from := f.applied + 1
-		f.mu.Unlock()
+		// Everything that advances the applied frontier publishes it before
+		// control returns here (finishBatch, bootstrap), so the published
+		// frontier is the cursor.
+		from := f.s.loadState().lastLSN + 1
 		frontier, n, err := f.cli.FetchLog(ctx, from, f.opts.PollWait, f.opts.BatchMax, f.applyRecord)
 		if ctx.Err() != nil {
 			return
@@ -214,11 +185,13 @@ func (f *Follower) run(ctx context.Context) {
 		if f.Err() != nil {
 			return // applyRecord recorded a fatal halt
 		}
+		// A fetch cut short mid-stream still applied its first n records:
+		// they are finished like any other batch.
+		if (err == nil || n > 0) && !f.finishBatch(frontier, n) {
+			return
+		}
 		switch {
 		case err == nil:
-			if !f.finishBatch(frontier, n) {
-				return
-			}
 			backoff = f.opts.RetryMin
 		case errors.Is(err, wal.ErrCompacted) || errors.Is(err, errLSNGap):
 			if berr := f.bootstrap(ctx); berr != nil {
@@ -244,18 +217,12 @@ func (f *Follower) run(ctx context.Context) {
 }
 
 // applyRecord handles one shipped record, streamed by FetchLog in LSN
-// order: check contiguity, append the payload verbatim to the local log
-// (journal-before-apply, same as a primary), then apply through the
-// recovery replay path. A failure after the local append would mean
+// order: decode, append the payload verbatim to the journal (which checks
+// contiguity — journal-before-apply, same as a primary), then apply
+// through the recovery replay path. A failure after the append would mean
 // local disk and memory disagree about the record, so it halts the loop
 // permanently rather than retrying into divergence.
 func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
-	f.mu.Lock()
-	applied := f.applied
-	f.mu.Unlock()
-	if lsn != applied+1 {
-		return errLSNGap
-	}
 	ev, err := decodeEvent(payload)
 	if err != nil {
 		return f.fail(fmt.Errorf("eta2: decode shipped record %d: %w", lsn, err))
@@ -264,19 +231,19 @@ func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
 	// shipped for this record later (possibly several batches later) can
 	// carry real follower-side spans; see follower_trace.go.
 	tm := applyTiming{lsn: lsn, journalStart: time.Now()} //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
-	if err := f.wlog.AppendBufferedAt(lsn, payload); err != nil {
+	if err := f.s.journalShipped(lsn, payload); err != nil {
+		if errors.Is(err, errLSNGap) {
+			return err
+		}
 		return f.fail(fmt.Errorf("eta2: journal shipped record %d: %w", lsn, err))
 	}
 	tm.journalDur = time.Since(tm.journalStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
 	tm.applyStart = time.Now()                  //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
-	if err := f.s.applyEvent(ev); err != nil {
+	if err := f.s.applyEvent(lsn, ev); err != nil {
 		return f.fail(fmt.Errorf("eta2: apply shipped record %d (%s): %w", lsn, ev.Type, err))
 	}
 	tm.applyDur = time.Since(tm.applyStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
 	f.noteApplyTiming(tm)
-	f.mu.Lock()
-	f.applied = lsn
-	f.mu.Unlock()
 	mReplApplied.Inc()
 	mReplAppliedLSN.Set(float64(lsn))
 	return nil
@@ -293,12 +260,16 @@ func (f *Follower) fail(err error) error {
 	return err
 }
 
-// finishBatch commits the local log through the batch tail, refreshes
-// the server's published LSN frontier, and updates lag bookkeeping.
-// Returns false if the local commit failed (fatal halt).
+// finishBatch publishes the applied batch (observation records only
+// stamp the frontier; see applyEvent), updates lag bookkeeping, and
+// commits the journal through the batch tail. Returns false if the local
+// commit failed (fatal halt).
 func (f *Follower) finishBatch(frontier uint64, n int) bool {
+	applied := f.s.loadState().lastLSN
+	if n > 0 {
+		applied = f.s.publishApplied()
+	}
 	f.mu.Lock()
-	applied := f.applied
 	f.frontier = frontier
 	f.connected = true
 	lag := uint64(0)
@@ -328,22 +299,11 @@ func (f *Follower) finishBatch(frontier uint64, n int) bool {
 		return true
 	}
 	commitStart := time.Now()
-	if err := f.wlog.Commit(applied); err != nil {
+	if err := f.s.journalCommit(applied, nil); err != nil {
 		f.fail(fmt.Errorf("eta2: commit local log through %d: %w", applied, err))
 		return false
 	}
-	// Refresh the published frontier so DurabilityStats / replication
-	// status on the embedded server report the applied LSN.
-	s := f.s
-	s.mu.Lock()
-	s.lastLSN = applied
-	s.publishLocked()
-	s.mu.Unlock()
-
 	f.completeTraces(applied, commitStart, time.Since(commitStart))
-	if f.policy.CompactAt > 0 && f.wlog.Stats().Bytes >= f.policy.CompactAt {
-		f.compactLocal()
-	}
 	return true
 }
 
@@ -359,72 +319,16 @@ func (f *Follower) noteDisconnect() {
 // bootstrap replaces the follower's state with a full snapshot fetched
 // from the primary — first sync into an empty directory when the
 // primary has already compacted, or recovery from a mid-stream gap.
-// The snapshot lands on disk first (temp + fsync + rename, like a
-// compaction snapshot) so a crash mid-bootstrap recovers from it
-// instead of refetching.
 func (f *Follower) bootstrap(ctx context.Context) error {
 	lsn, body, err := f.cli.FetchSnapshot(ctx)
 	if err != nil {
 		return err
 	}
 	defer body.Close()
-	f.mu.Lock()
-	applied := f.applied
-	f.mu.Unlock()
-	if lsn <= applied {
-		return fmt.Errorf("eta2: bootstrap snapshot at LSN %d does not advance past applied %d", lsn, applied)
-	}
-
-	tmp := filepath.Join(f.dir, fmt.Sprintf("snapshot-%020d.tmp", lsn))
-	out, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("eta2: bootstrap: %w", err)
-	}
-	if _, err := io.Copy(out, body); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: bootstrap: %w", err)
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: bootstrap: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: bootstrap: %w", err)
-	}
-	final := filepath.Join(f.dir, fmt.Sprintf("snapshot-%020d.bin", lsn))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: bootstrap: %w", err)
-	}
-	syncDir(f.dir)
-
-	restored, err := loadSnapshotFile(final, f.restoreOpt)
-	if err != nil {
-		os.Remove(final) // torn transfer; refetch next round
+	if err := f.s.adoptSnapshot(lsn, body, f.restoreOpt); err != nil {
 		return err
 	}
-	if err := f.s.adoptRestored(restored, lsn); err != nil {
-		return f.fail(err)
-	}
-	// Drop superseded local snapshots and the WAL prefix the new
-	// snapshot covers (usually everything).
-	if snaps, err := listSnapshots(f.dir); err == nil {
-		for _, sn := range snaps {
-			if sn.lsn < lsn {
-				_ = os.Remove(sn.path)
-			}
-		}
-	}
-	if err := f.wlog.TruncateThrough(lsn); err != nil {
-		return f.fail(fmt.Errorf("eta2: bootstrap truncate: %w", err))
-	}
-
 	f.mu.Lock()
-	f.applied = lsn
-	f.snapLSN = lsn
 	f.bootstraps++
 	f.mu.Unlock()
 	mReplBootstraps.Inc()
@@ -432,78 +336,34 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// compactLocal writes a local snapshot at the applied frontier and
-// truncates the covered WAL prefix, bounding both the local disk
-// footprint and restart replay time. Runs only from the pull loop (or
-// Close, after the loop has stopped), so the captured state is exactly
-// the applied frontier.
-func (f *Follower) compactLocal() {
-	s := f.s
-	s.mu.RLock()
-	st := s.persistStateLocked()
-	s.mu.RUnlock()
-	f.mu.Lock()
-	lsn := f.applied
-	f.mu.Unlock()
-	cap := compactionCapture{st: st, lsn: lsn, journal: f.wlog, dir: f.dir}
-	if err := writeSnapshot(cap); err != nil {
-		mCompactionsFailed.Inc()
-		return
-	}
-	f.mu.Lock()
-	f.snapLSN = lsn
-	f.compactions++
-	f.lastCompaction = time.Now()
-	f.mu.Unlock()
-	s.mu.Lock()
-	if lsn > s.snapLSN {
-		s.snapLSN = lsn
-		s.publishLocked()
-	}
-	s.mu.Unlock()
-}
-
 // Promote stops the pull loop and turns the follower into a writable
-// primary in place: the local log — already at the applied frontier —
-// becomes the write journal, and the published role flips so the
-// lock-free write gate opens. The promoted node is a full primary: it
-// journals, compacts, and can serve its own followers. Everything the
-// old primary committed past our applied frontier is abandoned (that is
-// the failover contract: promote the most caught-up replica).
+// primary in place: the journal — already at the applied frontier — is
+// sealed, and the published role flips so the lock-free write gate opens
+// and the node's own mutations start writing it. The promoted node is a
+// full primary: it journals, compacts, and can serve its own followers.
+// Everything the old primary committed past our applied frontier is
+// abandoned (that is the failover contract: promote the most caught-up
+// replica).
 func (f *Follower) Promote() error {
 	f.cancel()
 	<-f.done
-	f.mu.Lock()
-	if f.promoted {
-		f.mu.Unlock()
-		return errors.New("eta2: already promoted")
+	s := f.s
+	st := s.loadState()
+	if st.role != roleFollower || st.journal == nil {
+		return errors.New("eta2: not a live follower (already promoted or closed)")
 	}
-	applied, snapLSN := f.applied, f.snapLSN
-	f.mu.Unlock()
-
-	// Seal the local log: every applied record durable before we accept
-	// the first write of our own.
-	if err := f.wlog.Sync(); err != nil {
+	// Seal the journal: every applied record durable before we accept the
+	// first write of our own.
+	if err := st.journal.Sync(); err != nil {
 		return fmt.Errorf("eta2: promote: %w", err)
 	}
-
-	s := f.s
 	s.mu.Lock()
-	s.journal = f.wlog
-	s.journalDir = f.dir
-	s.journalPolicy = f.policy
-	s.lastLSN = applied
-	s.snapLSN = snapLSN
 	s.role = rolePrimary
 	s.primaryAddr = ""
 	s.publishLocked()
+	applied := s.lastLSN
 	s.mu.Unlock()
 
-	f.mu.Lock()
-	f.promoted = true
-	f.frontier = applied
-	f.behindSince = time.Time{}
-	f.mu.Unlock()
 	// The lag gauges were only ever written by the pull loop, which has
 	// just stopped for good — without a reset they would freeze at their
 	// last (possibly nonzero) values forever while the node serves as a
@@ -516,45 +376,31 @@ func (f *Follower) Promote() error {
 	return nil
 }
 
-// Close stops the pull loop and releases the local log. A not-promoted
-// follower writes a final local snapshot first so the next OpenFollower
-// recovers without replay; a promoted one closes as the primary it now
-// is (Server.Close writes the final snapshot and detaches the journal).
+// Close stops the pull loop and closes the embedded server in whichever
+// role it now holds: Server.Close writes the final snapshot (so the next
+// open recovers without replay) and detaches the journal.
 func (f *Follower) Close() error {
 	f.cancel()
 	<-f.done
-	f.mu.Lock()
-	promoted := f.promoted
-	f.mu.Unlock()
-	if promoted {
-		return f.s.Close()
-	}
-	f.compactLocal()
-	return f.wlog.Close()
+	return f.s.Close()
 }
 
 // ReplicationStatus reports the follower's replication position,
 // overlaying the pull loop's view of the primary on the server's own
-// frontier. After promotion it delegates to the promoted server.
+// role and frontiers. Once promoted, the server's report stands alone.
 func (f *Follower) ReplicationStatus() ReplicationStatus {
+	rs := f.s.ReplicationStatus()
+	if rs.Role != roleFollower.String() {
+		return rs
+	}
 	f.mu.Lock()
-	if f.promoted {
-		f.mu.Unlock()
-		return f.s.ReplicationStatus()
-	}
 	defer f.mu.Unlock()
-	rs := ReplicationStatus{
-		Role:               roleFollower.String(),
-		Primary:            f.primaryURL,
-		AppliedLSN:         f.applied,
-		CommittedLSN:       f.wlog.CommittedLSN(),
-		PrimaryFrontier:    f.frontier,
-		Connected:          f.connected,
-		Reconnects:         f.reconnects,
-		SnapshotBootstraps: f.bootstraps,
-	}
-	if f.frontier > f.applied {
-		rs.LagRecords = f.frontier - f.applied
+	rs.PrimaryFrontier = f.frontier
+	rs.Connected = f.connected
+	rs.Reconnects = f.reconnects
+	rs.SnapshotBootstraps = f.bootstraps
+	if f.frontier > rs.AppliedLSN {
+		rs.LagRecords = f.frontier - rs.AppliedLSN
 		if !f.behindSince.IsZero() {
 			rs.LagSeconds = time.Since(f.behindSince).Seconds()
 		}
@@ -562,47 +408,70 @@ func (f *Follower) ReplicationStatus() ReplicationStatus {
 	return rs
 }
 
-// DurabilityStats reports the follower's local log the way a primary's
-// DurabilityStats reports its journal (the embedded server's own method
-// reports disabled while the journal is detached).
-func (f *Follower) DurabilityStats() DurabilityStats {
-	f.mu.Lock()
-	if f.promoted {
-		f.mu.Unlock()
-		return f.s.DurabilityStats()
-	}
-	defer f.mu.Unlock()
-	wst := f.wlog.Stats()
-	return DurabilityStats{
-		Enabled:        true,
-		Dir:            f.dir,
-		Segments:       wst.Segments,
-		WALBytes:       wst.Bytes,
-		LastLSN:        f.applied,
-		CommittedLSN:   f.wlog.CommittedLSN(),
-		SnapshotLSN:    f.snapLSN,
-		Compactions:    f.compactions,
-		LastCompaction: f.lastCompaction,
-	}
+// publishApplied publishes the applied frontier after a shipped batch and
+// returns it.
+func (s *Server) publishApplied() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.publishLocked()
+	return s.lastLSN
 }
 
-// adoptRestored replaces the server's state with a restored snapshot
-// server's (follower bootstrap). The clustering engine is rebuilt so its
-// distance closure reads the live server's vectors, not the temporary
-// restore target's. One publish makes the swap atomic for readers.
+// adoptSnapshot replaces the server's state with the primary's snapshot
+// covering lsn, streamed from body (follower bootstrap). The snapshot is
+// decoded and restored while it is teed into the data directory through
+// installSnapshot, so it only becomes the directory's newest snapshot —
+// superseding local snapshots and the WAL prefix it covers, usually
+// everything — once it has proven readable; a torn transfer leaves disk
+// and memory as they were, to be refetched next round. Disk first, then
+// memory: a crash in between recovers from the installed snapshot instead
+// of refetching. compactMu serializes the swap with compaction cycles.
+func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	st := s.loadState()
+	if st.journal == nil || st.role != roleFollower {
+		return ErrNotDurable
+	}
+	if lsn <= st.lastLSN {
+		return fmt.Errorf("eta2: bootstrap snapshot at LSN %d does not advance past applied %d", lsn, st.lastLSN)
+	}
+	var restored *Server
+	var eng *cluster.Engine
+	err := installSnapshot(st.journalDir, st.journal, lsn, func(w io.Writer) error {
+		tee := io.TeeReader(body, w)
+		decoded, err := decodeState(tee)
+		if err != nil {
+			return err
+		}
+		if _, err := io.Copy(io.Discard, tee); err != nil { // whatever the decoder left unread
+			return err
+		}
+		if restored, err = restoreServer(decoded, opts...); err != nil {
+			return err
+		}
+		// The clustering engine is rebuilt so its distance closure reads
+		// the live server's vectors, not the temporary restore target's.
+		if restored.clusterer != nil {
+			eng, err = cluster.Restore(restored.clusterer.State(), func(a, b int) float64 {
+				return semantic.Distance(s.vectors[a], s.vectors[b])
+			})
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	s.adoptRestored(restored, eng, lsn)
+	return nil
+}
+
+// adoptRestored swaps a restored snapshot server's state (and the engine
+// rebuilt for it) into s as of lsn. One publish makes the swap atomic for
+// readers.
 //
 //eta2:journalfirst-ok adopts a snapshot of state the primary already journaled; nothing new to journal
-func (s *Server) adoptRestored(r *Server, lsn uint64) error {
-	var eng *cluster.Engine
-	if r.clusterer != nil {
-		var err error
-		eng, err = cluster.Restore(r.clusterer.State(), func(a, b int) float64 {
-			return semantic.Distance(s.vectors[a], s.vectors[b])
-		})
-		if err != nil {
-			return fmt.Errorf("eta2: bootstrap restore clusterer: %w", err)
-		}
-	}
+func (s *Server) adoptRestored(r *Server, eng *cluster.Engine, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cfg = r.cfg
@@ -629,7 +498,6 @@ func (s *Server) adoptRestored(r *Server, lsn uint64) error {
 	s.lastLSN = lsn
 	s.snapLSN = lsn
 	s.publishLocked()
-	return nil
 }
 
 // sleepCtx sleeps for d unless ctx is canceled first; reports whether

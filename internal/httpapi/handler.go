@@ -420,7 +420,7 @@ func (h *Handler) handleDurability(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodGet)
 		return
 	}
-	st := h.durabilityStats()
+	st := h.server.DurabilityStats()
 	writeJSON(w, http.StatusOK, durabilityJSON(st))
 }
 

@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"eta2"
+	"eta2/internal/repl"
 )
 
 func newTestServer(t *testing.T) (*Client, *httptest.Server) {
@@ -281,6 +283,59 @@ func TestDurabilityEndpoints(t *testing.T) {
 	}
 	if st.LastCompaction == "" {
 		t.Error("compact response missing timestamp")
+	}
+
+	// Follower of that server: the same endpoints answer from the same
+	// Server.DurabilityStats / Server.Compact a primary uses, so what
+	// durability reports and what compact does agree. The primary just
+	// compacted, so the follower bootstraps (at LSN 2) and streams LSN 3.
+	fdir := t.TempDir()
+	f, err := eta2.OpenFollower(ts.URL, eta2.FollowerOptions{
+		DataDir:  fdir,
+		Policy:   eta2.DurabilityPolicy{Fsync: eta2.FsyncNever, CompactAt: -1},
+		PollWait: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	fts := httptest.NewServer(NewFollower(f))
+	t.Cleanup(fts.Close)
+	fclient := NewClient(fts.URL, fts.Client())
+	waitFor(t, 10*time.Second, func() bool {
+		return f.ReplicationStatus().AppliedLSN >= 2
+	}, "follower did not bootstrap")
+	if err := dclient.AddUsers(ctx, []UserJSON{{ID: 1, Capacity: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		return f.ReplicationStatus().AppliedLSN >= 3
+	}, "follower did not catch up")
+
+	st, err = fclient.Durability(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Enabled || st.Dir != fdir || st.LastLSN != 3 || st.SnapshotLSN != 2 || st.Compactions != 0 {
+		t.Fatalf("follower durability = %+v, want enabled in %s at LSN 3 over the bootstrap snapshot at 2", st, fdir)
+	}
+	st, err = fclient.Compact(ctx)
+	if err != nil {
+		t.Fatalf("compact on follower: %v", err)
+	}
+	if st.SnapshotLSN != 3 || st.Compactions != 1 || !st.Enabled {
+		t.Errorf("follower after compact: %+v, want snapshot at LSN 3, 1 compaction", st)
+	}
+	// Chained replication stays off: a follower ships nothing.
+	for _, path := range []string{repl.LogPath + "?from=1", repl.SnapshotPath} {
+		resp, err := http.Get(fts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("GET %s on a follower: status %d, want 503", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -106,12 +106,3 @@ func (h *Handler) replicationStatus() eta2.ReplicationStatus {
 	}
 	return h.server.ReplicationStatus()
 }
-
-// durabilityStats mirrors replicationStatus: a follower reports its
-// local log (the embedded server's journal is detached until promotion).
-func (h *Handler) durabilityStats() eta2.DurabilityStats {
-	if h.follower != nil {
-		return h.follower.DurabilityStats()
-	}
-	return h.server.DurabilityStats()
-}

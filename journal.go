@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,12 +14,13 @@ import (
 	"sync"
 	"time"
 
+	"eta2/internal/obs"
 	"eta2/internal/trace"
 	"eta2/internal/wal"
 )
 
 // This file implements the server's durable mode: every mutation is
-// appended to a write-ahead log (internal/wal) after it is applied, and
+// appended to a write-ahead log (internal/wal) before it is applied, and
 // startup recovery rebuilds the exact pre-crash state by loading the
 // latest snapshot and replaying the log tail. Replay is deterministic —
 // every mutation the server performs is a pure function of its inputs
@@ -166,46 +168,22 @@ func listSnapshots(dir string) ([]snapshotFile, error) {
 	return snaps, nil
 }
 
-// openDurableServer performs startup recovery and attaches the journal:
-// load the newest readable snapshot, replay the WAL records past it
-// (the wal package already truncated any torn tail), then start
-// journaling new mutations.
-func openDurableServer(cfg config, opts []Option) (*Server, error) {
-	d := cfg.durable
-	s, wlog, snapLSN, lastLSN, err := recoverDurableState(cfg, opts, d.dir, d.policy)
-	if err != nil {
-		return nil, err
-	}
-
-	// Journal attaches only after replay, so replayed mutations are never
-	// re-journaled.
-	s.journal = wlog
-	s.journalDir = d.dir
-	s.journalPolicy = d.policy
-	s.snapLSN = snapLSN
-	s.lastLSN = lastLSN
-	// Not yet shared; publish so the lock-free query surface sees the
-	// attached journal and recovered LSN frontier.
-	s.publishLocked()
-	return s, nil
-}
-
-// recoverDurableState is the shared recovery core: load the newest
-// readable snapshot under dir, open the WAL, and replay the records past
-// the snapshot. The returned server has NO journal attached — the primary
-// path (openDurableServer) attaches it for write journaling, while a
-// replication follower keeps it detached (the follower's log is a copy of
-// the primary's, written verbatim by the apply loop, not by mutations).
-func recoverDurableState(cfg config, opts []Option, dir string, policy DurabilityPolicy) (*Server, *wal.Log, uint64, uint64, error) {
+// openDurable is the one way a data directory becomes a live node, in
+// either role: load the newest readable snapshot, replay the WAL records
+// past it (the wal package already truncated any torn tail), then attach
+// the log as the journal. The role decides who writes that journal from
+// here on — a primary's own mutations, or a follower's pull loop feeding
+// it the primary's records verbatim (follower.go).
+func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy, role serverRole, primary string) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("eta2: %w", err)
+		return nil, fmt.Errorf("eta2: %w", err)
 	}
 
 	var s *Server
 	var snapLSN uint64
 	snaps, err := listSnapshots(dir)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, err
 	}
 	for _, sn := range snaps {
 		restored, err := loadSnapshotFile(sn.path, opts)
@@ -214,7 +192,7 @@ func recoverDurableState(cfg config, opts []Option, dir string, policy Durabilit
 				// A snapshot this build cannot ever read (e.g. a future
 				// version) must fail loudly, not silently fall back to
 				// stale state.
-				return nil, nil, 0, 0, err
+				return nil, err
 			}
 			// Unreadable/garbage snapshot: fall back to the next older one
 			// (the compactor keeps the previous snapshot until the new one
@@ -226,9 +204,10 @@ func recoverDurableState(cfg config, opts []Option, dir string, policy Durabilit
 	}
 	if s == nil {
 		if s, err = newServer(cfg); err != nil {
-			return nil, nil, 0, 0, err
+			return nil, err
 		}
 	}
+	s.snapLSN, s.lastLSN = snapLSN, snapLSN
 
 	wlog, err := wal.Open(dir, wal.Options{
 		SegmentSize:  policy.SegmentSize,
@@ -238,10 +217,8 @@ func recoverDurableState(cfg config, opts []Option, dir string, policy Durabilit
 		NextLSNFloor: snapLSN + 1,
 	})
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("eta2: %w", err)
+		return nil, fmt.Errorf("eta2: %w", err)
 	}
-
-	lastLSN := snapLSN
 	replayErr := wlog.Replay(func(lsn uint64, payload []byte) error {
 		if lsn <= snapLSN {
 			return nil // already covered by the snapshot
@@ -250,17 +227,27 @@ func recoverDurableState(cfg config, opts []Option, dir string, policy Durabilit
 		if err != nil {
 			return fmt.Errorf("eta2: decode journal record %d: %w", lsn, err)
 		}
-		if err := s.applyEvent(ev); err != nil {
+		if err := s.applyEvent(lsn, ev); err != nil {
 			return fmt.Errorf("eta2: replay journal record %d (%s): %w", lsn, ev.Type, err)
 		}
-		lastLSN = lsn
 		return nil
 	})
 	if replayErr != nil {
 		wlog.Close()
-		return nil, nil, 0, 0, replayErr
+		return nil, replayErr
 	}
-	return s, wlog, snapLSN, lastLSN, nil
+
+	// The journal attaches only after replay, so replayed mutations are
+	// never re-journaled. Not yet shared: publish so the lock-free query
+	// surface sees the attached journal, the role and the recovered LSN
+	// frontier.
+	s.journal = wlog
+	s.journalDir = dir
+	s.journalPolicy = policy
+	s.role = role
+	s.primaryAddr = primary
+	s.publishLocked()
+	return s, nil
 }
 
 // loadSnapshotFile restores a server from one snapshot file, applying the
@@ -278,36 +265,46 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 	return restoreServer(st, opts...)
 }
 
-// applyEvent re-executes one journaled mutation — during startup
-// recovery, and for every record a replication follower applies from the
-// shipped stream. It goes through the ungated internals (addUsers, not
-// AddUsers) because a follower rejects public writes while still applying
-// the primary's. With s.journal == nil (replay before attach; followers
-// keep it nil until promotion) journalBuffered no-ops, so applied events
-// are never re-journaled.
+// applyEvent is the single replay entry: it re-executes the journaled
+// mutation recorded under lsn — during startup recovery, and for every
+// record a replication follower applies from the shipped stream — through
+// the same *Locked bodies the public mutations run (minus the follower
+// write gate: a follower rejects public writes while still applying the
+// primary's). The whole apply is one s.mu critical section that ends with
+// s.lastLSN == lsn, so applied state and LSN frontier are never observable
+// apart: whatever captures state under s.mu (Compact, SaveState, a
+// replication snapshot) labels it with exactly the LSN it contains. The
+// bodies are told the record's LSN, so they stamp it instead of
+// journaling again (see journalBuffered).
 //
-//eta2:journalfirst-ok replay applies events already in the journal; re-journaling them would duplicate the log
-func (s *Server) applyEvent(ev walEvent) error {
+//eta2:journalfirst-ok replay applies a record that is already in the journal under lsn; journaling it again would duplicate the log
+func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
 	switch ev.Type {
 	case eventAddUsers:
-		return s.addUsers(ev.Users...)
+		_, err = s.addUsersLocked(lsn, ev.Users)
 	case eventCreateTasks:
-		_, err := s.createTasks(ev.Specs)
-		return err
+		_, _, err = s.createTasksLocked(lsn, ev.Specs)
 	case eventObservations:
 		// Verbatim append: the journaled observations already carry their
 		// Day stamp (and min-cost rounds bypass SubmitObservations), so
 		// re-validating or re-stamping could diverge from the original run.
+		// Not published per record: observations are not part of the read
+		// snapshot, and a follower publishes once per shipped batch.
 		s.observations = append(s.observations, ev.Observations...)
-		return nil
 	case eventAllocate:
-		return nil // audit-only: allocation does not mutate server state
+		// audit-only: allocation does not mutate server state
 	case eventCloseStep:
-		_, err := s.closeTimeStep()
-		return err
+		_, _, _, err = s.closeTimeStepLocked(lsn, nil)
 	default:
-		return fmt.Errorf("unknown event type %q", ev.Type)
+		err = fmt.Errorf("unknown event type %q", ev.Type)
 	}
+	if err == nil {
+		s.lastLSN = lsn
+	}
+	return err
 }
 
 // obsEventPool recycles encode buffers for the SubmitObservations hot
@@ -330,66 +327,76 @@ func encodeEvent(ev walEvent) ([]byte, error) {
 
 // journalBuffered encodes and journals one mutation without waiting for
 // durability. The caller must hold the write lock (so LSN order equals
-// apply order) and must call journalCommit with the returned LSN after
-// releasing it. A nil journal (in-memory server, or a mutation
-// re-executed during replay) is a no-op returning LSN 0.
-func (s *Server) journalBuffered(ev walEvent) (uint64, error) {
-	if s.journal == nil {
-		return 0, nil
+// apply order) and, for a record it wrote, must call journalCommit with
+// the returned LSN after releasing it. at mirrors wal.AppendBufferedAt:
+// 0 assigns the next LSN and writes the record; a nonzero at means the
+// record already sits in the journal under that LSN (applyEvent), so only
+// the frontier is stamped. Without a journal (in-memory server) at == 0
+// is a no-op returning LSN 0.
+func (s *Server) journalBuffered(at uint64, ev walEvent) (uint64, error) {
+	var payload []byte
+	if at == 0 && s.journal != nil {
+		var err error
+		if payload, err = encodeEvent(ev); err != nil {
+			return 0, err
+		}
 	}
-	payload, err := encodeEvent(ev)
-	if err != nil {
-		return 0, err
-	}
-	return s.journalBufferedPayload(payload)
+	return s.journalBufferedPayload(at, payload)
 }
 
 // journalBufferedPayload is journalBuffered for a pre-encoded payload.
-func (s *Server) journalBufferedPayload(payload []byte) (uint64, error) {
-	if s.journal == nil {
-		return 0, nil
+func (s *Server) journalBufferedPayload(at uint64, payload []byte) (uint64, error) {
+	if at == 0 {
+		if s.journal == nil {
+			return 0, nil
+		}
+		var err error
+		at, err = s.journal.AppendBuffered(payload)
+		if err != nil {
+			return 0, fmt.Errorf("eta2: journal append: %w", err)
+		}
 	}
-	lsn, err := s.journal.AppendBuffered(payload) //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits, not frozen snapshot data
-	if err != nil {
-		return 0, fmt.Errorf("eta2: journal append: %w", err)
+	s.lastLSN = at
+	return at, nil
+}
+
+// journalShipped is a follower's half of journal-before-apply: the record
+// the primary shipped under lsn is appended to the local journal verbatim
+// — same LSN, same bytes — and applyEvent(lsn, ...) follows. The record
+// must extend the applied frontier by exactly one; anything else is a
+// hole in the stream (errLSNGap), answered by a snapshot bootstrap.
+func (s *Server) journalShipped(lsn uint64, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.journal == nil || s.role != roleFollower {
+		return ErrNotDurable
 	}
-	s.lastLSN = lsn
-	return lsn, nil
+	if lsn != s.lastLSN+1 {
+		return errLSNGap
+	}
+	return s.journal.AppendBufferedAt(lsn, payload)
 }
 
 // journalCommit blocks until the record at lsn is durable per the fsync
-// policy. Called with no server lock held: concurrent committers are
-// batched by the WAL's group commit into a single fsync. The journal is
-// read from the published snapshot, so the wait involves no server lock
-// at all. An LSN of 0 (in-memory server) is a no-op, and so is a journal
-// detached by a concurrent Close — Close syncs the log before detaching,
-// so the record is already durable.
-func (s *Server) journalCommit(lsn uint64) error {
-	return s.journalCommitSpanned(lsn, nil)
-}
-
-// journalCommitSpanned is journalCommit closing an open fsync-wait span:
-// the span (nil on untraced calls) ends when durability is reached, and
-// its annotation records whether this caller led the group commit's
-// fsync or was covered by another caller's flush.
-func (s *Server) journalCommitSpanned(lsn uint64, sp *trace.Span) error {
-	if lsn == 0 {
-		sp.End()
-		return nil
-	}
+// policy, then ends sp — the caller's open fsync-wait span, nil on
+// untraced calls — annotated with whether this caller led the group
+// commit's fsync or was covered by another caller's flush. Called with no
+// server lock held: concurrent committers are batched by the WAL's group
+// commit into a single fsync, and the journal is read from the published
+// snapshot, so the wait involves no server lock at all. An LSN of 0
+// (in-memory server) is a no-op, and so is a journal detached by a
+// concurrent Close, which syncs the log on its way out.
+func (s *Server) journalCommit(lsn uint64, sp *trace.Span) error {
+	defer sp.End()
 	j := s.loadState().journal
-	if j == nil {
-		sp.End()
+	if lsn == 0 || j == nil {
 		return nil
 	}
-	leader, err := j.CommitReported(lsn) //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits, not frozen snapshot data
-	if sp != nil {
-		if leader {
-			sp.Annotate("role=leader")
-		} else {
-			sp.Annotate("role=follower")
-		}
-		sp.End()
+	leader, err := j.CommitReported(lsn)
+	if leader {
+		sp.Annotate("role=leader")
+	} else {
+		sp.Annotate("role=follower")
 	}
 	if err != nil {
 		return fmt.Errorf("eta2: journal commit: %w", err)
@@ -397,28 +404,22 @@ func (s *Server) journalCommitSpanned(lsn uint64, sp *trace.Span) error {
 	return nil
 }
 
-// closeStepDurability runs the per-step durability work after a committed
-// CloseTimeStep: force a WAL flush under the interval policy (a closed
-// step is the natural commit point; fsync-never callers keep their
-// explicit no-sync contract), then kick off a background compaction once
-// the log has outgrown the policy threshold. Called with the write lock
-// held — the compaction itself runs off the write path (see
-// backgroundCompact), so closing a step never pays the snapshot encode
-// or its fsyncs.
-func (s *Server) closeStepDurability() error {
-	if s.journal == nil {
-		return nil
+// compactIfOwedLocked spawns one background compaction cycle if the log
+// has outgrown the policy threshold, none is in flight and the server is
+// not closing. Called with the write lock held at the end of every closed
+// step, in either role; it only reads the log's size, flips a flag and
+// starts a goroutine — the compaction itself runs off the write path (see
+// backgroundCompact), so closing a step never pays the snapshot encode or
+// its fsyncs.
+func (s *Server) compactIfOwedLocked() {
+	if s.journal == nil || s.journalPolicy.CompactAt <= 0 || s.journal.Stats().Bytes < s.journalPolicy.CompactAt {
+		return
 	}
-	if s.journalPolicy.Fsync == FsyncInterval {
-		//eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits, not frozen snapshot data
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("eta2: journal sync: %w", err)
-		}
+	if s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
+		return
 	}
-	if s.journalPolicy.CompactAt > 0 && s.journal.Stats().Bytes >= s.journalPolicy.CompactAt {
-		s.startBackgroundCompactionLocked()
-	}
-	return nil
+	//eta2:replaypurity-ok compaction rewrites durable files only and labels its snapshot under s.mu with exactly the LSN it contains, so applied state never observes it; startup replay runs with s.journal == nil and never trips the threshold
+	go s.backgroundCompact()
 }
 
 // ErrNotDurable is returned by durability operations on a server built
@@ -456,53 +457,59 @@ func (s *Server) captureCompactionLocked() (compactionCapture, bool) {
 }
 
 // writeSnapshot runs the off-lock portion of a compaction cycle: sync the
-// WAL through the captured frontier, encode the captured state with the
-// binary codec into a temp file, fsync, rename it into place, drop
-// superseded snapshots, and truncate the WAL prefix the new snapshot
-// covers. Crash-safe at every point: the snapshot lands via write-temp +
-// fsync + rename, old snapshots are removed only after the new one is
-// durable, and WAL records are only deleted once a snapshot with their
-// LSN exists — recovery at any intermediate state replays to the same
-// result. Plain function on purpose: it must not touch live Server state.
+// WAL through the captured frontier, then install the captured state,
+// encoded with the binary codec, as the directory's newest snapshot. WAL
+// records are only deleted once a durable snapshot with their LSN exists,
+// so recovery at any intermediate state replays to the same result. Plain
+// function on purpose: it must not touch live Server state.
 func writeSnapshot(cap compactionCapture) error {
 	if err := cap.journal.Sync(); err != nil {
 		return fmt.Errorf("eta2: journal sync: %w", err)
 	}
-	tmp := filepath.Join(cap.dir, fmt.Sprintf("snapshot-%020d.tmp", cap.lsn))
+	return installSnapshot(cap.dir, cap.journal, cap.lsn, func(w io.Writer) error {
+		return encodeStateBinary(w, cap.st)
+	})
+}
+
+// installSnapshot makes whatever write produces the newest snapshot in
+// dir, covering every record through lsn — the one path a snapshot file
+// reaches a data directory by (compaction encodes captured state through
+// it, follower bootstrap tees the primary's snapshot through it).
+// Crash-safe at every point: the file lands via write-temp + fsync +
+// rename + directory fsync, and only then are the snapshots it supersedes
+// and the WAL prefix it covers removed. A failed write leaves the
+// directory as it was.
+func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.tmp", lsn))
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("eta2: compact: %w", err)
+		return fmt.Errorf("eta2: install snapshot: %w", err)
 	}
-	if err := encodeStateBinary(f, cap.st); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", lsn)))
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
+		return fmt.Errorf("eta2: install snapshot: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: compact: %w", err)
-	}
-	final := filepath.Join(cap.dir, fmt.Sprintf("snapshot-%020d.bin", cap.lsn))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("eta2: compact: %w", err)
-	}
-	syncDir(cap.dir)
+	syncDir(dir)
 
-	if snaps, err := listSnapshots(cap.dir); err == nil {
+	if snaps, err := listSnapshots(dir); err == nil {
 		for _, sn := range snaps {
-			if sn.lsn < cap.lsn {
+			if sn.lsn < lsn {
 				_ = os.Remove(sn.path)
 			}
 		}
 	}
-	if err := cap.journal.TruncateThrough(cap.lsn); err != nil {
-		return fmt.Errorf("eta2: compact: %w", err)
+	if err := journal.TruncateThrough(lsn); err != nil {
+		return fmt.Errorf("eta2: install snapshot: %w", err)
 	}
 	return nil
 }
@@ -522,15 +529,29 @@ func (s *Server) finishCompactionLocked(cap compactionCapture) {
 }
 
 // Compact writes a snapshot of the current state covering every journaled
-// mutation, then truncates the WAL prefix the snapshot covers. The write
-// lock is held only while capturing state; encoding and fsyncs run with
-// no server lock held, so concurrent mutations and reads proceed
-// unimpeded. Compaction cycles (explicit, automatic, and the final one in
-// Close) are serialized by compactMu.
+// (on a follower: applied) mutation, then truncates the WAL prefix the
+// snapshot covers. The write lock is held only while capturing state;
+// encoding and fsyncs run with no server lock held, so concurrent
+// mutations, a follower's apply loop and reads proceed unimpeded.
 func (s *Server) Compact() error {
+	return s.compactCycle(mCompactionForeground)
+}
+
+// compactCycle is the one LSN-coordinated compaction cycle — explicit,
+// automatic, and the final one in Close all run it, serialized by
+// compactMu (lock order everywhere: compactMu before mu, never inside):
+// briefly take the write lock to capture state and the LSN it contains,
+// encode/fsync/truncate with no server lock held, then re-lock to record
+// the bookkeeping. ErrNotDurable without a journal.
+func (s *Server) compactCycle(mode *obs.Histogram) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	t := s.compactionTrace()
+	var t *trace.Trace
+	if s.tracer.Enabled() {
+		// Forced rather than sampled: compactions are rare and always
+		// worth a flight-recorder slot.
+		t = s.tracer.StartRoot("compaction", true)
+	}
 	defer t.End()
 	start := time.Now()
 	cs := t.StartSpan("capture")
@@ -553,41 +574,21 @@ func (s *Server) Compact() error {
 	s.finishCompactionLocked(cap)
 	s.mu.Unlock()
 	fin.End()
-	mCompactionForeground.Observe(time.Since(start).Seconds())
+	mode.Observe(time.Since(start).Seconds())
 	return nil
-}
-
-// compactionTrace starts a forced background-job trace for one
-// compaction cycle, or nil when tracing is off. Forced rather than
-// sampled: compactions are rare and always worth a flight-recorder slot.
-func (s *Server) compactionTrace() *trace.Trace {
-	if !s.tracer.Enabled() {
-		return nil
-	}
-	return s.tracer.StartRoot("compaction", true)
-}
-
-// startBackgroundCompactionLocked spawns one background compaction cycle
-// if none is in flight and the server is not closing. Called with the
-// write lock held; it only flips a flag and starts a goroutine.
-func (s *Server) startBackgroundCompactionLocked() {
-	if s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	//eta2:replaypurity-ok compaction rewrites durable files only; replayed state never observes it, and replay runs with s.journal == nil so the threshold never trips
-	go s.backgroundCompact()
 }
 
 // backgroundCompact runs compaction cycles until the log is back under
 // the policy threshold. Threshold triggers that fire while a cycle is in
-// flight are dropped by the CAS in startBackgroundCompactionLocked, so
-// after each cycle this re-checks the condition and reclaims the flag —
-// otherwise a trigger racing an in-flight cycle could leave the frontier
-// permanently uncovered. Consecutive cycles coalesce: writes during a
-// cycle are picked up by the next one, not compacted one-by-one.
+// flight are dropped by the CAS in compactIfOwedLocked, so after each
+// cycle this re-checks the condition and reclaims the flag — otherwise a
+// trigger racing an in-flight cycle could leave the frontier permanently
+// uncovered. Consecutive cycles coalesce: writes during a cycle are
+// picked up by the next one, not compacted one-by-one. A failed cycle is
+// only skipped — the threshold check at the next closed step retries.
 func (s *Server) backgroundCompact() {
 	for {
-		s.compactCycle()
+		_ = s.compactCycle(mCompactionBackground)
 		s.compacting.Store(false)
 		if s.closing.Load() || !s.compactionOwed() || !s.compacting.CompareAndSwap(false, true) {
 			return
@@ -607,69 +608,29 @@ func (s *Server) compactionOwed() bool {
 	return st.lastLSN > st.snapLSN && st.journal.Stats().Bytes >= s.journalPolicy.CompactAt
 }
 
-// compactCycle is one LSN-coordinated compaction cycle off the write
-// path: serialize behind compactMu, briefly take the write lock to
-// capture state and the covered LSN, then encode/fsync/truncate with no
-// server lock held, and finally re-lock to record the bookkeeping. A
-// failure only skips the cycle — the threshold check at the next closed
-// step retries. Lock order everywhere: compactMu before mu, never inside.
-func (s *Server) compactCycle() {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	t := s.compactionTrace()
-	defer t.End()
-	start := time.Now()
-	cs := t.StartSpan("capture")
-	s.mu.Lock()
-	cap, ok := s.captureCompactionLocked()
-	s.mu.Unlock()
-	cs.End()
-	if !ok {
-		return // journal detached: a racing Close won
-	}
-	ws := t.StartSpan("write snapshot")
-	err := writeSnapshot(cap)
-	ws.End()
-	if err != nil {
-		mCompactionsFailed.Inc()
-		return
-	}
-	fin := t.StartSpan("finish")
-	s.mu.Lock()
-	s.finishCompactionLocked(cap)
-	s.mu.Unlock()
-	fin.End()
-	mCompactionBackground.Observe(time.Since(start).Seconds())
-}
-
-// Close writes a final snapshot (so the next start recovers without any
-// replay) and detaches the journal. Any in-flight background compaction
-// is drained first. The server itself stays usable as a purely in-memory
-// instance; Close is idempotent and a no-op for servers built without
-// WithDurability.
+// Close writes a final snapshot (so the next start recovers without
+// replaying anything that did not race the Close) and detaches the
+// journal; on a follower, Follower.Close stops the pull loop first. Any
+// in-flight background compaction is drained first. The server itself
+// stays usable as a purely in-memory instance; Close is idempotent and a
+// no-op for servers built without WithDurability.
 func (s *Server) Close() error {
 	s.closing.Store(true)
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil {
+	err := s.compactCycle(mCompactionForeground)
+	if errors.Is(err, ErrNotDurable) {
 		return nil
 	}
-	// The final snapshot deliberately runs under the write lock: nothing
-	// may journal between it and the journal detach, so the next start
-	// recovers without replay.
-	start := time.Now()
-	cap, _ := s.captureCompactionLocked()
-	err := writeSnapshot(cap)
-	if err == nil {
-		s.finishCompactionLocked(cap)
-		mCompactionForeground.Observe(time.Since(start).Seconds())
-	}
+	s.mu.Lock()
 	j := s.journal
 	s.journal = nil
 	s.publishLocked()
-	if cerr := j.Close(); err == nil { //eta2:snapshotimmutability-ok closing the WAL after unpublishing it (s.journal = nil republished above); the handle is infrastructure, not frozen snapshot data
+	s.mu.Unlock()
+	if j == nil {
+		return err // a concurrent Close detached it first
+	}
+	// Closing the log syncs it, so a record journaled between the final
+	// snapshot and the detach is durable too and replays at the next start.
+	if cerr := j.Close(); err == nil {
 		err = cerr
 	}
 	return err

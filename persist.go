@@ -193,7 +193,7 @@ func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	// newServer, not NewServer: a WithDurability option in opts must not
-	// recurse into recovery — openDurableServer drives this path itself.
+	// recurse into recovery — openDurable drives this path itself.
 	s, err := newServer(cfg)
 	if err != nil {
 		return nil, err

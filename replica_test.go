@@ -2,8 +2,11 @@ package eta2
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,8 +60,10 @@ func waitApplied(t *testing.T, f *Follower, lsn uint64) {
 // test: after every scripted mutation on the primary, the follower —
 // converged to the same LSN — must hold bit-identical state. Midway the
 // follower is restarted from its own data directory (resume without
-// refetching history) and the primary compacts its shipped WAL prefix
-// (an already-caught-up cursor must survive the truncation).
+// refetching history), compacts itself with a day's observations still
+// buffered, and the primary compacts its shipped WAL prefix (an
+// already-caught-up cursor must survive the truncation) — after which
+// both nodes' durability stats have the same shape.
 func TestFollowerBitIdenticalAtEveryBoundary(t *testing.T) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	tuning := []Option{WithEmbedder(rootTestEmbedder(t)), WithAlpha(0.7), WithGamma(0.5)}
@@ -88,9 +93,9 @@ func TestFollowerBitIdenticalAtEveryBoundary(t *testing.T) {
 		if got := saveBytes(t, f.Server()); string(got) != string(want) {
 			t.Fatalf("op %d: follower state diverged from primary at LSN %d", i, lsn)
 		}
-		fst := f.DurabilityStats()
-		if fst.LastLSN != lsn {
-			t.Fatalf("op %d: follower log at LSN %d, want %d", i, fst.LastLSN, lsn)
+		fst := f.Server().DurabilityStats()
+		if !fst.Enabled || fst.LastLSN != lsn || fst.SnapshotLSN > lsn {
+			t.Fatalf("op %d: follower durability %+v, want enabled at LSN %d", i, fst, lsn)
 		}
 
 		switch i {
@@ -109,11 +114,27 @@ func TestFollowerBitIdenticalAtEveryBoundary(t *testing.T) {
 			if got := saveBytes(t, f.Server()); string(got) != string(want) {
 				t.Fatalf("op %d: reopened follower state diverged", i)
 			}
+		case 3:
+			// Follower compaction mid-day: the same Server.Compact a
+			// primary runs, labelled with the applied frontier.
+			if err := f.Server().Compact(); err != nil {
+				t.Fatalf("op %d: compact follower: %v", i, err)
+			}
+			if fst := f.Server().DurabilityStats(); fst.SnapshotLSN != lsn || fst.Compactions != 1 {
+				t.Fatalf("op %d: follower after compact %+v, want snapshot at LSN %d, 1 compaction", i, fst, lsn)
+			}
 		case 5:
 			// Primary compaction mid-stream: shipped segments are pruned,
 			// but a caught-up follower streams on without a bootstrap.
 			if err := primary.Compact(); err != nil {
 				t.Fatalf("op %d: compact primary: %v", i, err)
+			}
+			if err := f.Server().Compact(); err != nil {
+				t.Fatalf("op %d: compact follower: %v", i, err)
+			}
+			pst, fst := primary.DurabilityStats(), f.Server().DurabilityStats()
+			if fst.LastLSN != pst.LastLSN || fst.SnapshotLSN != pst.SnapshotLSN || fst.SnapshotLSN != lsn {
+				t.Fatalf("op %d: durability shapes differ: primary %+v, follower %+v", i, pst, fst)
 			}
 		}
 	}
@@ -307,5 +328,267 @@ func TestPromoteFlipsFollowerToPrimary(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hintedPrimary opens a durable primary holding 8 users and 50 hinted
+// tasks — no embedder, so observation streams are cheap to drive.
+func hintedPrimary(t *testing.T) *Server {
+	t.Helper()
+	primary, err := NewServer(WithDurability(t.TempDir(),
+		DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1, SegmentSize: 4096}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	var users []User
+	for u := 0; u < 8; u++ {
+		users = append(users, User{ID: UserID(u), Capacity: 100})
+	}
+	if err := primary.AddUsers(users...); err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]TaskSpec, 50)
+	for i := range specs {
+		specs[i] = TaskSpec{DomainHint: DomainID(1 + i%3), ProcTime: 1}
+	}
+	if _, err := primary.CreateTasks(specs...); err != nil {
+		t.Fatal(err)
+	}
+	return primary
+}
+
+// streamObservations submits n single-observation records to the primary.
+func streamObservations(t *testing.T, primary *Server, start, n int) {
+	t.Helper()
+	for i := start; i < start+n; i++ {
+		o := Observation{Task: TaskID(i % 50), User: UserID(i % 8), Value: float64(i%50) + float64(i%8)/10}
+		if err := primary.SubmitObservations(o); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+}
+
+// TestFollowerCompactAndSaveWhileStreaming hammers the follower's
+// embedded server with SaveState and Compact while the pull loop applies
+// a long observation stream and a close-step: every state write the
+// apply path makes happens under s.mu, so this is race-clean (run under
+// -race) and the follower still ends bit-identical to the primary.
+func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
+	primary := hintedPrimary(t)
+	ts := replTestServer(t, primary)
+	f, err := OpenFollower(ts.URL, fastFollowerOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := f.Server().SaveState(io.Discard); err != nil {
+				t.Errorf("SaveState on follower: %v", err)
+				return
+			}
+			if err := f.Server().Compact(); err != nil {
+				t.Errorf("Compact on follower: %v", err)
+				return
+			}
+		}
+	}()
+
+	streamObservations(t, primary, 0, 2000)
+	if _, err := primary.CloseTimeStep(); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, f, primary.DurabilityStats().LastLSN)
+	close(stop)
+	wg.Wait()
+
+	if got, want := saveBytes(t, f.Server()), saveBytes(t, primary); string(got) != string(want) {
+		t.Fatal("follower diverged from primary under concurrent SaveState/Compact")
+	}
+	if fst := f.Server().DurabilityStats(); fst.Compactions == 0 || fst.SnapshotLSN > fst.LastLSN {
+		t.Fatalf("follower durability after the stream: %+v", fst)
+	}
+}
+
+// TestFollowerCompactMidStreamRestart pins "snapshot label == snapshot
+// content" on a follower: Compact runs while the pull loop is applying a
+// stream, and a node recovered from that snapshot plus the WAL tail behind
+// it — a crash image first, then the gracefully closed directory — must
+// resume at the pre-close frontier with bit-identical state, without
+// refetching a single record or bootstrapping. A snapshot labelled one
+// record off its content would replay the tail into duplicated or
+// missing observations.
+func TestFollowerCompactMidStreamRestart(t *testing.T) {
+	primary := hintedPrimary(t)
+	// Record every log cursor and snapshot fetch the primary serves.
+	var mu sync.Mutex
+	var cursors []uint64
+	snapshots := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc(repl.LogPath, func(w http.ResponseWriter, r *http.Request) {
+		from, _ := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+		mu.Lock()
+		cursors = append(cursors, from)
+		mu.Unlock()
+		repl.ServeLog(primary, w, r)
+	})
+	mux.HandleFunc(repl.SnapshotPath, func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		snapshots++
+		mu.Unlock()
+		repl.ServeSnapshot(primary, w, r)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	fdir := t.TempDir()
+	f, err := OpenFollower(ts.URL, fastFollowerOptions(fdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { f.Close() }()
+
+	// Compact in a loop while the stream flows, stop, then ship one more
+	// record so the last snapshot is guaranteed a WAL tail behind it.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := f.Server().Compact(); err != nil {
+				t.Errorf("Compact on follower: %v", err)
+				return
+			}
+		}
+	}()
+	streamObservations(t, primary, 0, 600)
+	close(stop)
+	wg.Wait()
+	streamObservations(t, primary, 600, 1)
+	frontier := primary.DurabilityStats().LastLSN
+	waitApplied(t, f, frontier)
+	want := saveBytes(t, primary)
+	if fst := f.Server().DurabilityStats(); fst.Compactions == 0 || fst.SnapshotLSN >= frontier {
+		t.Fatalf("want a mid-stream snapshot behind frontier %d, got %+v", frontier, fst)
+	}
+
+	reopen := func(name, dir string) *Follower {
+		t.Helper()
+		mu.Lock()
+		cursors, snapshots = nil, 0
+		mu.Unlock()
+		r, err := OpenFollower(ts.URL, fastFollowerOptions(dir))
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		if got := r.ReplicationStatus().AppliedLSN; got != frontier {
+			t.Fatalf("%s: resumed at LSN %d, want %d", name, got, frontier)
+		}
+		if got := saveBytes(t, r.Server()); string(got) != string(want) {
+			t.Fatalf("%s: recovered state diverged from primary", name)
+		}
+		// Let the pull loop poll at least once before reading its cursors.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			mu.Lock()
+			n := len(cursors)
+			mu.Unlock()
+			if n > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: pull loop never polled", name)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, from := range cursors {
+			if from != frontier+1 {
+				t.Fatalf("%s: refetched from LSN %d, want cursor %d only", name, from, frontier+1)
+			}
+		}
+		if snapshots != 0 || r.ReplicationStatus().SnapshotBootstraps != 0 {
+			t.Fatalf("%s: bootstrapped (%d snapshot fetches)", name, snapshots)
+		}
+		return r
+	}
+
+	// Crash image: the mid-stream snapshot plus the WAL tail behind it.
+	// The pull loop is idle (caught up), so the copy sees a quiet log.
+	crashed := reopen("crash image", copyDataDir(t, fdir))
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Graceful restart from the follower's own directory.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f = reopen("restart", fdir)
+}
+
+// cutWriter passes the first limit body bytes through, then aborts the
+// response: the client sees a log batch torn mid-stream.
+type cutWriter struct {
+	http.ResponseWriter
+	limit int
+}
+
+func (c *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > c.limit {
+		c.ResponseWriter.Write(p[:c.limit])
+		c.ResponseWriter.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}
+	c.limit -= len(p)
+	return c.ResponseWriter.Write(p)
+}
+
+// TestFollowerResumesAfterTornBatch tears the first log response in the
+// middle of the stream: the records that arrived whole are applied and
+// finished like any batch, and the next fetch resumes right behind them —
+// no refetch of applied LSNs (which would read as a gap), no bootstrap.
+func TestFollowerResumesAfterTornBatch(t *testing.T) {
+	primary := hintedPrimary(t)
+	streamObservations(t, primary, 0, 200)
+	var once sync.Once
+	mux := http.NewServeMux()
+	mux.HandleFunc(repl.LogPath, func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { w = &cutWriter{ResponseWriter: w, limit: 4000} })
+		repl.ServeLog(primary, w, r)
+	})
+	mux.HandleFunc(repl.SnapshotPath, func(w http.ResponseWriter, r *http.Request) { repl.ServeSnapshot(primary, w, r) })
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	f, err := OpenFollower(ts.URL, fastFollowerOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitApplied(t, f, primary.DurabilityStats().LastLSN)
+	if got, want := saveBytes(t, f.Server()), saveBytes(t, primary); string(got) != string(want) {
+		t.Fatal("follower diverged after a torn batch")
+	}
+	rs := f.ReplicationStatus()
+	if rs.Reconnects == 0 || rs.SnapshotBootstraps != 0 {
+		t.Fatalf("want the torn batch retried without a bootstrap, got %+v", rs)
 	}
 }

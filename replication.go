@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"eta2/internal/wal"
 )
 
 // serverRole is a node's position in a replication topology.
@@ -51,12 +53,24 @@ func (s *Server) writable() error {
 	return nil
 }
 
+// shipJournal is the one gate in front of the replication source surface:
+// only a durable primary ships its log. Followers keep answering
+// ErrNotDurable (503 over HTTP) until promoted — chained replication is
+// off. Lock-free: role and journal come from the published snapshot.
+func (s *Server) shipJournal() (*wal.Log, error) {
+	st := s.loadState()
+	if st.journal == nil || st.role != rolePrimary {
+		return nil, ErrNotDurable
+	}
+	return st.journal, nil
+}
+
 // CommittedLSN returns the server's WAL acknowledgement frontier — the
-// newest LSN replication may ship. ErrNotDurable without a journal.
+// newest LSN replication may ship. ErrNotDurable unless shipJournal allows.
 func (s *Server) CommittedLSN() (uint64, error) {
-	j := s.loadState().journal
-	if j == nil {
-		return 0, ErrNotDurable
+	j, err := s.shipJournal()
+	if err != nil {
+		return 0, err
 	}
 	return j.CommittedLSN(), nil
 }
@@ -65,11 +79,11 @@ func (s *Server) CommittedLSN() (uint64, error) {
 // timeout elapses, returning the frontier either way — the long-poll
 // primitive behind GET /v1/repl/log.
 func (s *Server) WaitCommitted(after uint64, timeout time.Duration) (uint64, error) {
-	j := s.loadState().journal
-	if j == nil {
-		return 0, ErrNotDurable
+	j, err := s.shipJournal()
+	if err != nil {
+		return 0, err
 	}
-	return j.WaitCommitted(after, timeout), nil //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits, not frozen snapshot data
+	return j.WaitCommitted(after, timeout), nil
 }
 
 // TakeShippedTraces drains up to max completed write traces whose LSN is
@@ -83,9 +97,9 @@ func (s *Server) TakeShippedTraces(upTo uint64, max int) [][]byte {
 // at most max of them; see (*wal.Log).ReadCommitted for the contract
 // (including wal.ErrCompacted for cursors behind the latest compaction).
 func (s *Server) ReadCommitted(from uint64, max int, fn func(lsn uint64, payload []byte) error) (int, error) {
-	j := s.loadState().journal
-	if j == nil {
-		return 0, ErrNotDurable
+	j, err := s.shipJournal()
+	if err != nil {
+		return 0, err
 	}
 	return j.ReadCommitted(from, max, fn)
 }
@@ -97,11 +111,10 @@ func (s *Server) ReadCommitted(from uint64, max int, fn func(lsn uint64, payload
 // persistStateLocked); the encoding runs when write is called, with no
 // server lock held.
 func (s *Server) CaptureReplicationSnapshot() (uint64, func(io.Writer) error, error) {
-	s.mu.RLock()
-	if s.journal == nil {
-		s.mu.RUnlock()
-		return 0, nil, ErrNotDurable
+	if _, err := s.shipJournal(); err != nil {
+		return 0, nil, err
 	}
+	s.mu.RLock()
 	st := s.persistStateLocked()
 	lsn := s.lastLSN
 	s.mu.RUnlock()
@@ -111,7 +124,7 @@ func (s *Server) CaptureReplicationSnapshot() (uint64, func(io.Writer) error, er
 // ReplicationStatus reports this server's replication position. For a
 // follower the Follower wrapper overlays the pull-loop view (primary
 // frontier, lag, connection state); the server itself knows its role and
-// LSN frontiers. Lock-free: everything comes from the published snapshot.
+// LSN frontiers (a follower's applied LSN advances once per shipped batch). Lock-free: everything comes from the published snapshot.
 func (s *Server) ReplicationStatus() ReplicationStatus {
 	st := s.loadState()
 	rs := ReplicationStatus{

@@ -71,7 +71,11 @@ type Server struct {
 	lastNewDomains []DomainID
 	lastMerges     int
 
-	// Durable mode (nil journal = in-memory server); see journal.go.
+	// Durable mode (nil journal = in-memory server); see journal.go. The
+	// journal is attached in either replication role: a primary's own
+	// mutations write it, a follower's pull loop feeds it the primary's
+	// records verbatim. lastLSN is the newest record applied to the state
+	// above — the two only change together, under mu.
 	journal        *wal.Log
 	journalDir     string
 	journalPolicy  DurabilityPolicy
@@ -82,8 +86,8 @@ type Server struct {
 
 	// Replication role (see replication.go). rolePrimary (the zero value)
 	// accepts writes; roleFollower rejects public mutations with
-	// *FollowerWriteError and applies shipped records through the same
-	// internals recovery replay uses. Guarded by mu; mirrored into the
+	// *FollowerWriteError and applies shipped records through applyEvent,
+	// the path recovery replays. Guarded by mu; mirrored into the
 	// published snapshot so the write gate is lock-free.
 	role        serverRole
 	primaryAddr string
@@ -95,7 +99,8 @@ type Server struct {
 
 	// Background compaction coordination; see journal.go. compactMu
 	// serializes whole compaction cycles (capture → write → bookkeeping)
-	// and is always taken before mu, never while holding it. compacting
+	// and a follower's snapshot bootstrap, and is always taken before mu,
+	// never while holding it. compacting
 	// keeps CloseTimeStep from piling up trigger goroutines; closing stops
 	// new auto-compactions once Close has begun.
 	compactMu  sync.Mutex
@@ -211,8 +216,8 @@ func NewServer(opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.durable != nil {
-		return openDurableServer(cfg, opts)
+	if d := cfg.durable; d != nil {
+		return openDurable(cfg, opts, d.dir, d.policy, rolePrimary, "")
 	}
 	return newServer(cfg)
 }
@@ -232,7 +237,7 @@ func buildConfig(opts ...Option) (config, error) {
 }
 
 // newServer builds a bare in-memory server from a resolved config (no
-// recovery, no journal — openDurableServer layers those on top).
+// recovery, no journal — openDurable layers those on top).
 //
 //eta2:allocdiscipline-ok constructor: runs once per server, not per request
 func newServer(cfg config) (*Server, error) {
@@ -281,32 +286,14 @@ func (s *Server) AddUsersContext(ctx context.Context, users ...User) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
-	return s.addUsersTraced(trace.FromContext(ctx), users...)
-}
-
-// addUsers is AddUsers without the follower write gate — the entry point
-// the replay/replication apply path uses, since shipped records must land
-// on a follower that rejects every external write.
-func (s *Server) addUsers(users ...User) error {
-	return s.addUsersTraced(nil, users...)
-}
-
-func (s *Server) addUsersTraced(t *trace.Trace, users ...User) error {
-	if len(users) == 0 {
-		return nil
-	}
-	for _, u := range users {
-		if err := u.Validate(); err != nil {
-			return fmt.Errorf("eta2: %w", err)
-		}
-	}
+	t := trace.FromContext(ctx)
 	app := t.StartSpan(trace.SpanJournalAppend)
 	s.mu.Lock()
-	lsn, err := s.addUsersLocked(users)
+	lsn, err := s.addUsersLocked(0, users)
 	var fsync *trace.Span
 	if err == nil {
 		// Opened under the lock so the span order reflects the durability
-		// order (append → fsync wait); it ends in journalCommitSpanned.
+		// order (append → fsync wait); it ends in journalCommit.
 		fsync = t.StartSpan(trace.SpanFsyncWait)
 	}
 	s.mu.Unlock()
@@ -315,14 +302,24 @@ func (s *Server) addUsersTraced(t *trace.Trace, users ...User) error {
 		return err
 	}
 	t.SetLSN(lsn)
-	return s.journalCommitSpanned(lsn, fsync)
+	return s.journalCommit(lsn, fsync)
 }
 
-// addUsersLocked validates name bindings against live state, journals the
-// batch, and applies it. Name conflicts are checked before journaling: a
-// record that could not re-apply on replay must never reach the WAL.
-// Callers hold s.mu and own the fsync (journalCommit) after unlocking.
-func (s *Server) addUsersLocked(users []User) (uint64, error) {
+// addUsersLocked validates the batch and its name bindings against live
+// state, journals it, and applies it. Every check runs before journaling:
+// a record that could not re-apply on replay must never reach the WAL.
+// at is the journal position (see journalBuffered): 0 from the public
+// gates, which own the fsync (journalCommit) after unlocking; the record's
+// LSN from applyEvent.
+func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
+	if len(users) == 0 {
+		return 0, nil
+	}
+	for _, u := range users {
+		if err := u.Validate(); err != nil {
+			return 0, fmt.Errorf("eta2: %w", err)
+		}
+	}
 	var names []string
 	var nameIDs []int
 	var batchName map[UserID]string // lazily built: unnamed batches skip all of this
@@ -346,7 +343,7 @@ func (s *Server) addUsersLocked(users []User) (uint64, error) {
 		names = append(names, u.Name)
 		nameIDs = append(nameIDs, int(u.ID))
 	}
-	lsn, err := s.journalBuffered(walEvent{Type: eventAddUsers, Users: users})
+	lsn, err := s.journalBuffered(at, walEvent{Type: eventAddUsers, Users: users})
 	if err != nil {
 		return 0, err
 	}
@@ -427,12 +424,12 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 		}
 		batch[i] = User{ID: ids[i], Capacity: capacity, Name: name}
 	}
-	lsn, err := s.addUsersLocked(batch)
+	lsn, err := s.addUsersLocked(0, batch)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.journalCommit(lsn); err != nil {
+	if err := s.journalCommit(lsn, nil); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -470,19 +467,13 @@ func (s *Server) CreateTasks(specs ...TaskSpec) ([]TaskID, error) {
 	if err := s.writable(); err != nil {
 		return nil, err
 	}
-	return s.createTasks(specs)
-}
-
-// createTasks is CreateTasks without the follower write gate (see
-// addUsers).
-func (s *Server) createTasks(specs []TaskSpec) ([]TaskID, error) {
 	s.mu.Lock()
-	ids, lsn, err := s.createTasksLocked(specs)
+	ids, lsn, err := s.createTasksLocked(0, specs)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.journalCommit(lsn); err != nil {
+	if err := s.journalCommit(lsn, nil); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -491,8 +482,8 @@ func (s *Server) createTasks(specs []TaskSpec) ([]TaskID, error) {
 // createTasksLocked validates, journals, and applies one task batch. The
 // whole batch runs under the write lock because task IDs are assigned
 // from the live task count and described tasks mutate the shared
-// clustering structure.
-func (s *Server) createTasksLocked(specs []TaskSpec) ([]TaskID, uint64, error) {
+// clustering structure. at is the journal position (see journalBuffered).
+func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint64, error) {
 	// Phase 1: validate every spec and vectorize described ones without
 	// touching server state — a bad spec must not leave a half-applied
 	// batch (and the journal only records fully-applied batches).
@@ -538,7 +529,7 @@ func (s *Server) createTasksLocked(specs []TaskSpec) ([]TaskID, uint64, error) {
 	// and live memory stays equal to what recovery would rebuild. The
 	// apply below cannot fail (the only error path, AddItems, rejects
 	// negative counts and clusterItems is always >= 0).
-	lsn, err := s.journalBuffered(walEvent{Type: eventCreateTasks, Specs: specs})
+	lsn, err := s.journalBuffered(at, walEvent{Type: eventCreateTasks, Specs: specs})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -652,38 +643,23 @@ var ErrNothingToAllocate = errors.New("eta2: no pending tasks or no users to all
 // pending tasks: maximize the probability that each task receives accurate
 // data, subject to user capacities (Sec. 5.1 of the paper).
 func (s *Server) AllocateMaxQuality() (*Allocation, error) {
-	if err := s.writable(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	tasks := s.pendingTasks()
-	if len(tasks) == 0 || len(s.users) == 0 {
-		s.mu.Unlock()
-		return nil, ErrNothingToAllocate
-	}
-	res, err := allocation.MaxQuality(s.allocationInput(tasks), allocation.MaxQualityOptions{})
-	if err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("eta2: %w", err)
-	}
-	lsn, err := s.journalBuffered(walEvent{Type: eventAllocate, Pairs: res.Allocation.Pairs})
-	if err == nil {
-		s.publishLocked() // journaling advanced lastLSN; refresh DurabilityStats
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.journalCommit(lsn); err != nil {
-		return nil, err
-	}
-	return res.Allocation, nil
+	return s.allocateMaxQuality(func(in allocation.Input) (allocation.MaxQualityResult, error) {
+		return allocation.MaxQuality(in, allocation.MaxQualityOptions{})
+	})
 }
 
 // AllocateMaxQualityBudgeted solves the max-quality problem for the pending
 // tasks under an additional total recruiting budget Σ s_ij·c_j ≤ budget —
 // the allocation for a server with a fixed per-step payroll.
 func (s *Server) AllocateMaxQualityBudgeted(budget float64) (*Allocation, error) {
+	return s.allocateMaxQuality(func(in allocation.Input) (allocation.MaxQualityResult, error) {
+		return allocation.MaxQualityBudgeted(in, budget, allocation.MaxQualityOptions{})
+	})
+}
+
+// allocateMaxQuality runs one max-quality solver over the pending tasks
+// under the write lock and journals the resulting pairs.
+func (s *Server) allocateMaxQuality(solve func(allocation.Input) (allocation.MaxQualityResult, error)) (*Allocation, error) {
 	if err := s.writable(); err != nil {
 		return nil, err
 	}
@@ -693,23 +669,31 @@ func (s *Server) AllocateMaxQualityBudgeted(budget float64) (*Allocation, error)
 		s.mu.Unlock()
 		return nil, ErrNothingToAllocate
 	}
-	res, err := allocation.MaxQualityBudgeted(s.allocationInput(tasks), budget, allocation.MaxQualityOptions{})
+	res, err := solve(s.allocationInput(tasks))
 	if err != nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("eta2: %w", err)
 	}
-	lsn, err := s.journalBuffered(walEvent{Type: eventAllocate, Pairs: res.Allocation.Pairs})
-	if err == nil {
-		s.publishLocked() // journaling advanced lastLSN; refresh DurabilityStats
-	}
+	lsn, err := s.journalAllocationLocked(res.Allocation)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.journalCommit(lsn); err != nil {
+	if err := s.journalCommit(lsn, nil); err != nil {
 		return nil, err
 	}
 	return res.Allocation, nil
+}
+
+// journalAllocationLocked journals an allocation's pairs — an audit
+// record: allocation itself does not mutate the server — and republishes
+// so DurabilityStats sees the advanced LSN.
+func (s *Server) journalAllocationLocked(a *Allocation) (uint64, error) {
+	lsn, err := s.journalBuffered(0, walEvent{Type: eventAllocate, Pairs: a.Pairs})
+	if err == nil {
+		s.publishLocked()
+	}
+	return lsn, err
 }
 
 // MinCostParams parameterizes AllocateMinCost.
@@ -772,7 +756,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 			// keeps each observation's own stamp). Buffered only: the whole
 			// min-cost round runs under the write lock, so the fsync is
 			// deferred to the single commit at the end.
-			if _, err := s.journalBufferedPayload(encodeObservationsEvent(nil, obs, -1)); err != nil {
+			if _, err := s.journalBufferedPayload(0, encodeObservationsEvent(nil, obs, -1)); err != nil {
 				return allocation.IterationOutcome{}, err
 			}
 		}
@@ -809,18 +793,15 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		// state agree even on the error path.
 		flushLSN := s.lastLSN
 		s.mu.Unlock()
-		_ = s.journalCommit(flushLSN)
+		_ = s.journalCommit(flushLSN, nil)
 		return MinCostOutcome{}, fmt.Errorf("eta2: %w", err)
 	}
-	lsn, jerr := s.journalBuffered(walEvent{Type: eventAllocate, Pairs: res.Allocation.Pairs})
-	if jerr == nil {
-		s.publishLocked() // journaling advanced lastLSN; refresh DurabilityStats
-	}
+	lsn, err := s.journalAllocationLocked(res.Allocation)
 	s.mu.Unlock()
-	if jerr != nil {
-		return MinCostOutcome{}, jerr
+	if err != nil {
+		return MinCostOutcome{}, err
 	}
-	if err := s.journalCommit(lsn); err != nil {
+	if err := s.journalCommit(lsn, nil); err != nil {
 		return MinCostOutcome{}, err
 	}
 	return MinCostOutcome{
@@ -888,7 +869,7 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 		eb.b = encodeObservationsEvent(eb.b[:0], obs, s.day)
 	}
 	day := s.day
-	lsn, err := s.journalBufferedPayload(eb.b)
+	lsn, err := s.journalBufferedPayload(0, eb.b)
 	if err != nil {
 		s.mu.Unlock()
 		app.End()
@@ -900,7 +881,7 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	// still held — because the wait for durability logically begins the
 	// moment the record is appended; the publish below happens while the
 	// group commit is (potentially) already in flight. It ends in
-	// journalCommitSpanned.
+	// journalCommit.
 	fsync := t.StartSpan(trace.SpanFsyncWait)
 	pub := t.StartSpan(trace.SpanPublish)
 	for _, o := range obs {
@@ -916,7 +897,7 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	obsEventPool.Put(eb)
 	ingestAllocSample()
 	t.SetLSN(lsn)
-	return s.journalCommitSpanned(lsn, fsync)
+	return s.journalCommit(lsn, fsync)
 }
 
 // ErrNoObservations is returned by CloseTimeStep when nothing was
@@ -939,20 +920,38 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	if err := s.writable(); err != nil {
 		return StepReport{}, err
 	}
-	return s.closeTimeStepTraced(trace.FromContext(ctx))
-}
-
-// closeTimeStep is CloseTimeStep without the follower write gate (see
-// addUsers).
-func (s *Server) closeTimeStep() (StepReport, error) {
-	return s.closeTimeStepTraced(nil)
-}
-
-func (s *Server) closeTimeStepTraced(t *trace.Trace) (StepReport, error) {
+	t := trace.FromContext(ctx)
 	s.mu.Lock()
+	report, lsn, fsync, err := s.closeTimeStepLocked(0, t)
+	s.mu.Unlock()
+	if err != nil {
+		return StepReport{}, err
+	}
+	t.SetLSN(lsn)
+	// A closed step is the natural commit point: under the interval policy
+	// force the flush the group commit would otherwise defer (fsync-never
+	// callers keep their explicit no-sync contract). Like the commit wait
+	// itself this runs with no server lock held.
+	if j := s.loadState().journal; j != nil && lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
+		if err := j.Sync(); err != nil {
+			fsync.End()
+			return StepReport{}, fmt.Errorf("eta2: journal sync: %w", err)
+		}
+	}
+	if err := s.journalCommit(lsn, fsync); err != nil {
+		return StepReport{}, err
+	}
+	return report, nil
+}
+
+// closeTimeStepLocked estimates the step's truths, journals the close
+// record, swaps the new expertise store and truths in, and advances the
+// clock. at is the journal position (see journalBuffered); t is nil on
+// replay. The returned fsync-wait span is open: the caller ends it (via
+// journalCommit) once the record is durable.
+func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uint64, *trace.Span, error) {
 	if len(s.observations) == 0 {
-		s.mu.Unlock()
-		return StepReport{}, ErrNoObservations
+		return StepReport{}, 0, nil, ErrNoObservations
 	}
 	est := t.StartSpan(trace.SpanTruthEstimate)
 	table := core.NewObservationTable(s.observations)
@@ -966,9 +965,8 @@ func (s *Server) closeTimeStepTraced(t *trace.Trace) (StepReport, error) {
 		// Warm-up: joint MLE from scratch (Sec. 4.1).
 		res, err := truth.Estimate(table, domainFn, nil, s.cfg.truthCfg)
 		if err != nil {
-			s.mu.Unlock()
 			est.End()
-			return StepReport{}, fmt.Errorf("eta2: %w", err)
+			return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
 		}
 		store.Commit(truth.Contributions(table, domainFn, res.Mu, res.Sigma, s.cfg.truthCfg))
 		mu, sigma, iters, converged = res.Mu, res.Sigma, res.Iterations, res.Converged
@@ -976,23 +974,20 @@ func (s *Server) closeTimeStepTraced(t *trace.Trace) (StepReport, error) {
 		// Dynamic update with decayed expertise accumulators (Sec. 4.2).
 		res, err := truth.UpdateStep(store, table, domainFn, s.cfg.truthCfg)
 		if err != nil {
-			s.mu.Unlock()
 			est.End()
-			return StepReport{}, fmt.Errorf("eta2: %w", err)
+			return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
 		}
 		mu, sigma, iters, converged = res.Mu, res.Sigma, res.Iterations, res.Converged
 	}
 	est.End()
 
 	app := t.StartSpan(trace.SpanJournalAppend)
-	lsn, err := s.journalBuffered(walEvent{Type: eventCloseStep})
-	if err != nil {
-		s.mu.Unlock()
-		app.End()
-		return StepReport{}, err
-	}
+	lsn, err := s.journalBuffered(at, walEvent{Type: eventCloseStep})
 	app.End()
-	fsync := t.StartSpan(trace.SpanFsyncWait) // ends in journalCommitSpanned
+	if err != nil {
+		return StepReport{}, 0, nil, err
+	}
+	fsync := t.StartSpan(trace.SpanFsyncWait)
 	pub := t.StartSpan(trace.SpanPublish)
 
 	s.store = store
@@ -1027,17 +1022,8 @@ func (s *Server) closeTimeStepTraced(t *trace.Trace) (StepReport, error) {
 	mStepsClosed.Inc()
 	s.publishLocked()
 	pub.End()
-	derr := s.closeStepDurability()
-	s.mu.Unlock()
-	if derr != nil {
-		fsync.End()
-		return StepReport{}, derr
-	}
-	t.SetLSN(lsn)
-	if err := s.journalCommitSpanned(lsn, fsync); err != nil {
-		return StepReport{}, err
-	}
-	return report, nil
+	s.compactIfOwedLocked()
+	return report, lsn, fsync, nil
 }
 
 // Truth returns the latest truth estimate for a task.

@@ -83,7 +83,7 @@ func (s *Server) publishLocked() {
 		store:          s.store,
 		day:            s.day,
 		numTasks:       len(s.tasks),
-		journal:        s.journal,
+		journal:        s.journal, //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits and stats, not frozen snapshot data
 		journalDir:     s.journalDir,
 		lastLSN:        s.lastLSN,
 		snapLSN:        s.snapLSN,

@@ -143,9 +143,14 @@ type vetxFacts struct {
 }
 
 func newVetxFacts(cfg *Config) *vetxFacts {
+	// The standard library is outside the analysis universe by design
+	// (Read answers "no facts" for it): the go command schedules its units
+	// for facts all the same, so their vetx files are left unlisted.
 	files := make(map[string]string, len(cfg.PackageVetx))
 	for path, file := range cfg.PackageVetx {
-		files[path] = file
+		if !cfg.Standard[path] {
+			files[path] = file
+		}
 	}
 	// ImportMap translates source-level import paths to the canonical
 	// package paths PackageVetx is keyed by — the same remapping the
@@ -154,7 +159,7 @@ func newVetxFacts(cfg *Config) *vetxFacts {
 		if src == canonical {
 			continue
 		}
-		if file, ok := cfg.PackageVetx[canonical]; ok {
+		if file, ok := cfg.PackageVetx[canonical]; ok && !cfg.Standard[canonical] {
 			files[src] = file
 		}
 	}

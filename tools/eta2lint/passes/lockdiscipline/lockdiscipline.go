@@ -390,9 +390,8 @@ func (c *checker) forbidden(call *ast.CallExpr) string {
 	}
 	name := sel.Sel.Name
 
-	// s.journalCommit / s.journalCommitSpanned wait on the WAL group
-	// commit (and re-lock).
-	if c.isServerExpr(sel.X) && (name == "journalCommit" || name == "journalCommitSpanned") {
+	// s.journalCommit waits on the WAL group commit.
+	if c.isServerExpr(sel.X) && name == "journalCommit" {
 		return name + " (waits on group commit)"
 	}
 

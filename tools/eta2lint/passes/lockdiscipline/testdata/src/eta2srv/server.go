@@ -22,9 +22,8 @@ type Server struct {
 	state atomic.Pointer[serverState]
 }
 
-func (s *Server) journalCommit(lsn uint64) error { return s.journal.Commit(lsn) }
-
-func (s *Server) journalCommitSpanned(lsn uint64, annot string) error {
+// journalCommit stands in for the one nil-span-safe commit wait.
+func (s *Server) journalCommit(lsn uint64, annot string) error {
 	_, err := s.journal.CommitReported(lsn)
 	return err
 }
@@ -66,15 +65,15 @@ func (s *Server) CommitAfterUnlock() error {
 func (s *Server) CommitUnderRLock() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.journalCommit(1) // want "journalCommit .waits on group commit. while s.mu is held"
+	return s.journalCommit(1, "") // want "journalCommit .waits on group commit. while s.mu is held"
 }
 
-// SpannedCommitUnderLock: the traced commit wrapper (PR 9) is the same
-// group-commit wait with a span attached.
+// SpannedCommitUnderLock: a traced caller hands the same wait its open
+// fsync span — still a group-commit wait.
 func (s *Server) SpannedCommitUnderLock() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.journalCommitSpanned(1, "role=leader") // want "journalCommitSpanned .waits on group commit. while s.mu is held"
+	return s.journalCommit(1, "role=leader") // want "journalCommit .waits on group commit. while s.mu is held"
 }
 
 // ReportedCommitUnderLock: the leader-reporting WAL entry point blocks
@@ -92,6 +91,22 @@ func (s *Server) syncLocked() error {
 		return err
 	}
 	return s.file.Sync() // want "file fsync while s.mu is held"
+}
+
+// closeStepDurabilityLocked is the shape CloseTimeStep once hid from this
+// rule by lacking the suffix: the interval policy's forced flush, run by
+// a helper its caller invokes with the write lock held.
+func (s *Server) closeStepDurabilityLocked(interval bool) error {
+	if interval {
+		return s.journal.Sync() // want "WAL Sync .fsync wait. while s.mu is held"
+	}
+	return nil
+}
+
+// compactIfOwedLocked is what stays under the lock: a size check. The
+// flush moved behind the caller's Unlock (CommitAfterUnlock's shape).
+func (s *Server) compactIfOwedLocked() bool {
+	return s.journal.Stats().Bytes >= 1<<20
 }
 
 // snapshotLocked is a deliberate stop-the-world exception.

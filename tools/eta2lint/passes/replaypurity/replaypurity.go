@@ -9,7 +9,10 @@
 //
 // Roots are recognized by name (applyEvent, decodeEvent,
 // decodeBinaryEvent, restoreServer, decodeState*, applyRecord) or by an
-// explicit `//eta2:replay-root` directive on the function. The analysis
+// explicit `//eta2:replay-root` directive on the function. In the
+// serving package itself every name-keyed root must resolve to a
+// declaration: a refactor that renames a root fails the gate instead of
+// passing it vacuously. The analysis
 // is inter-procedural across packages: effect summaries travel as
 // analysis facts (see internal/callgraph), so a violation buried two
 // modules deep is reported at the local call edge that reaches it, with
@@ -42,6 +45,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:         run,
 }
 
+// rootPkg is the package whose replay path the name-keyed roots describe.
+const rootPkg = "eta2"
+
 // rootNames are the replay/apply entry points recognized by name.
 var rootNames = map[string]bool{
 	"applyEvent":        true,
@@ -72,6 +78,9 @@ func run(pass *analysis.Pass) error {
 		return err
 	}
 
+	if pass.Pkg.Path() == rootPkg {
+		reportMissingRoots(pass, g)
+	}
 	var roots []string
 	for name, decl := range g.LocalDecls {
 		if isRoot(decl) && g.Func(name) != nil {
@@ -118,6 +127,37 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// reportMissingRoots flags every rootNames entry no function in the
+// package answers to, at the package clause of its first non-test file.
+func reportMissingRoots(pass *analysis.Pass, g *callgraph.Graph) {
+	declared := make(map[string]bool, len(g.LocalDecls))
+	for _, decl := range g.LocalDecls {
+		declared[decl.Name.Name] = true
+	}
+	var anchor *ast.File
+	for _, f := range pass.Files {
+		if analysis.IsTestFile(pass.Fset, f) {
+			continue
+		}
+		if anchor == nil || pass.Fset.File(f.Pos()).Name() < pass.Fset.File(anchor.Pos()).Name() {
+			anchor = f
+		}
+	}
+	if anchor == nil {
+		return
+	}
+	var missing []string
+	for name := range rootNames {
+		if !declared[name] {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		pass.Reportf(anchor.Package, "replay determinism: replay root %s is not declared in package %s; update replaypurity.rootNames with the rename, or the replay path goes unchecked", name, rootPkg)
+	}
 }
 
 // expand resolves an interface method through the graph's binds; a

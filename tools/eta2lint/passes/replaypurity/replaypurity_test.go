@@ -23,3 +23,9 @@ func TestCrossPackage(t *testing.T) {
 func TestDepAloneIsClean(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer, "replay/dep")
 }
+
+// TestMissingRootFails: in the serving package, a name-keyed root with
+// no declaration (a rename the rule was not told about) is a finding.
+func TestMissingRootFails(t *testing.T) {
+	analysistest.Run(t, "testdata", Analyzer, "eta2")
+}

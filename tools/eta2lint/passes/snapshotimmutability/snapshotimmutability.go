@@ -28,6 +28,13 @@
 // snapshot. Audited escape hatch:
 //
 //	//eta2:snapshotimmutability-ok <why this write cannot reach a published snapshot>
+//
+// On a `field: s.field` element of publishLocked's literal the directive
+// declares the field a published handle instead: an internally
+// synchronized object the snapshot carries so readers can reach it, not
+// frozen data. It is then neither a publish root nor tainted when read
+// off a snapshot — one justification where the handle is published
+// rather than one at every use.
 package snapshotimmutability
 
 import (
@@ -51,7 +58,7 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
-	owner, snap, roots := derivePublish(pass, g)
+	owner, snap, roots, handles := derivePublish(pass, g)
 	if snap == nil {
 		return nil // no publishLocked here; this package only contributes facts
 	}
@@ -65,6 +72,7 @@ func run(pass *analysis.Pass) error {
 			owner:   owner,
 			snap:    snap,
 			roots:   roots,
+			handles: handles,
 			tainted: make(map[*types.Var]bool),
 		}
 		c.check(decl)
@@ -74,8 +82,9 @@ func run(pass *analysis.Pass) error {
 
 // derivePublish locates publishLocked and reads the snapshot contract
 // out of it: the published composite literal's type, and the owner
-// fields whose containers it shares.
-func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (owner, snap *types.Named, roots map[string]bool) {
+// fields whose containers it shares. handles names the snapshot fields
+// annotated at the publish site as synchronized handles.
+func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (owner, snap *types.Named, roots, handles map[string]bool) {
 	var decl *ast.FuncDecl
 	for _, d := range g.LocalDecls {
 		if d.Name.Name == "publishLocked" && d.Recv != nil {
@@ -84,23 +93,24 @@ func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (owner, snap *types.
 		}
 	}
 	if decl == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func)
 	if !ok {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	sig := obj.Type().(*types.Signature)
 	recv := sig.Recv()
 	if recv == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	owner = namedOf(recv.Type())
 	if owner == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 
 	roots = make(map[string]bool)
+	handles = make(map[string]bool)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if snap != nil {
 			return false
@@ -130,6 +140,10 @@ func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (owner, snap *types.
 				// Only reference-typed fields share memory with the
 				// snapshot; scalars are copied at publish time.
 				if pass.TypesInfo.Uses[id] == recv && refLikeType(pass.TypesInfo.TypeOf(kv.Value)) {
+					if key, ok := kv.Key.(*ast.Ident); ok && pass.SuppressedAt(kv.Pos()) {
+						handles[key.Name] = true
+						continue
+					}
 					roots[sel.Sel.Name] = true
 				}
 			}
@@ -137,9 +151,9 @@ func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (owner, snap *types.
 		return false
 	})
 	if snap == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
-	return owner, snap, roots
+	return owner, snap, roots, handles
 }
 
 // checker runs the per-function taint + write analysis.
@@ -149,6 +163,7 @@ type checker struct {
 	owner   *types.Named
 	snap    *types.Named
 	roots   map[string]bool
+	handles map[string]bool
 	tainted map[*types.Var]bool
 }
 
@@ -351,6 +366,10 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 		// published snapshots.
 		if c.isOwner(c.pass.TypesInfo.TypeOf(x.X)) && c.roots[x.Sel.Name] {
 			return true
+		}
+		// A published handle read off a snapshot is not frozen data.
+		if c.handles[x.Sel.Name] && c.isSnapType(c.pass.TypesInfo.TypeOf(x.X)) {
+			return false
 		}
 		// Any reference-typed field reached off tainted memory.
 		if c.taintedExpr(x.X) {

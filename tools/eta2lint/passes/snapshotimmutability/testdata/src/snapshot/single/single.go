@@ -14,7 +14,13 @@ type serverState struct {
 	users  map[string]*user
 	truths map[string]float64
 	day    int
+	log    *wlog
 }
+
+// wlog stands in for an internally synchronized handle (the WAL).
+type wlog struct{ n int }
+
+func (l *wlog) Append() { l.n++ }
 
 type Server struct {
 	mu    int // stand-in
@@ -25,6 +31,7 @@ type Server struct {
 	scratch map[string]int
 	state   atomic.Pointer[serverState]
 	day     int
+	log     *wlog
 }
 
 // publishLocked is the single publication point the analyzer learns the
@@ -35,7 +42,20 @@ func (s *Server) publishLocked() {
 		users:  s.users,
 		truths: s.truths,
 		day:    s.day,
+		log:    s.log, //eta2:snapshotimmutability-ok synchronized handle, published so readers can reach it, not frozen data
 	})
+}
+
+// goodHandle mutates through the published handle, off the owner and off
+// a loaded snapshot: the publish-site annotation covers every use. The
+// snapshot's own field is still frozen.
+func (s *Server) goodHandle() {
+	s.log.Append()
+	st := s.state.Load()
+	st.log.Append()
+	l := st.log
+	l.Append()
+	st.log = nil // want `write to st\.log mutates`
 }
 
 // badDirectWrites stores straight into published containers.

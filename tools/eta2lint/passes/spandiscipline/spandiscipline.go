@@ -13,7 +13,7 @@
 // escapes:
 //
 //   - passed as an argument to another call (the callee owns the End,
-//     e.g. journalCommitSpanned closing the fsync-wait span), except
+//     e.g. journalCommit closing the fsync-wait span), except
 //     trace.NewContext, which is a pure carrier and never ends spans;
 //   - returned to the caller;
 //   - aliased, stored into a structure, or captured by a nested

@@ -74,14 +74,14 @@ func blankDiscard(t *trace.Trace) {
 }
 
 // Passing the handle to another call hands over the End obligation —
-// the journalCommitSpanned shape.
+// the journalCommit shape.
 func escapeByCall(t *trace.Trace) error {
 	fsync := t.StartSpan("fsync wait")
 	return commitSpanned(1, fsync)
 }
 
 // A handle opened conditionally and then passed along: compliant (the
-// real addUsersTraced shape).
+// real AddUsersContext shape).
 func conditionalEscape(t *trace.Trace) error {
 	var fsync *trace.Span
 	if work() {
