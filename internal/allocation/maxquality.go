@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"eta2/internal/core"
+	"eta2/internal/obs"
 )
 
 // MaxQualityOptions tunes MaxQuality.
@@ -33,32 +34,7 @@ type MaxQualityResult struct {
 // Sec. 5.1.2, then returns whichever allocation achieves the higher
 // objective, which guarantees a ½ approximation ratio.
 func MaxQuality(in Input, opts MaxQualityOptions) (MaxQualityResult, error) {
-	in.applyDefaults()
-	if err := in.Validate(); err != nil {
-		return MaxQualityResult{}, err
-	}
-	start := time.Now()
-
-	effState := NewState(in)
-	runGreedy(in, effState, greedyOptions{})
-	effObj := effState.Objective(in.Tasks)
-
-	res := MaxQualityResult{Allocation: effState.Pairs(), Objective: effObj}
-	if !opts.DisableSecondPass {
-		valState := NewState(in)
-		runGreedy(in, valState, greedyOptions{ignoreSize: true})
-		if valObj := valState.Objective(in.Tasks); valObj > effObj {
-			res = MaxQualityResult{
-				Allocation:     valState.Pairs(),
-				Objective:      valObj,
-				UsedSecondPass: true,
-			}
-		}
-	}
-	mMaxQualityDur.Observe(time.Since(start).Seconds())
-	mMaxQualityPairs.Add(uint64(res.Allocation.Len()))
-	mAllocQuality.Set(res.Objective)
-	return res, nil
+	return bestOfTwo(in, 0, opts, mMaxQualityDur, mMaxQualityPairs)
 }
 
 // MaxQualityBudgeted solves the budget-capped variant of the max-quality
@@ -69,33 +45,36 @@ func MaxQuality(in Input, opts MaxQualityOptions) (MaxQualityResult, error) {
 // rounds). Both greedy passes respect the budget and the better allocation
 // wins, preserving the best-of-two structure.
 func MaxQualityBudgeted(in Input, budget float64, opts MaxQualityOptions) (MaxQualityResult, error) {
+	if budget <= 0 {
+		return MaxQualityResult{}, errors.New("allocation: budget must be positive")
+	}
+	return bestOfTwo(in, budget, opts, mMaxQualityBudgetedDur, mMaxQualityBudgetedP)
+}
+
+// bestOfTwo runs both greedy passes over one p_ij matrix, each on a fresh
+// ledger and each stopping at costLimit (0 = none), and keeps the pass of
+// higher objective; the efficiency pass wins a draw.
+func bestOfTwo(in Input, costLimit float64, opts MaxQualityOptions, dur *obs.Histogram, pairs *obs.Counter) (MaxQualityResult, error) {
 	in.applyDefaults()
 	if err := in.Validate(); err != nil {
 		return MaxQualityResult{}, err
 	}
-	if budget <= 0 {
-		return MaxQualityResult{}, errors.New("allocation: budget must be positive")
-	}
 	start := time.Now()
 
-	effState := NewState(in)
-	runGreedy(in, effState, greedyOptions{costLimit: budget})
-	effObj := effState.Objective(in.Tasks)
-
-	res := MaxQualityResult{Allocation: effState.Pairs(), Objective: effObj}
+	pr := newProblem(in)
+	best := pr.newLedger()
+	pr.runGreedy(best, greedyOptions{costLimit: costLimit})
+	res := MaxQualityResult{Objective: best.objective()}
 	if !opts.DisableSecondPass {
-		valState := NewState(in)
-		runGreedy(in, valState, greedyOptions{ignoreSize: true, costLimit: budget})
-		if valObj := valState.Objective(in.Tasks); valObj > effObj {
-			res = MaxQualityResult{
-				Allocation:     valState.Pairs(),
-				Objective:      valObj,
-				UsedSecondPass: true,
-			}
+		val := pr.newLedger()
+		pr.runGreedy(val, greedyOptions{ignoreSize: true, costLimit: costLimit})
+		if obj := val.objective(); obj > res.Objective {
+			best, res = val, MaxQualityResult{Objective: obj, UsedSecondPass: true}
 		}
 	}
-	mMaxQualityBudgetedDur.Observe(time.Since(start).Seconds())
-	mMaxQualityBudgetedP.Add(uint64(res.Allocation.Len()))
+	res.Allocation = best.allocation()
+	dur.Observe(time.Since(start).Seconds())
+	pairs.Add(uint64(res.Allocation.Len()))
 	mAllocQuality.Set(res.Objective)
 	return res, nil
 }

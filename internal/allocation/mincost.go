@@ -103,66 +103,54 @@ func MinCost(in Input, cfg MinCostConfig, env Environment) (MinCostResult, error
 	}
 	start := time.Now()
 
-	state := NewState(in)
-	exclude := make(map[core.TaskID]bool, len(in.Tasks))
-	totalCost := 0.0
-	iterations := 0
-	finish := func(res MinCostResult) MinCostResult {
-		mMinCostDur.Observe(time.Since(start).Seconds())
-		mMinCostPairs.Add(uint64(res.Allocation.Len()))
-		mMinCostIters.Observe(float64(res.Iterations))
-		return res
-	}
-
-	for iterations < cfg.MaxIterations {
-		iterations++
-		newPairs, cost := runGreedy(in, state, greedyOptions{
+	// Expertise is constant within the round: one matrix, one set of
+	// candidate orders and one ledger serve every iteration.
+	pr := newProblem(in)
+	state := pr.newLedger()
+	exclude := make([]bool, len(in.Tasks))
+	res := MinCostResult{}
+	for res.Iterations < cfg.MaxIterations {
+		res.Iterations++
+		newPairs, cost := pr.runGreedy(state, greedyOptions{
 			costLimit: cfg.IterBudget,
 			exclude:   exclude,
 		})
-		totalCost += cost
+		res.Cost += cost
 		if len(newPairs) == 0 {
-			// Capacity or candidates exhausted: report what remains unmet.
-			break
+			break // capacity or candidates exhausted
 		}
 
 		outcome, err := env.Collect(newPairs)
 		if err != nil {
-			return MinCostResult{}, fmt.Errorf("allocation: min-cost iteration %d: %w", iterations, err)
+			return MinCostResult{}, fmt.Errorf("allocation: min-cost iteration %d: %w", res.Iterations, err)
 		}
 
 		allPass := true
-		for _, t := range in.Tasks {
-			if exclude[t.ID] {
+		for ti, t := range in.Tasks {
+			if exclude[ti] {
 				continue
 			}
 			if QualityMetForTask(outcome, t.ID, cfg.EpsBar, cfg.Alpha) {
-				exclude[t.ID] = true
+				exclude[ti] = true
 			} else {
 				allPass = false
 			}
 		}
 		if allPass {
-			return finish(MinCostResult{
-				Allocation: state.Pairs(),
-				Cost:       totalCost,
-				Iterations: iterations,
-			}), nil
+			break
 		}
 	}
 
-	var unmet []core.TaskID
-	for _, t := range in.Tasks {
-		if !exclude[t.ID] {
-			unmet = append(unmet, t.ID)
+	res.Allocation = state.allocation()
+	for ti, t := range in.Tasks {
+		if !exclude[ti] { // empty when every task passed
+			res.Unsatisfied = append(res.Unsatisfied, t.ID)
 		}
 	}
-	return finish(MinCostResult{
-		Allocation:  state.Pairs(),
-		Cost:        totalCost,
-		Iterations:  iterations,
-		Unsatisfied: unmet,
-	}), nil
+	mMinCostDur.Observe(time.Since(start).Seconds())
+	mMinCostPairs.Add(uint64(res.Allocation.Len()))
+	mMinCostIters.Observe(float64(res.Iterations))
+	return res, nil
 }
 
 // QualityMetForTask evaluates the confidence-interval condition of Eq. 24

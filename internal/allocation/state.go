@@ -9,7 +9,6 @@ package allocation
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"eta2/internal/core"
 	"eta2/internal/stats"
@@ -31,11 +30,13 @@ type Input struct {
 	// "accurate" when its normalized error is below ε. The paper uses 0.1.
 	Epsilon float64
 	// Parallelism is the number of workers the O(users×tasks) p_ij
-	// precompute fans out over. Zero means one worker per available CPU;
-	// 1 runs sequentially. When it exceeds 1, Expertise must be safe for
-	// concurrent calls (pure functions and read-only lookups are; the
-	// server's expertise store qualifies). Results are identical for every
-	// value: each user row is computed by exactly one worker.
+	// precompute — done once per solve — and the per-task candidate sorts
+	// fan out over; selection itself is sequential. Zero means one worker
+	// per available CPU; 1 runs sequentially. When it exceeds 1, Expertise
+	// must be safe for concurrent calls (pure functions and read-only
+	// lookups are; the server's expertise store qualifies). Results are
+	// identical for every value: each user row and each task's order is
+	// computed by exactly one worker.
 	Parallelism int
 }
 
@@ -59,15 +60,27 @@ func (in *Input) Validate() error {
 	if in.Expertise == nil {
 		return errors.New("allocation: nil expertise function")
 	}
+	// The ledger is indexed by position, so an id listed twice would get
+	// twice its capacity (or two p_j): reject it.
+	users := make(map[core.UserID]struct{}, len(in.Users))
 	for _, u := range in.Users {
 		if err := u.Validate(); err != nil {
 			return fmt.Errorf("allocation: %w", err)
 		}
+		if _, dup := users[u.ID]; dup {
+			return fmt.Errorf("allocation: duplicate user id %d", u.ID)
+		}
+		users[u.ID] = struct{}{}
 	}
+	tasks := make(map[core.TaskID]struct{}, len(in.Tasks))
 	for _, t := range in.Tasks {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("allocation: %w", err)
 		}
+		if _, dup := tasks[t.ID]; dup {
+			return fmt.Errorf("allocation: duplicate task id %d", t.ID)
+		}
+		tasks[t.ID] = struct{}{}
 	}
 	return nil
 }
@@ -76,84 +89,4 @@ func (in *Input) Validate() error {
 // user of expertise u reports a value within ε base numbers of the truth.
 func AccuracyProb(eps, u float64) float64 {
 	return stats.AccurateInterval(eps, u)
-}
-
-// State tracks the evolving allocation: remaining user capacities, the
-// per-task probability p_j that at least one allocated user is accurate,
-// and the set of already-allocated pairs. Min-cost allocation carries one
-// State across iterations.
-type State struct {
-	remCap   map[core.UserID]float64
-	pj       map[core.TaskID]float64
-	assigned map[core.Pair]struct{}
-}
-
-// NewState initializes capacities from the users and p_j = 0 for every
-// task.
-func NewState(in Input) *State {
-	s := &State{
-		remCap:   make(map[core.UserID]float64, len(in.Users)),
-		pj:       make(map[core.TaskID]float64, len(in.Tasks)),
-		assigned: make(map[core.Pair]struct{}),
-	}
-	for _, u := range in.Users {
-		s.remCap[u.ID] = u.Capacity
-	}
-	for _, t := range in.Tasks {
-		s.pj[t.ID] = 0
-	}
-	return s
-}
-
-// RemainingCapacity returns T'_i for user id.
-func (s *State) RemainingCapacity(id core.UserID) float64 { return s.remCap[id] }
-
-// TaskProb returns the current p_j for task id.
-func (s *State) TaskProb(id core.TaskID) float64 { return s.pj[id] }
-
-// Assigned reports whether the pair was already allocated.
-func (s *State) Assigned(u core.UserID, t core.TaskID) bool {
-	_, ok := s.assigned[core.Pair{User: u, Task: t}]
-	return ok
-}
-
-// Select commits pair (u, t): capacity is consumed and p_j is updated with
-// the probability contribution pij.
-func (s *State) Select(u core.UserID, t core.TaskID, procTime, pij float64) {
-	s.remCap[u] -= procTime
-	s.pj[t] = 1 - (1-s.pj[t])*(1-pij)
-	s.assigned[core.Pair{User: u, Task: t}] = struct{}{}
-}
-
-// Objective returns Σ_j p_j over the given tasks, the value the max-quality
-// problem maximizes (Eq. 12).
-func (s *State) Objective(tasks []core.Task) float64 {
-	total := 0.0
-	for _, t := range tasks {
-		total += s.pj[t.ID]
-	}
-	return total
-}
-
-// Pairs returns all allocated pairs as an Allocation (sorted for
-// determinism by user then task).
-func (s *State) Pairs() *core.Allocation {
-	out := &core.Allocation{}
-	// Deterministic ordering: iterate users/tasks in numeric order.
-	pairs := make([]core.Pair, 0, len(s.assigned))
-	for p := range s.assigned { //eta2:nondeterministic-ok collect-then-sort: sortPairs below fixes the order
-		pairs = append(pairs, p)
-	}
-	sortPairs(pairs)
-	out.Pairs = pairs
-	return out
-}
-
-func sortPairs(pairs []core.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].User != pairs[j].User {
-			return pairs[i].User < pairs[j].User
-		}
-		return pairs[i].Task < pairs[j].Task
-	})
 }
