@@ -20,9 +20,9 @@ import (
 	"sort"
 	"strings"
 
-	"eta2/internal/cluster"
 	"eta2/internal/core"
 	"eta2/internal/embedding"
+	"eta2/internal/loop"
 	"eta2/internal/obs"
 	"eta2/internal/semantic"
 	"eta2/internal/stats"
@@ -77,7 +77,12 @@ func run() int {
 		return 1
 	}
 
-	vzr := semantic.NewVectorizer(model)
+	domains, err := loop.NewDomains(model, *gamma)
+	if err != nil {
+		slog.Error("create clustering engine", "err", err)
+		return 1
+	}
+	ids := make([]core.TaskID, len(descriptions))
 	vectors := make([]semantic.TaskVector, len(descriptions))
 	for i, d := range descriptions {
 		pair, err := semantic.ExtractPair(d)
@@ -86,39 +91,31 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("%-70q  Query=%v Target=%v\n", d, pair.Query, pair.Target)
-		vectors[i], err = vzr.Vectorize(d)
+		vectors[i], err = domains.Vectorize(d)
 		if err != nil {
 			slog.Error("vectorize", "description", d, "err", err)
 			return 1
 		}
+		ids[i] = core.TaskID(i)
 	}
 
-	eng, err := cluster.New(*gamma, func(a, b int) float64 {
-		return semantic.Distance(vectors[a], vectors[b])
-	})
-	if err != nil {
-		slog.Error("create clustering engine", "err", err)
-		return 1
-	}
-	up, err := eng.AddItems(len(descriptions))
-	if err != nil {
+	// One batch into an empty identifier: there are no established domains
+	// to merge yet, and the clusterer's own member lists are the result.
+	if _, err := domains.Identify(ids, vectors, map[core.TaskID]core.DomainID{}, func(_, _ core.DomainID) {}); err != nil {
 		slog.Error("cluster descriptions", "err", err)
 		return 1
 	}
-
-	byDomain := make(map[core.DomainID][]int)
-	for item, dom := range up.Assigned {
-		byDomain[dom] = append(byDomain[dom], item)
-	}
-	domains := make([]core.DomainID, 0, len(byDomain))
+	eng := domains.Engine()
+	byDomain := eng.Members()
+	sorted := make([]core.DomainID, 0, len(byDomain))
 	for d := range byDomain {
-		domains = append(domains, d)
+		sorted = append(sorted, d)
 	}
-	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
 	fmt.Printf("\n%d expertise domains (gamma=%.2f, d*=%.3f, silhouette=%.3f):\n",
-		len(domains), *gamma, eng.DStar(), eng.Silhouette())
-	for _, d := range domains {
+		len(sorted), *gamma, eng.DStar(), eng.Silhouette())
+	for _, d := range sorted {
 		fmt.Printf("domain %d:\n", d)
 		for _, item := range byDomain[d] {
 			fmt.Printf("  %s\n", descriptions[item])

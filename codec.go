@@ -11,13 +11,13 @@ import (
 
 	"eta2/internal/cluster"
 	"eta2/internal/core"
+	"eta2/internal/semantic"
 	"eta2/internal/truth"
 )
 
-// Binary snapshot codec. Compaction snapshots used to be JSON; at 10k+
-// tasks the JSON encode dominated the cost of a compaction cycle, so the
-// durable path now writes this length-prefixed binary format instead
-// (legacy JSON snapshots keep loading — decodeState sniffs the format).
+// Binary snapshot codec: the length-prefixed format compaction and
+// follower bootstrap write (JSON snapshots load too — decodeState sniffs
+// the format).
 //
 // The framing mirrors internal/wal's record framing: a fixed magic, a
 // uvarint codec version, a uvarint body length, the body, and a CRC-32C
@@ -185,9 +185,9 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 
 // decodeStateBinary parses a binary snapshot incrementally: the body is
 // decoded as it streams through a CRC-accumulating reader, so recovery
-// memory is bounded by the decoded state, not the snapshot file size
-// (the old decoder slurped the whole file and then built the state next
-// to it, doubling the peak). The parsed state is surrendered to the
+// memory is bounded by the decoded state, never state plus file, and every
+// length prefix is checked against the bytes left before anything is
+// allocated for it. The parsed state is surrendered to the
 // caller only after the trailing checksum verifies — a corrupt body can
 // waste transient work but never escape as a successfully loaded state.
 func decodeStateBinary(r io.Reader) (snapshotState, error) {
@@ -229,7 +229,11 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	st.Gamma = d.f64()
 	st.Epsilon = d.f64()
 
-	if n := d.count(); n > 0 {
+	userSize := 9 // varint id, float capacity
+	if d.codecVersion >= 2 {
+		userSize++ // name length
+	}
+	if n := d.count(userSize); n > 0 {
 		st.Users = make([]core.User, n)
 		st.UserOrder = make([]core.UserID, n)
 		for i := range st.Users {
@@ -241,7 +245,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		}
 	}
 
-	if n := d.count(); n > 0 {
+	if n := d.count(36); n > 0 { // three varints, a string length, four floats
 		st.Tasks = make([]core.Task, n)
 		for i := range st.Tasks {
 			st.Tasks[i] = core.Task{
@@ -258,12 +262,12 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	}
 
 	st.DomainOf = make(map[TaskID]DomainID) //eta2:allocdiscipline-ok snapshot restore path, not per-request
-	for i, n := 0, d.count(); i < n; i++ {
+	for i, n := 0, d.count(2); i < n; i++ {
 		tid := TaskID(d.varint())
 		st.DomainOf[tid] = DomainID(d.varint())
 	}
 
-	if n := d.count(); n > 0 {
+	if n := d.count(1); n > 0 {
 		st.Pending = make([]TaskID, n)
 		for i := range st.Pending {
 			st.Pending[i] = TaskID(d.varint())
@@ -271,7 +275,8 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	}
 
 	st.Truths = make(map[TaskID]TruthEstimate) //eta2:allocdiscipline-ok snapshot restore path, not per-request
-	for i, n := 0, d.count(); i < n; i++ {
+	// Two varints and two floats each.
+	for i, n := 0, d.count(18); i < n; i++ {
 		t := TruthEstimate{
 			Task:         TaskID(d.varint()),
 			Value:        d.f64(),
@@ -283,7 +288,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 
 	st.Day = int(d.varint())
 
-	if n := d.count(); n > 0 {
+	if n := d.count(11); n > 0 { // three varints, one float
 		st.Observations = make([]Observation, n)
 		for i := range st.Observations {
 			st.Observations[i] = Observation{
@@ -297,7 +302,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 
 	st.Store.Alpha = d.f64()
 	st.Store.Prior = d.f64()
-	if n := d.count(); n > 0 {
+	if n := d.count(18); n > 0 { // two varints, two floats
 		st.Store.Entries = make([]truth.StoreEntry, n)
 		for i := range st.Store.Entries {
 			st.Store.Entries[i] = truth.StoreEntry{
@@ -316,16 +321,16 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 			NItems:     int(d.varint()),
 			NextDomain: core.DomainID(d.varint()),
 		}
-		if n := d.count(); n > 0 {
+		if n := d.count(1); n > 0 {
 			c.Domains = make([]core.DomainID, n)
 			for i := range c.Domains {
 				c.Domains[i] = core.DomainID(d.varint())
 			}
 		}
-		if n := d.count(); n > 0 {
+		if n := d.count(1); n > 0 {
 			c.Members = make([][]int, n)
 			for i := range c.Members {
-				if m := d.count(); m > 0 {
+				if m := d.count(1); m > 0 {
 					c.Members[i] = make([]int, m)
 					for j := range c.Members[i] {
 						c.Members[i][j] = int(d.varint())
@@ -333,18 +338,13 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 				}
 			}
 		}
-		if n := d.count(); n > 0 {
+		if n := d.count(1); n > 0 {
 			c.DMat = make([][]float64, n)
 			for i := range c.DMat {
-				if m := d.count(); m > 0 {
-					c.DMat[i] = make([]float64, m)
-					for j := range c.DMat[i] {
-						c.DMat[i][j] = d.f64()
-					}
-				}
+				c.DMat[i] = d.floats()
 			}
 		}
-		if n := d.count(); n > 0 {
+		if n := d.count(1); n > 0 {
 			c.ItemSlot = make([]int, n)
 			for i := range c.ItemSlot {
 				c.ItemSlot[i] = int(d.varint())
@@ -353,13 +353,13 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		st.Cluster = c
 	}
 
-	if n := d.count(); n > 0 {
-		st.Vectors = make([]taskVectorState, n)
+	if n := d.count(2); n > 0 { // two float-slice lengths
+		st.Vectors = make([]semantic.TaskVector, n)
 		for i := range st.Vectors {
-			st.Vectors[i] = taskVectorState{Query: d.floats(), Target: d.floats()}
+			st.Vectors[i] = semantic.TaskVector{Query: d.floats(), Target: d.floats()}
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.count(1); n > 0 {
 		st.ItemToTask = make([]TaskID, n)
 		for i := range st.ItemToTask {
 			st.ItemToTask[i] = TaskID(d.varint())
@@ -496,11 +496,14 @@ func (d *snapDecoder) varint() int64 {
 	return x
 }
 
-// count reads a length prefix, bounding it by the bytes left so corrupt
-// lengths cannot drive huge allocations (every element is ≥ 1 byte).
-func (d *snapDecoder) count() int {
+// count reads the length prefix of a section whose elements each encode to
+// at least elemSize bytes, and rejects a length the bytes left cannot hold:
+// what a corrupt prefix can make the caller allocate stays proportional to
+// the snapshot's size, and recovery falls back to an older snapshot instead
+// of dying of memory before the trailing checksum is ever reached.
+func (d *snapDecoder) count(elemSize int) int {
 	v := d.uvarint()
-	if d.err == nil && v > d.remaining {
+	if d.err == nil && v > d.remaining/uint64(elemSize) {
 		d.fail("length prefix exceeds remaining bytes")
 		return 0
 	}
@@ -516,7 +519,7 @@ func (d *snapDecoder) f64() float64 {
 }
 
 func (d *snapDecoder) str() string {
-	n := d.count()
+	n := d.count(1)
 	if d.err != nil || n == 0 {
 		return ""
 	}
@@ -529,7 +532,7 @@ func (d *snapDecoder) str() string {
 }
 
 func (d *snapDecoder) floats() []float64 {
-	n := d.count()
+	n := d.count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -112,6 +114,69 @@ func TestBinaryCodecCorruption(t *testing.T) {
 		if _, err := LoadServer(bytes.NewReader(good[:cut])); err == nil {
 			t.Errorf("truncation at %d bytes: decode succeeded", cut)
 		}
+	}
+}
+
+// TestBinaryCodecCorruptLengthPrefix rewrites the task-count prefix of a
+// real snapshot to the largest value "one byte per element" would let
+// through — the rest of the body — and reframes it with a valid length, so
+// the only thing wrong with the file is that prefix. Decoding must fail on
+// the prefix itself, having allocated in proportion to the snapshot: the
+// checksum that would expose the corruption sits behind the body, and
+// recovery has to live to fall back to the older snapshot.
+func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
+	s := richServer(t)
+	var buf bytes.Buffer
+	if err := s.SaveStateBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	_, n1 := binary.Uvarint(good[len(snapshotMagic):])
+	bodyLen, n2 := binary.Uvarint(good[len(snapshotMagic)+n1:])
+	body := good[len(snapshotMagic)+n1+n2:][:bodyLen]
+
+	// Re-encode the sections ahead of the tasks to find their count prefix.
+	s.mu.RLock()
+	st := s.persistStateLocked()
+	s.mu.RUnlock()
+	e := &snapEncoder{}
+	e.uvarint(uint64(st.Version))
+	e.f64(st.Alpha)
+	e.f64(st.Gamma)
+	e.f64(st.Epsilon)
+	e.uvarint(uint64(len(st.Users)))
+	for _, u := range st.Users {
+		e.varint(int64(u.ID))
+		e.f64(u.Capacity)
+		e.str(u.Name)
+	}
+	at := len(e.buf)
+	count, width := binary.Uvarint(body[at:])
+	if !bytes.Equal(body[:at], e.buf) || int(count) != len(st.Tasks) {
+		t.Fatalf("did not find the task count at body offset %d (read %d, want %d)", at, count, len(st.Tasks))
+	}
+
+	rest := body[at+width:]
+	mut := append(bytes.Clone(body[:at]), binary.AppendUvarint(nil, uint64(len(rest)))...)
+	mut = append(mut, rest...)
+	file := append([]byte(snapshotMagic), binary.AppendUvarint(nil, snapshotCodecVersion)...)
+	file = binary.AppendUvarint(file, uint64(len(mut)))
+	file = append(file, mut...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(mut, snapshotCRCTable))
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := decodeStateBinary(bytes.NewReader(file))
+	runtime.ReadMemStats(&m1)
+	if err == nil || errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "length prefix") {
+		t.Fatalf("err = %v, want a plain length-prefix decode error", err)
+	}
+	// The read buffer is 64 KiB and what precedes the prefix decodes to a
+	// few times its size; len(rest) tasks would cost a hundred times the file.
+	got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(8*len(file)+128<<10)
+	t.Logf("%d-byte snapshot, corrupt task count %d: decode allocated %d bytes", len(file), len(rest), got)
+	if got > limit {
+		t.Errorf("decoding a %d-byte snapshot with a corrupt task count allocated %d bytes, want <= %d", len(file), got, limit)
 	}
 }
 

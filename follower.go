@@ -9,9 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"eta2/internal/cluster"
 	"eta2/internal/repl"
-	"eta2/internal/semantic"
 	"eta2/internal/trace"
 	"eta2/internal/wal"
 )
@@ -437,7 +435,6 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 		return fmt.Errorf("eta2: bootstrap snapshot at LSN %d does not advance past applied %d", lsn, st.lastLSN)
 	}
 	var restored *Server
-	var eng *cluster.Engine
 	err := installSnapshot(st.journalDir, st.journal, lsn, func(w io.Writer) error {
 		tee := io.TeeReader(body, w)
 		decoded, err := decodeState(tee)
@@ -447,31 +444,22 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 		if _, err := io.Copy(io.Discard, tee); err != nil { // whatever the decoder left unread
 			return err
 		}
-		if restored, err = restoreServer(decoded, opts...); err != nil {
-			return err
-		}
-		// The clustering engine is rebuilt so its distance closure reads
-		// the live server's vectors, not the temporary restore target's.
-		if restored.clusterer != nil {
-			eng, err = cluster.Restore(restored.clusterer.State(), func(a, b int) float64 {
-				return semantic.Distance(s.vectors[a], s.vectors[b])
-			})
-		}
+		restored, err = restoreServer(decoded, opts...)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	s.adoptRestored(restored, eng, lsn)
+	s.adoptRestored(restored, lsn)
 	return nil
 }
 
-// adoptRestored swaps a restored snapshot server's state (and the engine
-// rebuilt for it) into s as of lsn. One publish makes the swap atomic for
-// readers.
+// adoptRestored swaps a restored snapshot server's state into s as of lsn,
+// as it is: nothing in it refers back to the server it was restored into.
+// One publish makes the swap atomic for readers.
 //
 //eta2:journalfirst-ok adopts a snapshot of state the primary already journaled; nothing new to journal
-func (s *Server) adoptRestored(r *Server, eng *cluster.Engine, lsn uint64) {
+func (s *Server) adoptRestored(r *Server, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cfg = r.cfg
@@ -484,17 +472,12 @@ func (s *Server) adoptRestored(r *Server, eng *cluster.Engine, lsn uint64) {
 	s.domainOf = r.domainOf
 	s.pending = r.pending
 	s.store = r.store
-	s.vectors = r.vectors
-	s.itemToTask = r.itemToTask
+	s.domains = r.domains
 	s.observations = r.observations
 	s.truths = r.truths
 	s.day = r.day
 	s.lastNewDomains = r.lastNewDomains
 	s.lastMerges = r.lastMerges
-	s.clusterer = eng
-	if s.vectorizer == nil {
-		s.vectorizer = r.vectorizer
-	}
 	s.lastLSN = lsn
 	s.snapLSN = lsn
 	s.publishLocked()

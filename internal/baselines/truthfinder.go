@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"maps"
 	"math"
 
 	"eta2/internal/core"
@@ -120,10 +121,7 @@ func (t *TruthFinder) Estimate(obs *core.ObservationTable) (Result, error) {
 		}
 	}
 
-	rel := make(map[core.UserID]float64, len(users))
-	for u, v := range trust { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
-		rel[u] = v
-	}
+	rel := maps.Clone(trust)
 	normalizeMax(rel)
 
 	return Result{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -77,10 +78,7 @@ func (in *Interner) BindAll(names []string, ids []int) error {
 			continue
 		}
 		if next == nil {
-			next = &internTable{ids: make(map[string]int, len(cur.ids)+len(names)), bytes: cur.bytes}
-			for k, v := range cur.ids { //eta2:nondeterministic-ok map copy: independent per-key writes, order cannot matter
-				next.ids[k] = v
-			}
+			next = &internTable{ids: maps.Clone(cur.ids), bytes: cur.bytes}
 		}
 		next.ids[name] = ids[i]
 		next.bytes += int64(len(name))

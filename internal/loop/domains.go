@@ -1,0 +1,112 @@
+// Package loop holds the one body of every stage of the paper's per-time-step
+// loop (Figure 1): identify the domains of described tasks, build the
+// allocation problem, run Algorithm 2's collect-and-re-estimate side, and
+// close the step. eta2.Server wraps validation, journaling, copy-on-write and
+// publication around these bodies; simulation.Run wraps datasets, the RNG and
+// metric collection around the same ones — so the numbers the experiments
+// report come from the code that is served.
+package loop
+
+import (
+	"errors"
+	"fmt"
+
+	"eta2/internal/cluster"
+	"eta2/internal/core"
+	"eta2/internal/embedding"
+	"eta2/internal/semantic"
+)
+
+// Domains identifies the expertise domain of described tasks (Sec. 3): it
+// owns the pair-word vectorizer, the vector of every described task, and the
+// dynamic clusterer over them, whose distance reads those vectors. Item i of
+// the clusterer is the i-th described task ever added.
+type Domains struct {
+	vectorizer *semantic.Vectorizer // nil: restored without an embedder
+	vectors    []semantic.TaskVector
+	tasks      []core.TaskID
+	engine     *cluster.Engine
+}
+
+// DomainsState is the serializable form of a Domains. Vectors and Tasks are
+// append-only prefixes shared with the live identifier; Cluster is a copy.
+type DomainsState struct {
+	Cluster cluster.EngineState
+	Vectors []semantic.TaskVector
+	Tasks   []core.TaskID
+}
+
+// NewDomains creates an empty identifier that embeds with e and clusters
+// with termination parameter gamma.
+func NewDomains(e embedding.Embedder, gamma float64) (*Domains, error) {
+	d := &Domains{vectorizer: semantic.NewVectorizer(e)}
+	return d, d.bind(gamma, nil)
+}
+
+// RestoreDomains rebuilds an identifier from its state. The saved vectors
+// are reused as they are; e — nil for none — only embeds tasks added later.
+func RestoreDomains(st DomainsState, e embedding.Embedder) (*Domains, error) {
+	if n := st.Cluster.NItems; len(st.Vectors) != n || len(st.Tasks) != n {
+		return nil, fmt.Errorf("loop: %d vectors / %d task ids for %d clustered items", len(st.Vectors), len(st.Tasks), n)
+	}
+	d := &Domains{vectors: st.Vectors, tasks: st.Tasks}
+	if e != nil {
+		d.vectorizer = semantic.NewVectorizer(e)
+	}
+	return d, d.bind(0, &st.Cluster)
+}
+
+// bind creates the clusterer — fresh, or from a saved state — over this
+// identifier's own vectors.
+func (d *Domains) bind(gamma float64, saved *cluster.EngineState) (err error) {
+	dist := func(a, b int) float64 { return semantic.Distance(d.vectors[a], d.vectors[b]) }
+	if saved == nil {
+		d.engine, err = cluster.New(gamma, dist)
+	} else {
+		d.engine, err = cluster.Restore(*saved, dist)
+	}
+	return err
+}
+
+// State exports the identifier.
+func (d *Domains) State() DomainsState {
+	return DomainsState{Cluster: d.engine.State(), Vectors: d.vectors, Tasks: d.tasks}
+}
+
+// Engine exposes the clusterer for read-only inspection.
+func (d *Domains) Engine() *cluster.Engine { return d.engine }
+
+// ErrNoEmbedder is returned when a description is to be vectorized by an
+// identifier that has no embedder.
+var ErrNoEmbedder = errors.New("loop: described tasks require an embedder")
+
+// Vectorize embeds a task description without changing the identifier, so a
+// caller can reject a bad batch before it commits to anything. A nil
+// identifier has no embedder.
+func (d *Domains) Vectorize(description string) (semantic.TaskVector, error) {
+	if d == nil || d.vectorizer == nil {
+		return semantic.TaskVector{}, ErrNoEmbedder
+	}
+	return d.vectorizer.Vectorize(description)
+}
+
+// Identify adds described tasks with their vectors and re-clusters. Every
+// described task's current domain — old tasks move when clusters merge — is
+// written into domainOf, and each merge of two established domains is
+// reported to merge (truth.Store.MergeDomains folds the expertise, Sec. 4.2).
+func (d *Domains) Identify(tasks []core.TaskID, vectors []semantic.TaskVector,
+	domainOf map[core.TaskID]core.DomainID, merge func(into, from core.DomainID)) (cluster.Update, error) {
+	d.vectors = append(d.vectors, vectors...)
+	d.tasks = append(d.tasks, tasks...)
+	up, err := d.engine.AddItems(len(tasks))
+	if err != nil {
+		return cluster.Update{}, err
+	}
+	for _, m := range up.Merges {
+		merge(m.Into, m.From)
+	}
+	for item, dom := range up.Assigned {
+		domainOf[d.tasks[item]] = dom
+	}
+	return up, nil
+}

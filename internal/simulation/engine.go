@@ -6,9 +6,9 @@ import (
 
 	"eta2/internal/allocation"
 	"eta2/internal/baselines"
-	"eta2/internal/cluster"
 	"eta2/internal/core"
 	"eta2/internal/dataset"
+	"eta2/internal/loop"
 	"eta2/internal/semantic"
 	"eta2/internal/stats"
 	"eta2/internal/truth"
@@ -60,19 +60,15 @@ func partitionTasks(tasks []core.Task, days int, rng *stats.RNG) [][]core.Task {
 	return out
 }
 
-// eta2State bundles the persistent server state of an ETA² simulation.
+// eta2State bundles the persistent server state of an ETA² simulation: what
+// the stage bodies of internal/loop read and write between days.
 type eta2State struct {
 	ds       *dataset.Dataset
 	cfg      Config
 	rng      *stats.RNG
 	store    *truth.Store
 	domainOf map[core.TaskID]core.DomainID
-
-	// Clustering state (textual datasets only).
-	clusterer  *cluster.Engine
-	vectorizer *semantic.Vectorizer
-	vectors    []semantic.TaskVector
-	itemToTask []core.TaskID
+	domains  *loop.Domains // textual datasets only
 }
 
 // runETA2 simulates ETA² (max-quality) or ETA²-mc (min-cost).
@@ -89,14 +85,10 @@ func runETA2(ds *dataset.Dataset, cfg Config, days [][]core.Task, rng *stats.RNG
 			st.domainOf[t.ID] = t.Domain
 		}
 	} else {
-		st.vectorizer = semantic.NewVectorizer(cfg.Embedder)
-		eng, err := cluster.New(cfg.Gamma, func(a, b int) float64 {
-			return semantic.Distance(st.vectors[a], st.vectors[b])
-		})
-		if err != nil {
+		var err error
+		if st.domains, err = loop.NewDomains(cfg.Embedder, cfg.Gamma); err != nil {
 			return RunResult{}, fmt.Errorf("simulation: %w", err)
 		}
-		st.clusterer = eng
 	}
 
 	res := RunResult{
@@ -105,7 +97,6 @@ func runETA2(ds *dataset.Dataset, cfg Config, days [][]core.Task, rng *stats.RNG
 		AvgAllocatedExpertise: make(map[core.TaskID]float64),
 		ExpertiseError:        math.NaN(),
 	}
-	domainFn := func(id core.TaskID) core.DomainID { return st.domainOf[id] }
 
 	for day, tasks := range days {
 		if len(tasks) == 0 {
@@ -137,7 +128,7 @@ func runETA2(ds *dataset.Dataset, cfg Config, days [][]core.Task, rng *stats.RNG
 			dayCost = mq.Allocation.Cost(st.costOf)
 		default: // MethodETA2MC
 			var err error
-			pairs, dayObs, dayCost, err = st.runMinCostDay(tasks, day, domainFn)
+			pairs, dayObs, dayCost, err = st.runMinCostDay(tasks, day)
 			if err != nil {
 				return RunResult{}, fmt.Errorf("simulation: day %d: %w", day, err)
 			}
@@ -147,23 +138,13 @@ func runETA2(ds *dataset.Dataset, cfg Config, days [][]core.Task, rng *stats.RNG
 		// Estimate truth and update expertise.
 		table := core.NewObservationTable(dayObs)
 		var mu map[core.TaskID]float64
-		var iterations int
 		if table.Len() > 0 {
-			if day == 0 {
-				est, err := truth.Estimate(table, domainFn, nil, cfg.Truth)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("simulation: warm-up estimate: %w", err)
-				}
-				st.store.Commit(truth.Contributions(table, domainFn, est.Mu, est.Sigma, cfg.Truth))
-				mu, iterations = est.Mu, est.Iterations
-			} else {
-				upd, err := truth.UpdateStep(st.store, table, domainFn, cfg.Truth)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("simulation: day %d update: %w", day, err)
-				}
-				mu, iterations = upd.Mu, upd.Iterations
+			closed, err := loop.CloseStep(day, st.store, table, st.domainOf, cfg.Truth)
+			if err != nil {
+				return RunResult{}, fmt.Errorf("simulation: day %d close: %w", day, err)
 			}
-			res.MLEIterations = append(res.MLEIterations, iterations)
+			mu = closed.Mu
+			res.MLEIterations = append(res.MLEIterations, closed.Iterations)
 		}
 
 		if cfg.KeepObservations {
@@ -197,23 +178,17 @@ func (st *eta2State) identifyDomains(tasks []core.Task) error {
 	if st.ds.DomainsKnown {
 		return nil
 	}
-	for _, t := range tasks {
-		tv, err := st.vectorizer.Vectorize(t.Description)
-		if err != nil {
+	ids := make([]core.TaskID, len(tasks))
+	vectors := make([]semantic.TaskVector, len(tasks))
+	for i, t := range tasks {
+		var err error
+		if vectors[i], err = st.domains.Vectorize(t.Description); err != nil {
 			return fmt.Errorf("simulation: vectorize task %d: %w", t.ID, err)
 		}
-		st.vectors = append(st.vectors, tv)
-		st.itemToTask = append(st.itemToTask, t.ID)
+		ids[i] = t.ID
 	}
-	up, err := st.clusterer.AddItems(len(tasks))
-	if err != nil {
+	if _, err := st.domains.Identify(ids, vectors, st.domainOf, st.store.MergeDomains); err != nil {
 		return fmt.Errorf("simulation: clustering: %w", err)
-	}
-	for _, m := range up.Merges {
-		st.store.MergeDomains(m.Into, m.From)
-	}
-	for item, dom := range up.Assigned {
-		st.domainOf[st.itemToTask[item]] = dom
 	}
 	return nil
 }
@@ -221,14 +196,7 @@ func (st *eta2State) identifyDomains(tasks []core.Task) error {
 // allocationInput builds the allocation problem for the day's tasks with
 // expertise read from the store.
 func (st *eta2State) allocationInput(tasks []core.Task) allocation.Input {
-	return allocation.Input{
-		Users: st.ds.Users,
-		Tasks: tasks,
-		Expertise: func(u core.UserID, t core.TaskID) float64 {
-			return st.store.Expertise(u, st.domainOf[t])
-		},
-		Epsilon: st.cfg.Epsilon,
-	}
+	return loop.AllocationInput(st.ds.Users, tasks, st.store, st.domainOf, st.cfg.Epsilon, 0)
 }
 
 func (st *eta2State) costOf(id core.TaskID) float64 { return st.ds.Tasks[int(id)].Cost }
@@ -236,39 +204,17 @@ func (st *eta2State) costOf(id core.TaskID) float64 { return st.ds.Tasks[int(id)
 // runMinCostDay executes Algorithm 2 for one day: iterative allocation with
 // per-iteration budget, probabilistic quality evaluation against the
 // confidence interval, and observation collection along the way.
-func (st *eta2State) runMinCostDay(tasks []core.Task, day int, domainFn func(core.TaskID) core.DomainID) ([]core.Pair, []core.Observation, float64, error) {
+func (st *eta2State) runMinCostDay(tasks []core.Task, day int) ([]core.Pair, []core.Observation, float64, error) {
 	var dayObs []core.Observation
-	table := core.NewObservationTable(nil)
-	allocatedUsers := make(map[core.TaskID][]core.UserID)
-
-	env := allocation.EnvironmentFunc(func(newPairs []core.Pair) (allocation.IterationOutcome, error) {
-		obs := st.ds.ObservePairs(newPairs, st.cfg.Observation, day, st.rng)
-		dayObs = append(dayObs, obs...)
-		table.AddAll(obs)
-		// Count only users whose observations actually arrived: with
-		// dropout, an allocated-but-silent user contributes no Fisher
-		// information and must not count toward the confidence interval.
-		for _, o := range obs {
-			allocatedUsers[o.Task] = append(allocatedUsers[o.Task], o.User)
-		}
-		tmp := st.store.Clone()
-		upd, err := truth.UpdateStep(tmp, table, domainFn, st.cfg.Truth)
-		if err != nil {
-			return allocation.IterationOutcome{}, err
-		}
-		exp := tmp.Snapshot()
-		sums := make(map[core.TaskID]float64, len(allocatedUsers))
-		for tid, us := range allocatedUsers {
-			sums[tid] = truth.SumSquaredExpertise(us, domainFn(tid), exp)
-		}
-		return allocation.IterationOutcome{Sigma: upd.Sigma, SumSquaredExpertise: sums}, nil
-	})
-
-	mc, err := allocation.MinCost(st.allocationInput(tasks), allocation.MinCostConfig{
+	mc, err := loop.MinCost(st.allocationInput(tasks), allocation.MinCostConfig{
 		EpsBar:     st.cfg.EpsBar,
 		Alpha:      st.cfg.ConfAlpha,
 		IterBudget: st.cfg.IterBudget,
-	}, env)
+	}, st.store, st.domainOf, st.cfg.Truth, func(pairs []core.Pair) ([]core.Observation, error) {
+		obs := st.ds.ObservePairs(pairs, st.cfg.Observation, day, st.rng)
+		dayObs = append(dayObs, obs...)
+		return obs, nil
+	})
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -23,6 +23,10 @@ type estState struct {
 	// Domain interning: dense task -> dense domain, dense domain -> ID.
 	taskDom []int32
 	domIDs  []core.DomainID
+	// counted marks the tasks whose residuals are expertise evidence: a task
+	// below the MinObsForExpertise floor never contributes to Eq. 6, and the
+	// floor only depends on bucket sizes, which are fixed for the whole run.
+	counted []bool
 
 	mu    []float64 // per dense task
 	sigma []float64 // per dense task
@@ -35,11 +39,13 @@ type estState struct {
 	maxes []float64 // per-worker max-relative-change scratch
 }
 
-// newEstState builds the dense working set for the observations of idx.
-// domainOf is called exactly once per task; expertise starts at expOf for
-// every (user, domain) pair present in the index.
+// newEstState builds the dense working set for the observations of idx:
+// everything that follows from the index alone. domainOf is called exactly
+// once per task. A non-nil known restricts the counted tasks to those it
+// reports. mu, sigma and exp are left zero: seed sets the solver's starting
+// point, Contributions fills in the estimates it was given.
 func newEstState(idx *core.DenseIndex, domainOf func(core.TaskID) core.DomainID,
-	expOf func(core.UserID, core.DomainID) float64, cfg Config) *estState {
+	known func(core.TaskID) bool, cfg Config) *estState {
 
 	st := &estState{
 		idx:     idx,
@@ -50,9 +56,12 @@ func newEstState(idx *core.DenseIndex, domainOf func(core.TaskID) core.DomainID,
 
 	// Intern domains once: the MLE only ever compares domains for equality.
 	st.taskDom = make([]int32, st.nTasks)
+	st.counted = make([]bool, st.nTasks)
 	domIdx := make(map[core.DomainID]int32)
 	for t := 0; t < st.nTasks; t++ {
-		d := domainOf(idx.TaskID(t))
+		id := idx.TaskID(t)
+		st.counted[t] = idx.TaskLen(t) >= cfg.MinObsForExpertise && (known == nil || known(id))
+		d := domainOf(id)
 		di, ok := domIdx[d]
 		if !ok {
 			di = int32(len(st.domIDs))
@@ -65,8 +74,28 @@ func newEstState(idx *core.DenseIndex, domainOf func(core.TaskID) core.DomainID,
 
 	st.mu = make([]float64, st.nTasks)
 	st.sigma = make([]float64, st.nTasks)
-	for t := 0; t < st.nTasks; t++ {
-		bucket := idx.TaskObs(t)
+	slots := st.nUsers * st.nDoms
+	st.exp = make([]float64, slots)
+	st.count = make([]float64, slots)
+	st.resid = make([]float64, slots)
+	for u := 0; u < st.nUsers; u++ {
+		for _, e := range idx.UserObs(u) {
+			if st.counted[e.Task] {
+				st.count[u*st.nDoms+int(st.taskDom[e.Task])]++
+			}
+		}
+	}
+
+	st.maxes = make([]float64, st.workers)
+	return st
+}
+
+// seed sets the fixed point's starting point: every truth at the mean of
+// its observations, every base number at the floor, and the expertise of
+// every (user, domain) pair present in the index at expOf.
+func (st *estState) seed(expOf func(core.UserID, core.DomainID) float64, cfg Config) {
+	for t := range st.mu {
+		bucket := st.idx.TaskObs(t)
 		sum := 0.0
 		for _, o := range bucket {
 			sum += o.Value
@@ -74,30 +103,9 @@ func newEstState(idx *core.DenseIndex, domainOf func(core.TaskID) core.DomainID,
 		st.mu[t] = sum / float64(len(bucket))
 		st.sigma[t] = cfg.MinSigma
 	}
-
-	slots := st.nUsers * st.nDoms
-	st.exp = make([]float64, slots)
-	st.count = make([]float64, slots)
-	st.resid = make([]float64, slots)
-	for u := 0; u < st.nUsers; u++ {
-		uid := idx.UserID(u)
-		base := u * st.nDoms
-		for d := 0; d < st.nDoms; d++ {
-			st.exp[base+d] = expOf(uid, st.domIDs[d])
-		}
-		// Static per-slot observation counts: tasks below the
-		// MinObsForExpertise floor never contribute to Eq. 6, and the floor
-		// only depends on bucket sizes, which are fixed for the whole run.
-		for _, e := range idx.UserObs(u) {
-			if idx.TaskLen(int(e.Task)) < cfg.MinObsForExpertise {
-				continue
-			}
-			st.count[base+int(st.taskDom[e.Task])]++
-		}
+	for slot := range st.exp {
+		st.exp[slot] = expOf(st.idx.UserID(slot/st.nDoms), st.domIDs[slot%st.nDoms])
 	}
-
-	st.maxes = make([]float64, st.workers)
-	return st
 }
 
 // updateTaskParams applies the Eq. 5 truth and base-number updates for every
@@ -162,7 +170,7 @@ func (st *estState) updateTaskParams(cfg Config) float64 {
 // of resid rows — no two workers touch the same slot, and the within-slot
 // accumulation order is the user's bucket order regardless of the worker
 // count.
-func (st *estState) accumulateResiduals(cfg Config) {
+func (st *estState) accumulateResiduals() {
 	nd := st.nDoms
 	core.ParallelFor(st.nUsers, st.workers, func(lo, hi, _ int) {
 		for u := lo; u < hi; u++ {
@@ -172,7 +180,7 @@ func (st *estState) accumulateResiduals(cfg Config) {
 			}
 			for _, e := range st.idx.UserObs(u) {
 				t := int(e.Task)
-				if st.idx.TaskLen(t) < cfg.MinObsForExpertise {
+				if !st.counted[t] {
 					continue
 				}
 				d := e.Value - st.mu[t]
@@ -183,47 +191,39 @@ func (st *estState) accumulateResiduals(cfg Config) {
 	})
 }
 
-// updateExpertise recomputes every populated expertise slot from the current
-// residuals (Eq. 6) with the shrinkage prior, overwriting st.exp in place.
-func (st *estState) updateExpertise(cfg Config) {
-	st.accumulateResiduals(cfg)
-	a := cfg.PriorStrength
+// updateExpertise refreshes the residuals and recomputes every populated
+// expertise slot from them by rule, overwriting st.exp in place.
+func (st *estState) updateExpertise(rule refreshRule) {
+	st.accumulateResiduals()
 	core.ParallelFor(st.nUsers, st.workers, func(lo, hi, _ int) {
-		for slot := lo * st.nDoms; slot < hi*st.nDoms; slot++ {
-			n := st.count[slot]
-			if n <= 0 {
-				continue
+		for u := lo; u < hi; u++ {
+			uid := st.idx.UserID(u)
+			for d, dom := range st.domIDs {
+				slot := u*st.nDoms + d
+				if n := st.count[slot]; n > 0 {
+					st.exp[slot] = rule(uid, dom, n, st.resid[slot])
+				}
 			}
-			st.exp[slot] = clamp(math.Sqrt((n+a)/(st.resid[slot]+a)), MinExpertise, MaxExpertise)
 		}
 	})
 }
 
-// contributions materializes the populated slots as Contribution values
-// (fresh Eq. 7–8 evidence) after refreshing the residuals. The returned
-// slots slice carries the flat slot index of each contribution so callers
-// can write previewed expertise straight back into st.exp. Order is
+// contributions materializes the populated slots as Contribution values:
+// the fresh Eq. 7–8 evidence under the residuals last accumulated. Order is
 // deterministic: users ascending, domains in interning order.
-func (st *estState) contributions(cfg Config) ([]Contribution, []int32) {
-	st.accumulateResiduals(cfg)
+func (st *estState) contributions() []Contribution {
 	out := make([]Contribution, 0, st.nUsers)
-	slots := make([]int32, 0, st.nUsers)
-	for u := 0; u < st.nUsers; u++ {
-		base := u * st.nDoms
-		for d := 0; d < st.nDoms; d++ {
-			if st.count[base+d] <= 0 {
-				continue
-			}
+	for slot, n := range st.count {
+		if n > 0 {
 			out = append(out, Contribution{
-				User:       st.idx.UserID(u),
-				Domain:     st.domIDs[d],
-				Count:      st.count[base+d],
-				ResidualSq: st.resid[base+d],
+				User:       st.idx.UserID(slot / st.nDoms),
+				Domain:     st.domIDs[slot%st.nDoms],
+				Count:      n,
+				ResidualSq: st.resid[slot],
 			})
-			slots = append(slots, int32(base+d))
 		}
 	}
-	return out, slots
+	return out
 }
 
 // muMap exports the dense truth estimates as the public map form.

@@ -7,6 +7,7 @@
 package truth
 
 import (
+	"maps"
 	"math"
 	"sort"
 
@@ -48,11 +49,7 @@ func (e Expertise) Set(u core.UserID, d core.DomainID, v float64) {
 func (e Expertise) Clone() Expertise {
 	out := make(Expertise, len(e))
 	for u, m := range e { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
-		cm := make(map[core.DomainID]float64, len(m))
-		for d, v := range m { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
-			cm[d] = v
-		}
-		out[u] = cm
+		out[u] = maps.Clone(m)
 	}
 	return out
 }
@@ -205,11 +202,7 @@ func (s *Store) Clone() *Store {
 		clampHi: s.clampHi,
 	}
 	for u, m := range s.acc { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
-		cm := make(map[core.DomainID]accumulator, len(m))
-		for d, a := range m { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
-			cm[d] = a
-		}
-		out.acc[u] = cm
+		out.acc[u] = maps.Clone(m)
 	}
 	return out
 }

@@ -1,11 +1,15 @@
 package truth
 
-import "eta2/internal/obs"
+import (
+	"time"
+
+	"eta2/internal/obs"
+)
 
 // Truth-analysis metrics. The `phase` label separates the warm-up joint
 // MLE (Estimate, "batch") from the per-step dynamic update (UpdateStep,
 // "incremental"); both run the Eq. 5–6 fixed point, so iteration counts
-// share one family. Hot-path children are resolved once at init.
+// share one family.
 var (
 	mEstimateDur = obs.Default().HistogramVec("eta2_truth_estimate_duration_seconds",
 		"Wall time of one truth-analysis run (MLE fixed point to convergence).",
@@ -20,13 +24,11 @@ var (
 		"Tasks whose truth was (re)estimated, summed over runs.")
 	mObservations = obs.Default().Counter("eta2_truth_observations_total",
 		"Observations fed into truth-analysis runs, summed over runs.")
-
-	mEstimateBatchDur       = mEstimateDur.With("batch")
-	mEstimateIncrementalDur = mEstimateDur.With("incremental")
 )
 
-// observeRun records the shared per-run metrics for both phases.
-func observeRun(phase string, iterations, tasks, observations int, converged bool) {
+// observeRun records one run's metrics under its phase.
+func observeRun(phase string, took time.Duration, iterations, tasks, observations int, converged bool) {
+	mEstimateDur.With(phase).Observe(took.Seconds())
 	mIterations.Observe(float64(iterations))
 	mTasks.Add(uint64(tasks))
 	mObservations.Add(uint64(observations))

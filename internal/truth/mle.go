@@ -2,6 +2,7 @@ package truth
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"eta2/internal/core"
@@ -104,143 +105,82 @@ var ErrNoObservations = errors.New("truth: no observations to estimate from")
 // mapped to core.DomainNone share one implicit domain.
 func Estimate(obs *core.ObservationTable, domainOf func(core.TaskID) core.DomainID, init Expertise, cfg Config) (Result, error) {
 	cfg.applyDefaults()
+	st, res, err := solve("batch", obs, domainOf, init.Get, batchRule(cfg), cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	exp := init.Clone()
+	for slot, n := range st.count {
+		if n > 0 {
+			exp.Set(st.idx.UserID(slot/st.nDoms), st.domIDs[slot%st.nDoms], st.exp[slot])
+		}
+	}
+	return Result{Mu: res.Mu, Sigma: res.Sigma, Expertise: exp, Iterations: res.Iterations, Converged: res.Converged}, nil
+}
+
+// refreshRule maps the fresh evidence of one (user, domain) pair — Count
+// and ResidualSq of Eq. 7–8 under the current truth estimates — to the
+// pair's next candidate expertise. It is the only thing the warm-up MLE and
+// the dynamic update disagree on, and must be safe for concurrent calls.
+type refreshRule func(u core.UserID, d core.DomainID, count, residualSq float64) float64
+
+// batchRule is Eq. 6 with the shrinkage prior: the evidence stands alone.
+func batchRule(cfg Config) refreshRule {
+	a := cfg.PriorStrength
+	return func(_ core.UserID, _ core.DomainID, n, resid float64) float64 {
+		return clamp(math.Sqrt((n+a)/(resid+a)), MinExpertise, MaxExpertise)
+	}
+}
+
+// solve is the fixed-point iteration behind Estimate, WarmUp and UpdateStep:
+// from expertise expOf it alternates the Eq. 5 truth and base-number update
+// with rule's expertise refresh until the truths move less than RelTol. The
+// returned state holds the final residuals, so its contributions are the
+// fresh evidence under the returned estimates. cfg has its defaults applied.
+func solve(phase string, obs *core.ObservationTable, domainOf func(core.TaskID) core.DomainID,
+	expOf func(core.UserID, core.DomainID) float64, rule refreshRule, cfg Config) (*estState, UpdateResult, error) {
 	if obs == nil || obs.Len() == 0 {
-		return Result{}, ErrNoObservations
+		return nil, UpdateResult{}, ErrNoObservations
 	}
 	start := time.Now() //eta2:replaypurity-ok estimation latency metric, not replayed state
 
-	// Dense re-index once: the O(#obs · #iterations) inner loops below then
-	// run on contiguous buckets and flat parameter slices (see dense.go).
-	st := newEstState(core.NewDenseIndex(obs), domainOf, init.Get, cfg)
-
-	var iterations int
-	converged := false
-	for iterations = 1; iterations <= cfg.MaxIter; iterations++ {
-		// Truth and base-number update per task (Eq. 5), then the expertise
-		// update per (user, domain) (Eq. 6).
+	// Dense re-index once: the O(#obs · #iterations) inner loops then run on
+	// contiguous buckets and flat parameter slices (see dense.go).
+	st := newEstState(core.NewDenseIndex(obs), domainOf, nil, cfg)
+	st.seed(expOf, cfg)
+	res := UpdateResult{Iterations: cfg.MaxIter}
+	for it := 1; it <= cfg.MaxIter; it++ {
 		maxChange := st.updateTaskParams(cfg)
-		st.updateExpertise(cfg)
-
-		if maxChange < cfg.RelTol && iterations > 1 {
-			converged = true
+		st.updateExpertise(rule)
+		if maxChange < cfg.RelTol && it > 1 {
+			res.Iterations, res.Converged = it, true
 			break
 		}
 	}
-	if iterations > cfg.MaxIter {
-		iterations = cfg.MaxIter
-	}
-
-	exp := init.Clone()
-	if exp == nil {
-		exp = make(Expertise)
-	}
-	for u := 0; u < st.nUsers; u++ {
-		base := u * st.nDoms
-		for d := 0; d < st.nDoms; d++ {
-			if st.count[base+d] > 0 {
-				exp.Set(st.idx.UserID(u), st.domIDs[d], st.exp[base+d])
-			}
-		}
-	}
-
-	mEstimateBatchDur.Observe(time.Since(start).Seconds()) //eta2:replaypurity-ok estimation latency metric, not replayed state
-	observeRun("batch", iterations, st.idx.NumTasks(), obs.Len(), converged)
-
-	return Result{
-		Mu:         st.muMap(),
-		Sigma:      st.sigmaMap(),
-		Expertise:  exp,
-		Iterations: iterations,
-		Converged:  converged,
-	}, nil
+	res.Mu, res.Sigma = st.muMap(), st.sigmaMap()
+	observeRun(phase, time.Since(start), res.Iterations, st.nTasks, obs.Len(), res.Converged) //eta2:replaypurity-ok estimation latency metric, not replayed state
+	return st, res, nil
 }
 
 // Contributions extracts the per-(user, domain) fresh-evidence terms of
 // Eq. 7–8 from a set of observations given the estimated truths: Count is
 // Σ I(d_j=k)·ω_ij and ResidualSq is Σ I(d_j=k)·ω_ij·(x_ij−μ_j)²/σ_j².
-// Tasks with fewer than cfg.MinObsForExpertise observations are skipped,
-// matching Estimate.
+// Tasks with fewer than cfg.MinObsForExpertise observations, and tasks mu
+// does not cover, are skipped.
 func Contributions(obs *core.ObservationTable, domainOf func(core.TaskID) core.DomainID,
 	mu, sigma map[core.TaskID]float64, cfg Config) []Contribution {
 	cfg.applyDefaults()
 	if obs == nil || obs.Len() == 0 {
 		return nil
 	}
-
-	idx := core.NewDenseIndex(obs)
-	nTasks := idx.NumTasks()
-
-	// Per-task lookups hoisted out of the per-observation loop: the dense
-	// index already knows every bucket size, and mu/sigma/domain are
-	// resolved once per task instead of once per observation.
-	taskMu := make([]float64, nTasks)
-	taskSigma := make([]float64, nTasks)
-	taskOK := make([]bool, nTasks)
-	taskDom := make([]int32, nTasks)
-	domIdx := make(map[core.DomainID]int32)
-	var domIDs []core.DomainID
-	for t := 0; t < nTasks; t++ {
-		d := domainOf(idx.TaskID(t))
-		di, ok := domIdx[d]
-		if !ok {
-			di = int32(len(domIDs))
-			domIdx[d] = di
-			domIDs = append(domIDs, d)
-		}
-		taskDom[t] = di
-		if idx.TaskLen(t) < cfg.MinObsForExpertise {
-			continue
-		}
-		m, ok := mu[idx.TaskID(t)]
-		if !ok {
-			continue
-		}
-		s := sigma[idx.TaskID(t)]
-		if s < cfg.MinSigma {
-			s = cfg.MinSigma
-		}
-		taskMu[t] = m
-		taskSigma[t] = s
-		taskOK[t] = true
+	known := func(id core.TaskID) bool { _, ok := mu[id]; return ok }
+	st := newEstState(core.NewDenseIndex(obs), domainOf, known, cfg)
+	for t := range st.mu {
+		id := st.idx.TaskID(t)
+		st.mu[t], st.sigma[t] = mu[id], math.Max(sigma[id], cfg.MinSigma)
 	}
-
-	nDoms := len(domIDs)
-	nUsers := idx.NumUsers()
-	counts := make([]float64, nUsers*nDoms)
-	resid := make([]float64, nUsers*nDoms)
-	core.ParallelFor(nUsers, core.Workers(cfg.Parallelism), func(lo, hi, _ int) {
-		for u := lo; u < hi; u++ {
-			base := u * nDoms
-			for _, e := range idx.UserObs(u) {
-				t := int(e.Task)
-				if !taskOK[t] {
-					continue
-				}
-				d := e.Value - taskMu[t]
-				s := taskSigma[t]
-				slot := base + int(taskDom[t])
-				counts[slot]++
-				resid[slot] += d * d / (s * s)
-			}
-		}
-	})
-
-	out := make([]Contribution, 0, nUsers)
-	for u := 0; u < nUsers; u++ {
-		base := u * nDoms
-		for d := 0; d < nDoms; d++ {
-			if counts[base+d] == 0 { //eta2:floatcmp-ok integer-valued accumulator (+1 increments only): exact zero is well-defined
-				continue
-			}
-			out = append(out, Contribution{
-				User:       idx.UserID(u),
-				Domain:     domIDs[d],
-				Count:      counts[base+d],
-				ResidualSq: resid[base+d],
-			})
-		}
-	}
-	return out
+	st.accumulateResiduals()
+	return st.contributions()
 }
 
 func mean(xs []float64) float64 {

@@ -1,10 +1,6 @@
 package truth
 
-import (
-	"time"
-
-	"eta2/internal/core"
-)
+import "eta2/internal/core"
 
 // UpdateResult is the outcome of one dynamic expertise/truth update step.
 type UpdateResult struct {
@@ -29,48 +25,26 @@ type UpdateResult struct {
 //     the fresh residuals (Eq. 7–9),
 //
 // until the truth estimates converge, then commits the fresh evidence into
-// the store. The returned estimates cover exactly the tasks present in obs.
+// the store. The candidate expertise starts at the store's current values
+// (the paper initializes the iteration with the time-T expertise). The
+// returned estimates cover exactly the tasks present in obs.
 func UpdateStep(store *Store, obs *core.ObservationTable, domainOf func(core.TaskID) core.DomainID, cfg Config) (UpdateResult, error) {
 	cfg.applyDefaults()
-	if obs == nil || obs.Len() == 0 {
-		return UpdateResult{}, ErrNoObservations
+	st, res, err := solve("incremental", obs, domainOf, store.Expertise, store.PreviewExpertise, cfg)
+	if err == nil {
+		store.Commit(st.contributions())
 	}
-	start := time.Now() //eta2:replaypurity-ok estimation latency metric, not replayed state
+	return res, err
+}
 
-	// Candidate expertise starts at the store's current values (the paper
-	// initializes the iteration with the time-T expertise); the dense state
-	// holds it as a flat slice alongside the truth estimates (see dense.go).
-	st := newEstState(core.NewDenseIndex(obs), domainOf, store.Expertise, cfg)
-
-	var contribs []Contribution
-	var iterations int
-	converged := false
-	for iterations = 1; iterations <= cfg.MaxIter; iterations++ {
-		maxChange := st.updateTaskParams(cfg)
-
-		// Recompute the candidate expertise from previewed accumulators.
-		var slots []int32
-		contribs, slots = st.contributions(cfg)
-		for i, c := range contribs {
-			st.exp[slots[i]] = store.PreviewExpertise(c.User, c.Domain, c.Count, c.ResidualSq)
-		}
-
-		if maxChange < cfg.RelTol && iterations > 1 {
-			converged = true
-			break
-		}
+// WarmUp is the first step's close (Sec. 4.1): the joint MLE of Estimate
+// from uniform expertise, whose final evidence — what Contributions would
+// recompute from the returned estimates — is committed into the store.
+func WarmUp(store *Store, obs *core.ObservationTable, domainOf func(core.TaskID) core.DomainID, cfg Config) (UpdateResult, error) {
+	cfg.applyDefaults()
+	st, res, err := solve("batch", obs, domainOf, Expertise(nil).Get, batchRule(cfg), cfg)
+	if err == nil {
+		store.Commit(st.contributions())
 	}
-	if iterations > cfg.MaxIter {
-		iterations = cfg.MaxIter
-	}
-
-	store.Commit(contribs)
-	mEstimateIncrementalDur.Observe(time.Since(start).Seconds()) //eta2:replaypurity-ok estimation latency metric, not replayed state
-	observeRun("incremental", iterations, st.idx.NumTasks(), obs.Len(), converged)
-	return UpdateResult{
-		Mu:         st.muMap(),
-		Sigma:      st.sigmaMap(),
-		Iterations: iterations,
-		Converged:  converged,
-	}, nil
+	return res, err
 }

@@ -3,6 +3,7 @@ package truth
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"eta2/internal/core"
@@ -171,4 +172,48 @@ func TestContributionsSkipUnknownTasks(t *testing.T) {
 	if len(out) != 0 {
 		t.Errorf("contributions for unknown tasks: %v", out)
 	}
+}
+
+// TestWarmUpCommitsWhatContributionsRecomputes holds the warm-up close's one
+// numeric shortcut — committing the evidence the estimation state already
+// holds — against the long way round, bit for bit: Estimate, then
+// Contributions over a fresh index of the same table, then Commit. One
+// single-observation task keeps the MinObsForExpertise floor on the path.
+func TestWarmUpCommitsWhatContributionsRecomputes(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		w := newSynthWorld(21, 6)
+		w.obs = append(w.obs, core.Observation{Task: core.TaskID(w.nTasks), User: 3, Value: 7})
+		w.dom = append(w.dom, 2)
+		cfg := Config{Parallelism: workers}
+
+		long := NewStore(0.5)
+		est, err := Estimate(w.table(), w.domainOf, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long.Commit(Contributions(w.table(), w.domainOf, est.Mu, est.Sigma, cfg))
+
+		short := NewStore(0.5)
+		res, err := WarmUp(short, w.table(), w.domainOf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bitsOf(short.State()), bitsOf(long.State())) {
+			t.Errorf("Parallelism=%d: WarmUp's store differs from Estimate + Contributions + Commit", workers)
+		}
+		if res.Iterations != est.Iterations || res.Converged != est.Converged ||
+			!reflect.DeepEqual(res.Mu, est.Mu) || !reflect.DeepEqual(res.Sigma, est.Sigma) {
+			t.Errorf("Parallelism=%d: WarmUp's estimates differ from Estimate's", workers)
+		}
+	}
+}
+
+// bitsOf flattens a store state to float bit patterns, so the comparison is
+// exact where == would call -0 and 0, or two NaNs, what they are not.
+func bitsOf(st StoreState) []uint64 {
+	out := []uint64{math.Float64bits(st.Alpha), math.Float64bits(st.Prior)}
+	for _, e := range st.Entries {
+		out = append(out, uint64(e.User), uint64(e.Domain), math.Float64bits(e.N), math.Float64bits(e.D))
+	}
+	return out
 }

@@ -9,7 +9,7 @@ import (
 
 	"eta2/internal/cluster"
 	"eta2/internal/core"
-	"eta2/internal/embedding"
+	"eta2/internal/loop"
 	"eta2/internal/semantic"
 	"eta2/internal/truth"
 )
@@ -18,7 +18,7 @@ import (
 const stateVersion = 1
 
 // snapshotState is the serializable snapshot of a Server, written either
-// as JSON (SaveState, legacy snapshot-<lsn>.json files) or with the binary
+// as JSON (SaveState, snapshot-<lsn>.json files) or with the binary
 // codec in codec.go (SaveStateBinary, compaction's snapshot-<lsn>.bin
 // files). The embedding model itself is not serialized — only the task
 // vectors derived from it — so a restored server needs WithEmbedder again
@@ -44,14 +44,9 @@ type snapshotState struct {
 	Store truth.StoreState `json:"store"`
 
 	// Clustering state; empty when the server runs without an embedder.
-	Cluster    *cluster.EngineState `json:"cluster,omitempty"`
-	Vectors    []taskVectorState    `json:"vectors,omitempty"`
-	ItemToTask []TaskID             `json:"item_to_task,omitempty"`
-}
-
-type taskVectorState struct {
-	Query  []float64 `json:"q"`
-	Target []float64 `json:"t"`
+	Cluster    *cluster.EngineState  `json:"cluster,omitempty"`
+	Vectors    []semantic.TaskVector `json:"vectors,omitempty"`
+	ItemToTask []TaskID              `json:"item_to_task,omitempty"`
 }
 
 // SaveState serializes the server's full state (tasks, domains, learned
@@ -104,17 +99,13 @@ func (s *Server) persistStateLocked() snapshotState {
 		Day:          s.day,
 		Observations: s.observations,
 		Store:        s.store.State(),
-		ItemToTask:   s.itemToTask,
 	}
 	for _, id := range s.userOrder {
 		st.Users = append(st.Users, s.users[id])
 	}
-	if s.clusterer != nil {
-		cs := s.clusterer.State()
-		st.Cluster = &cs
-		for _, v := range s.vectors {
-			st.Vectors = append(st.Vectors, taskVectorState{Query: v.Query, Target: v.Target})
-		}
+	if s.domains != nil {
+		ds := s.domains.State()
+		st.Cluster, st.Vectors, st.ItemToTask = &ds.Cluster, ds.Vectors, ds.Tasks
 	}
 	return st
 }
@@ -156,8 +147,7 @@ func LoadServer(r io.Reader, opts ...Option) (*Server, error) {
 
 // decodeState parses and version-checks a snapshot in either codec. The
 // binary codec's magic and a JSON object's '{' are disjoint, so one
-// peeked byte picks the decoder; legacy JSON snapshots therefore keep
-// loading forever.
+// peeked byte picks the decoder.
 func decodeState(r io.Reader) (snapshotState, error) {
 	br := bufio.NewReader(r)
 	first, err := br.Peek(1)
@@ -227,27 +217,9 @@ func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
 	s.store = store
 
 	if st.Cluster != nil {
-		if len(st.Vectors) != st.Cluster.NItems || len(st.ItemToTask) != st.Cluster.NItems {
-			return nil, fmt.Errorf("%w: %d vectors / %d item ids for %d clustered items",
-				ErrBadState, len(st.Vectors), len(st.ItemToTask), st.Cluster.NItems)
-		}
-		s.vectors = make([]semantic.TaskVector, len(st.Vectors))
-		for i, v := range st.Vectors {
-			s.vectors[i] = semantic.TaskVector{
-				Query:  embedding.Vector(v.Query),
-				Target: embedding.Vector(v.Target),
-			}
-		}
-		s.itemToTask = st.ItemToTask
-		eng, err := cluster.Restore(*st.Cluster, func(a, b int) float64 {
-			return semantic.Distance(s.vectors[a], s.vectors[b])
-		})
+		s.domains, err = loop.RestoreDomains(loop.DomainsState{Cluster: *st.Cluster, Vectors: st.Vectors, Tasks: st.ItemToTask}, s.cfg.embedder)
 		if err != nil {
-			return nil, fmt.Errorf("eta2: %w", err)
-		}
-		s.clusterer = eng
-		if s.vectorizer == nil && s.cfg.embedder != nil {
-			s.vectorizer = semantic.NewVectorizer(s.cfg.embedder)
+			return nil, fmt.Errorf("%w: %w", ErrBadState, err)
 		}
 	}
 	// Not yet shared with other goroutines, so publishing without the lock

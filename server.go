@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"eta2/internal/allocation"
-	"eta2/internal/cluster"
 	"eta2/internal/core"
+	"eta2/internal/loop"
 	"eta2/internal/semantic"
 	"eta2/internal/trace"
 	"eta2/internal/truth"
@@ -58,11 +59,10 @@ type Server struct {
 	// allocation/observations.
 	pending []TaskID
 
-	store      *truth.Store
-	clusterer  *cluster.Engine
-	vectorizer *semantic.Vectorizer
-	vectors    []semantic.TaskVector
-	itemToTask []TaskID
+	store *truth.Store
+	// domains identifies described tasks' domains; nil without an embedder
+	// (unless a snapshot brought its own clustering state).
+	domains *loop.Domains
 
 	observations []Observation
 	truths       map[TaskID]TruthEstimate
@@ -251,14 +251,10 @@ func newServer(cfg config) (*Server, error) {
 		tracer:   trace.New(cfg.traceEvery, traceRecorderCapacity),
 	}
 	if cfg.embedder != nil {
-		s.vectorizer = semantic.NewVectorizer(cfg.embedder)
-		eng, err := cluster.New(cfg.gamma, func(a, b int) float64 {
-			return semantic.Distance(s.vectors[a], s.vectors[b])
-		})
-		if err != nil {
+		var err error
+		if s.domains, err = loop.NewDomains(cfg.embedder, cfg.gamma); err != nil {
 			return nil, fmt.Errorf("eta2: %w", err)
 		}
-		s.clusterer = eng
 	}
 	// Not yet shared, so publishing without the lock is safe; the query
 	// surface relies on the state pointer never being nil.
@@ -349,10 +345,7 @@ func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
 	}
 	// Copy-on-write: the published snapshot shares the current map, so the
 	// batch lands in a fresh copy and readers keep a frozen view.
-	next := make(map[UserID]User, len(s.users)+len(users)) //eta2:allocdiscipline-ok copy-on-write mutation batch, not per-observation ingest
-	for id, u := range s.users {                           //eta2:nondeterministic-ok independent per-key copy into the COW map; order cannot affect the result
-		next[id] = u
-	}
+	next := maps.Clone(s.users)
 	for _, u := range users {
 		prev, existed := next[u.ID]
 		if !existed {
@@ -487,12 +480,9 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 	// Phase 1: validate every spec and vectorize described ones without
 	// touching server state — a bad spec must not leave a half-applied
 	// batch (and the journal only records fully-applied batches).
-	type prepared struct {
-		task      core.Task
-		vec       semantic.TaskVector
-		described bool
-	}
-	preps := make([]prepared, 0, len(specs))
+	tasks := make([]core.Task, 0, len(specs))
+	var described []TaskID
+	var vectors []semantic.TaskVector
 	for i, spec := range specs {
 		t := core.Task{
 			ID:          TaskID(len(s.tasks) + i),
@@ -508,18 +498,17 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 		if err := t.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("eta2: %w", err)
 		}
-		p := prepared{task: t}
 		if spec.DomainHint == DomainNone {
-			if s.clusterer == nil || s.vectorizer == nil {
+			tv, err := s.domains.Vectorize(spec.Description)
+			if errors.Is(err, loop.ErrNoEmbedder) {
 				return nil, 0, ErrNoEmbedder
 			}
-			tv, err := s.vectorizer.Vectorize(spec.Description)
 			if err != nil {
 				return nil, 0, fmt.Errorf("eta2: %w", err)
 			}
-			p.vec, p.described = tv, true
+			described, vectors = append(described, t.ID), append(vectors, tv)
 		}
-		preps = append(preps, p)
+		tasks = append(tasks, t)
 	}
 	if len(specs) == 0 {
 		return nil, 0, nil
@@ -527,8 +516,8 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 
 	// Journal before applying: if the write fails, no state has changed
 	// and live memory stays equal to what recovery would rebuild. The
-	// apply below cannot fail (the only error path, AddItems, rejects
-	// negative counts and clusterItems is always >= 0).
+	// apply below cannot fail (Identify's only error path, AddItems, rejects
+	// negative counts).
 	lsn, err := s.journalBuffered(at, walEvent{Type: eventCreateTasks, Specs: specs})
 	if err != nil {
 		return nil, 0, err
@@ -537,43 +526,34 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 	// Phase 2: commit. domainOf is copy-on-write (readers hold the
 	// published map), so the whole batch — hints and clustering
 	// assignments alike — lands in a fresh copy swapped in at the end.
-	domainOf := make(map[TaskID]DomainID, len(s.domainOf)+len(specs)) //eta2:allocdiscipline-ok copy-on-write mutation batch, not per-observation ingest
-	for k, v := range s.domainOf {                                    //eta2:nondeterministic-ok independent per-key copy into the COW map; order cannot affect the result
-		domainOf[k] = v
-	}
-	ids := make([]TaskID, 0, len(specs))
-	clusterItems := 0
-	for i, p := range preps {
-		if p.described {
-			s.vectors = append(s.vectors, p.vec)
-			s.itemToTask = append(s.itemToTask, p.task.ID)
-			clusterItems++
-		} else {
-			domainOf[p.task.ID] = specs[i].DomainHint
+	domainOf := maps.Clone(s.domainOf)
+	ids := make([]TaskID, len(tasks))
+	for i, t := range tasks {
+		if t.Domain != DomainNone {
+			domainOf[t.ID] = t.Domain
 		}
-		s.tasks = append(s.tasks, p.task)
-		s.pending = append(s.pending, p.task.ID)
-		ids = append(ids, p.task.ID)
+		ids[i] = t.ID
 	}
+	s.tasks = append(s.tasks, tasks...)
+	s.pending = append(s.pending, ids...)
 
 	s.lastNewDomains = nil
 	s.lastMerges = 0
-	if clusterItems > 0 {
-		up, err := s.clusterer.AddItems(clusterItems)
+	if len(described) > 0 {
+		// The published snapshot shares s.store: merges fold into a clone
+		// swapped in below, keeping the published store frozen.
+		var merged *truth.Store
+		up, err := s.domains.Identify(described, vectors, domainOf, func(into, from DomainID) {
+			if merged == nil {
+				merged = s.store.Clone()
+			}
+			merged.MergeDomains(into, from)
+		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("eta2: clustering: %w", err)
 		}
-		if len(up.Merges) > 0 {
-			// The published snapshot shares s.store; fold the merges into
-			// a clone and swap, keeping the published store frozen.
-			store := s.store.Clone()
-			for _, m := range up.Merges {
-				store.MergeDomains(m.Into, m.From)
-			}
-			s.store = store
-		}
-		for item, dom := range up.Assigned {
-			domainOf[s.itemToTask[item]] = dom
+		if merged != nil {
+			s.store = merged
 		}
 		s.lastNewDomains = up.NewDomains
 		s.lastMerges = len(up.Merges)
@@ -622,17 +602,7 @@ func (s *Server) allocationInput(tasks []core.Task) allocation.Input {
 	for _, id := range s.userOrder {
 		users = append(users, s.users[id])
 	}
-	return allocation.Input{
-		Users: users,
-		Tasks: tasks,
-		// Safe under Parallelism > 1: the store is only read during an
-		// allocation round.
-		Expertise: func(u UserID, t TaskID) float64 {
-			return s.store.Expertise(u, s.domainOf[t])
-		},
-		Epsilon:     s.cfg.epsilon,
-		Parallelism: s.cfg.parallelism,
-	}
+	return loop.AllocationInput(users, tasks, s.store, s.domainOf, s.cfg.epsilon, s.cfg.parallelism)
 }
 
 // ErrNothingToAllocate is returned when allocation is requested with no
@@ -741,14 +711,14 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		return MinCostOutcome{}, errors.New("eta2: nil collector")
 	}
 
-	table := core.NewObservationTable(nil)
-	allocated := make(map[TaskID][]UserID) //eta2:allocdiscipline-ok min-cost planning round, O(tasks) by design, not observation ingest
-	domainFn := func(id TaskID) DomainID { return s.domainOf[id] }
-
-	env := allocation.EnvironmentFunc(func(newPairs []Pair) (allocation.IterationOutcome, error) {
-		obs, err := collect(newPairs)
+	res, err := loop.MinCost(s.allocationInput(tasks), allocation.MinCostConfig{
+		EpsBar:     params.EpsBar,
+		Alpha:      params.ConfAlpha,
+		IterBudget: params.IterBudget,
+	}, s.store, s.domainOf, s.cfg.truthCfg, func(pairs []Pair) ([]Observation, error) {
+		obs, err := collect(pairs)
 		if err != nil {
-			return allocation.IterationOutcome{}, err
+			return nil, err
 		}
 		if len(obs) > 0 {
 			// Journal the collected batch verbatim (min-cost bypasses
@@ -757,36 +727,14 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 			// min-cost round runs under the write lock, so the fsync is
 			// deferred to the single commit at the end.
 			if _, err := s.journalBufferedPayload(0, encodeObservationsEvent(nil, obs, -1)); err != nil {
-				return allocation.IterationOutcome{}, err
+				return nil, err
 			}
 		}
 		s.observations = append(s.observations, obs...)
 		mObsAccepted.Add(uint64(len(obs)))
 		s.publishLocked()
-		table.AddAll(obs)
-		// Only users that actually responded contribute information to the
-		// confidence interval; allocated-but-silent users must not count.
-		for _, o := range obs {
-			allocated[o.Task] = append(allocated[o.Task], o.User)
-		}
-		tmp := s.store.Clone()
-		upd, err := truth.UpdateStep(tmp, table, domainFn, s.cfg.truthCfg)
-		if err != nil {
-			return allocation.IterationOutcome{}, err
-		}
-		exp := tmp.Snapshot()
-		sums := make(map[TaskID]float64, len(allocated)) //eta2:allocdiscipline-ok min-cost planning round, O(tasks) by design, not observation ingest
-		for tid, us := range allocated {
-			sums[tid] = truth.SumSquaredExpertise(us, domainFn(tid), exp)
-		}
-		return allocation.IterationOutcome{Sigma: upd.Sigma, SumSquaredExpertise: sums}, nil
+		return obs, nil
 	})
-
-	res, err := allocation.MinCost(s.allocationInput(tasks), allocation.MinCostConfig{
-		EpsBar:     params.EpsBar,
-		Alpha:      params.ConfAlpha,
-		IterBudget: params.IterBudget,
-	}, env)
 	if err != nil {
 		// Observation batches collected before the failure are applied and
 		// buffered in the journal; flush them so live state and durable
@@ -827,10 +775,9 @@ func (s *Server) SubmitObservations(obs ...Observation) error {
 }
 
 // SubmitObservationsContext is SubmitObservations recording child spans
-// on the trace carried by ctx, if any. The untraced path is identical to
-// before tracing existed: span calls on a nil trace are nil checks, so
-// the hot-path alloc budget holds with tracing disabled and enabled
-// (TestSubmitObservationsAllocBudget covers both).
+// on the trace carried by ctx, if any. Span calls on a nil trace are nil
+// checks, so the hot-path alloc budget holds with tracing disabled and
+// enabled (TestSubmitObservationsAllocBudget covers both).
 func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observation) error {
 	if err := s.writable(); err != nil {
 		return err
@@ -955,31 +902,14 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 	}
 	est := t.StartSpan(trace.SpanTruthEstimate)
 	table := core.NewObservationTable(s.observations)
-	domainFn := func(id TaskID) DomainID { return s.domainOf[id] }
-
+	// The published snapshot shares s.store: the step commits into a clone
+	// that is swapped in only once the close record is journaled.
 	store := s.store.Clone()
-	var mu, sigma map[TaskID]float64
-	var iters int
-	var converged bool
-	if s.day == 0 {
-		// Warm-up: joint MLE from scratch (Sec. 4.1).
-		res, err := truth.Estimate(table, domainFn, nil, s.cfg.truthCfg)
-		if err != nil {
-			est.End()
-			return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
-		}
-		store.Commit(truth.Contributions(table, domainFn, res.Mu, res.Sigma, s.cfg.truthCfg))
-		mu, sigma, iters, converged = res.Mu, res.Sigma, res.Iterations, res.Converged
-	} else {
-		// Dynamic update with decayed expertise accumulators (Sec. 4.2).
-		res, err := truth.UpdateStep(store, table, domainFn, s.cfg.truthCfg)
-		if err != nil {
-			est.End()
-			return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
-		}
-		mu, sigma, iters, converged = res.Mu, res.Sigma, res.Iterations, res.Converged
-	}
+	res, err := loop.CloseStep(s.day, store, table, s.domainOf, s.cfg.truthCfg)
 	est.End()
+	if err != nil {
+		return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
+	}
 
 	app := t.StartSpan(trace.SpanJournalAppend)
 	lsn, err := s.journalBuffered(at, walEvent{Type: eventCloseStep})
@@ -993,22 +923,19 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 	s.store = store
 	report := StepReport{
 		Day:           s.day,
-		MLEIterations: iters,
-		Converged:     converged,
+		MLEIterations: res.Iterations,
+		Converged:     res.Converged,
 		NewDomains:    s.lastNewDomains,
 		MergedDomains: s.lastMerges,
 	}
 	// Copy-on-write: readers hold the published truths map, so the step's
 	// estimates land in a fresh copy swapped in with the cloned store.
-	truths := make(map[TaskID]TruthEstimate, len(s.truths)+len(mu)) //eta2:allocdiscipline-ok copy-on-write per closed time step, not per-observation ingest
-	for k, v := range s.truths {                                    //eta2:nondeterministic-ok independent per-key copy into the COW map; order cannot affect the result
-		truths[k] = v
-	}
+	truths := maps.Clone(s.truths)
 	for _, tid := range table.Tasks() {
 		est := TruthEstimate{
 			Task:         tid,
-			Value:        mu[tid],
-			Base:         sigma[tid],
+			Value:        res.Mu[tid],
+			Base:         res.Sigma[tid],
 			Observations: len(table.ForTask(tid)),
 		}
 		truths[tid] = est

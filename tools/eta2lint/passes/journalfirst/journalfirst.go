@@ -1,8 +1,9 @@
 // Package journalfirst enforces the write-ahead rule from the durable
 // event log design (PR 2): a Server method that mutates event-sourced
 // state must buffer the journal record (journalBuffered /
-// journalBufferedPayload) BEFORE assigning the tracked fields, so a
-// crash between the two replays the mutation instead of losing it.
+// journalBufferedPayload) BEFORE assigning the tracked fields — or calling
+// a mutating method on one that holds a stateful object — so a crash
+// between the two replays the mutation instead of losing it.
 //
 // Replay/restore paths, which by construction apply already-journaled
 // events, are exempted per function:
@@ -31,8 +32,13 @@ var tracked = map[string]bool{
 	"truths":       true,
 	"day":          true,
 	"store":        true,
-	"vectors":      true,
-	"itemToTask":   true,
+	"domains":      true,
+}
+
+// mutators lists, for the tracked fields that hold a stateful object rather
+// than a value, the methods that change it: a call to one writes the field.
+var mutators = map[string]map[string]bool{
+	"domains": {"Identify": true},
 }
 
 var Analyzer = &analysis.Analyzer{
@@ -111,13 +117,25 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 		return true
 	})
 
-	report := func(pos token.Pos, field string) {
-		if !journalPos.IsValid() {
-			c.pass.Reportf(pos, "Server.%s assigned without journaling the event (method never calls journalBuffered); journal first or annotate //eta2:journalfirst-ok", field)
+	report := func(pos token.Pos, field, verb string) {
+		if journalPos.IsValid() && pos > journalPos {
 			return
 		}
-		c.pass.Reportf(pos, "Server.%s assigned before the event is journaled at %s; a crash here loses the mutation",
-			field, c.pass.Fset.Position(journalPos))
+		if !journalPos.IsValid() {
+			c.pass.Reportf(pos, "Server.%s %s without journaling the event (method never calls journalBuffered); journal first or annotate //eta2:journalfirst-ok", field, verb)
+			return
+		}
+		c.pass.Reportf(pos, "Server.%s %s before the event is journaled at %s; a crash here loses the mutation",
+			field, verb, c.pass.Fset.Position(journalPos))
+	}
+
+	// trackedField returns the tracked Server field e selects, if any.
+	trackedField := func(e ast.Expr) (string, bool) {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || !c.isServerExpr(sel.X) || !tracked[sel.Sel.Name] {
+			return "", false
+		}
+		return sel.Sel.Name, true
 	}
 
 	check := func(lhs ast.Expr) {
@@ -129,14 +147,9 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 			}
 			break
 		}
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || !c.isServerExpr(sel.X) || !tracked[sel.Sel.Name] {
-			return
+		if field, ok := trackedField(lhs); ok {
+			report(pos, field, "assigned")
 		}
-		if journalPos.IsValid() && pos > journalPos {
-			return
-		}
-		report(pos, sel.Sel.Name)
 	}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -147,6 +160,12 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 			}
 		case *ast.IncDecStmt:
 			check(s.X)
+		case *ast.CallExpr:
+			if sel, ok := s.Fun.(*ast.SelectorExpr); ok {
+				if field, ok := trackedField(sel.X); ok && mutators[field][sel.Sel.Name] {
+					report(s.Pos(), field, "mutated by "+sel.Sel.Name)
+				}
+			}
 		}
 		return true
 	})

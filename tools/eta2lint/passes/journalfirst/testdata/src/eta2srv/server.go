@@ -9,10 +9,18 @@ type event struct {
 	Day  int
 }
 
+// identifier stands in for the domain identifier: a stateful object behind
+// one tracked field, changed through a method rather than by assignment.
+type identifier struct{ items []string }
+
+func (d *identifier) Vectorize(name string) int { return len(name) }
+func (d *identifier) Identify(name string)      { d.items = append(d.items, name) }
+
 type Server struct {
 	mu      sync.RWMutex
 	users   map[string]int
 	day     int
+	domains *identifier
 	lastLSN uint64 // durability bookkeeping: not event-sourced
 }
 
@@ -79,4 +87,27 @@ func (s *Server) PayloadPath(p []byte, name string) error {
 	}
 	s.users[name] = 1
 	return nil
+}
+
+// CreateTask reads the identifier before journaling (validation) and
+// mutates it after: compliant.
+func (s *Server) CreateTask(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.domains.Vectorize(name)
+	if _, err := s.journalBuffered(event{Name: name}); err != nil {
+		return err
+	}
+	s.domains.Identify(name)
+	return nil
+}
+
+// BadCreateTask clusters the task before the record is buffered: a failed
+// journal write leaves an item the log never heard of.
+func (s *Server) BadCreateTask(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.domains.Identify(name) // want "Server.domains mutated by Identify before the event is journaled"
+	_, err := s.journalBuffered(event{Name: name})
+	return err
 }
