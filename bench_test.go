@@ -89,23 +89,6 @@ func BenchmarkSkipGramTraining(b *testing.B) {
 	}
 }
 
-// BenchmarkSkipGramTrainingParallel shards each epoch across one worker
-// per CPU (see embedding.TrainConfig.Workers; the default stays
-// single-threaded because sharding changes the SGD trajectory).
-func BenchmarkSkipGramTrainingParallel(b *testing.B) {
-	corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{
-		Seed:               1,
-		SentencesPerDomain: 100,
-	})
-	cfg := embedding.TrainConfig{Dim: 32, Epochs: 2, Seed: 2, Workers: runtime.GOMAXPROCS(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := embedding.Train(corpus, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPairWordExtraction(b *testing.B) {
 	descs := make([]string, 0, 64)
 	ds := dataset.SurveyLike(1)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"eta2/internal/stats"
 )
@@ -28,15 +27,6 @@ type TrainConfig struct {
 	SubsampleThreshold float64
 	// Seed makes training deterministic.
 	Seed int64
-	// Workers shards each epoch across this many goroutines, each with its
-	// own deterministically seeded RNG and its own parameter replica;
-	// replicas are merged after every epoch by averaging per-word deltas
-	// over the replicas that updated the word. Values <= 1 (the default)
-	// run the exact single-threaded SGD path. Training is deterministic for
-	// a fixed (Seed, Workers) pair, but different worker counts follow
-	// different SGD trajectories — keep the default when embeddings must be
-	// reproducible across machines.
-	Workers int
 }
 
 func (c *TrainConfig) applyDefaults() {
@@ -118,11 +108,6 @@ func Train(sentences [][]string, cfg TrainConfig) (*Model, error) {
 		return nil, ErrEmptyCorpus
 	}
 
-	if cfg.Workers > 1 {
-		m.trainSharded(encoded, cfg)
-		return m, nil
-	}
-
 	totalSteps := cfg.Epochs * len(encoded)
 	step := 0
 	grad := make(Vector, cfg.Dim)
@@ -130,118 +115,14 @@ func Train(sentences [][]string, cfg TrainConfig) (*Model, error) {
 		for _, sent := range encoded {
 			lr := cfg.LearningRate * (1 - 0.9*float64(step)/float64(totalSteps))
 			step++
-			m.trainSentence(sent, cfg, lr, rng, grad, nil, nil)
+			m.trainSentence(sent, cfg, lr, rng, grad)
 		}
 	}
 	return m, nil
 }
 
-// replica is one worker's private copy of the model parameters plus the
-// touched-word sets used by the post-epoch merge.
-type replica struct {
-	in, out   []Vector
-	tin, tout []bool
-}
-
-// trainSharded runs the Workers > 1 training scheme: every epoch, the
-// encoded corpus is split into one contiguous shard per worker, each worker
-// runs plain SGD over its shard on a private replica of the epoch-start
-// parameters (with a per-worker RNG derived from Seed, epoch and worker
-// index), and the replicas are merged back by averaging each word's delta
-// over the replicas that touched it. Words unique to one shard keep their
-// full update; shared words get the average — the classic parameter-mixing
-// scheme for embarrassingly parallel SGD. Everything about the run (shard
-// boundaries, RNG streams, merge order) is a pure function of the config,
-// so training stays deterministic, and no parameter is ever written by two
-// goroutines, so the scheme is race-free by construction.
-func (m *Model) trainSharded(encoded [][]int, cfg TrainConfig) {
-	workers := cfg.Workers
-	if workers > len(encoded) {
-		workers = len(encoded)
-	}
-	nWords := len(m.in)
-	totalSteps := cfg.Epochs * len(encoded)
-
-	reps := make([]*replica, workers)
-	for w := range reps {
-		reps[w] = &replica{
-			in:   make([]Vector, nWords),
-			out:  make([]Vector, nWords),
-			tin:  make([]bool, nWords),
-			tout: make([]bool, nWords),
-		}
-		for i := 0; i < nWords; i++ {
-			reps[w].in[i] = make(Vector, m.dim)
-			reps[w].out[i] = make(Vector, m.dim)
-		}
-	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				rep := reps[w]
-				for i := 0; i < nWords; i++ {
-					copy(rep.in[i], m.in[i])
-					copy(rep.out[i], m.out[i])
-					rep.tin[i] = false
-					rep.tout[i] = false
-				}
-				rm := &Model{vocab: m.vocab, dim: m.dim, in: rep.in, out: rep.out}
-				rng := stats.NewRNG(cfg.Seed ^ int64(epoch*workers+w+1)*0x2545F4914F6CDD1D)
-				grad := make(Vector, m.dim)
-				lo := w * len(encoded) / workers
-				hi := (w + 1) * len(encoded) / workers
-				for si := lo; si < hi; si++ {
-					// Same linear decay schedule as the sequential path,
-					// keyed by the sentence's global position.
-					lr := cfg.LearningRate * (1 - 0.9*float64(epoch*len(encoded)+si)/float64(totalSteps))
-					rm.trainSentence(encoded[si], cfg, lr, rng, grad, rep.tin, rep.tout)
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		mergeReplicas(m.in, reps, func(r *replica) ([]Vector, []bool) { return r.in, r.tin })
-		mergeReplicas(m.out, reps, func(r *replica) ([]Vector, []bool) { return r.out, r.tout })
-	}
-}
-
-// mergeReplicas folds per-replica deltas into base: for every word touched
-// by at least one replica, base += mean over touching replicas of
-// (replica − base). Iteration is word-major in replica order, so the merge
-// is deterministic.
-func mergeReplicas(base []Vector, reps []*replica, pick func(*replica) ([]Vector, []bool)) {
-	for word := range base {
-		n := 0
-		for _, r := range reps {
-			if _, touched := pick(r); touched[word] {
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		bv := base[word]
-		for d := range bv {
-			sum := 0.0
-			for _, r := range reps {
-				vecs, touched := pick(r)
-				if touched[word] {
-					sum += vecs[word][d] - bv[d]
-				}
-			}
-			bv[d] += sum / float64(n)
-		}
-	}
-}
-
-// trainSentence runs one SGD pass over a single sentence. tin/tout, when
-// non-nil, record which input/output vectors were updated (sharded training
-// uses them to merge replicas).
-func (m *Model) trainSentence(sent []int, cfg TrainConfig, lr float64, rng *stats.RNG, grad Vector, tin, tout []bool) {
+// trainSentence runs one SGD pass over a single sentence.
+func (m *Model) trainSentence(sent []int, cfg TrainConfig, lr float64, rng *stats.RNG, grad Vector) {
 	for pos, center := range sent {
 		if cfg.SubsampleThreshold > 0 &&
 			rng.Float64() > m.vocab.KeepProbability(center, cfg.SubsampleThreshold) {
@@ -255,19 +136,16 @@ func (m *Model) trainSentence(sent []int, cfg TrainConfig, lr float64, rng *stat
 			if cpos == pos {
 				continue
 			}
-			m.trainPair(center, sent[cpos], cfg.Negatives, lr, rng, grad, tin, tout)
+			m.trainPair(center, sent[cpos], cfg.Negatives, lr, rng, grad)
 		}
 	}
 }
 
 // trainPair applies one positive update and cfg.Negatives negative updates.
-func (m *Model) trainPair(center, context, negatives int, lr float64, rng *stats.RNG, grad Vector, tin, tout []bool) {
+func (m *Model) trainPair(center, context, negatives int, lr float64, rng *stats.RNG, grad Vector) {
 	vIn := m.in[center]
 	for d := range grad {
 		grad[d] = 0
-	}
-	if tin != nil {
-		tin[center] = true
 	}
 	// Positive sample (label 1) plus negative samples (label 0).
 	for k := 0; k <= negatives; k++ {
@@ -289,9 +167,6 @@ func (m *Model) trainPair(center, context, negatives int, lr float64, rng *stats
 		}
 		for d := range vOut {
 			vOut[d] += g * vIn[d]
-		}
-		if tout != nil {
-			tout[target] = true
 		}
 	}
 	for d := range vIn {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"eta2"
+	"eta2/internal/obs"
 	"eta2/internal/repl"
 )
 
@@ -122,6 +123,30 @@ func TestFullCrowdsourcingFlow(t *testing.T) {
 	}
 	if e0 <= e1 {
 		t.Errorf("expert expertise %.2f not above noise user %.2f", e0, e1)
+	}
+
+	// The steps above crossed every subsystem: each must have a sample in
+	// the registry cmd/eta2server mounts at /metrics, and histograms must
+	// carry their cumulative +Inf bucket.
+	obs.RegisterBuildInfo(obs.Default())
+	rec := httptest.NewRecorder()
+	obs.Default().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	scrape := "\n" + rec.Body.String()
+	for _, sample := range []string{
+		"eta2_http_requests_total",
+		"eta2_wal_fsyncs_total",
+		"eta2_truth_mle_iterations",
+		"eta2_cluster_domains",
+		"eta2_allocation_expected_quality",
+		"eta2_server_day",
+		"eta2_build_info",
+	} {
+		if !strings.Contains(scrape, "\n"+sample) {
+			t.Errorf("/metrics has no sample of family %s", sample)
+		}
+	}
+	if !strings.Contains(scrape, `le="+Inf"`) {
+		t.Error("/metrics has no +Inf histogram bucket")
 	}
 }
 

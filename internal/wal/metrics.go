@@ -6,7 +6,7 @@ import "eta2/internal/obs"
 // serving process normally owns exactly one log). See DESIGN.md §11.
 var (
 	mFsyncDur = obs.Default().Histogram("eta2_wal_fsync_duration_seconds",
-		"Latency of WAL fsync calls, including any configured SyncDelay.",
+		"Latency of WAL fsync calls, including the test-only SyncDelay.",
 		obs.ExpBuckets(1e-5, 4, 10))
 	mFsyncs = obs.Default().Counter("eta2_wal_fsyncs_total",
 		"WAL fsync calls issued (group commit: one per leader, covering a batch).")

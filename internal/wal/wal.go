@@ -101,12 +101,12 @@ type Options struct {
 	Sync SyncPolicy
 	// SyncEvery is the lazy-sync interval for SyncInterval (default 100ms).
 	SyncEvery time.Duration
-	// SyncDelay adds artificial latency to every fsync — a benchmarking
-	// knob that emulates slow storage (network block devices) on machines
-	// whose local disk absorbs fsyncs into a write-back cache. The delay
-	// is paid by the commit leader outside all locks, so it stretches the
-	// group-commit window exactly like a genuinely slow fsync would.
-	// Leave zero in production.
+	// SyncDelay adds artificial latency to every fsync — a test seam
+	// (eta2.DurabilityPolicy.FsyncDelay; the durable-storm test is its
+	// only caller) that the fault-injecting filesystem seam of ROADMAP
+	// item 4 replaces. The delay is paid by the commit leader outside all
+	// locks, so it stretches the group-commit window exactly like a
+	// genuinely slow fsync would. Leave zero in production.
 	SyncDelay time.Duration
 	// NextLSNFloor, when non-zero, forces the next assigned LSN to be at
 	// least this value. The server passes snapshotLSN+1 so fresh records

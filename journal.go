@@ -179,6 +179,14 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 		return nil, fmt.Errorf("eta2: %w", err)
 	}
 
+	// A crash between installSnapshot's create and rename leaves a
+	// snapshot-<lsn>.tmp that listSnapshots skips; nothing is writing one
+	// while the directory is being opened, so reclaim them here.
+	stale, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.tmp")) // fixed pattern: cannot fail
+	for _, path := range stale {
+		_ = os.Remove(path)
+	}
+
 	var s *Server
 	var snapLSN uint64
 	snaps, err := listSnapshots(dir)

@@ -498,3 +498,51 @@ func TestRecoverySnapshotHandling(t *testing.T) {
 		t.Errorf("future-version snapshot: err = %v, want ErrBadState", err)
 	}
 }
+
+// TestRecoveryReclaimsStaleSnapshotTemp plants the file a SIGKILL between
+// installSnapshot's create and rename leaves behind — beside a valid
+// snapshot and a WAL tail — and asserts the next open deletes it and
+// recovers the same state.
+func TestRecoveryReclaimsStaleSnapshotTemp(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}); err != nil {
+		t.Fatal(err)
+	}
+	st := s.DurabilityStats()
+	if countSnapshots(t, dir) != 1 || st.LastLSN <= st.SnapshotLSN {
+		t.Fatalf("setup: want one snapshot and a WAL tail, stats %+v", st)
+	}
+	want := saveBytes(t, s)
+
+	crash := copyDataDir(t, dir)
+	stale := filepath.Join(crash, fmt.Sprintf("snapshot-%020d.tmp", st.LastLSN))
+	if err := os.WriteFile(stale, want[:len(want)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewServer(WithDurability(crash, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale %s survived the reopen (stat err = %v)", filepath.Base(stale), err)
+	}
+	if got := saveBytes(t, r); !bytes.Equal(got, want) {
+		t.Error("recovery beside a stale snapshot temp diverged")
+	}
+}

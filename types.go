@@ -144,12 +144,12 @@ type DurabilityPolicy struct {
 	// SegmentSize is the WAL segment rotation size in bytes (default
 	// 1 MiB).
 	SegmentSize int64
-	// FsyncDelay adds artificial latency to every WAL fsync. It exists
-	// for load benchmarking only (cmd/eta2loadgen -fsync-delay): local
-	// disks absorb fsyncs into a write-back cache in ~100µs, while the
-	// network block storage production deployments journal to costs
-	// 1–5ms per flush — this knob emulates that so group-commit batching
-	// can be measured on a laptop. Leave zero in production.
+	// FsyncDelay adds artificial latency to every WAL fsync. It is a
+	// test seam, not a serving option: its only caller is
+	// TestLockFreeReadsDuringDurableStorm, which needs fsyncs slow enough
+	// (network-block-storage slow, not write-back-cache fast) to prove
+	// reads never wait behind one. ROADMAP item 4's injectable
+	// filesystem seam replaces it. Leave zero in production.
 	FsyncDelay time.Duration
 }
 
