@@ -295,7 +295,7 @@ func BenchmarkServerAPIRoundTrip(b *testing.B) {
 	}
 }
 
-// --- Durability benchmarks (DESIGN.md Sec. 9) ---
+// --- Durability benchmarks (DESIGN.md Sec. 10) ---
 
 // BenchmarkWALAppend measures the raw journaling cost per record with
 // fsync disabled (the fsync-always cost is the device's sync latency, not

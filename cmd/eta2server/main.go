@@ -16,7 +16,7 @@
 // With -follow, the process runs as a replication follower of the named
 // primary: it serves the full read surface from continuously replicated
 // state, answers writes with 503 + the primary's address, and becomes a
-// writable primary on POST /v1/admin/promote (see DESIGN.md §14).
+// writable primary on POST /v1/admin/promote (see DESIGN.md §12).
 //
 // Endpoints (JSON over HTTP, versioned under /v1):
 //

@@ -15,9 +15,9 @@ import (
 	"eta2/internal/truth"
 )
 
-// Binary snapshot codec: the length-prefixed format compaction and
-// follower bootstrap write (JSON snapshots load too — decodeState sniffs
-// the format).
+// Binary snapshot codec: the length-prefixed format compaction,
+// SaveStateBinary and follower bootstrap write, and the only one recovery,
+// LoadServer and adoptSnapshot read.
 //
 // The framing mirrors internal/wal's record framing: a fixed magic, a
 // uvarint codec version, a uvarint body length, the body, and a CRC-32C
@@ -33,22 +33,22 @@ import (
 //	body    ...      sections in persistStateLocked field order
 //	crc     4 bytes  little-endian CRC-32C of body
 //
-// A version above snapshotCodecVersion fails with ErrBadState — loudly,
-// exactly like a future JSON stateVersion — while a bad magic, truncated
-// file, or CRC mismatch is an ordinary decode error, letting recovery
-// fall back to an older snapshot.
+// Any version other than snapshotCodecVersion fails with ErrBadState naming
+// it — another build's file must not be silently discarded — while a bad
+// magic, truncated file, or CRC mismatch is an ordinary decode error,
+// letting recovery fall back to an older snapshot.
 
-// snapshotMagic opens every binary snapshot. The first byte ('E')
-// distinguishes it from a JSON object's '{'.
+// snapshotMagic opens every binary snapshot.
 const snapshotMagic = "ETA2SNAP"
 
-// snapshotCodecVersion is the newest binary framing this build writes and
-// the newest it accepts. Version history:
+// snapshotCodecVersion is the one binary framing this build writes and
+// reads. Version history:
 //
 //	1  initial format
 //	2  adds the per-user Name string (between Capacity and the next user)
 //
-// Version-1 snapshots keep loading: their users simply have no names.
+// A version-1 directory is upgraded by the last build that read it (PR 17):
+// open it there and compact.
 const snapshotCodecVersion = 2
 
 var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -61,12 +61,12 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 	e.f64(st.Gamma)
 	e.f64(st.Epsilon)
 
-	// Users, in userOrder order (the decoder rebuilds UserOrder from it).
+	// Users, in registration order.
 	e.uvarint(uint64(len(st.Users)))
 	for _, u := range st.Users {
 		e.varint(int64(u.ID))
 		e.f64(u.Capacity)
-		e.str(u.Name) // codec version 2
+		e.str(u.Name)
 	}
 
 	e.uvarint(uint64(len(st.Tasks)))
@@ -209,8 +209,8 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	if err != nil {
 		return fail(fmt.Errorf("truncated snapshot header"))
 	}
-	if version > snapshotCodecVersion {
-		return snapshotState{}, fmt.Errorf("%w: snapshot uses binary codec version %d, but this build supports up to %d",
+	if version != snapshotCodecVersion {
+		return snapshotState{}, fmt.Errorf("%w: snapshot uses binary codec version %d, but this build reads only version %d",
 			ErrBadState, version, snapshotCodecVersion)
 	}
 	bodyLen, err := binary.ReadUvarint(br)
@@ -218,7 +218,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		return fail(fmt.Errorf("truncated snapshot header"))
 	}
 
-	d := &snapDecoder{r: br, remaining: bodyLen, codecVersion: version}
+	d := &snapDecoder{r: br, remaining: bodyLen}
 	var st snapshotState
 	st.Version = int(d.uvarint())
 	if d.err == nil && st.Version != stateVersion {
@@ -229,19 +229,10 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	st.Gamma = d.f64()
 	st.Epsilon = d.f64()
 
-	userSize := 9 // varint id, float capacity
-	if d.codecVersion >= 2 {
-		userSize++ // name length
-	}
-	if n := d.count(userSize); n > 0 {
+	if n := d.count(10); n > 0 { // varint id, float capacity, name length
 		st.Users = make([]core.User, n)
-		st.UserOrder = make([]core.UserID, n)
 		for i := range st.Users {
-			st.Users[i] = core.User{ID: core.UserID(d.varint()), Capacity: d.f64()}
-			if d.codecVersion >= 2 {
-				st.Users[i].Name = d.str()
-			}
-			st.UserOrder[i] = st.Users[i].ID
+			st.Users[i] = core.User{ID: core.UserID(d.varint()), Capacity: d.f64(), Name: d.str()}
 		}
 	}
 
@@ -425,12 +416,11 @@ func (e *snapEncoder) floats(v []float64) {
 // and latching the first error: after a failure every read returns zero
 // values, and the caller checks err once at the end.
 type snapDecoder struct {
-	r            *bufio.Reader
-	remaining    uint64 // body bytes not yet consumed
-	crc          uint32 // CRC-32C of the body bytes consumed so far
-	codecVersion uint64
-	err          error
-	scratch      [8]byte
+	r         *bufio.Reader
+	remaining uint64 // body bytes not yet consumed
+	crc       uint32 // CRC-32C of the body bytes consumed so far
+	err       error
+	scratch   [8]byte
 }
 
 func (d *snapDecoder) fail(msg string) {

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,8 +28,8 @@ func richServer(t *testing.T) *Server {
 }
 
 // TestBinaryCodecRoundTrip checks that the binary codec carries exactly
-// the information the JSON codec does: a server restored from its binary
-// snapshot re-serializes to the bit-identical JSON snapshot.
+// the information the JSON export shows: a server restored from its binary
+// snapshot exports the bit-identical JSON.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	s := richServer(t)
 	wantJSON := saveBytes(t, s)
@@ -180,12 +177,13 @@ func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecV1Compat: version-1 snapshots (written before per-user
-// names existed) must keep loading, with every user name empty. The v1
-// fixture is derived from a v2 encoding of name-less state: v2 then
-// carries exactly one extra 0x00 byte (an empty name) per user, so
-// dropping those bytes and re-framing yields the bytes a v1 build wrote.
-func TestBinaryCodecV1Compat(t *testing.T) {
+// TestBinaryCodecV1Refused: a version-1 snapshot (written before per-user
+// names existed) is another build's file and must be refused by name, not
+// misparsed or skipped. The v1 fixture is derived from a v2 encoding of
+// name-less state: v2 then carries exactly one extra 0x00 byte (an empty
+// name) per user, so dropping those bytes and re-framing yields the bytes a
+// v1 build wrote — intact down to the CRC, so only the version is wrong.
+func TestBinaryCodecV1Refused(t *testing.T) {
 	s, err := NewServer()
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +197,6 @@ func TestBinaryCodecV1Compat(t *testing.T) {
 	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}); err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, s)
 	var v2 bytes.Buffer
 	if err := s.SaveStateBinary(&v2); err != nil {
 		t.Fatal(err)
@@ -245,15 +242,9 @@ func TestBinaryCodecV1Compat(t *testing.T) {
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(v1body, snapshotCRCTable))
 	v1 = append(v1, crc[:]...)
 
-	r, err := LoadServer(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("LoadServer(v1 snapshot): %v", err)
-	}
-	if got := saveBytes(t, r); !bytes.Equal(got, want) {
-		t.Error("v1 snapshot restore diverged from v2 state")
-	}
-	if name := r.UserName(3); name != "" {
-		t.Errorf("v1 user has name %q, want empty", name)
+	_, err = LoadServer(bytes.NewReader(v1))
+	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "codec version 1,") {
+		t.Errorf("v1 snapshot: err = %v, want ErrBadState naming codec version 1", err)
 	}
 }
 
@@ -265,81 +256,5 @@ func TestBinaryCodecFutureVersion(t *testing.T) {
 	raw = append(raw, 9) // uvarint codec version
 	if _, err := LoadServer(bytes.NewReader(raw)); !errors.Is(err, ErrBadState) {
 		t.Errorf("future codec version: err = %v, want ErrBadState", err)
-	}
-}
-
-// TestDurableRecoveryLegacyJSONSnapshot: data directories compacted by
-// older builds hold snapshot-<lsn>.json files; recovery must keep reading
-// them, and a .bin snapshot at the same LSN must win over the .json one.
-func TestDurableRecoveryLegacyJSONSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
-	s, err := NewServer(WithDurability(dir, pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 2, ProcTime: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SubmitObservations(
-		Observation{Task: 0, User: 0, Value: 1},
-		Observation{Task: 1, User: 1, Value: 2},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CloseTimeStep(); err != nil {
-		t.Fatal(err)
-	}
-	want := saveBytes(t, s)
-	lsn := s.DurabilityStats().LastLSN
-	s.journal.Close()
-
-	// Plant the snapshot the legacy JSON compactor would have written. The
-	// WAL stays in place: recovery starts from the snapshot and replays
-	// nothing (it covers the frontier).
-	legacy := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.json", lsn))
-	if err := os.WriteFile(legacy, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewServer(WithDurability(dir, pol))
-	if err != nil {
-		t.Fatalf("recovery from legacy JSON snapshot: %v", err)
-	}
-	if got := saveBytes(t, r); !bytes.Equal(got, want) {
-		t.Error("recovery from legacy JSON snapshot diverged")
-	}
-	if rst := r.DurabilityStats(); rst.SnapshotLSN != lsn {
-		t.Errorf("recovered SnapshotLSN = %d, want %d", rst.SnapshotLSN, lsn)
-	}
-	r.journal.Close()
-
-	// Same-LSN tiebreak: plant a binary snapshot of DIFFERENT state at the
-	// same LSN and check the .bin file is preferred.
-	s2, err := NewServer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.AddUsers(User{ID: 7, Capacity: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var bin bytes.Buffer
-	if err := s2.SaveStateBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	binPath := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", lsn))
-	if err := os.WriteFile(binPath, bin.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewServer(WithDurability(dir, pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.journal.Close()
-	if n := r2.NumUsers(); n != 1 {
-		t.Errorf("same-LSN tiebreak: recovered %d users, want 1 (the .bin snapshot)", n)
 	}
 }

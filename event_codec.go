@@ -7,14 +7,12 @@ import (
 	"math"
 )
 
-// Binary WAL event payloads. JSON stays the format for the cold mutation
-// events (add_users, create_tasks, allocate, close_step), but the
-// observation hot path encodes a compact binary record instead: ~17 bytes
-// per observation versus ~60 of JSON, append-only into a pooled buffer, no
-// reflection. The first payload byte disambiguates: JSON events always
-// start with '{' (0x7B), binary events with eventBinMagic — decodeEvent
-// sniffs it, so recovery replay and follower apply handle mixed logs
-// transparently and logs written by older builds keep replaying.
+// WAL event payloads have one encoding per event type. The cold mutation
+// events (add_users, create_tasks, allocate, close_step) are JSON; the
+// observation hot path is a compact binary record: ~17 bytes per
+// observation versus ~60 of JSON, append-only into a pooled buffer, no
+// reflection. The first payload byte says which: JSON events always start
+// with '{' (0x7B), binary events with eventBinMagic.
 const (
 	// eventBinMagic marks a binary WAL event payload.
 	eventBinMagic byte = 0xE2
@@ -47,10 +45,10 @@ func encodeObservationsEvent(buf []byte, obs []Observation, day int) []byte {
 	return buf
 }
 
-// decodeEvent decodes one WAL record payload, sniffing binary versus JSON
-// by the first byte. It is the single decode path shared by startup
-// recovery and the replication follower, so both rebuild identical events
-// from identical bytes.
+// decodeEvent decodes one WAL record payload. It is the single decode path
+// shared by startup recovery and the replication follower, so both rebuild
+// identical events from identical bytes. A JSON observations event (the
+// pre-binary encoding) is refused by name rather than decoded.
 func decodeEvent(payload []byte) (walEvent, error) {
 	if len(payload) > 0 && payload[0] == eventBinMagic {
 		return decodeBinaryEvent(payload)
@@ -58,6 +56,9 @@ func decodeEvent(payload []byte) (walEvent, error) {
 	var ev walEvent
 	if err := json.Unmarshal(payload, &ev); err != nil {
 		return walEvent{}, err
+	}
+	if ev.Type == eventObservations {
+		return walEvent{}, fmt.Errorf("%w: JSON %q event: this build reads observation events in the binary encoding only", ErrBadState, ev.Type)
 	}
 	return ev, nil
 }

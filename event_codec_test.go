@@ -1,8 +1,10 @@
 package eta2
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +78,17 @@ func TestDecodeEventSniffsJSON(t *testing.T) {
 	}
 	if ev.Type != eventAddUsers || len(ev.Users) != 1 || ev.Users[0].ID != 1 {
 		t.Fatalf("decoded %+v", ev)
+	}
+}
+
+// TestDecodeEventRefusesJSONObservations: the pre-binary observations
+// encoding is refused by name. It must never decode to an event with no
+// observations — replay would apply it as a no-op and carry on.
+func TestDecodeEventRefusesJSONObservations(t *testing.T) {
+	payload := []byte(`{"t":"observations","obs":[{"Task":0,"User":1,"Value":2.5,"Day":0}]}`)
+	ev, err := decodeEvent(payload)
+	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), `"observations"`) {
+		t.Fatalf("JSON observations event: decoded %+v, err = %v; want ErrBadState naming the event", ev, err)
 	}
 }
 

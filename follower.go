@@ -14,7 +14,7 @@ import (
 	"eta2/internal/wal"
 )
 
-// This file implements the follower side of replication (DESIGN.md §14).
+// This file implements the follower side of replication (DESIGN.md §12).
 // A follower is a Server in role follower whose journal is fed by the
 // pull loop here instead of by its own mutations: the loop fetches
 // committed records from the primary's /v1/repl/log, appends each payload
@@ -437,7 +437,7 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 	var restored *Server
 	err := installSnapshot(st.journalDir, st.journal, lsn, func(w io.Writer) error {
 		tee := io.TeeReader(body, w)
-		decoded, err := decodeState(tee)
+		decoded, err := decodeStateBinary(tee)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,7 @@ import (
 	"eta2/internal/trace"
 )
 
-// Follower-side trace continuation (DESIGN.md §16). The primary ships a
+// Follower-side trace continuation (DESIGN.md §13). The primary ships a
 // completed write trace on a later log response than the record it
 // describes (the trace only completes once the submitter's fsync wait
 // and HTTP span end), so the follower keeps a small ring of per-record

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"eta2/internal/core"
+	"eta2/internal/obs"
 )
 
 // DistFunc returns the semantic distance between two items (tasks),
@@ -112,7 +112,7 @@ func (e *Engine) AddItems(n int) (Update, error) {
 	if n < 0 {
 		return Update{}, fmt.Errorf("cluster: cannot add %d items", n)
 	}
-	start := time.Now() //eta2:replaypurity-ok clustering latency metric, not replayed state
+	timer := obs.StartTimer()
 	oldItems := e.nItems
 
 	// 1. Create singleton slots and extend the distance matrix.
@@ -183,7 +183,7 @@ func (e *Engine) AddItems(n int) (Update, error) {
 	mMerges.Add(uint64(applied))
 	mDomainMerges.Add(uint64(len(up.Merges)))
 	mDomains.Set(float64(len(e.clusters)))
-	mAddDur.Observe(time.Since(start).Seconds()) //eta2:replaypurity-ok clustering latency metric, not replayed state
+	timer.ObserveTo(mAddDur)
 	return up, nil
 }
 

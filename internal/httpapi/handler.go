@@ -10,7 +10,7 @@
 // reader/writer split, so read endpoints (/v1/truth, /v1/expertise,
 // /v1/healthz, /v1/admin/durability) run fully in parallel and are never
 // blocked behind an in-flight WAL fsync, while mutations group-commit
-// their journal records (see DESIGN.md §10).
+// their journal records (see DESIGN.md §11).
 //
 // The /v1/admin endpoints expose the durable mode: GET
 // /v1/admin/durability reports WAL shape and snapshot coverage, POST

@@ -9,7 +9,7 @@ import (
 	"eta2/internal/repl"
 )
 
-// Replication endpoints (DESIGN.md §14). A primary serves its committed
+// Replication endpoints (DESIGN.md §12). A primary serves its committed
 // WAL records on /v1/repl/log and snapshot bootstraps on
 // /v1/repl/snapshot; both sides answer /v1/admin/replication, and POST
 // /v1/admin/promote flips a follower into a writable primary. The

@@ -19,7 +19,7 @@
 // Metric values are process-wide (the registry is shared by every server
 // instance in the process), matching the Prometheus model where one
 // scrape target is one process. Gauges published by multiple concurrent
-// instances are last-writer-wins; see DESIGN.md §11 for the taxonomy and
+// instances are last-writer-wins; see DESIGN.md §13 for the taxonomy and
 // cardinality budget.
 //
 // A scrape observes each atomic independently, so a histogram's sum and
@@ -35,6 +35,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // disabled turns every metric update into a cheap no-op when set. It
@@ -247,6 +248,14 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
+// SetToCurrentTime sets the gauge to the wall clock in Unix seconds — a
+// freshness timestamp. The reading goes into the gauge and nowhere else.
+//
+//eta2:replaypurity-ok the clock reading is stored in the gauge and never returned, so it cannot reach replayed state
+func (g *Gauge) SetToCurrentTime() {
+	g.Set(float64(time.Now().UnixNano()) / 1e9)
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -288,6 +297,22 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.upper, v)
 	h.counts[i].Add(1)
 	h.sum.Add(v)
+}
+
+// Timer is a running stopwatch for latency metrics. Its reading has one
+// outlet, ObserveTo, so instrumented code never holds a time.Time or a
+// Duration of its own: a Timer can feed a histogram and nothing else.
+type Timer struct{ start time.Time }
+
+// StartTimer starts a stopwatch.
+//
+//eta2:replaypurity-ok a Timer's clock readings are unexported and end in a histogram bucket (ObserveTo), so they cannot reach replayed state
+func StartTimer() Timer { return Timer{start: time.Now()} }
+
+// ObserveTo records the seconds elapsed since StartTimer into h. The second
+// reading also comes from StartTimer, the one function that reads the clock.
+func (t Timer) ObserveTo(h *Histogram) {
+	h.Observe(StartTimer().start.Sub(t.start).Seconds())
 }
 
 // HistogramVec is a histogram family with labels.

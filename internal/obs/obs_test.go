@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -224,6 +225,24 @@ func TestSetDisabled(t *testing.T) {
 	c.Inc()
 	if c.Value() != 1 {
 		t.Error("counter dead after re-enabling")
+	}
+}
+
+// TestTimerAndFreshnessGauge: the two clock-reading helpers land their
+// reading in the metric — one observation of a small non-negative latency,
+// and a Unix-seconds timestamp that is today's, not a nanosecond count.
+func TestTimerAndFreshnessGauge(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("eta2_h", "x", []float64{60})
+	StartTimer().ObserveTo(h)
+	if n, sum := h.counts[0].Load(), h.sum.Load(); n != 1 || sum < 0 || sum > 60 {
+		t.Errorf("timer recorded %d observations summing %g s, want one in [0, 60]", n, sum)
+	}
+	g := r.Gauge("eta2_g", "x")
+	before := float64(time.Now().Unix())
+	g.SetToCurrentTime()
+	if v := g.Value(); v < before || v > before+60 {
+		t.Errorf("freshness gauge = %g, want Unix seconds near %g", v, before)
 	}
 }
 

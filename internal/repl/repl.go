@@ -5,7 +5,7 @@
 // cursor and applies records through the same replay path recovery uses,
 // so replica state is bit-identical to the primary at every LSN.
 //
-// Wire protocol (see DESIGN.md §14):
+// Wire protocol (see DESIGN.md §12):
 //
 //	GET /v1/repl/log?from=<lsn>&wait=<duration>&max=<n>
 //	  200: application/octet-stream, concatenated WAL frames with

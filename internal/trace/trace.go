@@ -1,5 +1,5 @@
 // Package trace is a zero-dependency, allocation-disciplined tracing
-// layer for the write path (DESIGN.md §16). It records W3C-style
+// layer for the write path (DESIGN.md §13). It records W3C-style
 // trace/span identifiers (16-byte trace id, 8-byte span ids, hex on the
 // wire), propagates the active trace through context.Context, and times
 // spans against a single monotonic reference per trace.

@@ -1,10 +1,6 @@
 package truth
 
-import (
-	"time"
-
-	"eta2/internal/obs"
-)
+import "eta2/internal/obs"
 
 // Truth-analysis metrics. The `phase` label separates the warm-up joint
 // MLE (Estimate, "batch") from the per-step dynamic update (UpdateStep,
@@ -27,8 +23,8 @@ var (
 )
 
 // observeRun records one run's metrics under its phase.
-func observeRun(phase string, took time.Duration, iterations, tasks, observations int, converged bool) {
-	mEstimateDur.With(phase).Observe(took.Seconds())
+func observeRun(phase string, timer obs.Timer, iterations, tasks, observations int, converged bool) {
+	timer.ObserveTo(mEstimateDur.With(phase))
 	mIterations.Observe(float64(iterations))
 	mTasks.Add(uint64(tasks))
 	mObservations.Add(uint64(observations))

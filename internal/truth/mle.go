@@ -3,9 +3,9 @@ package truth
 import (
 	"errors"
 	"math"
-	"time"
 
 	"eta2/internal/core"
+	"eta2/internal/obs"
 )
 
 // Config tunes the MLE fixed-point iteration.
@@ -137,16 +137,16 @@ func batchRule(cfg Config) refreshRule {
 // with rule's expertise refresh until the truths move less than RelTol. The
 // returned state holds the final residuals, so its contributions are the
 // fresh evidence under the returned estimates. cfg has its defaults applied.
-func solve(phase string, obs *core.ObservationTable, domainOf func(core.TaskID) core.DomainID,
+func solve(phase string, table *core.ObservationTable, domainOf func(core.TaskID) core.DomainID,
 	expOf func(core.UserID, core.DomainID) float64, rule refreshRule, cfg Config) (*estState, UpdateResult, error) {
-	if obs == nil || obs.Len() == 0 {
+	if table == nil || table.Len() == 0 {
 		return nil, UpdateResult{}, ErrNoObservations
 	}
-	start := time.Now() //eta2:replaypurity-ok estimation latency metric, not replayed state
+	timer := obs.StartTimer()
 
 	// Dense re-index once: the O(#obs · #iterations) inner loops then run on
 	// contiguous buckets and flat parameter slices (see dense.go).
-	st := newEstState(core.NewDenseIndex(obs), domainOf, nil, cfg)
+	st := newEstState(core.NewDenseIndex(table), domainOf, nil, cfg)
 	st.seed(expOf, cfg)
 	res := UpdateResult{Iterations: cfg.MaxIter}
 	for it := 1; it <= cfg.MaxIter; it++ {
@@ -158,7 +158,7 @@ func solve(phase string, obs *core.ObservationTable, domainOf func(core.TaskID) 
 		}
 	}
 	res.Mu, res.Sigma = st.muMap(), st.sigmaMap()
-	observeRun(phase, time.Since(start), res.Iterations, st.nTasks, obs.Len(), res.Converged) //eta2:replaypurity-ok estimation latency metric, not replayed state
+	observeRun(phase, timer, res.Iterations, st.nTasks, table.Len(), res.Converged)
 	return st, res, nil
 }
 

@@ -3,7 +3,7 @@ package wal
 import "eta2/internal/obs"
 
 // Package-level WAL metrics (process-wide across all open logs; one
-// serving process normally owns exactly one log). See DESIGN.md §11.
+// serving process normally owns exactly one log). See DESIGN.md §13.
 var (
 	mFsyncDur = obs.Default().Histogram("eta2_wal_fsync_duration_seconds",
 		"Latency of WAL fsync calls, including the test-only SyncDelay.",

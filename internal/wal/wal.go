@@ -47,6 +47,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"eta2/internal/obs"
 )
 
 // recordVersion is the on-disk record format version this package writes.
@@ -583,7 +585,7 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 	closed := l.closed
 	l.mu.Unlock()
 
-	syncStart := time.Now() //eta2:replaypurity-ok fsync latency metric, not replayed state
+	syncTimer := obs.StartTimer()
 	if l.opts.SyncDelay > 0 {
 		time.Sleep(l.opts.SyncDelay)
 	}
@@ -597,7 +599,7 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 	}
 	if !closed {
 		mFsyncs.Inc()
-		mFsyncDur.Observe(time.Since(syncStart).Seconds()) //eta2:replaypurity-ok fsync latency metric, not replayed state
+		syncTimer.ObserveTo(mFsyncDur)
 	}
 
 	l.syncMu.Lock()

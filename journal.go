@@ -51,13 +51,15 @@ const (
 	eventCloseStep    = "close_step"
 )
 
-// walEvent is the JSON payload of one WAL record.
+// walEvent is one decoded WAL record: the JSON payload of the four cold
+// event types, or a binary observations event (event_codec.go), which has
+// no JSON form — decodeEvent rejects a JSON "observations" record.
 type walEvent struct {
 	Type         string        `json:"t"`
 	Users        []User        `json:"users,omitempty"`
 	Specs        []TaskSpec    `json:"specs,omitempty"`
-	Observations []Observation `json:"obs,omitempty"`
 	Pairs        []Pair        `json:"pairs,omitempty"`
+	Observations []Observation `json:"-"`
 }
 
 // durabilityConfig is the configured-but-not-yet-opened durable mode.
@@ -120,16 +122,14 @@ func (p *DurabilityPolicy) applyDefaults() {
 	}
 }
 
-// snapshotFile is one snapshot-<lsn>.bin (or legacy snapshot-<lsn>.json)
-// in the data directory.
+// snapshotFile is one snapshot-<lsn>.bin in the data directory.
 type snapshotFile struct {
 	path string
 	lsn  uint64
 }
 
 // listSnapshots returns the snapshot files in dir, newest (highest LSN)
-// first. Both the binary codec's .bin files and legacy .json snapshots
-// are listed; at equal LSN the binary one sorts first.
+// first.
 func listSnapshots(dir string) ([]snapshotFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -141,16 +141,8 @@ func listSnapshots(dir string) ([]snapshotFile, error) {
 	var snaps []snapshotFile
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "snapshot-") {
-			continue
-		}
-		var body string
-		switch {
-		case strings.HasSuffix(name, ".bin"):
-			body = strings.TrimSuffix(name, ".bin")
-		case strings.HasSuffix(name, ".json"):
-			body = strings.TrimSuffix(name, ".json")
-		default:
+		body, ok := strings.CutSuffix(name, ".bin")
+		if !ok || !strings.HasPrefix(body, "snapshot-") {
 			continue
 		}
 		lsn, err := strconv.ParseUint(strings.TrimPrefix(body, "snapshot-"), 10, 64)
@@ -159,21 +151,18 @@ func listSnapshots(dir string) ([]snapshotFile, error) {
 		}
 		snaps = append(snaps, snapshotFile{path: filepath.Join(dir, name), lsn: lsn})
 	}
-	sort.Slice(snaps, func(i, j int) bool {
-		if snaps[i].lsn != snaps[j].lsn {
-			return snaps[i].lsn > snaps[j].lsn
-		}
-		return strings.HasSuffix(snaps[i].path, ".bin") && !strings.HasSuffix(snaps[j].path, ".bin")
-	})
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn > snaps[j].lsn })
 	return snaps, nil
 }
 
 // openDurable is the one way a data directory becomes a live node, in
-// either role: load the newest readable snapshot, replay the WAL records
-// past it (the wal package already truncated any torn tail), then attach
-// the log as the journal. The role decides who writes that journal from
-// here on — a primary's own mutations, or a follower's pull loop feeding
-// it the primary's records verbatim (follower.go).
+// either role: load the newest readable snapshot-<lsn>.bin, replay the WAL
+// records past it (the wal package already truncated any torn tail), each
+// extending the recovered state by exactly one LSN, then attach the log as
+// the journal. What this build did not write is refused with ErrBadState
+// naming the artifact, never skipped. The role decides who writes the
+// journal from here on — a primary's own mutations, or a follower's pull
+// loop feeding it the primary's records verbatim (follower.go).
 func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy, role serverRole, primary string) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("eta2: %w", err)
@@ -186,6 +175,10 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 	for _, path := range stale {
 		_ = os.Remove(path)
 	}
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json")); len(legacy) > 0 {
+		return nil, fmt.Errorf("%w: %s is a JSON snapshot, which this build does not read; open the directory with the last build that does (revision a9c3902, PR 17) and POST /v1/admin/compact to rewrite it as snapshot-<lsn>.bin",
+			ErrBadState, legacy[0])
+	}
 
 	var s *Server
 	var snapLSN uint64
@@ -197,14 +190,15 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 		restored, err := loadSnapshotFile(sn.path, opts)
 		if err != nil {
 			if errors.Is(err, ErrBadState) {
-				// A snapshot this build cannot ever read (e.g. a future
-				// version) must fail loudly, not silently fall back to
-				// stale state.
-				return nil, err
+				// A snapshot another build wrote (a different codec or
+				// state version) must fail loudly, not silently fall back
+				// to stale state.
+				return nil, fmt.Errorf("%s: %w", sn.path, err)
 			}
 			// Unreadable/garbage snapshot: fall back to the next older one
 			// (the compactor keeps the previous snapshot until the new one
-			// is durably renamed, so an older one normally exists).
+			// is durably renamed, so an older one normally exists). If none
+			// does, the contiguity check below refuses the orphaned tail.
 			continue
 		}
 		s, snapLSN = restored, sn.lsn
@@ -230,6 +224,11 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 	replayErr := wlog.Replay(func(lsn uint64, payload []byte) error {
 		if lsn <= snapLSN {
 			return nil // already covered by the snapshot
+		}
+		// journalShipped's invariant: a lost or unreadable snapshot must not
+		// become a different history replayed from the middle of the log.
+		if lsn != s.lastLSN+1 {
+			return fmt.Errorf("%w: journal record %d does not follow recovered state at %d", ErrBadState, lsn, s.lastLSN)
 		}
 		ev, err := decodeEvent(payload)
 		if err != nil {
@@ -266,11 +265,7 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 		return nil, fmt.Errorf("eta2: %w", err)
 	}
 	defer f.Close()
-	st, err := decodeState(f)
-	if err != nil {
-		return nil, err
-	}
-	return restoreServer(st, opts...)
+	return LoadServer(f, opts...)
 }
 
 // applyEvent is the single replay entry: it re-executes the journaled

@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
-// saveBytes captures the canonical snapshot of s as bytes.
+// saveBytes captures the state of s as its JSON export: the readable form
+// the bit-identity checks compare, deliberately not the codec under test.
 func saveBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -56,15 +58,11 @@ func walSegments(t *testing.T, dir string) []string {
 
 func countSnapshots(t *testing.T, dir string) int {
 	t.Helper()
-	n := 0
-	for _, pat := range []string{"snapshot-*.bin", "snapshot-*.json"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(matches)
+	matches, err := filepath.Glob(filepath.Join(dir, "snapshot-*.bin"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	return len(matches)
 }
 
 // waitDurable polls DurabilityStats until pred holds. Compaction runs off
@@ -450,32 +448,53 @@ func TestWithDurabilityValidation(t *testing.T) {
 	}
 }
 
-// TestRecoverySnapshotHandling: a garbage newest snapshot falls back to
-// the older good one; a future-version snapshot is a hard failure (a
-// newer build's data must not be silently discarded).
-func TestRecoverySnapshotHandling(t *testing.T) {
-	dir := t.TempDir()
-	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+// compactedWithTail builds a durable directory holding one snapshot and a
+// WAL tail past it, never cleanly closed, and returns it with the live
+// server's state and durability stats.
+func compactedWithTail(t *testing.T, pol DurabilityPolicy) (dir string, want []byte, st DurabilityStats) {
+	t.Helper()
+	dir = t.TempDir()
 	s, err := NewServer(WithDurability(dir, pol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
-		t.Fatal(err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
-		t.Fatal(err)
+	must(s.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}, User{ID: 2, Capacity: 5}))
+	_, err = s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 1, ProcTime: 1})
+	must(err)
+	must(s.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}, Observation{Task: 1, User: 0, Value: 3}))
+	_, err = s.CloseTimeStep()
+	must(err)
+	must(s.Compact())
+	_, err = s.CreateTasks(TaskSpec{DomainHint: 2, ProcTime: 1})
+	must(err)
+	must(s.SubmitObservations(Observation{Task: 2, User: 1, Value: 7}))
+	st = s.DurabilityStats()
+	if countSnapshots(t, dir) != 1 || st.SnapshotLSN == 0 || st.LastLSN <= st.SnapshotLSN {
+		t.Fatalf("setup: want one snapshot and a WAL tail, stats %+v", st)
 	}
-	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}); err != nil {
-		t.Fatal(err)
-	}
-	want := saveBytes(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want = saveBytes(t, s)
+	must(s.journal.Close())
+	return dir, want, st
+}
 
-	garbage := filepath.Join(dir, "snapshot-00000000000000099999.json")
-	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
+// TestRecoverySnapshotHandling: a garbage newest snapshot falls back to
+// the older good one and replays the contiguous tail past it; a
+// future-version snapshot is a hard failure (a newer build's data must not
+// be silently discarded).
+func TestRecoverySnapshotHandling(t *testing.T) {
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	dir, want, st := compactedWithTail(t, pol)
+
+	// What a compaction at the frontier leaves if its file is damaged
+	// before the snapshot it supersedes is removed.
+	newest := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", st.LastLSN))
+	if err := os.WriteFile(newest, []byte("garbage, not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewServer(WithDurability(dir, pol))
@@ -485,17 +504,60 @@ func TestRecoverySnapshotHandling(t *testing.T) {
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("fallback recovery diverged")
 	}
-	r.journal.Close()
-	if err := os.Remove(garbage); err != nil {
-		t.Fatal(err)
+	if rst := r.DurabilityStats(); rst.SnapshotLSN != st.SnapshotLSN || rst.LastLSN != st.LastLSN {
+		t.Errorf("fallback recovered LSNs %d/%d, want %d/%d", rst.SnapshotLSN, rst.LastLSN, st.SnapshotLSN, st.LastLSN)
 	}
+	r.journal.Close()
 
-	future := filepath.Join(dir, "snapshot-00000000000000099999.json")
-	if err := os.WriteFile(future, []byte(`{"version": 7}`), 0o644); err != nil {
+	future := append([]byte(snapshotMagic), 9) // uvarint codec version 9
+	if err := os.WriteFile(newest, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewServer(WithDurability(dir, pol)); !errors.Is(err, ErrBadState) {
 		t.Errorf("future-version snapshot: err = %v, want ErrBadState", err)
+	}
+}
+
+// TestRecoveryRefusesOrphanedTail damages the only snapshot of a compacted
+// directory. There is nothing to fall back to, and the WAL tail starts past
+// the records the snapshot covered: replaying it onto empty state would
+// build a different history (old task 2 answering as task 0), so the open
+// must fail, naming the record and the state it does not follow.
+func TestRecoveryRefusesOrphanedTail(t *testing.T) {
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	dir, _, st := compactedWithTail(t, pol)
+
+	snap := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", st.SnapshotLSN))
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x01 // one bit of the trailing checksum
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewServer(WithDurability(dir, pol))
+	if !errors.Is(err, ErrBadState) {
+		t.Fatalf("orphaned WAL tail: err = %v, want ErrBadState", err)
+	}
+	if want := fmt.Sprintf("journal record %d does not follow recovered state at 0", st.SnapshotLSN+1); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
+	}
+}
+
+// TestRecoveryRefusesJSONSnapshot: a directory holding a snapshot-<lsn>.json
+// must not open — skipping the file would replay the truncated WAL onto
+// older state — and the error names it.
+func TestRecoveryRefusesJSONSnapshot(t *testing.T) {
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	dir, want, st := compactedWithTail(t, pol)
+	legacy := fmt.Sprintf("snapshot-%020d.json", st.LastLSN)
+	if err := os.WriteFile(filepath.Join(dir, legacy), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewServer(WithDurability(dir, pol))
+	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), legacy) {
+		t.Errorf("directory holding %s: err = %v, want ErrBadState naming the file", legacy, err)
 	}
 }
 
@@ -504,32 +566,8 @@ func TestRecoverySnapshotHandling(t *testing.T) {
 // snapshot and a WAL tail — and asserts the next open deletes it and
 // recovers the same state.
 func TestRecoveryReclaimsStaleSnapshotTemp(t *testing.T) {
-	dir := t.TempDir()
 	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
-	s, err := NewServer(WithDurability(dir, pol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}); err != nil {
-		t.Fatal(err)
-	}
-	st := s.DurabilityStats()
-	if countSnapshots(t, dir) != 1 || st.LastLSN <= st.SnapshotLSN {
-		t.Fatalf("setup: want one snapshot and a WAL tail, stats %+v", st)
-	}
-	want := saveBytes(t, s)
-
-	crash := copyDataDir(t, dir)
+	crash, want, st := compactedWithTail(t, pol)
 	stale := filepath.Join(crash, fmt.Sprintf("snapshot-%020d.tmp", st.LastLSN))
 	if err := os.WriteFile(stale, want[:len(want)/2], 0o644); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // Server-level gauges, published after every committed mutation (and once
 // after recovery/restore). The obs registry is process-wide, so when a
 // process hosts several servers the gauges reflect the one that mutated
-// last — a serving process owns exactly one; see DESIGN.md §11.
+// last — a serving process owns exactly one; see DESIGN.md §13.
 var (
 	mDay = obs.Default().Gauge("eta2_server_day",
 		"Current time-step index (advances at CloseTimeStep).")
@@ -29,7 +29,7 @@ var (
 		"Time steps closed across the process lifetime (replay included).")
 )
 
-// Read-snapshot publication and compaction metrics (DESIGN.md §13). The
+// Read-snapshot publication and compaction metrics (DESIGN.md §11). The
 // publish counter ticks once per committed mutation batch; the timestamp
 // gauge turns into snapshot age with `time() -
 // eta2_server_snapshot_publish_timestamp_seconds` in PromQL.
@@ -42,7 +42,6 @@ var (
 		"Encoded size of persisted state snapshots, by codec.",
 		obs.ExpBuckets(4096, 4, 10), "codec")
 	mSnapshotBytesBinary = mSnapshotBytes.With("binary")
-	mSnapshotBytesJSON   = mSnapshotBytes.With("json")
 
 	mCompactionDuration = obs.Default().HistogramVec("eta2_server_compaction_duration_seconds",
 		"Wall time of one snapshot+truncate compaction cycle, by where it ran.",

@@ -1,7 +1,6 @@
 package eta2
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,12 +16,12 @@ import (
 // stateVersion guards against loading snapshots from incompatible builds.
 const stateVersion = 1
 
-// snapshotState is the serializable snapshot of a Server, written either
-// as JSON (SaveState, snapshot-<lsn>.json files) or with the binary
-// codec in codec.go (SaveStateBinary, compaction's snapshot-<lsn>.bin
-// files). The embedding model itself is not serialized — only the task
-// vectors derived from it — so a restored server needs WithEmbedder again
-// only to create NEW described tasks.
+// snapshotState is the serializable snapshot of a Server, written and read
+// with the binary codec in codec.go (SaveStateBinary, compaction's
+// snapshot-<lsn>.bin files); the JSON tags serve SaveState's export only.
+// The embedding model itself is not serialized — only the task vectors
+// derived from it — so a restored server needs WithEmbedder again only to
+// create NEW described tasks.
 type snapshotState struct {
 	Version int `json:"version"`
 
@@ -30,8 +29,7 @@ type snapshotState struct {
 	Gamma   float64 `json:"gamma"`
 	Epsilon float64 `json:"epsilon"`
 
-	Users     []core.User   `json:"users"`
-	UserOrder []core.UserID `json:"user_order"`
+	Users []core.User `json:"users"` // in registration order
 
 	Tasks    []core.Task              `json:"tasks"`
 	DomainOf map[TaskID]DomainID      `json:"domain_of"`
@@ -49,28 +47,25 @@ type snapshotState struct {
 	ItemToTask []TaskID              `json:"item_to_task,omitempty"`
 }
 
-// SaveState serializes the server's full state (tasks, domains, learned
-// expertise, clustering structure, pending observations) as JSON. The
-// embedding model is not included; see LoadServer. SaveStateBinary writes
-// the same state with the compact binary codec; LoadServer reads both.
+// SaveState exports the server's full state (tasks, domains, learned
+// expertise, clustering structure, pending observations) as JSON. It is a
+// write-only, human-readable rendering of exactly what SaveStateBinary
+// carries — tests compare states with it — and nothing loads it: LoadServer
+// and recovery read SaveStateBinary's format only.
 func (s *Server) SaveState(w io.Writer) error {
 	s.mu.RLock()
 	st := s.persistStateLocked()
 	s.mu.RUnlock()
-	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
-	if err := enc.Encode(st); err != nil {
+	if err := json.NewEncoder(w).Encode(st); err != nil {
 		return fmt.Errorf("eta2: save state: %w", err)
 	}
-	mSnapshotBytesJSON.Observe(float64(cw.n))
 	return nil
 }
 
 // SaveStateBinary serializes the server's full state with the
 // length-prefixed, CRC-checked binary codec — the format compaction uses
-// for its snapshot files. It carries exactly the information SaveState
-// does, at a fraction of the encode cost and size; LoadServer detects the
-// format automatically.
+// for its snapshot files, and the one LoadServer reads. The embedding model
+// is not included; see LoadServer.
 func (s *Server) SaveStateBinary(w io.Writer) error {
 	s.mu.RLock()
 	st := s.persistStateLocked()
@@ -91,7 +86,6 @@ func (s *Server) persistStateLocked() snapshotState {
 		Alpha:        s.cfg.alpha,
 		Gamma:        s.cfg.gamma,
 		Epsilon:      s.cfg.epsilon,
-		UserOrder:    s.userOrder,
 		Tasks:        s.tasks,
 		DomainOf:     s.domainOf,
 		Pending:      s.pending,
@@ -110,23 +104,10 @@ func (s *Server) persistStateLocked() snapshotState {
 	return st
 }
 
-// countingWriter counts bytes for the snapshot-size metrics.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // ErrBadState is returned when a snapshot cannot be restored.
 var ErrBadState = errors.New("eta2: invalid server state")
 
-// LoadServer restores a Server from a SaveState or SaveStateBinary
-// snapshot (the format is detected from the first bytes). Pass
+// LoadServer restores a Server from a SaveStateBinary snapshot. Pass
 // WithEmbedder if the server should be able to create new described tasks
 // after the restore; the snapshot's own task vectors are reused either
 // way, so clustering state survives even across embedder retrains (new
@@ -138,35 +119,11 @@ var ErrBadState = errors.New("eta2: invalid server state")
 // directory (snapshot + write-ahead-log replay), pass WithDurability to
 // NewServer instead.
 func LoadServer(r io.Reader, opts ...Option) (*Server, error) {
-	st, err := decodeState(r)
+	st, err := decodeStateBinary(r)
 	if err != nil {
 		return nil, err
 	}
 	return restoreServer(st, opts...)
-}
-
-// decodeState parses and version-checks a snapshot in either codec. The
-// binary codec's magic and a JSON object's '{' are disjoint, so one
-// peeked byte picks the decoder.
-func decodeState(r io.Reader) (snapshotState, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return snapshotState{}, fmt.Errorf("eta2: load state: %w", err)
-	}
-	if first[0] == snapshotMagic[0] {
-		return decodeStateBinary(br)
-	}
-	var st snapshotState
-	dec := json.NewDecoder(br)
-	if err := dec.Decode(&st); err != nil {
-		return snapshotState{}, fmt.Errorf("eta2: load state: %w", err)
-	}
-	if st.Version != stateVersion {
-		return snapshotState{}, fmt.Errorf("%w: snapshot has version %d, but this build supports version %d",
-			ErrBadState, st.Version, stateVersion)
-	}
-	return st, nil
 }
 
 // restoreServer materializes a decoded snapshot. The snapshot's own
@@ -189,9 +146,6 @@ func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 
-	if len(st.Users) != len(st.UserOrder) {
-		return nil, fmt.Errorf("%w: %d users, %d order entries", ErrBadState, len(st.Users), len(st.UserOrder))
-	}
 	// One batch, not per-user calls: AddUsers copies the user map per call
 	// (copy-on-write for the lock-free readers), so per-user restores
 	// would be quadratic in the user count.

@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"eta2/internal/cluster"
+	"eta2/internal/core"
+	"eta2/internal/truth"
 )
 
 // buildBusyServer runs a couple of time steps so every state component is
@@ -59,7 +63,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s := buildBusyServer(t)
 
 	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
+	if err := s.SaveStateBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,20 +101,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Snapshots must be byte-stable.
+	// Snapshots must be byte-stable, and so must the JSON export.
 	var buf2 bytes.Buffer
-	if err := restored.SaveState(&buf2); err != nil {
+	if err := restored.SaveStateBinary(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("save → load → save is not byte-stable")
+	}
+	if !bytes.Equal(saveBytes(t, s), saveBytes(t, restored)) {
+		t.Error("JSON export differs between original and restored server")
 	}
 }
 
 func TestRestoredServerKeepsWorking(t *testing.T) {
 	s := buildBusyServer(t)
 	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
+	if err := s.SaveStateBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadServer(&buf, WithEmbedder(rootTestEmbedder(t)))
@@ -150,7 +157,7 @@ func TestRestoredServerKeepsWorking(t *testing.T) {
 func TestLoadServerWithoutEmbedder(t *testing.T) {
 	s := buildBusyServer(t)
 	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
+	if err := s.SaveStateBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadServer(&buf)
@@ -192,7 +199,7 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
+	if err := s.SaveStateBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadServer(bytes.NewReader(buf.Bytes()), WithEmbedder(rootTestEmbedder(t)))
@@ -206,7 +213,7 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 		t.Errorf("observations: %d vs %d", got, want)
 	}
 	var buf2 bytes.Buffer
-	if err := restored.SaveState(&buf2); err != nil {
+	if err := restored.SaveStateBinary(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -230,8 +237,19 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	}
 }
 
+// encodeSnapshot frames st exactly as SaveStateBinary would, so a test can
+// hand LoadServer a well-formed file whose only fault is what st says.
+func encodeSnapshot(t *testing.T, st snapshotState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeStateBinary(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestLoadServerFutureVersion(t *testing.T) {
-	_, err := LoadServer(strings.NewReader(`{"version": 2}`))
+	_, err := LoadServer(bytes.NewReader(encodeSnapshot(t, snapshotState{Version: 2})))
 	if !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
@@ -245,17 +263,26 @@ func TestLoadServerFutureVersion(t *testing.T) {
 }
 
 func TestLoadServerRejectsGarbage(t *testing.T) {
-	if _, err := LoadServer(strings.NewReader("{")); err == nil {
-		t.Error("truncated JSON accepted")
+	if _, err := LoadServer(strings.NewReader(snapshotMagic)); err == nil {
+		t.Error("truncated snapshot accepted")
 	}
-	if _, err := LoadServer(strings.NewReader(`{"version": 99}`)); err == nil {
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, snapshotState{Version: 99}))); err == nil {
 		t.Error("wrong version accepted")
 	}
+	// The JSON export is write-only: nothing loads it.
+	if _, err := LoadServer(bytes.NewReader(saveBytes(t, buildBusyServer(t)))); err == nil {
+		t.Error("JSON export accepted as a snapshot")
+	}
 	// Inconsistent cluster state.
-	bad := `{"version":1,"alpha":0.5,"gamma":0.5,"epsilon":0.1,` +
-		`"store":{"alpha":0.5,"prior":0.5},` +
-		`"cluster":{"gamma":0.5,"n_items":2,"domains":[1],"members":[[0]],"dist_matrix":[[0]],"item_cluster":[0]}}`
-	if _, err := LoadServer(strings.NewReader(bad)); err == nil {
+	bad := snapshotState{
+		Version: stateVersion, Alpha: 0.5, Gamma: 0.5, Epsilon: 0.1,
+		Store: truth.StoreState{Alpha: 0.5, Prior: 0.5},
+		Cluster: &cluster.EngineState{
+			Gamma: 0.5, NItems: 2, Domains: []core.DomainID{1},
+			Members: [][]int{{0}}, DMat: [][]float64{{0}}, ItemSlot: []int{0},
+		},
+	}
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, bad))); err == nil {
 		t.Error("inconsistent cluster state accepted")
 	}
 }

@@ -467,14 +467,16 @@ func TestFollowerCompactMidStreamRestart(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for {
+			// Compact before honouring stop: the stream can finish before
+			// this goroutine is first scheduled.
+			if err := f.Server().Compact(); err != nil {
+				t.Errorf("Compact on follower: %v", err)
+				return
+			}
 			select {
 			case <-stop:
 				return
 			default:
-			}
-			if err := f.Server().Compact(); err != nil {
-				t.Errorf("Compact on follower: %v", err)
-				return
 			}
 		}
 	}()

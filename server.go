@@ -26,10 +26,10 @@ import (
 // atomic pointer, so reads never wait on writers — not even on a writer
 // parked in an fsync. Mutations serialize behind mu (a writer-writer lock)
 // and publish a fresh snapshot per committed batch (copy-on-write; see
-// DESIGN.md §13). In durable mode a mutation's critical section covers
+// DESIGN.md §11). In durable mode a mutation's critical section covers
 // only the in-memory apply and the buffered journal write; the fsync wait
 // happens outside the lock, where the WAL's group commit batches
-// concurrent callers into a single flush (see DESIGN.md §10).
+// concurrent callers into a single flush (see DESIGN.md §11).
 type Server struct {
 	// mu serializes writers against each other (and against SaveState,
 	// which reads master state directly under RLock). The query surface
@@ -93,7 +93,7 @@ type Server struct {
 	primaryAddr string
 
 	// tracer samples write-path traces into the flight recorder; see
-	// internal/trace and DESIGN.md §16. Per-server so an in-process
+	// internal/trace and DESIGN.md §13. Per-server so an in-process
 	// primary + follower pair keep separate recorders.
 	tracer *trace.Tracer
 
@@ -197,7 +197,7 @@ func WithParallelism(n int) Option {
 
 // WithTraceSampling enables write-path tracing, sampling one request in
 // every (0, the default, disables sampling; requests carrying an
-// X-Eta2-Trace header are always traced). See DESIGN.md §16.
+// X-Eta2-Trace header are always traced). See DESIGN.md §13.
 func WithTraceSampling(every int) Option {
 	return func(c *config) error {
 		if every < 0 {

@@ -9,7 +9,7 @@ import (
 )
 
 // serverState is the immutable read snapshot behind the server's lock-free
-// query surface (DESIGN.md §13). Every committed mutation publishes a fresh
+// query surface (DESIGN.md §11). Every committed mutation publishes a fresh
 // serverState via publishLocked; readers load the pointer once and read
 // freely — nothing reachable from a published serverState is ever mutated
 // again:
@@ -93,7 +93,7 @@ func (s *Server) publishLocked() {
 		primaryAddr:    s.primaryAddr,
 	})
 	mSnapshotPublishes.Inc()
-	mSnapshotPublishTS.Set(float64(time.Now().UnixNano()) / 1e9) //eta2:replaypurity-ok freshness gauge, not replayed state
+	mSnapshotPublishTS.SetToCurrentTime()
 	s.publishMetricsLocked()
 }
 

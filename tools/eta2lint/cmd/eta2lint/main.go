@@ -1,5 +1,5 @@
-// Command eta2lint runs the ETA² project-invariant analyzers, either
-// standalone (`eta2lint ./...`) or as a `go vet -vettool`.
+// Command eta2lint runs the ETA² project-invariant analyzers as a
+// `go vet -vettool`.
 package main
 
 import (

@@ -28,9 +28,8 @@ type Facts interface {
 	Export(analyzer string, data []byte)
 }
 
-// MemFacts is the in-memory Facts store used by the standalone driver
-// and the analysistest harness, where every package of the run shares
-// one process.
+// MemFacts is the in-memory Facts store used by the analysistest
+// harness, where every package of the run shares one process.
 type MemFacts struct {
 	m map[string]map[string][]byte // analyzer -> pkgPath -> blob
 }

@@ -1,126 +1,24 @@
-// Package load type-checks Go packages for analysis without any
-// dependency beyond the standard library and the go toolchain itself.
-// Dependencies are never re-parsed: their compiler export data is
-// obtained from `go list -export`, which serves it from the build cache
-// (compiling on demand, fully offline), and read through
-// go/importer.ForCompiler — the same reader the compiler uses.
+// Package load holds what the vet-protocol driver and the analysistest
+// harness share for type-checking a package without any dependency beyond
+// the standard library and the go toolchain itself. Dependencies are never
+// re-parsed: their compiler export data comes from the vet config or from
+// `go list -export`, which serves it from the build cache (compiling on
+// demand, fully offline), and is read through go/importer.ForCompiler — the
+// same reader the compiler uses.
 package load
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
-
-// Unit is one fully parsed and type-checked package.
-type Unit struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-	Dir   string
-	// Imports lists the package's direct imports (canonical paths), so
-	// the standalone driver can order units dependencies-first and flow
-	// analysis facts the same direction the vet protocol does.
-	Imports []string
-}
-
-// listedPackage is the subset of `go list -json` output the loader needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	CgoFiles   []string
-	Imports    []string
-	Export     string
-	DepOnly    bool
-	Error      *struct{ Err string }
-}
-
-// Packages loads every package matching patterns in dir (module root),
-// returning type-checked units for the matched packages only — their
-// dependencies are consumed as export data.
-func Packages(dir string, patterns []string) ([]*Unit, error) {
-	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("load: go list: %v\n%s", err, stderr.String())
-	}
-
-	exports := make(map[string]string)
-	var targets []listedPackage
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("load: decode go list output: %w", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
-	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, exports)
-	var units []*Unit
-	for _, p := range targets {
-		if len(p.GoFiles) == 0 || len(p.CgoFiles) > 0 {
-			continue
-		}
-		u, err := check(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		u.Imports = p.Imports
-		units = append(units, u)
-	}
-	return units, nil
-}
-
-// check parses and type-checks one package from source.
-func check(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Unit, error) {
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
-		files = append(files, f)
-	}
-	info := NewInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("load: typecheck %s: %w", path, err)
-	}
-	return &Unit{Fset: fset, Files: files, Pkg: pkg, Info: info, Dir: dir}, nil
-}
 
 // NewInfo allocates a types.Info with every map the analyzers consult.
 func NewInfo() *types.Info {

@@ -1,18 +1,8 @@
-// Package multichecker is the eta2lint driver. One binary serves both
-// entry points the issue requires:
-//
-//   - standalone: `eta2lint [packages]` loads the packages itself (via
-//     go list + export data) and runs every analyzer;
-//   - go vet:     `go vet -vettool=$(which eta2lint) ./...` — cmd/go
-//     invokes the binary per compilation unit with -V=full / -flags /
-//     a JSON config file, handled by the unitchecker package.
-//
-// Standalone output modes:
-//
-//	eta2lint ./...                      human-readable findings on stderr
-//	eta2lint -json ./...                canonical JSON findings on stdout
-//	eta2lint -baseline f.json ./...     fail only on findings not in f.json
-//	eta2lint -github ./...              GitHub Actions ::error annotations
+// Package multichecker is the eta2lint driver: the one binary behind
+// `go vet -vettool=$(which eta2lint) ./...`. cmd/go invokes it per
+// compilation unit with -V=full / -flags / a JSON config file, handled by
+// the unitchecker package. There is no standalone mode — go vet is the
+// only thing that loads packages and renders findings.
 package multichecker
 
 import (
@@ -23,212 +13,34 @@ import (
 	"strings"
 
 	"eta2lint/internal/analysis"
-	"eta2lint/internal/findings"
-	"eta2lint/internal/load"
 	"eta2lint/internal/unitchecker"
 )
 
-// Main dispatches between the vet protocol and the standalone driver and
-// returns the process exit code: 0 clean, 1 error, 2 findings.
+// Main answers the three invocations of the vet protocol and returns the
+// process exit code: 0 clean, 1 error or misuse, 2 findings.
 func Main(analyzers ...*analysis.Analyzer) int {
 	args := os.Args[1:]
-
-	// go vet handshake: identify the tool for the build cache. cmd/go
-	// requires the trailing buildID= field; hashing the executable makes
-	// cached vet results invalidate when the tool binary changes.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("eta2lint version devel buildID=%x\n", selfHash())
-		return 0
-	}
-	// go vet handshake: declare (no) tool flags.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	// go vet per-unit invocation: a single JSON config argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return unitchecker.Run(args[0], analyzers)
-	}
-
-	return standalone(args, analyzers)
-}
-
-// options are the standalone driver's flags. Parsed by hand so the vet
-// handshake paths above stay byte-exact and flag.CommandLine stays free
-// for embedding callers.
-type options struct {
-	json     bool   // emit canonical JSON findings on stdout
-	github   bool   // emit GitHub Actions ::error annotations on stdout
-	baseline string // path to a committed findings baseline
-}
-
-func parseFlags(args []string, analyzers []*analysis.Analyzer) (*options, []string, error) {
-	opts := &options{}
-	i := 0
-	for ; i < len(args); i++ {
-		arg := args[i]
-		if !strings.HasPrefix(arg, "-") {
-			break
-		}
-		switch arg {
-		case "-json", "--json":
-			opts.json = true
-		case "-github", "--github":
-			opts.github = true
-		case "-baseline", "--baseline":
-			i++
-			if i >= len(args) {
-				return nil, nil, fmt.Errorf("-baseline requires a file argument")
-			}
-			opts.baseline = args[i]
-		case "-h", "-help", "--help":
-			usage(os.Stderr, analyzers)
-			return nil, nil, fmt.Errorf("help requested")
-		default:
-			usage(os.Stderr, analyzers)
-			return nil, nil, fmt.Errorf("unknown flag %s", arg)
+	if len(args) == 1 {
+		switch arg := args[0]; {
+		case strings.HasPrefix(arg, "-V"):
+			// Identify the tool for the build cache. cmd/go requires the
+			// trailing buildID= field; hashing the executable makes cached
+			// vet results invalidate when the tool binary changes.
+			fmt.Printf("eta2lint version devel buildID=%x\n", selfHash())
+			return 0
+		case arg == "-flags":
+			fmt.Println("[]") // no tool flags
+			return 0
+		case strings.HasSuffix(arg, ".cfg"):
+			return unitchecker.Run(arg, analyzers)
 		}
 	}
-	return opts, args[i:], nil
-}
-
-func usage(w io.Writer, analyzers []*analysis.Analyzer) {
-	fmt.Fprintf(w, "usage: eta2lint [-json] [-github] [-baseline file] [packages]\n\nAnalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=%s [packages]\n\nAnalyzers:\n", os.Args[0])
 	for _, a := range analyzers {
-		fmt.Fprintf(w, "  %-20s %s\n", a.Name, firstLine(a.Doc))
+		doc, _, _ := strings.Cut(a.Doc, "\n")
+		fmt.Fprintf(os.Stderr, "  %-20s %s\n", a.Name, doc)
 	}
-}
-
-// standalone loads the named packages (default ./...) and analyzes them
-// dependencies-first so inter-procedural facts flow the same direction
-// they do under the go vet protocol.
-func standalone(args []string, analyzers []*analysis.Analyzer) int {
-	opts, patterns, err := parseFlags(args, analyzers)
-	if err != nil {
-		return 1
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	dir, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "eta2lint:", err)
-		return 1
-	}
-	units, err := load.Packages(dir, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "eta2lint:", err)
-		return 1
-	}
-	units = topoSort(units)
-
-	facts := analysis.NewMemFacts()
-	var all []findings.Finding
-	for _, u := range units {
-		diags, err := analysis.RunAnalyzersFacts(analyzers, u.Fset, u.Files, u.Pkg, u.Info,
-			facts.For(u.Pkg.Path()))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eta2lint:", err)
-			return 1
-		}
-		for _, d := range diags {
-			pos := u.Fset.Position(d.Pos)
-			all = append(all, findings.Finding{
-				Analyzer: d.Analyzer.Name,
-				File:     relPath(dir, pos.Filename),
-				Line:     pos.Line,
-				Col:      pos.Column,
-				Message:  d.Message,
-			})
-		}
-	}
-	return emit(dir, opts, all)
-}
-
-// emit applies the baseline and renders findings in the selected mode.
-func emit(dir string, opts *options, all []findings.Finding) int {
-	fresh := all
-	if opts.baseline != "" {
-		f, err := os.Open(opts.baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eta2lint:", err)
-			return 1
-		}
-		accepted, err := findings.Decode(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eta2lint:", err)
-			return 1
-		}
-		var stale int
-		fresh, stale = findings.NewBaseline(accepted).Filter(all)
-		if stale > 0 {
-			fmt.Fprintf(os.Stderr, "eta2lint: %d baseline entries no longer occur; regenerate %s with -json\n",
-				stale, opts.baseline)
-		}
-	}
-
-	if opts.json {
-		// JSON mode reports everything (the baseline workflow pipes this
-		// back into the baseline file); the exit code still reflects only
-		// fresh findings so `-json -baseline` works in CI.
-		if err := findings.Encode(os.Stdout, all); err != nil {
-			fmt.Fprintln(os.Stderr, "eta2lint:", err)
-			return 1
-		}
-	}
-	findings.Sort(fresh)
-	for _, f := range fresh {
-		if opts.github {
-			fmt.Fprintln(os.Stdout, findings.GitHubAnnotation(f))
-		}
-		if !opts.json || opts.github {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	}
-	if len(fresh) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// topoSort orders units dependencies-first among the matched packages so
-// each package's analysis sees the facts of every in-universe import.
-// go list output is already close to this order, but the contract here
-// must hold regardless.
-func topoSort(units []*load.Unit) []*load.Unit {
-	byPath := make(map[string]*load.Unit, len(units))
-	for _, u := range units {
-		byPath[u.Pkg.Path()] = u
-	}
-	var out []*load.Unit
-	done := make(map[string]bool, len(units))
-	var visit func(u *load.Unit)
-	visit = func(u *load.Unit) {
-		if done[u.Pkg.Path()] {
-			return
-		}
-		done[u.Pkg.Path()] = true // pre-mark: import cycles can't recurse forever
-		for _, imp := range u.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, u)
-	}
-	for _, u := range units {
-		visit(u)
-	}
-	return out
-}
-
-// relPath makes pos filenames module-relative when possible so findings
-// and baselines are stable across checkouts.
-func relPath(dir, name string) string {
-	if rel, ok := strings.CutPrefix(name, dir+string(os.PathSeparator)); ok {
-		return rel
-	}
-	return name
+	return 1
 }
 
 // selfHash hashes the running executable for the -V=full build ID.
@@ -242,9 +54,4 @@ func selfHash() []byte {
 		}
 	}
 	return h.Sum(nil)
-}
-
-func firstLine(s string) string {
-	line, _, _ := strings.Cut(s, "\n")
-	return line
 }

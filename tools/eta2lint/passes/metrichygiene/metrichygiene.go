@@ -1,5 +1,5 @@
 // Package metrichygiene enforces the metric taxonomy rules from the
-// observability design (PR 4, DESIGN.md §11):
+// observability design (PR 4, DESIGN.md §13):
 //
 //   - registrations (Counter/Gauge/Histogram and their Vec forms on
 //     obs.Registry) use a literal name matching ^eta2_[a-z0-9_]+$;
@@ -108,7 +108,7 @@ func (c *checker) checkCall(call *ast.CallExpr, fileBase string, inFunc bool) {
 		case "CounterVec", "GaugeVec", "HistogramVec":
 			for _, arg := range call.Args {
 				if !c.bounded(arg, 3, make(map[types.Object]bool)) {
-					c.pass.Reportf(arg.Pos(), "unbounded label value %s: Vec.With arguments must come from a bounded literal set (see DESIGN.md §11) or be annotated //eta2:metrichygiene-ok", exprString(arg))
+					c.pass.Reportf(arg.Pos(), "unbounded label value %s: Vec.With arguments must come from a bounded literal set (see DESIGN.md §13) or be annotated //eta2:metrichygiene-ok", exprString(arg))
 				}
 			}
 		}

@@ -20,7 +20,7 @@
 // Servers can run purely in memory, persist explicit snapshots
 // (SaveState/LoadServer), or run fully durable: WithDurability journals
 // every mutation to a write-ahead log and recovers the exact pre-crash
-// state on the next start (see DESIGN.md §9).
+// state on the next start (see DESIGN.md §10).
 //
 // The internal packages expose the substrates individually (embedding
 // training, clustering, MLE truth analysis, allocation solvers, baselines,
