@@ -189,8 +189,8 @@ func WriteFrame(w io.Writer, lsn uint64, payload []byte) error {
 }
 
 // fillFrameHeader encodes the frame header for (lsn, payload) into hdr —
-// the shared core of WriteFrame and the Log's zero-alloc append path,
-// which reuses a Log-owned header scratch instead of a per-call array.
+// the shared core of WriteFrame and the Log's append path, which passes
+// the head of its Log-owned frame scratch.
 func fillFrameHeader(hdr *[headerSize]byte, lsn uint64, payload []byte) {
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(frameOverhead+len(payload)))
 	binary.BigEndian.PutUint64(hdr[8:16], lsn)

@@ -6,12 +6,12 @@ import "eta2/internal/obs"
 // serving process normally owns exactly one log). See DESIGN.md §13.
 var (
 	mFsyncDur = obs.Default().Histogram("eta2_wal_fsync_duration_seconds",
-		"Latency of WAL fsync calls, including the test-only SyncDelay.",
+		"Latency of WAL commit syncs (fdatasync on Linux, fsync elsewhere), including the test-only SyncDelay.",
 		obs.ExpBuckets(1e-5, 4, 10))
 	mFsyncs = obs.Default().Counter("eta2_wal_fsyncs_total",
-		"WAL fsync calls issued (group commit: one per leader, covering a batch).")
+		"WAL commit syncs issued (group commit: one per leader, covering a batch).")
 	mBatchRecords = obs.Default().Histogram("eta2_wal_group_commit_batch_records",
-		"Records made durable by a single group-commit fsync.",
+		"Records made durable by a single group-commit sync.",
 		obs.ExpBuckets(1, 2, 10))
 	mAppendRecords = obs.Default().Counter("eta2_wal_appended_records_total",
 		"Records appended to the WAL (buffered; durability follows at commit).")

@@ -15,26 +15,33 @@
 //	16      1     record-format version (recordVersion)
 //	17      n     opaque payload
 //
+// Only the active segment may end in zeros: appendAt keeps it zero-filled
+// one window ahead of the write frontier, so a record lands inside the
+// file size and its commit is a data-only flush. Sealing and Close trim
+// the window: a sealed or cleanly closed segment is exactly its records.
+//
 // Open scans every segment in LSN order and truncates the log at the
 // first torn or corrupt record (checksum mismatch, impossible length,
 // short frame, or non-increasing LSN): the file is cut at the last valid
-// record and any later segments are deleted. A record written with an
-// UNKNOWN format version is not corruption — it means a newer binary
-// wrote the log — and surfaces as ErrUnknownVersion instead of silent
-// truncation.
+// record and any later segments are deleted. An all-zero tail is the
+// window a killed process did not live to trim: cut, but not torn. A
+// record written with an UNKNOWN format version is not corruption — a
+// newer binary wrote the log — and a read error is not a torn tail: both
+// fail Open and leave the files alone.
 //
 // The Log is safe for concurrent use. Appends are split into two halves:
 // AppendBuffered assigns the LSN and writes the record into the OS page
 // cache under the log's internal mutex (so LSN order always equals file
 // order), and Commit waits for the record to reach stable storage.
 // Commit implements group commit: the first waiter becomes the commit
-// leader and issues a single fsync that covers every record buffered
+// leader and issues a single data sync that covers every record buffered
 // since the previous sync, so N concurrent appenders pay ~1 fsync, not N.
 // Append is the two halves back to back and keeps the original
 // one-call-per-record API.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,6 +73,12 @@ const frameOverhead = 8 + 1
 // maxPayload bounds a single record so a corrupt length field cannot ask
 // the reader to allocate gigabytes.
 const maxPayload = 64 << 20
+
+// window is how far ahead of the write frontier the active segment is
+// zero-filled: only the commit after an extension syncs a changed size.
+const window = 64 << 10
+
+var zeros [window]byte
 
 // ErrUnknownVersion is returned when a record carries a format version
 // this build does not understand. Unlike corruption it is NOT truncated
@@ -152,14 +165,15 @@ type Log struct {
 	mu       sync.Mutex
 	segs     []segment // all live segments in LSN order; last is active
 	active   *os.File
-	next     uint64 // next LSN to assign
-	first    uint64 // first LSN present, 0 if none
+	datasync func() error // active's commit sync (newDataSync)
+	filled   int64        // physical size of active: its records, then zeros
+	next     uint64       // next LSN to assign
+	first    uint64       // first LSN present, 0 if none
 	closed   bool
 	writeErr error // sticky: a partial record write we could not rewind
-	// frameHdr is appendAt's header scratch, reused under mu so the append
-	// path allocates nothing: a stack array passed through the io.Writer
-	// interface in WriteFrame would escape to the heap on every record.
-	frameHdr [headerSize]byte
+	// frame is appendAt's scratch, grown to the largest record seen: one
+	// write per record (a torn record is a prefix of it), no allocation.
+	frame []byte
 
 	tornBytes   int64
 	droppedSegs int
@@ -208,36 +222,38 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	for i := range segs {
-		valid, lastLSN, nRecords, verr := l.scanSegment(&segs[i])
+		valid, torn, verr := l.scanSegment(&segs[i])
 		if verr != nil {
 			return nil, verr
 		}
-		if lastLSN != 0 {
+		if segs[i].lastLSN != 0 {
 			if l.first == 0 {
 				l.first = segs[i].firstLSN
 			}
-			l.next = lastLSN + 1
+			l.next = segs[i].lastLSN + 1
 		}
-		segs[i].lastLSN = lastLSN
-		segs[i].records = nRecords
-		l.segs = append(l.segs, segs[i])
+		// Cut the tail. All zeros is the window of a killed process: nothing
+		// was lost, the log goes on. Anything else is a torn write, and
+		// every later segment goes with it.
 		if valid < segs[i].size {
-			// Torn tail: cut this segment at the last valid record and
-			// drop everything after it.
-			l.tornBytes += segs[i].size - valid
 			if err := os.Truncate(segs[i].path, valid); err != nil {
-				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+				return nil, fmt.Errorf("wal: truncate tail: %w", err)
 			}
-			l.segs[len(l.segs)-1].size = valid
-			for _, late := range segs[i+1:] {
-				l.tornBytes += late.size
-				l.droppedSegs++
-				if err := os.Remove(late.path); err != nil {
-					return nil, fmt.Errorf("wal: drop segment past torn tail: %w", err)
-				}
-			}
-			break
+			segs[i].size = valid
 		}
+		l.segs = append(l.segs, segs[i])
+		if torn == 0 {
+			continue
+		}
+		l.tornBytes += torn
+		for _, late := range segs[i+1:] {
+			l.tornBytes += late.size
+			l.droppedSegs++
+			if err := os.Remove(late.path); err != nil {
+				return nil, fmt.Errorf("wal: drop segment past torn tail: %w", err)
+			}
+		}
+		break
 	}
 	// Every record that survived recovery was acknowledged before the
 	// previous process exited (or was torn-truncated away above), so the
@@ -253,16 +269,13 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 	} else {
-		last := &l.segs[len(l.segs)-1]
+		last := l.segs[len(l.segs)-1]
 		f, err := os.OpenFile(last.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: reopen active segment: %w", err)
 		}
-		if _, err := f.Seek(last.size, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: seek active segment: %w", err)
-		}
-		l.active = f
+		// The first append writes the window, so Open costs no write.
+		l.active, l.datasync, l.filled = f, newDataSync(f), last.size
 	}
 	if l.tornBytes > 0 || l.droppedSegs > 0 {
 		mTornBytes.Add(uint64(l.tornBytes))
@@ -297,31 +310,39 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// scanSegment walks seg's records, returning the byte offset of the end
-// of the last valid record, the last valid LSN (0 if none), and the
-// record count. Corruption ends the scan; an unknown record version is a
-// hard error.
-func (l *Log) scanSegment(seg *segment) (valid int64, lastLSN uint64, n int, err error) {
+// scanSegment walks seg's records and fills in its lastLSN and record
+// count. It returns the end offset of the last valid record and how many
+// bytes past it are torn, counted through the segment's last non-zero
+// byte (0 with valid < size: a zero tail). Corruption ends the scan; an
+// unknown record version or a read error fails it.
+func (l *Log) scanSegment(seg *segment) (valid, torn int64, err error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 	r := &segmentReader{f: f, expectAfter: l.next - 1}
-	for {
-		_, _, rerr := r.next()
-		if rerr == io.EOF {
-			return r.valid, r.lastLSN, r.records, nil
+	for err == nil {
+		_, _, err = r.next()
+	}
+	seg.lastLSN, seg.records = r.lastLSN, r.records
+	if err == io.EOF {
+		return r.valid, 0, nil
+	} else if err != errCorrupt {
+		return 0, 0, fmt.Errorf("wal: scan %s at offset %d: %w", seg.path, r.valid, err)
+	}
+	// Everything before r.valid stands; search the rest backwards.
+	buf := make([]byte, window)
+	for end := seg.size; end > r.valid; end -= int64(len(buf)) {
+		buf = buf[:min(int64(len(buf)), end-r.valid)]
+		if _, err := f.ReadAt(buf, end-int64(len(buf))); err != nil {
+			return 0, 0, fmt.Errorf("wal: scan %s: %w", seg.path, err)
 		}
-		if errors.Is(rerr, ErrUnknownVersion) {
-			return 0, 0, 0, fmt.Errorf("%w (segment %s, offset %d)", ErrUnknownVersion, seg.path, r.valid)
-		}
-		if rerr != nil {
-			// Corruption: everything before r.valid stands, the rest is
-			// the torn tail.
-			return r.valid, r.lastLSN, r.records, nil
+		if n := len(bytes.TrimRight(buf, "\x00")); n > 0 {
+			return r.valid, end - int64(len(buf)) + int64(n) - r.valid, nil
 		}
 	}
+	return r.valid, 0, nil
 }
 
 // segmentReader decodes records sequentially, tracking the end offset of
@@ -341,15 +362,15 @@ type segmentReader struct {
 // errCorrupt marks a record that fails validation (the torn tail).
 var errCorrupt = errors.New("wal: corrupt record")
 
-// next decodes one record. io.EOF means a clean end; errCorrupt (or any
-// read error) means the tail from r.valid onward is garbage.
+// next decodes one record. io.EOF means a clean end; errCorrupt means the
+// tail from r.valid onward is garbage; any other error is the reader's
+// own (an EIO is not a torn tail) and nothing may be truncated on it.
 func (r *segmentReader) next() (lsn uint64, payload []byte, err error) {
 	hn, err := io.ReadFull(r.f, r.header[:])
-	if err == io.EOF {
-		return 0, nil, io.EOF
-	}
-	if err != nil { // includes io.ErrUnexpectedEOF: torn header
+	if err == io.ErrUnexpectedEOF { // torn header
 		return 0, nil, errCorrupt
+	} else if err != nil {
+		return 0, nil, err
 	}
 	r.off += int64(hn)
 	frameLen := binary.BigEndian.Uint32(r.header[0:4])
@@ -361,8 +382,10 @@ func (r *segmentReader) next() (lsn uint64, payload []byte, err error) {
 		r.buf = make([]byte, payloadLen)
 	}
 	payload = r.buf[:payloadLen]
-	if _, err := io.ReadFull(r.f, payload); err != nil {
-		return 0, nil, errCorrupt
+	if _, err := io.ReadFull(r.f, payload); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return 0, nil, errCorrupt // torn payload
+	} else if err != nil {
+		return 0, nil, err
 	}
 	r.off += int64(payloadLen)
 	crc := crc32.Update(0, castagnoli, r.header[8:headerSize])
@@ -390,12 +413,13 @@ func (l *Log) segmentPath(lsn uint64) string {
 }
 
 // openSegment seals the active segment (if any) and starts a new one at
-// the next LSN. Sealing fsyncs before closing, so every record in a
-// sealed segment is durable — the invariant the commit leader relies on
-// when it finds its captured file already closed. Called with mu held.
+// the next LSN. Sealing trims the zero window and fsyncs before closing,
+// so a sealed segment is exactly its records and every one is durable —
+// the invariant the commit leader relies on when it finds its captured
+// file already closed. Called with mu held.
 func (l *Log) openSegment() error {
 	if l.active != nil {
-		if err := l.active.Sync(); err != nil {
+		if err := l.trimSync(); err != nil {
 			return fmt.Errorf("wal: seal segment: %w", err)
 		}
 		if err := l.active.Close(); err != nil {
@@ -405,14 +429,25 @@ func (l *Log) openSegment() error {
 		mRotations.Inc()
 	}
 	path := l.segmentPath(l.next)
+	// Always a fresh file: a recycled one holds stale, valid records.
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	l.active = f
+	l.active, l.datasync, l.filled = f, newDataSync(f), 0
 	l.segs = append(l.segs, segment{path: path, firstLSN: l.next})
 	l.syncDir()
 	return nil
+}
+
+// trimSync cuts the zero window off the active segment and fsyncs it (a
+// full fsync: the file just shrank). Called with mu held.
+func (l *Log) trimSync() error {
+	l.filled = l.segs[len(l.segs)-1].size
+	if err := l.active.Truncate(l.filled); err != nil {
+		return err
+	}
+	return l.active.Sync()
 }
 
 // Append writes one record and returns its LSN, fsyncing per the sync
@@ -482,16 +517,23 @@ func (l *Log) appendAt(at uint64, payload []byte) (uint64, error) {
 	if at != 0 {
 		lsn = at
 	}
-	// Inline frame write against the concrete *os.File with the Log-owned
-	// header scratch: the generic WriteFrame(io.Writer, ...) would heap-
-	// allocate its header array per record (interface escape), and the
-	// ingest hot path budgets zero allocations here.
-	fillFrameHeader(&l.frameHdr, lsn, payload)
-	if _, err := l.active.Write(l.frameHdr[:]); err != nil {
-		l.rewind(active)
-		return 0, fmt.Errorf("wal: append: %w", err)
+	// Extend the zero window to the next multiple of its size, so the
+	// record lands inside the file; the next commit's sync covers both.
+	for end := active.size + recLen; l.filled < end; {
+		fill := zeros[:window-l.filled%window]
+		if _, err := l.active.WriteAt(fill, l.filled); err != nil {
+			l.rewind(active)
+			return 0, fmt.Errorf("wal: append: %w", err)
+		}
+		l.filled += int64(len(fill))
 	}
-	if _, err := l.active.Write(payload); err != nil {
+	if int64(cap(l.frame)) < recLen {
+		l.frame = make([]byte, recLen)
+	}
+	frame := l.frame[:recLen]
+	fillFrameHeader((*[headerSize]byte)(frame), lsn, payload)
+	copy(frame[headerSize:], payload)
+	if _, err := l.active.WriteAt(frame, active.size); err != nil {
 		l.rewind(active)
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -507,17 +549,14 @@ func (l *Log) appendAt(at uint64, payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// rewind cuts a partially written record back off the active segment so
-// the next append starts at a clean record boundary. If the cut itself
-// fails the log is poisoned: later appends would land after garbage bytes
-// and be unreachable to recovery, so they must be refused. Called with mu
-// held.
+// rewind cuts a partially written record (and the window with it) back
+// off the active segment so the next append starts at a clean record
+// boundary. If the cut fails the log is poisoned: later appends would
+// land after garbage bytes and be unreachable to recovery, so they must
+// be refused. Called with mu held.
 func (l *Log) rewind(active *segment) {
+	l.filled = active.size
 	if err := l.active.Truncate(active.size); err != nil {
-		l.writeErr = fmt.Errorf("wal: unreadable tail after failed append: %w", err)
-		return
-	}
-	if _, err := l.active.Seek(active.size, io.SeekStart); err != nil {
 		l.writeErr = fmt.Errorf("wal: unreadable tail after failed append: %w", err)
 	}
 }
@@ -577,10 +616,10 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 	l.syncMu.Unlock()
 
 	// This goroutine is the commit leader. Capture the write frontier and
-	// the active file, then fsync outside both locks so appenders keep
-	// writing the next batch behind the in-flight sync.
+	// the active segment's sync, then run it outside both locks so
+	// appenders keep writing the next batch behind the in-flight sync.
 	l.mu.Lock()
-	file := l.active
+	datasync := l.datasync
 	frontier := l.next - 1
 	closed := l.closed
 	l.mu.Unlock()
@@ -591,9 +630,9 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 	}
 	if closed {
 		err = ErrClosed
-	} else if serr := file.Sync(); serr != nil && !errors.Is(serr, os.ErrClosed) {
+	} else if serr := datasync(); serr != nil && !errors.Is(serr, os.ErrClosed) {
 		// os.ErrClosed means the segment was sealed (rotated) between the
-		// capture and the fsync — sealing itself fsyncs, so every record
+		// capture and the sync — sealing itself fsyncs, so every record
 		// the leader covers is already durable. Anything else is real.
 		err = fmt.Errorf("wal: sync: %w", serr)
 	}
@@ -747,7 +786,7 @@ func (l *Log) Close() error {
 	}
 	frontier := l.next - 1
 	var err error
-	if serr := l.active.Sync(); serr != nil {
+	if serr := l.trimSync(); serr != nil {
 		err = fmt.Errorf("wal: sync: %w", serr)
 	}
 	if cerr := l.active.Close(); err == nil && cerr != nil {

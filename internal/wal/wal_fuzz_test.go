@@ -27,7 +27,8 @@ func encodeFrame(lsn uint64, payload []byte) []byte {
 // checks the recovery contract: it never panics, it never claims more
 // valid bytes than exist, and whatever prefix it does accept re-decodes
 // to exactly the same records — a torn or corrupted tail can only ever
-// truncate, never alter, the recovered history.
+// truncate, never alter, the recovered history — and that a zero tail (the
+// append window) after that prefix never yields a record.
 func FuzzWALReadRecord(f *testing.F) {
 	rec1 := encodeFrame(1, []byte(`{"type":"add_user"}`))
 	rec2 := encodeFrame(2, []byte("second payload"))
@@ -36,6 +37,9 @@ func FuzzWALReadRecord(f *testing.F) {
 	f.Add(append(append([]byte{}, rec1...), rec2...))
 	f.Add(append(append([]byte{}, rec1...), rec2[:len(rec2)-5]...)) // torn tail
 	f.Add(append(append([]byte{}, rec1...), "garbage after the record"...))
+	zeroTail := make([]byte, 3*headerSize)
+	f.Add(append(append([]byte{}, rec1...), zeroTail...))                                // killed process: window left behind
+	f.Add(append(append(append([]byte{}, rec1...), rec2[:len(rec2)-5]...), zeroTail...)) // write torn inside the window
 	corrupt := append([]byte{}, rec1...)
 	corrupt[len(corrupt)-1] ^= 0xff // flip a payload bit: CRC must catch it
 	f.Add(corrupt)
@@ -99,6 +103,22 @@ func FuzzWALReadRecord(f *testing.F) {
 		if re.valid != r.valid || re.lastLSN != r.lastLSN {
 			t.Fatalf("prefix re-decode: valid/lastLSN %d/%d, want %d/%d",
 				re.valid, re.lastLSN, r.valid, r.lastLSN)
+		}
+
+		// The accepted prefix followed by zeros — shorter than a header, or
+		// longer — stops at the same offset, as corruption, with no record
+		// conjured out of the zeros.
+		for _, n := range []int{1 + len(data)%headerSize, headerSize + len(data)%64} {
+			windowed := append(append([]byte{}, data[:r.valid]...), make([]byte, n)...)
+			z := &segmentReader{f: bytes.NewReader(windowed), expectAfter: 0}
+			var err error
+			for err == nil {
+				_, _, err = z.next()
+			}
+			if err != errCorrupt || z.valid != r.valid || z.records != len(lsns) {
+				t.Fatalf("%d-byte zero tail: err %v, valid %d, records %d; want errCorrupt, %d, %d",
+					n, err, z.valid, z.records, r.valid, len(lsns))
+			}
 		}
 	})
 }

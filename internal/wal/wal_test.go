@@ -151,60 +151,66 @@ func lastSegment(t *testing.T, dir string) string {
 
 func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 	// Build a 3-record log, then cut the file at every byte offset inside
-	// the final record: recovery must always keep exactly the first two
-	// records and position appends after them.
+	// the final record, in both crash shapes: recovery must always keep
+	// exactly the first two records and position appends after them.
 	build := func(dir string) (segPath string, prevSize int64) {
 		l, err := Open(dir, Options{Sync: SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
 		appendAll(t, l, "first", "second")
-		seg := lastSegment(t, dir)
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prevSize = l.Stats().Bytes
 		appendAll(t, l, "third-record-payload")
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return seg, fi.Size()
+		return lastSegment(t, dir), prevSize
 	}
 
 	probe := t.TempDir()
 	seg, prevSize := build(probe)
-	full, err := os.Stat(seg)
+	full, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for cut := prevSize; cut < full.Size(); cut++ {
-		dir := t.TempDir()
-		seg, prev := build(dir)
-		if prev != prevSize {
-			t.Fatalf("non-deterministic build: %d vs %d", prev, prevSize)
+	for cut := prevSize; cut < int64(len(full)); cut++ {
+		// Zeros at the end of the cut cannot be told from the window, so
+		// torn bytes run through the last non-zero byte in either shape.
+		wantTorn := int64(len(bytes.TrimRight(full[prevSize:cut], "\x00")))
+		// Both crash shapes: the file ends at the cut, or is zero from the
+		// cut to the window's end (a write torn inside filled space).
+		for _, end := range []int64{cut, window} {
+			dir := t.TempDir()
+			seg, prev := build(dir)
+			if prev != prevSize {
+				t.Fatalf("non-deterministic build: %d vs %d", prev, prevSize)
+			}
+			if err := os.Truncate(seg, cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(seg, end); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(dir, Options{Sync: SyncNever})
+			if err != nil {
+				t.Fatalf("cut %d of %d: %v", cut, end, err)
+			}
+			st := l.Stats()
+			if st.TornBytes != wantTorn {
+				t.Errorf("cut %d of %d: torn bytes %d, want %d", cut, end, st.TornBytes, wantTorn)
+			}
+			_, payloads := replayAll(t, l)
+			if fmt.Sprint(payloads) != fmt.Sprint([]string{"first", "second"}) {
+				t.Fatalf("cut %d of %d: recovered %q", cut, end, payloads)
+			}
+			// The log must accept appends again, with the torn LSN reused.
+			lsns := appendAll(t, l, "fourth")
+			if lsns[0] != 3 {
+				t.Errorf("cut %d of %d: lsn after recovery = %d, want 3", cut, end, lsns[0])
+			}
+			l.Close()
 		}
-		if err := os.Truncate(seg, cut); err != nil {
-			t.Fatal(err)
-		}
-		l, err := Open(dir, Options{Sync: SyncNever})
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		st := l.Stats()
-		if st.TornBytes != cut-prevSize {
-			t.Errorf("cut %d: torn bytes %d, want %d", cut, st.TornBytes, cut-prevSize)
-		}
-		_, payloads := replayAll(t, l)
-		if fmt.Sprint(payloads) != fmt.Sprint([]string{"first", "second"}) {
-			t.Fatalf("cut %d: recovered %q", cut, payloads)
-		}
-		// The log must accept appends again, with the torn LSN reused.
-		lsns := appendAll(t, l, "fourth")
-		if lsns[0] != 3 {
-			t.Errorf("cut %d: lsn after recovery = %d, want 3", cut, lsns[0])
-		}
-		l.Close()
 	}
 }
 
@@ -216,8 +222,7 @@ func TestCorruptMiddleByteTruncates(t *testing.T) {
 	}
 	appendAll(t, l, "first", "second")
 	seg := lastSegment(t, dir)
-	fi, _ := os.Stat(seg)
-	prevSize := fi.Size()
+	prevSize := l.Stats().Bytes
 	appendAll(t, l, "third")
 	l.Close()
 

@@ -233,8 +233,9 @@ func TestDurableRecoveryAtEveryBoundary(t *testing.T) {
 }
 
 // TestDurableTornFinalRecord cuts the WAL's final record at every byte
-// offset (a torn write mid-record): recovery must truncate it away, land
-// exactly on the previous boundary's state, and leave a usable server.
+// offset (a torn write mid-record), in both shapes a crash leaves:
+// recovery must truncate it away, land exactly on the previous boundary's
+// state, and leave a usable server.
 func TestDurableTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
@@ -266,11 +267,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 		t.Fatalf("want a single segment, got %d", len(segs))
 	}
 	seg := segs[0]
-	fi, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevSize := fi.Size()
+	prevSize := s.journal.Stats().Bytes
 	prevWant := saveBytes(t, s)
 
 	// The record that will be torn.
@@ -280,36 +277,52 @@ func TestDurableTornFinalRecord(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	fi, err = os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullSize := fi.Size()
+	fullSize := s.journal.Stats().Bytes
 	if fullSize <= prevSize {
 		t.Fatalf("final record added no bytes (%d -> %d)", prevSize, fullSize)
 	}
+	live, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowEnd := int64(len(live)) // the live segment: records, then the WAL's zero window
+	if windowEnd <= fullSize {
+		t.Fatalf("live segment is %d bytes for %d of records: no append window", windowEnd, fullSize)
+	}
+	// Losing only the record's trailing zero bytes to zeros loses nothing.
+	lastNonZero := int64(len(bytes.TrimRight(live, "\x00")))
 
 	for cut := prevSize; cut < fullSize; cut++ {
-		cdir := copyDataDir(t, dir)
-		cseg := filepath.Join(cdir, filepath.Base(seg))
-		if err := os.Truncate(cseg, cut); err != nil {
-			t.Fatal(err)
+		// Both crash shapes: the file ends at the cut, or is zero from the
+		// cut to the window's end (a write torn inside filled space).
+		for _, end := range []int64{cut, windowEnd} {
+			if end == windowEnd && cut >= lastNonZero {
+				continue
+			}
+			cdir := copyDataDir(t, dir)
+			cseg := filepath.Join(cdir, filepath.Base(seg))
+			if err := os.Truncate(cseg, cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(cseg, end); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewServer(WithDurability(cdir, pol))
+			if err != nil {
+				t.Fatalf("cut %d: recovery failed: %v", cut, err)
+			}
+			if got := saveBytes(t, r); !bytes.Equal(got, prevWant) {
+				t.Fatalf("cut %d: recovered state does not match the last intact boundary", cut)
+			}
+			// The recovered server must keep accepting work.
+			if err := r.SubmitObservations(Observation{Task: 2, User: 1, Value: 3.5}); err != nil {
+				t.Fatalf("cut %d: recovered server rejected new work: %v", cut, err)
+			}
+			if _, err := r.CloseTimeStep(); err != nil {
+				t.Fatalf("cut %d: recovered server cannot close a step: %v", cut, err)
+			}
+			r.journal.Close()
 		}
-		r, err := NewServer(WithDurability(cdir, pol))
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		if got := saveBytes(t, r); !bytes.Equal(got, prevWant) {
-			t.Fatalf("cut %d: recovered state does not match the last intact boundary", cut)
-		}
-		// The recovered server must keep accepting work.
-		if err := r.SubmitObservations(Observation{Task: 2, User: 1, Value: 3.5}); err != nil {
-			t.Fatalf("cut %d: recovered server rejected new work: %v", cut, err)
-		}
-		if _, err := r.CloseTimeStep(); err != nil {
-			t.Fatalf("cut %d: recovered server cannot close a step: %v", cut, err)
-		}
-		r.journal.Close()
 	}
 }
 
