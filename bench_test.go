@@ -27,6 +27,7 @@ import (
 	"eta2/internal/dataset"
 	"eta2/internal/embedding"
 	"eta2/internal/experiments"
+	"eta2/internal/loop"
 	"eta2/internal/semantic"
 	"eta2/internal/simulation"
 	"eta2/internal/stats"
@@ -153,6 +154,79 @@ func BenchmarkDynamicClusteringAdd(b *testing.B) {
 		if _, err := eng.AddItems(add); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIdentifyWithHistory times one day's domain identification — 500
+// described tasks, V_Q and V_T of 32 dimensions each — on top of 0, 5 000
+// and 10 000 tasks of history, for both row builders: loop.Domains
+// (per-domain statistics, what the server runs) and cluster.New over the
+// same vectors (pair distances, the oracle). evals/op is the number of Eq. 2
+// evaluations a batch made; the statistics builder's does not grow with the
+// history, the pairwise builder's is 500 per item of it.
+func BenchmarkIdentifyWithHistory(b *testing.B) {
+	const batch = 500
+	emb := embedding.NewHashEmbedder(32, 7)
+	cfg := dataset.SurveyConfig(1)
+	cfg.NumTasks, cfg.NumDomains = 10_000+batch, 6
+	tasks := dataset.Textual(cfg).Tasks
+	vzr := semantic.NewVectorizer(emb)
+	vecs := make([]semantic.TaskVector, len(tasks))
+	ids := make([]core.TaskID, len(tasks))
+	for i, t := range tasks {
+		var err error
+		if vecs[i], err = vzr.Vectorize(t.Description); err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = core.TaskID(i)
+	}
+	noMerge := func(_, _ core.DomainID) {}
+	dist := func(x, y int) float64 { return semantic.Distance(vecs[x], vecs[y]) }
+
+	for _, history := range []int{0, 5_000, 10_000} {
+		// The history is identified once, day by day, and every iteration
+		// restores from its state: both builders read the same snapshot.
+		past, err := loop.NewDomains(emb, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for at := 0; at < history; at += batch {
+			if _, err := past.Identify(ids[at:at+batch], vecs[at:at+batch], map[core.TaskID]core.DomainID{}, noMerge); err != nil {
+				b.Fatal(err)
+			}
+		}
+		state := past.State()
+		run := func(b *testing.B, restore func() (identify func() (cluster.Update, error), err error)) {
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				identify, err := restore()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				up, err := identify()
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += up.DistEvals
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		}
+		b.Run(fmt.Sprintf("history=%d/statistics", history), func(b *testing.B) {
+			run(b, func() (func() (cluster.Update, error), error) {
+				d, err := loop.RestoreDomains(state, emb)
+				return func() (cluster.Update, error) {
+					return d.Identify(ids[history:history+batch], vecs[history:history+batch], map[core.TaskID]core.DomainID{}, noMerge)
+				}, err
+			})
+		})
+		b.Run(fmt.Sprintf("history=%d/pairwise", history), func(b *testing.B) {
+			run(b, func() (func() (cluster.Update, error), error) {
+				e, err := cluster.Restore(state.Cluster, dist)
+				return func() (cluster.Update, error) { return e.AddItems(batch) }, err
+			})
+		})
 	}
 }
 

@@ -31,6 +31,8 @@ type Update struct {
 	NewDomains []core.DomainID
 	// Merges lists established-domain merges performed this round.
 	Merges []MergeEvent
+	// DistEvals counts the calls to the pair DistFunc this round made.
+	DistEvals int
 }
 
 // Engine is the dynamic hierarchical clusterer. It owns the evolving
@@ -40,6 +42,7 @@ type Update struct {
 type Engine struct {
 	gamma  float64
 	dist   DistFunc
+	points *points // nil: made by New, every row is built from pair distances
 	nItems int
 	dstar  float64
 
@@ -58,6 +61,12 @@ type Engine struct {
 type clusterState struct {
 	domain core.DomainID
 	items  []int
+	// Sufficient statistics of the members' coordinates, kept only by an
+	// engine with points (see points.go): Σv and Σ‖v‖² over the covered
+	// smallest members, summed left to right in ascending item index.
+	sum     []float64
+	sq      float64
+	covered int
 }
 
 // ErrBadGamma is returned for γ outside [0, 1].
@@ -114,6 +123,13 @@ func (e *Engine) AddItems(n int) (Update, error) {
 	}
 	timer := obs.StartTimer()
 	oldItems := e.nItems
+	var batch []float64 // the new items' coordinates, for an engine with points
+	if e.points != nil {
+		var err error
+		if batch, err = e.points.batch(oldItems, n); err != nil {
+			return Update{}, err
+		}
+	}
 
 	// 1. Create singleton slots and extend the distance matrix.
 	oldK := len(e.clusters)
@@ -125,35 +141,12 @@ func (e *Engine) AddItems(n int) (Update, error) {
 	e.dmat = growMatrix(e.dmat, k)
 	e.nItems += n
 
-	// 2. Compute distances from each new item to every earlier item,
-	// updating d* and accumulating per-cluster sums so each new singleton's
-	// average-linkage distance to every other cluster is exact.
-	sums := make([]float64, k)
-	for x := oldItems; x < e.nItems; x++ {
-		for c := range sums {
-			sums[c] = 0
-		}
-		for y := 0; y < x; y++ {
-			d := e.dist(x, y)
-			if d > e.dstar {
-				e.dstar = d
-			}
-			sums[e.itemCluster[y]] += d
-		}
-		xc := e.itemCluster[x]
-		for c := range e.clusters {
-			if c == xc || len(e.clusters[c].items) == 0 {
-				continue
-			}
-			// Only items with index < x contribute to sums[c]; clusters of
-			// later new items are still empty of smaller indices and get
-			// filled when those items scan x instead.
-			if cnt := countBelow(e.clusters[c].items, x); cnt > 0 {
-				avg := sums[c] / float64(cnt)
-				e.dmat[xc][c] = avg
-				e.dmat[c][xc] = avg
-			}
-		}
+	// 2. Fill the new singletons' rows of the linkage matrix and update d*.
+	var evals int
+	if e.points == nil {
+		evals = e.pairRows(oldItems)
+	} else {
+		evals = e.statRows(oldItems, oldK, batch)
 	}
 
 	// 3. Build the dendrogram on a working copy and keep merges below the
@@ -178,13 +171,55 @@ func (e *Engine) AddItems(n int) (Update, error) {
 	if applied > 0 || n > 0 {
 		e.compact()
 	}
+	if e.points != nil {
+		e.settleStats(oldItems, batch)
+	}
 	up := e.resolveDomains()
+	up.DistEvals = evals
 	mItems.Add(uint64(n))
+	mDistEvals.Add(uint64(evals))
 	mMerges.Add(uint64(applied))
 	mDomainMerges.Add(uint64(len(up.Merges)))
 	mDomains.Set(float64(len(e.clusters)))
 	timer.ObserveTo(mAddDur)
 	return up, nil
+}
+
+// pairRows is the row builder of an engine made by New: it computes the
+// distance from each new item to every earlier item, updating d* and
+// accumulating per-cluster sums so each new singleton's average-linkage
+// distance to every other cluster is exact. It returns the number of pair
+// evaluations, n·oldItems + n(n−1)/2.
+func (e *Engine) pairRows(oldItems int) (evals int) {
+	sums := make([]float64, len(e.clusters))
+	for x := oldItems; x < e.nItems; x++ {
+		for c := range sums {
+			sums[c] = 0
+		}
+		for y := 0; y < x; y++ {
+			d := e.dist(x, y)
+			if d > e.dstar {
+				e.dstar = d
+			}
+			sums[e.itemCluster[y]] += d
+		}
+		evals += x
+		xc := e.itemCluster[x]
+		for c := range e.clusters {
+			if c == xc || len(e.clusters[c].items) == 0 {
+				continue
+			}
+			// Only items with index < x contribute to sums[c]; clusters of
+			// later new items are still empty of smaller indices and get
+			// filled when those items scan x instead.
+			if cnt := countBelow(e.clusters[c].items, x); cnt > 0 {
+				avg := sums[c] / float64(cnt)
+				e.dmat[xc][c] = avg
+				e.dmat[c][xc] = avg
+			}
+		}
+	}
+	return evals
 }
 
 // applyMerge folds cluster slot b into slot a in the persistent state.
@@ -207,6 +242,16 @@ func (e *Engine) applyMerge(a, b int) {
 		e.itemCluster[it] = a
 	}
 	ca.items = append(ca.items, cb.items...)
+	// An established cluster's statistics follow it into a cluster of batch
+	// items. Two sets of them cannot be added and stay a left-to-right sum,
+	// so a merge of two established clusters drops both; settleStats sees
+	// that covered no longer counts the old members and sums them afresh.
+	if ca.covered == 0 {
+		ca.sum, ca.sq, ca.covered = cb.sum, cb.sq, cb.covered
+	} else if cb.covered > 0 {
+		ca.sum, ca.sq, ca.covered = nil, 0, 0
+	}
+	cb.sum, cb.sq, cb.covered = nil, 0, 0
 	// Keep the established domain if exactly one side has one; prefer the
 	// domain of the larger pre-merge side when both have one. Ties go to
 	// the older (smaller) domain ID for determinism.

@@ -14,7 +14,9 @@ var (
 		"Cluster merges applied below the gamma*d* threshold.")
 	mDomainMerges = obs.Default().Counter("eta2_cluster_domain_merges_total",
 		"Established-domain merge events (expertise accumulators folded together).")
+	mDistEvals = obs.Default().Counter("eta2_cluster_distance_evals_total",
+		"Pair distance evaluations made by AddItems rounds (batch pairs and d* candidates; every pair with history for an engine without point statistics).")
 	mAddDur = obs.Default().Histogram("eta2_cluster_add_duration_seconds",
-		"Wall time of one AddItems round (distance updates + dendrogram).",
+		"Wall time of one AddItems round (new linkage rows + dendrogram).",
 		obs.DefBuckets)
 )

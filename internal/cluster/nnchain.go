@@ -9,6 +9,11 @@
 // linkage is reducible, hence the dendrogram is monotone (no inversions),
 // so "apply every merge with distance < threshold" is exactly the paper's
 // "merge closest pairs until the closest distance reaches the threshold".
+//
+// What feeds the agglomeration — a new item's row of the linkage matrix —
+// is built from pair distances to every earlier item (New, any distance) or,
+// for points under the paper's Eq. 2, from per-cluster sufficient statistics
+// at a cost that does not grow with history (NewEuclidean, points.go).
 package cluster
 
 // Merge records one dendrogram merge: cluster slot b was folded into slot a

@@ -23,6 +23,7 @@ import (
 // the clusterer is the i-th described task ever added.
 type Domains struct {
 	vectorizer *semantic.Vectorizer // nil: restored without an embedder
+	dim        int                  // of V_Q and of V_T; 0 until an embedder or a vector sets it
 	vectors    []semantic.TaskVector
 	tasks      []core.TaskID
 	engine     *cluster.Engine
@@ -39,31 +40,56 @@ type DomainsState struct {
 // NewDomains creates an empty identifier that embeds with e and clusters
 // with termination parameter gamma.
 func NewDomains(e embedding.Embedder, gamma float64) (*Domains, error) {
-	d := &Domains{vectorizer: semantic.NewVectorizer(e)}
+	d := &Domains{vectorizer: semantic.NewVectorizer(e), dim: e.Dim()}
 	return d, d.bind(gamma, nil)
 }
 
 // RestoreDomains rebuilds an identifier from its state. The saved vectors
-// are reused as they are; e — nil for none — only embeds tasks added later.
+// are reused as they are; e — nil for none — only embeds tasks added later,
+// so it must have the dimension the saved vectors have: Eq. 2 between
+// vectors of two dimensions is +Inf, and a d* of +Inf merges every domain.
 func RestoreDomains(st DomainsState, e embedding.Embedder) (*Domains, error) {
 	if n := st.Cluster.NItems; len(st.Vectors) != n || len(st.Tasks) != n {
 		return nil, fmt.Errorf("loop: %d vectors / %d task ids for %d clustered items", len(st.Vectors), len(st.Tasks), n)
 	}
 	d := &Domains{vectors: st.Vectors, tasks: st.Tasks}
 	if e != nil {
-		d.vectorizer = semantic.NewVectorizer(e)
+		d.vectorizer, d.dim = semantic.NewVectorizer(e), e.Dim()
+	}
+	if err := d.checkDim("saved", st.Vectors); err != nil {
+		return nil, err
 	}
 	return d, d.bind(0, &st.Cluster)
 }
 
+// checkDim refuses vectors whose halves are not all of the identifier's
+// dimension, which the first vector sets when no embedder has.
+func (d *Domains) checkDim(what string, vectors []semantic.TaskVector) error {
+	dim := d.dim
+	for i, v := range vectors {
+		if dim == 0 {
+			dim = len(v.Query)
+		}
+		if len(v.Query) != dim || len(v.Target) != dim {
+			return fmt.Errorf("loop: %s task vector %d has dimension %d (query) / %d (target), not the %d of the embedder and of the task vectors so far",
+				what, i, len(v.Query), len(v.Target), dim)
+		}
+	}
+	d.dim = dim
+	return nil
+}
+
 // bind creates the clusterer — fresh, or from a saved state — over this
-// identifier's own vectors.
+// identifier's own vectors: Eq. 2 between pairs, [V_Q, V_T] as coordinates.
 func (d *Domains) bind(gamma float64, saved *cluster.EngineState) (err error) {
 	dist := func(a, b int) float64 { return semantic.Distance(d.vectors[a], d.vectors[b]) }
+	coords := func(item int, buf []float64) []float64 {
+		return append(append(buf, d.vectors[item].Query...), d.vectors[item].Target...)
+	}
 	if saved == nil {
-		d.engine, err = cluster.New(gamma, dist)
+		d.engine, err = cluster.NewEuclidean(gamma, dist, coords)
 	} else {
-		d.engine, err = cluster.Restore(*saved, dist)
+		d.engine, err = cluster.RestoreEuclidean(*saved, dist, coords)
 	}
 	return err
 }
@@ -94,8 +120,13 @@ func (d *Domains) Vectorize(description string) (semantic.TaskVector, error) {
 // described task's current domain — old tasks move when clusters merge — is
 // written into domainOf, and each merge of two established domains is
 // reported to merge (truth.Store.MergeDomains folds the expertise, Sec. 4.2).
+// A batch with a vector of another dimension than the tasks before it is
+// refused whole, before anything is added.
 func (d *Domains) Identify(tasks []core.TaskID, vectors []semantic.TaskVector,
 	domainOf map[core.TaskID]core.DomainID, merge func(into, from core.DomainID)) (cluster.Update, error) {
+	if err := d.checkDim("new", vectors); err != nil {
+		return cluster.Update{}, err
+	}
 	d.vectors = append(d.vectors, vectors...)
 	d.tasks = append(d.tasks, tasks...)
 	up, err := d.engine.AddItems(len(tasks))

@@ -9,6 +9,7 @@ import (
 
 	"eta2/internal/cluster"
 	"eta2/internal/core"
+	"eta2/internal/embedding"
 	"eta2/internal/truth"
 )
 
@@ -234,6 +235,28 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, s), saveBytes(t, restored)) {
 		t.Error("closing the step diverges between original and restored server")
+	}
+}
+
+// A snapshot with described tasks reopened under an embedder of another
+// dimension (a data directory restarted with another -model) used to open:
+// the first new description was then at distance +Inf from every saved one,
+// d* became +Inf and every domain merged into one.
+func TestLoadServerRefusesEmbedderOfAnotherDimension(t *testing.T) {
+	s, err := NewServer(WithEmbedder(embedding.NewHashEmbedder(16, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTasks(TaskSpec{Description: "What is the noise level at the airport?", ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.SaveStateBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadServer(&buf, WithEmbedder(embedding.NewHashEmbedder(8, 7)))
+	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "16") || !strings.Contains(err.Error(), "8") {
+		t.Errorf("16-dimensional task vectors under an 8-dimensional embedder: %v", err)
 	}
 }
 

@@ -516,8 +516,10 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 
 	// Journal before applying: if the write fails, no state has changed
 	// and live memory stays equal to what recovery would rebuild. The
-	// apply below cannot fail (Identify's only error path, AddItems, rejects
-	// negative counts).
+	// apply below cannot fail: Identify refuses a vector of another
+	// dimension and AddItems a negative count, and every vector here came
+	// from this identifier's own embedder, whose dimension RestoreDomains
+	// held the saved vectors to.
 	lsn, err := s.journalBuffered(at, walEvent{Type: eventCreateTasks, Specs: specs})
 	if err != nil {
 		return nil, 0, err
