@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"eta2/internal/allocation"
 	"eta2/internal/cluster"
@@ -181,6 +182,7 @@ func BenchmarkIdentifyWithHistory(b *testing.B) {
 		ids[i] = core.TaskID(i)
 	}
 	noMerge := func(_, _ core.DomainID) {}
+	domainOf := make([]core.DomainID, len(tasks)) // written, never read: every builder's output lands here
 	dist := func(x, y int) float64 { return semantic.Distance(vecs[x], vecs[y]) }
 
 	for _, history := range []int{0, 5_000, 10_000} {
@@ -191,7 +193,7 @@ func BenchmarkIdentifyWithHistory(b *testing.B) {
 			b.Fatal(err)
 		}
 		for at := 0; at < history; at += batch {
-			if _, err := past.Identify(ids[at:at+batch], vecs[at:at+batch], map[core.TaskID]core.DomainID{}, noMerge); err != nil {
+			if _, err := past.Identify(ids[at:at+batch], vecs[at:at+batch], domainOf, noMerge); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -217,7 +219,7 @@ func BenchmarkIdentifyWithHistory(b *testing.B) {
 			run(b, func() (func() (cluster.Update, error), error) {
 				d, err := loop.RestoreDomains(state, emb)
 				return func() (cluster.Update, error) {
-					return d.Identify(ids[history:history+batch], vecs[history:history+batch], map[core.TaskID]core.DomainID{}, noMerge)
+					return d.Identify(ids[history:history+batch], vecs[history:history+batch], domainOf, noMerge)
 				}, err
 			})
 		})
@@ -366,6 +368,94 @@ func BenchmarkServerAPIRoundTrip(b *testing.B) {
 		if _, err := s.CloseTimeStep(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStepWithTaskHistory times what a step pays for the tasks of
+// earlier days: one create of 10 000 hinted tasks and one close over two
+// observations per new task, on a server restored with 0, 50 000 and
+// 150 000 hinted, estimated tasks of history. ms/create is the create;
+// ms/close-minus-MLE is the close less its "truth estimate" span (table
+// build, store clone, MLE), i.e. the truths column copy, the report and the
+// publish. The per-task columns make the create an append and the close one
+// flat copy, so neither should grow like the history does. The step timed is
+// the first whose tasks fit the capacity of s.tasks: a restored slice has
+// none to spare, and whether one particular create pays append's amortized
+// reallocation (a copy of every core.Task, once per quarter of the history)
+// is luck of the sizes, not a cost of the design measured here.
+func BenchmarkStepWithTaskHistory(b *testing.B) {
+	const day, users = 10_000, 20
+	specs := make([]TaskSpec, day)
+	for i := range specs {
+		specs[i] = TaskSpec{ProcTime: 1, DomainHint: DomainID(i%8 + 1)}
+	}
+	// step runs one day on s and returns the create's duration and the
+	// close's less its estimate span.
+	step := func(s *Server, perTask int) (create, overhead time.Duration) {
+		start := time.Now()
+		ids, err := s.CreateTasks(specs...)
+		create = time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		obs := make([]Observation, 0, perTask*len(ids))
+		for _, id := range ids {
+			for k := 0; k < perTask; k++ {
+				obs = append(obs, Observation{Task: id, User: UserID((int(id) + 7*k) % users), Value: float64(int(id)%13) + float64(k)})
+			}
+		}
+		if err := s.SubmitObservations(obs...); err != nil {
+			b.Fatal(err)
+		}
+		tr := s.Tracer().StartRoot("bench close", true)
+		start = time.Now()
+		_, err = s.CloseTimeStepContext(trace.NewContext(context.Background(), tr))
+		overhead = time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.End()
+		for _, sp := range tr.Spans() {
+			if sp.Name == trace.SpanTruthEstimate {
+				overhead -= sp.Dur
+			}
+		}
+		return create, overhead
+	}
+	for _, history := range []int{0, 50_000, 150_000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			past, err := NewServer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for u := 0; u < users; u++ {
+				if err := past.AddUsers(User{ID: UserID(u), Capacity: 8}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for at := 0; at < history; at += day {
+				step(past, 1)
+			}
+			var snap bytes.Buffer
+			if err := past.SaveStateBinary(&snap); err != nil {
+				b.Fatal(err)
+			}
+			var create, overhead time.Duration
+			for i := 0; i < b.N; i++ {
+				s, err := LoadServer(bytes.NewReader(snap.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for cap(s.tasks)-len(s.tasks) < day {
+					step(s, 2)
+				}
+				runtime.GC()
+				c, o := step(s, 2)
+				create, overhead = create+c, overhead+o
+			}
+			b.ReportMetric(float64(create)/1e6/float64(b.N), "ms/create")
+			b.ReportMetric(float64(overhead)/1e6/float64(b.N), "ms/close-minus-MLE")
+		})
 	}
 }
 

@@ -101,7 +101,7 @@ func run() int {
 
 	// One batch into an empty identifier: there are no established domains
 	// to merge yet, and the clusterer's own member lists are the result.
-	if _, err := domains.Identify(ids, vectors, map[core.TaskID]core.DomainID{}, func(_, _ core.DomainID) {}); err != nil {
+	if _, err := domains.Identify(ids, vectors, make([]core.DomainID, len(ids)), func(_, _ core.DomainID) {}); err != nil {
 		slog.Error("cluster descriptions", "err", err)
 		return 1
 	}

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"eta2/internal/cluster"
 	"eta2/internal/core"
@@ -23,9 +22,10 @@ import (
 // uvarint codec version, a uvarint body length, the body, and a CRC-32C
 // (Castagnoli) of the body. Inside the body every integer is a varint (or
 // uvarint for counts), every float64 is its IEEE-754 bit pattern
-// little-endian, and every string or slice is length-prefixed. Maps are
-// encoded sorted by key, so encoding is deterministic: the same state
-// always produces the same bytes.
+// little-endian, and every string or slice is length-prefixed. The per-task
+// columns are encoded as (task id, value) entries in index order — domain_of
+// one per task, truths one per estimated task — so encoding is
+// deterministic: the same state always produces the same bytes.
 //
 //	magic   8 bytes  "ETA2SNAP"
 //	version uvarint  snapshotCodecVersion
@@ -34,9 +34,11 @@ import (
 //	crc     4 bytes  little-endian CRC-32C of body
 //
 // Any version other than snapshotCodecVersion fails with ErrBadState naming
-// it — another build's file must not be silently discarded — while a bad
-// magic, truncated file, or CRC mismatch is an ordinary decode error,
-// letting recovery fall back to an older snapshot.
+// it — another build's file must not be silently discarded — and so does a
+// body whose checksum verifies but whose per-task sections are not what this
+// build writes (naming the section), while a bad magic, truncated file, or
+// CRC mismatch is an ordinary decode error, letting recovery fall back to an
+// older snapshot.
 
 // snapshotMagic opens every binary snapshot.
 const snapshotMagic = "ETA2SNAP"
@@ -82,9 +84,9 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 	}
 
 	e.uvarint(uint64(len(st.DomainOf)))
-	for _, tid := range sortedTaskIDs(st.DomainOf) {
+	for tid, dom := range st.DomainOf {
 		e.varint(int64(tid))
-		e.varint(int64(st.DomainOf[tid]))
+		e.varint(int64(dom))
 	}
 
 	e.uvarint(uint64(len(st.Pending)))
@@ -92,13 +94,20 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 		e.varint(int64(id))
 	}
 
-	e.uvarint(uint64(len(st.Truths)))
-	for _, tid := range sortedTaskIDs(st.Truths) {
-		t := st.Truths[tid]
-		e.varint(int64(t.Task))
-		e.f64(t.Value)
-		e.f64(t.Base)
-		e.varint(int64(t.Observations))
+	estimated := 0
+	for _, t := range st.Truths {
+		if t.Observations > 0 {
+			estimated++
+		}
+	}
+	e.uvarint(uint64(estimated))
+	for tid, t := range st.Truths {
+		if t.Observations > 0 {
+			e.varint(int64(tid))
+			e.f64(t.Value)
+			e.f64(t.Base)
+			e.varint(int64(t.Observations))
+		}
 	}
 
 	e.varint(int64(st.Day))
@@ -220,6 +229,15 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 
 	d := &snapDecoder{r: br, remaining: bodyLen}
 	var st snapshotState
+	// bad is the first per-task section that is well-formed bytes but not a
+	// column this build writes. It is reported only after the checksum has
+	// vouched for those bytes: a bit flip must stay a plain decode error.
+	var bad error
+	refuse := func(section, format string, args ...any) {
+		if bad == nil && d.err == nil {
+			bad = fmt.Errorf("%w: snapshot section %s: %s", ErrBadState, section, fmt.Sprintf(format, args...))
+		}
+	}
 	st.Version = int(d.uvarint())
 	if d.err == nil && st.Version != stateVersion {
 		return snapshotState{}, fmt.Errorf("%w: snapshot has version %d, but this build supports version %d",
@@ -252,10 +270,18 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		}
 	}
 
-	st.DomainOf = make(map[TaskID]DomainID) //eta2:allocdiscipline-ok snapshot restore path, not per-request
-	for i, n := 0, d.count(2); i < n; i++ {
-		tid := TaskID(d.varint())
-		st.DomainOf[tid] = DomainID(d.varint())
+	// One entry per task, ids 0..len(tasks)-1 in order: the column's index.
+	if n := d.count(2); n > 0 {
+		st.DomainOf = make([]DomainID, n)
+		for i := range st.DomainOf {
+			if tid := d.varint(); tid != int64(i) {
+				refuse("domain_of", "entry %d is for task %d, want task ids 0..%d in order", i, tid, n-1)
+			}
+			st.DomainOf[i] = DomainID(d.varint())
+		}
+	}
+	if len(st.DomainOf) != len(st.Tasks) {
+		refuse("domain_of", "%d entries for %d tasks", len(st.DomainOf), len(st.Tasks))
 	}
 
 	if n := d.count(1); n > 0 {
@@ -265,16 +291,25 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		}
 	}
 
-	st.Truths = make(map[TaskID]TruthEstimate) //eta2:allocdiscipline-ok snapshot restore path, not per-request
 	// Two varints and two floats each.
-	for i, n := 0, d.count(18); i < n; i++ {
-		t := TruthEstimate{
-			Task:         TaskID(d.varint()),
-			Value:        d.f64(),
-			Base:         d.f64(),
-			Observations: int(d.varint()),
+	if n := d.count(18); n > 0 {
+		st.Truths = make([]TruthEstimate, len(st.Tasks))
+		for i := 0; i < n; i++ {
+			t := TruthEstimate{
+				Task:         TaskID(d.varint()),
+				Value:        d.f64(),
+				Base:         d.f64(),
+				Observations: int(d.varint()),
+			}
+			switch {
+			case int(t.Task) < 0 || int(t.Task) >= len(st.Tasks):
+				refuse("truths", "estimate for task %d, but the snapshot holds %d tasks", t.Task, len(st.Tasks))
+			case t.Observations <= 0:
+				refuse("truths", "estimate for task %d backed by %d observations", t.Task, t.Observations)
+			default:
+				st.Truths[t.Task] = t
+			}
 		}
-		st.Truths[t.Task] = t
 	}
 
 	st.Day = int(d.varint())
@@ -287,6 +322,10 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 				User:  core.UserID(d.varint()),
 				Value: d.f64(),
 				Day:   int(d.varint()),
+			}
+			// The close that estimates it indexes the columns by its task.
+			if tid := st.Observations[i].Task; int(tid) < 0 || int(tid) >= len(st.Tasks) {
+				refuse("observations", "observation for task %d, but the snapshot holds %d tasks", tid, len(st.Tasks))
 			}
 		}
 	}
@@ -375,18 +414,10 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return fail(fmt.Errorf("trailing garbage after snapshot checksum"))
 	}
-	return st, nil
-}
-
-// sortedTaskIDs returns the map's keys sorted ascending, fixing the
-// encoding order so identical state yields identical bytes.
-func sortedTaskIDs[V any](m map[TaskID]V) []TaskID {
-	out := make([]TaskID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+	if bad != nil {
+		return snapshotState{}, bad
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return st, nil
 }
 
 // snapEncoder appends primitives to a growing buffer.

@@ -1,11 +1,13 @@
 package eta2
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,28 +29,27 @@ func richServer(t *testing.T) *Server {
 	return s
 }
 
-// TestBinaryCodecRoundTrip checks that the binary codec carries exactly
-// the information the JSON export shows: a server restored from its binary
-// snapshot exports the bit-identical JSON.
+// TestBinaryCodecRoundTrip checks that decode inverts encode: a server
+// restored from its snapshot saves the bit-identical snapshot, and answers
+// the query surface as the original does.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	s := richServer(t)
-	wantJSON := saveBytes(t, s)
+	want := saveBytes(t, s)
 
-	var bin bytes.Buffer
-	if err := s.SaveStateBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len() >= len(wantJSON) {
-		t.Errorf("binary snapshot (%d bytes) not smaller than JSON (%d bytes)", bin.Len(), len(wantJSON))
-	}
-	t.Logf("snapshot size: json=%d binary=%d (%.2fx)", len(wantJSON), bin.Len(), float64(len(wantJSON))/float64(bin.Len()))
-
-	r, err := LoadServer(bytes.NewReader(bin.Bytes()), WithEmbedder(rootTestEmbedder(t)))
+	r, err := LoadServer(bytes.NewReader(want), WithEmbedder(rootTestEmbedder(t)))
 	if err != nil {
 		t.Fatalf("LoadServer(binary): %v", err)
 	}
-	if got := saveBytes(t, r); !bytes.Equal(got, wantJSON) {
-		t.Errorf("binary round trip diverged from JSON snapshot (%d vs %d bytes)", len(got), len(wantJSON))
+	if got := saveBytes(t, r); !bytes.Equal(got, want) {
+		t.Errorf("binary round trip diverged (%d vs %d bytes)", len(got), len(want))
+	}
+	for id := TaskID(-1); int(id) <= len(s.tasks); id++ {
+		gotEst, gotOK := r.Truth(id)
+		wantEst, wantOK := s.Truth(id)
+		if gotEst != wantEst || gotOK != wantOK || r.Domain(id) != s.Domain(id) {
+			t.Errorf("task %d: restored truth %+v/%v domain %d, original %+v/%v domain %d",
+				id, gotEst, gotOK, r.Domain(id), wantEst, wantOK, s.Domain(id))
+		}
 	}
 
 	// The restored server must stay fully usable.
@@ -58,7 +59,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 }
 
 // TestBinaryCodecDeterministic: identical state must encode to identical
-// bytes (maps are serialized in sorted key order).
+// bytes (the per-task columns are serialized in index order).
 func TestBinaryCodecDeterministic(t *testing.T) {
 	s := richServer(t)
 	var a, b bytes.Buffer
@@ -77,6 +78,8 @@ func TestBinaryCodecDeterministic(t *testing.T) {
 // and truncates it at several lengths: decoding must fail with a plain
 // error (recovery falls back to an older snapshot), never ErrBadState
 // (which recovery treats as fatal) and never a panic or silent success.
+// ErrBadState is for the table that follows: intact files that are not
+// what this build writes.
 func TestBinaryCodecCorruption(t *testing.T) {
 	s, err := NewServer()
 	if err != nil {
@@ -112,6 +115,171 @@ func TestBinaryCodecCorruption(t *testing.T) {
 			t.Errorf("truncation at %d bytes: decode succeeded", cut)
 		}
 	}
+
+	// Files whose every byte the checksum vouches for, but whose per-task
+	// sections are not columns this build writes: ErrBadState, naming the
+	// section — another build's or a buggy writer's file, not a torn one.
+	four, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := four.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := four.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 2, ProcTime: 1}, TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := four.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}, Observation{Task: 2, User: 1, Value: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := four.CloseTimeStep(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := four.CreateTasks(TaskSpec{DomainHint: 2, ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := four.SubmitObservations(Observation{Task: 3, User: 1, Value: 4}); err != nil {
+		t.Fatal(err)
+	}
+	valid := splitPerTaskSections(t, saveBytes(t, four))
+	if len(valid.domainOf) != 4 || len(valid.truths) != 2 || len(valid.observations) != 1 {
+		t.Fatalf("fixture: %d domain_of entries, %d truths, %d observations", len(valid.domainOf), len(valid.truths), len(valid.observations))
+	}
+	if _, err := LoadServer(bytes.NewReader(valid.file())); err != nil {
+		t.Fatalf("re-encoding the valid sections unchanged: %v", err)
+	}
+	for _, tc := range []struct {
+		name, section string
+		mutate        func(*perTaskSections)
+	}{
+		{"gap in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf = append(p.domainOf[:2:2], p.domainOf[3]) }},
+		{"duplicate id in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[2][0] = 1 }},
+		{"out-of-order ids in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[0], p.domainOf[1] = p.domainOf[1], p.domainOf[0] }},
+		{"out-of-range id in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[3][0] = 9 }},
+		{"negative id in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[0][0] = -1 }},
+		{"domain_of longer than tasks", "domain_of", func(p *perTaskSections) { p.domainOf = append(p.domainOf, [2]int64{4, 1}) }},
+		{"truth for an unknown task", "truths", func(p *perTaskSections) { p.truths[1].Task = 4 }},
+		{"truth for a negative task", "truths", func(p *perTaskSections) { p.truths[0].Task = -1 }},
+		{"truth backed by no observation", "truths", func(p *perTaskSections) { p.truths[0].Observations = 0 }},
+		{"truth backed by a negative count", "truths", func(p *perTaskSections) { p.truths[1].Observations = -3 }},
+		{"pending observation for an unknown task", "observations", func(p *perTaskSections) { p.observations[0].Task = 4 }},
+	} {
+		mut := valid.clone()
+		tc.mutate(&mut)
+		_, err := LoadServer(bytes.NewReader(mut.file()))
+		if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "section "+tc.section) {
+			t.Errorf("%s: err = %v, want ErrBadState naming section %s", tc.name, err, tc.section)
+		}
+		// The same body under a wrong checksum is a torn file, not a refusal.
+		torn := mut.file()
+		torn[len(torn)-1] ^= 0x01
+		if _, err := LoadServer(bytes.NewReader(torn)); err == nil || errors.Is(err, ErrBadState) {
+			t.Errorf("%s under a wrong checksum: err = %v, want a plain decode error", tc.name, err)
+		}
+	}
+}
+
+// perTaskSections is a snapshot body cut around the sections indexed by
+// task id — domain_of, pending, truths, day, observations — with those
+// decoded into the entries the file carries, so a test can re-encode a body
+// no encoder of this build would write.
+type perTaskSections struct {
+	head, tail   []byte
+	domainOf     [][2]int64 // (task id, domain)
+	pending      []int64
+	truths       []TruthEstimate
+	day          int64
+	observations []Observation
+}
+
+func splitPerTaskSections(t *testing.T, file []byte) perTaskSections {
+	t.Helper()
+	_, n1 := binary.Uvarint(file[len(snapshotMagic):])
+	bodyLen, n2 := binary.Uvarint(file[len(snapshotMagic)+n1:])
+	body := file[len(snapshotMagic)+n1+n2:][:bodyLen]
+	d := &snapDecoder{r: bufio.NewReader(bytes.NewReader(body)), remaining: bodyLen}
+	at := func() int { return len(body) - int(d.remaining) }
+
+	d.uvarint() // state version
+	d.f64()
+	d.f64()
+	d.f64()
+	for i, n := 0, d.count(10); i < n; i++ { // users
+		d.varint()
+		d.f64()
+		d.str()
+	}
+	for i, n := 0, d.count(36); i < n; i++ { // tasks
+		d.varint()
+		d.str()
+		d.varint()
+		d.f64()
+		d.f64()
+		d.varint()
+		d.f64()
+		d.f64()
+	}
+	p := perTaskSections{head: body[:at()]}
+	for i, n := 0, d.count(2); i < n; i++ {
+		p.domainOf = append(p.domainOf, [2]int64{d.varint(), d.varint()})
+	}
+	for i, n := 0, d.count(1); i < n; i++ {
+		p.pending = append(p.pending, d.varint())
+	}
+	for i, n := 0, d.count(18); i < n; i++ {
+		p.truths = append(p.truths, TruthEstimate{Task: TaskID(d.varint()), Value: d.f64(), Base: d.f64(), Observations: int(d.varint())})
+	}
+	p.day = d.varint()
+	for i, n := 0, d.count(11); i < n; i++ {
+		p.observations = append(p.observations, Observation{Task: TaskID(d.varint()), User: UserID(d.varint()), Value: d.f64(), Day: int(d.varint())})
+	}
+	p.tail = body[at():]
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	if !bytes.Equal(p.file(), file) {
+		t.Fatal("splitting a snapshot around its per-task sections and re-encoding them does not reproduce it")
+	}
+	return p
+}
+
+func (p perTaskSections) clone() perTaskSections {
+	p.domainOf, p.truths, p.observations = slices.Clone(p.domainOf), slices.Clone(p.truths), slices.Clone(p.observations)
+	return p
+}
+
+// file re-encodes the body and frames it with a correct length and checksum.
+func (p perTaskSections) file() []byte {
+	e := &snapEncoder{buf: bytes.Clone(p.head)}
+	e.uvarint(uint64(len(p.domainOf)))
+	for _, en := range p.domainOf {
+		e.varint(en[0])
+		e.varint(en[1])
+	}
+	e.uvarint(uint64(len(p.pending)))
+	for _, id := range p.pending {
+		e.varint(id)
+	}
+	e.uvarint(uint64(len(p.truths)))
+	for _, tr := range p.truths {
+		e.varint(int64(tr.Task))
+		e.f64(tr.Value)
+		e.f64(tr.Base)
+		e.varint(int64(tr.Observations))
+	}
+	e.varint(p.day)
+	e.uvarint(uint64(len(p.observations)))
+	for _, o := range p.observations {
+		e.varint(int64(o.Task))
+		e.varint(int64(o.User))
+		e.f64(o.Value)
+		e.varint(int64(o.Day))
+	}
+	e.buf = append(e.buf, p.tail...)
+	file := append([]byte(snapshotMagic), binary.AppendUvarint(nil, snapshotCodecVersion)...)
+	file = binary.AppendUvarint(file, uint64(len(e.buf)))
+	file = append(file, e.buf...)
+	return binary.LittleEndian.AppendUint32(file, crc32.Checksum(e.buf, snapshotCRCTable))
 }
 
 // TestBinaryCodecCorruptLengthPrefix rewrites the task-count prefix of a

@@ -12,14 +12,14 @@ import (
 // function is not part of the snapshot — the caller re-supplies it (with
 // the same item vectors) on restore.
 type EngineState struct {
-	Gamma      float64         `json:"gamma"`
-	DStar      float64         `json:"d_star"`
-	NItems     int             `json:"n_items"`
-	NextDomain core.DomainID   `json:"next_domain"`
-	Domains    []core.DomainID `json:"domains"`      // per cluster slot
-	Members    [][]int         `json:"members"`      // per cluster slot
-	DMat       [][]float64     `json:"dist_matrix"`  // cluster × cluster
-	ItemSlot   []int           `json:"item_cluster"` // per item
+	Gamma      float64
+	DStar      float64
+	NItems     int
+	NextDomain core.DomainID
+	Domains    []core.DomainID // per cluster slot
+	Members    [][]int         // per cluster slot
+	DMat       [][]float64     // cluster × cluster
+	ItemSlot   []int           // per item
 }
 
 // State exports the engine's clustering state.

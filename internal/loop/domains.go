@@ -118,12 +118,13 @@ func (d *Domains) Vectorize(description string) (semantic.TaskVector, error) {
 
 // Identify adds described tasks with their vectors and re-clusters. Every
 // described task's current domain — old tasks move when clusters merge — is
-// written into domainOf, and each merge of two established domains is
-// reported to merge (truth.Store.MergeDomains folds the expertise, Sec. 4.2).
-// A batch with a vector of another dimension than the tasks before it is
-// refused whole, before anything is added.
+// written into domainOf, the per-task column indexed by task id, which must
+// already reach every described task; each merge of two established domains
+// is reported to merge (truth.Store.MergeDomains folds the expertise,
+// Sec. 4.2). A batch with a vector of another dimension than the tasks before
+// it is refused whole, before anything is added.
 func (d *Domains) Identify(tasks []core.TaskID, vectors []semantic.TaskVector,
-	domainOf map[core.TaskID]core.DomainID, merge func(into, from core.DomainID)) (cluster.Update, error) {
+	domainOf []core.DomainID, merge func(into, from core.DomainID)) (cluster.Update, error) {
 	if err := d.checkDim("new", vectors); err != nil {
 		return cluster.Update{}, err
 	}

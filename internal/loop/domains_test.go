@@ -13,7 +13,7 @@ import (
 	"eta2/internal/semantic"
 )
 
-func identify(t *testing.T, d *Domains, first core.TaskID, descriptions ...string) (map[core.TaskID]core.DomainID, cluster.Update) {
+func identify(t *testing.T, d *Domains, first core.TaskID, descriptions ...string) ([]core.DomainID, cluster.Update) {
 	t.Helper()
 	ids := make([]core.TaskID, len(descriptions))
 	vecs := make([]semantic.TaskVector, len(descriptions))
@@ -24,7 +24,7 @@ func identify(t *testing.T, d *Domains, first core.TaskID, descriptions ...strin
 		}
 		ids[i] = first + core.TaskID(i)
 	}
-	domainOf := make(map[core.TaskID]core.DomainID)
+	domainOf := make([]core.DomainID, int(first)+len(descriptions))
 	up, err := d.Identify(ids, vecs, domainOf, func(_, _ core.DomainID) {})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestDomainsRestoreContinuesIdentically(t *testing.T) {
 		}
 		batches[len(batches)-1] = append(batches[len(batches)-1], task.Description)
 	}
-	run := func(d *Domains, from int) (states []DomainsState, assigned []map[core.TaskID]core.DomainID, merges int) {
+	run := func(d *Domains, from int) (states []DomainsState, assigned [][]core.DomainID, merges int) {
 		for b := from; b < len(batches); b++ {
 			domainOf, up := identify(t, d, core.TaskID(20*b), batches[b]...)
 			assigned = append(assigned, domainOf)
@@ -105,11 +105,11 @@ func TestDomainsRefuseAnotherDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domainOf := map[core.TaskID]core.DomainID{}
+	domainOf := make([]core.DomainID, 3)
 	if _, err := orig.Identify([]core.TaskID{2}, []semantic.TaskVector{v}, domainOf, func(_, _ core.DomainID) {}); err == nil {
 		t.Error("an 8-dimensional vector joined 16-dimensional ones")
 	}
-	if after := orig.State(); !reflect.DeepEqual(after, before) || len(domainOf) != 0 {
+	if after := orig.State(); !reflect.DeepEqual(after, before) || !reflect.DeepEqual(domainOf, make([]core.DomainID, 3)) {
 		t.Error("the refused batch left a mark")
 	}
 }

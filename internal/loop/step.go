@@ -6,11 +6,14 @@ import (
 	"eta2/internal/truth"
 )
 
+// Every stage takes domainOf, the per-task domain column: domainOf[t] is the
+// domain of task t, and it reaches every task the stage is handed.
+
 // AllocationInput builds the allocation problem of one step: u_ij is the
 // store's expertise of user i in the domain of task j. The store is only
 // read during a solve, so any parallelism is safe.
 func AllocationInput(users []core.User, tasks []core.Task, store *truth.Store,
-	domainOf map[core.TaskID]core.DomainID, epsilon float64, parallelism int) allocation.Input {
+	domainOf []core.DomainID, epsilon float64, parallelism int) allocation.Input {
 	return allocation.Input{
 		Users: users,
 		Tasks: tasks,
@@ -29,7 +32,7 @@ func AllocationInput(users []core.User, tasks []core.Task, store *truth.Store,
 // Σ u² the allocator evaluates the quality requirement with. collect is also
 // where a caller records the batch (the server journals it there).
 func MinCost(in allocation.Input, cfg allocation.MinCostConfig, store *truth.Store,
-	domainOf map[core.TaskID]core.DomainID, truthCfg truth.Config,
+	domainOf []core.DomainID, truthCfg truth.Config,
 	collect func([]core.Pair) ([]core.Observation, error)) (allocation.MinCostResult, error) {
 	table := core.NewObservationTable(nil)
 	responded := make(map[core.TaskID][]core.UserID) //eta2:allocdiscipline-ok min-cost planning round, O(tasks) by design, not observation ingest
@@ -51,10 +54,9 @@ func MinCost(in allocation.Input, cfg allocation.MinCostConfig, store *truth.Sto
 		if err != nil {
 			return allocation.IterationOutcome{}, err
 		}
-		exp := tmp.Snapshot()
 		sums := make(map[core.TaskID]float64, len(responded)) //eta2:allocdiscipline-ok min-cost planning round, O(tasks) by design, not observation ingest
 		for tid, us := range responded {
-			sums[tid] = truth.SumSquaredExpertise(us, domainOf[tid], exp)
+			sums[tid] = truth.SumSquaredExpertise(us, domainOf[tid], tmp.Expertise)
 		}
 		return allocation.IterationOutcome{Sigma: upd.Sigma, SumSquaredExpertise: sums}, nil
 	}))
@@ -65,7 +67,7 @@ func MinCost(in allocation.Input, cfg allocation.MinCostConfig, store *truth.Sto
 // on day 0 (Sec. 4.1), the dynamic update over the decayed accumulators on
 // every later day (Sec. 4.2).
 func CloseStep(day int, store *truth.Store, table *core.ObservationTable,
-	domainOf map[core.TaskID]core.DomainID, cfg truth.Config) (truth.UpdateResult, error) {
+	domainOf []core.DomainID, cfg truth.Config) (truth.UpdateResult, error) {
 	domainFn := func(id core.TaskID) core.DomainID { return domainOf[id] }
 	if day == 0 {
 		return truth.WarmUp(store, table, domainFn, cfg)

@@ -10,10 +10,10 @@ import (
 // TaskVector is the distributed-semantics representation of one task: the
 // phrase embeddings of its Query and Target terms. The paper concatenates
 // [V_Q, V_T]; keeping the halves separate is equivalent and lets Eq. 2 be
-// computed without copying. The JSON names are the snapshot format's.
+// computed without copying.
 type TaskVector struct {
-	Query  embedding.Vector `json:"q"`
-	Target embedding.Vector `json:"t"`
+	Query  embedding.Vector
+	Target embedding.Vector
 }
 
 // Vectorizer turns task descriptions into TaskVectors using an Embedder.

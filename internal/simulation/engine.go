@@ -67,8 +67,8 @@ type eta2State struct {
 	cfg      Config
 	rng      *stats.RNG
 	store    *truth.Store
-	domainOf map[core.TaskID]core.DomainID
-	domains  *loop.Domains // textual datasets only
+	domainOf []core.DomainID // indexed by task id, which is the task's index in ds.Tasks
+	domains  *loop.Domains   // textual datasets only
 }
 
 // runETA2 simulates ETA² (max-quality) or ETA²-mc (min-cost).
@@ -78,7 +78,7 @@ func runETA2(ds *dataset.Dataset, cfg Config, days [][]core.Task, rng *stats.RNG
 		cfg:      cfg,
 		rng:      rng,
 		store:    truth.NewStore(cfg.Alpha),
-		domainOf: make(map[core.TaskID]core.DomainID, len(ds.Tasks)),
+		domainOf: make([]core.DomainID, len(ds.Tasks)),
 	}
 	if ds.DomainsKnown {
 		for _, t := range ds.Tasks {

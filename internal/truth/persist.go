@@ -11,17 +11,17 @@ import (
 // persistence. Entries are sorted by (user, domain) so snapshots are
 // byte-stable for a given store.
 type StoreState struct {
-	Alpha   float64      `json:"alpha"`
-	Prior   float64      `json:"prior"`
-	Entries []StoreEntry `json:"entries"`
+	Alpha   float64
+	Prior   float64
+	Entries []StoreEntry
 }
 
 // StoreEntry is one (user, domain) accumulator pair.
 type StoreEntry struct {
-	User   core.UserID   `json:"user"`
-	Domain core.DomainID `json:"domain"`
-	N      float64       `json:"n"`
-	D      float64       `json:"d"`
+	User   core.UserID
+	Domain core.DomainID
+	N      float64
+	D      float64
 }
 
 // State exports the store's accumulators.

@@ -154,7 +154,7 @@ func TestSumSquaredExpertise(t *testing.T) {
 	e := make(Expertise)
 	e.Set(1, 1, 2)
 	e.Set(2, 1, 3)
-	got := SumSquaredExpertise([]core.UserID{1, 2, 3}, 1, e)
+	got := SumSquaredExpertise([]core.UserID{1, 2, 3}, 1, e.Get)
 	// 4 + 9 + 1 (default for user 3).
 	if got != 14 {
 		t.Errorf("SumSquaredExpertise = %g, want 14", got)

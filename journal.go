@@ -275,7 +275,7 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 // write gate: a follower rejects public writes while still applying the
 // primary's). The whole apply is one s.mu critical section that ends with
 // s.lastLSN == lsn, so applied state and LSN frontier are never observable
-// apart: whatever captures state under s.mu (Compact, SaveState, a
+// apart: whatever captures state under s.mu (Compact, SaveStateBinary, a
 // replication snapshot) labels it with exactly the LSN it contains. The
 // bodies are told the record's LSN, so they stamp it instead of
 // journaling again (see journalBuffered).
@@ -295,7 +295,15 @@ func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 		// Day stamp (and min-cost rounds bypass SubmitObservations), so
 		// re-validating or re-stamping could diverge from the original run.
 		// Not published per record: observations are not part of the read
-		// snapshot, and a follower publishes once per shipped batch.
+		// snapshot, and a follower publishes once per shipped batch. A task
+		// this state does not hold is refused here, by LSN, rather than by
+		// an index out of range in the close that would estimate it.
+		for _, o := range ev.Observations {
+			if int(o.Task) < 0 || int(o.Task) >= len(s.tasks) {
+				return fmt.Errorf("%w: journal record %d holds an observation for task %d, but the state it applies to holds %d tasks",
+					ErrBadState, lsn, o.Task, len(s.tasks))
+			}
+		}
 		s.observations = append(s.observations, ev.Observations...)
 	case eventAllocate:
 		// audit-only: allocation does not mutate server state

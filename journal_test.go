@@ -11,14 +11,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"eta2/internal/wal"
 )
 
-// saveBytes captures the state of s as its JSON export: the readable form
-// the bit-identity checks compare, deliberately not the codec under test.
+// saveBytes captures the state of s in the server's one encoding: the
+// bytes the bit-identity checks compare.
 func saveBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
+	if err := s.SaveStateBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -595,5 +597,114 @@ func TestRecoveryReclaimsStaleSnapshotTemp(t *testing.T) {
 	}
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("recovery beside a stale snapshot temp diverged")
+	}
+}
+
+// TestRecoveryRefusesObservationForUnknownTask plants a well-formed
+// observations record for a task the state does not hold — what a build
+// that journaled a Collector's batch unchecked could leave behind. Replay
+// must refuse it by LSN, as a follower's apply does through the same
+// applyEvent, rather than carry it to the close that would index the
+// per-task columns with it.
+func TestRecoveryRefusesObservationForUnknownTask(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitObservations(Observation{Task: 1, User: 0, Value: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, phantom := range []TaskID{2, -1} {
+		crash := copyDataDir(t, dir)
+		planted, err := wal.Open(crash, wal.Options{Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsn, err := planted.Append(encodeObservationsEvent(nil, []Observation{{Task: 0, User: 0, Value: 1}, {Task: phantom, User: 0, Value: 9}}, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := planted.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewServer(WithDurability(crash, pol))
+		if want := fmt.Sprintf("journal record %d holds an observation for task %d", lsn, phantom); !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), want) {
+			t.Errorf("record for task %d: err = %v, want ErrBadState saying %q", phantom, err, want)
+		}
+	}
+	// The directory without the planted record still opens.
+	if err := s.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.journal.Close()
+}
+
+// TestMinCostRefusesPhantomObservations: AllocateMinCost holds what the
+// Collector returns to the check SubmitObservations runs, before any of it
+// is journaled or applied. A batch naming a task or a user the server does
+// not hold fails the round; the honest observations that came with it are
+// not kept either, the phantom task has no truth after the next close, and
+// the data directory replays to the live state.
+func TestMinCostRefusesPhantomObservations(t *testing.T) {
+	for _, phantom := range []Observation{{Task: 40, User: 0, Value: 1}, {Task: 0, User: 40, Value: 1}} {
+		dir := t.TempDir()
+		pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+		s, err := NewServer(WithDurability(dir, pol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}, User{ID: 2, Capacity: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 2, ProcTime: 1}); err != nil {
+			t.Fatal(err)
+		}
+		before := saveBytes(t, s)
+		calls := 0
+		_, err = s.AllocateMinCost(MinCostParams{}, func(pairs []Pair) ([]Observation, error) {
+			calls++
+			obs := []Observation{phantom}
+			for _, p := range pairs {
+				obs = append(obs, Observation{Task: p.Task, User: p.User, Value: 4})
+			}
+			return obs, nil
+		})
+		if err == nil || calls != 1 {
+			t.Fatalf("phantom %+v: err = %v after %d collector calls, want the first batch to fail the round", phantom, err, calls)
+		}
+		if got := saveBytes(t, s); !bytes.Equal(got, before) {
+			t.Errorf("phantom %+v: the refused batch changed the server's state", phantom)
+		}
+		if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CloseTimeStep(); err != nil {
+			t.Fatal(err)
+		}
+		if est, ok := s.Truth(phantom.Task); phantom.Task == 40 && ok {
+			t.Errorf("Truth(%d) = %+v, true: a task the server never created has an estimate", phantom.Task, est)
+		}
+		want := saveBytes(t, s)
+		r, err := NewServer(WithDurability(copyDataDir(t, dir), pol))
+		if err != nil {
+			t.Fatalf("phantom %+v: reopen: %v", phantom, err)
+		}
+		if got := saveBytes(t, r); !bytes.Equal(got, want) {
+			t.Errorf("phantom %+v: reopened state differs from the live one", phantom)
+		}
+		r.journal.Close()
+		s.journal.Close()
 	}
 }

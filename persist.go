@@ -1,7 +1,6 @@
 package eta2
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,50 +15,38 @@ import (
 // stateVersion guards against loading snapshots from incompatible builds.
 const stateVersion = 1
 
-// snapshotState is the serializable snapshot of a Server, written and read
-// with the binary codec in codec.go (SaveStateBinary, compaction's
-// snapshot-<lsn>.bin files); the JSON tags serve SaveState's export only.
+// snapshotState is the serializable snapshot of a Server: exactly what the
+// binary codec in codec.go writes and reads (SaveStateBinary, compaction's
+// snapshot-<lsn>.bin files, follower bootstrap) — the server's one encoding.
 // The embedding model itself is not serialized — only the task vectors
 // derived from it — so a restored server needs WithEmbedder again only to
 // create NEW described tasks.
 type snapshotState struct {
-	Version int `json:"version"`
+	Version int
 
-	Alpha   float64 `json:"alpha"`
-	Gamma   float64 `json:"gamma"`
-	Epsilon float64 `json:"epsilon"`
+	Alpha   float64
+	Gamma   float64
+	Epsilon float64
 
-	Users []core.User `json:"users"` // in registration order
+	Users []core.User // in registration order
 
-	Tasks    []core.Task              `json:"tasks"`
-	DomainOf map[TaskID]DomainID      `json:"domain_of"`
-	Pending  []TaskID                 `json:"pending"`
-	Truths   map[TaskID]TruthEstimate `json:"truths"`
-	Day      int                      `json:"day"`
+	Tasks []core.Task
+	// DomainOf and Truths are the per-task columns, indexed by task id:
+	// len(DomainOf) == len(Tasks), len(Truths) <= len(Tasks), and a truth
+	// with Observations == 0 is "no estimate" and is not encoded.
+	DomainOf []DomainID
+	Pending  []TaskID
+	Truths   []TruthEstimate
+	Day      int
 
-	Observations []Observation `json:"observations,omitempty"`
+	Observations []Observation
 
-	Store truth.StoreState `json:"store"`
+	Store truth.StoreState
 
 	// Clustering state; empty when the server runs without an embedder.
-	Cluster    *cluster.EngineState  `json:"cluster,omitempty"`
-	Vectors    []semantic.TaskVector `json:"vectors,omitempty"`
-	ItemToTask []TaskID              `json:"item_to_task,omitempty"`
-}
-
-// SaveState exports the server's full state (tasks, domains, learned
-// expertise, clustering structure, pending observations) as JSON. It is a
-// write-only, human-readable rendering of exactly what SaveStateBinary
-// carries — tests compare states with it — and nothing loads it: LoadServer
-// and recovery read SaveStateBinary's format only.
-func (s *Server) SaveState(w io.Writer) error {
-	s.mu.RLock()
-	st := s.persistStateLocked()
-	s.mu.RUnlock()
-	if err := json.NewEncoder(w).Encode(st); err != nil {
-		return fmt.Errorf("eta2: save state: %w", err)
-	}
-	return nil
+	Cluster    *cluster.EngineState
+	Vectors    []semantic.TaskVector
+	ItemToTask []TaskID
 }
 
 // SaveStateBinary serializes the server's full state with the
@@ -75,11 +62,11 @@ func (s *Server) SaveStateBinary(w io.Writer) error {
 
 // persistStateLocked materializes the serializable snapshot struct.
 // Callers hold s.mu (read or write). The result remains valid after the
-// lock is released: the maps it references are copy-on-write (writers
-// swap in fresh copies, never mutate published ones), the slices are
-// append-only (their captured headers freeze a consistent prefix), the
-// truth store is replace-on-write, and the clustering engine state is a
-// deep copy — so compaction can encode it with no lock held.
+// lock is released: the slices are append-only below their captured
+// headers (a writer that changes an entry of domainOf or truths swaps in
+// a copy; DESIGN.md §11 rule 2), the truth store is replace-on-write, and
+// the clustering engine state is a deep copy — so compaction can encode
+// it with no lock held.
 func (s *Server) persistStateLocked() snapshotState {
 	st := snapshotState{
 		Version:      stateVersion,
@@ -157,12 +144,8 @@ func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
 	s.pending = st.Pending
 	s.day = st.Day
 	s.observations = st.Observations
-	if st.DomainOf != nil {
-		s.domainOf = st.DomainOf
-	}
-	if st.Truths != nil {
-		s.truths = st.Truths
-	}
+	s.domainOf = st.DomainOf
+	s.truths = st.Truths
 
 	store, err := truth.RestoreStore(st.Store)
 	if err != nil {

@@ -102,16 +102,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Snapshots must be byte-stable, and so must the JSON export.
+	// Snapshots must be byte-stable.
 	var buf2 bytes.Buffer
 	if err := restored.SaveStateBinary(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("save → load → save is not byte-stable")
-	}
-	if !bytes.Equal(saveBytes(t, s), saveBytes(t, restored)) {
-		t.Error("JSON export differs between original and restored server")
 	}
 }
 
@@ -292,9 +289,9 @@ func TestLoadServerRejectsGarbage(t *testing.T) {
 	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, snapshotState{Version: 99}))); err == nil {
 		t.Error("wrong version accepted")
 	}
-	// The JSON export is write-only: nothing loads it.
-	if _, err := LoadServer(bytes.NewReader(saveBytes(t, buildBusyServer(t)))); err == nil {
-		t.Error("JSON export accepted as a snapshot")
+	// The binary codec is the one encoding: a JSON document is not a snapshot.
+	if _, err := LoadServer(strings.NewReader(`{"version":1,"alpha":0.5,"gamma":0.5,"epsilon":0.1}`)); err == nil {
+		t.Error("JSON document accepted as a snapshot")
 	}
 	// Inconsistent cluster state.
 	bad := snapshotState{

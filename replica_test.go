@@ -370,7 +370,7 @@ func streamObservations(t *testing.T, primary *Server, start, n int) {
 }
 
 // TestFollowerCompactAndSaveWhileStreaming hammers the follower's
-// embedded server with SaveState and Compact while the pull loop applies
+// embedded server with SaveStateBinary and Compact while the pull loop applies
 // a long observation stream and a close-step: every state write the
 // apply path makes happens under s.mu, so this is race-clean (run under
 // -race) and the follower still ends bit-identical to the primary.
@@ -394,8 +394,8 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.Server().SaveState(io.Discard); err != nil {
-				t.Errorf("SaveState on follower: %v", err)
+			if err := f.Server().SaveStateBinary(io.Discard); err != nil {
+				t.Errorf("SaveStateBinary on follower: %v", err)
 				return
 			}
 			if err := f.Server().Compact(); err != nil {
@@ -414,7 +414,7 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 	wg.Wait()
 
 	if got, want := saveBytes(t, f.Server()), saveBytes(t, primary); string(got) != string(want) {
-		t.Fatal("follower diverged from primary under concurrent SaveState/Compact")
+		t.Fatal("follower diverged from primary under concurrent SaveStateBinary/Compact")
 	}
 	if fst := f.Server().DurabilityStats(); fst.Compactions == 0 || fst.SnapshotLSN > fst.LastLSN {
 		t.Fatalf("follower durability after the stream: %+v", fst)

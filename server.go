@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,7 @@ import (
 // happens outside the lock, where the WAL's group commit batches
 // concurrent callers into a single flush (see DESIGN.md §11).
 type Server struct {
-	// mu serializes writers against each other (and against SaveState,
+	// mu serializes writers against each other (and against SaveStateBinary,
 	// which reads master state directly under RLock). The query surface
 	// never touches it. Lock ordering: mu is always taken before any
 	// internal/wal lock, never the other way around, and the fsync wait
@@ -53,8 +54,14 @@ type Server struct {
 	users     map[UserID]User
 	userOrder []UserID
 
-	tasks    []core.Task
-	domainOf map[TaskID]DomainID
+	tasks []core.Task
+	// domainOf and truths are per-task columns indexed by the dense TaskID
+	// (DESIGN.md §11 rule 2). len(domainOf) == len(tasks) whenever mu is
+	// released; truths reaches the highest task ever estimated, and an
+	// entry with Observations == 0 means "no estimate yet" (a real one
+	// always has at least one).
+	domainOf []DomainID
+	truths   []TruthEstimate
 	// pending are tasks created since the last CloseTimeStep, awaiting
 	// allocation/observations.
 	pending []TaskID
@@ -65,7 +72,6 @@ type Server struct {
 	domains *loop.Domains
 
 	observations []Observation
-	truths       map[TaskID]TruthEstimate
 	day          int
 
 	lastNewDomains []DomainID
@@ -245,9 +251,7 @@ func newServer(cfg config) (*Server, error) {
 		cfg:      cfg,
 		interner: core.NewInterner(),
 		users:    make(map[UserID]User),
-		domainOf: make(map[TaskID]DomainID),
 		store:    truth.NewStore(cfg.alpha),
-		truths:   make(map[TaskID]TruthEstimate),
 		tracer:   trace.New(cfg.traceEvery, traceRecorderCapacity),
 	}
 	if cfg.embedder != nil {
@@ -525,15 +529,13 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 		return nil, 0, err
 	}
 
-	// Phase 2: commit. domainOf is copy-on-write (readers hold the
-	// published map), so the whole batch — hints and clustering
-	// assignments alike — lands in a fresh copy swapped in at the end.
-	domainOf := maps.Clone(s.domainOf)
+	// Phase 2: commit. domainOf is an append-only column: readers hold a
+	// published header that ends before this batch, so the batch's hints
+	// (DomainNone for a described task, until Identify below) are appended
+	// in place.
 	ids := make([]TaskID, len(tasks))
 	for i, t := range tasks {
-		if t.Domain != DomainNone {
-			domainOf[t.ID] = t.Domain
-		}
+		s.domainOf = append(s.domainOf, t.Domain)
 		ids[i] = t.ID
 	}
 	s.tasks = append(s.tasks, tasks...)
@@ -542,8 +544,11 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 	s.lastNewDomains = nil
 	s.lastMerges = 0
 	if len(described) > 0 {
-		// The published snapshot shares s.store: merges fold into a clone
-		// swapped in below, keeping the published store frozen.
+		// Identify writes every described task's domain, and a merge moves
+		// OLD tasks, whose entries are published: it works on a copy of the
+		// column. The published snapshot shares s.store too: merges fold
+		// into a clone. Both are swapped in below.
+		domainOf := slices.Clone(s.domainOf)
 		var merged *truth.Store
 		up, err := s.domains.Identify(described, vectors, domainOf, func(into, from DomainID) {
 			if merged == nil {
@@ -554,20 +559,20 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 		if err != nil {
 			return nil, 0, fmt.Errorf("eta2: clustering: %w", err)
 		}
+		s.domainOf = domainOf
 		if merged != nil {
 			s.store = merged
 		}
 		s.lastNewDomains = up.NewDomains
 		s.lastMerges = len(up.Merges)
 	}
-	s.domainOf = domainOf
 	s.publishLocked()
 	return ids, lsn, nil
 }
 
 // Domain returns the expertise domain assigned to a task.
 func (s *Server) Domain(id TaskID) DomainID {
-	return s.loadState().domainOf[id]
+	return s.loadState().domain(id)
 }
 
 // NumDomains returns the number of discovered domains (clustered servers
@@ -582,7 +587,7 @@ func (s *Server) NumDomains() int {
 // task's domain). Unobserved pairs return DefaultExpertise.
 func (s *Server) Expertise(u UserID, t TaskID) float64 {
 	st := s.loadState()
-	return st.store.Expertise(u, st.domainOf[t])
+	return st.store.Expertise(u, st.domain(t))
 }
 
 // ExpertiseInDomain returns the learned expertise of user u in a domain.
@@ -722,6 +727,11 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		if err != nil {
 			return nil, err
 		}
+		// The collector is caller code: hold what it returns to the check
+		// SubmitObservations runs, before any of it is journaled or applied.
+		if err := checkObservations(obs, len(s.tasks), s.users); err != nil {
+			return nil, err
+		}
 		if len(obs) > 0 {
 			// Journal the collected batch verbatim (min-cost bypasses
 			// SubmitObservations, so replay appends these as-is; day = -1
@@ -790,15 +800,9 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	t := trace.FromContext(ctx)
 	st := s.loadState()
 	enc := t.StartSpan(trace.SpanEncode)
-	for _, o := range obs {
-		if int(o.Task) < 0 || int(o.Task) >= st.numTasks {
-			enc.End()
-			return fmt.Errorf("eta2: observation for unknown task %d", o.Task)
-		}
-		if _, ok := st.users[o.User]; !ok {
-			enc.End()
-			return fmt.Errorf("eta2: observation from unknown user %d", o.User)
-		}
+	if err := checkObservations(obs, st.numTasks, st.users); err != nil {
+		enc.End()
+		return err
 	}
 	// Encode the journal payload outside the lock into a pooled buffer,
 	// day-stamping during the encode so no intermediate stamped slice is
@@ -847,6 +851,21 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	ingestAllocSample()
 	t.SetLSN(lsn)
 	return s.journalCommit(lsn, fsync)
+}
+
+// checkObservations refuses a batch that names a task or a user the server
+// does not hold. Every observation passes it before it is journaled, so the
+// close that estimates it can index the per-task columns by its task id.
+func checkObservations(obs []Observation, numTasks int, users map[UserID]User) error {
+	for _, o := range obs {
+		if int(o.Task) < 0 || int(o.Task) >= numTasks {
+			return fmt.Errorf("eta2: observation for unknown task %d", o.Task)
+		}
+		if _, ok := users[o.User]; !ok {
+			return fmt.Errorf("eta2: observation from unknown user %d", o.User)
+		}
+	}
+	return nil
 }
 
 // ErrNoObservations is returned by CloseTimeStep when nothing was
@@ -930,9 +949,11 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 		NewDomains:    s.lastNewDomains,
 		MergedDomains: s.lastMerges,
 	}
-	// Copy-on-write: readers hold the published truths map, so the step's
-	// estimates land in a fresh copy swapped in with the cloned store.
-	truths := maps.Clone(s.truths)
+	// Readers hold the published truths column and a close may re-estimate
+	// an old task, so the step's estimates land in a copy that reaches
+	// every task, swapped in with the cloned store.
+	truths := make([]TruthEstimate, len(s.tasks))
+	copy(truths, s.truths)
 	for _, tid := range table.Tasks() {
 		est := TruthEstimate{
 			Task:         tid,
@@ -957,8 +978,7 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 
 // Truth returns the latest truth estimate for a task.
 func (s *Server) Truth(id TaskID) (TruthEstimate, bool) {
-	est, ok := s.loadState().truths[id]
-	return est, ok
+	return s.loadState().truth(id)
 }
 
 // Day returns the server's current time-step index.

@@ -14,9 +14,13 @@ import (
 // freely — nothing reachable from a published serverState is ever mutated
 // again:
 //
-//   - users, domainOf and truths are copy-on-write: the writers that change
-//     them (AddUsers, CreateTasks, CloseTimeStep) build a fresh map and swap
+//   - users is a copy-on-write map: AddUsers builds a fresh map and swaps
 //     it in, so the map a reader holds is frozen.
+//   - domainOf and truths are per-task columns indexed by the dense TaskID.
+//     A captured slice header freezes its prefix: CreateTasks only appends
+//     past it, and the two writers that change an entry below it — a
+//     described create whose clustering moves old tasks, and every
+//     CloseTimeStep — write into a copy and swap the header.
 //   - store is replace-on-write: CloseTimeStep commits into a Clone and
 //     swaps the pointer, and CreateTasks clones before folding domain
 //     merges. The published *truth.Store is only ever read.
@@ -27,8 +31,8 @@ import (
 // tolerates Stats/Commit after Close.
 type serverState struct {
 	users    map[UserID]User
-	domainOf map[TaskID]DomainID
-	truths   map[TaskID]TruthEstimate
+	domainOf []DomainID      // len == numTasks
+	truths   []TruthEstimate // Observations == 0: no estimate
 	store    *truth.Store
 	day      int
 	numTasks int
@@ -52,6 +56,24 @@ type serverState struct {
 	// snapshot is published, so the count is computed at most once per
 	// snapshot instead of allocating a scratch set on every read.
 	domainCount atomic.Int64
+}
+
+// domain returns the domain of a task, DomainNone for one the snapshot
+// does not hold.
+func (st *serverState) domain(id TaskID) DomainID {
+	if int(id) < 0 || int(id) >= len(st.domainOf) {
+		return DomainNone
+	}
+	return st.domainOf[id]
+}
+
+// truth returns the latest estimate of a task, if it has one.
+func (st *serverState) truth(id TaskID) (TruthEstimate, bool) {
+	if int(id) < 0 || int(id) >= len(st.truths) {
+		return TruthEstimate{}, false
+	}
+	est := st.truths[id]
+	return est, est.Observations > 0
 }
 
 // numDomains counts the distinct domains assigned in this snapshot. The

@@ -2,10 +2,15 @@ package eta2
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eta2/internal/dataset"
+	"eta2/internal/embedding"
 )
 
 // TestLockFreeReadsDuringDurableStorm is the acceptance test for the
@@ -157,5 +162,170 @@ func TestLockFreeReadsDuringDurableStorm(t *testing.T) {
 	st := s.DurabilityStats()
 	if st.Enabled {
 		t.Error("durability still enabled after Close")
+	}
+}
+
+// frozenView is what one published serverState answered, for every task it
+// holds, the first time it was asked.
+type frozenView struct {
+	st      *serverState
+	domains []DomainID
+	truths  []TruthEstimate
+	known   []bool
+}
+
+func viewOf(st *serverState) frozenView {
+	v := frozenView{st: st}
+	for id := TaskID(0); int(id) < st.numTasks; id++ {
+		est, ok := st.truth(id)
+		v.domains, v.truths, v.known = append(v.domains, st.domain(id)), append(v.truths, est), append(v.known, ok)
+	}
+	return v
+}
+
+// check re-reads the state and reports the first answer that moved.
+func (v frozenView) check() error {
+	for i := range v.domains {
+		id := TaskID(i)
+		if d := v.st.domain(id); d != v.domains[i] {
+			return fmt.Errorf("state at day %d with %d tasks: domain of task %d was %d, now reads %d", v.st.day, v.st.numTasks, id, v.domains[i], d)
+		}
+		if est, ok := v.st.truth(id); est != v.truths[i] || ok != v.known[i] {
+			return fmt.Errorf("state at day %d with %d tasks: truth of task %d was %+v/%v, now reads %+v/%v", v.st.day, v.st.numTasks, id, v.truths[i], v.known[i], est, ok)
+		}
+	}
+	return nil
+}
+
+// TestPublishedColumnsStayFrozen holds the per-task columns to DESIGN §11
+// rule 2 from the reader's side: a reader that loaded a serverState keeps
+// getting the answers it got first, for every task below its numTasks,
+// while the writer appends hinted tasks in place, runs described creates
+// whose clustering moves old tasks (the golden server's script merges two
+// established domains in its third batch), and closes steps that
+// re-estimate a task of an earlier day. The writer's own goroutine also
+// holds the state published after every mutation, so the check does not
+// depend on how the readers were scheduled; under -race, a writer that
+// stored below a published header is a reported race as well.
+func TestPublishedColumnsStayFrozen(t *testing.T) {
+	s, err := NewServer(WithEmbedder(embedding.NewHashEmbedder(16, 7)), WithAlpha(0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := make([]User, 10)
+	for i := range users {
+		users[i] = User{ID: UserID(i), Capacity: 8}
+	}
+	if err := s.AddUsers(users...); err != nil {
+		t.Fatal(err)
+	}
+
+	// Spare capacity, so that no append of the script reallocates the
+	// column: only the copy a writer makes keeps a published prefix frozen.
+	s.mu.Lock()
+	s.domainOf = slices.Grow(s.domainOf, 256)
+	s.mu.Unlock()
+
+	done := make(chan struct{})
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	var ready sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []frozenView
+			verify := func() error {
+				for _, v := range held {
+					if err := v.check(); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				if st := s.loadState(); len(held) == 0 || held[len(held)-1].st != st {
+					held = append(held, viewOf(st))
+					if len(held) == 1 {
+						ready.Done()
+					}
+				}
+				if err := verify(); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	ready.Wait()
+
+	var held []frozenView
+	hold := func() { held = append(held, viewOf(s.loadState())) }
+	described := dataset.SurveyLike(11).Tasks
+	rng := rand.New(rand.NewSource(9))
+	merges := 0
+	for day := 0; day < 3; day++ {
+		if _, err := s.CreateTasks(TaskSpec{ProcTime: 1, DomainHint: 40}, TaskSpec{ProcTime: 1, DomainHint: 41}); err != nil {
+			t.Fatal(err)
+		}
+		hold()
+		var specs []TaskSpec
+		for _, task := range described[day*20 : (day+1)*20] {
+			specs = append(specs, TaskSpec{Description: task.Description, ProcTime: 1})
+		}
+		if _, err := s.CreateTasks(specs...); err != nil {
+			t.Fatal(err)
+		}
+		hold()
+		alloc, err := s.AllocateMaxQuality()
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := []Observation{{Task: 0, User: UserID(day), Value: 3}, {Task: 2, User: UserID(day), Value: 6}} // tasks of day 0, every day
+		for _, p := range alloc.Pairs {
+			obs = append(obs, Observation{Task: p.Task, User: p.User, Value: float64(p.Task%7)*3 + rng.NormFloat64()/(1+float64(p.User))})
+		}
+		if err := s.SubmitObservations(obs...); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.CloseTimeStep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		merges += rep.MergedDomains
+		hold()
+	}
+	close(done)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	for _, v := range held {
+		if err := v.check(); err != nil {
+			t.Error(err)
+		}
+	}
+
+	// The script must have reached the two paths that change old entries.
+	if merges == 0 {
+		t.Error("no established domains merged: no described create moved an old task")
+	}
+	moved, reestimated := false, false
+	final := viewOf(s.loadState())
+	for _, v := range held {
+		for i := range v.domains {
+			moved = moved || v.domains[i] != DomainNone && v.domains[i] != final.domains[i]
+			reestimated = reestimated || v.known[i] && v.truths[i] != final.truths[i]
+		}
+	}
+	if !moved || !reestimated {
+		t.Errorf("held states never differ from the final one (domain moved: %v, truth re-estimated: %v): nothing was at stake", moved, reestimated)
 	}
 }

@@ -3,7 +3,10 @@
 // are flagged, and the copy-on-write idiom passes.
 package single
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 type user struct {
 	name  string
@@ -11,10 +14,11 @@ type user struct {
 }
 
 type serverState struct {
-	users  map[string]*user
-	truths map[string]float64
-	day    int
-	log    *wlog
+	users    map[string]*user
+	truths   map[string]float64
+	domainOf []int
+	day      int
+	log      *wlog
 }
 
 // wlog stands in for an internally synchronized handle (the WAL).
@@ -27,6 +31,8 @@ type Server struct {
 	users map[string]*user
 	// truths is shared with the published snapshot too.
 	truths map[string]float64
+	// domainOf is a published column: append-only below a captured header.
+	domainOf []int
 	// scratch is NOT published: writes to it stay legal.
 	scratch map[string]int
 	state   atomic.Pointer[serverState]
@@ -39,10 +45,11 @@ type Server struct {
 // publish roots.
 func (s *Server) publishLocked() {
 	s.state.Store(&serverState{
-		users:  s.users,
-		truths: s.truths,
-		day:    s.day,
-		log:    s.log, //eta2:snapshotimmutability-ok synchronized handle, published so readers can reach it, not frozen data
+		users:    s.users,
+		truths:   s.truths,
+		domainOf: s.domainOf,
+		day:      s.day,
+		log:      s.log, //eta2:snapshotimmutability-ok synchronized handle, published so readers can reach it, not frozen data
 	})
 }
 
@@ -90,6 +97,37 @@ func (s *Server) goodCOW(id string, u *user) {
 	}
 	next[id] = u
 	s.users = next // wholesale replacement, not a write into shared memory
+	s.publishLocked()
+}
+
+// badColumnWrites stores into a published column: through the owner
+// field, a loaded snapshot, an alias, and a callee that writes its parameter.
+func (s *Server) badColumnWrites(i, d int) {
+	s.domainOf[i] = d // want `write to s\.domainOf\[i\] mutates`
+	st := s.state.Load()
+	st.domainOf[i] = d // want `write to st\.domainOf\[i\] mutates`
+	col := s.domainOf
+	col[i] = d             // want `write to col\[i\] mutates`
+	copy(s.domainOf, col)  // want `copy mutates s\.domainOf`
+	assign(s.domainOf, i)  // want `passes snapshot-reachable s\.domainOf to snapshot/single\.assign`
+	assign(st.domainOf, i) // want `passes snapshot-reachable st\.domainOf to snapshot/single\.assign`
+}
+
+// assign writes through its slice parameter.
+func assign(col []int, i int) { col[i] = 1 }
+
+// goodColumnWrites are the two legal shapes: append past every captured
+// header and swap the field, or change an entry in a copy and swap that.
+func (s *Server) goodColumnWrites(i, d int) {
+	s.domainOf = append(s.domainOf, d)
+	next := slices.Clone(s.domainOf)
+	next[i] = d
+	assign(next, i)
+	s.domainOf = next
+	grown := make([]int, len(s.domainOf)+1)
+	copy(grown, s.domainOf)
+	grown[i] = d
+	s.domainOf = grown
 	s.publishLocked()
 }
 

@@ -18,7 +18,7 @@
 //     user's per-domain expertise with exponential decay.
 //
 // Servers can run purely in memory, persist explicit snapshots
-// (SaveState/LoadServer), or run fully durable: WithDurability journals
+// (SaveStateBinary/LoadServer), or run fully durable: WithDurability journals
 // every mutation to a write-ahead log and recovers the exact pre-crash
 // state on the next start (see DESIGN.md §10).
 //
