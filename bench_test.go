@@ -19,6 +19,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,6 +31,7 @@ import (
 	"eta2/internal/embedding"
 	"eta2/internal/experiments"
 	"eta2/internal/loop"
+	"eta2/internal/obs"
 	"eta2/internal/semantic"
 	"eta2/internal/simulation"
 	"eta2/internal/stats"
@@ -455,6 +458,110 @@ func BenchmarkStepWithTaskHistory(b *testing.B) {
 			}
 			b.ReportMetric(float64(create)/1e6/float64(b.N), "ms/create")
 			b.ReportMetric(float64(overhead)/1e6/float64(b.N), "ms/close-minus-MLE")
+		})
+	}
+}
+
+// BenchmarkStepWithExpertiseHistory times what a step pays for the expertise
+// accumulated before it: one close over 800 hinted tasks observed twice by
+// 200 users, on a server restored with 1 000, 10 000 and 100 000 users, each
+// with evidence in all of 8 domains. ms/close-minus-MLE is the close less
+// what the truth package recorded for its fixed-point run (the solve is the
+// same in every row): table build, the store's clone, its decay sweep and
+// the step's commit, the truths column copy and the publish. ms/capture is
+// what a compaction, SaveStateBinary or a follower bootstrap holds the lock
+// for. The store's share of both is one flat copy and one slice header.
+func BenchmarkStepWithExpertiseHistory(b *testing.B) {
+	const domains, perDomain, reporters = 8, 100, 200
+	specs := make([]TaskSpec, domains*perDomain)
+	for i := range specs {
+		specs[i] = TaskSpec{ProcTime: 1, DomainHint: DomainID(i%domains + 1)}
+	}
+	// mleSeconds is the truth package's own account of its runs so far.
+	mleSeconds := func() (sum float64) {
+		var buf bytes.Buffer
+		if err := obs.Default().WritePrometheus(&buf); err != nil {
+			b.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "eta2_truth_estimate_duration_seconds_sum") {
+				v, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum += v
+			}
+		}
+		return sum
+	}
+	// step runs one day on s and returns the close's duration less its MLE.
+	step := func(s *Server) time.Duration {
+		ids, err := s.CreateTasks(specs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reports := make([]Observation, 0, 2*len(ids))
+		for _, id := range ids {
+			for k := 0; k < 2; k++ {
+				reports = append(reports, Observation{Task: id, User: UserID((int(id) + 7*k) % reporters), Value: float64(int(id)%13) + float64(k)})
+			}
+		}
+		if err := s.SubmitObservations(reports...); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		mle := mleSeconds()
+		start := time.Now()
+		if _, err := s.CloseTimeStep(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start) - time.Duration((mleSeconds()-mle)*float64(time.Second))
+	}
+	for _, users := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			past, err := NewServer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]User, users)
+			entries := make([]truth.StoreEntry, 0, users*domains)
+			for u := range batch {
+				batch[u] = User{ID: UserID(u), Capacity: 8}
+				for d := 1; d <= domains; d++ {
+					entries = append(entries, truth.StoreEntry{User: UserID(u), Domain: DomainID(d), N: float64(3 + u%5), D: float64(1+d) / 2})
+				}
+			}
+			if err := past.AddUsers(batch...); err != nil {
+				b.Fatal(err)
+			}
+			step(past) // day 0 is the warm-up MLE: the steps timed are dynamic updates
+			past.store, err = truth.RestoreStore(truth.StoreState{Alpha: past.store.Alpha(), Prior: truth.DefaultStorePrior, Entries: entries})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := past.SaveStateBinary(&snap); err != nil {
+				b.Fatal(err)
+			}
+			var overhead, capture time.Duration
+			for i := 0; i < b.N; i++ {
+				s, err := LoadServer(bytes.NewReader(snap.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				overhead += step(s)
+				runtime.GC()
+				start := time.Now()
+				s.mu.Lock()
+				st := s.persistStateLocked()
+				s.mu.Unlock()
+				capture += time.Since(start)
+				if len(st.Store.Entries) != users*domains {
+					b.Fatalf("captured %d store entries, want %d", len(st.Store.Entries), users*domains)
+				}
+			}
+			b.ReportMetric(float64(overhead)/1e6/float64(b.N), "ms/close-minus-MLE")
+			b.ReportMetric(float64(capture)/1e6/float64(b.N), "ms/capture")
 		})
 	}
 }

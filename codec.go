@@ -35,10 +35,10 @@ import (
 //
 // Any version other than snapshotCodecVersion fails with ErrBadState naming
 // it — another build's file must not be silently discarded — and so does a
-// body whose checksum verifies but whose per-task sections are not what this
-// build writes (naming the section), while a bad magic, truncated file, or
-// CRC mismatch is an ordinary decode error, letting recovery fall back to an
-// older snapshot.
+// body whose checksum verifies but whose per-task or store sections are not
+// what this build writes (naming the section), while a bad magic, truncated
+// file, or CRC mismatch is an ordinary decode error, letting recovery fall
+// back to an older snapshot.
 
 // snapshotMagic opens every binary snapshot.
 const snapshotMagic = "ETA2SNAP"
@@ -63,9 +63,13 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 	e.f64(st.Gamma)
 	e.f64(st.Epsilon)
 
-	// Users, in registration order.
-	e.uvarint(uint64(len(st.Users)))
-	for _, u := range st.Users {
+	// Users, in registration order: listed, or joined here (see snapshotState).
+	users := st.Users
+	for _, id := range st.userOrder {
+		users = append(users, st.users[id])
+	}
+	e.uvarint(uint64(len(users)))
+	for _, u := range users {
 		e.varint(int64(u.ID))
 		e.f64(u.Capacity)
 		e.str(u.Name)
@@ -229,8 +233,8 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 
 	d := &snapDecoder{r: br, remaining: bodyLen}
 	var st snapshotState
-	// bad is the first per-task section that is well-formed bytes but not a
-	// column this build writes. It is reported only after the checksum has
+	// bad is the first section that is well-formed bytes but not a column or a
+	// store table this build writes. It is reported only after the checksum has
 	// vouched for those bytes: a bit flip must stay a plain decode error.
 	var bad error
 	refuse := func(section, format string, args ...any) {
@@ -342,6 +346,9 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 				D:      d.f64(),
 			}
 		}
+	}
+	if err := st.Store.Check(); err != nil {
+		refuse("store", "%v", err)
 	}
 
 	if d.byte() == 1 {

@@ -6,10 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"eta2/internal/truth"
 )
 
 // richServer builds an in-memory server with every persistable feature
@@ -117,8 +120,9 @@ func TestBinaryCodecCorruption(t *testing.T) {
 	}
 
 	// Files whose every byte the checksum vouches for, but whose per-task
-	// sections are not columns this build writes: ErrBadState, naming the
-	// section — another build's or a buggy writer's file, not a torn one.
+	// sections are not columns, or whose store is not a table, this build
+	// writes: ErrBadState, naming the section — another build's or a buggy
+	// writer's file, not a torn one.
 	four, err := NewServer()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +133,8 @@ func TestBinaryCodecCorruption(t *testing.T) {
 	if _, err := four.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 2, ProcTime: 1}, TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := four.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}, Observation{Task: 2, User: 1, Value: 3}); err != nil {
+	if err := four.SubmitObservations(Observation{Task: 0, User: 0, Value: 2}, Observation{Task: 0, User: 1, Value: 2.5},
+		Observation{Task: 2, User: 0, Value: 3.5}, Observation{Task: 2, User: 1, Value: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := four.CloseTimeStep(); err != nil {
@@ -141,28 +146,44 @@ func TestBinaryCodecCorruption(t *testing.T) {
 	if err := four.SubmitObservations(Observation{Task: 3, User: 1, Value: 4}); err != nil {
 		t.Fatal(err)
 	}
-	valid := splitPerTaskSections(t, saveBytes(t, four))
-	if len(valid.domainOf) != 4 || len(valid.truths) != 2 || len(valid.observations) != 1 {
-		t.Fatalf("fixture: %d domain_of entries, %d truths, %d observations", len(valid.domainOf), len(valid.truths), len(valid.observations))
+	valid := splitCheckedSections(t, saveBytes(t, four))
+	if len(valid.domainOf) != 4 || len(valid.truths) != 2 || len(valid.observations) != 1 || len(valid.store.Entries) != 2 {
+		t.Fatalf("fixture: %d domain_of entries, %d truths, %d observations, %d store entries",
+			len(valid.domainOf), len(valid.truths), len(valid.observations), len(valid.store.Entries))
 	}
 	if _, err := LoadServer(bytes.NewReader(valid.file())); err != nil {
 		t.Fatalf("re-encoding the valid sections unchanged: %v", err)
 	}
 	for _, tc := range []struct {
 		name, section string
-		mutate        func(*perTaskSections)
+		mutate        func(*checkedSections)
 	}{
-		{"gap in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf = append(p.domainOf[:2:2], p.domainOf[3]) }},
-		{"duplicate id in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[2][0] = 1 }},
-		{"out-of-order ids in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[0], p.domainOf[1] = p.domainOf[1], p.domainOf[0] }},
-		{"out-of-range id in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[3][0] = 9 }},
-		{"negative id in domain_of", "domain_of", func(p *perTaskSections) { p.domainOf[0][0] = -1 }},
-		{"domain_of longer than tasks", "domain_of", func(p *perTaskSections) { p.domainOf = append(p.domainOf, [2]int64{4, 1}) }},
-		{"truth for an unknown task", "truths", func(p *perTaskSections) { p.truths[1].Task = 4 }},
-		{"truth for a negative task", "truths", func(p *perTaskSections) { p.truths[0].Task = -1 }},
-		{"truth backed by no observation", "truths", func(p *perTaskSections) { p.truths[0].Observations = 0 }},
-		{"truth backed by a negative count", "truths", func(p *perTaskSections) { p.truths[1].Observations = -3 }},
-		{"pending observation for an unknown task", "observations", func(p *perTaskSections) { p.observations[0].Task = 4 }},
+		{"gap in domain_of", "domain_of", func(p *checkedSections) { p.domainOf = append(p.domainOf[:2:2], p.domainOf[3]) }},
+		{"duplicate id in domain_of", "domain_of", func(p *checkedSections) { p.domainOf[2][0] = 1 }},
+		{"out-of-order ids in domain_of", "domain_of", func(p *checkedSections) { p.domainOf[0], p.domainOf[1] = p.domainOf[1], p.domainOf[0] }},
+		{"out-of-range id in domain_of", "domain_of", func(p *checkedSections) { p.domainOf[3][0] = 9 }},
+		{"negative id in domain_of", "domain_of", func(p *checkedSections) { p.domainOf[0][0] = -1 }},
+		{"domain_of longer than tasks", "domain_of", func(p *checkedSections) { p.domainOf = append(p.domainOf, [2]int64{4, 1}) }},
+		{"truth for an unknown task", "truths", func(p *checkedSections) { p.truths[1].Task = 4 }},
+		{"truth for a negative task", "truths", func(p *checkedSections) { p.truths[0].Task = -1 }},
+		{"truth backed by no observation", "truths", func(p *checkedSections) { p.truths[0].Observations = 0 }},
+		{"truth backed by a negative count", "truths", func(p *checkedSections) { p.truths[1].Observations = -3 }},
+		{"pending observation for an unknown task", "observations", func(p *checkedSections) { p.observations[0].Task = 4 }},
+		{"duplicate pair in store", "store", func(p *checkedSections) { p.store.Entries[1].User = p.store.Entries[0].User }},
+		{"out-of-order users in store", "store", func(p *checkedSections) {
+			p.store.Entries[0], p.store.Entries[1] = p.store.Entries[1], p.store.Entries[0]
+		}},
+		{"out-of-order domains in store", "store", func(p *checkedSections) {
+			p.store.Entries[1].User, p.store.Entries[0].Domain = p.store.Entries[0].User, p.store.Entries[1].Domain+1
+		}},
+		{"negative N in store", "store", func(p *checkedSections) { p.store.Entries[0].N = -1 }},
+		{"negative D in store", "store", func(p *checkedSections) { p.store.Entries[1].D = -0.5 }},
+		{"NaN N in store", "store", func(p *checkedSections) { p.store.Entries[1].N = math.NaN() }},
+		{"NaN D in store", "store", func(p *checkedSections) { p.store.Entries[0].D = math.NaN() }},
+		{"store alpha above 1", "store", func(p *checkedSections) { p.store.Alpha = 1.5 }},
+		{"negative store alpha", "store", func(p *checkedSections) { p.store.Alpha = -0.1 }},
+		{"NaN store alpha", "store", func(p *checkedSections) { p.store.Alpha = math.NaN() }},
+		{"negative store prior", "store", func(p *checkedSections) { p.store.Prior = -1 }},
 	} {
 		mut := valid.clone()
 		tc.mutate(&mut)
@@ -179,20 +200,22 @@ func TestBinaryCodecCorruption(t *testing.T) {
 	}
 }
 
-// perTaskSections is a snapshot body cut around the sections indexed by
-// task id — domain_of, pending, truths, day, observations — with those
-// decoded into the entries the file carries, so a test can re-encode a body
-// no encoder of this build would write.
-type perTaskSections struct {
+// checkedSections is a snapshot body cut around the sections the decoder
+// holds to what this build writes — those indexed by task id (domain_of,
+// pending, truths, day, observations) and the store that follows them — with
+// those decoded into the entries the file carries, so a test can re-encode a
+// body no encoder of this build would write.
+type checkedSections struct {
 	head, tail   []byte
 	domainOf     [][2]int64 // (task id, domain)
 	pending      []int64
 	truths       []TruthEstimate
 	day          int64
 	observations []Observation
+	store        truth.StoreState
 }
 
-func splitPerTaskSections(t *testing.T, file []byte) perTaskSections {
+func splitCheckedSections(t *testing.T, file []byte) checkedSections {
 	t.Helper()
 	_, n1 := binary.Uvarint(file[len(snapshotMagic):])
 	bodyLen, n2 := binary.Uvarint(file[len(snapshotMagic)+n1:])
@@ -219,7 +242,7 @@ func splitPerTaskSections(t *testing.T, file []byte) perTaskSections {
 		d.f64()
 		d.f64()
 	}
-	p := perTaskSections{head: body[:at()]}
+	p := checkedSections{head: body[:at()]}
 	for i, n := 0, d.count(2); i < n; i++ {
 		p.domainOf = append(p.domainOf, [2]int64{d.varint(), d.varint()})
 	}
@@ -233,6 +256,10 @@ func splitPerTaskSections(t *testing.T, file []byte) perTaskSections {
 	for i, n := 0, d.count(11); i < n; i++ {
 		p.observations = append(p.observations, Observation{Task: TaskID(d.varint()), User: UserID(d.varint()), Value: d.f64(), Day: int(d.varint())})
 	}
+	p.store.Alpha, p.store.Prior = d.f64(), d.f64()
+	for i, n := 0, d.count(18); i < n; i++ {
+		p.store.Entries = append(p.store.Entries, truth.StoreEntry{User: UserID(d.varint()), Domain: DomainID(d.varint()), N: d.f64(), D: d.f64()})
+	}
 	p.tail = body[at():]
 	if d.err != nil {
 		t.Fatal(d.err)
@@ -243,13 +270,14 @@ func splitPerTaskSections(t *testing.T, file []byte) perTaskSections {
 	return p
 }
 
-func (p perTaskSections) clone() perTaskSections {
+func (p checkedSections) clone() checkedSections {
 	p.domainOf, p.truths, p.observations = slices.Clone(p.domainOf), slices.Clone(p.truths), slices.Clone(p.observations)
+	p.store.Entries = slices.Clone(p.store.Entries)
 	return p
 }
 
 // file re-encodes the body and frames it with a correct length and checksum.
-func (p perTaskSections) file() []byte {
+func (p checkedSections) file() []byte {
 	e := &snapEncoder{buf: bytes.Clone(p.head)}
 	e.uvarint(uint64(len(p.domainOf)))
 	for _, en := range p.domainOf {
@@ -274,6 +302,15 @@ func (p perTaskSections) file() []byte {
 		e.varint(int64(o.User))
 		e.f64(o.Value)
 		e.varint(int64(o.Day))
+	}
+	e.f64(p.store.Alpha)
+	e.f64(p.store.Prior)
+	e.uvarint(uint64(len(p.store.Entries)))
+	for _, en := range p.store.Entries {
+		e.varint(int64(en.User))
+		e.varint(int64(en.Domain))
+		e.f64(en.N)
+		e.f64(en.D)
 	}
 	e.buf = append(e.buf, p.tail...)
 	file := append([]byte(snapshotMagic), binary.AppendUvarint(nil, snapshotCodecVersion)...)
@@ -309,11 +346,11 @@ func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
 	e.f64(st.Alpha)
 	e.f64(st.Gamma)
 	e.f64(st.Epsilon)
-	e.uvarint(uint64(len(st.Users)))
-	for _, u := range st.Users {
-		e.varint(int64(u.ID))
-		e.f64(u.Capacity)
-		e.str(u.Name)
+	e.uvarint(uint64(len(st.userOrder)))
+	for _, id := range st.userOrder {
+		e.varint(int64(id))
+		e.f64(st.users[id].Capacity)
+		e.str(st.users[id].Name)
 	}
 	at := len(e.buf)
 	count, width := binary.Uvarint(body[at:])

@@ -468,6 +468,7 @@ func (s *Server) adoptRestored(r *Server, lsn uint64) {
 	s.interner = r.interner
 	s.users = r.users
 	s.userOrder = r.userOrder
+	s.nextUserID = r.nextUserID
 	s.tasks = r.tasks
 	s.domainOf = r.domainOf
 	s.pending = r.pending

@@ -200,6 +200,18 @@ func TestTable2Buckets(t *testing.T) {
 	if math.Abs(total-1) > 1e-9 {
 		t.Errorf("bucket shares sum to %g", total)
 	}
+	// One binary, one answer: the averages must not depend on the order a
+	// map hands out the tasks in.
+	first, _ := json.Marshal(res)
+	for i := 0; i < 3; i++ {
+		again, err := Table2("synthetic", quickOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next, _ := json.Marshal(again); string(next) != string(first) {
+			t.Fatalf("run %d marshals to %s, the first to %s", i+2, next, first)
+		}
+	}
 }
 
 func TestAblationSecondPassHelps(t *testing.T) {

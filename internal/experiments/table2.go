@@ -50,12 +50,13 @@ func Table2(name string, opts Options) (Table2Result, error) {
 		if err != nil {
 			return Table2Result{}, fmt.Errorf("experiments: table2 %s: %w", name, err)
 		}
-		for tid, n := range run.UsersPerTask {
+		for _, task := range ds.Tasks { // in id order, not a map's: stats.Mean adds exps up in order
+			n := run.UsersPerTask[task.ID]
 			for bi, bk := range buckets {
 				if n >= bk.lo && n <= bk.hi {
 					counts[bi]++
 					total++
-					exps[bi] = append(exps[bi], run.AvgAllocatedExpertise[tid])
+					exps[bi] = append(exps[bi], run.AvgAllocatedExpertise[task.ID])
 					break
 				}
 			}

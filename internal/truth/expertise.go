@@ -7,8 +7,10 @@
 package truth
 
 import (
+	"cmp"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"eta2/internal/core"
@@ -64,34 +66,39 @@ func (e Expertise) Users() []core.UserID {
 	return out
 }
 
-// accumulator holds the decayed numerator N(u_i^k) and denominator D(u_i^k)
-// of Eq. 7–8: N counts observations, D sums squared normalized residuals.
-type accumulator struct {
-	N float64
-	D float64
-}
-
 // DefaultPriorStrength is the pseudo-count of the shrinkage prior applied
 // when converting accumulators to expertise (see Config.PriorStrength).
 const DefaultPriorStrength = 2.0
 
-func (a accumulator) expertise(prior, clampLo, clampHi float64) float64 {
-	if a.N <= 0 {
-		return DefaultExpertise
-	}
-	return clamp(math.Sqrt((a.N+prior)/(a.D+prior)), clampLo, clampHi)
+// StoreEntry is one row of the store: the decayed numerator N(u_i^k) and
+// denominator D(u_i^k) of Eq. 7–8 for one (user, domain). N counts
+// observations, D sums squared normalized residuals.
+type StoreEntry struct {
+	User   core.UserID
+	Domain core.DomainID
+	N      float64
+	D      float64
+}
+
+// compareKeys orders rows by (user, domain).
+func compareKeys(a, b StoreEntry) int {
+	return cmp.Or(cmp.Compare(a.User, b.User), cmp.Compare(a.Domain, b.Domain))
 }
 
 // Store is the persistent expertise state of the server. It survives across
 // time steps; each step's freshly estimated residuals are folded in with the
 // decay factor α (Eq. 7–9), and clustering-driven domain merges are applied
 // with MergeDomains.
+//
+// The state is one table, rows, in strictly ascending (user, domain) order —
+// what the snapshot codec writes — and first, each user's first row: a lookup
+// is one map read and a scan of that user's rows, one per domain at most.
+// first is replaced, never written, once built, so clones share it.
 type Store struct {
-	alpha   float64
-	prior   float64
-	acc     map[core.UserID]map[core.DomainID]accumulator
-	clampLo float64
-	clampHi float64
+	alpha float64
+	prior float64
+	rows  []StoreEntry
+	first map[core.UserID]int
 }
 
 // DefaultStorePrior is the pseudo-count used when reading expertise out of
@@ -107,20 +114,7 @@ const DefaultStorePrior = 0.5
 // historical accumulators each update; α=1 never forgets, α=0 keeps only
 // the newest batch). Out-of-range alphas are clamped.
 func NewStore(alpha float64) *Store {
-	return &Store{
-		alpha:   clamp(alpha, 0, 1),
-		prior:   DefaultStorePrior,
-		acc:     make(map[core.UserID]map[core.DomainID]accumulator),
-		clampLo: MinExpertise,
-		clampHi: MaxExpertise,
-	}
-}
-
-// SetPrior overrides the readout pseudo-count (default DefaultStorePrior).
-func (s *Store) SetPrior(prior float64) {
-	if prior >= 0 {
-		s.prior = prior
-	}
+	return &Store{alpha: clamp(alpha, 0, 1), prior: DefaultStorePrior}
 }
 
 // Expertise clamping bounds. u→0 makes observation variance diverge and
@@ -134,25 +128,42 @@ const (
 // Alpha returns the store's decay factor.
 func (s *Store) Alpha() float64 { return s.alpha }
 
-// Expertise returns the current expertise of user u in domain d.
-func (s *Store) Expertise(u core.UserID, d core.DomainID) float64 {
-	if m, ok := s.acc[u]; ok {
-		if a, ok := m[d]; ok {
-			return a.expertise(s.prior, s.clampLo, s.clampHi)
+// row returns the (u, d) row and its index: zero accumulators and -1 when the
+// table holds no such row.
+func (s *Store) row(u core.UserID, d core.DomainID) (StoreEntry, int) {
+	if i, ok := s.first[u]; ok {
+		for ; i < len(s.rows) && s.rows[i].User == u; i++ {
+			if s.rows[i].Domain == d {
+				return s.rows[i], i
+			}
 		}
 	}
-	return DefaultExpertise
+	return StoreEntry{}, -1
 }
 
-// Snapshot materializes the store as an Expertise map.
-func (s *Store) Snapshot() Expertise {
-	out := make(Expertise, len(s.acc))
-	for u, m := range s.acc { //eta2:nondeterministic-ok independent per-key write into the output map: order-independent
-		for d, a := range m { //eta2:nondeterministic-ok independent per-key write into the output map: order-independent
-			out.Set(u, d, a.expertise(s.prior, s.clampLo, s.clampHi))
+// indexRows builds the user → first row map of rows, sized for users users.
+func indexRows(rows []StoreEntry, users int) map[core.UserID]int {
+	first := make(map[core.UserID]int, users)
+	for i, r := range rows {
+		if i == 0 || rows[i-1].User != r.User {
+			first[r.User] = i
 		}
 	}
-	return out
+	return first
+}
+
+// readout converts accumulators to expertise under the store's prior.
+func (s *Store) readout(n, den float64) float64 {
+	if n <= 0 {
+		return DefaultExpertise
+	}
+	return clamp(math.Sqrt((n+s.prior)/(den+s.prior)), MinExpertise, MaxExpertise)
+}
+
+// Expertise returns the current expertise of user u in domain d.
+func (s *Store) Expertise(u core.UserID, d core.DomainID) float64 {
+	r, _ := s.row(u, d)
+	return s.readout(r.N, r.D)
 }
 
 // Contribution is one user's fresh evidence in one domain from the current
@@ -170,41 +181,52 @@ type Contribution struct {
 // (user, domain) accumulator decays — including those without fresh
 // evidence — so stale expertise gradually reverts toward the prior.
 func (s *Store) Commit(batch []Contribution) {
-	if s.alpha != 1 { //eta2:floatcmp-ok exact sentinel: alpha is set from config once, 1 means decay disabled
-		for _, m := range s.acc { //eta2:nondeterministic-ok independent per-key scale, no cross-key accumulation: order-independent
-			for d, a := range m { //eta2:nondeterministic-ok independent per-key scale, no cross-key accumulation: order-independent
-				m[d] = accumulator{N: s.alpha * a.N, D: s.alpha * a.D}
-			}
-		}
+	for i := range s.rows {
+		s.rows[i].N *= s.alpha
+		s.rows[i].D *= s.alpha
 	}
-	for _, c := range batch {
-		m, ok := s.acc[c.User]
-		if !ok {
-			m = make(map[core.DomainID]accumulator)
-			s.acc[c.User] = m
-		}
-		a := m[c.Domain]
-		a.N += c.Count
-		a.D += c.ResidualSq
-		m[c.Domain] = a
-	}
+	s.add(batch)
 }
 
-// Clone deep-copies the store, including its accumulators. Min-cost
-// allocation uses clones to evaluate candidate estimates without mutating
-// the server's committed expertise state.
+// add adds each contribution to its pair's accumulators, in batch order.
+func (s *Store) add(batch []Contribution) {
+	var fresh []StoreEntry // evidence for pairs the table does not hold yet
+	for _, c := range batch {
+		if _, i := s.row(c.User, c.Domain); i >= 0 {
+			s.rows[i].N += c.Count
+			s.rows[i].D += c.ResidualSq
+		} else {
+			fresh = append(fresh, StoreEntry{User: c.User, Domain: c.Domain, N: c.Count, D: c.ResidualSq})
+		}
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	// Merge them in as one sorted run; the sort is stable, so a pair repeated
+	// in the batch still adds up, from zero, in batch order.
+	slices.SortStableFunc(fresh, compareKeys)
+	merged, old := make([]StoreEntry, 0, len(s.rows)+len(fresh)), s.rows
+	for _, f := range fresh {
+		for len(old) > 0 && compareKeys(old[0], f) < 0 {
+			merged, old = append(merged, old[0]), old[1:]
+		}
+		if n := len(merged); n == 0 || compareKeys(merged[n-1], f) != 0 {
+			merged = append(merged, StoreEntry{User: f.User, Domain: f.Domain})
+		}
+		merged[len(merged)-1].N += f.N
+		merged[len(merged)-1].D += f.D
+	}
+	s.rows = append(merged, old...)
+	s.first = indexRows(s.rows, len(s.first))
+}
+
+// Clone copies the store: one copy of the table, the index shared. Closing a
+// step, folding a domain merge and min-cost allocation each work on a clone:
+// the store they started from, which readers and encoders hold, stays as is.
 func (s *Store) Clone() *Store {
-	out := &Store{
-		alpha:   s.alpha,
-		prior:   s.prior,
-		acc:     make(map[core.UserID]map[core.DomainID]accumulator, len(s.acc)),
-		clampLo: s.clampLo,
-		clampHi: s.clampHi,
-	}
-	for u, m := range s.acc { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
-		out.acc[u] = maps.Clone(m)
-	}
-	return out
+	out := *s
+	out.rows = slices.Clone(s.rows)
+	return &out
 }
 
 // Seen reports whether the store has committed any evidence for user u in
@@ -216,10 +238,8 @@ func (s *Store) Seen(u core.UserID, d core.DomainID) bool {
 // Evidence returns the (decayed) observation count N(u_i^k) backing the
 // expertise of user u in domain d — how much the estimate can be trusted.
 func (s *Store) Evidence(u core.UserID, d core.DomainID) float64 {
-	if m, ok := s.acc[u]; ok {
-		return m[d].N
-	}
-	return 0
+	r, _ := s.row(u, d)
+	return r.N
 }
 
 // MergeDomains folds the accumulators of domain from into domain into for
@@ -228,14 +248,19 @@ func (s *Store) MergeDomains(into, from core.DomainID) {
 	if into == from {
 		return
 	}
-	for _, m := range s.acc { //eta2:nondeterministic-ok each user's fold touches only that user's map entries: order-independent
-		if a, ok := m[from]; ok {
-			t := m[into]
-			t.N += a.N
-			t.D += a.D
-			m[into] = t
-			delete(m, from)
+	// Take the from rows out, in place, and add them back as evidence for into.
+	var moved []Contribution
+	kept := s.rows[:0]
+	for _, r := range s.rows {
+		if r.Domain == from {
+			moved = append(moved, Contribution{User: r.User, Domain: into, Count: r.N, ResidualSq: r.D})
+		} else {
+			kept = append(kept, r)
 		}
+	}
+	if len(moved) > 0 {
+		s.rows, s.first = kept, indexRows(kept, len(s.first))
+		s.add(moved)
 	}
 }
 
@@ -244,12 +269,8 @@ func (s *Store) MergeDomains(into, from core.DomainID) {
 // dynamic-update iteration of Sec. 4.2 uses this to converge before
 // committing.
 func (s *Store) PreviewExpertise(u core.UserID, d core.DomainID, count, residualSq float64) float64 {
-	var a accumulator
-	if m, ok := s.acc[u]; ok {
-		a = m[d]
-	}
-	a = accumulator{N: s.alpha*a.N + count, D: s.alpha*a.D + residualSq}
-	return a.expertise(s.prior, s.clampLo, s.clampHi)
+	r, _ := s.row(u, d)
+	return s.readout(s.alpha*r.N+count, s.alpha*r.D+residualSq)
 }
 
 func clamp(v, lo, hi float64) float64 {

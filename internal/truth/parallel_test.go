@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"reflect"
 	"testing"
 
 	"eta2/internal/core"
@@ -127,7 +128,7 @@ func TestUpdateStepParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("Parallelism=%d: Sigma[%d] differs", workers, id)
 			}
 		}
-		if !expertiseEqual(sN.Snapshot(), s1.Snapshot()) {
+		if !reflect.DeepEqual(bitsOf(sN.State()), bitsOf(s1.State())) {
 			t.Fatalf("Parallelism=%d: committed store state differs", workers)
 		}
 	}

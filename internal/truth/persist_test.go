@@ -1,6 +1,8 @@
 package truth
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -42,8 +44,8 @@ func TestStoreStateJSONStable(t *testing.T) {
 		{User: 2, Domain: 1, Count: 3, ResidualSq: 1},
 		{User: 1, Domain: 1, Count: 3, ResidualSq: 2},
 	})
-	// The store ranges over maps to collect its entries: two exports of one
-	// store must still be the same entries in the same (user, domain) order.
+	// Two exports of one store are the same entries in (user, domain) order,
+	// whatever order they were committed in.
 	want := []StoreEntry{{User: 1, Domain: 1, N: 3, D: 2}, {User: 2, Domain: 1, N: 3, D: 1}}
 	for i := 0; i < 20; i++ {
 		if got := s.State(); !reflect.DeepEqual(got.Entries, want) {
@@ -59,10 +61,17 @@ func TestRestoreStoreRejectsInvalid(t *testing.T) {
 		{Alpha: 0.5, Prior: -1},
 		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 1, Domain: 1, N: -1, D: 1}}},
 		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 1, Domain: 1, N: 1, D: -1}}},
+		{Alpha: math.NaN(), Prior: 0.5},
+		{Alpha: 0.5, Prior: math.NaN()},
+		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 1, Domain: 1, N: math.NaN(), D: 1}}},
+		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 1, Domain: 1, N: 1, D: math.NaN()}}},
+		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 1, Domain: 1, N: 1, D: 1}, {User: 1, Domain: 1, N: 2, D: 2}}},
+		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 1, Domain: 2, N: 1, D: 1}, {User: 1, Domain: 1, N: 1, D: 1}}},
+		{Alpha: 0.5, Prior: 0.5, Entries: []StoreEntry{{User: 2, Domain: 1, N: 1, D: 1}, {User: 1, Domain: 3, N: 1, D: 1}}},
 	}
 	for i, st := range cases {
-		if _, err := RestoreStore(st); err == nil {
-			t.Errorf("case %d: invalid state accepted", i)
+		if _, err := RestoreStore(st); !errors.Is(err, ErrBadStoreState) {
+			t.Errorf("case %d: RestoreStore = %v, want ErrBadStoreState", i, err)
 		}
 	}
 }

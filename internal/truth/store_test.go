@@ -170,18 +170,3 @@ func TestExpertiseClamping(t *testing.T) {
 		t.Errorf("expertise %g not clamped at %g", got, MinExpertise)
 	}
 }
-
-func TestSetPrior(t *testing.T) {
-	s := NewStore(1)
-	s.Commit([]Contribution{{User: 1, Domain: 1, Count: 10, ResidualSq: 1}})
-	loose := s.Expertise(1, 1)
-	s.SetPrior(50)
-	tight := s.Expertise(1, 1)
-	if tight >= loose {
-		t.Errorf("stronger prior should shrink toward 1: %g -> %g", loose, tight)
-	}
-	s.SetPrior(-1) // ignored
-	if s.Expertise(1, 1) != tight {
-		t.Error("negative prior should be ignored")
-	}
-}

@@ -450,10 +450,11 @@ type compactionCapture struct {
 
 // captureCompactionLocked materializes a compaction capture under the
 // write lock. This is the only part of a compaction cycle that runs on
-// the write path, and it is cheap: map references (copy-on-write keeps
-// them frozen), slice headers (append-only backing arrays), and one deep
-// copy of the clustering engine state. The expensive work — encoding,
-// file writes, fsyncs, WAL truncation — happens off-lock in
+// the write path, and it is cheap: the user map's reference (copy-on-write
+// keeps it frozen), slice headers (append-only backing arrays, and the
+// expertise table, which only clones are written to), and one deep copy of
+// the clustering engine state. The expensive work — listing the users,
+// encoding, file writes, fsyncs, WAL truncation — happens off-lock in
 // writeSnapshot. Returns ok=false on a server without a journal.
 func (s *Server) captureCompactionLocked() (compactionCapture, bool) {
 	if s.journal == nil {

@@ -28,7 +28,11 @@ type snapshotState struct {
 	Gamma   float64
 	Epsilon float64
 
-	Users []core.User // in registration order
+	// Users, in registration order: listed (a decoded state), or the server's
+	// own order and frozen map (a captured one), joined by the encoder.
+	Users     []core.User
+	userOrder []UserID
+	users     map[UserID]User
 
 	Tasks []core.Task
 	// DomainOf and Truths are the per-task columns, indexed by task id:
@@ -61,12 +65,13 @@ func (s *Server) SaveStateBinary(w io.Writer) error {
 }
 
 // persistStateLocked materializes the serializable snapshot struct.
-// Callers hold s.mu (read or write). The result remains valid after the
-// lock is released: the slices are append-only below their captured
-// headers (a writer that changes an entry of domainOf or truths swaps in
-// a copy; DESIGN.md §11 rule 2), the truth store is replace-on-write, and
-// the clustering engine state is a deep copy — so compaction can encode
-// it with no lock held.
+// Callers hold s.mu (read or write). It copies headers and references —
+// only the clustering engine state is a deep copy — and the result remains
+// valid after the lock is released: the slices are append-only below their
+// captured headers (a writer that changes an entry of domainOf or truths
+// swaps in a copy; DESIGN.md §11 rule 2), and the user map and the truth
+// store's table are replace-on-write — so compaction can encode it with no
+// lock held.
 func (s *Server) persistStateLocked() snapshotState {
 	st := snapshotState{
 		Version:      stateVersion,
@@ -80,9 +85,8 @@ func (s *Server) persistStateLocked() snapshotState {
 		Day:          s.day,
 		Observations: s.observations,
 		Store:        s.store.State(),
-	}
-	for _, id := range s.userOrder {
-		st.Users = append(st.Users, s.users[id])
+		userOrder:    s.userOrder,
+		users:        s.users,
 	}
 	if s.domains != nil {
 		ds := s.domains.State()
@@ -149,7 +153,7 @@ func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
 
 	store, err := truth.RestoreStore(st.Store)
 	if err != nil {
-		return nil, fmt.Errorf("eta2: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
 	}
 	s.store = store
 

@@ -51,8 +51,9 @@ type Server struct {
 	// itself. Lookups are lock-free; binds happen under mu via addUsers.
 	interner *core.Interner
 
-	users     map[UserID]User
-	userOrder []UserID
+	users      map[UserID]User
+	userOrder  []UserID
+	nextUserID UserID // one past the highest id in userOrder: AddUsersByName's next
 
 	tasks []core.Task
 	// domainOf and truths are per-task columns indexed by the dense TaskID
@@ -354,6 +355,7 @@ func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
 		prev, existed := next[u.ID]
 		if !existed {
 			s.userOrder = append(s.userOrder, u.ID)
+			s.nextUserID = max(s.nextUserID, u.ID+1)
 		}
 		if existed && u.Name == "" {
 			// A capacity update without a name keeps the existing binding:
@@ -393,12 +395,7 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 		return nil, fmt.Errorf("eta2: negative capacity %g", capacity)
 	}
 	s.mu.Lock()
-	nextID := UserID(0)
-	for _, id := range s.userOrder {
-		if id >= nextID {
-			nextID = id + 1
-		}
-	}
+	nextID := s.nextUserID
 	ids := make([]UserID, len(names))
 	batch := make([]User, len(names))
 	var fresh map[string]UserID // names first seen in this batch

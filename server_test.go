@@ -1,9 +1,11 @@
 package eta2
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,6 +53,63 @@ func TestAddUsersValidation(t *testing.T) {
 	}
 	if s.NumUsers() != 2 {
 		t.Errorf("NumUsers after update = %d", s.NumUsers())
+	}
+}
+
+// TestAddUsersByNameAssignsNextID: a new name gets one past the highest id
+// ever registered, by either door — and the server that recovered, restored
+// or adopted the same history hands out the same next id as the live one.
+func TestAddUsersByNameAssignsNextID(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := func(s *Server, want []UserID, names ...string) {
+		t.Helper()
+		got, err := s.AddUsersByName(5, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("AddUsersByName(%q) = %v, want %v", names, got, want)
+		}
+	}
+	byID := func(users ...User) {
+		t.Helper()
+		if err := s.AddUsers(users...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byName(s, []UserID{0, 1}, "a", "b")
+	byID(User{ID: 7, Capacity: 1}, User{ID: 3, Capacity: 1, Name: "c"})
+	byName(s, []UserID{8, 0, 9, 3, 8}, "d", "a", "e", "c", "d")
+	byID(User{ID: 4, Capacity: 1}) // below the highest: the next id stays
+	byID(User{ID: 9, Capacity: 2}) // a capacity update registers nobody
+	byName(s, []UserID{10}, "f")
+	byID(User{ID: 40, Capacity: 1}, User{ID: 20, Capacity: 1})
+
+	replayed, err := NewServer(WithDurability(copyDataDir(t, dir), pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.journal.Close()
+	loaded, err := LoadServer(bytes.NewReader(saveBytes(t, s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadServer(bytes.NewReader(saveBytes(t, s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted.adoptRestored(restored, 0)
+	for _, srv := range []*Server{s, replayed, loaded, adopted} {
+		byName(srv, []UserID{41, 1, 42}, "g", "b", "h")
 	}
 }
 

@@ -21,9 +21,10 @@ import (
 //     past it, and the two writers that change an entry below it — a
 //     described create whose clustering moves old tasks, and every
 //     CloseTimeStep — write into a copy and swap the header.
-//   - store is replace-on-write: CloseTimeStep commits into a Clone and
-//     swaps the pointer, and CreateTasks clones before folding domain
-//     merges. The published *truth.Store is only ever read.
+//   - store is replace-on-write by one flat copy: CloseTimeStep commits
+//     into a Clone and swaps the pointer, and CreateTasks clones before
+//     folding domain merges. The published *truth.Store, and the rows its
+//     State() hands a snapshot encoder, are only ever read.
 //   - the scalar fields are plain copies.
 //
 // The journal pointer is included so DurabilityStats and journalCommit run

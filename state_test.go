@@ -11,6 +11,7 @@ import (
 
 	"eta2/internal/dataset"
 	"eta2/internal/embedding"
+	"eta2/internal/truth"
 )
 
 // TestLockFreeReadsDuringDurableStorm is the acceptance test for the
@@ -166,16 +167,18 @@ func TestLockFreeReadsDuringDurableStorm(t *testing.T) {
 }
 
 // frozenView is what one published serverState answered, for every task it
-// holds, the first time it was asked.
+// holds, the first time it was asked, and a copy of the rows its expertise
+// store had then.
 type frozenView struct {
 	st      *serverState
 	domains []DomainID
 	truths  []TruthEstimate
 	known   []bool
+	store   []truth.StoreEntry
 }
 
 func viewOf(st *serverState) frozenView {
-	v := frozenView{st: st}
+	v := frozenView{st: st, store: slices.Clone(st.store.State().Entries)}
 	for id := TaskID(0); int(id) < st.numTasks; id++ {
 		est, ok := st.truth(id)
 		v.domains, v.truths, v.known = append(v.domains, st.domain(id)), append(v.truths, est), append(v.known, ok)
@@ -194,6 +197,9 @@ func (v frozenView) check() error {
 			return fmt.Errorf("state at day %d with %d tasks: truth of task %d was %+v/%v, now reads %+v/%v", v.st.day, v.st.numTasks, id, v.truths[i], v.known[i], est, ok)
 		}
 	}
+	if now := v.st.store.State().Entries; !slices.Equal(now, v.store) {
+		return fmt.Errorf("state at day %d with %d tasks: its expertise store held %v, now holds %v", v.st.day, v.st.numTasks, v.store, now)
+	}
 	return nil
 }
 
@@ -203,10 +209,12 @@ func (v frozenView) check() error {
 // while the writer appends hinted tasks in place, runs described creates
 // whose clustering moves old tasks (the golden server's script merges two
 // established domains in its third batch), and closes steps that
-// re-estimate a task of an earlier day. The writer's own goroutine also
-// holds the state published after every mutation, so the check does not
-// depend on how the readers were scheduled; under -race, a writer that
-// stored below a published header is a reported race as well.
+// re-estimate a task of an earlier day — and the same for the rows of the
+// state's expertise store, which those closes decay and add to and those
+// merges fold. The writer's own goroutine also holds the state published
+// after every mutation, so the check does not depend on how the readers
+// were scheduled; under -race, a writer that stored below a published
+// header is a reported race as well.
 func TestPublishedColumnsStayFrozen(t *testing.T) {
 	s, err := NewServer(WithEmbedder(embedding.NewHashEmbedder(16, 7)), WithAlpha(0.7))
 	if err != nil {
@@ -317,15 +325,17 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 	if merges == 0 {
 		t.Error("no established domains merged: no described create moved an old task")
 	}
-	moved, reestimated := false, false
+	moved, reestimated, folded := false, false, false
 	final := viewOf(s.loadState())
-	for _, v := range held {
-		for i := range v.domains {
-			moved = moved || v.domains[i] != DomainNone && v.domains[i] != final.domains[i]
-			reestimated = reestimated || v.known[i] && v.truths[i] != final.truths[i]
+	for i, v := range held {
+		for k := range v.domains {
+			moved = moved || v.domains[k] != DomainNone && v.domains[k] != final.domains[k]
+			reestimated = reestimated || v.known[k] && v.truths[k] != final.truths[k]
 		}
+		// A create publishes a store of its own only when it merged domains.
+		folded = folded || i > 0 && v.st.day == held[i-1].st.day && len(v.store) < len(held[i-1].store)
 	}
-	if !moved || !reestimated {
-		t.Errorf("held states never differ from the final one (domain moved: %v, truth re-estimated: %v): nothing was at stake", moved, reestimated)
+	if !moved || !reestimated || !folded {
+		t.Errorf("held states never differ (domain moved: %v, truth re-estimated: %v, store rows folded by a create: %v): nothing was at stake", moved, reestimated, folded)
 	}
 }
