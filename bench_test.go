@@ -539,6 +539,7 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			past.publishLocked() // not shared: the snapshot below encodes the published state
 			var snap bytes.Buffer
 			if err := past.SaveStateBinary(&snap); err != nil {
 				b.Fatal(err)
@@ -552,12 +553,10 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 				overhead += step(s)
 				runtime.GC()
 				start := time.Now()
-				s.mu.Lock()
-				st := s.persistStateLocked()
-				s.mu.Unlock()
+				st := s.loadState()
 				capture += time.Since(start)
-				if len(st.Store.Entries) != users*domains {
-					b.Fatalf("captured %d store entries, want %d", len(st.Store.Entries), users*domains)
+				if n := len(st.store.State().Entries); n != users*domains {
+					b.Fatalf("captured %d store entries, want %d", n, users*domains)
 				}
 			}
 			b.ReportMetric(float64(overhead)/1e6/float64(b.N), "ms/close-minus-MLE")

@@ -8,8 +8,8 @@ import (
 	"io"
 	"math"
 
-	"eta2/internal/cluster"
 	"eta2/internal/core"
+	"eta2/internal/loop"
 	"eta2/internal/semantic"
 	"eta2/internal/truth"
 )
@@ -30,7 +30,7 @@ import (
 //	magic   8 bytes  "ETA2SNAP"
 //	version uvarint  snapshotCodecVersion
 //	length  uvarint  body length in bytes
-//	body    ...      sections in persistStateLocked field order
+//	body    ...      the state version, then serverState's persistable fields in order
 //	crc     4 bytes  little-endian CRC-32C of body
 //
 // Any version other than snapshotCodecVersion fails with ErrBadState naming
@@ -55,28 +55,24 @@ const snapshotCodecVersion = 2
 
 var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeStateBinary writes one binary snapshot.
-func encodeStateBinary(w io.Writer, st snapshotState) error {
+// encodeStateBinary writes the persistable fields of st as one binary
+// snapshot. st is a published state (or one a decoder built): it is only read.
+func encodeStateBinary(w io.Writer, st *serverState) error {
 	e := &snapEncoder{}
-	e.uvarint(uint64(st.Version))
-	e.f64(st.Alpha)
-	e.f64(st.Gamma)
-	e.f64(st.Epsilon)
+	e.uvarint(stateVersion)
+	e.f64(st.alpha)
+	e.f64(st.gamma)
+	e.f64(st.epsilon)
 
-	// Users, in registration order: listed, or joined here (see snapshotState).
-	users := st.Users
-	for _, id := range st.userOrder {
-		users = append(users, st.users[id])
-	}
-	e.uvarint(uint64(len(users)))
-	for _, u := range users {
+	e.uvarint(uint64(len(st.users)))
+	for _, u := range st.users {
 		e.varint(int64(u.ID))
 		e.f64(u.Capacity)
 		e.str(u.Name)
 	}
 
-	e.uvarint(uint64(len(st.Tasks)))
-	for _, t := range st.Tasks {
+	e.uvarint(uint64(len(st.tasks)))
+	for _, t := range st.tasks {
 		e.varint(int64(t.ID))
 		e.str(t.Description)
 		e.varint(int64(t.Domain))
@@ -87,25 +83,25 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 		e.f64(t.Base)
 	}
 
-	e.uvarint(uint64(len(st.DomainOf)))
-	for tid, dom := range st.DomainOf {
+	e.uvarint(uint64(len(st.domainOf)))
+	for tid, dom := range st.domainOf {
 		e.varint(int64(tid))
 		e.varint(int64(dom))
 	}
 
-	e.uvarint(uint64(len(st.Pending)))
-	for _, id := range st.Pending {
+	e.uvarint(uint64(len(st.pending)))
+	for _, id := range st.pending {
 		e.varint(int64(id))
 	}
 
 	estimated := 0
-	for _, t := range st.Truths {
+	for _, t := range st.truths {
 		if t.Observations > 0 {
 			estimated++
 		}
 	}
 	e.uvarint(uint64(estimated))
-	for tid, t := range st.Truths {
+	for tid, t := range st.truths {
 		if t.Observations > 0 {
 			e.varint(int64(tid))
 			e.f64(t.Value)
@@ -114,31 +110,36 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 		}
 	}
 
-	e.varint(int64(st.Day))
+	e.varint(int64(st.day))
 
-	e.uvarint(uint64(len(st.Observations)))
-	for _, o := range st.Observations {
+	e.uvarint(uint64(len(st.observations)))
+	for _, o := range st.observations {
 		e.varint(int64(o.Task))
 		e.varint(int64(o.User))
 		e.f64(o.Value)
 		e.varint(int64(o.Day))
 	}
 
-	e.f64(st.Store.Alpha)
-	e.f64(st.Store.Prior)
-	e.uvarint(uint64(len(st.Store.Entries)))
-	for _, en := range st.Store.Entries {
+	store := st.store.State()
+	e.f64(store.Alpha)
+	e.f64(store.Prior)
+	e.uvarint(uint64(len(store.Entries)))
+	for _, en := range store.Entries {
 		e.varint(int64(en.User))
 		e.varint(int64(en.Domain))
 		e.f64(en.N)
 		e.f64(en.D)
 	}
 
-	if st.Cluster == nil {
+	// Clustering: the engine, then the vector and the task of every item.
+	// Without clustering that is a zero byte and two empty lists.
+	var ds loop.DomainsState
+	if st.cluster == nil {
 		e.buf = append(e.buf, 0)
 	} else {
 		e.buf = append(e.buf, 1)
-		c := st.Cluster
+		ds = *st.cluster
+		c := ds.Cluster
 		e.f64(c.Gamma)
 		e.f64(c.DStar)
 		e.varint(int64(c.NItems))
@@ -166,14 +167,13 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 			e.varint(int64(s))
 		}
 	}
-
-	e.uvarint(uint64(len(st.Vectors)))
-	for _, v := range st.Vectors {
+	e.uvarint(uint64(len(ds.Vectors)))
+	for _, v := range ds.Vectors {
 		e.floats(v.Query)
 		e.floats(v.Target)
 	}
-	e.uvarint(uint64(len(st.ItemToTask)))
-	for _, id := range st.ItemToTask {
+	e.uvarint(uint64(len(ds.Tasks)))
+	for _, id := range ds.Tasks {
 		e.varint(int64(id))
 	}
 
@@ -200,12 +200,13 @@ func encodeStateBinary(w io.Writer, st snapshotState) error {
 // decoded as it streams through a CRC-accumulating reader, so recovery
 // memory is bounded by the decoded state, never state plus file, and every
 // length prefix is checked against the bytes left before anything is
-// allocated for it. The parsed state is surrendered to the
+// allocated for it. The parsed state — a serverState with its persistable
+// fields filled, the users not yet indexed — is surrendered to the
 // caller only after the trailing checksum verifies — a corrupt body can
 // waste transient work but never escape as a successfully loaded state.
-func decodeStateBinary(r io.Reader) (snapshotState, error) {
-	fail := func(err error) (snapshotState, error) {
-		return snapshotState{}, fmt.Errorf("eta2: load state: %w", err)
+func decodeStateBinary(r io.Reader) (*serverState, error) {
+	fail := func(err error) (*serverState, error) {
+		return nil, fmt.Errorf("eta2: load state: %w", err)
 	}
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -223,7 +224,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		return fail(fmt.Errorf("truncated snapshot header"))
 	}
 	if version != snapshotCodecVersion {
-		return snapshotState{}, fmt.Errorf("%w: snapshot uses binary codec version %d, but this build reads only version %d",
+		return nil, fmt.Errorf("%w: snapshot uses binary codec version %d, but this build reads only version %d",
 			ErrBadState, version, snapshotCodecVersion)
 	}
 	bodyLen, err := binary.ReadUvarint(br)
@@ -232,7 +233,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 	}
 
 	d := &snapDecoder{r: br, remaining: bodyLen}
-	var st snapshotState
+	st := &serverState{}
 	// bad is the first section that is well-formed bytes but not a column or a
 	// store table this build writes. It is reported only after the checksum has
 	// vouched for those bytes: a bit flip must stay a plain decode error.
@@ -242,26 +243,25 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 			bad = fmt.Errorf("%w: snapshot section %s: %s", ErrBadState, section, fmt.Sprintf(format, args...))
 		}
 	}
-	st.Version = int(d.uvarint())
-	if d.err == nil && st.Version != stateVersion {
-		return snapshotState{}, fmt.Errorf("%w: snapshot has version %d, but this build supports version %d",
-			ErrBadState, st.Version, stateVersion)
+	if v := d.uvarint(); d.err == nil && v != stateVersion {
+		return nil, fmt.Errorf("%w: snapshot has version %d, but this build supports version %d",
+			ErrBadState, v, stateVersion)
 	}
-	st.Alpha = d.f64()
-	st.Gamma = d.f64()
-	st.Epsilon = d.f64()
+	st.alpha = d.f64()
+	st.gamma = d.f64()
+	st.epsilon = d.f64()
 
 	if n := d.count(10); n > 0 { // varint id, float capacity, name length
-		st.Users = make([]core.User, n)
-		for i := range st.Users {
-			st.Users[i] = core.User{ID: core.UserID(d.varint()), Capacity: d.f64(), Name: d.str()}
+		st.users = make([]core.User, n)
+		for i := range st.users {
+			st.users[i] = core.User{ID: core.UserID(d.varint()), Capacity: d.f64(), Name: d.str()}
 		}
 	}
 
 	if n := d.count(36); n > 0 { // three varints, a string length, four floats
-		st.Tasks = make([]core.Task, n)
-		for i := range st.Tasks {
-			st.Tasks[i] = core.Task{
+		st.tasks = make([]core.Task, n)
+		for i := range st.tasks {
+			st.tasks[i] = core.Task{
 				ID:          core.TaskID(d.varint()),
 				Description: d.str(),
 				Domain:      core.DomainID(d.varint()),
@@ -276,28 +276,28 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 
 	// One entry per task, ids 0..len(tasks)-1 in order: the column's index.
 	if n := d.count(2); n > 0 {
-		st.DomainOf = make([]DomainID, n)
-		for i := range st.DomainOf {
+		st.domainOf = make([]DomainID, n)
+		for i := range st.domainOf {
 			if tid := d.varint(); tid != int64(i) {
 				refuse("domain_of", "entry %d is for task %d, want task ids 0..%d in order", i, tid, n-1)
 			}
-			st.DomainOf[i] = DomainID(d.varint())
+			st.domainOf[i] = DomainID(d.varint())
 		}
 	}
-	if len(st.DomainOf) != len(st.Tasks) {
-		refuse("domain_of", "%d entries for %d tasks", len(st.DomainOf), len(st.Tasks))
+	if len(st.domainOf) != len(st.tasks) {
+		refuse("domain_of", "%d entries for %d tasks", len(st.domainOf), len(st.tasks))
 	}
 
 	if n := d.count(1); n > 0 {
-		st.Pending = make([]TaskID, n)
-		for i := range st.Pending {
-			st.Pending[i] = TaskID(d.varint())
+		st.pending = make([]TaskID, n)
+		for i := range st.pending {
+			st.pending[i] = TaskID(d.varint())
 		}
 	}
 
 	// Two varints and two floats each.
 	if n := d.count(18); n > 0 {
-		st.Truths = make([]TruthEstimate, len(st.Tasks))
+		st.truths = make([]TruthEstimate, len(st.tasks))
 		for i := 0; i < n; i++ {
 			t := TruthEstimate{
 				Task:         TaskID(d.varint()),
@@ -306,40 +306,39 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 				Observations: int(d.varint()),
 			}
 			switch {
-			case int(t.Task) < 0 || int(t.Task) >= len(st.Tasks):
-				refuse("truths", "estimate for task %d, but the snapshot holds %d tasks", t.Task, len(st.Tasks))
+			case int(t.Task) < 0 || int(t.Task) >= len(st.tasks):
+				refuse("truths", "estimate for task %d, but the snapshot holds %d tasks", t.Task, len(st.tasks))
 			case t.Observations <= 0:
 				refuse("truths", "estimate for task %d backed by %d observations", t.Task, t.Observations)
 			default:
-				st.Truths[t.Task] = t
+				st.truths[t.Task] = t
 			}
 		}
 	}
 
-	st.Day = int(d.varint())
+	st.day = int(d.varint())
 
 	if n := d.count(11); n > 0 { // three varints, one float
-		st.Observations = make([]Observation, n)
-		for i := range st.Observations {
-			st.Observations[i] = Observation{
+		st.observations = make([]Observation, n)
+		for i := range st.observations {
+			st.observations[i] = Observation{
 				Task:  core.TaskID(d.varint()),
 				User:  core.UserID(d.varint()),
 				Value: d.f64(),
 				Day:   int(d.varint()),
 			}
 			// The close that estimates it indexes the columns by its task.
-			if tid := st.Observations[i].Task; int(tid) < 0 || int(tid) >= len(st.Tasks) {
-				refuse("observations", "observation for task %d, but the snapshot holds %d tasks", tid, len(st.Tasks))
+			if tid := st.observations[i].Task; int(tid) < 0 || int(tid) >= len(st.tasks) {
+				refuse("observations", "observation for task %d, but the snapshot holds %d tasks", tid, len(st.tasks))
 			}
 		}
 	}
 
-	st.Store.Alpha = d.f64()
-	st.Store.Prior = d.f64()
+	store := truth.StoreState{Alpha: d.f64(), Prior: d.f64()}
 	if n := d.count(18); n > 0 { // two varints, two floats
-		st.Store.Entries = make([]truth.StoreEntry, n)
-		for i := range st.Store.Entries {
-			st.Store.Entries[i] = truth.StoreEntry{
+		store.Entries = make([]truth.StoreEntry, n)
+		for i := range store.Entries {
+			store.Entries[i] = truth.StoreEntry{
 				User:   core.UserID(d.varint()),
 				Domain: core.DomainID(d.varint()),
 				N:      d.f64(),
@@ -347,17 +346,20 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 			}
 		}
 	}
-	if err := st.Store.Check(); err != nil {
+	if st.store, err = truth.RestoreStore(store); err != nil {
 		refuse("store", "%v", err)
 	}
 
+	// The vectors and task ids of the clustered items follow the engine; a
+	// snapshot without clustering state holds none of either.
+	var ds loop.DomainsState
 	if d.byte() == 1 {
-		c := &cluster.EngineState{
-			Gamma:      d.f64(),
-			DStar:      d.f64(),
-			NItems:     int(d.varint()),
-			NextDomain: core.DomainID(d.varint()),
-		}
+		st.cluster = &ds
+		c := &ds.Cluster
+		c.Gamma = d.f64()
+		c.DStar = d.f64()
+		c.NItems = int(d.varint())
+		c.NextDomain = core.DomainID(d.varint())
 		if n := d.count(1); n > 0 {
 			c.Domains = make([]core.DomainID, n)
 			for i := range c.Domains {
@@ -387,19 +389,17 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 				c.ItemSlot[i] = int(d.varint())
 			}
 		}
-		st.Cluster = c
 	}
-
 	if n := d.count(2); n > 0 { // two float-slice lengths
-		st.Vectors = make([]semantic.TaskVector, n)
-		for i := range st.Vectors {
-			st.Vectors[i] = semantic.TaskVector{Query: d.floats(), Target: d.floats()}
+		ds.Vectors = make([]semantic.TaskVector, n)
+		for i := range ds.Vectors {
+			ds.Vectors[i] = semantic.TaskVector{Query: d.floats(), Target: d.floats()}
 		}
 	}
 	if n := d.count(1); n > 0 {
-		st.ItemToTask = make([]TaskID, n)
-		for i := range st.ItemToTask {
-			st.ItemToTask[i] = TaskID(d.varint())
+		ds.Tasks = make([]TaskID, n)
+		for i := range ds.Tasks {
+			ds.Tasks[i] = TaskID(d.varint())
 		}
 	}
 
@@ -422,7 +422,7 @@ func decodeStateBinary(r io.Reader) (snapshotState, error) {
 		return fail(fmt.Errorf("trailing garbage after snapshot checksum"))
 	}
 	if bad != nil {
-		return snapshotState{}, bad
+		return nil, bad
 	}
 	return st, nil
 }

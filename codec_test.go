@@ -338,24 +338,22 @@ func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
 	body := good[len(snapshotMagic)+n1+n2:][:bodyLen]
 
 	// Re-encode the sections ahead of the tasks to find their count prefix.
-	s.mu.RLock()
-	st := s.persistStateLocked()
-	s.mu.RUnlock()
+	st := s.loadState()
 	e := &snapEncoder{}
-	e.uvarint(uint64(st.Version))
-	e.f64(st.Alpha)
-	e.f64(st.Gamma)
-	e.f64(st.Epsilon)
-	e.uvarint(uint64(len(st.userOrder)))
-	for _, id := range st.userOrder {
-		e.varint(int64(id))
-		e.f64(st.users[id].Capacity)
-		e.str(st.users[id].Name)
+	e.uvarint(stateVersion)
+	e.f64(st.alpha)
+	e.f64(st.gamma)
+	e.f64(st.epsilon)
+	e.uvarint(uint64(len(st.users)))
+	for _, u := range st.users {
+		e.varint(int64(u.ID))
+		e.f64(u.Capacity)
+		e.str(u.Name)
 	}
 	at := len(e.buf)
 	count, width := binary.Uvarint(body[at:])
-	if !bytes.Equal(body[:at], e.buf) || int(count) != len(st.Tasks) {
-		t.Fatalf("did not find the task count at body offset %d (read %d, want %d)", at, count, len(st.Tasks))
+	if !bytes.Equal(body[:at], e.buf) || int(count) != len(st.tasks) {
+		t.Fatalf("did not find the task count at body offset %d (read %d, want %d)", at, count, len(st.tasks))
 	}
 
 	rest := body[at+width:]

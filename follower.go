@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
 	"time"
 
@@ -43,22 +42,15 @@ type FollowerOptions struct {
 	// PollWait is the long-poll duration sent with each fetch when caught
 	// up (default 5s, capped by the primary at repl.MaxWait).
 	PollWait time.Duration
-	// BatchMax caps records per fetch (default repl.DefaultMaxRecords).
-	BatchMax int
 	// RetryMin/RetryMax bound the exponential backoff between failed
 	// fetches (defaults 100ms and 5s).
 	RetryMin time.Duration
 	RetryMax time.Duration
-	// HTTPClient overrides the client used to reach the primary.
-	HTTPClient *http.Client
 }
 
 func (o *FollowerOptions) applyDefaults() {
 	if o.PollWait <= 0 {
 		o.PollWait = 5 * time.Second
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = repl.DefaultMaxRecords
 	}
 	if o.RetryMin <= 0 {
 		o.RetryMin = 100 * time.Millisecond
@@ -136,7 +128,7 @@ func OpenFollower(primaryURL string, fopts FollowerOptions, opts ...Option) (*Fo
 	}
 	f := &Follower{
 		s:          s,
-		cli:        repl.NewClient(primaryURL, fopts.HTTPClient),
+		cli:        repl.NewClient(primaryURL, nil),
 		restoreOpt: opts,
 		opts:       fopts,
 		done:       make(chan struct{}),
@@ -170,13 +162,17 @@ func (f *Follower) Err() error {
 // the primary has compacted past our cursor.
 func (f *Follower) run(ctx context.Context) {
 	defer close(f.done)
+	// A fetch cut short by Close or Promote may have applied records no
+	// finishBatch published: publish them, so that what Close compacts and
+	// what readers see afterwards is everything this loop applied.
+	defer f.s.publishApplied()
 	backoff := f.opts.RetryMin
 	for ctx.Err() == nil {
 		// Everything that advances the applied frontier publishes it before
 		// control returns here (finishBatch, bootstrap), so the published
 		// frontier is the cursor.
 		from := f.s.loadState().lastLSN + 1
-		frontier, n, err := f.cli.FetchLog(ctx, from, f.opts.PollWait, f.opts.BatchMax, f.applyRecord)
+		frontier, n, err := f.cli.FetchLog(ctx, from, f.opts.PollWait, repl.DefaultMaxRecords, f.applyRecord)
 		if ctx.Err() != nil {
 			return
 		}
@@ -467,13 +463,14 @@ func (s *Server) adoptRestored(r *Server, lsn uint64) {
 	// names; adopt it wholesale so name→id bindings survive the bootstrap.
 	s.interner = r.interner
 	s.users = r.users
-	s.userOrder = r.userOrder
+	s.userPos = r.userPos
 	s.nextUserID = r.nextUserID
 	s.tasks = r.tasks
 	s.domainOf = r.domainOf
 	s.pending = r.pending
 	s.store = r.store
 	s.domains = r.domains
+	s.cluster = r.cluster
 	s.observations = r.observations
 	s.truths = r.truths
 	s.day = r.day

@@ -8,7 +8,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
+
+// Finite reports whether x is a number a model quantity can be: neither NaN
+// nor an infinity. A comparison against a bound lets NaN through, so the
+// validators ask this first.
+func Finite(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0)
+}
 
 // TaskID identifies a sensing task. IDs are dense, starting at 0, in the
 // order tasks were created.
@@ -59,11 +67,11 @@ func (t Task) Validate() error {
 	if t.ID < 0 {
 		return fmt.Errorf("core: task %d: negative id", t.ID)
 	}
-	if t.ProcTime <= 0 {
-		return fmt.Errorf("core: task %d: processing time must be positive, got %g", t.ID, t.ProcTime)
+	if !Finite(t.ProcTime) || t.ProcTime <= 0 {
+		return fmt.Errorf("core: task %d: processing time must be positive and finite, got %g", t.ID, t.ProcTime)
 	}
-	if t.Cost < 0 {
-		return fmt.Errorf("core: task %d: negative cost %g", t.ID, t.Cost)
+	if !Finite(t.Cost) || t.Cost < 0 {
+		return fmt.Errorf("core: task %d: cost must be non-negative and finite, got %g", t.ID, t.Cost)
 	}
 	if t.Base < 0 {
 		return fmt.Errorf("core: task %d: negative base number %g", t.ID, t.Base)
@@ -89,8 +97,8 @@ func (u User) Validate() error {
 	if u.ID < 0 {
 		return fmt.Errorf("core: user %d: negative id", u.ID)
 	}
-	if u.Capacity < 0 {
-		return fmt.Errorf("core: user %d: negative capacity %g", u.ID, u.Capacity)
+	if !Finite(u.Capacity) || u.Capacity < 0 {
+		return fmt.Errorf("core: user %d: capacity must be non-negative and finite, got %g", u.ID, u.Capacity)
 	}
 	return nil
 }

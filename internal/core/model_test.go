@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -18,6 +19,10 @@ func TestTaskValidate(t *testing.T) {
 		{"negative proc time", Task{ID: 0, ProcTime: -2}, true},
 		{"negative cost", Task{ID: 0, ProcTime: 1, Cost: -1}, true},
 		{"negative base", Task{ID: 0, ProcTime: 1, Base: -1}, true},
+		{"NaN proc time", Task{ID: 0, ProcTime: math.NaN()}, true},
+		{"infinite proc time", Task{ID: 0, ProcTime: math.Inf(1)}, true},
+		{"NaN cost", Task{ID: 0, ProcTime: 1, Cost: math.NaN()}, true},
+		{"infinite cost", Task{ID: 0, ProcTime: 1, Cost: math.Inf(1)}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -36,8 +41,10 @@ func TestUserValidate(t *testing.T) {
 	if err := (User{ID: -1, Capacity: 5}).Validate(); err == nil {
 		t.Error("negative id accepted")
 	}
-	if err := (User{ID: 0, Capacity: -1}).Validate(); err == nil {
-		t.Error("negative capacity accepted")
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (User{ID: 0, Capacity: c}).Validate(); err == nil {
+			t.Errorf("capacity %g accepted", c)
+		}
 	}
 }
 

@@ -274,11 +274,11 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 // the same *Locked bodies the public mutations run (minus the follower
 // write gate: a follower rejects public writes while still applying the
 // primary's). The whole apply is one s.mu critical section that ends with
-// s.lastLSN == lsn, so applied state and LSN frontier are never observable
-// apart: whatever captures state under s.mu (Compact, SaveStateBinary, a
-// replication snapshot) labels it with exactly the LSN it contains. The
-// bodies are told the record's LSN, so they stamp it instead of
-// journaling again (see journalBuffered).
+// s.lastLSN == lsn, and the bodies stamp the record's LSN before they
+// publish (see journalBuffered) instead of journaling again, so applied state
+// and LSN frontier are never observable apart: a published state — what
+// Compact, SaveStateBinary and a replication snapshot encode — is labelled
+// with exactly the LSN it contains.
 //
 //eta2:journalfirst-ok replay applies a record that is already in the journal under lsn; journaling it again would duplicate the log
 func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
@@ -294,8 +294,10 @@ func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 		// Verbatim append: the journaled observations already carry their
 		// Day stamp (and min-cost rounds bypass SubmitObservations), so
 		// re-validating or re-stamping could diverge from the original run.
-		// Not published per record: observations are not part of the read
-		// snapshot, and a follower publishes once per shipped batch. A task
+		// Not published per record: no query reads the open day's
+		// observations, startup replay publishes at its end and a follower
+		// once per shipped batch — until then a state capture sees the
+		// frontier of the last record that did publish. A task
 		// this state does not hold is refused here, by LSN, rather than by
 		// an index out of range in the close that would estimate it.
 		for _, o := range ev.Observations {
@@ -429,7 +431,7 @@ func (s *Server) compactIfOwedLocked() {
 	if s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
 		return
 	}
-	//eta2:replaypurity-ok compaction rewrites durable files only and labels its snapshot under s.mu with exactly the LSN it contains, so applied state never observes it; startup replay runs with s.journal == nil and never trips the threshold
+	//eta2:replaypurity-ok compaction rewrites durable files only, from a published state labelled with exactly the LSN it contains, so applied state never observes it; startup replay runs with s.journal == nil and never trips the threshold
 	go s.backgroundCompact()
 }
 
@@ -437,56 +439,10 @@ func (s *Server) compactIfOwedLocked() {
 // without WithDurability.
 var ErrNotDurable = errors.New("eta2: server has no durable data directory")
 
-// compactionCapture is everything one compaction cycle needs after the
-// write lock is released: the fully materialized persistable state (all
-// of it immutable or append-frozen — see persistStateLocked), the LSN
-// frontier the snapshot will cover, and the journal/directory to compact.
-type compactionCapture struct {
-	st      snapshotState
-	lsn     uint64
-	journal *wal.Log
-	dir     string
-}
-
-// captureCompactionLocked materializes a compaction capture under the
-// write lock. This is the only part of a compaction cycle that runs on
-// the write path, and it is cheap: the user map's reference (copy-on-write
-// keeps it frozen), slice headers (append-only backing arrays, and the
-// expertise table, which only clones are written to), and one deep copy of
-// the clustering engine state. The expensive work — listing the users,
-// encoding, file writes, fsyncs, WAL truncation — happens off-lock in
-// writeSnapshot. Returns ok=false on a server without a journal.
-func (s *Server) captureCompactionLocked() (compactionCapture, bool) {
-	if s.journal == nil {
-		return compactionCapture{}, false
-	}
-	return compactionCapture{
-		st:      s.persistStateLocked(),
-		lsn:     s.lastLSN,
-		journal: s.journal,
-		dir:     s.journalDir,
-	}, true
-}
-
-// writeSnapshot runs the off-lock portion of a compaction cycle: sync the
-// WAL through the captured frontier, then install the captured state,
-// encoded with the binary codec, as the directory's newest snapshot. WAL
-// records are only deleted once a durable snapshot with their LSN exists,
-// so recovery at any intermediate state replays to the same result. Plain
-// function on purpose: it must not touch live Server state.
-func writeSnapshot(cap compactionCapture) error {
-	if err := cap.journal.Sync(); err != nil {
-		return fmt.Errorf("eta2: journal sync: %w", err)
-	}
-	return installSnapshot(cap.dir, cap.journal, cap.lsn, func(w io.Writer) error {
-		return encodeStateBinary(w, cap.st)
-	})
-}
-
 // installSnapshot makes whatever write produces the newest snapshot in
 // dir, covering every record through lsn — the one path a snapshot file
-// reaches a data directory by (compaction encodes captured state through
-// it, follower bootstrap tees the primary's snapshot through it).
+// reaches a data directory by (compaction encodes the published state
+// through it, follower bootstrap tees the primary's snapshot through it).
 // Crash-safe at every point: the file lands via write-temp + fsync +
 // rename + directory fsync, and only then are the snapshots it supersedes
 // and the WAL prefix it covers removed. A failed write leaves the
@@ -526,25 +482,26 @@ func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Wri
 	return nil
 }
 
-// finishCompactionLocked records a completed compaction cycle's
-// bookkeeping and publishes it. Skipped if the journal was detached (a
+// finishCompactionLocked records the bookkeeping of a completed compaction
+// cycle over st and publishes it. Skipped if the journal was detached (a
 // racing Close already wrote a newer final snapshot) or a newer snapshot
 // was already recorded.
-func (s *Server) finishCompactionLocked(cap compactionCapture) {
-	if s.journal != cap.journal || cap.lsn < s.snapLSN {
+func (s *Server) finishCompactionLocked(st *serverState) {
+	if s.journal != st.journal || st.lastLSN < s.snapLSN {
 		return
 	}
-	s.snapLSN = cap.lsn
+	s.snapLSN = st.lastLSN
 	s.compactions++
 	s.lastCompaction = time.Now()
 	s.publishLocked()
 }
 
-// Compact writes a snapshot of the current state covering every journaled
-// (on a follower: applied) mutation, then truncates the WAL prefix the
-// snapshot covers. The write lock is held only while capturing state;
-// encoding and fsyncs run with no server lock held, so concurrent
-// mutations, a follower's apply loop and reads proceed unimpeded.
+// Compact writes a snapshot of the published state, covering every journaled
+// mutation (on a follower: every applied record the pull loop has published),
+// then truncates the WAL prefix the snapshot covers. Encoding and fsyncs run
+// with no server lock held, so concurrent mutations, a follower's apply loop
+// and reads proceed unimpeded; the writer lock is taken once, at the end, to
+// record the bookkeeping.
 func (s *Server) Compact() error {
 	return s.compactCycle(mCompactionForeground)
 }
@@ -552,9 +509,13 @@ func (s *Server) Compact() error {
 // compactCycle is the one LSN-coordinated compaction cycle — explicit,
 // automatic, and the final one in Close all run it, serialized by
 // compactMu (lock order everywhere: compactMu before mu, never inside):
-// briefly take the write lock to capture state and the LSN it contains,
-// encode/fsync/truncate with no server lock held, then re-lock to record
-// the bookkeeping. ErrNotDurable without a journal.
+// load the published state, which carries the LSN it contains and the
+// journal it was written through; sync the WAL through that frontier, then
+// install the state, encoded with the binary codec, as the directory's
+// newest snapshot — WAL records are only deleted once a durable snapshot
+// with their LSN exists, so recovery at any intermediate state replays to
+// the same result — all with no server lock held; then take the writer lock
+// to record the bookkeeping. ErrNotDurable without a journal.
 func (s *Server) compactCycle(mode *obs.Histogram) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -566,16 +527,19 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 	}
 	defer t.End()
 	start := time.Now()
-	cs := t.StartSpan("capture")
-	s.mu.Lock()
-	cap, ok := s.captureCompactionLocked()
-	s.mu.Unlock()
-	cs.End()
-	if !ok {
+	st := s.loadState()
+	if st.journal == nil {
 		return ErrNotDurable
 	}
 	ws := t.StartSpan("write snapshot")
-	err := writeSnapshot(cap)
+	err := st.journal.Sync()
+	if err != nil {
+		err = fmt.Errorf("eta2: journal sync: %w", err)
+	} else {
+		err = installSnapshot(st.journalDir, st.journal, st.lastLSN, func(w io.Writer) error {
+			return encodeStateBinary(w, st)
+		})
+	}
 	ws.End()
 	if err != nil {
 		mCompactionsFailed.Inc()
@@ -583,7 +547,7 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 	}
 	fin := t.StartSpan("finish")
 	s.mu.Lock()
-	s.finishCompactionLocked(cap)
+	s.finishCompactionLocked(st)
 	s.mu.Unlock()
 	fin.End()
 	mode.Observe(time.Since(start).Seconds())

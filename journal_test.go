@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -706,5 +707,182 @@ func TestMinCostRefusesPhantomObservations(t *testing.T) {
 		}
 		r.journal.Close()
 		s.journal.Close()
+	}
+}
+
+// TestNonFiniteInputRefused: a capacity, processing time, cost or observed
+// value that is NaN or an infinity is refused by the validators, before
+// anything is journaled — so an in-memory server and a durable one (whose
+// JSON event encoder cannot even write a NaN) answer alike, neither's state
+// changes, and the durable one's LastLSN does not move. The min-cost
+// Collector's batch is held to the same check.
+func TestNonFiniteInputRefused(t *testing.T) {
+	build := func(opts ...Option) *Server {
+		t.Helper()
+		s, err := NewServer(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 2, ProcTime: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	mem := build()
+	dur := build(WithDurability(t.TempDir(), DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}))
+	defer dur.Close()
+
+	collect := func(v float64) Collector {
+		return func(pairs []Pair) ([]Observation, error) {
+			return []Observation{{Task: pairs[0].Task, User: pairs[0].User, Value: v}}, nil
+		}
+	}
+	type attempt struct {
+		name string
+		do   func(s *Server, v float64) error
+	}
+	attempts := []attempt{
+		{"AddUsers capacity", func(s *Server, v float64) error { return s.AddUsers(User{ID: 7, Capacity: v}) }},
+		{"AddUsers new capacity of a registered user", func(s *Server, v float64) error { return s.AddUsers(User{ID: 0, Capacity: v}) }},
+		{"AddUsersByName capacity", func(s *Server, v float64) error { _, err := s.AddUsersByName(v, "ann"); return err }},
+		{"CreateTasks processing time", func(s *Server, v float64) error {
+			_, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: v})
+			return err
+		}},
+		{"CreateTasks cost", func(s *Server, v float64) error {
+			_, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1, Cost: v})
+			return err
+		}},
+		{"SubmitObservations value", func(s *Server, v float64) error {
+			return s.SubmitObservations(Observation{Task: 0, User: 0, Value: 3}, Observation{Task: 1, User: 1, Value: v})
+		}},
+		{"AllocateMinCost collected value", func(s *Server, v float64) error {
+			_, err := s.AllocateMinCost(MinCostParams{}, collect(v))
+			return err
+		}},
+	}
+	memBefore, durBefore, lsnBefore := saveBytes(t, mem), saveBytes(t, dur), dur.DurabilityStats().LastLSN
+	if lsnBefore == 0 {
+		t.Fatal("the durable server journaled nothing while it was built")
+	}
+	for _, a := range attempts {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			memErr, durErr := a.do(mem, v), a.do(dur, v)
+			if memErr == nil || durErr == nil || memErr.Error() != durErr.Error() {
+				t.Errorf("%s = %g: in-memory server answers %v, durable server %v; want the same refusal", a.name, v, memErr, durErr)
+			}
+			if got := dur.DurabilityStats().LastLSN; got != lsnBefore {
+				t.Fatalf("%s = %g: the refused call moved LastLSN from %d to %d", a.name, v, lsnBefore, got)
+			}
+			if !bytes.Equal(saveBytes(t, mem), memBefore) || !bytes.Equal(saveBytes(t, dur), durBefore) {
+				t.Fatalf("%s = %g: the refused call changed a server's state", a.name, v)
+			}
+		}
+	}
+	// The finite twin of every attempt is accepted: the refusals above were
+	// about the value, not about the call.
+	for _, a := range attempts {
+		if err := a.do(mem, 2); err != nil {
+			t.Errorf("%s = 2: %v", a.name, err)
+		}
+	}
+}
+
+// TestCaptureTakesNoServerLock: every state capture is a load of the
+// published state. With the writer lock held — a writer parked in its
+// critical section — SaveStateBinary and CaptureReplicationSnapshot return,
+// labelled with the published LSN, and Compact gets as far as installing its
+// snapshot file; only its bookkeeping waits for the lock.
+func TestCaptureTakesNoServerLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewServer(WithEmbedder(rootTestEmbedder(t)), WithDurability(dir, DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	script := durableScript(t)
+	for i, op := range script[:len(script)-1] { // the last close left out: an open day's observations are captured too
+		if err := op(s); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	lsn := s.DurabilityStats().LastLSN
+	want := saveBytes(t, s)
+
+	s.mu.Lock()
+	locked := true
+	unlock := func() {
+		if locked {
+			locked = false
+			s.mu.Unlock()
+		}
+	}
+	defer unlock()
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return while the writer lock was held", what)
+		}
+	}
+	within("SaveStateBinary", func() error {
+		var buf bytes.Buffer
+		if err := s.SaveStateBinary(&buf); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			return errors.New("saved state differs from the one saved with the lock free")
+		}
+		return nil
+	})
+	within("CaptureReplicationSnapshot", func() error {
+		at, write, err := s.CaptureReplicationSnapshot()
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			return err
+		}
+		if at != lsn || !bytes.Equal(buf.Bytes(), want) {
+			return fmt.Errorf("captured LSN %d, want %d with the saved state's bytes", at, lsn)
+		}
+		return nil
+	})
+
+	compacted := make(chan error, 1)
+	go func() { compacted <- s.Compact() }()
+	snapshot := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", lsn))
+	within("the capture and write of Compact", func() error {
+		for {
+			if got, err := os.ReadFile(snapshot); err == nil {
+				if !bytes.Equal(got, want) {
+					return errors.New("installed snapshot differs from the saved state")
+				}
+				return nil
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	select {
+	case err := <-compacted:
+		t.Fatalf("Compact returned (%v) before its bookkeeping could take the writer lock", err)
+	default:
+	}
+	unlock()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DurabilityStats(); got.SnapshotLSN != lsn || got.Compactions != 1 {
+		t.Errorf("after Compact: snapshot LSN %d, %d compactions, want %d and 1", got.SnapshotLSN, got.Compactions, lsn)
 	}
 }

@@ -127,8 +127,8 @@ func ingestAllocSample() {
 }
 
 // publishMetricsLocked refreshes the server-shape gauges. Callers hold
-// s.mu (read or write); every store is a single atomic, so the cost is a
-// handful of nanoseconds on the mutation path.
+// s.mu; every store is a single atomic, so the cost is a handful of
+// nanoseconds on the mutation path.
 func (s *Server) publishMetricsLocked() {
 	mDay.Set(float64(s.day))
 	mUsers.Set(float64(len(s.users)))

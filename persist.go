@@ -5,94 +5,22 @@ import (
 	"fmt"
 	"io"
 
-	"eta2/internal/cluster"
-	"eta2/internal/core"
 	"eta2/internal/loop"
-	"eta2/internal/semantic"
-	"eta2/internal/truth"
 )
 
 // stateVersion guards against loading snapshots from incompatible builds.
 const stateVersion = 1
 
-// snapshotState is the serializable snapshot of a Server: exactly what the
-// binary codec in codec.go writes and reads (SaveStateBinary, compaction's
-// snapshot-<lsn>.bin files, follower bootstrap) — the server's one encoding.
-// The embedding model itself is not serialized — only the task vectors
-// derived from it — so a restored server needs WithEmbedder again only to
-// create NEW described tasks.
-type snapshotState struct {
-	Version int
-
-	Alpha   float64
-	Gamma   float64
-	Epsilon float64
-
-	// Users, in registration order: listed (a decoded state), or the server's
-	// own order and frozen map (a captured one), joined by the encoder.
-	Users     []core.User
-	userOrder []UserID
-	users     map[UserID]User
-
-	Tasks []core.Task
-	// DomainOf and Truths are the per-task columns, indexed by task id:
-	// len(DomainOf) == len(Tasks), len(Truths) <= len(Tasks), and a truth
-	// with Observations == 0 is "no estimate" and is not encoded.
-	DomainOf []DomainID
-	Pending  []TaskID
-	Truths   []TruthEstimate
-	Day      int
-
-	Observations []Observation
-
-	Store truth.StoreState
-
-	// Clustering state; empty when the server runs without an embedder.
-	Cluster    *cluster.EngineState
-	Vectors    []semantic.TaskVector
-	ItemToTask []TaskID
-}
-
 // SaveStateBinary serializes the server's full state with the
 // length-prefixed, CRC-checked binary codec — the format compaction uses
-// for its snapshot files, and the one LoadServer reads. The embedding model
-// is not included; see LoadServer.
+// for its snapshot files, and the one LoadServer reads. It encodes the
+// published state, so it takes no server lock and never waits on a writer;
+// on a follower in the middle of a shipped batch that is the state as of the
+// last published record. The embedding model is not included — only the task
+// vectors derived from it — so a restored server needs WithEmbedder again
+// only to create NEW described tasks; see LoadServer.
 func (s *Server) SaveStateBinary(w io.Writer) error {
-	s.mu.RLock()
-	st := s.persistStateLocked()
-	s.mu.RUnlock()
-	return encodeStateBinary(w, st)
-}
-
-// persistStateLocked materializes the serializable snapshot struct.
-// Callers hold s.mu (read or write). It copies headers and references —
-// only the clustering engine state is a deep copy — and the result remains
-// valid after the lock is released: the slices are append-only below their
-// captured headers (a writer that changes an entry of domainOf or truths
-// swaps in a copy; DESIGN.md §11 rule 2), and the user map and the truth
-// store's table are replace-on-write — so compaction can encode it with no
-// lock held.
-func (s *Server) persistStateLocked() snapshotState {
-	st := snapshotState{
-		Version:      stateVersion,
-		Alpha:        s.cfg.alpha,
-		Gamma:        s.cfg.gamma,
-		Epsilon:      s.cfg.epsilon,
-		Tasks:        s.tasks,
-		DomainOf:     s.domainOf,
-		Pending:      s.pending,
-		Truths:       s.truths,
-		Day:          s.day,
-		Observations: s.observations,
-		Store:        s.store.State(),
-		userOrder:    s.userOrder,
-		users:        s.users,
-	}
-	if s.domains != nil {
-		ds := s.domains.State()
-		st.Cluster, st.Vectors, st.ItemToTask = &ds.Cluster, ds.Vectors, ds.Tasks
-	}
-	return st
+	return encodeStateBinary(w, s.loadState())
 }
 
 // ErrBadState is returned when a snapshot cannot be restored.
@@ -117,14 +45,15 @@ func LoadServer(r io.Reader, opts ...Option) (*Server, error) {
 	return restoreServer(st, opts...)
 }
 
-// restoreServer materializes a decoded snapshot. The snapshot's own
-// alpha/gamma/epsilon are the base configuration; the caller's options
-// are applied on top and win.
-func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
+// restoreServer materializes a decoded snapshot: its persistable fields
+// become the new server's master state as they are. The snapshot's own
+// alpha/gamma/epsilon are the base configuration; the caller's options are
+// applied on top and win.
+func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 	allOpts := append([]Option{
-		WithAlpha(st.Alpha),
-		WithGamma(st.Gamma),
-		WithEpsilon(st.Epsilon),
+		WithAlpha(st.alpha),
+		WithGamma(st.gamma),
+		WithEpsilon(st.epsilon),
 	}, opts...)
 	cfg, err := buildConfig(allOpts...)
 	if err != nil {
@@ -137,31 +66,29 @@ func restoreServer(st snapshotState, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 
-	// One batch, not per-user calls: AddUsers copies the user map per call
-	// (copy-on-write for the lock-free readers), so per-user restores
-	// would be quadratic in the user count.
-	if err := s.AddUsers(st.Users...); err != nil {
+	// Through the front door: it validates the users, indexes them and binds
+	// their names in the intern table.
+	if err := s.AddUsers(st.users...); err != nil {
 		return nil, err
 	}
 
-	s.tasks = st.Tasks
-	s.pending = st.Pending
-	s.day = st.Day
-	s.observations = st.Observations
-	s.domainOf = st.DomainOf
-	s.truths = st.Truths
+	s.tasks = st.tasks
+	s.domainOf = st.domainOf
+	s.pending = st.pending
+	s.truths = st.truths
+	s.day = st.day
+	s.observations = st.observations
+	s.store = st.store
 
-	store, err := truth.RestoreStore(st.Store)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
-	}
-	s.store = store
-
-	if st.Cluster != nil {
-		s.domains, err = loop.RestoreDomains(loop.DomainsState{Cluster: *st.Cluster, Vectors: st.Vectors, Tasks: st.ItemToTask}, s.cfg.embedder)
+	// newServer's empty identifier stands when the snapshot brought no
+	// clustering state. RestoreDomains copies what its engine goes on to
+	// write, so the decoded value stays the immutable capture of it.
+	if st.cluster != nil {
+		s.domains, err = loop.RestoreDomains(*st.cluster, s.cfg.embedder)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadState, err)
 		}
+		s.cluster = st.cluster
 	}
 	// Not yet shared with other goroutines, so publishing without the lock
 	// is safe; installs the restored state for the lock-free query surface.

@@ -2,7 +2,9 @@ package eta2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"eta2/internal/cluster"
 	"eta2/internal/core"
 	"eta2/internal/embedding"
+	"eta2/internal/loop"
 	"eta2/internal/truth"
 )
 
@@ -257,19 +260,31 @@ func TestLoadServerRefusesEmbedderOfAnotherDimension(t *testing.T) {
 	}
 }
 
-// encodeSnapshot frames st exactly as SaveStateBinary would, so a test can
-// hand LoadServer a well-formed file whose only fault is what st says.
-func encodeSnapshot(t *testing.T, st snapshotState) []byte {
+// encodeSnapshot frames st exactly as SaveStateBinary would, but as state
+// version version, so a test can hand LoadServer a well-formed file whose
+// only fault is what st and version say.
+func encodeSnapshot(t *testing.T, version byte, st *serverState) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := encodeStateBinary(&buf, st); err != nil {
-		t.Fatal(err)
+	file := encodedState(st)
+	_, n1 := binary.Uvarint(file[len(snapshotMagic):])
+	_, n2 := binary.Uvarint(file[len(snapshotMagic)+n1:])
+	body := file[len(snapshotMagic)+n1+n2 : len(file)-4]
+	if body[0] != stateVersion || version >= 0x80 {
+		t.Fatalf("state version is not the one byte that opens the body (read %d, to write %d)", body[0], version)
 	}
-	return buf.Bytes()
+	body[0] = version
+	binary.LittleEndian.PutUint32(file[len(file)-4:], crc32.Checksum(body, snapshotCRCTable))
+	return file
+}
+
+// emptyState is the least a snapshot encodes: no users, no tasks, an empty
+// expertise store.
+func emptyState() *serverState {
+	return &serverState{alpha: 0.5, gamma: 0.5, epsilon: 0.1, store: truth.NewStore(0.5)}
 }
 
 func TestLoadServerFutureVersion(t *testing.T) {
-	_, err := LoadServer(bytes.NewReader(encodeSnapshot(t, snapshotState{Version: 2})))
+	_, err := LoadServer(bytes.NewReader(encodeSnapshot(t, 2, emptyState())))
 	if !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
@@ -286,23 +301,23 @@ func TestLoadServerRejectsGarbage(t *testing.T) {
 	if _, err := LoadServer(strings.NewReader(snapshotMagic)); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
-	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, snapshotState{Version: 99}))); err == nil {
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, 99, emptyState()))); err == nil {
 		t.Error("wrong version accepted")
 	}
 	// The binary codec is the one encoding: a JSON document is not a snapshot.
 	if _, err := LoadServer(strings.NewReader(`{"version":1,"alpha":0.5,"gamma":0.5,"epsilon":0.1}`)); err == nil {
 		t.Error("JSON document accepted as a snapshot")
 	}
-	// Inconsistent cluster state.
-	bad := snapshotState{
-		Version: stateVersion, Alpha: 0.5, Gamma: 0.5, Epsilon: 0.1,
-		Store: truth.StoreState{Alpha: 0.5, Prior: 0.5},
-		Cluster: &cluster.EngineState{
-			Gamma: 0.5, NItems: 2, Domains: []core.DomainID{1},
-			Members: [][]int{{0}}, DMat: [][]float64{{0}}, ItemSlot: []int{0},
-		},
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, stateVersion, emptyState()))); err != nil {
+		t.Errorf("the empty state, the base of the two bad ones here, refused: %v", err)
 	}
-	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, bad))); err == nil {
+	// Inconsistent cluster state.
+	bad := emptyState()
+	bad.cluster = &loop.DomainsState{Cluster: cluster.EngineState{
+		Gamma: 0.5, NItems: 2, Domains: []core.DomainID{1},
+		Members: [][]int{{0}}, DMat: [][]float64{{0}}, ItemSlot: []int{0},
+	}}
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, stateVersion, bad))); err == nil {
 		t.Error("inconsistent cluster state accepted")
 	}
 }

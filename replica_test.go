@@ -1,12 +1,13 @@
 package eta2
 
 import (
+	"bytes"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -371,9 +372,12 @@ func streamObservations(t *testing.T, primary *Server, start, n int) {
 
 // TestFollowerCompactAndSaveWhileStreaming hammers the follower's
 // embedded server with SaveStateBinary and Compact while the pull loop applies
-// a long observation stream and a close-step: every state write the
-// apply path makes happens under s.mu, so this is race-clean (run under
-// -race) and the follower still ends bit-identical to the primary.
+// a long observation stream and a close-step. Both encode the published
+// state and neither takes s.mu to do it, so this is race-clean (run under
+// -race), the follower still ends bit-identical to the primary — and every
+// snapshot saved on the way, mid-batch or not, is one LoadServer accepts
+// and is, byte for byte, the primary's state at the LSN the follower had
+// published when it was saved.
 func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 	primary := hintedPrimary(t)
 	ts := replTestServer(t, primary)
@@ -383,6 +387,15 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 	}
 	defer f.Close()
 
+	// A save is labelled by the state published around it: the same pointer
+	// before and after means that is the state it encoded.
+	type labelled struct {
+		lsn   uint64
+		bytes []byte
+	}
+	var saved []labelled
+	var midStream atomic.Int64
+	setupLSN := primary.DurabilityStats().LastLSN
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -394,9 +407,17 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.Server().SaveStateBinary(io.Discard); err != nil {
+			st := f.Server().loadState()
+			var buf bytes.Buffer
+			if err := f.Server().SaveStateBinary(&buf); err != nil {
 				t.Errorf("SaveStateBinary on follower: %v", err)
 				return
+			}
+			if f.Server().loadState() == st {
+				saved = append(saved, labelled{st.lastLSN, buf.Bytes()})
+				if st.lastLSN > setupLSN {
+					midStream.Add(1)
+				}
 			}
 			if err := f.Server().Compact(); err != nil {
 				t.Errorf("Compact on follower: %v", err)
@@ -405,11 +426,21 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 		}
 	}()
 
-	streamObservations(t, primary, 0, 2000)
+	// The primary's states are immutable once published: holding the pointer
+	// is holding the state at that LSN. Stream until the follower has been
+	// caught mid-stream a few times.
+	primaryAt := map[uint64]*serverState{setupLSN: primary.loadState()}
+	for i := 0; i < 2000 || (midStream.Load() < 3 && i < 20000); i++ {
+		streamObservations(t, primary, i, 1)
+		st := primary.loadState()
+		primaryAt[st.lastLSN] = st
+	}
 	if _, err := primary.CloseTimeStep(); err != nil {
 		t.Fatal(err)
 	}
-	waitApplied(t, f, primary.DurabilityStats().LastLSN)
+	closed := primary.loadState()
+	primaryAt[closed.lastLSN] = closed
+	waitApplied(t, f, closed.lastLSN)
 	close(stop)
 	wg.Wait()
 
@@ -418,6 +449,21 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 	}
 	if fst := f.Server().DurabilityStats(); fst.Compactions == 0 || fst.SnapshotLSN > fst.LastLSN {
 		t.Fatalf("follower durability after the stream: %+v", fst)
+	}
+	if midStream.Load() == 0 {
+		t.Fatalf("none of %d saves caught the follower between LSN %d and the end of the stream", len(saved), setupLSN)
+	}
+	for _, s := range saved {
+		if _, err := LoadServer(bytes.NewReader(s.bytes)); err != nil {
+			t.Fatalf("snapshot saved by the follower at LSN %d: %v", s.lsn, err)
+		}
+		// Below setupLSN the follower was still applying hintedPrimary's own
+		// records, whose states nobody held.
+		if want, ok := primaryAt[s.lsn]; ok && !bytes.Equal(s.bytes, encodedState(want)) {
+			t.Fatalf("snapshot saved by the follower at LSN %d differs from the primary's state at that LSN", s.lsn)
+		} else if !ok && s.lsn > setupLSN {
+			t.Fatalf("follower published LSN %d, which the primary never published", s.lsn)
+		}
 	}
 }
 

@@ -106,19 +106,15 @@ func (s *Server) ReadCommitted(from uint64, max int, fn func(lsn uint64, payload
 
 // CaptureReplicationSnapshot captures a consistent snapshot of the
 // current state for follower bootstrap, returning the LSN it covers and
-// a writer that encodes it with the binary codec. The capture itself is
-// cheap (map references and slice headers under the read lock — see
-// persistStateLocked); the encoding runs when write is called, with no
-// server lock held.
+// a writer that encodes it with the binary codec. The capture is a load of
+// the published state, which carries its own LSN; like the encoding, which
+// runs when write is called, it takes no server lock.
 func (s *Server) CaptureReplicationSnapshot() (uint64, func(io.Writer) error, error) {
 	if _, err := s.shipJournal(); err != nil {
 		return 0, nil, err
 	}
-	s.mu.RLock()
-	st := s.persistStateLocked()
-	lsn := s.lastLSN
-	s.mu.RUnlock()
-	return lsn, func(w io.Writer) error { return encodeStateBinary(w, st) }, nil
+	st := s.loadState()
+	return st.lastLSN, func(w io.Writer) error { return encodeStateBinary(w, st) }, nil
 }
 
 // ReplicationStatus reports this server's replication position. For a

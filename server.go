@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,24 +22,25 @@ import (
 // user expertise, and the allocation and truth-analysis machinery. It is
 // safe for concurrent use. The query surface (Truth, Expertise,
 // ExpertiseInDomain, Domain, NumUsers, NumDomains, Day, DurabilityStats)
-// is lock-free: it reads an immutable state snapshot published through an
-// atomic pointer, so reads never wait on writers — not even on a writer
-// parked in an fsync. Mutations serialize behind mu (a writer-writer lock)
-// and publish a fresh snapshot per committed batch (copy-on-write; see
-// DESIGN.md §11). In durable mode a mutation's critical section covers
-// only the in-memory apply and the buffered journal write; the fsync wait
-// happens outside the lock, where the WAL's group commit batches
-// concurrent callers into a single flush (see DESIGN.md §11).
+// and every state capture (SaveStateBinary, Compact, a follower bootstrap)
+// are lock-free: they read an immutable state published through an atomic
+// pointer, so they never wait on writers — not even on a writer parked in
+// an fsync. Mutations serialize behind mu (a writer-writer lock) and publish
+// a fresh state per committed batch (copy-on-write; see DESIGN.md §11). In
+// durable mode a mutation's critical section covers only the in-memory
+// apply and the buffered journal write; the fsync wait happens outside the
+// lock, where the WAL's group commit batches concurrent callers into a
+// single flush (see DESIGN.md §11).
 type Server struct {
-	// mu serializes writers against each other (and against SaveStateBinary,
-	// which reads master state directly under RLock). The query surface
-	// never touches it. Lock ordering: mu is always taken before any
-	// internal/wal lock, never the other way around, and the fsync wait
-	// (journalCommit) runs with mu released.
-	mu sync.RWMutex
+	// mu serializes writers against each other and nothing else: whatever
+	// only reads — a query, a state capture — loads the published state
+	// instead. Lock ordering: mu is always taken before any internal/wal
+	// lock, never the other way around, and the fsync wait (journalCommit)
+	// runs with mu released.
+	mu sync.Mutex
 
-	// state is the published immutable read snapshot; see state.go. Stored
-	// only by publishLocked, loaded freely by the query surface.
+	// state is the published immutable state; see state.go. Stored only by
+	// publishLocked, loaded freely by everything that reads.
 	state atomic.Pointer[serverState]
 
 	cfg config
@@ -51,9 +51,12 @@ type Server struct {
 	// itself. Lookups are lock-free; binds happen under mu via addUsers.
 	interner *core.Interner
 
-	users      map[UserID]User
-	userOrder  []UserID
-	nextUserID UserID // one past the highest id in userOrder: AddUsersByName's next
+	// The master state the writers build on, under mu. What is persistable
+	// of it is listed once more, in serverState, where publishLocked copies
+	// the headers and references; state.go has each container's rule.
+	users      []User
+	userPos    map[UserID]int32
+	nextUserID UserID // one past the highest id in users: AddUsersByName's next
 
 	tasks []core.Task
 	// domainOf and truths are per-task columns indexed by the dense TaskID
@@ -69,8 +72,11 @@ type Server struct {
 
 	store *truth.Store
 	// domains identifies described tasks' domains; nil without an embedder
-	// (unless a snapshot brought its own clustering state).
+	// (unless a snapshot brought its own clustering state). It is the one
+	// piece of master state that is written in place, so cluster holds its
+	// state as of the last change, for publication.
 	domains *loop.Domains
+	cluster *loop.DomainsState
 
 	observations []Observation
 	day          int
@@ -251,7 +257,7 @@ func newServer(cfg config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		interner: core.NewInterner(),
-		users:    make(map[UserID]User),
+		userPos:  make(map[UserID]int32),
 		store:    truth.NewStore(cfg.alpha),
 		tracer:   trace.New(cfg.traceEvery, traceRecorderCapacity),
 	}
@@ -260,6 +266,8 @@ func newServer(cfg config) (*Server, error) {
 		if s.domains, err = loop.NewDomains(cfg.embedder, cfg.gamma); err != nil {
 			return nil, fmt.Errorf("eta2: %w", err)
 		}
+		ds := s.domains.State()
+		s.cluster = &ds
 	}
 	// Not yet shared, so publishing without the lock is safe; the query
 	// surface relies on the state pointer never being nil.
@@ -331,8 +339,10 @@ func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
 		if id, ok := s.interner.Lookup(u.Name); ok && id != int(u.ID) {
 			return 0, fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
 		}
-		if prev, ok := s.users[u.ID]; ok && prev.Name != "" && prev.Name != u.Name {
-			return 0, fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev.Name, u.Name)
+		if i, ok := s.userPos[u.ID]; ok {
+			if prev := s.users[i].Name; prev != "" && prev != u.Name {
+				return 0, fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev, u.Name)
+			}
 		}
 		if batchName == nil {
 			batchName = make(map[UserID]string, len(users)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
@@ -348,24 +358,12 @@ func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Copy-on-write: the published snapshot shares the current map, so the
-	// batch lands in a fresh copy and readers keep a frozen view.
-	next := maps.Clone(s.users)
+	// Names are write-once (renames were rejected above) and replay applies
+	// the same merge, so live and recovered state agree.
+	s.users, s.userPos = cloneUsersWith(s.users, s.userPos, users)
 	for _, u := range users {
-		prev, existed := next[u.ID]
-		if !existed {
-			s.userOrder = append(s.userOrder, u.ID)
-			s.nextUserID = max(s.nextUserID, u.ID+1)
-		}
-		if existed && u.Name == "" {
-			// A capacity update without a name keeps the existing binding:
-			// names are write-once (renames were rejected above), and replay
-			// applies the same merge, so live and recovered state agree.
-			u.Name = prev.Name
-		}
-		next[u.ID] = u
+		s.nextUserID = max(s.nextUserID, u.ID+1)
 	}
-	s.users = next
 	if len(names) > 0 {
 		// Cannot conflict: every binding was validated above, and BindAll
 		// treats same-name-same-id rebinds (intra-batch duplicates) as no-ops.
@@ -390,9 +388,6 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 	}
 	if len(names) == 0 {
 		return nil, nil
-	}
-	if capacity < 0 {
-		return nil, fmt.Errorf("eta2: negative capacity %g", capacity)
 	}
 	s.mu.Lock()
 	nextID := s.nextUserID
@@ -441,7 +436,11 @@ func (s *Server) ResolveUser(name string) (UserID, bool) {
 // intern table: downstream state keys on dense ids only, and the string
 // form is recovered here. Lock-free.
 func (s *Server) UserName(id UserID) string {
-	return s.loadState().users[id].Name
+	st := s.loadState()
+	if i, ok := st.userPos[id]; ok {
+		return st.users[i].Name
+	}
+	return ""
 }
 
 // NumUsers returns the number of registered users.
@@ -560,6 +559,8 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 		if merged != nil {
 			s.store = merged
 		}
+		ds := s.domains.State()
+		s.cluster = &ds
 		s.lastNewDomains = up.NewDomains
 		s.lastMerges = len(up.Merges)
 	}
@@ -602,11 +603,7 @@ func (s *Server) pendingTasks() []core.Task {
 }
 
 func (s *Server) allocationInput(tasks []core.Task) allocation.Input {
-	users := make([]User, 0, len(s.userOrder))
-	for _, id := range s.userOrder {
-		users = append(users, s.users[id])
-	}
-	return loop.AllocationInput(users, tasks, s.store, s.domainOf, s.cfg.epsilon, s.cfg.parallelism)
+	return loop.AllocationInput(s.users, tasks, s.store, s.domainOf, s.cfg.epsilon, s.cfg.parallelism)
 }
 
 // ErrNothingToAllocate is returned when allocation is requested with no
@@ -726,7 +723,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		}
 		// The collector is caller code: hold what it returns to the check
 		// SubmitObservations runs, before any of it is journaled or applied.
-		if err := checkObservations(obs, len(s.tasks), s.users); err != nil {
+		if err := checkObservations(obs, len(s.tasks), s.userPos); err != nil {
 			return nil, err
 		}
 		if len(obs) > 0 {
@@ -797,7 +794,7 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	t := trace.FromContext(ctx)
 	st := s.loadState()
 	enc := t.StartSpan(trace.SpanEncode)
-	if err := checkObservations(obs, st.numTasks, st.users); err != nil {
+	if err := checkObservations(obs, len(st.tasks), st.userPos); err != nil {
 		enc.End()
 		return err
 	}
@@ -851,15 +848,20 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 }
 
 // checkObservations refuses a batch that names a task or a user the server
-// does not hold. Every observation passes it before it is journaled, so the
-// close that estimates it can index the per-task columns by its task id.
-func checkObservations(obs []Observation, numTasks int, users map[UserID]User) error {
+// does not hold, or reports a value that is not a finite number. Every
+// observation passes it before it is journaled, so the close that estimates
+// it can index the per-task columns by its task id, and one NaN cannot
+// become the truth of its task and the expertise of everyone who reported it.
+func checkObservations(obs []Observation, numTasks int, users map[UserID]int32) error {
 	for _, o := range obs {
 		if int(o.Task) < 0 || int(o.Task) >= numTasks {
 			return fmt.Errorf("eta2: observation for unknown task %d", o.Task)
 		}
 		if _, ok := users[o.User]; !ok {
 			return fmt.Errorf("eta2: observation from unknown user %d", o.User)
+		}
+		if !core.Finite(o.Value) {
+			return fmt.Errorf("eta2: observation of task %d by user %d is not a finite value: %g", o.Task, o.User, o.Value)
 		}
 	}
 	return nil

@@ -1,42 +1,59 @@
 package eta2
 
 import (
+	"maps"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"eta2/internal/core"
+	"eta2/internal/loop"
 	"eta2/internal/truth"
 	"eta2/internal/wal"
 )
 
-// serverState is the immutable read snapshot behind the server's lock-free
-// query surface (DESIGN.md §11). Every committed mutation publishes a fresh
-// serverState via publishLocked; readers load the pointer once and read
-// freely — nothing reachable from a published serverState is ever mutated
-// again:
+// serverState is the server's one state, published immutable (DESIGN.md
+// §11): what the lock-free query surface reads is what the snapshot codec
+// writes. Every committed mutation publishes a fresh serverState via
+// publishLocked; a reader — a query, SaveStateBinary, a compaction, a
+// follower bootstrap — loads the pointer once and reads freely, because
+// nothing reachable from a published serverState is ever mutated again:
 //
-//   - users is a copy-on-write map: AddUsers builds a fresh map and swaps
-//     it in, so the map a reader holds is frozen.
-//   - domainOf and truths are per-task columns indexed by the dense TaskID.
-//     A captured slice header freezes its prefix: CreateTasks only appends
-//     past it, and the two writers that change an entry below it — a
-//     described create whose clustering moves old tasks, and every
-//     CloseTimeStep — write into a copy and swap the header.
+//   - users, tasks, pending, observations, domainOf and truths are columns.
+//     A captured slice header freezes its prefix: writers only append past
+//     it, and the writers that change an entry below it — a capacity update
+//     of a registered user, a described create whose clustering moves old
+//     tasks, every CloseTimeStep — write into a copy and swap the header.
+//   - userPos, the id → position index of users, is replaced, never written,
+//     by a batch that registers a new id.
 //   - store is replace-on-write by one flat copy: CloseTimeStep commits
 //     into a Clone and swaps the pointer, and CreateTasks clones before
 //     folding domain merges. The published *truth.Store, and the rows its
-//     State() hands a snapshot encoder, are only ever read.
+//     State() hands the snapshot encoder, are only ever read.
+//   - cluster is a value captured whenever the clustering changes
+//     (construction, restore, a described create); nil without clustering.
 //   - the scalar fields are plain copies.
 //
-// The journal pointer is included so DurabilityStats and journalCommit run
-// without touching s.mu; wal.Log has its own internal synchronization and
-// tolerates Stats/Commit after Close.
+// The fields down to cluster are the persistable state, in the order
+// codec.go writes them; lastLSN is published with them, so a capture is
+// labelled with exactly the LSN it contains. The journal pointer is included
+// so DurabilityStats and journalCommit run without touching s.mu; wal.Log
+// has its own internal synchronization and tolerates Stats/Commit after
+// Close.
 type serverState struct {
-	users    map[UserID]User
-	domainOf []DomainID      // len == numTasks
-	truths   []TruthEstimate // Observations == 0: no estimate
-	store    *truth.Store
-	day      int
-	numTasks int
+	alpha, gamma, epsilon float64
+
+	users   []User           // in registration order
+	userPos map[UserID]int32 // id → position in users
+
+	tasks        []core.Task
+	domainOf     []DomainID // len == len(tasks)
+	pending      []TaskID
+	truths       []TruthEstimate // len <= len(tasks); Observations == 0: no estimate
+	day          int
+	observations []Observation // of the open day
+	store        *truth.Store
+	cluster      *loop.DomainsState
 
 	journal        *wal.Log
 	journalDir     string
@@ -57,6 +74,36 @@ type serverState struct {
 	// snapshot is published, so the count is computed at most once per
 	// snapshot instead of allocating a scratch set on every read.
 	domainCount atomic.Int64
+}
+
+// cloneUsersWith returns the user column and its index with batch applied in
+// order: a new id is appended — in place, past every published header — and
+// indexed in a copy of the index; a registered user's entry changes in a copy
+// of the column. Each copy is made at most once per batch, and a batch that
+// needs neither hands back the containers it was given. A capacity update
+// without a name keeps the user's name.
+func cloneUsersWith(col []User, pos map[UserID]int32, batch []User) ([]User, map[UserID]int32) {
+	published := len(col)
+	colCopied, posCopied := false, false
+	for _, u := range batch {
+		i, registered := pos[u.ID]
+		if !registered {
+			if !posCopied {
+				pos, posCopied = maps.Clone(pos), true
+			}
+			pos[u.ID] = int32(len(col))
+			col = append(col, u)
+			continue
+		}
+		if int(i) < published && !colCopied {
+			col, colCopied = slices.Clone(col), true
+		}
+		if u.Name == "" {
+			u.Name = col[i].Name
+		}
+		col[i] = u
+	}
+	return col, pos
 }
 
 // domain returns the domain of a task, DomainNone for one the snapshot
@@ -96,16 +143,23 @@ func (st *serverState) numDomains() int {
 // snapshot and refreshes the server-shape gauges. It is the ONLY place that
 // may store to s.state (enforced by the lockdiscipline analyzer): every
 // writer calls it exactly once per committed mutation batch, with s.mu
-// write-held — or before the server is shared, during construction and
-// recovery, where no lock is needed.
+// held — or before the server is shared, during construction and recovery,
+// where no lock is needed.
 func (s *Server) publishLocked() {
 	s.state.Store(&serverState{
+		alpha:          s.cfg.alpha,
+		gamma:          s.cfg.gamma,
+		epsilon:        s.cfg.epsilon,
 		users:          s.users,
+		userPos:        s.userPos,
+		tasks:          s.tasks,
 		domainOf:       s.domainOf,
+		pending:        s.pending,
 		truths:         s.truths,
-		store:          s.store,
 		day:            s.day,
-		numTasks:       len(s.tasks),
+		observations:   s.observations,
+		store:          s.store,
+		cluster:        s.cluster,
 		journal:        s.journal, //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits and stats, not frozen snapshot data
 		journalDir:     s.journalDir,
 		lastLSN:        s.lastLSN,
@@ -120,8 +174,10 @@ func (s *Server) publishLocked() {
 	s.publishMetricsLocked()
 }
 
-// loadState returns the current read snapshot. The pointer is never nil:
-// newServer and restoreServer publish before the server escapes.
+// loadState returns the current state: what a query reads and what
+// SaveStateBinary, a compaction and a follower bootstrap encode. The pointer
+// is never nil: newServer and restoreServer publish before the server
+// escapes.
 func (s *Server) loadState() *serverState {
 	return s.state.Load()
 }

@@ -1,6 +1,7 @@
 package eta2
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -167,49 +168,65 @@ func TestLockFreeReadsDuringDurableStorm(t *testing.T) {
 }
 
 // frozenView is what one published serverState answered, for every task it
-// holds, the first time it was asked, and a copy of the rows its expertise
-// store had then.
+// holds, the first time it was asked, a copy of the rows its expertise
+// store had then, and the snapshot it encoded to then — which reads every
+// container the state shares with the writer.
 type frozenView struct {
 	st      *serverState
 	domains []DomainID
 	truths  []TruthEstimate
 	known   []bool
 	store   []truth.StoreEntry
+	encoded []byte
+}
+
+func encodedState(st *serverState) []byte {
+	var buf bytes.Buffer
+	if err := encodeStateBinary(&buf, st); err != nil {
+		panic(err) // a bytes.Buffer does not fail
+	}
+	return buf.Bytes()
 }
 
 func viewOf(st *serverState) frozenView {
-	v := frozenView{st: st, store: slices.Clone(st.store.State().Entries)}
-	for id := TaskID(0); int(id) < st.numTasks; id++ {
-		est, ok := st.truth(id)
-		v.domains, v.truths, v.known = append(v.domains, st.domain(id)), append(v.truths, est), append(v.known, ok)
+	v := frozenView{st: st, store: slices.Clone(st.store.State().Entries), encoded: encodedState(st)}
+	for id := range st.tasks {
+		est, ok := st.truth(TaskID(id))
+		v.domains, v.truths, v.known = append(v.domains, st.domain(TaskID(id))), append(v.truths, est), append(v.known, ok)
 	}
 	return v
 }
 
 // check re-reads the state and reports the first answer that moved.
 func (v frozenView) check() error {
+	where := fmt.Sprintf("state at LSN %d, day %d, with %d users and %d tasks", v.st.lastLSN, v.st.day, len(v.st.users), len(v.st.tasks))
 	for i := range v.domains {
 		id := TaskID(i)
 		if d := v.st.domain(id); d != v.domains[i] {
-			return fmt.Errorf("state at day %d with %d tasks: domain of task %d was %d, now reads %d", v.st.day, v.st.numTasks, id, v.domains[i], d)
+			return fmt.Errorf("%s: domain of task %d was %d, now reads %d", where, id, v.domains[i], d)
 		}
 		if est, ok := v.st.truth(id); est != v.truths[i] || ok != v.known[i] {
-			return fmt.Errorf("state at day %d with %d tasks: truth of task %d was %+v/%v, now reads %+v/%v", v.st.day, v.st.numTasks, id, v.truths[i], v.known[i], est, ok)
+			return fmt.Errorf("%s: truth of task %d was %+v/%v, now reads %+v/%v", where, id, v.truths[i], v.known[i], est, ok)
 		}
 	}
 	if now := v.st.store.State().Entries; !slices.Equal(now, v.store) {
-		return fmt.Errorf("state at day %d with %d tasks: its expertise store held %v, now holds %v", v.st.day, v.st.numTasks, v.store, now)
+		return fmt.Errorf("%s: its expertise store held %v, now holds %v", where, v.store, now)
+	}
+	if !bytes.Equal(encodedState(v.st), v.encoded) {
+		return fmt.Errorf("%s: it no longer encodes to the snapshot it encoded to first", where)
 	}
 	return nil
 }
 
-// TestPublishedColumnsStayFrozen holds the per-task columns to DESIGN §11
+// TestPublishedColumnsStayFrozen holds the published state to DESIGN §11
 // rule 2 from the reader's side: a reader that loaded a serverState keeps
-// getting the answers it got first, for every task below its numTasks,
-// while the writer appends hinted tasks in place, runs described creates
-// whose clustering moves old tasks (the golden server's script merges two
-// established domains in its third batch), and closes steps that
-// re-estimate a task of an earlier day — and the same for the rows of the
+// getting the answers it got first, for every task it holds, and the
+// snapshot it encoded first, byte for byte, while the writer registers users
+// (new ids, ids out of order, a new capacity for a registered one), appends
+// hinted tasks in place, runs described creates whose clustering moves old
+// tasks (the golden server's script merges two established domains in its
+// third batch), takes submits, and closes steps that re-estimate a task of
+// an earlier day — and the same for the rows of the
 // state's expertise store, which those closes decay and add to and those
 // merges fold. The writer's own goroutine also holds the state published
 // after every mutation, so the check does not depend on how the readers
@@ -228,10 +245,11 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Spare capacity, so that no append of the script reallocates the
+	// Spare capacity, so that no append of the script reallocates a
 	// column: only the copy a writer makes keeps a published prefix frozen.
 	s.mu.Lock()
 	s.domainOf = slices.Grow(s.domainOf, 256)
+	s.users = slices.Grow(s.users, 64)
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -279,6 +297,16 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	merges := 0
 	for day := 0; day < 3; day++ {
+		// Ids descending from day to day, one of them named, then a batch
+		// that registers nobody and changes user 0.
+		if err := s.AddUsers(User{ID: UserID(40 - day), Capacity: 4}, User{ID: UserID(30 - day), Capacity: 4, Name: fmt.Sprint("u", 30-day)}); err != nil {
+			t.Fatal(err)
+		}
+		hold()
+		if err := s.AddUsers(User{ID: 0, Capacity: 9 + float64(day)}); err != nil {
+			t.Fatal(err)
+		}
+		hold()
 		if _, err := s.CreateTasks(TaskSpec{ProcTime: 1, DomainHint: 40}, TaskSpec{ProcTime: 1, DomainHint: 41}); err != nil {
 			t.Fatal(err)
 		}
@@ -302,6 +330,7 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 		if err := s.SubmitObservations(obs...); err != nil {
 			t.Fatal(err)
 		}
+		hold()
 		rep, err := s.CloseTimeStep()
 		if err != nil {
 			t.Fatal(err)
@@ -321,11 +350,11 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 		}
 	}
 
-	// The script must have reached the two paths that change old entries.
+	// The script must have reached the paths that change old entries.
 	if merges == 0 {
 		t.Error("no established domains merged: no described create moved an old task")
 	}
-	moved, reestimated, folded := false, false, false
+	moved, reestimated, folded, updated := false, false, false, false
 	final := viewOf(s.loadState())
 	for i, v := range held {
 		for k := range v.domains {
@@ -334,8 +363,9 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 		}
 		// A create publishes a store of its own only when it merged domains.
 		folded = folded || i > 0 && v.st.day == held[i-1].st.day && len(v.store) < len(held[i-1].store)
+		updated = updated || v.st.users[0] != final.st.users[0]
 	}
-	if !moved || !reestimated || !folded {
-		t.Errorf("held states never differ (domain moved: %v, truth re-estimated: %v, store rows folded by a create: %v): nothing was at stake", moved, reestimated, folded)
+	if !moved || !reestimated || !folded || !updated {
+		t.Errorf("held states never differ (domain moved: %v, truth re-estimated: %v, store rows folded by a create: %v, registered user changed: %v): nothing was at stake", moved, reestimated, folded, updated)
 	}
 }

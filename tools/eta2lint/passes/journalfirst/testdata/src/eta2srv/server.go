@@ -17,7 +17,7 @@ func (d *identifier) Vectorize(name string) int { return len(name) }
 func (d *identifier) Identify(name string)      { d.items = append(d.items, name) }
 
 type Server struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	users   map[string]int
 	day     int
 	domains *identifier

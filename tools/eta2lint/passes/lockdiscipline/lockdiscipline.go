@@ -2,14 +2,15 @@
 // concurrent-serving design (PR 3):
 //
 //  1. An exported method on *Server that writes Server fields must
-//     acquire the write lock (s.mu.Lock), not just s.mu.RLock.
+//     acquire the writer lock (s.mu.Lock).
 //  2. No WAL Commit/Sync, file fsync, journalCommit, or net/http call
-//     may execute while s.mu is held (read or write): group commit
-//     waits on fsync, and holding the server lock across that wait
-//     serializes every reader behind disk latency.
-//  3. Query-surface methods (Truth, Expertise, Domain, ...) must not
-//     touch s.mu at all — the read path is lock-free by construction
-//     (PR 6) and reads only the published immutable state snapshot.
+//     may execute while s.mu is held: group commit waits on fsync, and
+//     holding the server lock across that wait serializes every writer
+//     behind disk latency.
+//  3. Query-surface methods (Truth, Expertise, Domain, ...) and the state
+//     captures (SaveStateBinary, CaptureReplicationSnapshot) must not
+//     touch s.mu at all — s.mu is writer–writer only; whatever only reads
+//     loads the published immutable state.
 //  4. The state snapshot pointer is published (Store/Swap/CompareAndSwap
 //     on s.state) only inside the single publishLocked helper, so every
 //     publication carries the same bookkeeping and ordering.
@@ -34,17 +35,9 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "Server methods: write lock for writes; no fsync/commit/network while mu held",
+	Doc:  "Server methods: writer lock for writes, none for reads; no fsync/commit/network while mu held",
 	Run:  run,
 }
-
-type lock int
-
-const (
-	unlocked lock = iota
-	rlocked
-	wlocked
-)
 
 type checker struct {
 	pass   *analysis.Pass
@@ -79,17 +72,13 @@ func run(pass *analysis.Pass) error {
 			c.checkReadPath(fn)
 			// Convention: a method named *Locked runs with s.mu already
 			// write-held by its caller.
-			st := unlocked
-			if strings.HasSuffix(fn.Name.Name, "Locked") {
-				st = wlocked
-			}
-			c.walkStmts(fn.Body.List, st)
+			c.walkStmts(fn.Body.List, strings.HasSuffix(fn.Name.Name, "Locked"))
 		}
 	}
 	return nil
 }
 
-// findServer locates a type Server struct{ mu sync.RWMutex; ... }.
+// findServer locates a type Server struct{ mu sync.Mutex; ... }.
 func findServer(pkg *types.Package) types.Object {
 	obj := pkg.Scope().Lookup("Server")
 	if obj == nil {
@@ -101,7 +90,7 @@ func findServer(pkg *types.Package) types.Object {
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if f.Name() == "mu" && isNamed(f.Type(), "sync", "RWMutex") {
+		if f.Name() == "mu" && isNamed(f.Type(), "sync", "Mutex") {
 			return obj
 		}
 	}
@@ -137,7 +126,7 @@ func (c *checker) isServerExpr(e ast.Expr) bool {
 	return ok && n.Obj() == c.server
 }
 
-// --- rule 1: exported writers must take the write lock -------------------
+// --- rule 1: exported writers must take the writer lock ------------------
 
 func (c *checker) checkWriteLock(fn *ast.FuncDecl) {
 	if !ast.IsExported(fn.Name.Name) {
@@ -157,7 +146,7 @@ func (c *checker) checkWriteLock(fn *ast.FuncDecl) {
 		return !hasLock
 	})
 	if !hasLock {
-		c.pass.Reportf(writes[0].pos, "exported method %s writes Server field %s without s.mu.Lock (RLock is not sufficient for writes)", fn.Name.Name, writes[0].field)
+		c.pass.Reportf(writes[0].pos, "exported method %s writes Server field %s without s.mu.Lock", fn.Name.Name, writes[0].field)
 	}
 }
 
@@ -201,21 +190,24 @@ func (c *checker) fieldWrites(body ast.Node) []fieldWrite {
 
 // --- rule 3: the query surface is lock-free ------------------------------
 
-// querySurface lists the read-path methods that serve queries from the
-// published immutable snapshot. They must not reference s.mu in any way:
-// not even a transient RLock, or one writer parked on the lock stalls
-// every reader behind it.
+// querySurface lists the methods that only read: the queries, and the
+// captures that encode the state for a snapshot file or a follower
+// bootstrap. They serve from the published immutable state and must not
+// reference s.mu in any way, or one writer parked on the lock stalls every
+// reader behind it.
 var querySurface = map[string]bool{
-	"Truth":             true,
-	"Expertise":         true,
-	"ExpertiseInDomain": true,
-	"Domain":            true,
-	"NumUsers":          true,
-	"NumDomains":        true,
-	"Day":               true,
-	"DurabilityStats":   true,
-	"ReplicationStatus": true,
-	"CommittedLSN":      true,
+	"Truth":                      true,
+	"Expertise":                  true,
+	"ExpertiseInDomain":          true,
+	"Domain":                     true,
+	"NumUsers":                   true,
+	"NumDomains":                 true,
+	"Day":                        true,
+	"DurabilityStats":            true,
+	"ReplicationStatus":          true,
+	"CommittedLSN":               true,
+	"SaveStateBinary":            true,
+	"CaptureReplicationSnapshot": true,
 }
 
 func (c *checker) checkReadPath(fn *ast.FuncDecl) {
@@ -228,7 +220,7 @@ func (c *checker) checkReadPath(fn *ast.FuncDecl) {
 			return true
 		}
 		if sel.Sel.Name == "mu" && c.isServerExpr(sel.X) {
-			c.pass.Reportf(sel.Pos(), "query-surface method %s touches s.mu: the read path is lock-free, serve from the published state snapshot", fn.Name.Name)
+			c.pass.Reportf(sel.Pos(), "query-surface method %s touches s.mu: reads and state captures are lock-free, serve from the published state", fn.Name.Name)
 		}
 		return true
 	})
@@ -269,23 +261,23 @@ func (c *checker) checkPublish(fn *ast.FuncDecl) {
 
 // --- rule 2: nothing slow while mu is held -------------------------------
 
-// walkStmts tracks the s.mu state through a statement list, reporting
-// forbidden calls made while the mutex is held. Returns the state at the
-// end and whether the list always terminates (returns).
-func (c *checker) walkStmts(stmts []ast.Stmt, st lock) (lock, bool) {
+// walkStmts tracks whether s.mu is held through a statement list, reporting
+// forbidden calls made while it is. Returns the state at the end and
+// whether the list always terminates (returns).
+func (c *checker) walkStmts(stmts []ast.Stmt, held bool) (bool, bool) {
 	for _, stmt := range stmts {
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
 				if op, ok := c.muOp(call); ok {
-					st = applyMuOp(st, op)
+					held = op == "Lock"
 					continue
 				}
 			}
-			c.checkCalls(s, st)
+			c.checkCalls(s, held)
 		case *ast.ReturnStmt:
-			c.checkCalls(s, st)
-			return st, true
+			c.checkCalls(s, held)
+			return held, true
 		case *ast.DeferStmt:
 			// defer s.mu.Unlock() releases at return: state is unchanged
 			// for the statements that follow, which is exactly the linear
@@ -294,77 +286,77 @@ func (c *checker) walkStmts(stmts []ast.Stmt, st lock) (lock, bool) {
 			// New goroutine: starts unlocked; body skipped like a FuncLit.
 		case *ast.BlockStmt:
 			var term bool
-			if st, term = c.walkStmts(s.List, st); term {
-				return st, true
+			if held, term = c.walkStmts(s.List, held); term {
+				return held, true
 			}
 		case *ast.IfStmt:
 			if s.Init != nil {
-				c.checkCalls(s.Init, st)
+				c.checkCalls(s.Init, held)
 			}
-			c.checkCalls(s.Cond, st)
-			bodyOut, bodyTerm := c.walkStmts(s.Body.List, st)
-			elseOut, elseTerm := st, false
+			c.checkCalls(s.Cond, held)
+			bodyOut, bodyTerm := c.walkStmts(s.Body.List, held)
+			elseOut, elseTerm := held, false
 			switch e := s.Else.(type) {
 			case *ast.BlockStmt:
-				elseOut, elseTerm = c.walkStmts(e.List, st)
+				elseOut, elseTerm = c.walkStmts(e.List, held)
 			case *ast.IfStmt:
-				elseOut, elseTerm = c.walkStmts([]ast.Stmt{e}, st)
+				elseOut, elseTerm = c.walkStmts([]ast.Stmt{e}, held)
 			}
 			switch {
 			case bodyTerm && elseTerm:
-				return st, s.Else != nil
+				return held, s.Else != nil
 			case bodyTerm:
-				st = elseOut
+				held = elseOut
 			case elseTerm:
-				st = bodyOut
+				held = bodyOut
 			default:
-				st = maxLock(bodyOut, elseOut)
+				held = bodyOut || elseOut
 			}
 		case *ast.ForStmt:
 			if s.Init != nil {
-				c.checkCalls(s.Init, st)
+				c.checkCalls(s.Init, held)
 			}
 			if s.Cond != nil {
-				c.checkCalls(s.Cond, st)
+				c.checkCalls(s.Cond, held)
 			}
-			c.walkStmts(s.Body.List, st)
+			c.walkStmts(s.Body.List, held)
 		case *ast.RangeStmt:
-			c.checkCalls(s.X, st)
-			c.walkStmts(s.Body.List, st)
+			c.checkCalls(s.X, held)
+			c.walkStmts(s.Body.List, held)
 		case *ast.SwitchStmt:
 			if s.Init != nil {
-				c.checkCalls(s.Init, st)
+				c.checkCalls(s.Init, held)
 			}
 			if s.Tag != nil {
-				c.checkCalls(s.Tag, st)
+				c.checkCalls(s.Tag, held)
 			}
 			for _, cc := range s.Body.List {
-				c.walkStmts(cc.(*ast.CaseClause).Body, st)
+				c.walkStmts(cc.(*ast.CaseClause).Body, held)
 			}
 		case *ast.TypeSwitchStmt:
 			for _, cc := range s.Body.List {
-				c.walkStmts(cc.(*ast.CaseClause).Body, st)
+				c.walkStmts(cc.(*ast.CaseClause).Body, held)
 			}
 		case *ast.SelectStmt:
 			for _, cc := range s.Body.List {
-				c.walkStmts(cc.(*ast.CommClause).Body, st)
+				c.walkStmts(cc.(*ast.CommClause).Body, held)
 			}
 		case *ast.LabeledStmt:
 			var term bool
-			if st, term = c.walkStmts([]ast.Stmt{s.Stmt}, st); term {
-				return st, true
+			if held, term = c.walkStmts([]ast.Stmt{s.Stmt}, held); term {
+				return held, true
 			}
 		default:
-			c.checkCalls(stmt, st)
+			c.checkCalls(stmt, held)
 		}
 	}
-	return st, false
+	return held, false
 }
 
 // checkCalls reports forbidden calls inside n given the lock state,
 // without descending into function literals.
-func (c *checker) checkCalls(n ast.Node, st lock) {
-	if st == unlocked || n == nil {
+func (c *checker) checkCalls(n ast.Node, held bool) {
+	if !held || n == nil {
 		return
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -428,14 +420,14 @@ func (c *checker) forbidden(call *ast.CallExpr) string {
 	return ""
 }
 
-// muOp recognizes s.mu.Lock/RLock/Unlock/RUnlock on the Server mutex.
+// muOp recognizes s.mu.Lock/Unlock on the Server mutex.
 func (c *checker) muOp(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
+	case "Lock", "Unlock":
 	default:
 		return "", false
 	}
@@ -444,22 +436,4 @@ func (c *checker) muOp(call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	return sel.Sel.Name, true
-}
-
-func applyMuOp(st lock, op string) lock {
-	switch op {
-	case "Lock":
-		return wlocked
-	case "RLock":
-		return rlocked
-	default: // Unlock, RUnlock
-		return unlocked
-	}
-}
-
-func maxLock(a, b lock) lock {
-	if a > b {
-		return a
-	}
-	return b
 }

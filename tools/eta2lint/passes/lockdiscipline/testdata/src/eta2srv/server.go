@@ -12,7 +12,7 @@ import (
 )
 
 type Server struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	journal *wal.Log
 	file    *os.File
 
@@ -36,11 +36,9 @@ func (s *Server) AddUser(name string) {
 	s.mu.Unlock()
 }
 
-// BadAddUser only takes the read lock around its writes.
+// BadAddUser writes master state without the writer lock.
 func (s *Server) BadAddUser(name string) {
-	s.mu.RLock()
 	s.users[name] = 1 // want "writes Server field users without s.mu.Lock"
-	s.mu.RUnlock()
 }
 
 // CommitUnderLock waits on the WAL group commit while holding the lock.
@@ -59,13 +57,6 @@ func (s *Server) CommitAfterUnlock() error {
 	s.day++
 	s.mu.Unlock()
 	return s.journal.Commit(1)
-}
-
-// CommitUnderRLock: a read lock is no better for blocking operations.
-func (s *Server) CommitUnderRLock() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.journalCommit(1, "") // want "journalCommit .waits on group commit. while s.mu is held"
 }
 
 // SpannedCommitUnderLock: a traced caller hands the same wait its open
@@ -178,8 +169,8 @@ func (s *Server) Day() int {
 
 // NumUsers is on the query surface but still goes through the lock.
 func (s *Server) NumUsers() int {
-	s.mu.RLock()         // want "query-surface method NumUsers touches s.mu"
-	defer s.mu.RUnlock() // want "query-surface method NumUsers touches s.mu"
+	s.mu.Lock()         // want "query-surface method NumUsers touches s.mu"
+	defer s.mu.Unlock() // want "query-surface method NumUsers touches s.mu"
 	return len(s.users)
 }
 
@@ -190,19 +181,39 @@ func (s *Server) DurabilityStats() int {
 	return s.day
 }
 
-// SaveState is NOT on the query surface: locking there is allowed.
-func (s *Server) SaveState() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// SaveStateBinary joined the query surface when the published state became
+// the whole persistable state: a capture that reads master state under the
+// lock waits on every writer, and a writer parked in its critical section
+// stalls the snapshot file behind it.
+func (s *Server) SaveStateBinary() int {
+	s.mu.Lock()         // want "query-surface method SaveStateBinary touches s.mu"
+	defer s.mu.Unlock() // want "query-surface method SaveStateBinary touches s.mu"
 	return len(s.users)
+}
+
+// CaptureReplicationSnapshot is the compliant capture: a load of the
+// published state, labelled by the state itself.
+func (s *Server) CaptureReplicationSnapshot() (int, func() int) {
+	st := s.state.Load()
+	return st.day, func() int { return len(st.users) }
+}
+
+// Compact is NOT on the query surface: it encodes the published state like
+// the captures do, then takes the lock to record its bookkeeping.
+func (s *Server) Compact() int {
+	st := s.state.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.day = st.day
+	return len(st.users)
 }
 
 // ReplicationStatus joined the query surface in the replication PR: the
 // follower admin endpoint polls it continuously, so it must serve from
 // the published snapshot like every other read.
 func (s *Server) ReplicationStatus() int {
-	s.mu.RLock()         // want "query-surface method ReplicationStatus touches s.mu"
-	defer s.mu.RUnlock() // want "query-surface method ReplicationStatus touches s.mu"
+	s.mu.Lock()         // want "query-surface method ReplicationStatus touches s.mu"
+	defer s.mu.Unlock() // want "query-surface method ReplicationStatus touches s.mu"
 	return s.day
 }
 
