@@ -382,7 +382,7 @@ func BenchmarkServerAPIRoundTrip(b *testing.B) {
 // build, store clone, MLE), i.e. the truths column copy, the report and the
 // publish. The per-task columns make the create an append and the close one
 // flat copy, so neither should grow like the history does. The step timed is
-// the first whose tasks fit the capacity of s.tasks: a restored slice has
+// the first whose tasks fit the capacity of s.w.tasks: a restored slice has
 // none to spare, and whether one particular create pays append's amortized
 // reallocation (a copy of every core.Task, once per quarter of the history)
 // is luck of the sizes, not a cost of the design measured here.
@@ -449,7 +449,7 @@ func BenchmarkStepWithTaskHistory(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for cap(s.tasks)-len(s.tasks) < day {
+				for cap(s.w.tasks)-len(s.w.tasks) < day {
 					step(s, 2)
 				}
 				runtime.GC()
@@ -535,7 +535,7 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 				b.Fatal(err)
 			}
 			step(past) // day 0 is the warm-up MLE: the steps timed are dynamic updates
-			past.store, err = truth.RestoreStore(truth.StoreState{Alpha: past.store.Alpha(), Prior: truth.DefaultStorePrior, Entries: entries})
+			past.w.store, err = truth.RestoreStore(truth.StoreState{Alpha: past.w.store.Alpha(), Prior: truth.DefaultStorePrior, Entries: entries})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -633,7 +633,7 @@ func BenchmarkRecovery10kEvents(b *testing.B) {
 	}
 	// Close only the log, not the server: Server.Close would compact the
 	// journal away and leave nothing to replay.
-	if err := s.journal.Close(); err != nil {
+	if err := s.w.journal.Close(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -642,7 +642,7 @@ func BenchmarkRecovery10kEvents(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := r.journal.Close(); err != nil {
+		if err := r.w.journal.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -705,11 +705,11 @@ func TestIngestJournalPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		eb := obsEventPool.Get().(*obsEventBuf)
 		eb.b = encodeObservationsEvent(eb.b[:0], obs, 3)
-		lsn, err := s.journal.AppendBuffered(eb.b)
+		lsn, err := s.w.journal.AppendBuffered(eb.b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.journal.Commit(lsn); err != nil {
+		if err := s.w.journal.Commit(lsn); err != nil {
 			t.Fatal(err)
 		}
 		obsEventPool.Put(eb)
@@ -843,13 +843,13 @@ func TestIngestJournalPathZeroAllocTraced(t *testing.T) {
 		eb.b = encodeObservationsEvent(eb.b[:0], obs, 3)
 		enc.End()
 		app := tr.StartSpan(trace.SpanJournalAppend)
-		lsn, err := s.journal.AppendBuffered(eb.b)
+		lsn, err := s.w.journal.AppendBuffered(eb.b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		app.End()
 		fsync := tr.StartSpan(trace.SpanFsyncWait)
-		if err := s.journal.Commit(lsn); err != nil {
+		if err := s.w.journal.Commit(lsn); err != nil {
 			t.Fatal(err)
 		}
 		fsync.Annotate("role=leader")
@@ -893,7 +893,7 @@ func BenchmarkSubmitObservations(b *testing.B) {
 					// measure ingest, not backlog growth.
 					b.StopTimer()
 					s.mu.Lock()
-					s.observations = s.observations[:0]
+					s.w.observations = s.w.observations[:0]
 					s.publishLocked()
 					s.mu.Unlock()
 					b.StartTimer()

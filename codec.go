@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"eta2/internal/core"
 	"eta2/internal/loop"
@@ -35,8 +36,8 @@ import (
 //
 // Any version other than snapshotCodecVersion fails with ErrBadState naming
 // it — another build's file must not be silently discarded — and so does a
-// body whose checksum verifies but whose per-task or store sections are not
-// what this build writes (naming the section), while a bad magic, truncated
+// body whose checksum verifies but whose user, per-task or store sections are
+// not what this build writes (naming the section), while a bad magic, truncated
 // file, or CRC mismatch is an ordinary decode error, letting recovery fall
 // back to an older snapshot.
 
@@ -201,9 +202,10 @@ func encodeStateBinary(w io.Writer, st *serverState) error {
 // memory is bounded by the decoded state, never state plus file, and every
 // length prefix is checked against the bytes left before anything is
 // allocated for it. The parsed state — a serverState with its persistable
-// fields filled, the users not yet indexed — is surrendered to the
-// caller only after the trailing checksum verifies — a corrupt body can
-// waste transient work but never escape as a successfully loaded state.
+// part filled and every section held to what restoreServer and the writers
+// go on to assume of it — is surrendered to the caller only after the
+// trailing checksum verifies — a corrupt body can waste transient work but
+// never escape as a successfully loaded state.
 func decodeStateBinary(r io.Reader) (*serverState, error) {
 	fail := func(err error) (*serverState, error) {
 		return nil, fmt.Errorf("eta2: load state: %w", err)
@@ -233,7 +235,7 @@ func decodeStateBinary(r io.Reader) (*serverState, error) {
 	}
 
 	d := &snapDecoder{r: br, remaining: bodyLen}
-	st := &serverState{}
+	st := &serverState{persisted: newPersisted()}
 	// bad is the first section that is well-formed bytes but not a column or a
 	// store table this build writes. It is reported only after the checksum has
 	// vouched for those bytes: a bit flip must stay a plain decode error.
@@ -251,10 +253,30 @@ func decodeStateBinary(r io.Reader) (*serverState, error) {
 	st.gamma = d.f64()
 	st.epsilon = d.f64()
 
+	// The user column and its index, held to what AddUsers would have let in:
+	// every id once, every name on one id.
+	var names []string
 	if n := d.count(10); n > 0 { // varint id, float capacity, name length
 		st.users = make([]core.User, n)
 		for i := range st.users {
-			st.users[i] = core.User{ID: core.UserID(d.varint()), Capacity: d.f64(), Name: d.str()}
+			u := core.User{ID: core.UserID(d.varint()), Capacity: d.f64(), Name: d.str()}
+			st.users[i] = u
+			if err := u.Validate(); err != nil {
+				refuse("users", "%v", err)
+			}
+			if _, dup := st.userPos[u.ID]; dup {
+				refuse("users", "user %d listed twice", u.ID)
+			}
+			st.userPos[u.ID] = int32(i)
+			if u.Name != "" {
+				names = append(names, u.Name)
+			}
+		}
+	}
+	slices.Sort(names)
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			refuse("users", "name %q bound to two users", names[i])
 		}
 	}
 
@@ -270,6 +292,10 @@ func decodeStateBinary(r io.Reader) (*serverState, error) {
 				Day:         int(d.varint()),
 				Truth:       d.f64(),
 				Base:        d.f64(),
+			}
+			// Everything downstream indexes the columns by a task's ID.
+			if id := st.tasks[i].ID; int(id) != i {
+				refuse("tasks", "entry %d holds task %d, want task ids 0..%d in order", i, id, n-1)
 			}
 		}
 	}
@@ -290,8 +316,18 @@ func decodeStateBinary(r io.Reader) (*serverState, error) {
 
 	if n := d.count(1); n > 0 {
 		st.pending = make([]TaskID, n)
+		listed := make([]bool, len(st.tasks))
 		for i := range st.pending {
-			st.pending[i] = TaskID(d.varint())
+			id := TaskID(d.varint())
+			st.pending[i] = id
+			switch {
+			case int(id) < 0 || int(id) >= len(st.tasks):
+				refuse("pending", "task %d is pending, but the snapshot holds %d tasks", id, len(st.tasks))
+			case listed[id]:
+				refuse("pending", "task %d listed twice", id)
+			default:
+				listed[id] = true
+			}
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"eta2/internal/core"
 	"eta2/internal/truth"
 )
 
@@ -46,7 +47,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Errorf("binary round trip diverged (%d vs %d bytes)", len(got), len(want))
 	}
-	for id := TaskID(-1); int(id) <= len(s.tasks); id++ {
+	for id := TaskID(-1); int(id) <= len(s.w.tasks); id++ {
 		gotEst, gotOK := r.Truth(id)
 		wantEst, wantOK := s.Truth(id)
 		if gotEst != wantEst || gotOK != wantOK || r.Domain(id) != s.Domain(id) {
@@ -164,6 +165,18 @@ func TestBinaryCodecCorruption(t *testing.T) {
 		{"out-of-range id in domain_of", "domain_of", func(p *checkedSections) { p.domainOf[3][0] = 9 }},
 		{"negative id in domain_of", "domain_of", func(p *checkedSections) { p.domainOf[0][0] = -1 }},
 		{"domain_of longer than tasks", "domain_of", func(p *checkedSections) { p.domainOf = append(p.domainOf, [2]int64{4, 1}) }},
+		{"duplicate id in users", "users", func(p *checkedSections) { p.users[1].ID = p.users[0].ID }},
+		{"negative id in users", "users", func(p *checkedSections) { p.users[0].ID = -1 }},
+		{"negative capacity in users", "users", func(p *checkedSections) { p.users[1].Capacity = -5 }},
+		{"NaN capacity in users", "users", func(p *checkedSections) { p.users[0].Capacity = math.NaN() }},
+		{"infinite capacity in users", "users", func(p *checkedSections) { p.users[1].Capacity = math.Inf(1) }},
+		{"one name on two ids in users", "users", func(p *checkedSections) { p.users[0].Name, p.users[1].Name = "ann", "ann" }},
+		{"task whose id is not its position", "tasks", func(p *checkedSections) { p.tasks[1].ID = 2 }},
+		{"tasks out of order", "tasks", func(p *checkedSections) { p.tasks[0], p.tasks[3] = p.tasks[3], p.tasks[0] }},
+		{"negative task id", "tasks", func(p *checkedSections) { p.tasks[0].ID = -1 }},
+		{"pending id past the tasks", "pending", func(p *checkedSections) { p.pending = []int64{0, 99} }},
+		{"negative pending id", "pending", func(p *checkedSections) { p.pending[0] = -1 }},
+		{"pending id listed twice", "pending", func(p *checkedSections) { p.pending = append(p.pending, p.pending[0]) }},
 		{"truth for an unknown task", "truths", func(p *checkedSections) { p.truths[1].Task = 4 }},
 		{"truth for a negative task", "truths", func(p *checkedSections) { p.truths[0].Task = -1 }},
 		{"truth backed by no observation", "truths", func(p *checkedSections) { p.truths[0].Observations = 0 }},
@@ -201,12 +214,14 @@ func TestBinaryCodecCorruption(t *testing.T) {
 }
 
 // checkedSections is a snapshot body cut around the sections the decoder
-// holds to what this build writes — those indexed by task id (domain_of,
-// pending, truths, day, observations) and the store that follows them — with
-// those decoded into the entries the file carries, so a test can re-encode a
-// body no encoder of this build would write.
+// holds to what this build writes — the user column, the tasks and what is
+// indexed by their ids (domain_of, pending, truths, day, observations), and
+// the store that follows them — with those decoded into the entries the file
+// carries, so a test can re-encode a body no encoder of this build would write.
 type checkedSections struct {
 	head, tail   []byte
+	users        []User
+	tasks        []core.Task
 	domainOf     [][2]int64 // (task id, domain)
 	pending      []int64
 	truths       []TruthEstimate
@@ -227,22 +242,14 @@ func splitCheckedSections(t *testing.T, file []byte) checkedSections {
 	d.f64()
 	d.f64()
 	d.f64()
-	for i, n := 0, d.count(10); i < n; i++ { // users
-		d.varint()
-		d.f64()
-		d.str()
-	}
-	for i, n := 0, d.count(36); i < n; i++ { // tasks
-		d.varint()
-		d.str()
-		d.varint()
-		d.f64()
-		d.f64()
-		d.varint()
-		d.f64()
-		d.f64()
-	}
 	p := checkedSections{head: body[:at()]}
+	for i, n := 0, d.count(10); i < n; i++ {
+		p.users = append(p.users, User{ID: UserID(d.varint()), Capacity: d.f64(), Name: d.str()})
+	}
+	for i, n := 0, d.count(36); i < n; i++ {
+		p.tasks = append(p.tasks, core.Task{ID: TaskID(d.varint()), Description: d.str(), Domain: DomainID(d.varint()),
+			ProcTime: d.f64(), Cost: d.f64(), Day: int(d.varint()), Truth: d.f64(), Base: d.f64()})
+	}
 	for i, n := 0, d.count(2); i < n; i++ {
 		p.domainOf = append(p.domainOf, [2]int64{d.varint(), d.varint()})
 	}
@@ -271,6 +278,7 @@ func splitCheckedSections(t *testing.T, file []byte) checkedSections {
 }
 
 func (p checkedSections) clone() checkedSections {
+	p.users, p.tasks, p.pending = slices.Clone(p.users), slices.Clone(p.tasks), slices.Clone(p.pending)
 	p.domainOf, p.truths, p.observations = slices.Clone(p.domainOf), slices.Clone(p.truths), slices.Clone(p.observations)
 	p.store.Entries = slices.Clone(p.store.Entries)
 	return p
@@ -279,6 +287,23 @@ func (p checkedSections) clone() checkedSections {
 // file re-encodes the body and frames it with a correct length and checksum.
 func (p checkedSections) file() []byte {
 	e := &snapEncoder{buf: bytes.Clone(p.head)}
+	e.uvarint(uint64(len(p.users)))
+	for _, u := range p.users {
+		e.varint(int64(u.ID))
+		e.f64(u.Capacity)
+		e.str(u.Name)
+	}
+	e.uvarint(uint64(len(p.tasks)))
+	for _, t := range p.tasks {
+		e.varint(int64(t.ID))
+		e.str(t.Description)
+		e.varint(int64(t.Domain))
+		e.f64(t.ProcTime)
+		e.f64(t.Cost)
+		e.varint(int64(t.Day))
+		e.f64(t.Truth)
+		e.f64(t.Base)
+	}
 	e.uvarint(uint64(len(p.domainOf)))
 	for _, en := range p.domainOf {
 		e.varint(en[0])

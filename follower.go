@@ -352,10 +352,10 @@ func (f *Follower) Promote() error {
 		return fmt.Errorf("eta2: promote: %w", err)
 	}
 	s.mu.Lock()
-	s.role = rolePrimary
-	s.primaryAddr = ""
+	s.w.role = rolePrimary
+	s.w.primaryAddr = ""
 	s.publishLocked()
-	applied := s.lastLSN
+	applied := s.w.lastLSN
 	s.mu.Unlock()
 
 	// The lag gauges were only ever written by the pull loop, which has
@@ -408,7 +408,7 @@ func (s *Server) publishApplied() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishLocked()
-	return s.lastLSN
+	return s.w.lastLSN
 }
 
 // adoptSnapshot replaces the server's state with the primary's snapshot
@@ -452,7 +452,8 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 
 // adoptRestored swaps a restored snapshot server's state into s as of lsn,
 // as it is: nothing in it refers back to the server it was restored into.
-// One publish makes the swap atomic for readers.
+// What is the node's own — its journal, its role, its compaction counters —
+// stays. One publish makes the swap atomic for readers.
 //
 //eta2:journalfirst-ok adopts a snapshot of state the primary already journaled; nothing new to journal
 func (s *Server) adoptRestored(r *Server, lsn uint64) {
@@ -461,23 +462,10 @@ func (s *Server) adoptRestored(r *Server, lsn uint64) {
 	s.cfg = r.cfg
 	// The restore target rebuilt its intern table from the snapshot's user
 	// names; adopt it wholesale so name→id bindings survive the bootstrap.
-	s.interner = r.interner
-	s.users = r.users
-	s.userPos = r.userPos
-	s.nextUserID = r.nextUserID
-	s.tasks = r.tasks
-	s.domainOf = r.domainOf
-	s.pending = r.pending
-	s.store = r.store
-	s.domains = r.domains
-	s.cluster = r.cluster
-	s.observations = r.observations
-	s.truths = r.truths
-	s.day = r.day
-	s.lastNewDomains = r.lastNewDomains
-	s.lastMerges = r.lastMerges
-	s.lastLSN = lsn
-	s.snapLSN = lsn
+	s.interner, s.nextUserID = r.interner, r.nextUserID
+	s.domains, s.lastNewDomains, s.lastMerges = r.domains, nil, 0
+	s.w.persisted = r.w.persisted
+	s.w.lastLSN, s.w.snapLSN = lsn, lsn
 	s.publishLocked()
 }
 

@@ -209,7 +209,7 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 			return nil, err
 		}
 	}
-	s.snapLSN, s.lastLSN = snapLSN, snapLSN
+	s.w.snapLSN, s.w.lastLSN = snapLSN, snapLSN
 
 	wlog, err := wal.Open(dir, wal.Options{
 		SegmentSize:  policy.SegmentSize,
@@ -227,8 +227,8 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 		}
 		// journalShipped's invariant: a lost or unreadable snapshot must not
 		// become a different history replayed from the middle of the log.
-		if lsn != s.lastLSN+1 {
-			return fmt.Errorf("%w: journal record %d does not follow recovered state at %d", ErrBadState, lsn, s.lastLSN)
+		if lsn != s.w.lastLSN+1 {
+			return fmt.Errorf("%w: journal record %d does not follow recovered state at %d", ErrBadState, lsn, s.w.lastLSN)
 		}
 		ev, err := decodeEvent(payload)
 		if err != nil {
@@ -248,11 +248,11 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 	// never re-journaled. Not yet shared: publish so the lock-free query
 	// surface sees the attached journal, the role and the recovered LSN
 	// frontier.
-	s.journal = wlog
-	s.journalDir = dir
+	s.w.journal = wlog
+	s.w.journalDir = dir
 	s.journalPolicy = policy
-	s.role = role
-	s.primaryAddr = primary
+	s.w.role = role
+	s.w.primaryAddr = primary
 	s.publishLocked()
 	return s, nil
 }
@@ -274,7 +274,7 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 // the same *Locked bodies the public mutations run (minus the follower
 // write gate: a follower rejects public writes while still applying the
 // primary's). The whole apply is one s.mu critical section that ends with
-// s.lastLSN == lsn, and the bodies stamp the record's LSN before they
+// s.w.lastLSN == lsn, and the bodies stamp the record's LSN before they
 // publish (see journalBuffered) instead of journaling again, so applied state
 // and LSN frontier are never observable apart: a published state — what
 // Compact, SaveStateBinary and a replication snapshot encode — is labelled
@@ -301,12 +301,12 @@ func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 		// this state does not hold is refused here, by LSN, rather than by
 		// an index out of range in the close that would estimate it.
 		for _, o := range ev.Observations {
-			if int(o.Task) < 0 || int(o.Task) >= len(s.tasks) {
+			if int(o.Task) < 0 || int(o.Task) >= len(s.w.tasks) {
 				return fmt.Errorf("%w: journal record %d holds an observation for task %d, but the state it applies to holds %d tasks",
-					ErrBadState, lsn, o.Task, len(s.tasks))
+					ErrBadState, lsn, o.Task, len(s.w.tasks))
 			}
 		}
-		s.observations = append(s.observations, ev.Observations...)
+		s.w.observations = append(s.w.observations, ev.Observations...)
 	case eventAllocate:
 		// audit-only: allocation does not mutate server state
 	case eventCloseStep:
@@ -315,7 +315,7 @@ func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 		err = fmt.Errorf("unknown event type %q", ev.Type)
 	}
 	if err == nil {
-		s.lastLSN = lsn
+		s.w.lastLSN = lsn
 	}
 	return err
 }
@@ -348,7 +348,7 @@ func encodeEvent(ev walEvent) ([]byte, error) {
 // is a no-op returning LSN 0.
 func (s *Server) journalBuffered(at uint64, ev walEvent) (uint64, error) {
 	var payload []byte
-	if at == 0 && s.journal != nil {
+	if at == 0 && s.w.journal != nil {
 		var err error
 		if payload, err = encodeEvent(ev); err != nil {
 			return 0, err
@@ -360,16 +360,16 @@ func (s *Server) journalBuffered(at uint64, ev walEvent) (uint64, error) {
 // journalBufferedPayload is journalBuffered for a pre-encoded payload.
 func (s *Server) journalBufferedPayload(at uint64, payload []byte) (uint64, error) {
 	if at == 0 {
-		if s.journal == nil {
+		if s.w.journal == nil {
 			return 0, nil
 		}
 		var err error
-		at, err = s.journal.AppendBuffered(payload)
+		at, err = s.w.journal.AppendBuffered(payload)
 		if err != nil {
 			return 0, fmt.Errorf("eta2: journal append: %w", err)
 		}
 	}
-	s.lastLSN = at
+	s.w.lastLSN = at
 	return at, nil
 }
 
@@ -381,13 +381,13 @@ func (s *Server) journalBufferedPayload(at uint64, payload []byte) (uint64, erro
 func (s *Server) journalShipped(lsn uint64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.journal == nil || s.role != roleFollower {
+	if s.w.journal == nil || s.w.role != roleFollower {
 		return ErrNotDurable
 	}
-	if lsn != s.lastLSN+1 {
+	if lsn != s.w.lastLSN+1 {
 		return errLSNGap
 	}
-	return s.journal.AppendBufferedAt(lsn, payload)
+	return s.w.journal.AppendBufferedAt(lsn, payload)
 }
 
 // journalCommit blocks until the record at lsn is durable per the fsync
@@ -425,13 +425,10 @@ func (s *Server) journalCommit(lsn uint64, sp *trace.Span) error {
 // backgroundCompact), so closing a step never pays the snapshot encode or
 // its fsyncs.
 func (s *Server) compactIfOwedLocked() {
-	if s.journal == nil || s.journalPolicy.CompactAt <= 0 || s.journal.Stats().Bytes < s.journalPolicy.CompactAt {
+	if !s.compactionOwed(&s.w) || s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
 		return
 	}
-	if s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	//eta2:replaypurity-ok compaction rewrites durable files only, from a published state labelled with exactly the LSN it contains, so applied state never observes it; startup replay runs with s.journal == nil and never trips the threshold
+	//eta2:replaypurity-ok compaction rewrites durable files only, from a published state labelled with exactly the LSN it contains, so applied state never observes it; startup replay runs with s.w.journal == nil and never trips the threshold
 	go s.backgroundCompact()
 }
 
@@ -487,12 +484,12 @@ func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Wri
 // racing Close already wrote a newer final snapshot) or a newer snapshot
 // was already recorded.
 func (s *Server) finishCompactionLocked(st *serverState) {
-	if s.journal != st.journal || st.lastLSN < s.snapLSN {
+	if s.w.journal != st.journal || st.lastLSN < s.w.snapLSN {
 		return
 	}
-	s.snapLSN = st.lastLSN
-	s.compactions++
-	s.lastCompaction = time.Now()
+	s.w.snapLSN = st.lastLSN
+	s.w.compactions++
+	s.w.lastCompaction = time.Now()
 	s.publishLocked()
 }
 
@@ -566,18 +563,17 @@ func (s *Server) backgroundCompact() {
 	for {
 		_ = s.compactCycle(mCompactionBackground)
 		s.compacting.Store(false)
-		if s.closing.Load() || !s.compactionOwed() || !s.compacting.CompareAndSwap(false, true) {
+		if s.closing.Load() || !s.compactionOwed(s.loadState()) || !s.compacting.CompareAndSwap(false, true) {
 			return
 		}
 	}
 }
 
-// compactionOwed reports whether the WAL is still over the compaction
-// threshold with journaled mutations the newest snapshot does not cover.
-// Lock-free: the policy is immutable after open and the frontier comes
-// from the published snapshot.
-func (s *Server) compactionOwed() bool {
-	st := s.loadState()
+// compactionOwed reports whether st's WAL is over the compaction threshold
+// with journaled mutations its newest snapshot does not cover. It only reads
+// st — the working state under the lock, or a published one with none held —
+// and the policy, which is immutable after open.
+func (s *Server) compactionOwed(st *serverState) bool {
 	if st.journal == nil || s.journalPolicy.CompactAt <= 0 {
 		return false
 	}
@@ -597,8 +593,8 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.mu.Lock()
-	j := s.journal
-	s.journal = nil
+	j := s.w.journal
+	s.w.journal = nil
 	s.publishLocked()
 	s.mu.Unlock()
 	if j == nil {

@@ -231,7 +231,7 @@ func TestDurableRecoveryAtEveryBoundary(t *testing.T) {
 		if got := saveBytes(t, r); !bytes.Equal(got, b.want) {
 			t.Errorf("boundary %d: recovered state is not bit-identical (%d vs %d bytes)", i, len(got), len(b.want))
 		}
-		r.journal.Close() // release the copy's file handle without compacting
+		r.w.journal.Close() // release the copy's file handle without compacting
 	}
 }
 
@@ -270,7 +270,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 		t.Fatalf("want a single segment, got %d", len(segs))
 	}
 	seg := segs[0]
-	prevSize := s.journal.Stats().Bytes
+	prevSize := s.w.journal.Stats().Bytes
 	prevWant := saveBytes(t, s)
 
 	// The record that will be torn.
@@ -280,7 +280,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := s.journal.Stats().Bytes
+	fullSize := s.w.journal.Stats().Bytes
 	if fullSize <= prevSize {
 		t.Fatalf("final record added no bytes (%d -> %d)", prevSize, fullSize)
 	}
@@ -324,7 +324,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 			if _, err := r.CloseTimeStep(); err != nil {
 				t.Fatalf("cut %d: recovered server cannot close a step: %v", cut, err)
 			}
-			r.journal.Close()
+			r.w.journal.Close()
 		}
 	}
 }
@@ -378,7 +378,7 @@ func TestDurableAutoCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.journal.Close()
+	defer r.w.journal.Close()
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("recovery from compacted directory diverged")
 	}
@@ -495,7 +495,7 @@ func compactedWithTail(t *testing.T, pol DurabilityPolicy) (dir string, want []b
 		t.Fatalf("setup: want one snapshot and a WAL tail, stats %+v", st)
 	}
 	want = saveBytes(t, s)
-	must(s.journal.Close())
+	must(s.w.journal.Close())
 	return dir, want, st
 }
 
@@ -523,7 +523,7 @@ func TestRecoverySnapshotHandling(t *testing.T) {
 	if rst := r.DurabilityStats(); rst.SnapshotLSN != st.SnapshotLSN || rst.LastLSN != st.LastLSN {
 		t.Errorf("fallback recovered LSNs %d/%d, want %d/%d", rst.SnapshotLSN, rst.LastLSN, st.SnapshotLSN, st.LastLSN)
 	}
-	r.journal.Close()
+	r.w.journal.Close()
 
 	future := append([]byte(snapshotMagic), 9) // uvarint codec version 9
 	if err := os.WriteFile(newest, future, 0o644); err != nil {
@@ -642,14 +642,14 @@ func TestRecoveryRefusesObservationForUnknownTask(t *testing.T) {
 		}
 	}
 	// The directory without the planted record still opens.
-	if err := s.journal.Close(); err != nil {
+	if err := s.w.journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewServer(WithDurability(dir, pol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.journal.Close()
+	r.w.journal.Close()
 }
 
 // TestMinCostRefusesPhantomObservations: AllocateMinCost holds what the
@@ -705,8 +705,8 @@ func TestMinCostRefusesPhantomObservations(t *testing.T) {
 		if got := saveBytes(t, r); !bytes.Equal(got, want) {
 			t.Errorf("phantom %+v: reopened state differs from the live one", phantom)
 		}
-		r.journal.Close()
-		s.journal.Close()
+		r.w.journal.Close()
+		s.w.journal.Close()
 	}
 }
 

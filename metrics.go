@@ -126,15 +126,15 @@ func ingestAllocSample() {
 	ingestSampler.lastMallocs = ms.Mallocs
 }
 
-// publishMetricsLocked refreshes the server-shape gauges. Callers hold
-// s.mu; every store is a single atomic, so the cost is a handful of
-// nanoseconds on the mutation path.
-func (s *Server) publishMetricsLocked() {
-	mDay.Set(float64(s.day))
-	mUsers.Set(float64(len(s.users)))
-	mTasks.Set(float64(len(s.tasks)))
-	mPendingTasks.Set(float64(len(s.pending)))
-	mBufferedObs.Set(float64(len(s.observations)))
+// publishMetricsLocked refreshes the server-shape gauges from st, the state
+// being published. Callers hold s.mu; every store is a single atomic, so the
+// cost is a handful of nanoseconds on the mutation path.
+func (s *Server) publishMetricsLocked(st *serverState) {
+	mDay.Set(float64(st.day))
+	mUsers.Set(float64(len(st.users)))
+	mTasks.Set(float64(len(st.tasks)))
+	mPendingTasks.Set(float64(len(st.pending)))
+	mBufferedObs.Set(float64(len(st.observations)))
 	mInternStrings.Set(float64(s.interner.Len()))
 	mInternBytes.Set(float64(s.interner.Bytes()))
 }

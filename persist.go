@@ -45,10 +45,12 @@ func LoadServer(r io.Reader, opts ...Option) (*Server, error) {
 	return restoreServer(st, opts...)
 }
 
-// restoreServer materializes a decoded snapshot: its persistable fields
-// become the new server's master state as they are. The snapshot's own
-// alpha/gamma/epsilon are the base configuration; the caller's options are
-// applied on top and win.
+// restoreServer materializes a decoded snapshot: its persistable part becomes
+// the new server's working state as it is — the decoder has already held every
+// section to what this build writes — and what is derived from it is rebuilt:
+// the intern table from the users' names, AddUsersByName's next id, the
+// clustering engine from its capture. The snapshot's own alpha/gamma/epsilon
+// are the base configuration; the caller's options are applied on top and win.
 func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 	allOpts := append([]Option{
 		WithAlpha(st.alpha),
@@ -65,30 +67,28 @@ func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	empty := s.w.cluster // of newServer's identifier, which stands when the snapshot brought no clustering state
+	s.w.persisted = st.persisted
+	s.w.alpha, s.w.gamma, s.w.epsilon = cfg.alpha, cfg.gamma, cfg.epsilon
 
-	// Through the front door: it validates the users, indexes them and binds
-	// their names in the intern table.
-	if err := s.AddUsers(st.users...); err != nil {
-		return nil, err
+	var names []string
+	var nameIDs []int
+	for _, u := range st.users {
+		s.nextUserID = max(s.nextUserID, u.ID+1)
+		if u.Name != "" {
+			names, nameIDs = append(names, u.Name), append(nameIDs, int(u.ID))
+		}
+	}
+	if err := s.interner.BindAll(names, nameIDs); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
 	}
 
-	s.tasks = st.tasks
-	s.domainOf = st.domainOf
-	s.pending = st.pending
-	s.truths = st.truths
-	s.day = st.day
-	s.observations = st.observations
-	s.store = st.store
-
-	// newServer's empty identifier stands when the snapshot brought no
-	// clustering state. RestoreDomains copies what its engine goes on to
-	// write, so the decoded value stays the immutable capture of it.
-	if st.cluster != nil {
-		s.domains, err = loop.RestoreDomains(*st.cluster, s.cfg.embedder)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadState, err)
-		}
-		s.cluster = st.cluster
+	// RestoreDomains copies what its engine goes on to write, so the decoded
+	// value stays the immutable capture of it.
+	if st.cluster == nil {
+		s.w.cluster = empty
+	} else if s.domains, err = loop.RestoreDomains(*st.cluster, cfg.embedder); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
 	}
 	// Not yet shared with other goroutines, so publishing without the lock
 	// is safe; installs the restored state for the lock-free query surface.

@@ -195,8 +195,8 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.pending) == 0 || len(s.observations) == 0 {
-		t.Fatalf("fixture not mid-step: %d pending, %d observations", len(s.pending), len(s.observations))
+	if len(s.w.pending) == 0 || len(s.w.observations) == 0 {
+		t.Fatalf("fixture not mid-step: %d pending, %d observations", len(s.w.pending), len(s.w.observations))
 	}
 
 	var buf bytes.Buffer
@@ -207,10 +207,10 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(restored.pending), len(s.pending); got != want {
+	if got, want := len(restored.w.pending), len(s.w.pending); got != want {
 		t.Errorf("pending tasks: %d vs %d", got, want)
 	}
-	if got, want := len(restored.observations), len(s.observations); got != want {
+	if got, want := len(restored.w.observations), len(s.w.observations); got != want {
 		t.Errorf("observations: %d vs %d", got, want)
 	}
 	var buf2 bytes.Buffer
@@ -280,7 +280,7 @@ func encodeSnapshot(t *testing.T, version byte, st *serverState) []byte {
 // emptyState is the least a snapshot encodes: no users, no tasks, an empty
 // expertise store.
 func emptyState() *serverState {
-	return &serverState{alpha: 0.5, gamma: 0.5, epsilon: 0.1, store: truth.NewStore(0.5)}
+	return &serverState{persisted: persisted{alpha: 0.5, gamma: 0.5, epsilon: 0.1, store: truth.NewStore(0.5)}}
 }
 
 func TestLoadServerFutureVersion(t *testing.T) {

@@ -68,7 +68,7 @@ func TestRecoveryMemoryBounded(t *testing.T) {
 	}
 	// Close only the log, not the server: Server.Close would compact the
 	// journal away and leave nothing to replay.
-	if err := s.journal.Close(); err != nil {
+	if err := s.w.journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s = nil
@@ -122,7 +122,7 @@ func TestRecoveryMemoryBounded(t *testing.T) {
 	}
 	close(stop)
 	<-done
-	defer r.journal.Close()
+	defer r.w.journal.Close()
 
 	runtime.GC()
 	var after runtime.MemStats

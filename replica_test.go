@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -180,6 +181,48 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 	}
 	if err := primary.Compact(); err != nil {
 		t.Fatal(err)
+	}
+
+	// What a bootstrap adopts is the persistable state and the two LSNs. The
+	// node keeps what is its own: a follower with no pull loop, one compaction
+	// behind it, is handed the primary's snapshot directly.
+	cfg, err := buildConfig(tuning...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := openDurable(cfg, tuning, t.TempDir(), fastFollowerOptions("").Policy, roleFollower, "http://primary.invalid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err := node.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	before := *node.loadState()
+	lsn, write, err := primary.CaptureReplicationSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped bytes.Buffer
+	if err := write(&shipped); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.adoptSnapshot(lsn, &shipped, tuning); err != nil {
+		t.Fatal(err)
+	}
+	after := *node.loadState()
+	if after.lastLSN != lsn || after.snapLSN != lsn {
+		t.Errorf("adopted at LSN %d: frontier %d, snapshot %d", lsn, after.lastLSN, after.snapLSN)
+	}
+	if got, want := saveBytes(t, node), saveBytes(t, primary); string(got) != string(want) {
+		t.Error("adopted state diverged from primary")
+	}
+	after.persisted, after.lastLSN, after.snapLSN = before.persisted, before.lastLSN, before.snapLSN
+	if before.journal == nil || before.role != roleFollower || before.primaryAddr == "" || before.compactions != 1 || before.lastCompaction.IsZero() {
+		t.Fatalf("fixture: node-local state before the bootstrap is %+v", before)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("bootstrap changed what is the node's own:\n before %+v\n after  %+v", before, after)
 	}
 
 	ts := replTestServer(t, primary)

@@ -34,13 +34,13 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	}
 
 	// Sabotage the journal: every AppendBuffered now fails.
-	if err := s.journal.Close(); err != nil {
+	if err := s.w.journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	snapshotUsers := s.NumUsers()
-	snapshotTasks := len(s.tasks)
-	snapshotObs := len(s.observations)
+	snapshotTasks := len(s.w.tasks)
+	snapshotObs := len(s.w.observations)
 	snapshotDay := s.Day()
 
 	if err := s.AddUsers(User{ID: 2, Capacity: 3}); err == nil {
@@ -62,10 +62,10 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	if got := s.NumUsers(); got != snapshotUsers {
 		t.Errorf("users leaked through failed journal: %d -> %d", snapshotUsers, got)
 	}
-	if got := len(s.tasks); got != snapshotTasks {
+	if got := len(s.w.tasks); got != snapshotTasks {
 		t.Errorf("tasks leaked through failed journal: %d -> %d", snapshotTasks, got)
 	}
-	if got := len(s.observations); got != snapshotObs {
+	if got := len(s.w.observations); got != snapshotObs {
 		t.Errorf("observations leaked through failed journal: %d -> %d", snapshotObs, got)
 	}
 	if got := s.Day(); got != snapshotDay {
@@ -85,10 +85,10 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	if got := r.NumUsers(); got != snapshotUsers {
 		t.Errorf("recovered %d users, want %d", got, snapshotUsers)
 	}
-	if got := len(r.tasks); got != snapshotTasks {
+	if got := len(r.w.tasks); got != snapshotTasks {
 		t.Errorf("recovered %d tasks, want %d", got, snapshotTasks)
 	}
-	if got := len(r.observations); got != snapshotObs {
+	if got := len(r.w.observations); got != snapshotObs {
 		t.Errorf("recovered %d observations, want %d", got, snapshotObs)
 	}
 	if got := r.Day(); got != snapshotDay {

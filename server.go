@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eta2/internal/allocation"
 	"eta2/internal/core"
@@ -15,22 +14,23 @@ import (
 	"eta2/internal/semantic"
 	"eta2/internal/trace"
 	"eta2/internal/truth"
-	"eta2/internal/wal"
 )
 
 // Server is the crowdsourcing server: it owns task/domain state, learned
 // user expertise, and the allocation and truth-analysis machinery. It is
-// safe for concurrent use. The query surface (Truth, Expertise,
-// ExpertiseInDomain, Domain, NumUsers, NumDomains, Day, DurabilityStats)
-// and every state capture (SaveStateBinary, Compact, a follower bootstrap)
-// are lock-free: they read an immutable state published through an atomic
-// pointer, so they never wait on writers — not even on a writer parked in
-// an fsync. Mutations serialize behind mu (a writer-writer lock) and publish
-// a fresh state per committed batch (copy-on-write; see DESIGN.md §11). In
-// durable mode a mutation's critical section covers only the in-memory
-// apply and the buffered journal write; the fsync wait happens outside the
-// lock, where the WAL's group commit batches concurrent callers into a
-// single flush (see DESIGN.md §11).
+// safe for concurrent use. All of that state is one serverState (state.go);
+// what Server declares beside it is what is not state: the lock, the
+// configuration, and the objects the writers drive. The query surface
+// (Truth, Expertise, ExpertiseInDomain, Domain, NumUsers, NumDomains, Day,
+// DurabilityStats) and every state capture (SaveStateBinary, Compact, a
+// follower bootstrap) are lock-free: they read an immutable state published
+// through an atomic pointer, so they never wait on writers — not even on a
+// writer parked in an fsync. Mutations serialize behind mu (a writer-writer
+// lock) and publish a fresh state per committed batch (copy-on-write; see
+// DESIGN.md §11). In durable mode a mutation's critical section covers only
+// the in-memory apply and the buffered journal write; the fsync wait happens
+// outside the lock, where the WAL's group commit batches concurrent callers
+// into a single flush (see DESIGN.md §11).
 type Server struct {
 	// mu serializes writers against each other and nothing else: whatever
 	// only reads — a query, a state capture — loads the published state
@@ -45,65 +45,29 @@ type Server struct {
 
 	cfg config
 
+	// w is the writers' working state, under mu: the value the next publish
+	// copies. state.go has the write rule of each of its containers.
+	w serverState
+
 	// interner binds external string names to dense user ids (DESIGN.md
 	// §15). It is derived state: rebuilt by replay/restore from the Name
 	// fields carried in add_users events and snapshots, never serialized
 	// itself. Lookups are lock-free; binds happen under mu via addUsers.
 	interner *core.Interner
+	// nextUserID is one past the highest id in w.users: AddUsersByName's next.
+	nextUserID UserID
 
-	// The master state the writers build on, under mu. What is persistable
-	// of it is listed once more, in serverState, where publishLocked copies
-	// the headers and references; state.go has each container's rule.
-	users      []User
-	userPos    map[UserID]int32
-	nextUserID UserID // one past the highest id in users: AddUsersByName's next
-
-	tasks []core.Task
-	// domainOf and truths are per-task columns indexed by the dense TaskID
-	// (DESIGN.md §11 rule 2). len(domainOf) == len(tasks) whenever mu is
-	// released; truths reaches the highest task ever estimated, and an
-	// entry with Observations == 0 means "no estimate yet" (a real one
-	// always has at least one).
-	domainOf []DomainID
-	truths   []TruthEstimate
-	// pending are tasks created since the last CloseTimeStep, awaiting
-	// allocation/observations.
-	pending []TaskID
-
-	store *truth.Store
 	// domains identifies described tasks' domains; nil without an embedder
 	// (unless a snapshot brought its own clustering state). It is the one
-	// piece of master state that is written in place, so cluster holds its
-	// state as of the last change, for publication.
+	// object behind the state that is written in place, so w.cluster holds
+	// its state as of the last change, for publication.
 	domains *loop.Domains
-	cluster *loop.DomainsState
 
-	observations []Observation
-	day          int
-
+	// What the last create did to the domains, for the next StepReport.
 	lastNewDomains []DomainID
 	lastMerges     int
 
-	// Durable mode (nil journal = in-memory server); see journal.go. The
-	// journal is attached in either replication role: a primary's own
-	// mutations write it, a follower's pull loop feeds it the primary's
-	// records verbatim. lastLSN is the newest record applied to the state
-	// above — the two only change together, under mu.
-	journal        *wal.Log
-	journalDir     string
-	journalPolicy  DurabilityPolicy
-	lastLSN        uint64
-	snapLSN        uint64
-	compactions    int
-	lastCompaction time.Time
-
-	// Replication role (see replication.go). rolePrimary (the zero value)
-	// accepts writes; roleFollower rejects public mutations with
-	// *FollowerWriteError and applies shipped records through applyEvent,
-	// the path recovery replays. Guarded by mu; mirrored into the
-	// published snapshot so the write gate is lock-free.
-	role        serverRole
-	primaryAddr string
+	journalPolicy DurabilityPolicy // w.journal's (journal.go); immutable after open
 
 	// tracer samples write-path traces into the flight recorder; see
 	// internal/trace and DESIGN.md §13. Per-server so an in-process
@@ -249,25 +213,31 @@ func buildConfig(opts ...Option) (config, error) {
 	return cfg, nil
 }
 
+// newPersisted returns the containers every state holds non-nil, empty.
+//
+//eta2:allocdiscipline-ok constructor: runs once per server or restore, not per request
+func newPersisted() persisted {
+	return persisted{userPos: make(map[UserID]int32), domainCount: new(atomic.Int64)}
+}
+
 // newServer builds a bare in-memory server from a resolved config (no
 // recovery, no journal — openDurable layers those on top).
-//
-//eta2:allocdiscipline-ok constructor: runs once per server, not per request
 func newServer(cfg config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		interner: core.NewInterner(),
-		userPos:  make(map[UserID]int32),
-		store:    truth.NewStore(cfg.alpha),
 		tracer:   trace.New(cfg.traceEvery, traceRecorderCapacity),
 	}
+	s.w.persisted = newPersisted()
+	s.w.alpha, s.w.gamma, s.w.epsilon = cfg.alpha, cfg.gamma, cfg.epsilon
+	s.w.store = truth.NewStore(cfg.alpha)
 	if cfg.embedder != nil {
 		var err error
 		if s.domains, err = loop.NewDomains(cfg.embedder, cfg.gamma); err != nil {
 			return nil, fmt.Errorf("eta2: %w", err)
 		}
 		ds := s.domains.State()
-		s.cluster = &ds
+		s.w.cluster = &ds
 	}
 	// Not yet shared, so publishing without the lock is safe; the query
 	// surface relies on the state pointer never being nil.
@@ -339,8 +309,8 @@ func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
 		if id, ok := s.interner.Lookup(u.Name); ok && id != int(u.ID) {
 			return 0, fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
 		}
-		if i, ok := s.userPos[u.ID]; ok {
-			if prev := s.users[i].Name; prev != "" && prev != u.Name {
+		if i, ok := s.w.userPos[u.ID]; ok {
+			if prev := s.w.users[i].Name; prev != "" && prev != u.Name {
 				return 0, fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev, u.Name)
 			}
 		}
@@ -360,7 +330,7 @@ func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
 	}
 	// Names are write-once (renames were rejected above) and replay applies
 	// the same merge, so live and recovered state agree.
-	s.users, s.userPos = cloneUsersWith(s.users, s.userPos, users)
+	s.w.users, s.w.userPos = cloneUsersWith(s.w.users, s.w.userPos, users)
 	for _, u := range users {
 		s.nextUserID = max(s.nextUserID, u.ID+1)
 	}
@@ -485,12 +455,12 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 	var vectors []semantic.TaskVector
 	for i, spec := range specs {
 		t := core.Task{
-			ID:          TaskID(len(s.tasks) + i),
+			ID:          TaskID(len(s.w.tasks) + i),
 			Description: spec.Description,
 			Domain:      spec.DomainHint,
 			ProcTime:    spec.ProcTime,
 			Cost:        spec.Cost,
-			Day:         s.day,
+			Day:         s.w.day,
 		}
 		if t.Cost == 0 { //eta2:floatcmp-ok exact zero is the unset-field sentinel, never a computed value
 			t.Cost = 1
@@ -531,36 +501,37 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 	// in place.
 	ids := make([]TaskID, len(tasks))
 	for i, t := range tasks {
-		s.domainOf = append(s.domainOf, t.Domain)
+		s.w.domainOf = append(s.w.domainOf, t.Domain)
 		ids[i] = t.ID
 	}
-	s.tasks = append(s.tasks, tasks...)
-	s.pending = append(s.pending, ids...)
+	s.w.domainCount = new(atomic.Int64) // of the column as this batch leaves it
+	s.w.tasks = append(s.w.tasks, tasks...)
+	s.w.pending = append(s.w.pending, ids...)
 
 	s.lastNewDomains = nil
 	s.lastMerges = 0
 	if len(described) > 0 {
 		// Identify writes every described task's domain, and a merge moves
 		// OLD tasks, whose entries are published: it works on a copy of the
-		// column. The published snapshot shares s.store too: merges fold
+		// column. The published state shares s.w.store too: merges fold
 		// into a clone. Both are swapped in below.
-		domainOf := slices.Clone(s.domainOf)
+		domainOf := slices.Clone(s.w.domainOf)
 		var merged *truth.Store
 		up, err := s.domains.Identify(described, vectors, domainOf, func(into, from DomainID) {
 			if merged == nil {
-				merged = s.store.Clone()
+				merged = s.w.store.Clone()
 			}
 			merged.MergeDomains(into, from)
 		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("eta2: clustering: %w", err)
 		}
-		s.domainOf = domainOf
+		s.w.domainOf = domainOf
 		if merged != nil {
-			s.store = merged
+			s.w.store = merged
 		}
 		ds := s.domains.State()
-		s.cluster = &ds
+		s.w.cluster = &ds
 		s.lastNewDomains = up.NewDomains
 		s.lastMerges = len(up.Merges)
 	}
@@ -593,19 +564,6 @@ func (s *Server) ExpertiseInDomain(u UserID, d DomainID) float64 {
 	return s.loadState().store.Expertise(u, d)
 }
 
-// pendingTasks materializes the pending task structs.
-func (s *Server) pendingTasks() []core.Task {
-	out := make([]core.Task, 0, len(s.pending))
-	for _, id := range s.pending {
-		out = append(out, s.tasks[int(id)])
-	}
-	return out
-}
-
-func (s *Server) allocationInput(tasks []core.Task) allocation.Input {
-	return loop.AllocationInput(s.users, tasks, s.store, s.domainOf, s.cfg.epsilon, s.cfg.parallelism)
-}
-
 // ErrNothingToAllocate is returned when allocation is requested with no
 // pending tasks or no users.
 var ErrNothingToAllocate = errors.New("eta2: no pending tasks or no users to allocate")
@@ -635,12 +593,11 @@ func (s *Server) allocateMaxQuality(solve func(allocation.Input) (allocation.Max
 		return nil, err
 	}
 	s.mu.Lock()
-	tasks := s.pendingTasks()
-	if len(tasks) == 0 || len(s.users) == 0 {
+	if len(s.w.pending) == 0 || len(s.w.users) == 0 {
 		s.mu.Unlock()
 		return nil, ErrNothingToAllocate
 	}
-	res, err := solve(s.allocationInput(tasks))
+	res, err := solve(s.w.allocationInput(s.cfg))
 	if err != nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("eta2: %w", err)
@@ -702,8 +659,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		return MinCostOutcome{}, err
 	}
 	s.mu.Lock()
-	tasks := s.pendingTasks()
-	if len(tasks) == 0 || len(s.users) == 0 {
+	if len(s.w.pending) == 0 || len(s.w.users) == 0 {
 		s.mu.Unlock()
 		return MinCostOutcome{}, ErrNothingToAllocate
 	}
@@ -712,18 +668,18 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		return MinCostOutcome{}, errors.New("eta2: nil collector")
 	}
 
-	res, err := loop.MinCost(s.allocationInput(tasks), allocation.MinCostConfig{
+	res, err := loop.MinCost(s.w.allocationInput(s.cfg), allocation.MinCostConfig{
 		EpsBar:     params.EpsBar,
 		Alpha:      params.ConfAlpha,
 		IterBudget: params.IterBudget,
-	}, s.store, s.domainOf, s.cfg.truthCfg, func(pairs []Pair) ([]Observation, error) {
+	}, s.w.store, s.w.domainOf, s.cfg.truthCfg, func(pairs []Pair) ([]Observation, error) {
 		obs, err := collect(pairs)
 		if err != nil {
 			return nil, err
 		}
 		// The collector is caller code: hold what it returns to the check
 		// SubmitObservations runs, before any of it is journaled or applied.
-		if err := checkObservations(obs, len(s.tasks), s.userPos); err != nil {
+		if err := checkObservations(obs, len(s.w.tasks), s.w.userPos); err != nil {
 			return nil, err
 		}
 		if len(obs) > 0 {
@@ -736,7 +692,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 				return nil, err
 			}
 		}
-		s.observations = append(s.observations, obs...)
+		s.w.observations = append(s.w.observations, obs...)
 		mObsAccepted.Add(uint64(len(obs)))
 		s.publishLocked()
 		return obs, nil
@@ -745,7 +701,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		// Observation batches collected before the failure are applied and
 		// buffered in the journal; flush them so live state and durable
 		// state agree even on the error path.
-		flushLSN := s.lastLSN
+		flushLSN := s.w.lastLSN
 		s.mu.Unlock()
 		_ = s.journalCommit(flushLSN, nil)
 		return MinCostOutcome{}, fmt.Errorf("eta2: %w", err)
@@ -812,10 +768,10 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	// be invalidated by the time the lock is held — but a concurrent
 	// CloseTimeStep may have advanced the clock, in which case the batch
 	// is re-encoded with the current day stamp.
-	if s.day != st.day {
-		eb.b = encodeObservationsEvent(eb.b[:0], obs, s.day)
+	if s.w.day != st.day {
+		eb.b = encodeObservationsEvent(eb.b[:0], obs, s.w.day)
 	}
-	day := s.day
+	day := s.w.day
 	lsn, err := s.journalBufferedPayload(0, eb.b)
 	if err != nil {
 		s.mu.Unlock()
@@ -833,7 +789,7 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	pub := t.StartSpan(trace.SpanPublish)
 	for _, o := range obs {
 		o.Day = day
-		s.observations = append(s.observations, o)
+		s.w.observations = append(s.w.observations, o)
 	}
 	mObsAccepted.Add(uint64(len(obs)))
 	s.publishLocked()
@@ -917,15 +873,13 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 // replay. The returned fsync-wait span is open: the caller ends it (via
 // journalCommit) once the record is durable.
 func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uint64, *trace.Span, error) {
-	if len(s.observations) == 0 {
+	if len(s.w.observations) == 0 {
 		return StepReport{}, 0, nil, ErrNoObservations
 	}
+	// The published state shares s.w.store: the step commits into the clone
+	// the estimate returns, swapped in only once the close record is journaled.
 	est := t.StartSpan(trace.SpanTruthEstimate)
-	table := core.NewObservationTable(s.observations)
-	// The published snapshot shares s.store: the step commits into a clone
-	// that is swapped in only once the close record is journaled.
-	store := s.store.Clone()
-	res, err := loop.CloseStep(s.day, store, table, s.domainOf, s.cfg.truthCfg)
+	table, store, res, err := s.w.estimateStep(s.cfg.truthCfg)
 	est.End()
 	if err != nil {
 		return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
@@ -940,9 +894,9 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 	fsync := t.StartSpan(trace.SpanFsyncWait)
 	pub := t.StartSpan(trace.SpanPublish)
 
-	s.store = store
+	s.w.store = store
 	report := StepReport{
-		Day:           s.day,
+		Day:           s.w.day,
 		MLEIterations: res.Iterations,
 		Converged:     res.Converged,
 		NewDomains:    s.lastNewDomains,
@@ -951,8 +905,8 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 	// Readers hold the published truths column and a close may re-estimate
 	// an old task, so the step's estimates land in a copy that reaches
 	// every task, swapped in with the cloned store.
-	truths := make([]TruthEstimate, len(s.tasks))
-	copy(truths, s.truths)
+	truths := make([]TruthEstimate, len(s.w.tasks))
+	copy(truths, s.w.truths)
 	for _, tid := range table.Tasks() {
 		est := TruthEstimate{
 			Task:         tid,
@@ -963,11 +917,11 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 		truths[tid] = est
 		report.Estimates = append(report.Estimates, est)
 	}
-	s.truths = truths
+	s.w.truths = truths
 
-	s.observations = nil
-	s.pending = nil
-	s.day++
+	s.w.observations = nil
+	s.w.pending = nil
+	s.w.day++
 	mStepsClosed.Inc()
 	s.publishLocked()
 	pub.End()

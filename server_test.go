@@ -94,7 +94,7 @@ func TestAddUsersByNameAssignsNextID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replayed.journal.Close()
+	defer replayed.w.journal.Close()
 	loaded, err := LoadServer(bytes.NewReader(saveBytes(t, s)))
 	if err != nil {
 		t.Fatal(err)

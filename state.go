@@ -6,18 +6,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eta2/internal/allocation"
 	"eta2/internal/core"
 	"eta2/internal/loop"
 	"eta2/internal/truth"
 	"eta2/internal/wal"
 )
 
-// serverState is the server's one state, published immutable (DESIGN.md
-// §11): what the lock-free query surface reads is what the snapshot codec
-// writes. Every committed mutation publishes a fresh serverState via
-// publishLocked; a reader — a query, SaveStateBinary, a compaction, a
-// follower bootstrap — loads the pointer once and reads freely, because
-// nothing reachable from a published serverState is ever mutated again:
+// serverState is the one declaration of the server's state (DESIGN.md §11).
+// The writers build on one value of it, Server.w, under Server.mu; every
+// committed mutation publishes a copy of that value through publishLocked,
+// and a reader — a query, SaveStateBinary, a compaction, a follower
+// bootstrap — loads the pointer once and reads freely: what the lock-free
+// query surface reads is what the snapshot codec writes. The copy shares
+// every container with the working value, so a writer may assign a field of
+// Server.w but never write through one (snapshotimmutability reads the
+// reference-typed fields off this declaration). How each container changes:
 //
 //   - users, tasks, pending, observations, domainOf and truths are columns.
 //     A captured slice header freezes its prefix: writers only append past
@@ -32,48 +36,61 @@ import (
 //     State() hands the snapshot encoder, are only ever read.
 //   - cluster is a value captured whenever the clustering changes
 //     (construction, restore, a described create); nil without clustering.
-//   - the scalar fields are plain copies.
-//
-// The fields down to cluster are the persistable state, in the order
-// codec.go writes them; lastLSN is published with them, so a capture is
-// labelled with exactly the LSN it contains. The journal pointer is included
-// so DurabilityStats and journalCommit run without touching s.mu; wal.Log
-// has its own internal synchronization and tolerates Stats/Commit after
-// Close.
+//   - domainCount is a cell the states holding one domainOf share; whoever
+//     extends or replaces domainOf installs a fresh one.
+//   - journal is a handle, not data: wal.Log has its own synchronization and
+//     tolerates Stats/Commit after Close. It is here so DurabilityStats and
+//     journalCommit run without touching Server.mu. Nil on an in-memory
+//     server; attached in either replication role — a primary's own mutations
+//     write it, a follower's pull loop feeds it the primary's records verbatim.
 type serverState struct {
+	persisted
+
+	journal        *wal.Log //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits and stats, not frozen snapshot data
+	journalDir     string
+	lastLSN        uint64 // the newest record applied to persisted: a capture is labelled with exactly the LSN it contains
+	snapLSN        uint64
+	compactions    int
+	lastCompaction time.Time
+
+	// Replication role (see replication.go). rolePrimary (the zero value)
+	// accepts writes; roleFollower rejects public mutations with
+	// *FollowerWriteError and applies shipped records through applyEvent.
+	// role only ever transitions follower → primary (promotion), never back,
+	// so a writability check against one published state cannot be
+	// invalidated into accepting a write on a node that is still a follower.
+	role        serverRole
+	primaryAddr string
+}
+
+// persisted is the part of the state that replay rebuilds and the snapshot
+// codec writes, in the order codec.go writes it — the fields a writer must
+// journal before it assigns (journalfirst reads them off this declaration).
+// What serverState declares beside it belongs to the node and survives a
+// snapshot bootstrap that replaces all of this.
+type persisted struct {
 	alpha, gamma, epsilon float64
 
 	users   []User           // in registration order
 	userPos map[UserID]int32 // id → position in users
 
-	tasks        []core.Task
-	domainOf     []DomainID // len == len(tasks)
-	pending      []TaskID
-	truths       []TruthEstimate // len <= len(tasks); Observations == 0: no estimate
+	tasks []core.Task
+	// domainOf and truths are per-task columns indexed by the dense TaskID
+	// (DESIGN.md §11 rule 2). len(domainOf) == len(tasks) whenever Server.mu
+	// is released; truths reaches the highest task ever estimated, and an
+	// entry with Observations == 0 means "no estimate yet" (a real one
+	// always has at least one).
+	domainOf     []DomainID
+	pending      []TaskID // created since the last CloseTimeStep, awaiting allocation/observations
+	truths       []TruthEstimate
 	day          int
 	observations []Observation // of the open day
 	store        *truth.Store
 	cluster      *loop.DomainsState
 
-	journal        *wal.Log
-	journalDir     string
-	lastLSN        uint64
-	snapLSN        uint64
-	compactions    int
-	lastCompaction time.Time
-
-	// Replication role (see replication.go). role only ever transitions
-	// follower → primary (promotion), never back, so a writability check
-	// against one published snapshot cannot be invalidated into accepting
-	// a write on a node that is still a follower.
-	role        serverRole
-	primaryAddr string
-
-	// domainCount caches numDomains() for this snapshot: 0 means not yet
-	// computed, anything else is count+1. domainOf is frozen once the
-	// snapshot is published, so the count is computed at most once per
-	// snapshot instead of allocating a scratch set on every read.
-	domainCount atomic.Int64
+	// domainCount caches numDomains() for domainOf: 0 means not yet
+	// computed, anything else is count+1. Derived, so the codec skips it.
+	domainCount *atomic.Int64
 }
 
 // cloneUsersWith returns the user column and its index with batch applied in
@@ -124,14 +141,14 @@ func (st *serverState) truth(id TaskID) (TruthEstimate, bool) {
 	return est, est.Observations > 0
 }
 
-// numDomains counts the distinct domains assigned in this snapshot. The
-// first caller pays the O(tasks) scan; concurrent first callers compute the
-// same value, so the racing Store is idempotent.
+// numDomains counts the distinct domains assigned in this state. The first
+// caller since domainOf last changed pays the O(tasks) scan; concurrent first
+// callers compute the same value, so the racing Store is idempotent.
 func (st *serverState) numDomains() int {
 	if v := st.domainCount.Load(); v != 0 {
 		return int(v - 1)
 	}
-	seen := make(map[DomainID]struct{}) //eta2:allocdiscipline-ok once per published snapshot, not per request
+	seen := make(map[DomainID]struct{}) //eta2:allocdiscipline-ok once per change of domainOf, not per request
 	for _, d := range st.domainOf {
 		seen[d] = struct{}{}
 	}
@@ -139,39 +156,43 @@ func (st *serverState) numDomains() int {
 	return len(seen)
 }
 
-// publishLocked installs the current master state as the new immutable read
-// snapshot and refreshes the server-shape gauges. It is the ONLY place that
+// pendingTasks materializes the pending task structs.
+func (st *serverState) pendingTasks() []core.Task {
+	out := make([]core.Task, 0, len(st.pending))
+	for _, id := range st.pending {
+		out = append(out, st.tasks[int(id)])
+	}
+	return out
+}
+
+// allocationInput is the allocation problem of the pending tasks over the
+// registered users. It only reads st, and so does a solve of it.
+func (st *serverState) allocationInput(cfg config) allocation.Input {
+	return loop.AllocationInput(st.users, st.pendingTasks(), st.store, st.domainOf, cfg.epsilon, cfg.parallelism)
+}
+
+// estimateStep runs truth analysis over the open day's observations. It only
+// reads st: the step's expertise evidence is committed into the clone of
+// st.store it returns, beside the observation table and the estimates.
+func (st *serverState) estimateStep(cfg truth.Config) (*core.ObservationTable, *truth.Store, truth.UpdateResult, error) {
+	table := core.NewObservationTable(st.observations)
+	store := st.store.Clone()
+	res, err := loop.CloseStep(st.day, store, table, st.domainOf, cfg)
+	return table, store, res, err
+}
+
+// publishLocked publishes a copy of the working state as the new immutable
+// read state and refreshes the server-shape gauges. It is the ONLY place that
 // may store to s.state (enforced by the lockdiscipline analyzer): every
 // writer calls it exactly once per committed mutation batch, with s.mu
 // held — or before the server is shared, during construction and recovery,
 // where no lock is needed.
 func (s *Server) publishLocked() {
-	s.state.Store(&serverState{
-		alpha:          s.cfg.alpha,
-		gamma:          s.cfg.gamma,
-		epsilon:        s.cfg.epsilon,
-		users:          s.users,
-		userPos:        s.userPos,
-		tasks:          s.tasks,
-		domainOf:       s.domainOf,
-		pending:        s.pending,
-		truths:         s.truths,
-		day:            s.day,
-		observations:   s.observations,
-		store:          s.store,
-		cluster:        s.cluster,
-		journal:        s.journal, //eta2:snapshotimmutability-ok the WAL handle is internally synchronized infrastructure, published for lock-free durability waits and stats, not frozen snapshot data
-		journalDir:     s.journalDir,
-		lastLSN:        s.lastLSN,
-		snapLSN:        s.snapLSN,
-		compactions:    s.compactions,
-		lastCompaction: s.lastCompaction,
-		role:           s.role,
-		primaryAddr:    s.primaryAddr,
-	})
+	st := s.w
+	s.state.Store(&st)
 	mSnapshotPublishes.Inc()
 	mSnapshotPublishTS.SetToCurrentTime()
-	s.publishMetricsLocked()
+	s.publishMetricsLocked(&st)
 }
 
 // loadState returns the current state: what a query reads and what

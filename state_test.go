@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -167,6 +168,27 @@ func TestLockFreeReadsDuringDurableStorm(t *testing.T) {
 	}
 }
 
+// TestServerDeclaresNoStateField: serverState is the only declaration of the
+// server's state. The writers' working value is a serverState inside the
+// Server, so a field of the Server with the name of a field of the state is a
+// second copy of it, which publishLocked, restoreServer, adoptRestored and
+// the lint passes would each have to be told about.
+func TestServerDeclaresNoStateField(t *testing.T) {
+	state := make(map[string]bool)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(serverState{})) {
+		state[f.Name] = true
+	}
+	if !state["users"] || !state["lastLSN"] {
+		t.Fatalf("serverState's fields were not found: %v", state)
+	}
+	server := reflect.TypeOf((*Server)(nil)).Elem()
+	for i := 0; i < server.NumField(); i++ {
+		if name := server.Field(i).Name; state[name] {
+			t.Errorf("Server declares %s, which serverState declares too", name)
+		}
+	}
+}
+
 // frozenView is what one published serverState answered, for every task it
 // holds, the first time it was asked, a copy of the rows its expertise
 // store had then, and the snapshot it encoded to then — which reads every
@@ -248,8 +270,8 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 	// Spare capacity, so that no append of the script reallocates a
 	// column: only the copy a writer makes keeps a published prefix frozen.
 	s.mu.Lock()
-	s.domainOf = slices.Grow(s.domainOf, 256)
-	s.users = slices.Grow(s.users, 64)
+	s.w.domainOf = slices.Grow(s.w.domainOf, 256)
+	s.w.users = slices.Grow(s.w.users, 64)
 	s.mu.Unlock()
 
 	done := make(chan struct{})

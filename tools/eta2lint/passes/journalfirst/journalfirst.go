@@ -2,8 +2,15 @@
 // event log design (PR 2): a Server method that mutates event-sourced
 // state must buffer the journal record (journalBuffered /
 // journalBufferedPayload) BEFORE assigning the tracked fields — or calling
-// a mutating method on one that holds a stateful object — so a crash
+// a mutating method on an object a Server field holds — so a crash
 // between the two replays the mutation instead of losing it.
+//
+// The tracked fields are read off the state's one declaration: the struct
+// Server publishes behind an atomic.Pointer embeds its persistable part —
+// what WAL replay reconstructs — and every field of that part is tracked,
+// wherever under the Server it is assigned (s.w.users = ..., s.w.day++).
+// What the struct declares directly is the node's durability bookkeeping
+// (journal, lastLSN, snapLSN, ...) and is deliberately not.
 //
 // Replay/restore paths, which by construction apply already-journaled
 // events, are exempted per function:
@@ -19,27 +26,10 @@ import (
 	"eta2lint/internal/analysis"
 )
 
-// tracked is the event-sourced Server state: every field whose value is
-// reconstructed by WAL replay. Derived caches and durability bookkeeping
-// (journal, lastLSN, snapLSN, ...) are deliberately absent.
-var tracked = map[string]bool{
-	"users":        true,
-	"userOrder":    true,
-	"tasks":        true,
-	"domainOf":     true,
-	"pending":      true,
-	"observations": true,
-	"truths":       true,
-	"day":          true,
-	"store":        true,
-	"domains":      true,
-}
-
-// mutators lists, for the tracked fields that hold a stateful object rather
-// than a value, the methods that change it: a call to one writes the field.
-var mutators = map[string]map[string]bool{
-	"domains": {"Identify": true},
-}
+// mutators are the methods that change event-sourced state kept inside an
+// object (the domain identifier) rather than in a field: a call to one on
+// an object a Server field holds is a write.
+var mutators = map[string]bool{"Identify": true}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "journalfirst",
@@ -52,10 +42,26 @@ func run(pass *analysis.Pass) error {
 	if server == nil {
 		return nil
 	}
-	if _, ok := server.Type().Underlying().(*types.Struct); !ok {
+	named, ok := server.Type().(*types.Named)
+	if !ok {
 		return nil
 	}
-	c := &checker{pass: pass, server: server}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	c := &checker{pass: pass, server: server, tracked: make(map[*types.Var]bool)}
+	if state := analysis.PublishedType(named); state != nil {
+		fields := state.Underlying().(*types.Struct)
+		for i := 0; i < fields.NumFields(); i++ {
+			part, ok := fields.Field(i).Type().Underlying().(*types.Struct)
+			if !ok || !fields.Field(i).Embedded() {
+				continue
+			}
+			for j := 0; j < part.NumFields(); j++ {
+				c.tracked[part.Field(j)] = true
+			}
+		}
+	}
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
@@ -75,8 +81,9 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass   *analysis.Pass
-	server types.Object
+	pass    *analysis.Pass
+	server  types.Object
+	tracked map[*types.Var]bool // the persistable fields of the published state
 }
 
 func (c *checker) isServerRecv(fn *ast.FuncDecl) bool {
@@ -129,13 +136,16 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 			field, verb, c.pass.Fset.Position(journalPos))
 	}
 
-	// trackedField returns the tracked Server field e selects, if any.
-	trackedField := func(e ast.Expr) (string, bool) {
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok || !c.isServerExpr(sel.X) || !tracked[sel.Sel.Name] {
-			return "", false
+	// underServer reports whether e selects into the Server: s, s.w, ...
+	underServer := func(e ast.Expr) bool {
+		for !c.isServerExpr(e) {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			e = sel.X
 		}
-		return sel.Sel.Name, true
+		return true
 	}
 
 	check := func(lhs ast.Expr) {
@@ -147,8 +157,12 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 			}
 			break
 		}
-		if field, ok := trackedField(lhs); ok {
-			report(pos, field, "assigned")
+		sel, ok := lhs.(*ast.SelectorExpr)
+		if !ok || !underServer(sel.X) {
+			return
+		}
+		if field, _ := c.pass.TypesInfo.Uses[sel.Sel].(*types.Var); c.tracked[field] {
+			report(pos, field.Name(), "assigned")
 		}
 	}
 
@@ -161,9 +175,9 @@ func (c *checker) checkFunc(fn *ast.FuncDecl) {
 		case *ast.IncDecStmt:
 			check(s.X)
 		case *ast.CallExpr:
-			if sel, ok := s.Fun.(*ast.SelectorExpr); ok {
-				if field, ok := trackedField(sel.X); ok && mutators[field][sel.Sel.Name] {
-					report(s.Pos(), field, "mutated by "+sel.Sel.Name)
+			if sel, ok := s.Fun.(*ast.SelectorExpr); ok && mutators[sel.Sel.Name] {
+				if obj, ok := sel.X.(*ast.SelectorExpr); ok && c.isServerExpr(obj.X) {
+					report(s.Pos(), obj.Sel.Name, "mutated by "+sel.Sel.Name)
 				}
 			}
 		}

@@ -156,23 +156,29 @@ type fieldWrite struct {
 }
 
 // fieldWrites collects assignments to Server fields, including map/slice
-// element stores through a field and ++/--.
+// element stores through a field, stores to a field of a struct-valued
+// field, and ++/--.
 func (c *checker) fieldWrites(body ast.Node) []fieldWrite {
 	var writes []fieldWrite
 	add := func(lhs ast.Expr) {
-		// Unwrap index expressions: s.users[k] = v writes field users.
+		// Unwrap down to the Server's own field: s.users[k] = v writes field
+		// users, s.w.day++ writes field w (the working state is a struct value
+		// inside the Server, so a store to its field is a store to the Server).
 		for {
-			if ix, ok := lhs.(*ast.IndexExpr); ok {
-				lhs = ix.X
+			switch x := lhs.(type) {
+			case *ast.IndexExpr:
+				lhs = x.X
 				continue
+			case *ast.SelectorExpr:
+				if c.isServerExpr(x.X) {
+					writes = append(writes, fieldWrite{pos: lhs.Pos(), field: x.Sel.Name})
+				} else if _, inStruct := c.pass.TypesInfo.TypeOf(x.X).Underlying().(*types.Struct); inStruct {
+					lhs = x.X
+					continue
+				}
 			}
-			break
-		}
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || !c.isServerExpr(sel.X) {
 			return
 		}
-		writes = append(writes, fieldWrite{pos: lhs.Pos(), field: sel.Sel.Name})
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {

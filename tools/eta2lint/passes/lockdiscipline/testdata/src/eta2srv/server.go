@@ -19,6 +19,8 @@ type Server struct {
 	users map[string]int
 	day   int
 
+	// w is the working state: a struct value, so its fields are the Server's.
+	w     serverState
 	state atomic.Pointer[serverState]
 }
 
@@ -39,6 +41,14 @@ func (s *Server) AddUser(name string) {
 // BadAddUser writes master state without the writer lock.
 func (s *Server) BadAddUser(name string) {
 	s.users[name] = 1 // want "writes Server field users without s.mu.Lock"
+}
+
+// BadCloseDay writes the working state without the writer lock: a store to
+// a field of s.w is a store to the Server. A loaded state is a pointer to
+// somewhere else (and snapshotimmutability's to refuse).
+func (s *Server) BadCloseDay() {
+	s.state.Load().day++
+	s.w.day++ // want "writes Server field w without s.mu.Lock"
 }
 
 // CommitUnderLock waits on the WAL group commit while holding the lock.
@@ -159,7 +169,8 @@ type serverState struct {
 
 // publishLocked is the single allowed publication point for s.state.
 func (s *Server) publishLocked() {
-	s.state.Store(&serverState{users: s.users, day: s.day})
+	st := s.w
+	s.state.Store(&st)
 }
 
 // Day serves from the published snapshot without locks: compliant.

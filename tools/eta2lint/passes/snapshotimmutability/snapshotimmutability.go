@@ -7,18 +7,22 @@
 // against every in-flight reader and silently corrupts snapshots that
 // were supposed to be frozen.
 //
-// The analyzer derives the snapshot shape from publishLocked itself: the
-// composite literal it publishes names the snapshot type, and every
-// `field: s.field` element marks an owner field whose referenced
-// container is shared with published snapshots ("publish roots"). It
-// then flags, in every function of the package:
+// The analyzer reads the snapshot shape off the declarations: the
+// published type is the one publishLocked's receiver holds behind an
+// atomic.Pointer, and every reference-typed field of a value of that type
+// — the writers' working value on the owner, a state loaded from the
+// pointer, a parameter — is a container shared with published snapshots.
+// It then flags, in every function of the package:
 //
-//   - writes through a publish root or a value aliasing one (map/slice
+//   - writes through such a container or a value aliasing one (map/slice
 //     element stores, field stores through pointers, delete/copy);
 //   - calls that pass a snapshot-reachable value to a function that
 //     writes through that parameter — including functions in other
 //     packages, via the write-through-parameter facts of the callgraph
 //     engine, and interface methods via its binds.
+//
+// Assigning a field of the working value (`s.w.users = next`) is the legal
+// copy-on-write swap: it changes the next snapshot, not a published one.
 //
 // Aliasing is tracked through reference-typed assignments; value copies
 // and calls to clone/constructor-shaped functions (new*, make*, clone*,
@@ -29,12 +33,11 @@
 //
 //	//eta2:snapshotimmutability-ok <why this write cannot reach a published snapshot>
 //
-// On a `field: s.field` element of publishLocked's literal the directive
-// declares the field a published handle instead: an internally
-// synchronized object the snapshot carries so readers can reach it, not
-// frozen data. It is then neither a publish root nor tainted when read
-// off a snapshot — one justification where the handle is published
-// rather than one at every use.
+// On a field declaration of the published type the directive declares the
+// field a published handle instead: an internally synchronized object the
+// snapshot carries so readers can reach it, not frozen data. It is then not
+// tainted when read off a snapshot — one justification where the handle is
+// declared rather than one at every use.
 package snapshotimmutability
 
 import (
@@ -58,7 +61,7 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
-	owner, snap, roots, handles := derivePublish(pass, g)
+	snap, handles := derivePublish(pass, g)
 	if snap == nil {
 		return nil // no publishLocked here; this package only contributes facts
 	}
@@ -69,9 +72,7 @@ func run(pass *analysis.Pass) error {
 		c := &checker{
 			pass:    pass,
 			g:       g,
-			owner:   owner,
 			snap:    snap,
-			roots:   roots,
 			handles: handles,
 			tainted: make(map[*types.Var]bool),
 		}
@@ -80,89 +81,37 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// derivePublish locates publishLocked and reads the snapshot contract
-// out of it: the published composite literal's type, and the owner
-// fields whose containers it shares. handles names the snapshot fields
-// annotated at the publish site as synchronized handles.
-func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (owner, snap *types.Named, roots, handles map[string]bool) {
-	var decl *ast.FuncDecl
+// derivePublish reads the snapshot contract off the declarations: snap is
+// the type publishLocked's receiver holds behind an atomic.Pointer, and
+// handles names its fields declared as synchronized handles.
+func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (snap *types.Named, handles map[string]bool) {
 	for _, d := range g.LocalDecls {
-		if d.Name.Name == "publishLocked" && d.Recv != nil {
-			decl = d
-			break
+		fn, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
+		if d.Name.Name != "publishLocked" || d.Recv == nil || fn == nil {
+			continue
+		}
+		if owner := namedOf(fn.Type().(*types.Signature).Recv().Type()); owner != nil {
+			snap = analysis.PublishedType(owner)
 		}
 	}
-	if decl == nil {
-		return nil, nil, nil, nil
-	}
-	obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func)
-	if !ok {
-		return nil, nil, nil, nil
-	}
-	sig := obj.Type().(*types.Signature)
-	recv := sig.Recv()
-	if recv == nil {
-		return nil, nil, nil, nil
-	}
-	owner = namedOf(recv.Type())
-	if owner == nil {
-		return nil, nil, nil, nil
-	}
-
-	roots = make(map[string]bool)
-	handles = make(map[string]bool)
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if snap != nil {
-			return false
-		}
-		cl, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		named := namedOf(pass.TypesInfo.TypeOf(cl))
-		if named == nil {
-			return true
-		}
-		if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-			return true
-		}
-		snap = named
-		for _, elt := range cl.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			sel, ok := ast.Unparen(kv.Value).(*ast.SelectorExpr)
-			if !ok {
-				continue
-			}
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-				// Only reference-typed fields share memory with the
-				// snapshot; scalars are copied at publish time.
-				if pass.TypesInfo.Uses[id] == recv && refLikeType(pass.TypesInfo.TypeOf(kv.Value)) {
-					if key, ok := kv.Key.(*ast.Ident); ok && pass.SuppressedAt(kv.Pos()) {
-						handles[key.Name] = true
-						continue
-					}
-					roots[sel.Sel.Name] = true
-				}
-			}
-		}
-		return false
-	})
 	if snap == nil {
-		return nil, nil, nil, nil
+		return nil, nil
 	}
-	return owner, snap, roots, handles
+	handles = make(map[string]bool)
+	fields := snap.Underlying().(*types.Struct)
+	for i := 0; i < fields.NumFields(); i++ {
+		if f := fields.Field(i); pass.SuppressedAt(f.Pos()) {
+			handles[f.Name()] = true
+		}
+	}
+	return snap, handles
 }
 
 // checker runs the per-function taint + write analysis.
 type checker struct {
 	pass    *analysis.Pass
 	g       *callgraph.Graph
-	owner   *types.Named
 	snap    *types.Named
-	roots   map[string]bool
 	handles map[string]bool
 	tainted map[*types.Var]bool
 }
@@ -174,8 +123,8 @@ func (c *checker) check(decl *ast.FuncDecl) {
 	}
 	sig := obj.Type().(*types.Signature)
 	// Snapshot-typed parameters arrive from outside the function: assume
-	// published. (The owner receiver is not itself tainted — only its
-	// publish-root fields are.)
+	// published. (The owner receiver is not itself tainted — only the
+	// working value it holds is.)
 	if recv := sig.Recv(); recv != nil && c.isSnapType(recv.Type()) {
 		c.tainted[recv] = true
 	}
@@ -226,8 +175,8 @@ func (c *checker) propagate(body ast.Node) {
 				if v == nil || c.tainted[v] {
 					continue
 				}
-				if c.refLike(v.Type()) && c.taintedExpr(n.Rhs[i]) {
-					c.tainted[v] = true
+				if (c.refLike(v.Type()) || c.isSnapType(v.Type())) && c.taintedExpr(n.Rhs[i]) {
+					c.tainted[v] = true // a copied snapshot value shares its containers
 				}
 			}
 		case *ast.RangeStmt:
@@ -274,9 +223,9 @@ func (c *checker) findWrites(body ast.Node) {
 
 // checkWrite flags a store whose target dereferences (map/slice element,
 // field through pointer, explicit *) a snapshot-reachable base.
-// Replacing a publish-root field wholesale (`s.users = next`) is the
-// legal copy-on-write publication and is not a dereference of the
-// shared container, so it passes.
+// Replacing a field of the working value wholesale (`s.w.users = next`)
+// is the legal copy-on-write swap and is not a dereference of the shared
+// container, so it passes.
 func (c *checker) checkWrite(lhs ast.Expr) {
 	expr := lhs
 	derefs := 0
@@ -362,11 +311,6 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 		v, _ := c.pass.TypesInfo.Uses[x].(*types.Var)
 		return v != nil && c.tainted[v]
 	case *ast.SelectorExpr:
-		// A publish-root field of the owner: the container shared with
-		// published snapshots.
-		if c.isOwner(c.pass.TypesInfo.TypeOf(x.X)) && c.roots[x.Sel.Name] {
-			return true
-		}
 		// A published handle read off a snapshot is not frozen data.
 		if c.handles[x.Sel.Name] && c.isSnapType(c.pass.TypesInfo.TypeOf(x.X)) {
 			return false
@@ -376,8 +320,9 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 			t := c.pass.TypesInfo.TypeOf(ast.Expr(x))
 			return t != nil && (c.refLike(t) || c.isSnapType(t))
 		}
-		// A snapshot-typed value read from anywhere else (a field, a
-		// global) is assumed published.
+		// A snapshot-typed value read from anywhere else — the owner's
+		// working value, a global — shares its containers with published
+		// snapshots.
 		if t := c.pass.TypesInfo.TypeOf(ast.Expr(x)); t != nil && c.isSnapType(t) {
 			return true
 		}
@@ -431,10 +376,6 @@ func (c *checker) typeOf(e ast.Expr) types.Type {
 
 func (c *checker) isSnapType(t types.Type) bool {
 	return namedOf(t) == c.snap
-}
-
-func (c *checker) isOwner(t types.Type) bool {
-	return namedOf(t) == c.owner
 }
 
 // refLike reports whether values of t alias underlying storage.

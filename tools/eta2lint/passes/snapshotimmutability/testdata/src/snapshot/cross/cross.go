@@ -4,34 +4,39 @@
 // container is passed in.
 package cross
 
-import "snapshot/storage"
+import (
+	"sync/atomic"
+
+	"snapshot/storage"
+)
 
 type serverState struct {
 	truths map[string]float64
 }
 
 type Server struct {
-	truths map[string]float64
-	state  *serverState
+	w     serverState
+	state atomic.Pointer[serverState]
 }
 
 func (s *Server) publishLocked() {
-	s.state = &serverState{truths: s.truths}
+	st := s.w
+	s.state.Store(&st)
 }
 
 func (s *Server) badCrossPackage(k string, sink storage.Sink) {
-	storage.Bump(s.truths, k)         // want `passes snapshot-reachable s\.truths to snapshot/storage\.Bump`
-	storage.Touch(s.truths, k)        // want `passes snapshot-reachable s\.truths to snapshot/storage\.Touch`
-	sink.Put(s.truths, k)             // want `passes snapshot-reachable s\.truths to \(snapshot/storage\.Writer\)\.Put`
-	_ = storage.ReadOnly(s.truths, k) // reads are the whole point of snapshots
+	storage.Bump(s.w.truths, k)         // want `passes snapshot-reachable s\.w\.truths to snapshot/storage\.Bump`
+	storage.Touch(s.w.truths, k)        // want `passes snapshot-reachable s\.w\.truths to snapshot/storage\.Touch`
+	sink.Put(s.w.truths, k)             // want `passes snapshot-reachable s\.w\.truths to \(snapshot/storage\.Writer\)\.Put`
+	_ = storage.ReadOnly(s.w.truths, k) // reads are the whole point of snapshots
 }
 
 func (s *Server) goodCrossPackage(k string) {
-	next := make(map[string]float64, len(s.truths))
-	for key, v := range s.truths {
+	next := make(map[string]float64, len(s.w.truths))
+	for key, v := range s.w.truths {
 		next[key] = v
 	}
 	storage.Bump(next, k) // fresh map: fine
-	s.truths = next
+	s.w.truths = next
 	s.publishLocked()
 }
