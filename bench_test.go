@@ -3,8 +3,9 @@ package eta2
 // This file is the benchmark harness required by DESIGN.md: one benchmark
 // per table and figure of the paper's evaluation (each executes the full
 // experiment at reduced run count and reports its headline metric), plus
-// micro-benchmarks of the core algorithms (skip-gram training, clustering,
-// MLE truth analysis, max-quality and min-cost allocation).
+// micro-benchmarks of the core algorithms (clustering, MLE truth analysis,
+// max-quality and min-cost allocation; skip-gram training is
+// BenchmarkSkipGramTraining in internal/embedding, beside its reference).
 //
 // Regenerate any experiment's full report with
 //
@@ -80,19 +81,6 @@ func BenchmarkAblationPairWord(b *testing.B)       { runExperiment(b, "ablation-
 func BenchmarkAblationDecay(b *testing.B)          { runExperiment(b, "ablation-decay") }
 
 // --- Micro-benchmarks of the substrates ---
-
-func BenchmarkSkipGramTraining(b *testing.B) {
-	corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{
-		Seed:               1,
-		SentencesPerDomain: 100,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := embedding.Train(corpus, embedding.TrainConfig{Dim: 32, Epochs: 2, Seed: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkPairWordExtraction(b *testing.B) {
 	descs := make([]string, 0, 64)

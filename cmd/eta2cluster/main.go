@@ -70,8 +70,7 @@ func run() int {
 	}
 
 	slog.Info("training skip-gram embeddings")
-	corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{Seed: 1})
-	model, err := embedding.Train(corpus, embedding.TrainConfig{Seed: 2})
+	model, err := embedding.TrainBuiltin()
 	if err != nil {
 		slog.Error("train embedder", "err", err)
 		return 1

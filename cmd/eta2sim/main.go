@@ -72,8 +72,7 @@ func run() int {
 	}
 	if !ds.DomainsKnown {
 		slog.Info("training skip-gram embeddings")
-		corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{Seed: 1})
-		emb, err := embedding.Train(corpus, embedding.TrainConfig{Seed: 2})
+		emb, err := embedding.TrainBuiltin()
 		if err != nil {
 			slog.Error("train embedder", "err", err)
 			return 1

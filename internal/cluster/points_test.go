@@ -131,8 +131,7 @@ func TestStatisticsMatchPairwiseOnTextual(t *testing.T) {
 		seeds = 2
 	}
 	// The model eta2server trains when started with -model on a fresh path.
-	corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{Seed: 1})
-	model, err := embedding.Train(corpus, embedding.TrainConfig{Seed: 2})
+	model, err := embedding.TrainBuiltin()
 	if err != nil {
 		t.Fatal(err)
 	}

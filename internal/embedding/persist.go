@@ -23,7 +23,9 @@ type modelState struct {
 const modelVersion = 1
 
 // Save serializes the model as JSON so a service can train once and reload
-// at startup (training the builtin corpus takes ~1s; loading takes ~10ms).
+// at startup: TrainBuiltin takes 0.23–0.28 s and Load of its 237 KB file
+// 3 ms (2-vCPU Xeon 2.10 GHz sandbox, go1.24.0, PR 27 on e4e9d80; the
+// training was 0.55–0.67 s before it).
 func (m *Model) Save(w io.Writer) error {
 	st := modelState{
 		Version: modelVersion,

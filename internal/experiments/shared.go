@@ -82,8 +82,8 @@ func runSeeds[T any](opts Options, fn func(seed int64) (T, error)) ([]T, error) 
 // DatasetNames are the three evaluation datasets, in the paper's order.
 var DatasetNames = []string{"survey", "sfv", "synthetic"}
 
-// sharedModel caches the skip-gram model: training takes ~1s and every
-// textual experiment needs the same embeddings.
+// sharedModel caches the skip-gram model: every textual experiment needs
+// the same embeddings.
 var (
 	sharedOnce  sync.Once
 	sharedEmbed *embedding.Model
@@ -94,8 +94,7 @@ var (
 // builtin synthetic corpus.
 func SharedEmbedder() (embedding.Embedder, error) {
 	sharedOnce.Do(func() {
-		corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{Seed: 1})
-		sharedEmbed, sharedErr = embedding.Train(corpus, embedding.TrainConfig{Seed: 2})
+		sharedEmbed, sharedErr = embedding.TrainBuiltin()
 	})
 	if sharedErr != nil {
 		return nil, fmt.Errorf("experiments: train shared embedder: %w", sharedErr)
