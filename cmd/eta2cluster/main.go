@@ -69,10 +69,9 @@ func run() int {
 		return 2
 	}
 
-	slog.Info("training skip-gram embeddings")
-	model, err := embedding.TrainBuiltin()
+	model, err := embedding.Builtin()
 	if err != nil {
-		slog.Error("train embedder", "err", err)
+		slog.Error("load embedder", "err", err)
 		return 1
 	}
 

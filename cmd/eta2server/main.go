@@ -3,7 +3,7 @@
 // Usage:
 //
 //	eta2server -addr :8080
-//	eta2server -addr :8080 -semantic     # train embeddings for described tasks
+//	eta2server -addr :8080 -semantic     # builtin embeddings for described tasks
 //	eta2server -data-dir /var/lib/eta2   # durable: WAL + crash recovery
 //	eta2server -data-dir d -fsync interval
 //	eta2server -data-dir d -follow http://primary:8080   # read replica
@@ -41,6 +41,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -77,8 +79,8 @@ func run() error {
 		addr       = flag.String("addr", ":8080", "listen address")
 		alpha      = flag.Float64("alpha", 0.5, "expertise decay factor")
 		gamma      = flag.Float64("gamma", 0.5, "clustering termination parameter")
-		semantic   = flag.Bool("semantic", false, "train skip-gram embeddings at startup (~0.25 s on a 2.1 GHz Xeon, go1.24) so tasks can be created from descriptions")
-		modelPath  = flag.String("model", "", "embedding model file: loaded if it exists (~3 ms), trained and written if it does not, any other open error is fatal (implies -semantic)")
+		semantic   = flag.Bool("semantic", false, "load the builtin skip-gram embeddings at startup (~4 ms on a 2.1 GHz Xeon, go1.24, commit 5bacae0) so tasks can be created from descriptions")
+		modelPath  = flag.String("model", "", "embedding model file: loaded if it exists (~4 ms), the builtin model written to it if it does not, any other open error is fatal (implies -semantic)")
 		dataDir    = flag.String("data-dir", "", "durable data directory (write-ahead log + snapshots); empty keeps all state in memory")
 		fsyncMode  = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always | interval | never")
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "max time between WAL fsyncs with -fsync interval")
@@ -96,7 +98,7 @@ func run() error {
 
 	opts := []eta2.Option{eta2.WithAlpha(*alpha), eta2.WithGamma(*gamma)}
 	if *semantic || *modelPath != "" {
-		model, err := loadOrTrainModel(*modelPath)
+		model, err := loadModel(*modelPath)
 		if err != nil {
 			return err
 		}
@@ -199,34 +201,38 @@ func run() error {
 	return nil
 }
 
-// loadOrTrainModel loads the embedding model from path when a file is
-// there, and trains (and persists, when a path is given) only when none is:
-// any other failure to open it is returned, never answered by training over
-// a model that may be good.
-func loadOrTrainModel(path string) (*embedding.Model, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err == nil {
-			defer f.Close()
-			model, err := embedding.Load(f)
-			if err != nil {
-				return nil, fmt.Errorf("load model %s: %w", path, err)
-			}
-			slog.Info("loaded embeddings", "path", path, "words", model.VocabSize())
-			return model, nil
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("load model: %w", err)
-		}
-	}
-	slog.Info("training skip-gram embeddings")
+// loadModel loads the embedding model from path when a file is there, and
+// otherwise returns the builtin model, written to path when one is given:
+// any other failure to open the file is returned, never answered by writing
+// over a model that may be good. It logs the model's source and a digest of
+// its Save bytes, so two nodes' logs say whether they run the same model.
+func loadModel(path string) (*embedding.Model, error) {
 	start := time.Now()
-	model, err := embedding.TrainBuiltin()
-	if err != nil {
-		return nil, fmt.Errorf("train embedder: %w", err)
+	source, fresh := path, false
+	var model *embedding.Model
+	f, err := os.Open(path)
+	switch {
+	case err == nil:
+		defer f.Close()
+		if model, err = embedding.Load(f); err != nil {
+			return nil, fmt.Errorf("load model %s: %w", path, err)
+		}
+	case path != "" && !errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("load model: %w", err)
+	default:
+		if model, err = embedding.Builtin(); err != nil {
+			return nil, err
+		}
+		source, fresh = "builtin", path != ""
 	}
-	slog.Info("embeddings ready", "words", model.VocabSize(), "took", time.Since(start).Round(time.Millisecond))
-	if path != "" {
+	took := time.Since(start)
+	digest := sha256.New()
+	if err := model.Save(digest); err != nil {
+		return nil, err
+	}
+	slog.Info("embedding model", "source", source, "words", model.VocabSize(),
+		"sha256", hex.EncodeToString(digest.Sum(nil))[:12], "took", took.Round(time.Microsecond))
+	if fresh {
 		if err := writeFileAtomic(path, model.Save); err != nil {
 			return nil, fmt.Errorf("save model: %w", err)
 		}
@@ -240,7 +246,7 @@ func loadOrTrainModel(path string) (*embedding.Model, error) {
 // close, rename, directory fsync — so a process that opens path at any
 // moment, or after a crash, finds no file or a whole one, and a failed write
 // leaves the directory as it was. The temp name is unique: two nodes of one
-// set-up may train into one path at once, and either's file is the model.
+// set-up may write one path at once, and either's file is the model.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")

@@ -44,22 +44,22 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// A fresh path is trained into and then loaded from; a write that dies
-// half-way leaves no file where there was none and the whole old file where
-// there was one, and no temp file either way.
+// A fresh path gets the builtin model and is then loaded from; a write that
+// dies half-way leaves no file where there was none and the whole old file
+// where there was one, and no temp file either way.
 func TestModelFileIsWholeOrAbsent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.json")
 
-	trained, err := embedding.TrainBuiltin()
+	builtin, err := embedding.Builtin()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := trained.Save(&want); err != nil {
+	if err := builtin.Save(&want); err != nil {
 		t.Fatal(err)
 	}
-	half := func(w io.Writer) error { return trained.Save(&failAfter{w: w, n: want.Len() / 2}) }
+	half := func(w io.Writer) error { return builtin.Save(&failAfter{w: w, n: want.Len() / 2}) }
 
 	if err := writeFileAtomic(path, half); !errors.Is(err, errDiskFull) {
 		t.Fatalf("failed write: got %v, want errDiskFull", err)
@@ -68,7 +68,7 @@ func TestModelFileIsWholeOrAbsent(t *testing.T) {
 		t.Fatalf("failed write into an empty directory left %v", names)
 	}
 
-	if _, err := loadOrTrainModel(path); err != nil {
+	if _, err := loadModel(path); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, err := os.ReadFile(path)
@@ -76,7 +76,7 @@ func TestModelFileIsWholeOrAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(onDisk, want.Bytes()) {
-		t.Fatal("the file a fresh path gets is not TrainBuiltin's Save bytes")
+		t.Fatal("the file a fresh path gets is not the builtin model's Save bytes")
 	}
 
 	if err := writeFileAtomic(path, half); !errors.Is(err, errDiskFull) {
@@ -85,7 +85,7 @@ func TestModelFileIsWholeOrAbsent(t *testing.T) {
 	if names := dirNames(t, dir); len(names) != 1 || names[0] != "model.json" {
 		t.Fatalf("failed overwrite left %v", names)
 	}
-	loaded, err := loadOrTrainModel(path)
+	loaded, err := loadModel(path)
 	if err != nil {
 		t.Fatalf("model file after a failed overwrite: %v", err)
 	}
@@ -99,15 +99,15 @@ func TestModelFileIsWholeOrAbsent(t *testing.T) {
 }
 
 // Something at the path that cannot be opened is an error naming the path,
-// and is still there afterwards: only a missing file is answered by training
-// (whose rename would replace whatever the path held).
+// and is still there afterwards: only a missing file is answered by writing
+// the builtin model (whose rename would replace whatever the path held).
 func TestUnopenableModelIsNotRetrainedOver(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
 	// A link to itself: open fails with ELOOP for every user, root included.
 	if err := os.Symlink("model.json", path); err != nil {
 		t.Skip(err)
 	}
-	_, err := loadOrTrainModel(path)
+	_, err := loadModel(path)
 	var pe *fs.PathError
 	if !errors.As(err, &pe) || pe.Path != path || errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("got %v, want the open error naming %s", err, path)

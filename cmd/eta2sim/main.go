@@ -71,10 +71,9 @@ func run() int {
 		Observation: dataset.ObservationModel{BiasFraction: *bias},
 	}
 	if !ds.DomainsKnown {
-		slog.Info("training skip-gram embeddings")
-		emb, err := embedding.TrainBuiltin()
+		emb, err := embedding.Builtin()
 		if err != nil {
-			slog.Error("train embedder", "err", err)
+			slog.Error("load embedder", "err", err)
 			return 1
 		}
 		cfg.Embedder = emb

@@ -51,8 +51,7 @@ func main() {
 }
 
 func run() error {
-	fmt.Println("training skip-gram embeddings on the builtin corpus...")
-	embedder, err := eta2.TrainEmbedder(eta2.BuiltinCorpus(1), 2)
+	embedder, err := eta2.BuiltinEmbedder()
 	if err != nil {
 		return err
 	}

@@ -130,8 +130,8 @@ func TestStatisticsMatchPairwiseOnTextual(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	// The model eta2server trains when started with -model on a fresh path.
-	model, err := embedding.TrainBuiltin()
+	// The model eta2server loads when started with -semantic.
+	model, err := embedding.Builtin()
 	if err != nil {
 		t.Fatal(err)
 	}

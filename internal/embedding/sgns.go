@@ -23,7 +23,8 @@ type TrainConfig struct {
 	// its initial value over training (default 0.05).
 	LearningRate float64
 	// SubsampleThreshold is the word2vec frequent-word subsampling
-	// threshold t (default 1e-3). Zero disables subsampling.
+	// threshold t (word2vec uses 1e-3). Zero, the default, disables
+	// subsampling.
 	SubsampleThreshold float64
 	// Seed makes training deterministic.
 	Seed int64
@@ -118,13 +119,6 @@ func Train(sentences [][]string, cfg TrainConfig) (*Model, error) {
 		}
 	}
 	return m, nil
-}
-
-// TrainBuiltin trains the one model this repository's binaries, experiments
-// and benchmark use: the builtin corpus at seed 1, default hyperparameters,
-// training seed 2.
-func TrainBuiltin() (*Model, error) {
-	return Train(GenerateCorpus(BuiltinDomains, CorpusConfig{Seed: 1}), TrainConfig{Seed: 2})
 }
 
 // rows returns n zero vectors of dim coordinates, views of one row-major

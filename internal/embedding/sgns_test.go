@@ -237,7 +237,7 @@ func BenchmarkSkipGramTraining(b *testing.B) {
 		cfg    TrainConfig
 	}{
 		{"small", GenerateCorpus(BuiltinDomains, CorpusConfig{Seed: 1, SentencesPerDomain: 100}), TrainConfig{Dim: 32, Epochs: 2, Seed: 2}},
-		// The model TrainBuiltin returns: what a fresh -semantic node trains.
+		// The model Builtin loads: what TestBuiltinIsTrainedModel trains.
 		{"builtin", GenerateCorpus(BuiltinDomains, CorpusConfig{Seed: 1}), TrainConfig{Seed: 2}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

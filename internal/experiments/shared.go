@@ -90,14 +90,13 @@ var (
 	sharedErr   error
 )
 
-// SharedEmbedder returns a process-wide skip-gram model trained on the
-// builtin synthetic corpus.
+// SharedEmbedder returns a process-wide copy of the builtin skip-gram model.
 func SharedEmbedder() (embedding.Embedder, error) {
 	sharedOnce.Do(func() {
-		sharedEmbed, sharedErr = embedding.TrainBuiltin()
+		sharedEmbed, sharedErr = embedding.Builtin()
 	})
 	if sharedErr != nil {
-		return nil, fmt.Errorf("experiments: train shared embedder: %w", sharedErr)
+		return nil, fmt.Errorf("experiments: load shared embedder: %w", sharedErr)
 	}
 	return sharedEmbed, nil
 }

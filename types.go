@@ -219,11 +219,15 @@ type ReplicationStatus struct {
 type EmbeddingModel = embedding.Model
 
 // TrainEmbedder trains a skip-gram embedding model on the provided
-// tokenized corpus. For quick starts, BuiltinCorpus generates a topical
-// synthetic corpus covering common mobile-sensing domains.
+// tokenized corpus. For quick starts, BuiltinEmbedder is this model trained
+// on BuiltinCorpus(1) at seed 2, shipped in the binary.
 func TrainEmbedder(corpus [][]string, seed int64) (*EmbeddingModel, error) {
 	return embedding.Train(corpus, embedding.TrainConfig{Seed: seed})
 }
+
+// BuiltinEmbedder loads the builtin skip-gram model, which covers common
+// mobile-sensing domains; eta2server -semantic runs the same one.
+func BuiltinEmbedder() (*EmbeddingModel, error) { return embedding.Builtin() }
 
 // LoadEmbedder restores a model previously written with
 // (*EmbeddingModel).Save.
