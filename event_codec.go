@@ -84,7 +84,7 @@ func decodeBinaryEvent(payload []byte) (walEvent, error) {
 	if count > uint64(len(p))/11 {
 		return walEvent{}, fmt.Errorf("binary event: count %d exceeds payload", count)
 	}
-	obs := make([]Observation, count) //eta2:allocdiscipline-ok replay/apply path decodes once per shipped record, not per live request
+	obs := make([]Observation, count)
 	for i := range obs {
 		var o Observation
 		task, n := binary.Varint(p)

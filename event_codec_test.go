@@ -1,6 +1,7 @@
 package eta2
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -68,7 +69,7 @@ func TestObservationsEventBufferReuse(t *testing.T) {
 }
 
 func TestDecodeEventSniffsJSON(t *testing.T) {
-	payload, err := encodeEvent(walEvent{Type: eventAddUsers, Users: []User{{ID: 1, Capacity: 2}}})
+	payload, err := json.Marshal(walEvent{Type: eventAddUsers, Users: []User{{ID: 1, Capacity: 2}}}) // as journalBuffered writes it
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 // pull loop here instead of by its own mutations: the loop fetches
 // committed records from the primary's /v1/repl/log, appends each payload
 // verbatim to the journal (same LSNs, same bytes), and applies it through
-// applyEvent — the exact code path startup recovery replays — so follower
-// reads stay lock-free and follower state is bit-identical to the
-// primary's at the same LSN. Everything durable — recovery, stats,
-// compaction, the final snapshot in Close — is the Server's own; Follower
-// holds only what the pull loop knows.
+// applyEvent — the exact code path startup recovery replays, which runs the
+// primary's own prepare and apply methods — so follower reads stay lock-free
+// and follower state is bit-identical to the primary's at the same LSN.
+// Everything durable — recovery, stats, compaction, the final snapshot in
+// Close — is the Server's own; Follower holds only what the pull loop knows.
 
 // errLSNGap reports a hole in the shipped stream (the primary compacted
 // past our cursor, or lost a tail across a restart). The follower
@@ -232,7 +232,7 @@ func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
 		return f.fail(fmt.Errorf("eta2: journal shipped record %d: %w", lsn, err))
 	}
 	tm.journalDur = time.Since(tm.journalStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
-	tm.applyStart = time.Now()                  //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
+	tm.applyStart = time.Now()
 	if err := f.s.applyEvent(lsn, ev); err != nil {
 		return f.fail(fmt.Errorf("eta2: apply shipped record %d (%s): %w", lsn, ev.Type, err))
 	}
@@ -454,8 +454,6 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 // as it is: nothing in it refers back to the server it was restored into.
 // What is the node's own — its journal, its role, its compaction counters —
 // stays. One publish makes the swap atomic for readers.
-//
-//eta2:journalfirst-ok adopts a snapshot of state the primary already journaled; nothing new to journal
 func (s *Server) adoptRestored(r *Server, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

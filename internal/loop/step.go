@@ -35,7 +35,7 @@ func MinCost(in allocation.Input, cfg allocation.MinCostConfig, store *truth.Sto
 	domainOf []core.DomainID, truthCfg truth.Config,
 	collect func([]core.Pair) ([]core.Observation, error)) (allocation.MinCostResult, error) {
 	table := core.NewObservationTable(nil)
-	responded := make(map[core.TaskID][]core.UserID) //eta2:allocdiscipline-ok min-cost planning round, O(tasks) by design, not observation ingest
+	responded := make(map[core.TaskID][]core.UserID)
 	domainFn := func(id core.TaskID) core.DomainID { return domainOf[id] }
 	return allocation.MinCost(in, cfg, allocation.EnvironmentFunc(func(pairs []core.Pair) (allocation.IterationOutcome, error) {
 		obs, err := collect(pairs)
@@ -54,7 +54,7 @@ func MinCost(in allocation.Input, cfg allocation.MinCostConfig, store *truth.Sto
 		if err != nil {
 			return allocation.IterationOutcome{}, err
 		}
-		sums := make(map[core.TaskID]float64, len(responded)) //eta2:allocdiscipline-ok min-cost planning round, O(tasks) by design, not observation ingest
+		sums := make(map[core.TaskID]float64, len(responded))
 		for tid, us := range responded {
 			sums[tid] = truth.SumSquaredExpertise(us, domainOf[tid], tmp.Expertise)
 		}

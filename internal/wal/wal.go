@@ -583,7 +583,7 @@ func (l *Log) CommitReported(lsn uint64) (leader bool, err error) {
 		return false, nil
 	case SyncInterval:
 		l.syncMu.Lock()
-		due := time.Since(l.lastSync) >= l.opts.SyncEvery //eta2:replaypurity-ok fsync scheduling affects durability timing only, never replayed state; replay runs with s.journal == nil
+		due := time.Since(l.lastSync) >= l.opts.SyncEvery
 		if !due {
 			// Acknowledged without an fsync: the record may ship to
 			// followers even though it is not yet on stable storage.
@@ -647,7 +647,7 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 		l.durable = frontier
 		l.advanceCommittedLocked(frontier)
 	}
-	l.lastSync = time.Now() //eta2:replaypurity-ok group-commit pacing clock, not replayed state
+	l.lastSync = time.Now()
 	l.syncing = false
 	l.syncCond.Broadcast()
 	l.syncMu.Unlock()

@@ -28,17 +28,13 @@ import (
 // every worker count, see DESIGN.md §8) — so a recovered server is
 // bit-identical to one that never crashed.
 //
-// Journal ordering: a mutation is validated, then journaled (buffered
-// write, LSN assigned), then applied in memory — all under the server's
-// write lock, so journal order always equals apply order and replay
-// rebuilds bit-identical state. A failed journal write aborts the
-// mutation before anything is applied, so live memory never diverges
-// from what recovery would rebuild. The fsync wait (journalCommit) runs
-// after the lock is released: the WAL group-commits concurrent callers
-// into one flush, and a caller only gets a nil error once its record is
-// durable per the fsync policy. A crash therefore loses exactly the
-// mutations whose callers never got an acknowledgement — the same
-// contract as losing the request in flight.
+// Journal ordering: a mutation is prepared (validated, read-only), journaled
+// (buffered write, LSN assigned), then applied — all under the server's write
+// lock, so journal order equals apply order, and a failed journal write aborts
+// before anything is applied. The fsync wait (journalCommit) runs after the
+// lock is released: the WAL group-commits concurrent callers into one flush,
+// and a caller gets a nil error only once its record is durable per the fsync
+// policy, so a crash loses exactly the mutations never acknowledged.
 
 // Journal event types. Allocation events carry no state (allocation does
 // not mutate the server) but are journaled as an audit trail of what was
@@ -268,109 +264,103 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 	return LoadServer(f, opts...)
 }
 
-// applyEvent is the single replay entry: it re-executes the journaled
-// mutation recorded under lsn — during startup recovery, and for every
-// record a replication follower applies from the shipped stream — through
-// the same *Locked bodies the public mutations run (minus the follower
-// write gate: a follower rejects public writes while still applying the
-// primary's). The whole apply is one s.mu critical section that ends with
-// s.w.lastLSN == lsn, and the bodies stamp the record's LSN before they
-// publish (see journalBuffered) instead of journaling again, so applied state
-// and LSN frontier are never observable apart: a published state — what
-// Compact, SaveStateBinary and a replication snapshot encode — is labelled
-// with exactly the LSN it contains.
-//
-//eta2:journalfirst-ok replay applies a record that is already in the journal under lsn; journaling it again would duplicate the log
+// applyEvent is the single replay entry, for startup recovery and for every
+// record a follower applies: decode → prepare → apply, through the methods the
+// public mutations run (minus their follower write gate), with the token
+// minted from the record's LSN where a live mutation journals. It is one s.mu
+// critical section, and the token stamps the LSN before any apply publishes,
+// so a published state — what Compact, SaveStateBinary and a replication
+// snapshot encode — is labelled with exactly the LSN it contains.
 func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
 	switch ev.Type {
 	case eventAddUsers:
-		_, err = s.addUsersLocked(lsn, ev.Users)
+		if err := s.prepareAddUsers(ev.Users); err != nil {
+			return err
+		}
+		return s.applyAddUsers(s.replayed(lsn), ev.Users)
 	case eventCreateTasks:
-		_, _, err = s.createTasksLocked(lsn, ev.Specs)
+		b, err := s.prepareCreateTasks(ev.Specs)
+		if err == nil {
+			_, err = s.applyCreateTasks(s.replayed(lsn), b)
+		}
+		return err
 	case eventObservations:
-		// Verbatim append: the journaled observations already carry their
-		// Day stamp (and min-cost rounds bypass SubmitObservations), so
-		// re-validating or re-stamping could diverge from the original run.
-		// Not published per record: no query reads the open day's
-		// observations, startup replay publishes at its end and a follower
-		// once per shipped batch — until then a state capture sees the
-		// frontier of the last record that did publish. A task
-		// this state does not hold is refused here, by LSN, rather than by
-		// an index out of range in the close that would estimate it.
+		// Verbatim: re-validating or re-stamping could diverge from the
+		// original run. Not published per record (no query reads the open
+		// day; replay publishes at its end, a follower per shipped batch). A
+		// task this state does not hold is refused here, by LSN, rather than
+		// by an index out of range in the close that would estimate it.
 		for _, o := range ev.Observations {
 			if int(o.Task) < 0 || int(o.Task) >= len(s.w.tasks) {
 				return fmt.Errorf("%w: journal record %d holds an observation for task %d, but the state it applies to holds %d tasks",
 					ErrBadState, lsn, o.Task, len(s.w.tasks))
 			}
 		}
-		s.w.observations = append(s.w.observations, ev.Observations...)
+		s.applyObservations(s.replayed(lsn), ev.Observations, -1)
 	case eventAllocate:
-		// audit-only: allocation does not mutate server state
+		s.replayed(lsn) // audit-only: allocation does not mutate server state
 	case eventCloseStep:
-		_, _, _, err = s.closeTimeStepLocked(lsn, nil)
+		step, err := s.w.estimateStep(s.cfg.truthCfg)
+		if err != nil {
+			return err
+		}
+		s.applyClose(s.replayed(lsn), step)
 	default:
-		err = fmt.Errorf("unknown event type %q", ev.Type)
+		return fmt.Errorf("unknown event type %q", ev.Type)
 	}
-	if err == nil {
-		s.w.lastLSN = lsn
-	}
-	return err
+	return nil
+}
+
+// journaled proves a mutation's record is in the journal under lsn (0 on an
+// in-memory server). Only journalBufferedPayload and replayed mint it and
+// every apply method takes one, so no apply runs before its record is
+// journaled; journalfirst requires it of every Server method that assigns a
+// persisted field or calls Identify, and refuses a literal in another file.
+type journaled struct{ lsn uint64 }
+
+// replayed mints the token of a record already in the journal under lsn,
+// stamping the frontier as journalBufferedPayload does for one it writes.
+func (s *Server) replayed(lsn uint64) journaled {
+	s.w.lastLSN = lsn
+	return journaled{lsn: lsn}
 }
 
 // obsEventPool recycles encode buffers for the SubmitObservations hot
 // path: steady-state submits reuse a retained-capacity []byte instead of
-// allocating a fresh JSON payload per call. The wrapper struct keeps
+// allocating a fresh payload per call. The wrapper struct keeps
 // Put/Get from re-boxing the slice header on every cycle.
 var obsEventPool = sync.Pool{New: func() any { return new(obsEventBuf) }}
 
 type obsEventBuf struct{ b []byte }
 
-// encodeEvent marshals one WAL record payload. Split out so hot paths can
-// encode outside the server's locks.
-func encodeEvent(ev walEvent) ([]byte, error) {
+// journalBuffered encodes and journals one mutation without waiting for
+// durability and returns its apply's token. The caller holds the write lock
+// (so LSN order equals apply order) and calls journalCommit with the token's
+// LSN after releasing it. An in-memory server writes nothing.
+func (s *Server) journalBuffered(ev walEvent) (journaled, error) {
+	if s.w.journal == nil {
+		return journaled{}, nil
+	}
 	payload, err := json.Marshal(ev)
 	if err != nil {
-		return nil, fmt.Errorf("eta2: encode journal event: %w", err)
+		return journaled{}, fmt.Errorf("eta2: encode journal event: %w", err)
 	}
-	return payload, nil
-}
-
-// journalBuffered encodes and journals one mutation without waiting for
-// durability. The caller must hold the write lock (so LSN order equals
-// apply order) and, for a record it wrote, must call journalCommit with
-// the returned LSN after releasing it. at mirrors wal.AppendBufferedAt:
-// 0 assigns the next LSN and writes the record; a nonzero at means the
-// record already sits in the journal under that LSN (applyEvent), so only
-// the frontier is stamped. Without a journal (in-memory server) at == 0
-// is a no-op returning LSN 0.
-func (s *Server) journalBuffered(at uint64, ev walEvent) (uint64, error) {
-	var payload []byte
-	if at == 0 && s.w.journal != nil {
-		var err error
-		if payload, err = encodeEvent(ev); err != nil {
-			return 0, err
-		}
-	}
-	return s.journalBufferedPayload(at, payload)
+	return s.journalBufferedPayload(payload)
 }
 
 // journalBufferedPayload is journalBuffered for a pre-encoded payload.
-func (s *Server) journalBufferedPayload(at uint64, payload []byte) (uint64, error) {
-	if at == 0 {
-		if s.w.journal == nil {
-			return 0, nil
-		}
-		var err error
-		at, err = s.w.journal.AppendBuffered(payload)
-		if err != nil {
-			return 0, fmt.Errorf("eta2: journal append: %w", err)
-		}
+func (s *Server) journalBufferedPayload(payload []byte) (journaled, error) {
+	if s.w.journal == nil {
+		return journaled{}, nil
 	}
-	s.w.lastLSN = at
-	return at, nil
+	lsn, err := s.w.journal.AppendBuffered(payload)
+	if err != nil {
+		return journaled{}, fmt.Errorf("eta2: journal append: %w", err)
+	}
+	s.w.lastLSN = lsn
+	return journaled{lsn: lsn}, nil
 }
 
 // journalShipped is a follower's half of journal-before-apply: the record

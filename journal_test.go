@@ -652,6 +652,54 @@ func TestRecoveryRefusesObservationForUnknownTask(t *testing.T) {
 	r.w.journal.Close()
 }
 
+// TestReplayedObservationsAreCounted: eta2_server_observations_accepted_total
+// counts replay, as its help text says. Recovering a directory that holds n
+// journaled observations grows it by n, and so does a follower applying the
+// same log: both run the applyObservations a live submit runs.
+func TestReplayedObservationsAreCounted(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 1, ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 1}, Observation{Task: 0, User: 1, Value: 2}, Observation{Task: 1, User: 0, Value: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitObservations(Observation{Task: 1, User: 1, Value: 4}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+
+	before := mObsAccepted.Value()
+	r, err := NewServer(WithDurability(copyDataDir(t, dir), pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.w.journal.Close()
+	if got := mObsAccepted.Value() - before; got != n {
+		t.Errorf("recovery counted %d observations, want %d", got, n)
+	}
+
+	before = mObsAccepted.Value()
+	f, err := OpenFollower(replTestServer(t, s).URL, fastFollowerOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitApplied(t, f, s.DurabilityStats().LastLSN)
+	if got := mObsAccepted.Value() - before; got != n {
+		t.Errorf("follower counted %d observations, want %d", got, n)
+	}
+}
+
 // TestMinCostRefusesPhantomObservations: AllocateMinCost holds what the
 // Collector returns to the check SubmitObservations runs, before any of it
 // is journaled or applied. A batch naming a task or a user the server does

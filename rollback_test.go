@@ -58,6 +58,26 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	if _, err := s.AllocateMaxQuality(); err == nil {
 		t.Error("AllocateMaxQuality succeeded with a dead journal")
 	}
+	collected := 0
+	if _, err := s.AllocateMinCost(MinCostParams{}, func(pairs []Pair) ([]Observation, error) {
+		collected += len(pairs)
+		batch := make([]Observation, 0, len(pairs))
+		for _, p := range pairs {
+			batch = append(batch, Observation{Task: p.Task, User: p.User, Value: 6})
+		}
+		return batch, nil
+	}); err == nil {
+		t.Error("AllocateMinCost succeeded with a dead journal")
+	}
+	if collected == 0 {
+		t.Error("AllocateMinCost never handed its collector a pair: the dead journal was not reached")
+	}
+	if _, err := s.AddUsersByName(3, "carol"); err == nil {
+		t.Error("AddUsersByName succeeded with a dead journal")
+	}
+	if id, ok := s.ResolveUser("carol"); ok {
+		t.Errorf("AddUsersByName bound carol to %d through a failed journal", id)
+	}
 
 	if got := s.NumUsers(); got != snapshotUsers {
 		t.Errorf("users leaked through failed journal: %d -> %d", snapshotUsers, got)

@@ -25,12 +25,9 @@ import (
 // DurabilityStats) and every state capture (SaveStateBinary, Compact, a
 // follower bootstrap) are lock-free: they read an immutable state published
 // through an atomic pointer, so they never wait on writers — not even on a
-// writer parked in an fsync. Mutations serialize behind mu (a writer-writer
-// lock) and publish a fresh state per committed batch (copy-on-write; see
-// DESIGN.md §11). In durable mode a mutation's critical section covers only
-// the in-memory apply and the buffered journal write; the fsync wait happens
-// outside the lock, where the WAL's group commit batches concurrent callers
-// into a single flush (see DESIGN.md §11).
+// writer parked in an fsync. A mutation prepares, journals (buffered) and
+// applies behind mu, a writer-writer lock, publishing a fresh state per
+// committed batch; its fsync wait runs outside the lock (DESIGN.md §11).
 type Server struct {
 	// mu serializes writers against each other and nothing else: whatever
 	// only reads — a query, a state capture — loads the published state
@@ -268,7 +265,7 @@ func (s *Server) AddUsersContext(ctx context.Context, users ...User) error {
 	t := trace.FromContext(ctx)
 	app := t.StartSpan(trace.SpanJournalAppend)
 	s.mu.Lock()
-	lsn, err := s.addUsersLocked(0, users)
+	lsn, err := s.addUsersLocked(users)
 	var fsync *trace.Span
 	if err == nil {
 		// Opened under the lock so the span order reflects the durability
@@ -284,66 +281,74 @@ func (s *Server) AddUsersContext(ctx context.Context, users ...User) error {
 	return s.journalCommit(lsn, fsync)
 }
 
-// addUsersLocked validates the batch and its name bindings against live
-// state, journals it, and applies it. Every check runs before journaling:
-// a record that could not re-apply on replay must never reach the WAL.
-// at is the journal position (see journalBuffered): 0 from the public
-// gates, which own the fsync (journalCommit) after unlocking; the record's
-// LSN from applyEvent.
-func (s *Server) addUsersLocked(at uint64, users []User) (uint64, error) {
+// addUsersLocked prepares, journals and applies one batch for the public
+// gates, which own the fsync (journalCommit) after unlocking.
+func (s *Server) addUsersLocked(users []User) (uint64, error) {
 	if len(users) == 0 {
 		return 0, nil
 	}
-	for _, u := range users {
-		if err := u.Validate(); err != nil {
-			return 0, fmt.Errorf("eta2: %w", err)
-		}
+	if err := s.prepareAddUsers(users); err != nil {
+		return 0, err
 	}
-	var names []string
-	var nameIDs []int
+	j, err := s.journalBuffered(walEvent{Type: eventAddUsers, Users: users})
+	if err != nil {
+		return 0, err
+	}
+	return j.lsn, s.applyAddUsers(j, users)
+}
+
+// prepareAddUsers validates the batch and its name bindings against the
+// working state without changing it. Every check runs before journaling: a
+// record that could not re-apply on replay must never reach the WAL.
+func (s *Server) prepareAddUsers(users []User) error {
 	var batchName map[UserID]string // lazily built: unnamed batches skip all of this
 	for _, u := range users {
+		if err := u.Validate(); err != nil {
+			return fmt.Errorf("eta2: %w", err)
+		}
 		if u.Name == "" {
 			continue
 		}
 		if id, ok := s.interner.Lookup(u.Name); ok && id != int(u.ID) {
-			return 0, fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
+			return fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
 		}
 		if i, ok := s.w.userPos[u.ID]; ok {
 			if prev := s.w.users[i].Name; prev != "" && prev != u.Name {
-				return 0, fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev, u.Name)
+				return fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev, u.Name)
 			}
 		}
 		if batchName == nil {
 			batchName = make(map[UserID]string, len(users)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
 		}
 		if prev, ok := batchName[u.ID]; ok && prev != u.Name {
-			return 0, fmt.Errorf("eta2: user %d named both %q and %q in one batch", u.ID, prev, u.Name)
+			return fmt.Errorf("eta2: user %d named both %q and %q in one batch", u.ID, prev, u.Name)
 		}
 		batchName[u.ID] = u.Name
-		names = append(names, u.Name)
-		nameIDs = append(nameIDs, int(u.ID))
 	}
-	lsn, err := s.journalBuffered(at, walEvent{Type: eventAddUsers, Users: users})
-	if err != nil {
-		return 0, err
-	}
-	// Names are write-once (renames were rejected above) and replay applies
-	// the same merge, so live and recovered state agree.
+	return nil
+}
+
+// applyAddUsers registers a journaled batch. Names are write-once (renames
+// were refused by prepareAddUsers) and replay applies the same merge, so
+// live and recovered state agree.
+func (s *Server) applyAddUsers(_ journaled, users []User) error {
 	s.w.users, s.w.userPos = cloneUsersWith(s.w.users, s.w.userPos, users)
+	var names []string
+	var nameIDs []int
 	for _, u := range users {
 		s.nextUserID = max(s.nextUserID, u.ID+1)
-	}
-	if len(names) > 0 {
-		// Cannot conflict: every binding was validated above, and BindAll
-		// treats same-name-same-id rebinds (intra-batch duplicates) as no-ops.
-		if err := s.interner.BindAll(names, nameIDs); err != nil {
-			s.publishLocked()
-			return 0, fmt.Errorf("eta2: intern: %w", err)
+		if u.Name != "" {
+			names, nameIDs = append(names, u.Name), append(nameIDs, int(u.ID))
 		}
 	}
+	// Cannot conflict: every binding was validated, and BindAll treats
+	// same-name-same-id rebinds (intra-batch duplicates) as no-ops.
+	err := s.interner.BindAll(names, nameIDs)
 	s.publishLocked()
-	return lsn, nil
+	if err != nil {
+		return fmt.Errorf("eta2: intern: %w", err)
+	}
+	return nil
 }
 
 // AddUsersByName registers users by external string name, assigning dense
@@ -383,7 +388,7 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 		}
 		batch[i] = User{ID: ids[i], Capacity: capacity, Name: name}
 	}
-	lsn, err := s.addUsersLocked(0, batch)
+	lsn, err := s.addUsersLocked(batch)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -430,29 +435,41 @@ func (s *Server) CreateTasks(specs ...TaskSpec) ([]TaskID, error) {
 	if err := s.writable(); err != nil {
 		return nil, err
 	}
+	if len(specs) == 0 {
+		return nil, nil
+	}
 	s.mu.Lock()
-	ids, lsn, err := s.createTasksLocked(0, specs)
+	b, err := s.prepareCreateTasks(specs)
+	var j journaled
+	if err == nil {
+		j, err = s.journalBuffered(walEvent{Type: eventCreateTasks, Specs: specs})
+	}
+	var ids []TaskID
+	if err == nil {
+		ids, err = s.applyCreateTasks(j, b)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	if err := s.journalCommit(lsn, nil); err != nil {
+	if err := s.journalCommit(j.lsn, nil); err != nil {
 		return nil, err
 	}
 	return ids, nil
 }
 
-// createTasksLocked validates, journals, and applies one task batch. The
-// whole batch runs under the write lock because task IDs are assigned
-// from the live task count and described tasks mutate the shared
-// clustering structure. at is the journal position (see journalBuffered).
-func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint64, error) {
-	// Phase 1: validate every spec and vectorize described ones without
-	// touching server state — a bad spec must not leave a half-applied
-	// batch (and the journal only records fully-applied batches).
-	tasks := make([]core.Task, 0, len(specs))
-	var described []TaskID
-	var vectors []semantic.TaskVector
+// taskBatch is a prepared create_tasks batch and its described tasks' vectors.
+type taskBatch struct {
+	tasks     []core.Task
+	described []TaskID
+	vectors   []semantic.TaskVector
+}
+
+// prepareCreateTasks validates every spec and vectorizes the described ones
+// without touching server state, numbering the tasks from the working task
+// count: the batch is applied under the same lock.
+func (s *Server) prepareCreateTasks(specs []TaskSpec) (taskBatch, error) {
+	b := taskBatch{tasks: make([]core.Task, 0, len(specs))}
 	for i, spec := range specs {
 		t := core.Task{
 			ID:          TaskID(len(s.w.tasks) + i),
@@ -466,65 +483,56 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 			t.Cost = 1
 		}
 		if err := t.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("eta2: %w", err)
+			return b, fmt.Errorf("eta2: %w", err)
 		}
 		if spec.DomainHint == DomainNone {
 			tv, err := s.domains.Vectorize(spec.Description)
 			if errors.Is(err, loop.ErrNoEmbedder) {
-				return nil, 0, ErrNoEmbedder
+				return b, ErrNoEmbedder
 			}
 			if err != nil {
-				return nil, 0, fmt.Errorf("eta2: %w", err)
+				return b, fmt.Errorf("eta2: %w", err)
 			}
-			described, vectors = append(described, t.ID), append(vectors, tv)
+			b.described, b.vectors = append(b.described, t.ID), append(b.vectors, tv)
 		}
-		tasks = append(tasks, t)
+		b.tasks = append(b.tasks, t)
 	}
-	if len(specs) == 0 {
-		return nil, 0, nil
-	}
+	return b, nil
+}
 
-	// Journal before applying: if the write fails, no state has changed
-	// and live memory stays equal to what recovery would rebuild. The
-	// apply below cannot fail: Identify refuses a vector of another
-	// dimension and AddItems a negative count, and every vector here came
-	// from this identifier's own embedder, whose dimension RestoreDomains
-	// held the saved vectors to.
-	lsn, err := s.journalBuffered(at, walEvent{Type: eventCreateTasks, Specs: specs})
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Phase 2: commit. domainOf is an append-only column: readers hold a
-	// published header that ends before this batch, so the batch's hints
-	// (DomainNone for a described task, until Identify below) are appended
-	// in place.
-	ids := make([]TaskID, len(tasks))
-	for i, t := range tasks {
+// applyCreateTasks appends a journaled batch and identifies its described
+// tasks' domains. Identify cannot fail here: every vector came from this
+// identifier's own embedder, whose dimension RestoreDomains held saved ones to.
+func (s *Server) applyCreateTasks(_ journaled, b taskBatch) ([]TaskID, error) {
+	// domainOf is an append-only column: readers hold a published header
+	// that ends before this batch, so the batch's hints (DomainNone for a
+	// described task, until Identify below) are appended in place.
+	ids := make([]TaskID, len(b.tasks))
+	for i, t := range b.tasks {
 		s.w.domainOf = append(s.w.domainOf, t.Domain)
 		ids[i] = t.ID
 	}
 	s.w.domainCount = new(atomic.Int64) // of the column as this batch leaves it
-	s.w.tasks = append(s.w.tasks, tasks...)
+	s.w.tasks = append(s.w.tasks, b.tasks...)
 	s.w.pending = append(s.w.pending, ids...)
 
 	s.lastNewDomains = nil
 	s.lastMerges = 0
-	if len(described) > 0 {
+	if len(b.described) > 0 {
 		// Identify writes every described task's domain, and a merge moves
 		// OLD tasks, whose entries are published: it works on a copy of the
 		// column. The published state shares s.w.store too: merges fold
 		// into a clone. Both are swapped in below.
 		domainOf := slices.Clone(s.w.domainOf)
 		var merged *truth.Store
-		up, err := s.domains.Identify(described, vectors, domainOf, func(into, from DomainID) {
+		up, err := s.domains.Identify(b.described, b.vectors, domainOf, func(into, from DomainID) {
 			if merged == nil {
 				merged = s.w.store.Clone()
 			}
 			merged.MergeDomains(into, from)
 		})
 		if err != nil {
-			return nil, 0, fmt.Errorf("eta2: clustering: %w", err)
+			return nil, fmt.Errorf("eta2: clustering: %w", err)
 		}
 		s.w.domainOf = domainOf
 		if merged != nil {
@@ -536,7 +544,7 @@ func (s *Server) createTasksLocked(at uint64, specs []TaskSpec) ([]TaskID, uint6
 		s.lastMerges = len(up.Merges)
 	}
 	s.publishLocked()
-	return ids, lsn, nil
+	return ids, nil
 }
 
 // Domain returns the expertise domain assigned to a task.
@@ -617,11 +625,11 @@ func (s *Server) allocateMaxQuality(solve func(allocation.Input) (allocation.Max
 // record: allocation itself does not mutate the server — and republishes
 // so DurabilityStats sees the advanced LSN.
 func (s *Server) journalAllocationLocked(a *Allocation) (uint64, error) {
-	lsn, err := s.journalBuffered(0, walEvent{Type: eventAllocate, Pairs: a.Pairs})
+	j, err := s.journalBuffered(walEvent{Type: eventAllocate, Pairs: a.Pairs})
 	if err == nil {
 		s.publishLocked()
 	}
-	return lsn, err
+	return j.lsn, err
 }
 
 // MinCostParams parameterizes AllocateMinCost.
@@ -679,21 +687,17 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		}
 		// The collector is caller code: hold what it returns to the check
 		// SubmitObservations runs, before any of it is journaled or applied.
-		if err := checkObservations(obs, len(s.w.tasks), s.w.userPos); err != nil {
+		if err := checkObservations(obs, len(s.w.tasks), s.w.userPos); err != nil || len(obs) == 0 {
+			return obs, err
+		}
+		// Journaled verbatim (day -1 keeps each observation's own stamp) and
+		// buffered only: the whole min-cost round runs under the write lock,
+		// so the fsync is deferred to the single commit at the end.
+		j, err := s.journalBufferedPayload(encodeObservationsEvent(nil, obs, -1))
+		if err != nil {
 			return nil, err
 		}
-		if len(obs) > 0 {
-			// Journal the collected batch verbatim (min-cost bypasses
-			// SubmitObservations, so replay appends these as-is; day = -1
-			// keeps each observation's own stamp). Buffered only: the whole
-			// min-cost round runs under the write lock, so the fsync is
-			// deferred to the single commit at the end.
-			if _, err := s.journalBufferedPayload(0, encodeObservationsEvent(nil, obs, -1)); err != nil {
-				return nil, err
-			}
-		}
-		s.w.observations = append(s.w.observations, obs...)
-		mObsAccepted.Add(uint64(len(obs)))
+		s.applyObservations(j, obs, -1)
 		s.publishLocked()
 		return obs, nil
 	})
@@ -724,14 +728,9 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 
 // SubmitObservations records data reported by users for this time step.
 // The batch is atomic: one invalid observation — or a failed journal
-// write — rejects the whole call with no state change.
-//
-// This is the serving hot path: validation, day-stamping, and the journal
-// payload encoding all run against the lock-free read snapshot, so
-// concurrent submitters only serialize for the slice append and the
-// buffered journal write. The fsync wait happens with no server lock held
-// at all, letting the WAL group-commit one flush per batch of concurrent
-// submitters.
+// write — rejects the whole call with no state change. This is the serving
+// hot path: concurrent submitters serialize only for the buffered journal
+// write and the append, and the WAL group-commits their fsync waits.
 func (s *Server) SubmitObservations(obs ...Observation) error {
 	return s.SubmitObservationsContext(context.Background(), obs...)
 }
@@ -771,27 +770,18 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	if s.w.day != st.day {
 		eb.b = encodeObservationsEvent(eb.b[:0], obs, s.w.day)
 	}
-	day := s.w.day
-	lsn, err := s.journalBufferedPayload(0, eb.b)
+	j, err := s.journalBufferedPayload(eb.b)
+	app.End()
 	if err != nil {
 		s.mu.Unlock()
-		app.End()
 		obsEventPool.Put(eb)
 		return err
 	}
-	app.End()
-	// The fsync-wait span opens here — before publish, while the lock is
-	// still held — because the wait for durability logically begins the
-	// moment the record is appended; the publish below happens while the
-	// group commit is (potentially) already in flight. It ends in
-	// journalCommit.
+	// The wait for durability begins at the append, so the fsync-wait span
+	// (ended in journalCommit) opens before the publish.
 	fsync := t.StartSpan(trace.SpanFsyncWait)
 	pub := t.StartSpan(trace.SpanPublish)
-	for _, o := range obs {
-		o.Day = day
-		s.w.observations = append(s.w.observations, o)
-	}
-	mObsAccepted.Add(uint64(len(obs)))
+	s.applyObservations(j, obs, s.w.day)
 	s.publishLocked()
 	pub.End()
 	s.mu.Unlock()
@@ -799,8 +789,21 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	// append, so the buffer can recycle before the fsync wait completes.
 	obsEventPool.Put(eb)
 	ingestAllocSample()
-	t.SetLSN(lsn)
-	return s.journalCommit(lsn, fsync)
+	t.SetLSN(j.lsn)
+	return s.journalCommit(j.lsn, fsync)
+}
+
+// applyObservations appends a journaled batch to the open day, stamped with
+// day, or keeping each observation's own stamp when day < 0 (a min-cost
+// collection, and every replayed record). The caller publishes.
+func (s *Server) applyObservations(_ journaled, obs []Observation, day int) {
+	for _, o := range obs {
+		if day >= 0 {
+			o.Day = day
+		}
+		s.w.observations = append(s.w.observations, o)
+	}
+	mObsAccepted.Add(uint64(len(obs)))
 }
 
 // checkObservations refuses a batch that names a task or a user the server
@@ -845,60 +848,49 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	}
 	t := trace.FromContext(ctx)
 	s.mu.Lock()
-	report, lsn, fsync, err := s.closeTimeStepLocked(0, t)
-	s.mu.Unlock()
+	est := t.StartSpan(trace.SpanTruthEstimate)
+	step, err := s.w.estimateStep(s.cfg.truthCfg)
+	est.End()
+	var j journaled
+	if err == nil {
+		app := t.StartSpan(trace.SpanJournalAppend)
+		j, err = s.journalBuffered(walEvent{Type: eventCloseStep})
+		app.End()
+	}
 	if err != nil {
+		s.mu.Unlock()
 		return StepReport{}, err
 	}
-	t.SetLSN(lsn)
+	fsync := t.StartSpan(trace.SpanFsyncWait) // the wait begins at the append; ended by journalCommit
+	pub := t.StartSpan(trace.SpanPublish)
+	report := s.applyClose(j, step)
+	pub.End()
+	s.mu.Unlock()
+	t.SetLSN(j.lsn)
 	// A closed step is the natural commit point: under the interval policy
 	// force the flush the group commit would otherwise defer (fsync-never
 	// callers keep their explicit no-sync contract). Like the commit wait
 	// itself this runs with no server lock held.
-	if j := s.loadState().journal; j != nil && lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
-		if err := j.Sync(); err != nil {
+	if wl := s.loadState().journal; wl != nil && j.lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
+		if err := wl.Sync(); err != nil {
 			fsync.End()
 			return StepReport{}, fmt.Errorf("eta2: journal sync: %w", err)
 		}
 	}
-	if err := s.journalCommit(lsn, fsync); err != nil {
+	if err := s.journalCommit(j.lsn, fsync); err != nil {
 		return StepReport{}, err
 	}
 	return report, nil
 }
 
-// closeTimeStepLocked estimates the step's truths, journals the close
-// record, swaps the new expertise store and truths in, and advances the
-// clock. at is the journal position (see journalBuffered); t is nil on
-// replay. The returned fsync-wait span is open: the caller ends it (via
-// journalCommit) once the record is durable.
-func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uint64, *trace.Span, error) {
-	if len(s.w.observations) == 0 {
-		return StepReport{}, 0, nil, ErrNoObservations
-	}
-	// The published state shares s.w.store: the step commits into the clone
-	// the estimate returns, swapped in only once the close record is journaled.
-	est := t.StartSpan(trace.SpanTruthEstimate)
-	table, store, res, err := s.w.estimateStep(s.cfg.truthCfg)
-	est.End()
-	if err != nil {
-		return StepReport{}, 0, nil, fmt.Errorf("eta2: %w", err)
-	}
-
-	app := t.StartSpan(trace.SpanJournalAppend)
-	lsn, err := s.journalBuffered(at, walEvent{Type: eventCloseStep})
-	app.End()
-	if err != nil {
-		return StepReport{}, 0, nil, err
-	}
-	fsync := t.StartSpan(trace.SpanFsyncWait)
-	pub := t.StartSpan(trace.SpanPublish)
-
-	s.w.store = store
+// applyClose commits a journaled close: the estimate's store and truths are
+// swapped in, the day's pending state is cleared and the clock advances.
+func (s *Server) applyClose(_ journaled, step stepEstimate) StepReport {
+	s.w.store = step.store
 	report := StepReport{
 		Day:           s.w.day,
-		MLEIterations: res.Iterations,
-		Converged:     res.Converged,
+		MLEIterations: step.res.Iterations,
+		Converged:     step.res.Converged,
 		NewDomains:    s.lastNewDomains,
 		MergedDomains: s.lastMerges,
 	}
@@ -907,12 +899,12 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 	// every task, swapped in with the cloned store.
 	truths := make([]TruthEstimate, len(s.w.tasks))
 	copy(truths, s.w.truths)
-	for _, tid := range table.Tasks() {
+	for _, tid := range step.table.Tasks() {
 		est := TruthEstimate{
 			Task:         tid,
-			Value:        res.Mu[tid],
-			Base:         res.Sigma[tid],
-			Observations: len(table.ForTask(tid)),
+			Value:        step.res.Mu[tid],
+			Base:         step.res.Sigma[tid],
+			Observations: len(step.table.ForTask(tid)),
 		}
 		truths[tid] = est
 		report.Estimates = append(report.Estimates, est)
@@ -924,9 +916,8 @@ func (s *Server) closeTimeStepLocked(at uint64, t *trace.Trace) (StepReport, uin
 	s.w.day++
 	mStepsClosed.Inc()
 	s.publishLocked()
-	pub.End()
 	s.compactIfOwedLocked()
-	return report, lsn, fsync, nil
+	return report
 }
 
 // Truth returns the latest truth estimate for a task.

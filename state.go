@@ -1,6 +1,7 @@
 package eta2
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"sync/atomic"
@@ -64,8 +65,8 @@ type serverState struct {
 }
 
 // persisted is the part of the state that replay rebuilds and the snapshot
-// codec writes, in the order codec.go writes it — the fields a writer must
-// journal before it assigns (journalfirst reads them off this declaration).
+// codec writes, in the order codec.go writes it — the fields only an apply
+// method, holding a journaled token, assigns (journalfirst reads this list).
 // What serverState declares beside it belongs to the node and survives a
 // snapshot bootstrap that replaces all of this.
 type persisted struct {
@@ -171,14 +172,26 @@ func (st *serverState) allocationInput(cfg config) allocation.Input {
 	return loop.AllocationInput(st.users, st.pendingTasks(), st.store, st.domainOf, cfg.epsilon, cfg.parallelism)
 }
 
+// stepEstimate is a prepared close: the day's observation table, the clone of
+// the store the step's expertise evidence is committed into, and the estimates.
+type stepEstimate struct {
+	table *core.ObservationTable
+	store *truth.Store
+	res   truth.UpdateResult
+}
+
 // estimateStep runs truth analysis over the open day's observations. It only
-// reads st: the step's expertise evidence is committed into the clone of
-// st.store it returns, beside the observation table and the estimates.
-func (st *serverState) estimateStep(cfg truth.Config) (*core.ObservationTable, *truth.Store, truth.UpdateResult, error) {
-	table := core.NewObservationTable(st.observations)
-	store := st.store.Clone()
-	res, err := loop.CloseStep(st.day, store, table, st.domainOf, cfg)
-	return table, store, res, err
+// reads st: the published state shares st.store, so the step commits into a
+// clone, which applyClose swaps in once the close record is journaled.
+func (st *serverState) estimateStep(cfg truth.Config) (step stepEstimate, err error) {
+	if len(st.observations) == 0 {
+		return step, ErrNoObservations
+	}
+	step.table, step.store = core.NewObservationTable(st.observations), st.store.Clone()
+	if step.res, err = loop.CloseStep(st.day, step.store, step.table, st.domainOf, cfg); err != nil {
+		return stepEstimate{}, fmt.Errorf("eta2: %w", err)
+	}
+	return step, nil
 }
 
 // publishLocked publishes a copy of the working state as the new immutable

@@ -1,186 +1,99 @@
-// Package journalfirst enforces the write-ahead rule from the durable
-// event log design (PR 2): a Server method that mutates event-sourced
-// state must buffer the journal record (journalBuffered /
-// journalBufferedPayload) BEFORE assigning the tracked fields — or calling
-// a mutating method on an object a Server field holds — so a crash
-// between the two replays the mutation instead of losing it.
-//
-// The tracked fields are read off the state's one declaration: the struct
-// Server publishes behind an atomic.Pointer embeds its persistable part —
-// what WAL replay reconstructs — and every field of that part is tracked,
-// wherever under the Server it is assigned (s.w.users = ..., s.w.day++).
-// What the struct declares directly is the node's durability bookkeeping
-// (journal, lastLSN, snapLSN, ...) and is deliberately not.
-//
-// Replay/restore paths, which by construction apply already-journaled
-// events, are exempted per function:
-//
-//	//eta2:journalfirst-ok <why this path must not journal>
+// Package journalfirst holds journal-before-apply as a rule on types. The
+// server mints an unexported token, journaled, only when it appends a record
+// or replays one, and its apply methods take it, so an apply called before
+// its record is journaled does not compile. This pass checks the rest: a
+// Server method that assigns a persisted field (every field of the struct the
+// published state embeds, read off the declaration) or calls Identify on what
+// a Server field holds takes a journaled parameter, and a journaled{...}
+// literal appears only in journal.go.
 package journalfirst
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"path/filepath"
 
 	"eta2lint/internal/analysis"
 )
 
-// mutators are the methods that change event-sourced state kept inside an
-// object (the domain identifier) rather than in a field: a call to one on
-// an object a Server field holds is a write.
-var mutators = map[string]bool{"Identify": true}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "journalfirst",
-	Doc:  "Server mutations must buffer the WAL record before assigning tracked state",
+	Doc:  "Server methods that assign persisted state take a journaled token, which only journal.go mints",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	server := pass.Pkg.Scope().Lookup("Server")
+	server, _ := pass.Pkg.Scope().Lookup("Server").(*types.TypeName)
 	if server == nil {
 		return nil
 	}
-	named, ok := server.Type().(*types.Named)
-	if !ok {
+	state := analysis.PublishedType(server.Type().(*types.Named))
+	if state == nil {
 		return nil
 	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	c := &checker{pass: pass, server: server, tracked: make(map[*types.Var]bool)}
-	if state := analysis.PublishedType(named); state != nil {
-		fields := state.Underlying().(*types.Struct)
-		for i := 0; i < fields.NumFields(); i++ {
-			part, ok := fields.Field(i).Type().Underlying().(*types.Struct)
-			if !ok || !fields.Field(i).Embedded() {
-				continue
-			}
+	tracked := make(map[*types.Var]bool)
+	fields := state.Underlying().(*types.Struct)
+	for i := 0; i < fields.NumFields(); i++ {
+		if part, ok := fields.Field(i).Type().Underlying().(*types.Struct); ok && fields.Field(i).Embedded() {
 			for j := 0; j < part.NumFields(); j++ {
-				c.tracked[part.Field(j)] = true
+				tracked[part.Field(j)] = true
 			}
 		}
 	}
+	token, _ := pass.Pkg.Scope().Lookup("journaled").(*types.TypeName)
+	// is reports whether e is an obj or a pointer to one.
+	is := func(e ast.Expr, obj *types.TypeName) bool {
+		t := pass.TypesInfo.TypeOf(e)
+		return obj != nil && t != nil && (t == obj.Type() || types.Identical(t, types.NewPointer(obj.Type())))
+	}
+	// underServer reports whether e selects into a Server: s, s.w, ...
+	var underServer func(ast.Expr) bool
+	underServer = func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return is(e, server) || ok && underServer(sel.X)
+	}
+	const msg = "%s in %s, which takes no journaled token: journal the record first and apply it in a method that takes the token"
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
 		}
+		inJournal := filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "journal.go"
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Body == nil || !c.isServerRecv(fn) {
-				continue
+			// guarded: a Server method without a journaled parameter.
+			fn, _ := decl.(*ast.FuncDecl)
+			guarded := fn != nil && fn.Recv != nil && is(fn.Recv.List[0].Type, server)
+			for i := 0; guarded && i < len(fn.Type.Params.List); i++ {
+				guarded = !is(fn.Type.Params.List[i].Type, token)
 			}
-			if pass.FuncSuppressed(fn) {
-				continue
-			}
-			c.checkFunc(fn)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				var writes []ast.Expr
+				switch s := n.(type) {
+				case *ast.CompositeLit:
+					if !inJournal && is(s, token) {
+						pass.Reportf(s.Pos(), "journaled{...} built outside journal.go: only journaling or replaying a record mints the token")
+					}
+				case *ast.AssignStmt:
+					writes = s.Lhs
+				case *ast.IncDecStmt:
+					writes = []ast.Expr{s.X}
+				case *ast.CallExpr:
+					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && guarded && sel.Sel.Name == "Identify" && underServer(sel.X) {
+						pass.Reportf(s.Pos(), msg, "Identify called on a Server field", fn.Name.Name)
+					}
+				}
+				for _, lhs := range writes {
+					for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
+						lhs = ix.X
+					}
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && guarded && underServer(sel.X) {
+						if field, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Var); tracked[field] {
+							pass.Reportf(lhs.Pos(), msg, "Server."+field.Name()+" assigned", fn.Name.Name)
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 	return nil
-}
-
-type checker struct {
-	pass    *analysis.Pass
-	server  types.Object
-	tracked map[*types.Var]bool // the persistable fields of the published state
-}
-
-func (c *checker) isServerRecv(fn *ast.FuncDecl) bool {
-	return len(fn.Recv.List) == 1 && c.isServerExpr(fn.Recv.List[0].Type)
-}
-
-func (c *checker) isServerExpr(e ast.Expr) bool {
-	t := c.pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj() == c.server
-}
-
-func (c *checker) checkFunc(fn *ast.FuncDecl) {
-	// Position of the first journal-buffer call anywhere in the method
-	// (function literals included: the allocation env closure journals
-	// inline, and its buffered write precedes its state write).
-	journalPos := token.NoPos
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !c.isServerExpr(sel.X) {
-			return true
-		}
-		if sel.Sel.Name == "journalBuffered" || sel.Sel.Name == "journalBufferedPayload" {
-			if !journalPos.IsValid() || call.Pos() < journalPos {
-				journalPos = call.Pos()
-			}
-		}
-		return true
-	})
-
-	report := func(pos token.Pos, field, verb string) {
-		if journalPos.IsValid() && pos > journalPos {
-			return
-		}
-		if !journalPos.IsValid() {
-			c.pass.Reportf(pos, "Server.%s %s without journaling the event (method never calls journalBuffered); journal first or annotate //eta2:journalfirst-ok", field, verb)
-			return
-		}
-		c.pass.Reportf(pos, "Server.%s %s before the event is journaled at %s; a crash here loses the mutation",
-			field, verb, c.pass.Fset.Position(journalPos))
-	}
-
-	// underServer reports whether e selects into the Server: s, s.w, ...
-	underServer := func(e ast.Expr) bool {
-		for !c.isServerExpr(e) {
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			e = sel.X
-		}
-		return true
-	}
-
-	check := func(lhs ast.Expr) {
-		pos := lhs.Pos()
-		for {
-			if ix, ok := lhs.(*ast.IndexExpr); ok {
-				lhs = ix.X
-				continue
-			}
-			break
-		}
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || !underServer(sel.X) {
-			return
-		}
-		if field, _ := c.pass.TypesInfo.Uses[sel.Sel].(*types.Var); c.tracked[field] {
-			report(pos, field.Name(), "assigned")
-		}
-	}
-
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				check(lhs)
-			}
-		case *ast.IncDecStmt:
-			check(s.X)
-		case *ast.CallExpr:
-			if sel, ok := s.Fun.(*ast.SelectorExpr); ok && mutators[sel.Sel.Name] {
-				if obj, ok := sel.X.(*ast.SelectorExpr); ok && c.isServerExpr(obj.X) {
-					report(s.Pos(), obj.Sel.Name, "mutated by "+sel.Sel.Name)
-				}
-			}
-		}
-		return true
-	})
 }

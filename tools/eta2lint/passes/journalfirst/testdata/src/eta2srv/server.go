@@ -8,10 +8,7 @@ import (
 	"sync/atomic"
 )
 
-type event struct {
-	Name string
-	Day  int
-}
+type event struct{ Name string }
 
 // identifier stands in for the domain identifier: a stateful object the
 // Server holds, changed through a method rather than by assignment.
@@ -41,17 +38,7 @@ type Server struct {
 	w       serverState
 	state   atomic.Pointer[serverState]
 	domains *identifier
-	nextID  int // derived, not state: no journal required
-}
-
-func (s *Server) journalBuffered(ev event) (uint64, error) {
-	s.w.lastLSN++ // untracked field: no journal required
-	return s.w.lastLSN, nil
-}
-
-func (s *Server) journalBufferedPayload(p []byte) (uint64, error) {
-	s.w.lastLSN++
-	return s.w.lastLSN, nil
+	nextID  int // derived, not state: no token required
 }
 
 // indexWith returns a copy of pos with name added.
@@ -63,117 +50,72 @@ func indexWith(pos map[string]int, name string, at int) map[string]int {
 	return next
 }
 
-// AddUser journals before applying: compliant.
+// AddUser is a gate: prepare, journal, apply. Compliant.
 func (s *Server) AddUser(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.journalBuffered(event{Name: name}); err != nil {
+	n := s.prepareAddUser(name)
+	j, err := s.journalBuffered(event{Name: name})
+	if err != nil {
 		return err
 	}
-	s.w.userPos = indexWith(s.w.userPos, name, len(s.w.users))
-	s.w.users = append(s.w.users, name)
-	s.w.day++
-	s.nextID++
+	s.applyAddUser(j, name, n)
 	return nil
 }
 
-// BadAddUser applies the mutation before buffering the record: a crash
-// between the two loses the user on replay.
-func (s *Server) BadAddUser(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.users = append(s.w.users, name) // want "Server.users assigned before the event is journaled"
-	_, err := s.journalBuffered(event{Name: name})
-	return err
+// prepareAddUser only reads.
+func (s *Server) prepareAddUser(name string) int {
+	_ = s.domains.Vectorize(name)
+	return len(s.w.users)
 }
 
-// BadIndexUser indexes the user before buffering the record. The index is
-// a persistable field like any other: the hand-kept table this pass once
-// had did not list it, and this passed.
+// applyAddUser takes the token, so it may assign every tracked field and
+// call Identify. Compliant.
+func (s *Server) applyAddUser(_ journaled, name string, at int) {
+	s.w.userPos = indexWith(s.w.userPos, name, at)
+	s.w.users = append(s.w.users, name)
+	s.w.day++
+	s.domains.Identify(name)
+	s.w.cluster = s.domains.State()
+	s.nextID++
+}
+
+// BadIndexUser indexes the user in a method that holds no token: moving an
+// apply's assignment up into its gate, above the journal call, lands here.
 func (s *Server) BadIndexUser(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.w.userPos = indexWith(s.w.userPos, name, len(s.w.users)) // want "Server.userPos assigned before the event is journaled"
-	if _, err := s.journalBuffered(event{Name: name}); err != nil {
-		return err
-	}
-	s.w.users = append(s.w.users, name)
-	return nil
-}
-
-// BadElementWrite stores into a tracked container before the record (the
-// store itself is snapshotimmutability's finding; the order is this one's).
-func (s *Server) BadElementWrite(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.userPos[name] = 0 // want "Server.userPos assigned before the event is journaled"
+	s.w.userPos = indexWith(s.w.userPos, name, len(s.w.users)) // want `Server.userPos assigned in BadIndexUser, which takes no journaled token`
 	_, err := s.journalBuffered(event{Name: name})
 	return err
 }
 
-// NeverJournals mutates tracked state without any journal call.
-func (s *Server) NeverJournals() {
-	s.mu.Lock()
-	s.w.day++ // want "Server.day assigned without journaling the event"
-	s.mu.Unlock()
+// BadElementWrite stores into a tracked container without a token (the
+// store itself is snapshotimmutability's finding too).
+func (s *Server) BadElementWrite(name string) {
+	s.w.userPos[name] = 0 // want `Server.userPos assigned in BadElementWrite`
 }
 
-// Bookkeeping only touches untracked fields: no journal needed.
+// NumUsers is a query that writes.
+func (s *Server) NumUsers() int {
+	s.w.day++ // want `Server.day assigned in NumUsers`
+	return len(s.w.users)
+}
+
+// BadCreateTask clusters the task without a token.
+func (s *Server) BadCreateTask(name string) {
+	s.domains.Identify(name) // want `Identify called on a Server field in BadCreateTask`
+}
+
+// ForgedToken builds the token outside journal.go to reach an apply.
+func (s *Server) ForgedToken(name string) {
+	s.applyAddUser(journaled{}, name, len(s.w.users)) // want `journaled\{\.\.\.\} built outside journal.go`
+}
+
+// Bookkeeping only touches untracked fields: no token needed.
 func (s *Server) Bookkeeping() {
 	s.mu.Lock()
 	s.w.lastLSN = 0
 	s.nextID = 0
 	s.mu.Unlock()
-}
-
-// applyEvent is the replay path: events are already journaled.
-//
-//eta2:journalfirst-ok replay applies events that are already in the journal
-func (s *Server) applyEvent(ev event) {
-	s.w.users = append(s.w.users, ev.Name)
-	s.w.day = ev.Day
-}
-
-// PayloadPath journals the pre-encoded payload first: compliant.
-func (s *Server) PayloadPath(p []byte, name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.journalBufferedPayload(p); err != nil {
-		return err
-	}
-	s.w.users = append(s.w.users, name)
-	return nil
-}
-
-// CreateTask reads the identifier before journaling (validation), mutates
-// it after and captures its state for publication: compliant.
-func (s *Server) CreateTask(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.domains.Vectorize(name)
-	if _, err := s.journalBuffered(event{Name: name}); err != nil {
-		return err
-	}
-	s.domains.Identify(name)
-	s.w.cluster = s.domains.State()
-	return nil
-}
-
-// BadCreateTask clusters the task before the record is buffered: a failed
-// journal write leaves an item the log never heard of.
-func (s *Server) BadCreateTask(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.domains.Identify(name) // want "Server.domains mutated by Identify before the event is journaled"
-	_, err := s.journalBuffered(event{Name: name})
-	return err
-}
-
-// BadCaptureCluster publishes the clustering capture ahead of the record.
-func (s *Server) BadCaptureCluster(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.cluster = s.domains.State() // want "Server.cluster assigned before the event is journaled"
-	_, err := s.journalBuffered(event{Name: name})
-	return err
 }
