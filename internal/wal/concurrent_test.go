@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // concurrentAppend hammers the log with writers goroutines, each
@@ -222,5 +225,255 @@ func TestConcurrentSyncAndAppend(t *testing.T) {
 	wg.Wait()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gatherCounts reads the fsync and gather counters (process-wide; the
+// package's tests do not run in parallel).
+func gatherCounts() (fsyncs, joined, expired uint64) {
+	return mFsyncs.Value(), mGathersJoined.Value(), mGathersExpired.Value()
+}
+
+// slowDisk is a SyncAlways log whose fsyncs take at least 3 ms, longer
+// than a closed-loop committer needs to come back.
+func slowDisk(t *testing.T, dir string) *Log {
+	t.Helper()
+	l, err := Open(dir, Options{Sync: SyncAlways, SyncDelay: 3 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// commitAsync buffers payload and commits it on its own goroutine.
+func commitAsync(t *testing.T, l *Log, payload string) <-chan error {
+	t.Helper()
+	lsn, err := l.AppendBuffered([]byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.Commit(lsn) }()
+	return done
+}
+
+// TestGatherSharesFsyncs: two closed-loop committers share each fsync
+// instead of taking turns (one fsync per record), and sharing acknowledges
+// nothing early: every record is on disk without a Close.
+func TestGatherSharesFsyncs(t *testing.T) {
+	dir := t.TempDir()
+	l := slowDisk(t, dir)
+	f0, _, _ := gatherCounts()
+	acked := concurrentAppend(t, l, 2, 60)
+	if n := mFsyncs.Value() - f0; n > 72 {
+		t.Errorf("2 committers x 60 records took %d fsyncs, want <= 72", n)
+	}
+	// No Close: the process dies with the page cache intact.
+	l2, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	lsns, payloads := replayAll(t, l2)
+	if len(lsns) != len(acked) {
+		t.Fatalf("replayed %d records, acknowledged %d", len(lsns), len(acked))
+	}
+	for i, lsn := range lsns {
+		if acked[lsn] != payloads[i] {
+			t.Fatalf("lsn %d: replayed %q, acknowledged %q", lsn, payloads[i], acked[lsn])
+		}
+	}
+}
+
+// TestLoneCommitterNeverGathers: each sync of a single committer ends with
+// one committer inside, so nobody is waited for.
+func TestLoneCommitterNeverGathers(t *testing.T) {
+	l := slowDisk(t, t.TempDir())
+	defer l.Close()
+	f0, j0, e0 := gatherCounts()
+	for i := 0; i < 60; i++ {
+		appendAll(t, l, fmt.Sprintf("record-%d", i))
+	}
+	if f, j, e := gatherCounts(); f-f0 != 60 || j != j0 || e != e0 {
+		t.Errorf("60 records: %d fsyncs, %d joined and %d expired gathers; want 60, 0, 0", f-f0, j-j0, e-e0)
+	}
+}
+
+// TestGatherStopsWhenCrowdLeaves: when the second committer stops, the
+// first waits for it at most once (half a sync time), then never again.
+func TestGatherStopsWhenCrowdLeaves(t *testing.T) {
+	l := slowDisk(t, t.TempDir())
+	defer l.Close()
+	concurrentAppend(t, l, 2, 30)
+	_, j0, e0 := gatherCounts()
+	appendAll(t, l, "alone-0")
+	_, _, e1 := gatherCounts()
+	if e1-e0 > 1 {
+		t.Errorf("first record alone: %d expired gathers, want at most 1", e1-e0)
+	}
+	for i := 1; i < 30; i++ {
+		appendAll(t, l, fmt.Sprintf("alone-%d", i))
+	}
+	if _, j, e := gatherCounts(); j != j0 || e != e1 {
+		t.Errorf("alone: %d joined, then %d expired gathers after the first record; want 0, 0", j-j0, e-e1)
+	}
+}
+
+// TestExpiredGatherResetsCrowd: after a gather expires the crowd is who came
+// during the wait. A committer that arrives during the sync after it came
+// too late to have been worth waiting for, so its own commit does not gather.
+func TestExpiredGatherResetsCrowd(t *testing.T) {
+	l := slowDisk(t, t.TempDir())
+	defer l.Close()
+	appendAll(t, l, "first")
+	l.syncMu.Lock()
+	l.crowd = 2
+	l.syncMu.Unlock()
+	_, _, e0 := gatherCounts()
+	leader := commitAsync(t, l, "leader")
+	for mGathersExpired.Value() == e0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	late := commitAsync(t, l, "late") // parks behind the leader's 3 ms sync
+	for _, done := range []<-chan error{leader, late} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, e := gatherCounts(); e-e0 != 1 {
+		t.Errorf("%d expired gathers, want 1: the late committer must not have waited for a crowd", e-e0)
+	}
+}
+
+// TestGatherWaitsHalfASync: a crowd that does not come costs the leader half
+// the last sync's duration. Waiting w for a committer saves it at most F-w
+// behind a sync of F and costs the leader w, so a longer wait cannot pay.
+func TestGatherWaitsHalfASync(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lsn, err := l.AppendBuffered([]byte("alone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.syncMu.Lock()
+	l.crowd, l.took = 2, 400*time.Millisecond
+	l.syncMu.Unlock()
+	start := time.Now()
+	if err := l.Commit(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 200*time.Millisecond || d > 350*time.Millisecond {
+		t.Errorf("a gather after a 400 ms sync held the commit %v, want 200 ms and the fsync", d)
+	}
+}
+
+// TestOnlySyncAlwaysGathers: SyncInterval batches by time and SyncNever
+// never syncs a commit; neither waits for a crowd.
+func TestOnlySyncAlwaysGathers(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncInterval, SyncNever} {
+		l, err := Open(t.TempDir(), Options{Sync: pol, SyncEvery: 1, SyncDelay: 3 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, j0, e0 := gatherCounts()
+		concurrentAppend(t, l, 2, 60)
+		if _, j, e := gatherCounts(); j != j0 || e != e0 {
+			t.Errorf("policy %d: %d joined and %d expired gathers, want none", pol, j-j0, e-e0)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCloseEndsGather: a leader gathering for a crowd that will never come
+// returns as soon as the log closes, not when the gather would expire.
+func TestCloseEndsGather(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.AppendBuffered([]byte("gathering"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.syncMu.Lock()
+	l.crowd, l.took = 2, time.Hour
+	l.syncMu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- l.Commit(lsn) }()
+	for gathering := false; !gathering; {
+		time.Sleep(time.Millisecond)
+		l.syncMu.Lock()
+		gathering = l.gathering
+		l.syncMu.Unlock()
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("Commit ended by Close = %v, want nil or ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Commit still gathering 5 s after Close")
+	}
+}
+
+// TestFailedSyncIsSticky: after a failed fdatasync Linux marks the unwritten
+// pages clean and reports the error once, so a retry would "succeed" for
+// data that never reached the disk. Neither a follower parked behind the
+// failed leader nor any later caller may be acknowledged.
+func TestFailedSyncIsSticky(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, "durable")
+
+	inSync, release := make(chan struct{}), make(chan struct{})
+	l.mu.Lock()
+	realSync, failed := l.datasync, false
+	l.datasync = func() error {
+		if failed { // leaders run one at a time
+			return realSync()
+		}
+		failed = true
+		close(inSync)
+		<-release
+		return syscall.EIO
+	}
+	l.mu.Unlock()
+
+	leader := commitAsync(t, l, "leader")
+	<-inSync
+	follower := commitAsync(t, l, "follower")
+	for parked := false; !parked; {
+		time.Sleep(time.Millisecond)
+		l.syncMu.Lock()
+		parked = l.fresh == 1
+		l.syncMu.Unlock()
+	}
+	close(release)
+
+	if err := <-leader; !errors.Is(err, syscall.EIO) {
+		t.Errorf("leader's Commit = %v, want EIO", err)
+	}
+	if err := <-follower; !errors.Is(err, syscall.EIO) {
+		t.Errorf("parked follower's Commit = %v, want EIO, not a retried sync's false success", err)
+	}
+	if _, err := l.Append([]byte("later")); !errors.Is(err, syscall.EIO) {
+		t.Errorf("later Append = %v, want EIO", err)
+	}
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Errorf("later Sync = %v, want EIO", err)
+	}
+	if err := l.TruncateThrough(1); !errors.Is(err, syscall.EIO) {
+		t.Errorf("later TruncateThrough = %v, want EIO", err)
 	}
 }

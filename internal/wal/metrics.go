@@ -13,6 +13,12 @@ var (
 	mBatchRecords = obs.Default().Histogram("eta2_wal_group_commit_batch_records",
 		"Records made durable by a single group-commit sync.",
 		obs.ExpBuckets(1, 2, 10))
+	mGathers = obs.Default().CounterVec("eta2_wal_commit_gathers_total",
+		"SyncAlways commit leaders that waited for the last sync's crowd of committers before syncing: joined when it came, expired when half the last sync's duration ran out first.",
+		"outcome")
+	mGathersJoined  = mGathers.With("joined")
+	mGathersExpired = mGathers.With("expired")
+
 	mAppendRecords = obs.Default().Counter("eta2_wal_appended_records_total",
 		"Records appended to the WAL (buffered; durability follows at commit).")
 	mAppendBytes = obs.Default().Counter("eta2_wal_appended_bytes_total",

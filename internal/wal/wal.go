@@ -35,9 +35,17 @@
 // order), and Commit waits for the record to reach stable storage.
 // Commit implements group commit: the first waiter becomes the commit
 // leader and issues a single data sync that covers every record buffered
-// since the previous sync, so N concurrent appenders pay ~1 fsync, not N.
-// Append is the two halves back to back and keeps the original
-// one-call-per-record API.
+// before it captured the write frontier. Under SyncAlways the leader first
+// gathers: it waits until as many committers are inside Commit as when the
+// previous sync finished, or until half that sync's own duration has
+// passed, whichever comes first. So N closed-loop committers share each
+// fsync instead of taking turns, a lone committer never waits, and a crowd
+// that does not come back costs half an fsync time, once. Append is the two
+// halves back to back and keeps the original one-call-per-record API.
+//
+// A failed sync is sticky: the kernel may have dropped the pages it could
+// not write and will not report them again, so no later sync can vouch for
+// them. Every later append, commit, sync and truncation returns the error.
 package wal
 
 import (
@@ -54,8 +62,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"eta2/internal/obs"
 )
 
 // recordVersion is the on-disk record format version this package writes.
@@ -117,11 +123,13 @@ type Options struct {
 	// SyncEvery is the lazy-sync interval for SyncInterval (default 100ms).
 	SyncEvery time.Duration
 	// SyncDelay adds artificial latency to every fsync — a test seam
-	// (eta2.DurabilityPolicy.FsyncDelay; the durable-storm test is its
-	// only caller) that the fault-injecting filesystem seam of ROADMAP
-	// item 4 replaces. The delay is paid by the commit leader outside all
-	// locks, so it stretches the group-commit window exactly like a
-	// genuinely slow fsync would. Leave zero in production.
+	// (eta2.DurabilityPolicy.FsyncDelay, whose only caller is the
+	// durable-storm test; here, the gather tests and
+	// BenchmarkWALGroupCommit) that the fault-injecting filesystem seam of
+	// ROADMAP item 4 replaces. The delay is paid by the commit leader
+	// outside all locks and counts in the sync's measured duration, so it
+	// stretches the group-commit window and the gather's bound exactly like
+	// a genuinely slow fsync would. Leave zero in production.
 	SyncDelay time.Duration
 	// NextLSNFloor, when non-zero, forces the next assigned LSN to be at
 	// least this value. The server passes snapshotLSN+1 so fresh records
@@ -160,8 +168,9 @@ type Log struct {
 	opts Options
 
 	// mu guards the write path: segment bookkeeping, LSN assignment, and
-	// the file writes themselves. It is held only for page-cache writes,
-	// never across an fsync.
+	// the file writes themselves. It is held only for page-cache writes and
+	// segment seals, never across a commit's fsync. Lock order: mu before
+	// syncMu, never the reverse.
 	mu       sync.Mutex
 	segs     []segment // all live segments in LSN order; last is active
 	active   *os.File
@@ -170,7 +179,10 @@ type Log struct {
 	next     uint64       // next LSN to assign
 	first    uint64       // first LSN present, 0 if none
 	closed   bool
-	writeErr error // sticky: a partial record write we could not rewind
+	// writeErr is sticky: a partial record write we could not rewind, or a
+	// failed sync. Set only by failLocked, with mu and syncMu both held, so
+	// either lock reads it.
+	writeErr error
 	// frame is appendAt's scratch, grown to the largest record seen: one
 	// write per record (a torn record is a prefix of it), no allocation.
 	frame []byte
@@ -184,9 +196,24 @@ type Log struct {
 	// flight.
 	syncMu   sync.Mutex
 	syncCond *sync.Cond
-	syncing  bool   // a commit leader's fsync is in flight
+	syncing  bool   // a commit leader is gathering or its fsync is in flight
 	durable  uint64 // highest LSN known to be on stable storage
 	lastSync time.Time
+	// The gather (SyncAlways). gen advances each time a leader stops
+	// gathering: every caller in syncThrough then is covered by its
+	// capture, so fresh, the callers in syncThrough that entered since, is
+	// what the next leader can still gather (a covered follower not yet
+	// awake must not count). crowd and took are the callers inside when the
+	// last sync finished (those it covered and those fresh; after an
+	// expired gather, only those who came) and its fsync's duration. A
+	// gathering leader waits on syncCond; the arrival that completes its
+	// crowd, gatherTimer and Close wake it.
+	fresh       int
+	gen         uint64
+	crowd       int
+	took        time.Duration
+	gathering   bool
+	gatherTimer *time.Timer
 
 	// Replication shipping frontier: the highest LSN acknowledged to a
 	// committer per the sync policy. Under SyncAlways it tracks durable;
@@ -216,6 +243,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts, next: 1}
 	l.syncCond = sync.NewCond(&l.syncMu)
+	// One timer per log, reset by each gather, so a commit allocates nothing.
+	l.gatherTimer = time.AfterFunc(time.Hour, func() {
+		l.syncMu.Lock()
+		l.syncCond.Broadcast()
+		l.syncMu.Unlock()
+	})
+	l.gatherTimer.Stop()
 
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -441,13 +475,30 @@ func (l *Log) openSegment() error {
 }
 
 // trimSync cuts the zero window off the active segment and fsyncs it (a
-// full fsync: the file just shrank). Called with mu held.
+// full fsync: the file just shrank). A failure is sticky: it returns the
+// log's sticky error. Called with mu held.
 func (l *Log) trimSync() error {
 	l.filled = l.segs[len(l.segs)-1].size
-	if err := l.active.Truncate(l.filled); err != nil {
-		return err
+	err := l.active.Truncate(l.filled)
+	if err == nil {
+		err = l.active.Sync()
 	}
-	return l.active.Sync()
+	if err != nil {
+		l.failLocked(fmt.Errorf("wal: sync: %w", err))
+		return l.writeErr
+	}
+	return nil
+}
+
+// failLocked makes err the log's sticky error unless it already has one:
+// every later append, commit, sync and truncation returns it. Called with
+// mu held; takes syncMu.
+func (l *Log) failLocked(err error) {
+	l.syncMu.Lock()
+	if l.writeErr == nil {
+		l.writeErr = err
+	}
+	l.syncMu.Unlock()
 }
 
 // Append writes one record and returns its LSN, fsyncing per the sync
@@ -557,7 +608,7 @@ func (l *Log) appendAt(at uint64, payload []byte) (uint64, error) {
 func (l *Log) rewind(active *segment) {
 	l.filled = active.size
 	if err := l.active.Truncate(active.size); err != nil {
-		l.writeErr = fmt.Errorf("wal: unreadable tail after failed append: %w", err)
+		l.failLocked(fmt.Errorf("wal: unreadable tail after failed append: %w", err))
 	}
 }
 
@@ -575,23 +626,17 @@ func (l *Log) Commit(lsn uint64) error {
 // Tracing uses it to annotate the fsync-wait span without this package
 // importing the trace layer.
 func (l *Log) CommitReported(lsn uint64) (leader bool, err error) {
-	switch l.opts.Sync {
-	case SyncNever:
+	if l.opts.Sync != SyncAlways {
 		l.syncMu.Lock()
-		l.advanceCommittedLocked(lsn)
-		l.syncMu.Unlock()
-		return false, nil
-	case SyncInterval:
-		l.syncMu.Lock()
-		due := time.Since(l.lastSync) >= l.opts.SyncEvery
-		if !due {
+		due := l.opts.Sync == SyncInterval && time.Since(l.lastSync) >= l.opts.SyncEvery
+		if err = l.writeErr; err == nil && !due {
 			// Acknowledged without an fsync: the record may ship to
 			// followers even though it is not yet on stable storage.
 			l.advanceCommittedLocked(lsn)
 		}
 		l.syncMu.Unlock()
-		if !due {
-			return false, nil
+		if err != nil || !due {
+			return false, err
 		}
 	}
 	return l.syncThrough(lsn)
@@ -599,20 +644,57 @@ func (l *Log) CommitReported(lsn uint64) (leader bool, err error) {
 
 // syncThrough blocks until every record with LSN <= lsn is on stable
 // storage. The group-commit core: a caller whose LSN is already covered
-// returns immediately; while a leader's fsync is in flight, callers park;
-// the first parked caller to wake uncovered becomes the next leader, and
-// its single fsync covers the whole batch written in the meantime.
-// Reports whether this caller was the leader that performed the fsync.
+// returns immediately; while a leader gathers or its fsync is in flight,
+// callers park; the first parked caller to wake uncovered becomes the next
+// leader, and its single fsync covers the whole batch written in the
+// meantime. Reports whether this caller was the leader that performed the
+// fsync.
 func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 	l.syncMu.Lock()
+	gen := l.gen
+	l.fresh++
+	if l.gathering && l.fresh >= l.crowd {
+		l.syncCond.Broadcast()
+	}
 	for l.durable < lsn && l.syncing {
 		l.syncCond.Wait()
 	}
-	if l.durable >= lsn {
+	if l.writeErr != nil || l.durable >= lsn {
+		if gen == l.gen {
+			l.fresh--
+		}
+		err = l.writeErr
 		l.syncMu.Unlock()
-		return false, nil
+		return false, err
 	}
 	l.syncing = true
+	expired := false
+	if l.opts.Sync == SyncAlways && l.fresh < l.crowd {
+		// Gather. A closed-loop committer comes back one round trip after
+		// its acknowledgement; waiting w for it saves it the F-w it would
+		// wait behind this sync (F, the sync's duration) and costs this
+		// leader w, so the wait pays only while w < F/2. That is its bound,
+		// with the last sync's duration for F. The start is taken before
+		// the timer is armed, so its wake-up finds the bound passed.
+		bound := l.took / 2
+		l.gathering = true
+		start := time.Now()
+		l.gatherTimer.Reset(bound)
+		for l.fresh < l.crowd && !l.commitSealed && time.Since(start) < bound {
+			l.syncCond.Wait()
+		}
+		l.gatherTimer.Stop()
+		l.gathering = false
+		if l.fresh >= l.crowd {
+			mGathersJoined.Inc()
+		} else {
+			expired = true
+			mGathersExpired.Inc()
+		}
+	}
+	came := l.fresh
+	l.gen++
+	l.fresh = 0
 	l.syncMu.Unlock()
 
 	// This goroutine is the commit leader. Capture the write frontier and
@@ -624,21 +706,30 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 	closed := l.closed
 	l.mu.Unlock()
 
-	syncTimer := obs.StartTimer()
-	if l.opts.SyncDelay > 0 {
-		time.Sleep(l.opts.SyncDelay)
-	}
+	var took time.Duration
 	if closed {
 		err = ErrClosed
-	} else if serr := datasync(); serr != nil && !errors.Is(serr, os.ErrClosed) {
+	} else {
+		began := time.Now()
+		if l.opts.SyncDelay > 0 {
+			time.Sleep(l.opts.SyncDelay)
+		}
+		serr := datasync()
+		took = time.Since(began)
+		mFsyncs.Inc()
+		mFsyncDur.Observe(took.Seconds())
 		// os.ErrClosed means the segment was sealed (rotated) between the
 		// capture and the sync — sealing itself fsyncs, so every record
-		// the leader covers is already durable. Anything else is real.
-		err = fmt.Errorf("wal: sync: %w", serr)
-	}
-	if !closed {
-		mFsyncs.Inc()
-		syncTimer.ObserveTo(mFsyncDur)
+		// the leader covers is already durable. Anything else is real and
+		// sticky. A seal's fsync racing this one may have taken the error
+		// this one would have seen; the seal holds mu until it has made its
+		// failure sticky, so the leader reads the sticky error under mu.
+		l.mu.Lock()
+		if serr != nil && !errors.Is(serr, os.ErrClosed) {
+			l.failLocked(fmt.Errorf("wal: sync: %w", serr))
+		}
+		err = l.writeErr
+		l.mu.Unlock()
 	}
 
 	l.syncMu.Lock()
@@ -646,6 +737,13 @@ func (l *Log) syncThrough(lsn uint64) (leader bool, err error) {
 		mBatchRecords.Observe(float64(frontier - l.durable))
 		l.durable = frontier
 		l.advanceCommittedLocked(frontier)
+	}
+	// The crowd: those this sync covered and those parked behind it. After
+	// an expired gather, only those who came: a committer arriving during
+	// the sync came too late to have been worth the wait.
+	l.crowd, l.took = came, took
+	if !expired {
+		l.crowd += l.fresh
 	}
 	l.lastSync = time.Now()
 	l.syncing = false
@@ -717,6 +815,9 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 	if l.closed {
 		return ErrClosed
 	}
+	if l.writeErr != nil {
+		return l.writeErr
+	}
 	active := &l.segs[len(l.segs)-1]
 	if active.records > 0 && active.lastLSN <= lsn {
 		if err := l.openSegment(); err != nil {
@@ -785,10 +886,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	frontier := l.next - 1
-	var err error
-	if serr := l.trimSync(); serr != nil {
-		err = fmt.Errorf("wal: sync: %w", serr)
-	}
+	err := l.trimSync()
 	if cerr := l.active.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
