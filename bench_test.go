@@ -738,7 +738,7 @@ func TestIngestJournalPathZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		eb := obsEventPool.Get().(*obsEventBuf)
-		eb.b = encodeObservationsEvent(eb.b[:0], obs, 3)
+		eb.encode(obs, 3)
 		lsn, err := s.w.journal.AppendBuffered(eb.b)
 		if err != nil {
 			t.Fatal(err)
@@ -897,7 +897,7 @@ func TestIngestJournalPathZeroAllocTraced(t *testing.T) {
 		tr := tracer.StartRoot("journal section", true)
 		enc := tr.StartSpan(trace.SpanEncode)
 		eb := obsEventPool.Get().(*obsEventBuf)
-		eb.b = encodeObservationsEvent(eb.b[:0], obs, 3)
+		eb.encode(obs, 3)
 		enc.End()
 		app := tr.StartSpan(trace.SpanJournalAppend)
 		lsn, err := s.w.journal.AppendBuffered(eb.b)

@@ -65,12 +65,7 @@ func encodeStateBinary(w io.Writer, st *serverState) error {
 	e.f64(st.gamma)
 	e.f64(st.epsilon)
 
-	e.uvarint(uint64(len(st.users)))
-	for _, u := range st.users {
-		e.varint(int64(u.ID))
-		e.f64(u.Capacity)
-		e.str(u.Name)
-	}
+	e.users(st.users)
 
 	e.uvarint(uint64(len(st.tasks)))
 	for _, t := range st.tasks {
@@ -113,13 +108,7 @@ func encodeStateBinary(w io.Writer, st *serverState) error {
 
 	e.varint(int64(st.day))
 
-	e.uvarint(uint64(len(st.observations)))
-	for _, o := range st.observations {
-		e.varint(int64(o.Task))
-		e.varint(int64(o.User))
-		e.f64(o.Value)
-		e.varint(int64(o.Day))
-	}
+	e.observations(st.observations)
 
 	store := st.store.State()
 	e.f64(store.Alpha)
@@ -485,6 +474,29 @@ func (e *snapEncoder) floats(v []float64) {
 	}
 }
 
+// users writes a user column: the snapshot's users section and the body of
+// an add_users journal record.
+func (e *snapEncoder) users(users []User) {
+	e.uvarint(uint64(len(users)))
+	for _, u := range users {
+		e.varint(int64(u.ID))
+		e.f64(u.Capacity)
+		e.str(u.Name)
+	}
+}
+
+// observations writes observations with their own day stamps: the snapshot's
+// observations section and the body of an observations journal record.
+func (e *snapEncoder) observations(obs []Observation) {
+	e.uvarint(uint64(len(obs)))
+	for _, o := range obs {
+		e.varint(int64(o.Task))
+		e.varint(int64(o.User))
+		e.f64(o.Value)
+		e.varint(int64(o.Day))
+	}
+}
+
 // snapDecoder consumes primitives from a stream, accumulating the body
 // CRC as bytes pass through, bounding reads by the declared body length,
 // and latching the first error: after a failure every read returns zero
@@ -592,7 +604,13 @@ func (d *snapDecoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	return string(b) //eta2:allocdiscipline-ok snapshot restore path, not per-request
+	return bytesString(b)
+}
+
+// bytesString is the snapshot and journal record decoders' one copy of bytes
+// into a string.
+func bytesString(b []byte) string {
+	return string(b) //eta2:allocdiscipline-ok restore, replay and follower apply decode names and descriptions, not per-request
 }
 
 func (d *snapDecoder) floats() []float64 {

@@ -2,116 +2,182 @@ package eta2
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 )
 
-// WAL event payloads have one encoding per event type. The cold mutation
-// events (add_users, create_tasks, allocate, close_step) are JSON; the
-// observation hot path is a compact binary record: ~17 bytes per
-// observation versus ~60 of JSON, append-only into a pooled buffer, no
-// reflection. The first payload byte says which: JSON events always start
-// with '{' (0x7B), binary events with eventBinMagic.
+// Every WAL payload is one binary journal record, 0xE2 <kind> <body>, written
+// with the snapshot codec's primitives (codec.go): varints for integers,
+// uvarint counts, a float64 as its IEEE-754 bits little-endian, strings
+// length-prefixed. The users and observations bodies are the snapshot's users
+// and observations sections, written by the same methods.
+//
+//	kind  event         body
+//	1     observations  count, then per observation task, user, value, day
+//	2     add_users     count, then per user id, capacity, name
+//	3     create_tasks  count, then per spec description, proc time, cost, domain hint
+//	4     allocate      count, then per pair user, task
+//	5     close_step    empty
+//
+// Encoding is append-only into a caller's buffer, which is what keeps the
+// submit hot path zero-alloc: it hands in a pooled buffer with retained
+// capacity, and steady-state encoding never grows it.
+const eventMagic byte = 0xE2
+
+// eventKind is a journal record's kind byte.
+type eventKind byte
+
 const (
-	// eventBinMagic marks a binary WAL event payload.
-	eventBinMagic byte = 0xE2
-	// eventBinObservations is the binary form of eventObservations.
-	eventBinObservations byte = 1
+	eventObservations eventKind = 1 + iota
+	eventAddUsers
+	eventCreateTasks
+	eventAllocate
+	eventCloseStep
 )
 
-// encodeObservationsEvent appends the binary observations event for obs to
-// buf and returns the extended slice. day >= 0 stamps every observation
-// with that time step (the SubmitObservations path, which stamps batches
-// with the current day); day < 0 keeps each observation's own Day (the
-// min-cost collector path, which journals collected batches verbatim).
-//
-// The append-only shape is what makes the hot path zero-alloc: callers
-// hand in a pooled buffer with retained capacity and steady-state encoding
-// never grows it.
-func encodeObservationsEvent(buf []byte, obs []Observation, day int) []byte {
-	buf = append(buf, eventBinMagic, eventBinObservations)
-	buf = binary.AppendUvarint(buf, uint64(len(obs)))
-	for _, o := range obs {
-		buf = binary.AppendVarint(buf, int64(o.Task))
-		buf = binary.AppendVarint(buf, int64(o.User))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.Value))
-		d := o.Day
-		if day >= 0 {
-			d = day
+var eventNames = map[eventKind]string{eventObservations: "observations", eventAddUsers: "add_users",
+	eventCreateTasks: "create_tasks", eventAllocate: "allocate", eventCloseStep: "close_step"}
+
+func (k eventKind) String() string { return eventNames[k] }
+
+// walEvent is one journal record. Only the field of its kind is set.
+type walEvent struct {
+	Kind         eventKind
+	Users        []User
+	Specs        []TaskSpec
+	Pairs        []Pair
+	Observations []Observation
+}
+
+// encodeEvent appends ev's journal record to buf.
+func encodeEvent(buf []byte, ev walEvent) []byte {
+	e := snapEncoder{buf: append(buf, eventMagic, byte(ev.Kind))}
+	switch ev.Kind {
+	case eventObservations:
+		e.observations(ev.Observations)
+	case eventAddUsers:
+		e.users(ev.Users)
+	case eventCreateTasks:
+		e.uvarint(uint64(len(ev.Specs)))
+		for _, sp := range ev.Specs {
+			e.str(sp.Description)
+			e.f64(sp.ProcTime)
+			e.f64(sp.Cost)
+			e.varint(int64(sp.DomainHint))
 		}
-		buf = binary.AppendVarint(buf, int64(d))
+	case eventAllocate:
+		e.uvarint(uint64(len(ev.Pairs)))
+		for _, p := range ev.Pairs {
+			e.varint(int64(p.User))
+			e.varint(int64(p.Task))
+		}
 	}
-	return buf
+	return e.buf
 }
 
 // decodeEvent decodes one WAL record payload. It is the single decode path
 // shared by startup recovery and the replication follower, so both rebuild
-// identical events from identical bytes. A JSON observations event (the
-// pre-binary encoding) is refused by name rather than decoded.
+// identical events from identical bytes. Truncated or trailing bytes are
+// errors: a WAL frame's CRC already caught torn writes, so a malformed body
+// means a codec bug, not corruption. A JSON record, which older builds wrote
+// for every kind but observations, is refused by name.
 func decodeEvent(payload []byte) (walEvent, error) {
-	if len(payload) > 0 && payload[0] == eventBinMagic {
-		return decodeBinaryEvent(payload)
+	if len(payload) > 0 && payload[0] == '{' {
+		return walEvent{}, fmt.Errorf("%w: a JSON record, which this build does not read: open the data directory with the last build that writes them (revision 065eab1) and POST /v1/admin/compact, then restart on this build", ErrBadState)
 	}
-	var ev walEvent
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		return walEvent{}, err
+	if len(payload) < 2 || payload[0] != eventMagic {
+		return walEvent{}, fmt.Errorf("not a journal record: % x", payload[:min(len(payload), 2)])
 	}
-	if ev.Type == eventObservations {
-		return walEvent{}, fmt.Errorf("%w: JSON %q event: this build reads observation events in the binary encoding only", ErrBadState, ev.Type)
+	r := recordReader{p: payload[2:]}
+	ev := walEvent{Kind: eventKind(payload[1])}
+	switch ev.Kind {
+	case eventObservations:
+		ev.Observations = make([]Observation, r.count(11)) // three varints, one float
+		for i := range ev.Observations {
+			ev.Observations[i] = Observation{Task: TaskID(r.varint()), User: UserID(r.varint()), Value: r.f64(), Day: int(r.varint())}
+		}
+	case eventAddUsers:
+		ev.Users = make([]User, r.count(10)) // a varint, a float, a name length
+		for i := range ev.Users {
+			ev.Users[i] = User{ID: UserID(r.varint()), Capacity: r.f64(), Name: r.str()}
+		}
+	case eventCreateTasks:
+		ev.Specs = make([]TaskSpec, r.count(18)) // a description length, two floats, a varint
+		for i := range ev.Specs {
+			ev.Specs[i] = TaskSpec{Description: r.str(), ProcTime: r.f64(), Cost: r.f64(), DomainHint: DomainID(r.varint())}
+		}
+	case eventAllocate:
+		ev.Pairs = make([]Pair, r.count(2))
+		for i := range ev.Pairs {
+			ev.Pairs[i] = Pair{User: UserID(r.varint()), Task: TaskID(r.varint())}
+		}
+	case eventCloseStep:
+	default:
+		return walEvent{}, fmt.Errorf("unknown journal record kind %d", payload[1])
+	}
+	if r.err == nil && len(r.p) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.p))
+	}
+	if r.err != nil {
+		return walEvent{}, fmt.Errorf("%s record: %w", ev.Kind, r.err)
 	}
 	return ev, nil
 }
 
-// decodeBinaryEvent decodes a payload written by encodeObservationsEvent.
-// Truncated or trailing bytes are errors: a WAL frame's CRC already caught
-// torn writes, so a malformed body here means a codec bug, not corruption.
-func decodeBinaryEvent(payload []byte) (walEvent, error) {
-	if len(payload) < 2 {
-		return walEvent{}, fmt.Errorf("binary event truncated at %d bytes", len(payload))
+// recordReader consumes the primitives snapEncoder writes from one record's
+// bytes, latching the first error: after a failure every read returns zero
+// values, and the caller checks err once at the end.
+type recordReader struct {
+	p   []byte
+	err error
+}
+
+func (r *recordReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("truncated or malformed %s", what)
 	}
-	if kind := payload[1]; kind != eventBinObservations {
-		return walEvent{}, fmt.Errorf("unknown binary event kind %d", kind)
-	}
-	p := payload[2:]
-	count, n := binary.Uvarint(p)
+}
+
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.p)
 	if n <= 0 {
-		return walEvent{}, fmt.Errorf("binary event: bad observation count")
+		r.fail("varint")
+		return 0
 	}
-	p = p[n:]
-	// 11 bytes is the minimum encoded observation (three 1-byte varints +
-	// the 8-byte value); an impossible count fails before allocating.
-	if count > uint64(len(p))/11 {
-		return walEvent{}, fmt.Errorf("binary event: count %d exceeds payload", count)
+	r.p = r.p[n:]
+	return v
+}
+
+func (r *recordReader) varint() int64 {
+	ux := r.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+func (r *recordReader) f64() float64 {
+	if len(r.p) < 8 {
+		r.fail("float")
+		return 0
 	}
-	obs := make([]Observation, count)
-	for i := range obs {
-		var o Observation
-		task, n := binary.Varint(p)
-		if n <= 0 {
-			return walEvent{}, fmt.Errorf("binary event: observation %d: bad task", i)
-		}
-		p = p[n:]
-		user, n := binary.Varint(p)
-		if n <= 0 {
-			return walEvent{}, fmt.Errorf("binary event: observation %d: bad user", i)
-		}
-		p = p[n:]
-		if len(p) < 8 {
-			return walEvent{}, fmt.Errorf("binary event: observation %d: truncated value", i)
-		}
-		o.Value = math.Float64frombits(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-		day, n := binary.Varint(p)
-		if n <= 0 {
-			return walEvent{}, fmt.Errorf("binary event: observation %d: bad day", i)
-		}
-		p = p[n:]
-		o.Task, o.User, o.Day = TaskID(task), UserID(user), int(day)
-		obs[i] = o
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.p))
+	r.p = r.p[8:]
+	return v
+}
+
+// count reads the length prefix of a list whose elements each encode to at
+// least elemSize bytes, and rejects one the bytes left cannot hold, so an
+// impossible count fails before anything is allocated for it.
+func (r *recordReader) count(elemSize int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.p)/elemSize) {
+		r.fail("count")
+		return 0
 	}
-	if len(p) != 0 {
-		return walEvent{}, fmt.Errorf("binary event: %d trailing bytes", len(p))
-	}
-	return walEvent{Type: eventObservations, Observations: obs}, nil
+	return int(n)
+}
+
+func (r *recordReader) str() string {
+	n := r.count(1)
+	s := bytesString(r.p[:n])
+	r.p = r.p[n:]
+	return s
 }

@@ -1,10 +1,11 @@
 package eta2
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,17 +17,17 @@ func TestObservationsEventRoundTrip(t *testing.T) {
 		{Task: 1 << 20, User: 999999, Value: -1e300, Day: 365},
 		{Task: 7, User: 1, Value: math.MaxFloat64, Day: 1},
 		{Task: 8, User: 2, Value: math.SmallestNonzeroFloat64, Day: 1},
-		// The binary codec is bit-exact on values JSON cannot even carry.
+		// The codec is bit-exact on values a validator would refuse.
 		{Task: 9, User: 3, Value: math.Inf(-1), Day: 4},
 		{Task: 10, User: 4, Value: math.NaN(), Day: 4},
 	}
-	payload := encodeObservationsEvent(nil, obs, -1)
+	payload := encodeEvent(nil, walEvent{Kind: eventObservations, Observations: obs})
 	ev, err := decodeEvent(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if ev.Type != eventObservations {
-		t.Fatalf("type = %q", ev.Type)
+	if ev.Kind != eventObservations {
+		t.Fatalf("kind = %s", ev.Kind)
 	}
 	if len(ev.Observations) != len(obs) {
 		t.Fatalf("decoded %d observations, want %d", len(ev.Observations), len(obs))
@@ -40,72 +41,146 @@ func TestObservationsEventRoundTrip(t *testing.T) {
 	}
 }
 
+// TestObservationsRecordBytesUnchanged pins an observations record to the
+// bytes older builds wrote for it, so their logs still replay.
+func TestObservationsRecordBytesUnchanged(t *testing.T) {
+	obs := []Observation{{Task: 3, User: 17, Value: 42.5, Day: 2}, {Task: 1 << 20, User: 999999, Value: -1e300, Day: 365}}
+	const want = "e20102062200000000004045400480808001fe887a9c7500883ce437feda05"
+	if got := hex.EncodeToString(encodeEvent(nil, walEvent{Kind: eventObservations, Observations: obs})); got != want {
+		t.Errorf("observations record = %s, want %s", got, want)
+	}
+}
+
+// TestEventRoundTripEveryKind: every record kind decodes to the event it was
+// encoded from, down to an empty name, a described spec and the bits of a
+// non-finite value.
+func TestEventRoundTripEveryKind(t *testing.T) {
+	sameObs := func(a, b Observation) bool {
+		return a.Task == b.Task && a.User == b.User && a.Day == b.Day && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+	}
+	for _, ev := range recordSeeds() {
+		payload := encodeEvent(nil, ev)
+		if payload[0] != eventMagic || payload[1] != byte(ev.Kind) {
+			t.Fatalf("%s: record starts % x", ev.Kind, payload[:2])
+		}
+		got, err := decodeEvent(payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", ev.Kind, err)
+		}
+		if got.Kind != ev.Kind || !slices.Equal(got.Users, ev.Users) || !slices.Equal(got.Specs, ev.Specs) ||
+			!slices.Equal(got.Pairs, ev.Pairs) || !slices.EqualFunc(got.Observations, ev.Observations, sameObs) {
+			t.Errorf("%s: decoded %+v from %+v", ev.Kind, got, ev)
+		}
+	}
+}
+
+// recordSeeds is one record of each kind.
+func recordSeeds() []walEvent {
+	return []walEvent{
+		{Kind: eventObservations, Observations: []Observation{{Task: 1, User: 2, Value: math.NaN(), Day: 3}, {Task: 0, User: 5, Value: math.Inf(1)}, {Task: 4, User: 0, Value: math.Inf(-1), Day: 1}}},
+		{Kind: eventAddUsers, Users: []User{{ID: 0, Capacity: 5}, {ID: 7, Capacity: 2.5, Name: "sensor-α"}, {ID: 3, Capacity: 0, Name: ""}}},
+		{Kind: eventCreateTasks, Specs: []TaskSpec{{Description: "What is the noise level at the station?", ProcTime: 1}, {ProcTime: 0.5, Cost: 3, DomainHint: 40}}},
+		{Kind: eventAllocate, Pairs: []Pair{{User: 7, Task: 1}, {User: 0, Task: 0}}},
+		{Kind: eventCloseStep},
+	}
+}
+
 func TestObservationsEventDayStamp(t *testing.T) {
 	obs := []Observation{{Task: 1, User: 2, Value: 3, Day: 9}, {Task: 4, User: 5, Value: 6, Day: 10}}
-	ev, err := decodeEvent(encodeObservationsEvent(nil, obs, 7))
+	var eb obsEventBuf
+	eb.encode(obs, 7)
+	ev, err := decodeEvent(eb.b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i, o := range ev.Observations {
-		if o.Day != 7 {
-			t.Errorf("observation %d: day = %d, want stamped 7", i, o.Day)
+		if o.Day != 7 || eb.obs[i].Day != 7 {
+			t.Errorf("observation %d: day = %d (scratch %d), want stamped 7", i, o.Day, eb.obs[i].Day)
 		}
+	}
+	if obs[0].Day != 9 || obs[1].Day != 10 {
+		t.Errorf("stamping wrote through to the caller's batch: %+v", obs)
 	}
 }
 
 func TestObservationsEventBufferReuse(t *testing.T) {
 	obs := []Observation{{Task: 1, User: 2, Value: 3.5, Day: 0}}
-	buf := encodeObservationsEvent(nil, obs, 0)
-	want := append([]byte(nil), buf...)
+	var eb obsEventBuf
+	eb.encode(obs, 0)
+	want, buf := append([]byte(nil), eb.b...), eb.b
 	// Re-encoding into the retained buffer must produce identical bytes
 	// with no growth — the pooled steady state.
-	buf2 := encodeObservationsEvent(buf[:0], obs, 0)
-	if &buf2[0] != &buf[0] {
+	eb.encode(obs, 0)
+	if &eb.b[0] != &buf[0] {
 		t.Fatal("re-encode grew the buffer")
 	}
-	if !reflect.DeepEqual(buf2, want) {
-		t.Fatalf("re-encode produced %x, want %x", buf2, want)
+	if !bytes.Equal(eb.b, want) {
+		t.Fatalf("re-encode produced %x, want %x", eb.b, want)
 	}
 }
 
-func TestDecodeEventSniffsJSON(t *testing.T) {
-	payload, err := json.Marshal(walEvent{Type: eventAddUsers, Users: []User{{ID: 1, Capacity: 2}}}) // as journalBuffered writes it
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := decodeEvent(payload)
-	if err != nil {
-		t.Fatalf("decode JSON event: %v", err)
-	}
-	if ev.Type != eventAddUsers || len(ev.Users) != 1 || ev.Users[0].ID != 1 {
-		t.Fatalf("decoded %+v", ev)
-	}
-}
-
-// TestDecodeEventRefusesJSONObservations: the pre-binary observations
-// encoding is refused by name. It must never decode to an event with no
-// observations — replay would apply it as a no-op and carry on.
-func TestDecodeEventRefusesJSONObservations(t *testing.T) {
-	payload := []byte(`{"t":"observations","obs":[{"Task":0,"User":1,"Value":2.5,"Day":0}]}`)
-	ev, err := decodeEvent(payload)
-	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), `"observations"`) {
-		t.Fatalf("JSON observations event: decoded %+v, err = %v; want ErrBadState naming the event", ev, err)
+// TestDecodeEventRefusesJSON: the JSON records older builds wrote are refused
+// by name, whatever their kind, with the way to upgrade the directory. None may
+// decode to an event replay would apply as a no-op.
+func TestDecodeEventRefusesJSON(t *testing.T) {
+	for _, payload := range []string{
+		`{"t":"add_users","users":[{"ID":1,"Capacity":2}]}`,
+		`{"t":"create_tasks","specs":[{"Description":"","ProcTime":1,"Cost":0,"DomainHint":1}]}`,
+		`{"t":"allocate","pairs":[{"User":1,"Task":0}]}`,
+		`{"t":"close_step"}`,
+		`{"t":"observations","obs":[{"Task":0,"User":1,"Value":2.5,"Day":0}]}`,
+		`{}`,
+	} {
+		ev, err := decodeEvent([]byte(payload))
+		if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "JSON record") || !strings.Contains(err.Error(), "/v1/admin/compact") {
+			t.Errorf("%s: decoded %+v, err = %v; want ErrBadState naming the JSON record and the upgrade", payload, ev, err)
+		}
 	}
 }
 
 func TestDecodeBinaryEventErrors(t *testing.T) {
-	good := encodeObservationsEvent(nil, []Observation{{Task: 1, User: 2, Value: 3, Day: 4}}, -1)
+	good := encodeEvent(nil, walEvent{Kind: eventObservations, Observations: []Observation{{Task: 1, User: 2, Value: 3, Day: 4}}})
+	users := encodeEvent(nil, walEvent{Kind: eventAddUsers, Users: []User{{ID: 1, Capacity: 2, Name: "ann"}}})
 	cases := map[string][]byte{
-		"empty magic":    {eventBinMagic},
-		"unknown kind":   {eventBinMagic, 0x7f},
-		"missing count":  {eventBinMagic, eventBinObservations},
-		"huge count":     {eventBinMagic, eventBinObservations, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"truncated body": good[:len(good)-3],
-		"trailing bytes": append(append([]byte(nil), good...), 0x00),
+		"empty":                 {},
+		"empty magic":           {eventMagic},
+		"wrong magic":           {0x00, byte(eventObservations), 0x00},
+		"unknown kind":          {eventMagic, 0x7f},
+		"kind zero":             {eventMagic, 0x00},
+		"missing count":         {eventMagic, byte(eventObservations)},
+		"huge count":            {eventMagic, byte(eventObservations), 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"truncated body":        good[:len(good)-3],
+		"trailing bytes":        append(append([]byte(nil), good...), 0x00),
+		"truncated name":        users[:len(users)-1],
+		"close with a body":     {eventMagic, byte(eventCloseStep), 0x00},
+		"allocate missing task": {eventMagic, byte(eventAllocate), 0x01, 0x02},
 	}
 	for name, payload := range cases {
 		if _, err := decodeEvent(payload); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
+}
+
+// FuzzDecodeEvent: arbitrary bytes never panic the decoder, and an accepted
+// payload re-encodes to a record that decodes to the same event.
+func FuzzDecodeEvent(f *testing.F) {
+	for _, ev := range recordSeeds() {
+		f.Add(encodeEvent(nil, ev))
+	}
+	f.Add([]byte(`{"t":"close_step"}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ev, err := decodeEvent(payload)
+		if err != nil {
+			return
+		}
+		again := encodeEvent(nil, ev)
+		ev2, err := decodeEvent(again)
+		if err != nil {
+			t.Fatalf("re-encoded %s record does not decode: %v", ev.Kind, err)
+		}
+		if ev2.Kind != ev.Kind || !bytes.Equal(encodeEvent(nil, ev2), again) {
+			t.Fatalf("decode(encode(decode(p))) = %+v, decode(p) = %+v", ev2, ev)
+		}
+	})
 }

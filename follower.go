@@ -234,7 +234,7 @@ func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
 	tm.journalDur = time.Since(tm.journalStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
 	tm.applyStart = time.Now()
 	if err := f.s.applyEvent(lsn, ev); err != nil {
-		return f.fail(fmt.Errorf("eta2: apply shipped record %d (%s): %w", lsn, ev.Type, err))
+		return f.fail(fmt.Errorf("eta2: apply shipped record %d (%s): %w", lsn, ev.Kind, err))
 	}
 	tm.applyDur = time.Since(tm.applyStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
 	f.noteApplyTiming(tm)

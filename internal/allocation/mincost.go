@@ -20,9 +20,10 @@ type MinCostConfig struct {
 	Alpha float64
 	// IterBudget is c°, the maximum allocation cost spent per iteration.
 	IterBudget float64
-	// MaxIterations caps the outer loop as a safety net; 0 means 100.
-	MaxIterations int
 }
+
+// maxIterations caps Algorithm 2's outer loop as a safety net.
+const maxIterations = 100
 
 func (c *MinCostConfig) applyDefaults() {
 	if c.EpsBar <= 0 {
@@ -30,9 +31,6 @@ func (c *MinCostConfig) applyDefaults() {
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = 0.05
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 100
 	}
 }
 
@@ -109,7 +107,7 @@ func MinCost(in Input, cfg MinCostConfig, env Environment) (MinCostResult, error
 	state := pr.newLedger()
 	exclude := make([]bool, len(in.Tasks))
 	res := MinCostResult{}
-	for res.Iterations < cfg.MaxIterations {
+	for res.Iterations < maxIterations {
 		res.Iterations++
 		newPairs, cost := pr.runGreedy(state, greedyOptions{
 			costLimit: cfg.IterBudget,

@@ -244,3 +244,20 @@ func TestQualityMetForTask(t *testing.T) {
 		t.Error("unknown task should fail")
 	}
 }
+
+func TestQualityMetForTaskThreshold(t *testing.T) {
+	// The threshold: √(Σu²) >= z/ε̄ = 1.96/0.5 = 3.92 → Σu² >= 15.37.
+	out := IterationOutcome{SumSquaredExpertise: map[core.TaskID]float64{1: 15.0, 2: 15.5, 3: 100, 4: 0}}
+	if QualityMetForTask(out, 1, 0.5, 0.05) {
+		t.Error("15.0 should not meet the bound")
+	}
+	if !QualityMetForTask(out, 2, 0.5, 0.05) {
+		t.Error("15.5 should meet the bound")
+	}
+	if QualityMetForTask(out, 3, 0, 0.05) {
+		t.Error("zero eps-bar can never be met")
+	}
+	if QualityMetForTask(out, 4, 0.5, 0.05) {
+		t.Error("zero information can never meet the bound")
+	}
+}

@@ -86,10 +86,8 @@ type User struct {
 	// user can spend on tasks.
 	Capacity float64
 	// Name is an optional external identifier (device id, account handle)
-	// bound to the dense UserID by the server-wide intern table. The JSON
-	// tag keeps name-less users encoding exactly as they did before the
-	// field existed, so old WAL records and snapshots stay byte-identical.
-	Name string `json:"Name,omitempty"`
+	// bound to the dense UserID by the server-wide intern table.
+	Name string
 }
 
 // Validate reports whether the user's fields are usable.

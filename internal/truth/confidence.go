@@ -21,19 +21,6 @@ func CIHalfWidth(sigma, sumU2, alpha float64) float64 {
 	return stats.ZAlphaOver2(alpha) * sigma / math.Sqrt(sumU2)
 }
 
-// QualityMet reports whether the probabilistic quality requirement of the
-// min-cost problem holds for a task: the 1−alpha confidence interval for
-// μ_j must fit within [μ̂_j − ε̄σ̂_j, μ̂_j + ε̄σ̂_j], i.e. its half-width must
-// be at most ε̄·σ̂_j. Because σ̂_j appears on both sides it cancels, leaving
-// the pure information condition √(Σ u²) ≥ z_{α/2}/ε̄.
-func QualityMet(sumU2, epsBar, alpha float64) bool {
-	if epsBar <= 0 {
-		return false
-	}
-	z := stats.ZAlphaOver2(alpha)
-	return sumU2 > 0 && math.Sqrt(sumU2) >= z/epsBar
-}
-
 // SumSquaredExpertise computes Σ_i s_ij·(u_i^{d_j})² for one task from the
 // set of users currently allocated to it; expertise looks up u_i^d
 // (Store.Expertise, Expertise.Get).

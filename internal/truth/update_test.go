@@ -134,22 +134,6 @@ func TestCIHalfWidth(t *testing.T) {
 	}
 }
 
-func TestQualityMet(t *testing.T) {
-	// Threshold: √(Σu²) >= z/ε̄ = 1.96/0.5 = 3.92 → Σu² >= 15.37.
-	if QualityMet(15.0, 0.5, 0.05) {
-		t.Error("15.0 should not meet the bound")
-	}
-	if !QualityMet(15.5, 0.5, 0.05) {
-		t.Error("15.5 should meet the bound")
-	}
-	if QualityMet(100, 0, 0.05) {
-		t.Error("zero eps-bar can never be met")
-	}
-	if QualityMet(0, 0.5, 0.05) {
-		t.Error("zero information can never meet the bound")
-	}
-}
-
 func TestSumSquaredExpertise(t *testing.T) {
 	e := make(Expertise)
 	e.Set(1, 1, 2)

@@ -1,7 +1,6 @@
 package eta2
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,28 +34,6 @@ import (
 // lock is released: the WAL group-commits concurrent callers into one flush,
 // and a caller gets a nil error only once its record is durable per the fsync
 // policy, so a crash loses exactly the mutations never acknowledged.
-
-// Journal event types. Allocation events carry no state (allocation does
-// not mutate the server) but are journaled as an audit trail of what was
-// handed to users.
-const (
-	eventAddUsers     = "add_users"
-	eventCreateTasks  = "create_tasks"
-	eventAllocate     = "allocate"
-	eventObservations = "observations"
-	eventCloseStep    = "close_step"
-)
-
-// walEvent is one decoded WAL record: the JSON payload of the four cold
-// event types, or a binary observations event (event_codec.go), which has
-// no JSON form — decodeEvent rejects a JSON "observations" record.
-type walEvent struct {
-	Type         string        `json:"t"`
-	Users        []User        `json:"users,omitempty"`
-	Specs        []TaskSpec    `json:"specs,omitempty"`
-	Pairs        []Pair        `json:"pairs,omitempty"`
-	Observations []Observation `json:"-"`
-}
 
 // durabilityConfig is the configured-but-not-yet-opened durable mode.
 type durabilityConfig struct {
@@ -231,7 +208,7 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 			return fmt.Errorf("eta2: decode journal record %d: %w", lsn, err)
 		}
 		if err := s.applyEvent(lsn, ev); err != nil {
-			return fmt.Errorf("eta2: replay journal record %d (%s): %w", lsn, ev.Type, err)
+			return fmt.Errorf("eta2: replay journal record %d (%s): %w", lsn, ev.Kind, err)
 		}
 		return nil
 	})
@@ -274,7 +251,7 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch ev.Type {
+	switch ev.Kind {
 	case eventAddUsers:
 		if err := s.prepareAddUsers(ev.Users); err != nil {
 			return err
@@ -298,7 +275,7 @@ func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 					ErrBadState, lsn, o.Task, len(s.w.tasks))
 			}
 		}
-		s.applyObservations(s.replayed(lsn), ev.Observations, -1)
+		s.applyObservations(s.replayed(lsn), ev.Observations)
 	case eventAllocate:
 		s.replayed(lsn) // audit-only: allocation does not mutate server state
 	case eventCloseStep:
@@ -308,50 +285,51 @@ func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
 		}
 		s.applyClose(s.replayed(lsn), step)
 	default:
-		return fmt.Errorf("unknown event type %q", ev.Type)
+		return fmt.Errorf("unknown event kind %d", ev.Kind)
 	}
 	return nil
 }
 
 // journaled proves a mutation's record is in the journal under lsn (0 on an
-// in-memory server). Only journalBufferedPayload and replayed mint it and
-// every apply method takes one, so no apply runs before its record is
-// journaled; journalfirst requires it of every Server method that assigns a
-// persisted field or calls Identify, and refuses a literal in another file.
+// in-memory server). Only journalBuffered and replayed mint it and every
+// apply method takes one, so no apply runs before its record is journaled;
+// journalfirst requires it of every Server method that assigns a persisted
+// field or calls Identify, and refuses a literal in another file.
 type journaled struct{ lsn uint64 }
 
 // replayed mints the token of a record already in the journal under lsn,
-// stamping the frontier as journalBufferedPayload does for one it writes.
+// stamping the frontier as journalBuffered does for one it writes.
 func (s *Server) replayed(lsn uint64) journaled {
 	s.w.lastLSN = lsn
 	return journaled{lsn: lsn}
 }
 
-// obsEventPool recycles encode buffers for the SubmitObservations hot
-// path: steady-state submits reuse a retained-capacity []byte instead of
-// allocating a fresh payload per call. The wrapper struct keeps
-// Put/Get from re-boxing the slice header on every cycle.
+// obsEventPool recycles the SubmitObservations hot path's scratch: the
+// day-stamped copy of a batch and its encoded record. Steady-state submits
+// reuse retained capacity instead of allocating per call. The wrapper struct
+// keeps Put/Get from re-boxing the slice headers on every cycle.
 var obsEventPool = sync.Pool{New: func() any { return new(obsEventBuf) }}
 
-type obsEventBuf struct{ b []byte }
-
-// journalBuffered encodes and journals one mutation without waiting for
-// durability and returns its apply's token. The caller holds the write lock
-// (so LSN order equals apply order) and calls journalCommit with the token's
-// LSN after releasing it. An in-memory server writes nothing.
-func (s *Server) journalBuffered(ev walEvent) (journaled, error) {
-	if s.w.journal == nil {
-		return journaled{}, nil
-	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return journaled{}, fmt.Errorf("eta2: encode journal event: %w", err)
-	}
-	return s.journalBufferedPayload(payload)
+type obsEventBuf struct {
+	obs []Observation
+	b   []byte
 }
 
-// journalBufferedPayload is journalBuffered for a pre-encoded payload.
-func (s *Server) journalBufferedPayload(payload []byte) (journaled, error) {
+// encode stamps a copy of obs with day and encodes its observations record.
+func (eb *obsEventBuf) encode(obs []Observation, day int) {
+	eb.obs = append(eb.obs[:0], obs...)
+	for i := range eb.obs {
+		eb.obs[i].Day = day
+	}
+	eb.b = encodeEvent(eb.b[:0], walEvent{Kind: eventObservations, Observations: eb.obs})
+}
+
+// journalBuffered journals one encoded record (encodeEvent) without waiting
+// for durability and returns its apply's token. It is the one way a record
+// the server writes enters the journal. The caller holds the write lock (so
+// LSN order equals apply order) and calls journalCommit with the token's LSN
+// after releasing it. An in-memory server writes nothing.
+func (s *Server) journalBuffered(payload []byte) (journaled, error) {
 	if s.w.journal == nil {
 		return journaled{}, nil
 	}

@@ -89,7 +89,7 @@ func waitDurable(t *testing.T, s *Server, pred func(DurabilityStats) bool) Durab
 // durableScript returns a deterministic op sequence exercising every
 // journaled mutation type: user registration, described-task creation,
 // max-quality allocation, observation submission, a min-cost round (whose
-// observations bypass SubmitObservations), and step closes.
+// collected batches enter through SubmitObservations), and step closes.
 func durableScript(t *testing.T) []func(*Server) error {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -629,7 +629,7 @@ func TestRecoveryRefusesObservationForUnknownTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsn, err := planted.Append(encodeObservationsEvent(nil, []Observation{{Task: 0, User: 0, Value: 1}, {Task: phantom, User: 0, Value: 9}}, 0))
+		lsn, err := planted.Append(encodeEvent(nil, walEvent{Kind: eventObservations, Observations: []Observation{{Task: 0, User: 0, Value: 1}, {Task: phantom, User: 0, Value: 9}}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -650,6 +650,40 @@ func TestRecoveryRefusesObservationForUnknownTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.w.journal.Close()
+}
+
+// TestRecoveryRefusesJSONRecord plants the JSON add_users record older builds
+// wrote behind records this build wrote. Recovery must refuse it with
+// ErrBadState naming its LSN and the upgrade, not skip it.
+func TestRecoveryRefusesJSONRecord(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.w.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	planted, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := planted.Append([]byte(`{"t":"add_users","users":[{"ID":1,"Capacity":2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := planted.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewServer(WithDurability(dir, pol))
+	if want := fmt.Sprintf("journal record %d", lsn); !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), want) ||
+		!strings.Contains(err.Error(), "/v1/admin/compact") {
+		t.Errorf("JSON record at %d: err = %v, want ErrBadState naming it and the upgrade", lsn, err)
+	}
 }
 
 // TestReplayedObservationsAreCounted: eta2_server_observations_accepted_total

@@ -3,10 +3,12 @@ package eta2
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -410,6 +412,49 @@ func streamObservations(t *testing.T, primary *Server, start, n int) {
 		if err := primary.SubmitObservations(o); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
+	}
+}
+
+// TestFollowerHaltsOnJSONRecord: a JSON record shipped to a follower, as a
+// primary on an older build would ship one, halts the pull loop with
+// ErrBadState naming its LSN. The follower neither journals nor applies it,
+// so it stays the primary's state at the record before.
+func TestFollowerHaltsOnJSONRecord(t *testing.T) {
+	primary := hintedPrimary(t)
+	streamObservations(t, primary, 0, 5)
+	want, before := saveBytes(t, primary), primary.DurabilityStats().LastLSN
+	primary.mu.Lock()
+	j, err := primary.journalBuffered([]byte(`{"t":"add_users","users":[{"ID":9,"Capacity":2}]}`))
+	primary.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.journalCommit(j.lsn, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := OpenFollower(replTestServer(t, primary).URL, fastFollowerOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for f.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower did not halt on the JSON record (status %+v)", f.ReplicationStatus())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := f.Err(); !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", j.lsn)) {
+		t.Errorf("follower halted with %v, want ErrBadState naming record %d", err, j.lsn)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Server().loadState().lastLSN; got != before {
+		t.Errorf("follower stopped at LSN %d, want %d", got, before)
+	}
+	if got := saveBytes(t, f.Server()); !bytes.Equal(got, want) {
+		t.Error("halted follower diverged from the primary's state before the JSON record")
 	}
 }
 

@@ -60,7 +60,7 @@ type Server struct {
 	// its state as of the last change, for publication.
 	domains *loop.Domains
 
-	// What the last create did to the domains, for the next StepReport.
+	// What the open day's creates did to the domains, for its StepReport.
 	lastNewDomains []DomainID
 	lastMerges     int
 
@@ -290,7 +290,7 @@ func (s *Server) addUsersLocked(users []User) (uint64, error) {
 	if err := s.prepareAddUsers(users); err != nil {
 		return 0, err
 	}
-	j, err := s.journalBuffered(walEvent{Type: eventAddUsers, Users: users})
+	j, err := s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventAddUsers, Users: users}))
 	if err != nil {
 		return 0, err
 	}
@@ -442,7 +442,7 @@ func (s *Server) CreateTasks(specs ...TaskSpec) ([]TaskID, error) {
 	b, err := s.prepareCreateTasks(specs)
 	var j journaled
 	if err == nil {
-		j, err = s.journalBuffered(walEvent{Type: eventCreateTasks, Specs: specs})
+		j, err = s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventCreateTasks, Specs: specs}))
 	}
 	var ids []TaskID
 	if err == nil {
@@ -516,8 +516,6 @@ func (s *Server) applyCreateTasks(_ journaled, b taskBatch) ([]TaskID, error) {
 	s.w.tasks = append(s.w.tasks, b.tasks...)
 	s.w.pending = append(s.w.pending, ids...)
 
-	s.lastNewDomains = nil
-	s.lastMerges = 0
 	if len(b.described) > 0 {
 		// Identify writes every described task's domain, and a merge moves
 		// OLD tasks, whose entries are published: it works on a copy of the
@@ -540,8 +538,8 @@ func (s *Server) applyCreateTasks(_ journaled, b taskBatch) ([]TaskID, error) {
 		}
 		ds := s.domains.State()
 		s.w.cluster = &ds
-		s.lastNewDomains = up.NewDomains
-		s.lastMerges = len(up.Merges)
+		s.lastNewDomains = append(s.lastNewDomains, up.NewDomains...)
+		s.lastMerges += len(up.Merges)
 	}
 	s.publishLocked()
 	return ids, nil
@@ -625,7 +623,7 @@ func (s *Server) allocateMaxQuality(solve func(allocation.Input) (allocation.Max
 // record: allocation itself does not mutate the server — and republishes
 // so DurabilityStats sees the advanced LSN.
 func (s *Server) journalAllocationLocked(a *Allocation) (uint64, error) {
-	j, err := s.journalBuffered(walEvent{Type: eventAllocate, Pairs: a.Pairs})
+	j, err := s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventAllocate, Pairs: a.Pairs}))
 	if err == nil {
 		s.publishLocked()
 	}
@@ -646,70 +644,43 @@ type MinCostParams struct {
 // it pushes the tasks to the users' devices and waits for their data.
 type Collector func(pairs []Pair) ([]Observation, error)
 
-// MinCostOutcome reports the result of a min-cost allocation round.
-type MinCostOutcome struct {
-	Allocation *Allocation
-	Cost       float64
-	Iterations int
-	// Unsatisfied lists tasks whose quality requirement could not be met
-	// with the available user capacity.
-	Unsatisfied []TaskID
-}
-
 // AllocateMinCost solves the min-cost allocation problem for the pending
 // tasks (Sec. 5.2): iteratively recruit at most IterBudget worth of users,
 // collect their data via collect, and stop as soon as every task's
 // estimation error is within ε̄ base numbers with the requested confidence.
-// The collected observations are recorded on the server, so CloseTimeStep
-// afterwards finalizes the step without re-collecting.
+// The rounds run on the published state with no lock held, so the node keeps
+// serving while collect waits on devices. Each collected batch enters through
+// SubmitObservations like any device's data, so CloseTimeStep afterwards
+// finalizes the step without re-collecting, and a failed round keeps exactly
+// the batches acknowledged before it. A close that lands between rounds closes
+// the day; later batches are stamped into the next day. The writer lock is
+// taken once, at the end, to journal the allocation's audit record.
 func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCostOutcome, error) {
 	if err := s.writable(); err != nil {
 		return MinCostOutcome{}, err
 	}
-	s.mu.Lock()
-	if len(s.w.pending) == 0 || len(s.w.users) == 0 {
-		s.mu.Unlock()
+	st := s.loadState()
+	if len(st.pending) == 0 || len(st.users) == 0 {
 		return MinCostOutcome{}, ErrNothingToAllocate
 	}
 	if collect == nil {
-		s.mu.Unlock()
 		return MinCostOutcome{}, errors.New("eta2: nil collector")
 	}
-
-	res, err := loop.MinCost(s.w.allocationInput(s.cfg), allocation.MinCostConfig{
+	res, err := loop.MinCost(st.allocationInput(s.cfg), allocation.MinCostConfig{
 		EpsBar:     params.EpsBar,
 		Alpha:      params.ConfAlpha,
 		IterBudget: params.IterBudget,
-	}, s.w.store, s.w.domainOf, s.cfg.truthCfg, func(pairs []Pair) ([]Observation, error) {
+	}, st.store, st.domainOf, s.cfg.truthCfg, func(pairs []Pair) ([]Observation, error) {
 		obs, err := collect(pairs)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = s.SubmitObservations(obs...)
 		}
-		// The collector is caller code: hold what it returns to the check
-		// SubmitObservations runs, before any of it is journaled or applied.
-		if err := checkObservations(obs, len(s.w.tasks), s.w.userPos); err != nil || len(obs) == 0 {
-			return obs, err
-		}
-		// Journaled verbatim (day -1 keeps each observation's own stamp) and
-		// buffered only: the whole min-cost round runs under the write lock,
-		// so the fsync is deferred to the single commit at the end.
-		j, err := s.journalBufferedPayload(encodeObservationsEvent(nil, obs, -1))
-		if err != nil {
-			return nil, err
-		}
-		s.applyObservations(j, obs, -1)
-		s.publishLocked()
-		return obs, nil
+		return obs, err
 	})
 	if err != nil {
-		// Observation batches collected before the failure are applied and
-		// buffered in the journal; flush them so live state and durable
-		// state agree even on the error path.
-		flushLSN := s.w.lastLSN
-		s.mu.Unlock()
-		_ = s.journalCommit(flushLSN, nil)
 		return MinCostOutcome{}, fmt.Errorf("eta2: %w", err)
 	}
+	s.mu.Lock()
 	lsn, err := s.journalAllocationLocked(res.Allocation)
 	s.mu.Unlock()
 	if err != nil {
@@ -718,12 +689,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 	if err := s.journalCommit(lsn, nil); err != nil {
 		return MinCostOutcome{}, err
 	}
-	return MinCostOutcome{
-		Allocation:  res.Allocation,
-		Cost:        res.Cost,
-		Iterations:  res.Iterations,
-		Unsatisfied: res.Unsatisfied,
-	}, nil
+	return res, nil
 }
 
 // SubmitObservations records data reported by users for this time step.
@@ -753,12 +719,11 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 		enc.End()
 		return err
 	}
-	// Encode the journal payload outside the lock into a pooled buffer,
-	// day-stamping during the encode so no intermediate stamped slice is
-	// materialized: the encode + WAL-append section is zero-alloc at steady
-	// state (asserted by TestSubmitObservationsZeroAlloc).
+	// Stamp and encode outside the lock into pooled scratch: the encode +
+	// WAL-append section is zero-alloc at steady state (asserted by
+	// TestIngestJournalPathZeroAlloc).
 	eb := obsEventPool.Get().(*obsEventBuf)
-	eb.b = encodeObservationsEvent(eb.b[:0], obs, st.day)
+	eb.encode(obs, st.day)
 	enc.End()
 
 	app := t.StartSpan(trace.SpanJournalAppend)
@@ -766,11 +731,11 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	// Tasks and users only grow, so the snapshot validation above cannot
 	// be invalidated by the time the lock is held — but a concurrent
 	// CloseTimeStep may have advanced the clock, in which case the batch
-	// is re-encoded with the current day stamp.
+	// is re-stamped with the current day.
 	if s.w.day != st.day {
-		eb.b = encodeObservationsEvent(eb.b[:0], obs, s.w.day)
+		eb.encode(obs, s.w.day)
 	}
-	j, err := s.journalBufferedPayload(eb.b)
+	j, err := s.journalBuffered(eb.b)
 	app.End()
 	if err != nil {
 		s.mu.Unlock()
@@ -781,28 +746,23 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	// (ended in journalCommit) opens before the publish.
 	fsync := t.StartSpan(trace.SpanFsyncWait)
 	pub := t.StartSpan(trace.SpanPublish)
-	s.applyObservations(j, obs, s.w.day)
+	s.applyObservations(j, eb.obs)
 	s.publishLocked()
 	pub.End()
 	s.mu.Unlock()
 	// The WAL copied the payload into the segment file during the buffered
-	// append, so the buffer can recycle before the fsync wait completes.
+	// append and the apply copied the observations, so the scratch can
+	// recycle before the fsync wait completes.
 	obsEventPool.Put(eb)
 	ingestAllocSample()
 	t.SetLSN(j.lsn)
 	return s.journalCommit(j.lsn, fsync)
 }
 
-// applyObservations appends a journaled batch to the open day, stamped with
-// day, or keeping each observation's own stamp when day < 0 (a min-cost
-// collection, and every replayed record). The caller publishes.
-func (s *Server) applyObservations(_ journaled, obs []Observation, day int) {
-	for _, o := range obs {
-		if day >= 0 {
-			o.Day = day
-		}
-		s.w.observations = append(s.w.observations, o)
-	}
+// applyObservations appends a journaled batch to the open day as it was
+// journaled, day stamps included. The caller publishes.
+func (s *Server) applyObservations(_ journaled, obs []Observation) {
+	s.w.observations = append(s.w.observations, obs...)
 	mObsAccepted.Add(uint64(len(obs)))
 }
 
@@ -854,7 +814,7 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	var j journaled
 	if err == nil {
 		app := t.StartSpan(trace.SpanJournalAppend)
-		j, err = s.journalBuffered(walEvent{Type: eventCloseStep})
+		j, err = s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventCloseStep}))
 		app.End()
 	}
 	if err != nil {
@@ -894,6 +854,7 @@ func (s *Server) applyClose(_ journaled, step stepEstimate) StepReport {
 		NewDomains:    s.lastNewDomains,
 		MergedDomains: s.lastMerges,
 	}
+	s.lastNewDomains, s.lastMerges = nil, 0
 	// Readers hold the published truths column and a close may re-estimate
 	// an old task, so the step's estimates land in a copy that reaches
 	// every task, swapped in with the cloned store.

@@ -8,7 +8,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"eta2/internal/dataset"
 	"eta2/internal/embedding"
 )
 
@@ -345,6 +347,129 @@ func TestServerMinCostLifecycle(t *testing.T) {
 	}
 	if found != len(ids) {
 		t.Errorf("estimates cover %d of %d min-cost tasks", found, len(ids))
+	}
+}
+
+// TestMinCostCollectorDoesNotStallWriters: while a Collector waits on its
+// devices, the node keeps taking writes. The collector blocks on an AddUsers
+// and a SubmitObservations of its own; both must return within 2 s, and the
+// durable directory must replay to the live state, the round's batches and
+// the concurrent writes included.
+func TestMinCostCollectorDoesNotStallWriters(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddUsers(User{ID: 0, Capacity: 5}, User{ID: 1, Capacity: 5}, User{ID: 2, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}, TaskSpec{DomainHint: 2, ProcTime: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rounds, collected := 0, 0
+	_, err = s.AllocateMinCost(MinCostParams{}, func(pairs []Pair) ([]Observation, error) {
+		if rounds++; rounds == 1 {
+			done := make(chan error, 2)
+			go func() { done <- s.AddUsers(User{ID: 9, Capacity: 1}) }()
+			go func() { done <- s.SubmitObservations(Observation{Task: 0, User: 2, Value: 3}) }()
+			for range 2 {
+				select {
+				case err := <-done:
+					if err != nil {
+						return nil, err
+					}
+				case <-time.After(2 * time.Second):
+					return nil, errors.New("a write waited 2 s on the min-cost round")
+				}
+			}
+		}
+		obs := make([]Observation, 0, len(pairs))
+		for _, p := range pairs {
+			obs = append(obs, Observation{Task: p.Task, User: p.User, Value: 4})
+		}
+		collected += len(obs)
+		return obs, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.NumUsers(); got != 4 {
+		t.Errorf("%d users after the round, want 4", got)
+	}
+	if got := len(s.loadState().observations); got != collected+1 {
+		t.Errorf("%d observations in the open day, want the %d collected and the concurrent one", got, collected)
+	}
+	want := saveBytes(t, s)
+	r, err := NewServer(WithDurability(copyDataDir(t, dir), pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.w.journal.Close()
+	if got := saveBytes(t, r); !bytes.Equal(got, want) {
+		t.Error("the data directory does not replay to the live state")
+	}
+}
+
+// TestStepReportCountsTheWholeDay: a StepReport's NewDomains and
+// MergedDomains are what every create of the closed day did, whatever order
+// the day's described and hinted creates came in, and nothing on a day with
+// no create.
+func TestStepReportCountsTheWholeDay(t *testing.T) {
+	described := dataset.SurveyLike(11).Tasks
+	run := func(hintedAfter bool) []StepReport {
+		s, err := NewServer(WithEmbedder(embedding.NewHashEmbedder(16, 7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddUsers(User{ID: 0, Capacity: 8}); err != nil {
+			t.Fatal(err)
+		}
+		var reports []StepReport
+		for day := 0; day < 4; day++ {
+			if day < 3 {
+				specs := make([]TaskSpec, 0, 20)
+				for _, task := range described[day*20 : (day+1)*20] {
+					specs = append(specs, TaskSpec{Description: task.Description, ProcTime: 1})
+				}
+				ids, err := s.CreateTasks(specs...)
+				if err == nil && hintedAfter {
+					_, err = s.CreateTasks(TaskSpec{ProcTime: 1, DomainHint: 99})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SubmitObservations(Observation{Task: ids[0], User: 0, Value: 1}); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 1}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.CloseTimeStep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append(reports, rep)
+		}
+		return reports
+	}
+	alone, withHinted := run(false), run(true)
+	merged := 0
+	for day := range alone {
+		a, b := alone[day], withHinted[day]
+		if !slices.Equal(a.NewDomains, b.NewDomains) || a.MergedDomains != b.MergedDomains {
+			t.Errorf("day %d: a hinted create after the described one reports new %v, merged %d; want new %v, merged %d",
+				day, b.NewDomains, b.MergedDomains, a.NewDomains, a.MergedDomains)
+		}
+		merged += a.MergedDomains
+	}
+	if len(alone[0].NewDomains) == 0 || merged == 0 {
+		t.Fatalf("script too tame: day 0 found %v, %d merges in all", alone[0].NewDomains, merged)
+	}
+	if last := alone[3]; len(last.NewDomains) != 0 || last.MergedDomains != 0 {
+		t.Errorf("a day with no create reports new %v, merged %d; want none", last.NewDomains, last.MergedDomains)
 	}
 }
 

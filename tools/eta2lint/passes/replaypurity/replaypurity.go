@@ -7,8 +7,8 @@
 // follower convergence (PR 7) — one time.Now or map-order dependency in
 // the apply path silently forks replicas.
 //
-// Roots are recognized by name (applyEvent, decodeEvent,
-// decodeBinaryEvent, restoreServer, decodeState*, applyRecord) or by an
+// Roots are recognized by name (applyEvent, decodeEvent, restoreServer,
+// decodeState*, applyRecord) or by an
 // explicit `//eta2:replay-root` directive on the function. In the
 // serving package itself every name-keyed root must resolve to a
 // declaration: a refactor that renames a root fails the gate instead of
@@ -50,11 +50,10 @@ const rootPkg = "eta2"
 
 // rootNames are the replay/apply entry points recognized by name.
 var rootNames = map[string]bool{
-	"applyEvent":        true,
-	"decodeEvent":       true,
-	"decodeBinaryEvent": true,
-	"restoreServer":     true,
-	"applyRecord":       true,
+	"applyEvent":    true,
+	"decodeEvent":   true,
+	"restoreServer": true,
+	"applyRecord":   true,
 }
 
 func isRoot(decl *ast.FuncDecl) bool {

@@ -3,10 +3,9 @@
 // name-keyed root is declared, the renamed one is a finding.
 package eta2 // want `replay root applyRecord is not declared in package eta2`
 
-func applyEvent()        {}
-func decodeEvent()       {}
-func decodeBinaryEvent() {}
-func restoreServer()     {}
+func applyEvent()    {}
+func decodeEvent()   {}
+func restoreServer() {}
 
 // applyShippedRecord is what applyRecord was renamed to.
 func applyShippedRecord() {}

@@ -109,11 +109,11 @@ func (s *Server) audited() {
 	_ = rand.Int()
 }
 
-// decodeBinaryEvent is a replay root by name. Function literals belong
-// to their enclosing function: the first spawn reports both the spawn
-// and the clock read inside the literal; the annotated spawn prunes
-// both.
-func (s *Server) decodeBinaryEvent(b []byte) {
+// decodeStateFrames is a replay root by its decodeState prefix. Function
+// literals belong to their enclosing function: the first spawn reports
+// both the spawn and the clock read inside the literal; the annotated
+// spawn prunes both.
+func (s *Server) decodeStateFrames(b []byte) {
 	go func() { // want `goroutine spawn`
 		_ = time.Now() // want `call to time\.Now`
 	}()

@@ -32,6 +32,7 @@ import (
 	"io"
 	"time"
 
+	"eta2/internal/allocation"
 	"eta2/internal/core"
 	"eta2/internal/embedding"
 	"eta2/internal/truth"
@@ -55,6 +56,8 @@ type (
 	Pair = core.Pair
 	// Allocation is a set of allocation decisions.
 	Allocation = core.Allocation
+	// MinCostOutcome reports the result of a min-cost allocation round.
+	MinCostOutcome = allocation.MinCostResult
 	// Embedder supplies word vectors for semantic task analysis.
 	Embedder = embedding.Embedder
 )
