@@ -36,6 +36,7 @@ import (
 	"eta2/internal/experiments"
 	"eta2/internal/loop"
 	"eta2/internal/obs"
+	"eta2/internal/rcu"
 	"eta2/internal/semantic"
 	"eta2/internal/simulation"
 	"eta2/internal/stats"
@@ -373,8 +374,8 @@ func BenchmarkServerAPIRoundTrip(b *testing.B) {
 // build, store clone, MLE), i.e. the truths column copy, the report and the
 // publish. The per-task columns make the create an append and the close one
 // flat copy, so neither should grow like the history does. The step timed is
-// the first whose tasks fit the capacity of s.w.tasks: a restored slice has
-// none to spare, and whether one particular create pays append's amortized
+// the first whose tasks fit the capacity of the tasks column: a restored
+// slice has none to spare, and whether one particular create pays append's amortized
 // reallocation (a copy of every core.Task, once per quarter of the history)
 // is luck of the sizes, not a cost of the design measured here.
 func BenchmarkStepWithTaskHistory(b *testing.B) {
@@ -440,7 +441,7 @@ func BenchmarkStepWithTaskHistory(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for cap(s.w.tasks)-len(s.w.tasks) < day {
+				for cap(s.st.Load().tasks)-len(s.st.Load().tasks) < day {
 					step(s, 2)
 				}
 				runtime.GC()
@@ -526,11 +527,12 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 				b.Fatal(err)
 			}
 			step(past) // day 0 is the warm-up MLE: the steps timed are dynamic updates
-			past.w.store, err = truth.RestoreStore(truth.StoreState{Alpha: past.w.store.Alpha(), Prior: truth.DefaultStorePrior, Entries: entries})
-			if err != nil {
+			if err := past.st.Write(func(tx *rcu.Tx[serverState]) (err error) {
+				tx.W.store, err = truth.RestoreStore(truth.StoreState{Alpha: tx.W.store.Alpha(), Prior: truth.DefaultStorePrior, Entries: entries})
+				return err
+			}); err != nil {
 				b.Fatal(err)
 			}
-			past.publishLocked() // not shared: the snapshot below encodes the published state
 			var snap bytes.Buffer
 			if err := past.SaveStateBinary(&snap); err != nil {
 				b.Fatal(err)
@@ -544,7 +546,7 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 				overhead += step(s)
 				runtime.GC()
 				start := time.Now()
-				st := s.loadState()
+				st := s.st.Load()
 				capture += time.Since(start)
 				if n := len(st.store.State().Entries); n != users*domains {
 					b.Fatalf("captured %d store entries, want %d", n, users*domains)
@@ -667,7 +669,7 @@ func BenchmarkRecovery10kEvents(b *testing.B) {
 	}
 	// Close only the log, not the server: Server.Close would compact the
 	// journal away and leave nothing to replay.
-	if err := s.w.journal.Close(); err != nil {
+	if err := s.st.Load().journal.Close(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -676,7 +678,7 @@ func BenchmarkRecovery10kEvents(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := r.w.journal.Close(); err != nil {
+		if err := r.st.Load().journal.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -739,11 +741,11 @@ func TestIngestJournalPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		eb := obsEventPool.Get().(*obsEventBuf)
 		eb.encode(obs, 3)
-		lsn, err := s.w.journal.AppendBuffered(eb.b)
+		lsn, err := s.st.Load().journal.AppendBuffered(eb.b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.w.journal.Commit(lsn); err != nil {
+		if err := s.st.Load().journal.Commit(lsn); err != nil {
 			t.Fatal(err)
 		}
 		obsEventPool.Put(eb)
@@ -805,7 +807,7 @@ func TestDurableCommitZeroAlloc(t *testing.T) {
 
 // TestSubmitObservationsAllocBudget bounds the whole call, not just the
 // journal section. The irreducible steady-state cost is the immutable
-// snapshot republished per mutation (publishLocked's fresh serverState)
+// snapshot republished per mutation (the state cell's fresh serverState)
 // plus amortized growth of the observation backlog; everything else —
 // event encode, WAL frame, validation — must stay off the heap.
 func TestSubmitObservationsAllocBudget(t *testing.T) {
@@ -900,13 +902,13 @@ func TestIngestJournalPathZeroAllocTraced(t *testing.T) {
 		eb.encode(obs, 3)
 		enc.End()
 		app := tr.StartSpan(trace.SpanJournalAppend)
-		lsn, err := s.w.journal.AppendBuffered(eb.b)
+		lsn, err := s.st.Load().journal.AppendBuffered(eb.b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		app.End()
 		fsync := tr.StartSpan(trace.SpanFsyncWait)
-		if err := s.w.journal.Commit(lsn); err != nil {
+		if err := s.st.Load().journal.Commit(lsn); err != nil {
 			t.Fatal(err)
 		}
 		fsync.Annotate("role=leader")
@@ -924,8 +926,8 @@ func TestIngestJournalPathZeroAllocTraced(t *testing.T) {
 // BenchmarkSubmitObservations measures the full ingest write path
 // (validate, binary event encode, WAL buffered append, apply, snapshot
 // republish, fsync-never commit) at several batch sizes. Run with
-// -benchmem: steady-state allocs/op must stay at the publishLocked
-// floor regardless of batch size.
+// -benchmem: steady-state allocs/op must stay at the one published copy
+// per Write regardless of batch size.
 func BenchmarkSubmitObservations(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
@@ -949,10 +951,10 @@ func BenchmarkSubmitObservations(b *testing.B) {
 					// Cap the in-memory backlog so long -benchtime runs
 					// measure ingest, not backlog growth.
 					b.StopTimer()
-					s.mu.Lock()
-					s.w.observations = s.w.observations[:0]
-					s.publishLocked()
-					s.mu.Unlock()
+					_ = s.st.Write(func(tx *rcu.Tx[serverState]) error {
+						tx.W.observations = tx.W.observations[:0]
+						return nil
+					})
 					b.StartTimer()
 				}
 			}

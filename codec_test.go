@@ -47,7 +47,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Errorf("binary round trip diverged (%d vs %d bytes)", len(got), len(want))
 	}
-	for id := TaskID(-1); int(id) <= len(s.w.tasks); id++ {
+	for id := TaskID(-1); int(id) <= len(s.st.Load().tasks); id++ {
 		gotEst, gotOK := r.Truth(id)
 		wantEst, wantOK := s.Truth(id)
 		if gotEst != wantEst || gotOK != wantOK || r.Domain(id) != s.Domain(id) {
@@ -363,7 +363,7 @@ func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
 	body := good[len(snapshotMagic)+n1+n2:][:bodyLen]
 
 	// Re-encode the sections ahead of the tasks to find their count prefix.
-	st := s.loadState()
+	st := s.st.Load()
 	e := &snapEncoder{}
 	e.uvarint(stateVersion)
 	e.f64(st.alpha)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"eta2/internal/rcu"
 	"eta2/internal/repl"
 	"eta2/internal/trace"
 	"eta2/internal/wal"
@@ -162,16 +163,11 @@ func (f *Follower) Err() error {
 // the primary has compacted past our cursor.
 func (f *Follower) run(ctx context.Context) {
 	defer close(f.done)
-	// A fetch cut short by Close or Promote may have applied records no
-	// finishBatch published: publish them, so that what Close compacts and
-	// what readers see afterwards is everything this loop applied.
-	defer f.s.publishApplied()
 	backoff := f.opts.RetryMin
 	for ctx.Err() == nil {
-		// Everything that advances the applied frontier publishes it before
-		// control returns here (finishBatch, bootstrap), so the published
-		// frontier is the cursor.
-		from := f.s.loadState().lastLSN + 1
+		// Every applied record is published (applyRecord, bootstrap), so the
+		// published frontier is the cursor.
+		from := f.s.st.Load().lastLSN + 1
 		frontier, n, err := f.cli.FetchLog(ctx, from, f.opts.PollWait, repl.DefaultMaxRecords, f.applyRecord)
 		if ctx.Err() != nil {
 			return
@@ -211,11 +207,11 @@ func (f *Follower) run(ctx context.Context) {
 }
 
 // applyRecord handles one shipped record, streamed by FetchLog in LSN
-// order: decode, append the payload verbatim to the journal (which checks
-// contiguity — journal-before-apply, same as a primary), then apply
-// through the recovery replay path. A failure after the append would mean
-// local disk and memory disagree about the record, so it halts the loop
-// permanently rather than retrying into divergence.
+// order: decode, then one Write that appends the payload verbatim to the
+// journal (journal-before-apply, same as a primary) and applies it through
+// the recovery replay path. A failure after the append would mean local disk
+// and memory disagree about the record, so it halts the loop permanently
+// rather than retrying into divergence.
 func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
 	ev, err := decodeEvent(payload)
 	if err != nil {
@@ -225,16 +221,20 @@ func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
 	// shipped for this record later (possibly several batches later) can
 	// carry real follower-side spans; see follower_trace.go.
 	tm := applyTiming{lsn: lsn, journalStart: time.Now()} //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
-	if err := f.s.journalShipped(lsn, payload); err != nil {
-		if errors.Is(err, errLSNGap) {
+	if err := f.s.update(func(tx *rcu.Tx[serverState]) error {
+		if err := f.s.journalShipped(tx, lsn, payload); errors.Is(err, errLSNGap) {
 			return err
+		} else if err != nil {
+			return f.fail(fmt.Errorf("eta2: journal shipped record %d: %w", lsn, err))
 		}
-		return f.fail(fmt.Errorf("eta2: journal shipped record %d: %w", lsn, err))
-	}
-	tm.journalDur = time.Since(tm.journalStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
-	tm.applyStart = time.Now()
-	if err := f.s.applyEvent(lsn, ev); err != nil {
-		return f.fail(fmt.Errorf("eta2: apply shipped record %d (%s): %w", lsn, ev.Kind, err))
+		tm.journalDur = time.Since(tm.journalStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
+		tm.applyStart = time.Now()
+		if err := f.s.applyEvent(tx, lsn, ev); err != nil {
+			return f.fail(fmt.Errorf("eta2: apply shipped record %d (%s): %w", lsn, ev.Kind, err))
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	tm.applyDur = time.Since(tm.applyStart) //eta2:replaypurity-ok apply-timing ring feeds shipped traces, never replayed state
 	f.noteApplyTiming(tm)
@@ -254,15 +254,11 @@ func (f *Follower) fail(err error) error {
 	return err
 }
 
-// finishBatch publishes the applied batch (observation records only
-// stamp the frontier; see applyEvent), updates lag bookkeeping, and
-// commits the journal through the batch tail. Returns false if the local
-// commit failed (fatal halt).
+// finishBatch updates lag bookkeeping after a fetched batch, whose records
+// applyRecord has already published, and commits the journal through the
+// batch tail. Returns false if the local commit failed (fatal halt).
 func (f *Follower) finishBatch(frontier uint64, n int) bool {
-	applied := f.s.loadState().lastLSN
-	if n > 0 {
-		applied = f.s.publishApplied()
-	}
+	applied := f.s.st.Load().lastLSN
 	f.mu.Lock()
 	f.frontier = frontier
 	f.connected = true
@@ -342,7 +338,7 @@ func (f *Follower) Promote() error {
 	f.cancel()
 	<-f.done
 	s := f.s
-	st := s.loadState()
+	st := s.st.Load()
 	if st.role != roleFollower || st.journal == nil {
 		return errors.New("eta2: not a live follower (already promoted or closed)")
 	}
@@ -351,12 +347,12 @@ func (f *Follower) Promote() error {
 	if err := st.journal.Sync(); err != nil {
 		return fmt.Errorf("eta2: promote: %w", err)
 	}
-	s.mu.Lock()
-	s.w.role = rolePrimary
-	s.w.primaryAddr = ""
-	s.publishLocked()
-	applied := s.w.lastLSN
-	s.mu.Unlock()
+	var applied uint64
+	_ = s.update(func(tx *rcu.Tx[serverState]) error { // cannot fail: fn returns nil
+		tx.W.role, tx.W.primaryAddr = rolePrimary, ""
+		applied = tx.W.lastLSN
+		return nil
+	})
 
 	// The lag gauges were only ever written by the pull loop, which has
 	// just stopped for good — without a reset they would freeze at their
@@ -402,15 +398,6 @@ func (f *Follower) ReplicationStatus() ReplicationStatus {
 	return rs
 }
 
-// publishApplied publishes the applied frontier after a shipped batch and
-// returns it.
-func (s *Server) publishApplied() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.publishLocked()
-	return s.w.lastLSN
-}
-
 // adoptSnapshot replaces the server's state with the primary's snapshot
 // covering lsn, streamed from body (follower bootstrap). The snapshot is
 // decoded and restored while it is teed into the data directory through
@@ -423,7 +410,7 @@ func (s *Server) publishApplied() uint64 {
 func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	st := s.loadState()
+	st := s.st.Load()
 	if st.journal == nil || st.role != roleFollower {
 		return ErrNotDurable
 	}
@@ -453,18 +440,18 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 // adoptRestored swaps a restored snapshot server's state into s as of lsn,
 // as it is: nothing in it refers back to the server it was restored into.
 // What is the node's own — its journal, its role, its compaction counters —
-// stays. One publish makes the swap atomic for readers.
+// stays; the intern table, which lookups read with no lock, adopts r's
+// bindings in place. One publish makes the swap atomic for readers.
 func (s *Server) adoptRestored(r *Server, lsn uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg = r.cfg
-	// The restore target rebuilt its intern table from the snapshot's user
-	// names; adopt it wholesale so name→id bindings survive the bootstrap.
-	s.interner, s.nextUserID = r.interner, r.nextUserID
-	s.domains, s.lastNewDomains, s.lastMerges = r.domains, nil, 0
-	s.w.persisted = r.w.persisted
-	s.w.lastLSN, s.w.snapLSN = lsn, lsn
-	s.publishLocked()
+	from := r.st.Load()
+	_ = s.update(func(tx *rcu.Tx[serverState]) error { // cannot fail: fn returns nil
+		s.interner.Adopt(r.interner)
+		s.domains = r.domains
+		tx.W.persisted = from.persisted
+		tx.W.nextUserID, tx.W.lastNewDomains, tx.W.lastMerges = from.nextUserID, nil, 0
+		tx.W.lastLSN, tx.W.snapLSN = lsn, lsn
+		return nil
+	})
 }
 
 // sleepCtx sleeps for d unless ctx is canceled first; reports whether

@@ -89,6 +89,13 @@ func (in *Interner) BindAll(names []string, ids []int) error {
 	return nil
 }
 
+// Adopt replaces in's bindings with other's table in one atomic step.
+func (in *Interner) Adopt(other *Interner) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.p.Store(other.p.Load())
+}
+
 // Len returns the number of interned names.
 func (in *Interner) Len() int { return len(in.p.Load().ids) }
 

@@ -84,6 +84,31 @@ func TestInternerBindAllAtomic(t *testing.T) {
 	}
 }
 
+// TestInternerAdopt: Adopt takes the other table whole, conflicting bindings
+// included, and a later Bind on either side leaves the other's table alone.
+func TestInternerAdopt(t *testing.T) {
+	in, other := NewInterner(), NewInterner()
+	if err := in.BindAll([]string{"alice", "bob"}, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Bind("alice", 5); err != nil {
+		t.Fatal(err)
+	}
+	in.Adopt(other)
+	if id, ok := in.Lookup("alice"); !ok || id != 5 {
+		t.Fatalf("alice = %d, %v after Adopt; want 5, true", id, ok)
+	}
+	if _, ok := in.Lookup("bob"); ok || in.Len() != 1 {
+		t.Fatalf("bob survived Adopt (Len %d)", in.Len())
+	}
+	if err := in.Bind("carol", 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := other.Lookup("carol"); ok {
+		t.Fatal("a Bind after Adopt reached the adopted interner")
+	}
+}
+
 func TestInternerEmptyNameRejected(t *testing.T) {
 	in := NewInterner()
 	if err := in.Bind("", 0); err == nil {

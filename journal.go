@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"eta2/internal/obs"
+	"eta2/internal/rcu"
 	"eta2/internal/trace"
 	"eta2/internal/wal"
 )
@@ -28,10 +29,10 @@ import (
 // bit-identical to one that never crashed.
 //
 // Journal ordering: a mutation is prepared (validated, read-only), journaled
-// (buffered write, LSN assigned), then applied — all under the server's write
-// lock, so journal order equals apply order, and a failed journal write aborts
+// (buffered write, LSN assigned), then applied — all in one Write of the state
+// cell, so journal order equals apply order, and a failed journal write aborts
 // before anything is applied. The fsync wait (journalCommit) runs after the
-// lock is released: the WAL group-commits concurrent callers into one flush,
+// Write returns: the WAL group-commits concurrent callers into one flush,
 // and a caller gets a nil error only once its record is durable per the fsync
 // policy, so a crash loses exactly the mutations never acknowledged.
 
@@ -182,7 +183,6 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 			return nil, err
 		}
 	}
-	s.w.snapLSN, s.w.lastLSN = snapLSN, snapLSN
 
 	wlog, err := wal.Open(dir, wal.Options{
 		SegmentSize:  policy.SegmentSize,
@@ -194,22 +194,24 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 	if err != nil {
 		return nil, fmt.Errorf("eta2: %w", err)
 	}
+	last := snapLSN // the recovered state's frontier
 	replayErr := wlog.Replay(func(lsn uint64, payload []byte) error {
 		if lsn <= snapLSN {
 			return nil // already covered by the snapshot
 		}
 		// journalShipped's invariant: a lost or unreadable snapshot must not
 		// become a different history replayed from the middle of the log.
-		if lsn != s.w.lastLSN+1 {
-			return fmt.Errorf("%w: journal record %d does not follow recovered state at %d", ErrBadState, lsn, s.w.lastLSN)
+		if lsn != last+1 {
+			return fmt.Errorf("%w: journal record %d does not follow recovered state at %d", ErrBadState, lsn, last)
 		}
 		ev, err := decodeEvent(payload)
 		if err != nil {
 			return fmt.Errorf("eta2: decode journal record %d: %w", lsn, err)
 		}
-		if err := s.applyEvent(lsn, ev); err != nil {
+		if err := s.update(func(tx *rcu.Tx[serverState]) error { return s.applyEvent(tx, lsn, ev) }); err != nil {
 			return fmt.Errorf("eta2: replay journal record %d (%s): %w", lsn, ev.Kind, err)
 		}
+		last = lsn
 		return nil
 	})
 	if replayErr != nil {
@@ -218,16 +220,15 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 	}
 
 	// The journal attaches only after replay, so replayed mutations are
-	// never re-journaled. Not yet shared: publish so the lock-free query
-	// surface sees the attached journal, the role and the recovered LSN
-	// frontier.
-	s.w.journal = wlog
-	s.w.journalDir = dir
-	s.journalPolicy = policy
-	s.w.role = role
-	s.w.primaryAddr = primary
-	s.publishLocked()
-	return s, nil
+	// never re-journaled; the publish shows the lock-free query surface the
+	// attached journal, the role and the recovered LSN frontier.
+	s.journalPolicy = policy // not yet shared
+	return s, s.update(func(tx *rcu.Tx[serverState]) error {
+		tx.W.snapLSN, tx.W.lastLSN = snapLSN, last
+		tx.W.journal, tx.W.journalDir = wlog, dir
+		tx.W.role, tx.W.primaryAddr = role, primary
+		return nil
+	})
 }
 
 // loadSnapshotFile restores a server from one snapshot file, applying the
@@ -244,46 +245,43 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 // applyEvent is the single replay entry, for startup recovery and for every
 // record a follower applies: decode → prepare → apply, through the methods the
 // public mutations run (minus their follower write gate), with the token
-// minted from the record's LSN where a live mutation journals. It is one s.mu
-// critical section, and the token stamps the LSN before any apply publishes,
-// so a published state — what Compact, SaveStateBinary and a replication
-// snapshot encode — is labelled with exactly the LSN it contains.
-func (s *Server) applyEvent(lsn uint64, ev walEvent) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// minted from the record's LSN where a live mutation journals. Its caller
+// runs it as one Write, which publishes the record's state; the token stamps
+// the LSN first, so a published state — what Compact, SaveStateBinary and a
+// replication snapshot encode — is labelled with exactly the LSN it contains.
+func (s *Server) applyEvent(tx *rcu.Tx[serverState], lsn uint64, ev walEvent) error {
 	switch ev.Kind {
 	case eventAddUsers:
-		if err := s.prepareAddUsers(ev.Users); err != nil {
+		if err := s.prepareAddUsers(tx, ev.Users); err != nil {
 			return err
 		}
-		return s.applyAddUsers(s.replayed(lsn), ev.Users)
+		return s.applyAddUsers(tx, s.replayed(tx, lsn), ev.Users)
 	case eventCreateTasks:
-		b, err := s.prepareCreateTasks(ev.Specs)
+		b, err := s.prepareCreateTasks(tx, ev.Specs)
 		if err == nil {
-			_, err = s.applyCreateTasks(s.replayed(lsn), b)
+			_, err = s.applyCreateTasks(tx, s.replayed(tx, lsn), b)
 		}
 		return err
 	case eventObservations:
 		// Verbatim: re-validating or re-stamping could diverge from the
-		// original run. Not published per record (no query reads the open
-		// day; replay publishes at its end, a follower per shipped batch). A
-		// task this state does not hold is refused here, by LSN, rather than
-		// by an index out of range in the close that would estimate it.
+		// original run. A task this state does not hold is refused here, by
+		// LSN, rather than by an index out of range in the close that would
+		// estimate it.
 		for _, o := range ev.Observations {
-			if int(o.Task) < 0 || int(o.Task) >= len(s.w.tasks) {
+			if int(o.Task) < 0 || int(o.Task) >= len(tx.W.tasks) {
 				return fmt.Errorf("%w: journal record %d holds an observation for task %d, but the state it applies to holds %d tasks",
-					ErrBadState, lsn, o.Task, len(s.w.tasks))
+					ErrBadState, lsn, o.Task, len(tx.W.tasks))
 			}
 		}
-		s.applyObservations(s.replayed(lsn), ev.Observations)
+		s.applyObservations(tx, s.replayed(tx, lsn), ev.Observations)
 	case eventAllocate:
-		s.replayed(lsn) // audit-only: allocation does not mutate server state
+		s.replayed(tx, lsn) // audit-only: allocation does not mutate server state
 	case eventCloseStep:
-		step, err := s.w.estimateStep(s.cfg.truthCfg)
+		step, err := tx.W.estimateStep(s.cfg.truthCfg)
 		if err != nil {
 			return err
 		}
-		s.applyClose(s.replayed(lsn), step)
+		s.applyClose(tx, s.replayed(tx, lsn), step)
 	default:
 		return fmt.Errorf("unknown event kind %d", ev.Kind)
 	}
@@ -299,8 +297,8 @@ type journaled struct{ lsn uint64 }
 
 // replayed mints the token of a record already in the journal under lsn,
 // stamping the frontier as journalBuffered does for one it writes.
-func (s *Server) replayed(lsn uint64) journaled {
-	s.w.lastLSN = lsn
+func (s *Server) replayed(tx *rcu.Tx[serverState], lsn uint64) journaled {
+	tx.W.lastLSN = lsn
 	return journaled{lsn: lsn}
 }
 
@@ -326,36 +324,35 @@ func (eb *obsEventBuf) encode(obs []Observation, day int) {
 
 // journalBuffered journals one encoded record (encodeEvent) without waiting
 // for durability and returns its apply's token. It is the one way a record
-// the server writes enters the journal. The caller holds the write lock (so
-// LSN order equals apply order) and calls journalCommit with the token's LSN
-// after releasing it. An in-memory server writes nothing.
-func (s *Server) journalBuffered(payload []byte) (journaled, error) {
-	if s.w.journal == nil {
+// the server writes enters the journal. The caller's Write orders it (so LSN
+// order equals apply order), and journalCommit waits on the token's LSN after
+// the Write returns. An in-memory server writes nothing.
+func (s *Server) journalBuffered(tx *rcu.Tx[serverState], payload []byte) (journaled, error) {
+	if tx.W.journal == nil {
 		return journaled{}, nil
 	}
-	lsn, err := s.w.journal.AppendBuffered(payload)
+	lsn, err := tx.W.journal.AppendBuffered(payload)
 	if err != nil {
 		return journaled{}, fmt.Errorf("eta2: journal append: %w", err)
 	}
-	s.w.lastLSN = lsn
+	tx.W.lastLSN = lsn
 	return journaled{lsn: lsn}, nil
 }
 
 // journalShipped is a follower's half of journal-before-apply: the record
 // the primary shipped under lsn is appended to the local journal verbatim
-// — same LSN, same bytes — and applyEvent(lsn, ...) follows. The record
-// must extend the applied frontier by exactly one; anything else is a
-// hole in the stream (errLSNGap), answered by a snapshot bootstrap.
-func (s *Server) journalShipped(lsn uint64, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w.journal == nil || s.w.role != roleFollower {
+// — same LSN, same bytes — and applyEvent(tx, lsn, ...) follows in the same
+// Write. The record must extend the applied frontier by exactly one;
+// anything else is a hole in the stream (errLSNGap), answered by a snapshot
+// bootstrap.
+func (s *Server) journalShipped(tx *rcu.Tx[serverState], lsn uint64, payload []byte) error {
+	if tx.W.journal == nil || tx.W.role != roleFollower {
 		return ErrNotDurable
 	}
-	if lsn != s.w.lastLSN+1 {
+	if lsn != tx.W.lastLSN+1 {
 		return errLSNGap
 	}
-	return s.w.journal.AppendBufferedAt(lsn, payload)
+	return tx.W.journal.AppendBufferedAt(lsn, payload)
 }
 
 // journalCommit blocks until the record at lsn is durable per the fsync
@@ -369,7 +366,7 @@ func (s *Server) journalShipped(lsn uint64, payload []byte) error {
 // concurrent Close, which syncs the log on its way out.
 func (s *Server) journalCommit(lsn uint64, sp *trace.Span) error {
 	defer sp.End()
-	j := s.loadState().journal
+	j := s.st.Load().journal
 	if lsn == 0 || j == nil {
 		return nil
 	}
@@ -385,18 +382,17 @@ func (s *Server) journalCommit(lsn uint64, sp *trace.Span) error {
 	return nil
 }
 
-// compactIfOwedLocked spawns one background compaction cycle if the log
-// has outgrown the policy threshold, none is in flight and the server is
-// not closing. Called with the write lock held at the end of every closed
-// step, in either role; it only reads the log's size, flips a flag and
-// starts a goroutine — the compaction itself runs off the write path (see
-// backgroundCompact), so closing a step never pays the snapshot encode or
-// its fsyncs.
-func (s *Server) compactIfOwedLocked() {
-	if !s.compactionOwed(&s.w) || s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
+// compactIfOwed spawns one background compaction cycle if the log has
+// outgrown the policy threshold, none is in flight and the server is not
+// closing. Called inside the Write of every closed step, in either role; it
+// only reads the log's size, flips a flag and starts a goroutine — the
+// compaction itself runs off the write path (see backgroundCompact), so
+// closing a step never pays the snapshot encode or its fsyncs.
+func (s *Server) compactIfOwed(tx *rcu.Tx[serverState]) {
+	if !s.compactionOwed(&tx.W) || s.closing.Load() || !s.compacting.CompareAndSwap(false, true) {
 		return
 	}
-	//eta2:replaypurity-ok compaction rewrites durable files only, from a published state labelled with exactly the LSN it contains, so applied state never observes it; startup replay runs with s.w.journal == nil and never trips the threshold
+	//eta2:replaypurity-ok compaction rewrites durable files only, from a published state labelled with exactly the LSN it contains, so applied state never observes it; startup replay runs with no journal attached and never trips the threshold
 	go s.backgroundCompact()
 }
 
@@ -447,40 +443,38 @@ func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Wri
 	return nil
 }
 
-// finishCompactionLocked records the bookkeeping of a completed compaction
-// cycle over st and publishes it. Skipped if the journal was detached (a
-// racing Close already wrote a newer final snapshot) or a newer snapshot
-// was already recorded.
-func (s *Server) finishCompactionLocked(st *serverState) {
-	if s.w.journal != st.journal || st.lastLSN < s.w.snapLSN {
+// finishCompaction records the bookkeeping of a completed compaction cycle
+// over st. Skipped if the journal was detached (a racing Close already wrote
+// a newer final snapshot) or a newer snapshot was already recorded.
+func (s *Server) finishCompaction(tx *rcu.Tx[serverState], st *serverState) {
+	if tx.W.journal != st.journal || st.lastLSN < tx.W.snapLSN {
 		return
 	}
-	s.w.snapLSN = st.lastLSN
-	s.w.compactions++
-	s.w.lastCompaction = time.Now()
-	s.publishLocked()
+	tx.W.snapLSN = st.lastLSN
+	tx.W.compactions++
+	tx.W.lastCompaction = time.Now()
 }
 
 // Compact writes a snapshot of the published state, covering every journaled
 // mutation (on a follower: every applied record the pull loop has published),
 // then truncates the WAL prefix the snapshot covers. Encoding and fsyncs run
 // with no server lock held, so concurrent mutations, a follower's apply loop
-// and reads proceed unimpeded; the writer lock is taken once, at the end, to
-// record the bookkeeping.
+// and reads proceed unimpeded; one Write at the end records the bookkeeping.
 func (s *Server) Compact() error {
 	return s.compactCycle(mCompactionForeground)
 }
 
 // compactCycle is the one LSN-coordinated compaction cycle — explicit,
 // automatic, and the final one in Close all run it, serialized by
-// compactMu (lock order everywhere: compactMu before mu, never inside):
+// compactMu (lock order everywhere: compactMu before the state cell's lock,
+// never inside a Write):
 // load the published state, which carries the LSN it contains and the
 // journal it was written through; sync the WAL through that frontier, then
 // install the state, encoded with the binary codec, as the directory's
 // newest snapshot — WAL records are only deleted once a durable snapshot
 // with their LSN exists, so recovery at any intermediate state replays to
-// the same result — all with no server lock held; then take the writer lock
-// to record the bookkeeping. ErrNotDurable without a journal.
+// the same result — all with no server lock held; then one Write records
+// the bookkeeping. ErrNotDurable without a journal.
 func (s *Server) compactCycle(mode *obs.Histogram) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -492,7 +486,7 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 	}
 	defer t.End()
 	start := time.Now()
-	st := s.loadState()
+	st := s.st.Load()
 	if st.journal == nil {
 		return ErrNotDurable
 	}
@@ -511,9 +505,10 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 		return err
 	}
 	fin := t.StartSpan("finish")
-	s.mu.Lock()
-	s.finishCompactionLocked(st)
-	s.mu.Unlock()
+	_ = s.update(func(tx *rcu.Tx[serverState]) error { // cannot fail: fn returns nil
+		s.finishCompaction(tx, st)
+		return nil
+	})
 	fin.End()
 	mode.Observe(time.Since(start).Seconds())
 	return nil
@@ -521,7 +516,7 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 
 // backgroundCompact runs compaction cycles until the log is back under
 // the policy threshold. Threshold triggers that fire while a cycle is in
-// flight are dropped by the CAS in compactIfOwedLocked, so after each
+// flight are dropped by the CAS in compactIfOwed, so after each
 // cycle this re-checks the condition and reclaims the flag — otherwise a
 // trigger racing an in-flight cycle could leave the frontier permanently
 // uncovered. Consecutive cycles coalesce: writes during a cycle are
@@ -531,7 +526,7 @@ func (s *Server) backgroundCompact() {
 	for {
 		_ = s.compactCycle(mCompactionBackground)
 		s.compacting.Store(false)
-		if s.closing.Load() || !s.compactionOwed(s.loadState()) || !s.compacting.CompareAndSwap(false, true) {
+		if s.closing.Load() || !s.compactionOwed(s.st.Load()) || !s.compacting.CompareAndSwap(false, true) {
 			return
 		}
 	}
@@ -539,8 +534,8 @@ func (s *Server) backgroundCompact() {
 
 // compactionOwed reports whether st's WAL is over the compaction threshold
 // with journaled mutations its newest snapshot does not cover. It only reads
-// st — the working state under the lock, or a published one with none held —
-// and the policy, which is immutable after open.
+// st — the working state inside a Write, or a published one outside — and
+// the policy, which is immutable after open.
 func (s *Server) compactionOwed(st *serverState) bool {
 	if st.journal == nil || s.journalPolicy.CompactAt <= 0 {
 		return false
@@ -560,11 +555,11 @@ func (s *Server) Close() error {
 	if errors.Is(err, ErrNotDurable) {
 		return nil
 	}
-	s.mu.Lock()
-	j := s.w.journal
-	s.w.journal = nil
-	s.publishLocked()
-	s.mu.Unlock()
+	var j *wal.Log
+	_ = s.update(func(tx *rcu.Tx[serverState]) error { // cannot fail: fn returns nil
+		j, tx.W.journal = tx.W.journal, nil
+		return nil
+	})
 	if j == nil {
 		return err // a concurrent Close detached it first
 	}
@@ -581,7 +576,7 @@ func (s *Server) Close() error {
 // LSN frontier comes from the published snapshot and the WAL shape from
 // the log's own internal accounting.
 func (s *Server) DurabilityStats() DurabilityStats {
-	st := s.loadState()
+	st := s.st.Load()
 	if st.journal == nil {
 		return DurabilityStats{}
 	}

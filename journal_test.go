@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"eta2/internal/rcu"
 	"eta2/internal/wal"
 )
 
@@ -231,7 +232,7 @@ func TestDurableRecoveryAtEveryBoundary(t *testing.T) {
 		if got := saveBytes(t, r); !bytes.Equal(got, b.want) {
 			t.Errorf("boundary %d: recovered state is not bit-identical (%d vs %d bytes)", i, len(got), len(b.want))
 		}
-		r.w.journal.Close() // release the copy's file handle without compacting
+		r.st.Load().journal.Close() // release the copy's file handle without compacting
 	}
 }
 
@@ -270,7 +271,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 		t.Fatalf("want a single segment, got %d", len(segs))
 	}
 	seg := segs[0]
-	prevSize := s.w.journal.Stats().Bytes
+	prevSize := s.st.Load().journal.Stats().Bytes
 	prevWant := saveBytes(t, s)
 
 	// The record that will be torn.
@@ -280,7 +281,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := s.w.journal.Stats().Bytes
+	fullSize := s.st.Load().journal.Stats().Bytes
 	if fullSize <= prevSize {
 		t.Fatalf("final record added no bytes (%d -> %d)", prevSize, fullSize)
 	}
@@ -324,7 +325,7 @@ func TestDurableTornFinalRecord(t *testing.T) {
 			if _, err := r.CloseTimeStep(); err != nil {
 				t.Fatalf("cut %d: recovered server cannot close a step: %v", cut, err)
 			}
-			r.w.journal.Close()
+			r.st.Load().journal.Close()
 		}
 	}
 }
@@ -378,7 +379,7 @@ func TestDurableAutoCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.w.journal.Close()
+	defer r.st.Load().journal.Close()
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("recovery from compacted directory diverged")
 	}
@@ -495,7 +496,7 @@ func compactedWithTail(t *testing.T, pol DurabilityPolicy) (dir string, want []b
 		t.Fatalf("setup: want one snapshot and a WAL tail, stats %+v", st)
 	}
 	want = saveBytes(t, s)
-	must(s.w.journal.Close())
+	must(s.st.Load().journal.Close())
 	return dir, want, st
 }
 
@@ -523,7 +524,7 @@ func TestRecoverySnapshotHandling(t *testing.T) {
 	if rst := r.DurabilityStats(); rst.SnapshotLSN != st.SnapshotLSN || rst.LastLSN != st.LastLSN {
 		t.Errorf("fallback recovered LSNs %d/%d, want %d/%d", rst.SnapshotLSN, rst.LastLSN, st.SnapshotLSN, st.LastLSN)
 	}
-	r.w.journal.Close()
+	r.st.Load().journal.Close()
 
 	future := append([]byte(snapshotMagic), 9) // uvarint codec version 9
 	if err := os.WriteFile(newest, future, 0o644); err != nil {
@@ -642,14 +643,14 @@ func TestRecoveryRefusesObservationForUnknownTask(t *testing.T) {
 		}
 	}
 	// The directory without the planted record still opens.
-	if err := s.w.journal.Close(); err != nil {
+	if err := s.st.Load().journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewServer(WithDurability(dir, pol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.w.journal.Close()
+	r.st.Load().journal.Close()
 }
 
 // TestRecoveryRefusesJSONRecord plants the JSON add_users record older builds
@@ -665,7 +666,7 @@ func TestRecoveryRefusesJSONRecord(t *testing.T) {
 	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.w.journal.Close(); err != nil {
+	if err := s.st.Load().journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	planted, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
@@ -717,7 +718,7 @@ func TestReplayedObservationsAreCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.w.journal.Close()
+	r.st.Load().journal.Close()
 	if got := mObsAccepted.Value() - before; got != n {
 		t.Errorf("recovery counted %d observations, want %d", got, n)
 	}
@@ -787,8 +788,8 @@ func TestMinCostRefusesPhantomObservations(t *testing.T) {
 		if got := saveBytes(t, r); !bytes.Equal(got, want) {
 			t.Errorf("phantom %+v: reopened state differs from the live one", phantom)
 		}
-		r.w.journal.Close()
-		s.w.journal.Close()
+		r.st.Load().journal.Close()
+		s.st.Load().journal.Close()
 	}
 }
 
@@ -873,11 +874,12 @@ func TestNonFiniteInputRefused(t *testing.T) {
 	}
 }
 
-// TestCaptureTakesNoServerLock: every state capture is a load of the
-// published state. With the writer lock held — a writer parked in its
-// critical section — SaveStateBinary and CaptureReplicationSnapshot return,
-// labelled with the published LSN, and Compact gets as far as installing its
-// snapshot file; only its bookkeeping waits for the lock.
+// TestCaptureTakesNoServerLock: every query and every state capture is a load
+// of the published state. With a writer parked inside a Write of the state
+// cell, holding its lock, each query method returns, SaveStateBinary and
+// CaptureReplicationSnapshot return labelled with the published LSN, and
+// Compact gets as far as installing its snapshot file; only its bookkeeping
+// waits for the writer.
 func TestCaptureTakesNoServerLock(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewServer(WithEmbedder(rootTestEmbedder(t)), WithDurability(dir, DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}))
@@ -891,15 +893,29 @@ func TestCaptureTakesNoServerLock(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
+	if _, err := s.AddUsersByName(3, "named"); err != nil {
+		t.Fatal(err)
+	}
 	lsn := s.DurabilityStats().LastLSN
 	want := saveBytes(t, s)
 
-	s.mu.Lock()
+	parked, release, written := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		written <- s.st.Write(func(*rcu.Tx[serverState]) error {
+			close(parked)
+			<-release
+			return nil
+		})
+	}()
+	<-parked
 	locked := true
 	unlock := func() {
 		if locked {
 			locked = false
-			s.mu.Unlock()
+			close(release)
+			if err := <-written; err != nil {
+				t.Error(err)
+			}
 		}
 	}
 	defer unlock()
@@ -913,8 +929,31 @@ func TestCaptureTakesNoServerLock(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s did not return while the writer lock was held", what)
+			t.Fatalf("%s did not return while a writer held the state cell", what)
 		}
+	}
+	id, _ := s.ResolveUser("named")
+	for _, q := range []struct {
+		name string
+		read func() any
+	}{
+		{"Truth", func() any { est, _ := s.Truth(0); return est }},
+		{"Expertise", func() any { return s.Expertise(0, 0) }},
+		{"ExpertiseInDomain", func() any { return s.ExpertiseInDomain(0, 1) }},
+		{"Domain", func() any { return s.Domain(0) }},
+		{"NumUsers", func() any { return s.NumUsers() }},
+		{"NumDomains", func() any { return s.NumDomains() }},
+		{"Day", func() any { return s.Day() }},
+		{"DurabilityStats", func() any { return s.DurabilityStats() }},
+		{"ReplicationStatus", func() any { return s.ReplicationStatus() }},
+		{"CommittedLSN", func() any { at, _ := s.CommittedLSN(); return at }},
+		{"ResolveUser", func() any { id, _ := s.ResolveUser("named"); return id }},
+		{"UserName", func() any { return s.UserName(id) }},
+	} {
+		within(q.name, func() error {
+			_ = q.read()
+			return nil
+		})
 	}
 	within("SaveStateBinary", func() error {
 		var buf bytes.Buffer
@@ -957,7 +996,7 @@ func TestCaptureTakesNoServerLock(t *testing.T) {
 	})
 	select {
 	case err := <-compacted:
-		t.Fatalf("Compact returned (%v) before its bookkeeping could take the writer lock", err)
+		t.Fatalf("Compact returned (%v) before its bookkeeping could run a Write", err)
 	default:
 	}
 	unlock()

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"eta2/internal/obs"
+	"eta2/internal/rcu"
 )
 
 // Server-level gauges, published after every committed mutation (and once
@@ -126,15 +127,17 @@ func ingestAllocSample() {
 	ingestSampler.lastMallocs = ms.Mallocs
 }
 
-// publishMetricsLocked refreshes the server-shape gauges from st, the state
-// being published. Callers hold s.mu; every store is a single atomic, so the
-// cost is a handful of nanoseconds on the mutation path.
-func (s *Server) publishMetricsLocked(st *serverState) {
-	mDay.Set(float64(st.day))
-	mUsers.Set(float64(len(st.users)))
-	mTasks.Set(float64(len(st.tasks)))
-	mPendingTasks.Set(float64(len(st.pending)))
-	mBufferedObs.Set(float64(len(st.observations)))
+// publishMetrics counts the publish the Write holding tx is about to make
+// and refreshes the server-shape gauges from the state it publishes: a
+// handful of atomic stores.
+func (s *Server) publishMetrics(tx *rcu.Tx[serverState]) {
+	mSnapshotPublishes.Inc()
+	mSnapshotPublishTS.SetToCurrentTime()
+	mDay.Set(float64(tx.W.day))
+	mUsers.Set(float64(len(tx.W.users)))
+	mTasks.Set(float64(len(tx.W.tasks)))
+	mPendingTasks.Set(float64(len(tx.W.pending)))
+	mBufferedObs.Set(float64(len(tx.W.observations)))
 	mInternStrings.Set(float64(s.interner.Len()))
 	mInternBytes.Set(float64(s.interner.Bytes()))
 }

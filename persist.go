@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"eta2/internal/loop"
+	"eta2/internal/rcu"
 )
 
 // stateVersion guards against loading snapshots from incompatible builds.
@@ -14,13 +15,12 @@ const stateVersion = 1
 // SaveStateBinary serializes the server's full state with the
 // length-prefixed, CRC-checked binary codec — the format compaction uses
 // for its snapshot files, and the one LoadServer reads. It encodes the
-// published state, so it takes no server lock and never waits on a writer;
-// on a follower in the middle of a shipped batch that is the state as of the
-// last published record. The embedding model is not included — only the task
-// vectors derived from it — so a restored server needs WithEmbedder again
-// only to create NEW described tasks; see LoadServer.
+// published state, so it takes no server lock and never waits on a writer.
+// The embedding model is not included — only the task vectors derived from
+// it — so a restored server needs WithEmbedder again only to create NEW
+// described tasks; see LoadServer.
 func (s *Server) SaveStateBinary(w io.Writer) error {
-	return encodeStateBinary(w, s.loadState())
+	return encodeStateBinary(w, s.st.Load())
 }
 
 // ErrBadState is returned when a snapshot cannot be restored.
@@ -67,31 +67,26 @@ func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	empty := s.w.cluster // of newServer's identifier, which stands when the snapshot brought no clustering state
-	s.w.persisted = st.persisted
-	s.w.alpha, s.w.gamma, s.w.epsilon = cfg.alpha, cfg.gamma, cfg.epsilon
-
-	var names []string
-	var nameIDs []int
-	for _, u := range st.users {
-		s.nextUserID = max(s.nextUserID, u.ID+1)
-		if u.Name != "" {
-			names, nameIDs = append(names, u.Name), append(nameIDs, int(u.ID))
-		}
-	}
-	if err := s.interner.BindAll(names, nameIDs); err != nil {
+	if err := bindNames(s.interner, st.users); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
 	}
-
 	// RestoreDomains copies what its engine goes on to write, so the decoded
 	// value stays the immutable capture of it.
-	if st.cluster == nil {
-		s.w.cluster = empty
-	} else if s.domains, err = loop.RestoreDomains(*st.cluster, cfg.embedder); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
+	if st.cluster != nil {
+		if s.domains, err = loop.RestoreDomains(*st.cluster, cfg.embedder); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadState, err)
+		}
 	}
-	// Not yet shared with other goroutines, so publishing without the lock
-	// is safe; installs the restored state for the lock-free query surface.
-	s.publishLocked()
-	return s, nil
+	p := st.persisted
+	p.alpha, p.gamma, p.epsilon = cfg.alpha, cfg.gamma, cfg.epsilon
+	return s, s.update(func(tx *rcu.Tx[serverState]) error {
+		if p.cluster == nil {
+			p.cluster = tx.W.cluster // newServer's identifier's, which stands when the snapshot brought none
+		}
+		tx.W.persisted = p
+		for _, u := range p.users {
+			tx.W.nextUserID = max(tx.W.nextUserID, u.ID+1)
+		}
+		return nil
+	})
 }

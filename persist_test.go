@@ -195,8 +195,8 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.w.pending) == 0 || len(s.w.observations) == 0 {
-		t.Fatalf("fixture not mid-step: %d pending, %d observations", len(s.w.pending), len(s.w.observations))
+	if len(s.st.Load().pending) == 0 || len(s.st.Load().observations) == 0 {
+		t.Fatalf("fixture not mid-step: %d pending, %d observations", len(s.st.Load().pending), len(s.st.Load().observations))
 	}
 
 	var buf bytes.Buffer
@@ -207,10 +207,10 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(restored.w.pending), len(s.w.pending); got != want {
+	if got, want := len(restored.st.Load().pending), len(s.st.Load().pending); got != want {
 		t.Errorf("pending tasks: %d vs %d", got, want)
 	}
-	if got, want := len(restored.w.observations), len(s.w.observations); got != want {
+	if got, want := len(restored.st.Load().observations), len(s.st.Load().observations); got != want {
 		t.Errorf("observations: %d vs %d", got, want)
 	}
 	var buf2 bytes.Buffer

@@ -68,7 +68,7 @@ func TestRecoveryMemoryBounded(t *testing.T) {
 	}
 	// Close only the log, not the server: Server.Close would compact the
 	// journal away and leave nothing to replay.
-	if err := s.w.journal.Close(); err != nil {
+	if err := s.st.Load().journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s = nil
@@ -122,7 +122,7 @@ func TestRecoveryMemoryBounded(t *testing.T) {
 	}
 	close(stop)
 	<-done
-	defer r.w.journal.Close()
+	defer r.st.Load().journal.Close()
 
 	runtime.GC()
 	var after runtime.MemStats
@@ -151,7 +151,7 @@ func TestRecoveryMemoryBounded(t *testing.T) {
 	// Referenced after the measurement, so the recovered state is live
 	// heap when ReadMemStats runs above (otherwise the GC is free to
 	// collect r and "final" measures nothing).
-	n := len(r.loadState().observations)
+	n := len(r.st.Load().observations)
 	if n != tailBatches*batch {
 		t.Errorf("recovered backlog %d observations, want %d", n, tailBatches*batch)
 	}

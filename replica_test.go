@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"eta2/internal/rcu"
 	"eta2/internal/repl"
 )
 
@@ -200,7 +201,7 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 	if err := node.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	before := *node.loadState()
+	before := *node.st.Load()
 	lsn, write, err := primary.CaptureReplicationSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 	if err := node.adoptSnapshot(lsn, &shipped, tuning); err != nil {
 		t.Fatal(err)
 	}
-	after := *node.loadState()
+	after := *node.st.Load()
 	if after.lastLSN != lsn || after.snapLSN != lsn {
 		t.Errorf("adopted at LSN %d: frontier %d, snapshot %d", lsn, after.lastLSN, after.snapLSN)
 	}
@@ -220,6 +221,7 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 		t.Error("adopted state diverged from primary")
 	}
 	after.persisted, after.lastLSN, after.snapLSN = before.persisted, before.lastLSN, before.snapLSN
+	after.nextUserID = before.nextUserID // derived from the adopted users
 	if before.journal == nil || before.role != roleFollower || before.primaryAddr == "" || before.compactions != 1 || before.lastCompaction.IsZero() {
 		t.Fatalf("fixture: node-local state before the bootstrap is %+v", before)
 	}
@@ -249,6 +251,72 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 	waitApplied(t, f, primary.DurabilityStats().LastLSN)
 	if got, want := saveBytes(t, f.Server()), saveBytes(t, primary); string(got) != string(want) {
 		t.Fatal("follower diverged on the first post-bootstrap record")
+	}
+}
+
+// TestBootstrapAdoptsInternTable: a bootstrap adopts the snapshot's name
+// bindings into the node's own intern table, which name lookups read with no
+// lock, instead of swapping the table's pointer on the server. Lookups running
+// beside the adoption are race-clean (run under -race), and afterwards every
+// name resolves as the snapshot binds it — also one the node bound to another
+// id, as the wholesale adoption always did.
+func TestBootstrapAdoptsInternTable(t *testing.T) {
+	restored := func(users ...User) *Server {
+		t.Helper()
+		src, err := NewServer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AddUsers(users...); err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadServer(bytes.NewReader(saveBytes(t, src)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	node, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.AddUsers(User{ID: 0, Capacity: 2, Name: "ann"}); err != nil {
+		t.Fatal(err)
+	}
+	later := restored(User{ID: 0, Capacity: 2, Name: "ann"}, User{ID: 1, Capacity: 2, Name: "bob"})
+
+	started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 0; ; i++ {
+			node.ResolveUser("bob")
+			node.UserName(1)
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	node.adoptRestored(later, 7)
+	close(stop)
+	<-stopped
+	for name, want := range map[string]UserID{"ann": 0, "bob": 1} {
+		if id, ok := node.ResolveUser(name); !ok || id != want {
+			t.Errorf("after the bootstrap %q resolves to %d (%v), want %d", name, id, ok, want)
+		}
+	}
+
+	node.adoptRestored(restored(User{ID: 5, Capacity: 1, Name: "ann"}), 9)
+	if id, ok := node.ResolveUser("ann"); !ok || id != 5 {
+		t.Errorf("after a bootstrap binding ann to 5, ann resolves to %d (%v)", id, ok)
+	}
+	if _, ok := node.ResolveUser("bob"); ok {
+		t.Error("bob outlived a bootstrap whose snapshot does not name him")
 	}
 }
 
@@ -423,10 +491,11 @@ func TestFollowerHaltsOnJSONRecord(t *testing.T) {
 	primary := hintedPrimary(t)
 	streamObservations(t, primary, 0, 5)
 	want, before := saveBytes(t, primary), primary.DurabilityStats().LastLSN
-	primary.mu.Lock()
-	j, err := primary.journalBuffered([]byte(`{"t":"add_users","users":[{"ID":9,"Capacity":2}]}`))
-	primary.mu.Unlock()
-	if err != nil {
+	var j journaled
+	if err := primary.st.Write(func(tx *rcu.Tx[serverState]) (err error) {
+		j, err = primary.journalBuffered(tx, []byte(`{"t":"add_users","users":[{"ID":9,"Capacity":2}]}`))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.journalCommit(j.lsn, nil); err != nil {
@@ -450,7 +519,7 @@ func TestFollowerHaltsOnJSONRecord(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Server().loadState().lastLSN; got != before {
+	if got := f.Server().st.Load().lastLSN; got != before {
 		t.Errorf("follower stopped at LSN %d, want %d", got, before)
 	}
 	if got := saveBytes(t, f.Server()); !bytes.Equal(got, want) {
@@ -495,13 +564,13 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 				return
 			default:
 			}
-			st := f.Server().loadState()
+			st := f.Server().st.Load()
 			var buf bytes.Buffer
 			if err := f.Server().SaveStateBinary(&buf); err != nil {
 				t.Errorf("SaveStateBinary on follower: %v", err)
 				return
 			}
-			if f.Server().loadState() == st {
+			if f.Server().st.Load() == st {
 				saved = append(saved, labelled{st.lastLSN, buf.Bytes()})
 				if st.lastLSN > setupLSN {
 					midStream.Add(1)
@@ -517,16 +586,16 @@ func TestFollowerCompactAndSaveWhileStreaming(t *testing.T) {
 	// The primary's states are immutable once published: holding the pointer
 	// is holding the state at that LSN. Stream until the follower has been
 	// caught mid-stream a few times.
-	primaryAt := map[uint64]*serverState{setupLSN: primary.loadState()}
+	primaryAt := map[uint64]*serverState{setupLSN: primary.st.Load()}
 	for i := 0; i < 2000 || (midStream.Load() < 3 && i < 20000); i++ {
 		streamObservations(t, primary, i, 1)
-		st := primary.loadState()
+		st := primary.st.Load()
 		primaryAt[st.lastLSN] = st
 	}
 	if _, err := primary.CloseTimeStep(); err != nil {
 		t.Fatal(err)
 	}
-	closed := primary.loadState()
+	closed := primary.st.Load()
 	primaryAt[closed.lastLSN] = closed
 	waitApplied(t, f, closed.lastLSN)
 	close(stop)

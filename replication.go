@@ -46,7 +46,7 @@ func (e *FollowerWriteError) Error() string {
 // transitions follower → primary, so a mutation that passed the gate can
 // never race its way onto a node that is still a follower.
 func (s *Server) writable() error {
-	st := s.loadState()
+	st := s.st.Load()
 	if st.role == roleFollower {
 		return &FollowerWriteError{Primary: st.primaryAddr}
 	}
@@ -58,7 +58,7 @@ func (s *Server) writable() error {
 // ErrNotDurable (503 over HTTP) until promoted — chained replication is
 // off. Lock-free: role and journal come from the published snapshot.
 func (s *Server) shipJournal() (*wal.Log, error) {
-	st := s.loadState()
+	st := s.st.Load()
 	if st.journal == nil || st.role != rolePrimary {
 		return nil, ErrNotDurable
 	}
@@ -113,16 +113,17 @@ func (s *Server) CaptureReplicationSnapshot() (uint64, func(io.Writer) error, er
 	if _, err := s.shipJournal(); err != nil {
 		return 0, nil, err
 	}
-	st := s.loadState()
+	st := s.st.Load()
 	return st.lastLSN, func(w io.Writer) error { return encodeStateBinary(w, st) }, nil
 }
 
 // ReplicationStatus reports this server's replication position. For a
 // follower the Follower wrapper overlays the pull-loop view (primary
 // frontier, lag, connection state); the server itself knows its role and
-// LSN frontiers (a follower's applied LSN advances once per shipped batch). Lock-free: everything comes from the published snapshot.
+// LSN frontiers (a follower's applied LSN advances per record). Lock-free:
+// everything comes from the published snapshot.
 func (s *Server) ReplicationStatus() ReplicationStatus {
-	st := s.loadState()
+	st := s.st.Load()
 	rs := ReplicationStatus{
 		Role:       st.role.String(),
 		Primary:    st.primaryAddr,

@@ -2,6 +2,8 @@ package eta2
 
 import (
 	"testing"
+
+	"eta2/internal/rcu"
 )
 
 // TestJournalFailureLeavesStateUntouched forces every journaled mutation
@@ -34,13 +36,19 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	}
 
 	// Sabotage the journal: every AppendBuffered now fails.
-	if err := s.w.journal.Close(); err != nil {
+	if err := s.st.Load().journal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	// A failed Write publishes nothing, so the checks below read the writers'
+	// working copy: an empty Write publishes it, leaks included.
+	publishWorking := func() {
+		_ = s.st.Write(func(*rcu.Tx[serverState]) error { return nil })
+	}
+	publishWorking()
 	snapshotUsers := s.NumUsers()
-	snapshotTasks := len(s.w.tasks)
-	snapshotObs := len(s.w.observations)
+	snapshotTasks := len(s.st.Load().tasks)
+	snapshotObs := len(s.st.Load().observations)
 	snapshotDay := s.Day()
 
 	if err := s.AddUsers(User{ID: 2, Capacity: 3}); err == nil {
@@ -79,13 +87,14 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 		t.Errorf("AddUsersByName bound carol to %d through a failed journal", id)
 	}
 
+	publishWorking()
 	if got := s.NumUsers(); got != snapshotUsers {
 		t.Errorf("users leaked through failed journal: %d -> %d", snapshotUsers, got)
 	}
-	if got := len(s.w.tasks); got != snapshotTasks {
+	if got := len(s.st.Load().tasks); got != snapshotTasks {
 		t.Errorf("tasks leaked through failed journal: %d -> %d", snapshotTasks, got)
 	}
-	if got := len(s.w.observations); got != snapshotObs {
+	if got := len(s.st.Load().observations); got != snapshotObs {
 		t.Errorf("observations leaked through failed journal: %d -> %d", snapshotObs, got)
 	}
 	if got := s.Day(); got != snapshotDay {
@@ -105,10 +114,10 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	if got := r.NumUsers(); got != snapshotUsers {
 		t.Errorf("recovered %d users, want %d", got, snapshotUsers)
 	}
-	if got := len(r.w.tasks); got != snapshotTasks {
+	if got := len(r.st.Load().tasks); got != snapshotTasks {
 		t.Errorf("recovered %d tasks, want %d", got, snapshotTasks)
 	}
-	if got := len(r.w.observations); got != snapshotObs {
+	if got := len(r.st.Load().observations); got != snapshotObs {
 		t.Errorf("recovered %d observations, want %d", got, snapshotObs)
 	}
 	if got := r.Day(); got != snapshotDay {

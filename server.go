@@ -11,6 +11,7 @@ import (
 	"eta2/internal/allocation"
 	"eta2/internal/core"
 	"eta2/internal/loop"
+	"eta2/internal/rcu"
 	"eta2/internal/semantic"
 	"eta2/internal/trace"
 	"eta2/internal/truth"
@@ -18,53 +19,34 @@ import (
 
 // Server is the crowdsourcing server: it owns task/domain state, learned
 // user expertise, and the allocation and truth-analysis machinery. It is
-// safe for concurrent use. All of that state is one serverState (state.go);
-// what Server declares beside it is what is not state: the lock, the
-// configuration, and the objects the writers drive. The query surface
-// (Truth, Expertise, ExpertiseInDomain, Domain, NumUsers, NumDomains, Day,
-// DurabilityStats) and every state capture (SaveStateBinary, Compact, a
-// follower bootstrap) are lock-free: they read an immutable state published
-// through an atomic pointer, so they never wait on writers — not even on a
-// writer parked in an fsync. A mutation prepares, journals (buffered) and
-// applies behind mu, a writer-writer lock, publishing a fresh state per
-// committed batch; its fsync wait runs outside the lock (DESIGN.md §11).
+// safe for concurrent use. All of that state is one serverState (state.go)
+// in one rcu.Cell with the lock that orders its writers; what Server
+// declares beside it is not state. Queries and state captures load the
+// cell's published copy, so they never wait on writers — not even on one
+// parked in an fsync. A mutation prepares, journals (buffered) and applies
+// in one Write of the cell; its fsync wait runs after the Write returns
+// (DESIGN.md §11).
 type Server struct {
-	// mu serializes writers against each other and nothing else: whatever
-	// only reads — a query, a state capture — loads the published state
-	// instead. Lock ordering: mu is always taken before any internal/wal
-	// lock, never the other way around, and the fsync wait (journalCommit)
-	// runs with mu released.
-	mu sync.Mutex
+	// st is the state and its writer lock. Lock ordering: the cell's lock is
+	// taken before any internal/wal lock, never the other way around, and the
+	// fsync wait (journalCommit) runs with it released.
+	st rcu.Cell[serverState]
 
-	// state is the published immutable state; see state.go. Stored only by
-	// publishLocked, loaded freely by everything that reads.
-	state atomic.Pointer[serverState]
-
-	cfg config
-
-	// w is the writers' working state, under mu: the value the next publish
-	// copies. state.go has the write rule of each of its containers.
-	w serverState
+	cfg config // immutable after newServer
 
 	// interner binds external string names to dense user ids (DESIGN.md
 	// §15). It is derived state: rebuilt by replay/restore from the Name
 	// fields carried in add_users events and snapshots, never serialized
-	// itself. Lookups are lock-free; binds happen under mu via addUsers.
+	// itself. Lookups are lock-free; binds happen inside a Write.
 	interner *core.Interner
-	// nextUserID is one past the highest id in w.users: AddUsersByName's next.
-	nextUserID UserID
 
 	// domains identifies described tasks' domains; nil without an embedder
 	// (unless a snapshot brought its own clustering state). It is the one
-	// object behind the state that is written in place, so w.cluster holds
-	// its state as of the last change, for publication.
+	// object behind the state written in place (inside a Write), so the
+	// state's cluster field holds its state as of the last change.
 	domains *loop.Domains
 
-	// What the open day's creates did to the domains, for its StepReport.
-	lastNewDomains []DomainID
-	lastMerges     int
-
-	journalPolicy DurabilityPolicy // w.journal's (journal.go); immutable after open
+	journalPolicy DurabilityPolicy // the state's journal's (journal.go); immutable after open
 
 	// tracer samples write-path traces into the flight recorder; see
 	// internal/trace and DESIGN.md §13. Per-server so an in-process
@@ -73,10 +55,9 @@ type Server struct {
 
 	// Background compaction coordination; see journal.go. compactMu
 	// serializes whole compaction cycles (capture → write → bookkeeping)
-	// and a follower's snapshot bootstrap, and is always taken before mu,
-	// never while holding it. compacting
-	// keeps CloseTimeStep from piling up trigger goroutines; closing stops
-	// new auto-compactions once Close has begun.
+	// and a follower's snapshot bootstrap, and is never taken inside a
+	// Write. compacting keeps CloseTimeStep from piling up trigger
+	// goroutines; closing stops new auto-compactions once Close has begun.
 	compactMu  sync.Mutex
 	compacting atomic.Bool
 	closing    atomic.Bool
@@ -218,28 +199,64 @@ func newPersisted() persisted {
 }
 
 // newServer builds a bare in-memory server from a resolved config (no
-// recovery, no journal — openDurable layers those on top).
+// recovery, no journal — openDurable layers those on top) and publishes its
+// empty state: the query surface relies on a published state.
 func newServer(cfg config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		interner: core.NewInterner(),
 		tracer:   trace.New(cfg.traceEvery, traceRecorderCapacity),
 	}
-	s.w.persisted = newPersisted()
-	s.w.alpha, s.w.gamma, s.w.epsilon = cfg.alpha, cfg.gamma, cfg.epsilon
-	s.w.store = truth.NewStore(cfg.alpha)
+	w := serverState{persisted: newPersisted()}
+	w.alpha, w.gamma, w.epsilon, w.store = cfg.alpha, cfg.gamma, cfg.epsilon, truth.NewStore(cfg.alpha)
 	if cfg.embedder != nil {
 		var err error
 		if s.domains, err = loop.NewDomains(cfg.embedder, cfg.gamma); err != nil {
 			return nil, fmt.Errorf("eta2: %w", err)
 		}
 		ds := s.domains.State()
-		s.w.cluster = &ds
+		w.cluster = &ds
 	}
-	// Not yet shared, so publishing without the lock is safe; the query
-	// surface relies on the state pointer never being nil.
-	s.publishLocked()
-	return s, nil
+	return s, s.update(func(tx *rcu.Tx[serverState]) error {
+		tx.W = w
+		return nil
+	})
+}
+
+// update runs fn as one Write of the state cell, setting the gauges from the
+// state it publishes if fn succeeds. Every change of the state goes through it.
+func (s *Server) update(fn func(tx *rcu.Tx[serverState]) error) error {
+	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		err := fn(tx)
+		if err == nil {
+			s.publishMetrics(tx)
+		}
+		return err
+	})
+}
+
+// write is every public mutation's one path: writeBuffered, then — with no
+// lock held — the wait for the record fn journaled to be durable.
+func (s *Server) write(t *trace.Trace, fn func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error)) error {
+	lsn, fsync, err := s.writeBuffered(t, fn)
+	if err != nil {
+		return err
+	}
+	return s.journalCommit(lsn, fsync)
+}
+
+// writeBuffered is the follower write gate, then fn as one update. fn prepares,
+// journals and applies; it returns the record's LSN (0 if none), which labels
+// t, and the fsync-wait span it opened at the append for the commit wait to end.
+func (s *Server) writeBuffered(t *trace.Trace, fn func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error)) (lsn uint64, fsync *trace.Span, err error) {
+	if err = s.writable(); err == nil {
+		err = s.update(func(tx *rcu.Tx[serverState]) (err error) {
+			lsn, fsync, err = fn(tx)
+			return err
+		})
+	}
+	t.SetLSN(lsn)
+	return lsn, fsync, err
 }
 
 // traceRecorderCapacity is the flight-recorder ring size per server.
@@ -259,48 +276,40 @@ func (s *Server) AddUsers(users ...User) error {
 // AddUsersContext is AddUsers recording child spans on the trace carried
 // by ctx, if any.
 func (s *Server) AddUsersContext(ctx context.Context, users ...User) error {
-	if err := s.writable(); err != nil {
+	if err := s.writable(); err != nil || len(users) == 0 {
 		return err
 	}
 	t := trace.FromContext(ctx)
 	app := t.StartSpan(trace.SpanJournalAppend)
-	s.mu.Lock()
-	lsn, err := s.addUsersLocked(users)
-	var fsync *trace.Span
-	if err == nil {
-		// Opened under the lock so the span order reflects the durability
+	return s.write(t, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		lsn, err := s.addUsers(tx, users)
+		app.End()
+		if err != nil {
+			return 0, nil, err
+		}
+		// Opened inside the Write so the span order reflects the durability
 		// order (append → fsync wait); it ends in journalCommit.
-		fsync = t.StartSpan(trace.SpanFsyncWait)
-	}
-	s.mu.Unlock()
-	app.End()
-	if err != nil {
-		return err
-	}
-	t.SetLSN(lsn)
-	return s.journalCommit(lsn, fsync)
+		return lsn, t.StartSpan(trace.SpanFsyncWait), nil
+	})
 }
 
-// addUsersLocked prepares, journals and applies one batch for the public
-// gates, which own the fsync (journalCommit) after unlocking.
-func (s *Server) addUsersLocked(users []User) (uint64, error) {
-	if len(users) == 0 {
-		return 0, nil
-	}
-	if err := s.prepareAddUsers(users); err != nil {
+// addUsers prepares, journals and applies one non-empty batch for the
+// public gates, which own the fsync (journalCommit) after the Write.
+func (s *Server) addUsers(tx *rcu.Tx[serverState], users []User) (uint64, error) {
+	if err := s.prepareAddUsers(tx, users); err != nil {
 		return 0, err
 	}
-	j, err := s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventAddUsers, Users: users}))
+	j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventAddUsers, Users: users}))
 	if err != nil {
 		return 0, err
 	}
-	return j.lsn, s.applyAddUsers(j, users)
+	return j.lsn, s.applyAddUsers(tx, j, users)
 }
 
 // prepareAddUsers validates the batch and its name bindings against the
 // working state without changing it. Every check runs before journaling: a
 // record that could not re-apply on replay must never reach the WAL.
-func (s *Server) prepareAddUsers(users []User) error {
+func (s *Server) prepareAddUsers(tx *rcu.Tx[serverState], users []User) error {
 	var batchName map[UserID]string // lazily built: unnamed batches skip all of this
 	for _, u := range users {
 		if err := u.Validate(); err != nil {
@@ -312,8 +321,8 @@ func (s *Server) prepareAddUsers(users []User) error {
 		if id, ok := s.interner.Lookup(u.Name); ok && id != int(u.ID) {
 			return fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
 		}
-		if i, ok := s.w.userPos[u.ID]; ok {
-			if prev := s.w.users[i].Name; prev != "" && prev != u.Name {
+		if i, ok := tx.W.userPos[u.ID]; ok {
+			if prev := tx.W.users[i].Name; prev != "" && prev != u.Name {
 				return fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev, u.Name)
 			}
 		}
@@ -331,24 +340,29 @@ func (s *Server) prepareAddUsers(users []User) error {
 // applyAddUsers registers a journaled batch. Names are write-once (renames
 // were refused by prepareAddUsers) and replay applies the same merge, so
 // live and recovered state agree.
-func (s *Server) applyAddUsers(_ journaled, users []User) error {
-	s.w.users, s.w.userPos = cloneUsersWith(s.w.users, s.w.userPos, users)
-	var names []string
-	var nameIDs []int
+func (s *Server) applyAddUsers(tx *rcu.Tx[serverState], _ journaled, users []User) error {
+	tx.W.users, tx.W.userPos = cloneUsersWith(tx.W.users, tx.W.userPos, users)
 	for _, u := range users {
-		s.nextUserID = max(s.nextUserID, u.ID+1)
-		if u.Name != "" {
-			names, nameIDs = append(names, u.Name), append(nameIDs, int(u.ID))
-		}
+		tx.W.nextUserID = max(tx.W.nextUserID, u.ID+1)
 	}
 	// Cannot conflict: every binding was validated, and BindAll treats
 	// same-name-same-id rebinds (intra-batch duplicates) as no-ops.
-	err := s.interner.BindAll(names, nameIDs)
-	s.publishLocked()
-	if err != nil {
+	if err := bindNames(s.interner, users); err != nil {
 		return fmt.Errorf("eta2: intern: %w", err)
 	}
 	return nil
+}
+
+// bindNames binds users' names to their ids: all of them or, on a conflict, none.
+func bindNames(in *core.Interner, users []User) error {
+	var names []string
+	var ids []int
+	for _, u := range users {
+		if u.Name != "" {
+			names, ids = append(names, u.Name), append(ids, int(u.ID))
+		}
+	}
+	return in.BindAll(names, ids)
 }
 
 // AddUsersByName registers users by external string name, assigning dense
@@ -358,42 +372,36 @@ func (s *Server) applyAddUsers(_ journaled, users []User) error {
 // server-wide intern table, so every later request that carries a name
 // resolves it to a dense int once, at the decode edge.
 func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, error) {
-	if err := s.writable(); err != nil {
-		return nil, err
-	}
 	if len(names) == 0 {
-		return nil, nil
+		return nil, s.writable()
 	}
-	s.mu.Lock()
-	nextID := s.nextUserID
 	ids := make([]UserID, len(names))
-	batch := make([]User, len(names))
-	var fresh map[string]UserID // names first seen in this batch
-	for i, name := range names {
-		if name == "" {
-			s.mu.Unlock()
-			return nil, errors.New("eta2: empty user name")
-		}
-		if id, ok := s.interner.Lookup(name); ok {
-			ids[i] = UserID(id)
-		} else if id, dup := fresh[name]; dup {
-			ids[i] = id
-		} else {
-			if fresh == nil {
-				fresh = make(map[string]UserID, len(names)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
+	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		nextID := tx.W.nextUserID
+		batch := make([]User, len(names))
+		var fresh map[string]UserID // names first seen in this batch
+		for i, name := range names {
+			if name == "" {
+				return 0, nil, errors.New("eta2: empty user name")
 			}
-			ids[i] = nextID
-			fresh[name] = nextID
-			nextID++
+			if id, ok := s.interner.Lookup(name); ok {
+				ids[i] = UserID(id)
+			} else if id, dup := fresh[name]; dup {
+				ids[i] = id
+			} else {
+				if fresh == nil {
+					fresh = make(map[string]UserID, len(names)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
+				}
+				ids[i] = nextID
+				fresh[name] = nextID
+				nextID++
+			}
+			batch[i] = User{ID: ids[i], Capacity: capacity, Name: name}
 		}
-		batch[i] = User{ID: ids[i], Capacity: capacity, Name: name}
-	}
-	lsn, err := s.addUsersLocked(batch)
-	s.mu.Unlock()
+		lsn, err := s.addUsers(tx, batch)
+		return lsn, nil, err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := s.journalCommit(lsn, nil); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -411,7 +419,7 @@ func (s *Server) ResolveUser(name string) (UserID, bool) {
 // intern table: downstream state keys on dense ids only, and the string
 // form is recovered here. Lock-free.
 func (s *Server) UserName(id UserID) string {
-	st := s.loadState()
+	st := s.st.Load()
 	if i, ok := st.userPos[id]; ok {
 		return st.users[i].Name
 	}
@@ -420,7 +428,7 @@ func (s *Server) UserName(id UserID) string {
 
 // NumUsers returns the number of registered users.
 func (s *Server) NumUsers() int {
-	return len(s.loadState().users)
+	return len(s.st.Load().users)
 }
 
 // ErrNoEmbedder is returned when a described task is created on a server
@@ -432,27 +440,23 @@ var ErrNoEmbedder = errors.New("eta2: described tasks require WithEmbedder; set 
 // pair-word method and clustered dynamically. It returns the assigned task
 // IDs, in spec order.
 func (s *Server) CreateTasks(specs ...TaskSpec) ([]TaskID, error) {
-	if err := s.writable(); err != nil {
-		return nil, err
-	}
 	if len(specs) == 0 {
-		return nil, nil
-	}
-	s.mu.Lock()
-	b, err := s.prepareCreateTasks(specs)
-	var j journaled
-	if err == nil {
-		j, err = s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventCreateTasks, Specs: specs}))
+		return nil, s.writable()
 	}
 	var ids []TaskID
-	if err == nil {
-		ids, err = s.applyCreateTasks(j, b)
-	}
-	s.mu.Unlock()
+	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		b, err := s.prepareCreateTasks(tx, specs)
+		if err != nil {
+			return 0, nil, err
+		}
+		j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventCreateTasks, Specs: specs}))
+		if err != nil {
+			return 0, nil, err
+		}
+		ids, err = s.applyCreateTasks(tx, j, b)
+		return j.lsn, nil, err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := s.journalCommit(j.lsn, nil); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -467,17 +471,17 @@ type taskBatch struct {
 
 // prepareCreateTasks validates every spec and vectorizes the described ones
 // without touching server state, numbering the tasks from the working task
-// count: the batch is applied under the same lock.
-func (s *Server) prepareCreateTasks(specs []TaskSpec) (taskBatch, error) {
+// count: the batch is applied in the same Write.
+func (s *Server) prepareCreateTasks(tx *rcu.Tx[serverState], specs []TaskSpec) (taskBatch, error) {
 	b := taskBatch{tasks: make([]core.Task, 0, len(specs))}
 	for i, spec := range specs {
 		t := core.Task{
-			ID:          TaskID(len(s.w.tasks) + i),
+			ID:          TaskID(len(tx.W.tasks) + i),
 			Description: spec.Description,
 			Domain:      spec.DomainHint,
 			ProcTime:    spec.ProcTime,
 			Cost:        spec.Cost,
-			Day:         s.w.day,
+			Day:         tx.W.day,
 		}
 		if t.Cost == 0 { //eta2:floatcmp-ok exact zero is the unset-field sentinel, never a computed value
 			t.Cost = 1
@@ -503,51 +507,50 @@ func (s *Server) prepareCreateTasks(specs []TaskSpec) (taskBatch, error) {
 // applyCreateTasks appends a journaled batch and identifies its described
 // tasks' domains. Identify cannot fail here: every vector came from this
 // identifier's own embedder, whose dimension RestoreDomains held saved ones to.
-func (s *Server) applyCreateTasks(_ journaled, b taskBatch) ([]TaskID, error) {
+func (s *Server) applyCreateTasks(tx *rcu.Tx[serverState], _ journaled, b taskBatch) ([]TaskID, error) {
 	// domainOf is an append-only column: readers hold a published header
 	// that ends before this batch, so the batch's hints (DomainNone for a
 	// described task, until Identify below) are appended in place.
 	ids := make([]TaskID, len(b.tasks))
 	for i, t := range b.tasks {
-		s.w.domainOf = append(s.w.domainOf, t.Domain)
+		tx.W.domainOf = append(tx.W.domainOf, t.Domain)
 		ids[i] = t.ID
 	}
-	s.w.domainCount = new(atomic.Int64) // of the column as this batch leaves it
-	s.w.tasks = append(s.w.tasks, b.tasks...)
-	s.w.pending = append(s.w.pending, ids...)
+	tx.W.domainCount = new(atomic.Int64) // of the column as this batch leaves it
+	tx.W.tasks = append(tx.W.tasks, b.tasks...)
+	tx.W.pending = append(tx.W.pending, ids...)
 
 	if len(b.described) > 0 {
 		// Identify writes every described task's domain, and a merge moves
 		// OLD tasks, whose entries are published: it works on a copy of the
-		// column. The published state shares s.w.store too: merges fold
+		// column. The published state shares the store too: merges fold
 		// into a clone. Both are swapped in below.
-		domainOf := slices.Clone(s.w.domainOf)
+		domainOf := slices.Clone(tx.W.domainOf)
 		var merged *truth.Store
 		up, err := s.domains.Identify(b.described, b.vectors, domainOf, func(into, from DomainID) {
 			if merged == nil {
-				merged = s.w.store.Clone()
+				merged = tx.W.store.Clone()
 			}
 			merged.MergeDomains(into, from)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eta2: clustering: %w", err)
 		}
-		s.w.domainOf = domainOf
+		tx.W.domainOf = domainOf
 		if merged != nil {
-			s.w.store = merged
+			tx.W.store = merged
 		}
 		ds := s.domains.State()
-		s.w.cluster = &ds
-		s.lastNewDomains = append(s.lastNewDomains, up.NewDomains...)
-		s.lastMerges += len(up.Merges)
+		tx.W.cluster = &ds
+		tx.W.lastNewDomains = append(tx.W.lastNewDomains, up.NewDomains...)
+		tx.W.lastMerges += len(up.Merges)
 	}
-	s.publishLocked()
 	return ids, nil
 }
 
 // Domain returns the expertise domain assigned to a task.
 func (s *Server) Domain(id TaskID) DomainID {
-	return s.loadState().domain(id)
+	return s.st.Load().domain(id)
 }
 
 // NumDomains returns the number of discovered domains (clustered servers
@@ -555,28 +558,28 @@ func (s *Server) Domain(id TaskID) DomainID {
 // computed at most once per published snapshot — repeat reads against the
 // same snapshot are allocation-free.
 func (s *Server) NumDomains() int {
-	return s.loadState().numDomains()
+	return s.st.Load().numDomains()
 }
 
 // Expertise returns the learned expertise of user u for task t (via the
 // task's domain). Unobserved pairs return DefaultExpertise.
 func (s *Server) Expertise(u UserID, t TaskID) float64 {
-	st := s.loadState()
+	st := s.st.Load()
 	return st.store.Expertise(u, st.domain(t))
 }
 
 // ExpertiseInDomain returns the learned expertise of user u in a domain.
 func (s *Server) ExpertiseInDomain(u UserID, d DomainID) float64 {
-	return s.loadState().store.Expertise(u, d)
+	return s.st.Load().store.Expertise(u, d)
 }
 
 // ErrNothingToAllocate is returned when allocation is requested with no
 // pending tasks or no users.
 var ErrNothingToAllocate = errors.New("eta2: no pending tasks or no users to allocate")
 
-// AllocateMaxQuality solves the max-quality allocation problem for the
-// pending tasks: maximize the probability that each task receives accurate
-// data, subject to user capacities (Sec. 5.1 of the paper).
+// AllocateMaxQuality solves the max-quality allocation problem for the pending
+// tasks: maximize the probability that each task receives accurate data,
+// subject to user capacities (Sec. 5.1 of the paper).
 func (s *Server) AllocateMaxQuality() (*Allocation, error) {
 	return s.allocateMaxQuality(func(in allocation.Input) (allocation.MaxQualityResult, error) {
 		return allocation.MaxQuality(in, allocation.MaxQualityOptions{})
@@ -593,41 +596,31 @@ func (s *Server) AllocateMaxQualityBudgeted(budget float64) (*Allocation, error)
 }
 
 // allocateMaxQuality runs one max-quality solver over the pending tasks
-// under the write lock and journals the resulting pairs.
+// inside one Write and journals the resulting pairs.
 func (s *Server) allocateMaxQuality(solve func(allocation.Input) (allocation.MaxQualityResult, error)) (*Allocation, error) {
-	if err := s.writable(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if len(s.w.pending) == 0 || len(s.w.users) == 0 {
-		s.mu.Unlock()
-		return nil, ErrNothingToAllocate
-	}
-	res, err := solve(s.w.allocationInput(s.cfg))
-	if err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("eta2: %w", err)
-	}
-	lsn, err := s.journalAllocationLocked(res.Allocation)
-	s.mu.Unlock()
+	var a *Allocation
+	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		if len(tx.W.pending) == 0 || len(tx.W.users) == 0 {
+			return 0, nil, ErrNothingToAllocate
+		}
+		res, err := solve(tx.W.allocationInput(s.cfg.parallelism))
+		if err != nil {
+			return 0, nil, fmt.Errorf("eta2: %w", err)
+		}
+		a = res.Allocation
+		return s.journalAllocation(tx, a)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.journalCommit(lsn, nil); err != nil {
-		return nil, err
-	}
-	return res.Allocation, nil
+	return a, nil
 }
 
-// journalAllocationLocked journals an allocation's pairs — an audit
-// record: allocation itself does not mutate the server — and republishes
-// so DurabilityStats sees the advanced LSN.
-func (s *Server) journalAllocationLocked(a *Allocation) (uint64, error) {
-	j, err := s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventAllocate, Pairs: a.Pairs}))
-	if err == nil {
-		s.publishLocked()
-	}
-	return j.lsn, err
+// journalAllocation journals an allocation's pairs, an audit record:
+// allocation itself does not mutate the server.
+func (s *Server) journalAllocation(tx *rcu.Tx[serverState], a *Allocation) (uint64, *trace.Span, error) {
+	j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventAllocate, Pairs: a.Pairs}))
+	return j.lsn, nil, err
 }
 
 // MinCostParams parameterizes AllocateMinCost.
@@ -659,14 +652,14 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 	if err := s.writable(); err != nil {
 		return MinCostOutcome{}, err
 	}
-	st := s.loadState()
+	st := s.st.Load()
 	if len(st.pending) == 0 || len(st.users) == 0 {
 		return MinCostOutcome{}, ErrNothingToAllocate
 	}
 	if collect == nil {
 		return MinCostOutcome{}, errors.New("eta2: nil collector")
 	}
-	res, err := loop.MinCost(st.allocationInput(s.cfg), allocation.MinCostConfig{
+	res, err := loop.MinCost(st.allocationInput(s.cfg.parallelism), allocation.MinCostConfig{
 		EpsBar:     params.EpsBar,
 		Alpha:      params.ConfAlpha,
 		IterBudget: params.IterBudget,
@@ -680,13 +673,9 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 	if err != nil {
 		return MinCostOutcome{}, fmt.Errorf("eta2: %w", err)
 	}
-	s.mu.Lock()
-	lsn, err := s.journalAllocationLocked(res.Allocation)
-	s.mu.Unlock()
-	if err != nil {
-		return MinCostOutcome{}, err
-	}
-	if err := s.journalCommit(lsn, nil); err != nil {
+	if err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		return s.journalAllocation(tx, res.Allocation)
+	}); err != nil {
 		return MinCostOutcome{}, err
 	}
 	return res, nil
@@ -706,63 +695,56 @@ func (s *Server) SubmitObservations(obs ...Observation) error {
 // checks, so the hot-path alloc budget holds with tracing disabled and
 // enabled (TestSubmitObservationsAllocBudget covers both).
 func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observation) error {
-	if err := s.writable(); err != nil {
+	// Gated before the validation too: a follower refuses the write, not
+	// the batch.
+	if err := s.writable(); err != nil || len(obs) == 0 {
 		return err
 	}
-	if len(obs) == 0 {
-		return nil
-	}
 	t := trace.FromContext(ctx)
-	st := s.loadState()
+	st := s.st.Load()
 	enc := t.StartSpan(trace.SpanEncode)
 	if err := checkObservations(obs, len(st.tasks), st.userPos); err != nil {
 		enc.End()
 		return err
 	}
-	// Stamp and encode outside the lock into pooled scratch: the encode +
-	// WAL-append section is zero-alloc at steady state (asserted by
-	// TestIngestJournalPathZeroAlloc).
+	// Stamp and encode into pooled scratch before the Write: zero-alloc at
+	// steady state (TestIngestJournalPathZeroAlloc).
 	eb := obsEventPool.Get().(*obsEventBuf)
 	eb.encode(obs, st.day)
 	enc.End()
 
 	app := t.StartSpan(trace.SpanJournalAppend)
-	s.mu.Lock()
-	// Tasks and users only grow, so the snapshot validation above cannot
-	// be invalidated by the time the lock is held — but a concurrent
-	// CloseTimeStep may have advanced the clock, in which case the batch
-	// is re-stamped with the current day.
-	if s.w.day != st.day {
-		eb.encode(obs, s.w.day)
-	}
-	j, err := s.journalBuffered(eb.b)
-	app.End()
-	if err != nil {
-		s.mu.Unlock()
-		obsEventPool.Put(eb)
+	if err := s.write(t, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		// The append copies the payload and the apply the observations.
+		defer obsEventPool.Put(eb)
+		// Tasks and users only grow, so the validation above still holds,
+		// but a concurrent CloseTimeStep may have advanced the clock.
+		if tx.W.day != st.day {
+			eb.encode(obs, tx.W.day)
+		}
+		j, err := s.journalBuffered(tx, eb.b)
+		app.End()
+		if err != nil {
+			return 0, nil, err
+		}
+		// The wait for durability begins at the append, so the fsync-wait
+		// span (ended in journalCommit) opens before the publish.
+		fsync := t.StartSpan(trace.SpanFsyncWait)
+		pub := t.StartSpan(trace.SpanPublish)
+		s.applyObservations(tx, j, eb.obs)
+		pub.End()
+		return j.lsn, fsync, nil
+	}); err != nil {
 		return err
 	}
-	// The wait for durability begins at the append, so the fsync-wait span
-	// (ended in journalCommit) opens before the publish.
-	fsync := t.StartSpan(trace.SpanFsyncWait)
-	pub := t.StartSpan(trace.SpanPublish)
-	s.applyObservations(j, eb.obs)
-	s.publishLocked()
-	pub.End()
-	s.mu.Unlock()
-	// The WAL copied the payload into the segment file during the buffered
-	// append and the apply copied the observations, so the scratch can
-	// recycle before the fsync wait completes.
-	obsEventPool.Put(eb)
 	ingestAllocSample()
-	t.SetLSN(j.lsn)
-	return s.journalCommit(j.lsn, fsync)
+	return nil
 }
 
 // applyObservations appends a journaled batch to the open day as it was
-// journaled, day stamps included. The caller publishes.
-func (s *Server) applyObservations(_ journaled, obs []Observation) {
-	s.w.observations = append(s.w.observations, obs...)
+// journaled, day stamps included.
+func (s *Server) applyObservations(tx *rcu.Tx[serverState], _ journaled, obs []Observation) {
+	tx.W.observations = append(tx.W.observations, obs...)
 	mObsAccepted.Add(uint64(len(obs)))
 }
 
@@ -803,41 +785,41 @@ func (s *Server) CloseTimeStep() (StepReport, error) {
 // CloseTimeStepContext is CloseTimeStep recording child spans on the
 // trace carried by ctx, if any.
 func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
-	if err := s.writable(); err != nil {
-		return StepReport{}, err
-	}
 	t := trace.FromContext(ctx)
-	s.mu.Lock()
-	est := t.StartSpan(trace.SpanTruthEstimate)
-	step, err := s.w.estimateStep(s.cfg.truthCfg)
-	est.End()
-	var j journaled
-	if err == nil {
+	var report StepReport
+	lsn, fsync, err := s.writeBuffered(t, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
+		est := t.StartSpan(trace.SpanTruthEstimate)
+		step, err := tx.W.estimateStep(s.cfg.truthCfg)
+		est.End()
+		if err != nil {
+			return 0, nil, err
+		}
 		app := t.StartSpan(trace.SpanJournalAppend)
-		j, err = s.journalBuffered(encodeEvent(nil, walEvent{Kind: eventCloseStep}))
+		j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventCloseStep}))
 		app.End()
-	}
+		if err != nil {
+			return 0, nil, err
+		}
+		fsync := t.StartSpan(trace.SpanFsyncWait) // the wait begins at the append; ended by journalCommit
+		pub := t.StartSpan(trace.SpanPublish)
+		report = s.applyClose(tx, j, step)
+		pub.End()
+		return j.lsn, fsync, nil
+	})
 	if err != nil {
-		s.mu.Unlock()
 		return StepReport{}, err
 	}
-	fsync := t.StartSpan(trace.SpanFsyncWait) // the wait begins at the append; ended by journalCommit
-	pub := t.StartSpan(trace.SpanPublish)
-	report := s.applyClose(j, step)
-	pub.End()
-	s.mu.Unlock()
-	t.SetLSN(j.lsn)
 	// A closed step is the natural commit point: under the interval policy
 	// force the flush the group commit would otherwise defer (fsync-never
-	// callers keep their explicit no-sync contract). Like the commit wait
-	// itself this runs with no server lock held.
-	if wl := s.loadState().journal; wl != nil && j.lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
+	// callers keep their explicit no-sync contract). Like the commit wait,
+	// which it leaves nothing to flush, this runs with no server lock held.
+	if wl := s.st.Load().journal; wl != nil && lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
 		if err := wl.Sync(); err != nil {
 			fsync.End()
 			return StepReport{}, fmt.Errorf("eta2: journal sync: %w", err)
 		}
 	}
-	if err := s.journalCommit(j.lsn, fsync); err != nil {
+	if err := s.journalCommit(lsn, fsync); err != nil {
 		return StepReport{}, err
 	}
 	return report, nil
@@ -845,21 +827,21 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 
 // applyClose commits a journaled close: the estimate's store and truths are
 // swapped in, the day's pending state is cleared and the clock advances.
-func (s *Server) applyClose(_ journaled, step stepEstimate) StepReport {
-	s.w.store = step.store
+func (s *Server) applyClose(tx *rcu.Tx[serverState], _ journaled, step stepEstimate) StepReport {
+	tx.W.store = step.store
 	report := StepReport{
-		Day:           s.w.day,
+		Day:           tx.W.day,
 		MLEIterations: step.res.Iterations,
 		Converged:     step.res.Converged,
-		NewDomains:    s.lastNewDomains,
-		MergedDomains: s.lastMerges,
+		NewDomains:    tx.W.lastNewDomains,
+		MergedDomains: tx.W.lastMerges,
 	}
-	s.lastNewDomains, s.lastMerges = nil, 0
+	tx.W.lastNewDomains, tx.W.lastMerges = nil, 0
 	// Readers hold the published truths column and a close may re-estimate
 	// an old task, so the step's estimates land in a copy that reaches
 	// every task, swapped in with the cloned store.
-	truths := make([]TruthEstimate, len(s.w.tasks))
-	copy(truths, s.w.truths)
+	truths := make([]TruthEstimate, len(tx.W.tasks))
+	copy(truths, tx.W.truths)
 	for _, tid := range step.table.Tasks() {
 		est := TruthEstimate{
 			Task:         tid,
@@ -870,23 +852,22 @@ func (s *Server) applyClose(_ journaled, step stepEstimate) StepReport {
 		truths[tid] = est
 		report.Estimates = append(report.Estimates, est)
 	}
-	s.w.truths = truths
+	tx.W.truths = truths
 
-	s.w.observations = nil
-	s.w.pending = nil
-	s.w.day++
+	tx.W.observations = nil
+	tx.W.pending = nil
+	tx.W.day++
 	mStepsClosed.Inc()
-	s.publishLocked()
-	s.compactIfOwedLocked()
+	s.compactIfOwed(tx)
 	return report
 }
 
 // Truth returns the latest truth estimate for a task.
 func (s *Server) Truth(id TaskID) (TruthEstimate, bool) {
-	return s.loadState().truth(id)
+	return s.st.Load().truth(id)
 }
 
 // Day returns the server's current time-step index.
 func (s *Server) Day() int {
-	return s.loadState().day
+	return s.st.Load().day
 }

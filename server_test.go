@@ -96,7 +96,7 @@ func TestAddUsersByNameAssignsNextID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replayed.w.journal.Close()
+	defer replayed.st.Load().journal.Close()
 	loaded, err := LoadServer(bytes.NewReader(saveBytes(t, s)))
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestMinCostCollectorDoesNotStallWriters(t *testing.T) {
 	if got := s.NumUsers(); got != 4 {
 		t.Errorf("%d users after the round, want 4", got)
 	}
-	if got := len(s.loadState().observations); got != collected+1 {
+	if got := len(s.st.Load().observations); got != collected+1 {
 		t.Errorf("%d observations in the open day, want the %d collected and the concurrent one", got, collected)
 	}
 	want := saveBytes(t, s)
@@ -407,7 +407,7 @@ func TestMinCostCollectorDoesNotStallWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.w.journal.Close()
+	defer r.st.Load().journal.Close()
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Error("the data directory does not replay to the live state")
 	}

@@ -14,15 +14,15 @@ import (
 	"eta2/internal/wal"
 )
 
-// serverState is the one declaration of the server's state (DESIGN.md §11).
-// The writers build on one value of it, Server.w, under Server.mu; every
-// committed mutation publishes a copy of that value through publishLocked,
-// and a reader — a query, SaveStateBinary, a compaction, a follower
-// bootstrap — loads the pointer once and reads freely: what the lock-free
-// query surface reads is what the snapshot codec writes. The copy shares
-// every container with the working value, so a writer may assign a field of
-// Server.w but never write through one (snapshotimmutability reads the
-// reference-typed fields off this declaration). How each container changes:
+// serverState is the one declaration of the server's state (DESIGN.md §11),
+// held in the Server's rcu.Cell: writers change the working copy a Write hands
+// them, and every successful Write publishes a copy of it. A reader — a
+// query, SaveStateBinary, a compaction, a follower bootstrap — loads the
+// published pointer once and reads freely: what the lock-free query surface
+// reads is what the snapshot codec writes. The copy shares every container
+// with the working copy, so a writer may assign a field of tx.W but never
+// write through one (snapshotimmutability reads the reference-typed fields
+// off this declaration). How each container changes:
 //
 //   - users, tasks, pending, observations, domainOf and truths are columns.
 //     A captured slice header freezes its prefix: writers only append past
@@ -39,9 +39,10 @@ import (
 //     (construction, restore, a described create); nil without clustering.
 //   - domainCount is a cell the states holding one domainOf share; whoever
 //     extends or replaces domainOf installs a fresh one.
+//   - lastNewDomains is a column, dropped by the close that reports it.
 //   - journal is a handle, not data: wal.Log has its own synchronization and
 //     tolerates Stats/Commit after Close. It is here so DurabilityStats and
-//     journalCommit run without touching Server.mu. Nil on an in-memory
+//     journalCommit run without taking the writer lock. Nil on an in-memory
 //     server; attached in either replication role — a primary's own mutations
 //     write it, a follower's pull loop feeds it the primary's records verbatim.
 type serverState struct {
@@ -62,6 +63,12 @@ type serverState struct {
 	// invalidated into accepting a write on a node that is still a follower.
 	role        serverRole
 	primaryAddr string
+
+	nextUserID UserID // one past the highest id in users: AddUsersByName's next
+
+	// What the open day's creates did to the domains, for its StepReport.
+	lastNewDomains []DomainID
+	lastMerges     int
 }
 
 // persisted is the part of the state that replay rebuilds and the snapshot
@@ -77,8 +84,8 @@ type persisted struct {
 
 	tasks []core.Task
 	// domainOf and truths are per-task columns indexed by the dense TaskID
-	// (DESIGN.md §11 rule 2). len(domainOf) == len(tasks) whenever Server.mu
-	// is released; truths reaches the highest task ever estimated, and an
+	// (DESIGN.md §11 rule 2). len(domainOf) == len(tasks) in every published
+	// state; truths reaches the highest task ever estimated, and an
 	// entry with Observations == 0 means "no estimate yet" (a real one
 	// always has at least one).
 	domainOf     []DomainID
@@ -167,9 +174,10 @@ func (st *serverState) pendingTasks() []core.Task {
 }
 
 // allocationInput is the allocation problem of the pending tasks over the
-// registered users. It only reads st, and so does a solve of it.
-func (st *serverState) allocationInput(cfg config) allocation.Input {
-	return loop.AllocationInput(st.users, st.pendingTasks(), st.store, st.domainOf, cfg.epsilon, cfg.parallelism)
+// registered users, for parallelism workers. It only reads st, and so does a
+// solve of it.
+func (st *serverState) allocationInput(parallelism int) allocation.Input {
+	return loop.AllocationInput(st.users, st.pendingTasks(), st.store, st.domainOf, st.epsilon, parallelism)
 }
 
 // stepEstimate is a prepared close: the day's observation table, the clone of
@@ -192,26 +200,4 @@ func (st *serverState) estimateStep(cfg truth.Config) (step stepEstimate, err er
 		return stepEstimate{}, fmt.Errorf("eta2: %w", err)
 	}
 	return step, nil
-}
-
-// publishLocked publishes a copy of the working state as the new immutable
-// read state and refreshes the server-shape gauges. It is the ONLY place that
-// may store to s.state (enforced by the lockdiscipline analyzer): every
-// writer calls it exactly once per committed mutation batch, with s.mu
-// held — or before the server is shared, during construction and recovery,
-// where no lock is needed.
-func (s *Server) publishLocked() {
-	st := s.w
-	s.state.Store(&st)
-	mSnapshotPublishes.Inc()
-	mSnapshotPublishTS.SetToCurrentTime()
-	s.publishMetricsLocked(&st)
-}
-
-// loadState returns the current state: what a query reads and what
-// SaveStateBinary, a compaction and a follower bootstrap encode. The pointer
-// is never nil: newServer and restoreServer publish before the server
-// escapes.
-func (s *Server) loadState() *serverState {
-	return s.state.Load()
 }

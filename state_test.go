@@ -13,6 +13,7 @@ import (
 
 	"eta2/internal/dataset"
 	"eta2/internal/embedding"
+	"eta2/internal/rcu"
 	"eta2/internal/truth"
 )
 
@@ -171,7 +172,7 @@ func TestLockFreeReadsDuringDurableStorm(t *testing.T) {
 // TestServerDeclaresNoStateField: serverState is the only declaration of the
 // server's state. The writers' working value is a serverState inside the
 // Server, so a field of the Server with the name of a field of the state is a
-// second copy of it, which publishLocked, restoreServer, adoptRestored and
+// second copy of it, which newServer, restoreServer, adoptRestored and
 // the lint passes would each have to be told about.
 func TestServerDeclaresNoStateField(t *testing.T) {
 	state := make(map[string]bool)
@@ -269,10 +270,11 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 
 	// Spare capacity, so that no append of the script reallocates a
 	// column: only the copy a writer makes keeps a published prefix frozen.
-	s.mu.Lock()
-	s.w.domainOf = slices.Grow(s.w.domainOf, 256)
-	s.w.users = slices.Grow(s.w.users, 64)
-	s.mu.Unlock()
+	_ = s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		tx.W.domainOf = slices.Grow(tx.W.domainOf, 256)
+		tx.W.users = slices.Grow(tx.W.users, 64)
+		return nil
+	})
 
 	done := make(chan struct{})
 	errc := make(chan error, 4)
@@ -298,7 +300,7 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 					running = false
 				default:
 				}
-				if st := s.loadState(); len(held) == 0 || held[len(held)-1].st != st {
+				if st := s.st.Load(); len(held) == 0 || held[len(held)-1].st != st {
 					held = append(held, viewOf(st))
 					if len(held) == 1 {
 						ready.Done()
@@ -314,7 +316,7 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 	ready.Wait()
 
 	var held []frozenView
-	hold := func() { held = append(held, viewOf(s.loadState())) }
+	hold := func() { held = append(held, viewOf(s.st.Load())) }
 	described := dataset.SurveyLike(11).Tasks
 	rng := rand.New(rand.NewSource(9))
 	merges := 0
@@ -377,7 +379,7 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 		t.Error("no established domains merged: no described create moved an old task")
 	}
 	moved, reestimated, folded, updated := false, false, false, false
-	final := viewOf(s.loadState())
+	final := viewOf(s.st.Load())
 	for i, v := range held {
 		for k := range v.domains {
 			moved = moved || v.domains[k] != DomainNone && v.domains[k] != final.domains[k]

@@ -12,24 +12,40 @@ func IsTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// PublishedType returns the struct type owner publishes behind a
-// sync/atomic.Pointer field — the server's one declaration of its state, where
-// the passes that know the state's shape read it — or nil.
-func PublishedType(owner *types.Named) *types.Named {
-	fields, ok := owner.Underlying().(*types.Struct)
-	if !ok {
+// RCUArg returns the type argument of t — or of what t points to — if t is
+// the generic type name ("Cell" or "Tx") of an internal/rcu package, the
+// server's publish cell, and nil otherwise.
+func RCUArg(t types.Type, name string) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Name() != name || n.Obj().Pkg() == nil || !strings.HasSuffix(n.Obj().Pkg().Path(), "internal/rcu") || n.TypeArgs().Len() != 1 {
 		return nil
 	}
-	for i := 0; i < fields.NumFields(); i++ {
-		p, ok := fields.Field(i).Type().(*types.Named)
-		if !ok || p.Obj().Pkg() == nil || p.Obj().Pkg().Path() != "sync/atomic" || p.Obj().Name() != "Pointer" || p.TypeArgs().Len() != 1 {
+	return n.TypeArgs().At(0)
+}
+
+// PublishedType finds the type of pkg that holds an rcu.Cell of a struct
+// type — the server — and that struct type, the server's one declaration of
+// its state, where the passes that know the state's shape read it. Both are
+// nil if no type of pkg holds one.
+func PublishedType(pkg *types.Package) (owner, state *types.Named) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, _ := scope.Lookup(name).(*types.TypeName)
+		if tn == nil {
 			continue
 		}
-		if t, ok := p.TypeArgs().At(0).(*types.Named); ok {
-			if _, isStruct := t.Underlying().(*types.Struct); isStruct {
-				return t
+		o, _ := tn.Type().(*types.Named)
+		fields, ok := tn.Type().Underlying().(*types.Struct)
+		for i := 0; o != nil && ok && i < fields.NumFields(); i++ {
+			if t, _ := RCUArg(fields.Field(i).Type(), "Cell").(*types.Named); t != nil {
+				if _, isStruct := t.Underlying().(*types.Struct); isStruct {
+					return o, t
+				}
 			}
 		}
 	}
-	return nil
+	return nil, nil
 }

@@ -1,12 +1,9 @@
 // Package eta2srv exercises journalfirst against a Server shaped like
-// the real one: a working value of the one state declaration, whose embedded
-// persistable part is the tracked set, plus durability bookkeeping.
+// the real one: its state is one rcu.Cell of the one state declaration, whose
+// embedded persistable part is the tracked set, plus durability bookkeeping.
 package eta2srv
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "eta2/internal/rcu"
 
 type event struct{ Name string }
 
@@ -24,6 +21,7 @@ func (d *identifier) State() []string           { return d.items }
 type serverState struct {
 	persisted
 	lastLSN uint64 // durability bookkeeping: not event-sourced
+	nextID  int    // derived, not state: no token required
 }
 
 type persisted struct {
@@ -34,11 +32,8 @@ type persisted struct {
 }
 
 type Server struct {
-	mu      sync.Mutex
-	w       serverState
-	state   atomic.Pointer[serverState]
+	st      rcu.Cell[serverState]
 	domains *identifier
-	nextID  int // derived, not state: no token required
 }
 
 // indexWith returns a copy of pos with name added.
@@ -50,56 +45,65 @@ func indexWith(pos map[string]int, name string, at int) map[string]int {
 	return next
 }
 
-// AddUser is a gate: prepare, journal, apply. Compliant.
+// AddUser is a gate: prepare, journal, apply, in one Write. Compliant.
 func (s *Server) AddUser(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.prepareAddUser(name)
-	j, err := s.journalBuffered(event{Name: name})
-	if err != nil {
-		return err
-	}
-	s.applyAddUser(j, name, n)
-	return nil
+	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		n := s.prepareAddUser(tx, name)
+		j, err := s.journalBuffered(tx, event{Name: name})
+		if err != nil {
+			return err
+		}
+		s.applyAddUser(tx, j, name, n)
+		return nil
+	})
 }
 
 // prepareAddUser only reads.
-func (s *Server) prepareAddUser(name string) int {
+func (s *Server) prepareAddUser(tx *rcu.Tx[serverState], name string) int {
 	_ = s.domains.Vectorize(name)
-	return len(s.w.users)
+	return len(tx.W.users)
 }
 
 // applyAddUser takes the token, so it may assign every tracked field and
-// call Identify. Compliant.
-func (s *Server) applyAddUser(_ journaled, name string, at int) {
-	s.w.userPos = indexWith(s.w.userPos, name, at)
-	s.w.users = append(s.w.users, name)
-	s.w.day++
+// call Identify, itself or in a literal it holds. Compliant.
+func (s *Server) applyAddUser(tx *rcu.Tx[serverState], _ journaled, name string, at int) {
+	tx.W.userPos = indexWith(tx.W.userPos, name, at)
+	tx.W.users = append(tx.W.users, name)
+	func() { tx.W.day++ }()
 	s.domains.Identify(name)
-	s.w.cluster = s.domains.State()
-	s.nextID++
+	tx.W.cluster = s.domains.State()
+	tx.W.nextID++
 }
 
-// BadIndexUser indexes the user in a method that holds no token: moving an
-// apply's assignment up into its gate, above the journal call, lands here.
+// BadIndexUser indexes the user in a callback that holds no token: moving
+// an apply's assignment up into its gate, above the journal call, lands here.
 func (s *Server) BadIndexUser(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.userPos = indexWith(s.w.userPos, name, len(s.w.users)) // want `Server.userPos assigned in BadIndexUser, which takes no journaled token`
-	_, err := s.journalBuffered(event{Name: name})
-	return err
+	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		tx.W.userPos = indexWith(tx.W.userPos, name, len(tx.W.users)) // want `state field userPos assigned through a \*rcu.Tx in BadIndexUser, which takes no journaled token`
+		_, err := s.journalBuffered(tx, event{Name: name})
+		return err
+	})
 }
 
-// BadElementWrite stores into a tracked container without a token (the
+// badElementWrite stores into a tracked container without a token (the
 // store itself is snapshotimmutability's finding too).
-func (s *Server) BadElementWrite(name string) {
-	s.w.userPos[name] = 0 // want `Server.userPos assigned in BadElementWrite`
+func (s *Server) badElementWrite(tx *rcu.Tx[serverState], name string) {
+	tx.W.userPos[name] = 0 // want `state field userPos assigned through a \*rcu.Tx in badElementWrite`
 }
 
 // NumUsers is a query that writes.
 func (s *Server) NumUsers() int {
-	s.w.day++ // want `Server.day assigned in NumUsers`
-	return len(s.w.users)
+	_ = s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		tx.W.day++ // want `state field day assigned through a \*rcu.Tx in NumUsers`
+		return nil
+	})
+	return len(s.st.Load().users)
+}
+
+// closeDay is a plain function: holding a *rcu.Tx is what it takes, not
+// being a Server method.
+func closeDay(tx *rcu.Tx[serverState]) {
+	tx.W.day++ // want `state field day assigned through a \*rcu.Tx in closeDay`
 }
 
 // BadCreateTask clusters the task without a token.
@@ -108,14 +112,22 @@ func (s *Server) BadCreateTask(name string) {
 }
 
 // ForgedToken builds the token outside journal.go to reach an apply.
-func (s *Server) ForgedToken(name string) {
-	s.applyAddUser(journaled{}, name, len(s.w.users)) // want `journaled\{\.\.\.\} built outside journal.go`
+func (s *Server) ForgedToken(name string) error {
+	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		s.applyAddUser(tx, journaled{}, name, len(tx.W.users)) // want `journaled\{\.\.\.\} built outside journal.go`
+		return nil
+	})
 }
 
-// Bookkeeping only touches untracked fields: no token needed.
-func (s *Server) Bookkeeping() {
-	s.mu.Lock()
-	s.w.lastLSN = 0
-	s.nextID = 0
-	s.mu.Unlock()
+// Bookkeeping only touches untracked fields, and a state value no Write
+// has published yet is not reached through a *rcu.Tx: no token needed.
+func (s *Server) Bookkeeping() error {
+	w := serverState{}
+	w.day = 1
+	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		tx.W.lastLSN = 0
+		tx.W.nextID = 0
+		tx.W = w
+		return nil
+	})
 }

@@ -1,17 +1,17 @@
 // Package snapshotimmutability proves at compile time that published
-// snapshots are never mutated. The server's lock-free read path (PR 2)
-// works because publishLocked atomically publishes an immutable
-// serverState; every write after publication must go through
+// snapshots are never mutated. The server's lock-free read path works
+// because every Write of its rcu.Cell publishes an immutable copy of the
+// working serverState; every write after publication must go through
 // copy-on-write — build a fresh container, then swap the field
-// wholesale. A single `s.users[id] = u` on the live map is a data race
+// wholesale. A single `tx.W.users[id] = u` on the live map is a data race
 // against every in-flight reader and silently corrupts snapshots that
 // were supposed to be frozen.
 //
 // The analyzer reads the snapshot shape off the declarations: the
-// published type is the one publishLocked's receiver holds behind an
-// atomic.Pointer, and every reference-typed field of a value of that type
-// — the writers' working value on the owner, a state loaded from the
-// pointer, a parameter — is a container shared with published snapshots.
+// published type is the type argument of the rcu.Cell a type of the
+// package holds, and every reference-typed field of a value of that type
+// — the working copy a *rcu.Tx holds, a state loaded from the cell, a
+// parameter — is a container shared with published snapshots.
 // It then flags, in every function of the package:
 //
 //   - writes through such a container or a value aliasing one (map/slice
@@ -21,8 +21,10 @@
 //     packages, via the write-through-parameter facts of the callgraph
 //     engine, and interface methods via its binds.
 //
-// Assigning a field of the working value (`s.w.users = next`) is the legal
+// Assigning a field of the working copy (`tx.W.users = next`) is the legal
 // copy-on-write swap: it changes the next snapshot, not a published one.
+// No rule marks it: tx.W is a field of a non-pointer struct held behind a
+// pointer that is not itself snapshot memory.
 //
 // Aliasing is tracked through reference-typed assignments; value copies
 // and calls to clone/constructor-shaped functions (new*, make*, clone*,
@@ -61,9 +63,9 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
-	snap, handles := derivePublish(pass, g)
+	snap, handles := derivePublish(pass)
 	if snap == nil {
-		return nil // no publishLocked here; this package only contributes facts
+		return nil // no state cell here; this package only contributes facts
 	}
 	for _, decl := range g.LocalDecls {
 		if isCloneName(decl.Name.Name) || pass.FuncSuppressed(decl) {
@@ -82,19 +84,10 @@ func run(pass *analysis.Pass) error {
 }
 
 // derivePublish reads the snapshot contract off the declarations: snap is
-// the type publishLocked's receiver holds behind an atomic.Pointer, and
-// handles names its fields declared as synchronized handles.
-func derivePublish(pass *analysis.Pass, g *callgraph.Graph) (snap *types.Named, handles map[string]bool) {
-	for _, d := range g.LocalDecls {
-		fn, _ := pass.TypesInfo.Defs[d.Name].(*types.Func)
-		if d.Name.Name != "publishLocked" || d.Recv == nil || fn == nil {
-			continue
-		}
-		if owner := namedOf(fn.Type().(*types.Signature).Recv().Type()); owner != nil {
-			snap = analysis.PublishedType(owner)
-		}
-	}
-	if snap == nil {
+// the type the package's rcu.Cell holds, and handles names its fields
+// declared as synchronized handles.
+func derivePublish(pass *analysis.Pass) (snap *types.Named, handles map[string]bool) {
+	if _, snap = analysis.PublishedType(pass.Pkg); snap == nil {
 		return nil, nil
 	}
 	handles = make(map[string]bool)
@@ -123,8 +116,8 @@ func (c *checker) check(decl *ast.FuncDecl) {
 	}
 	sig := obj.Type().(*types.Signature)
 	// Snapshot-typed parameters arrive from outside the function: assume
-	// published. (The owner receiver is not itself tainted — only the
-	// working value it holds is.)
+	// published. (A *rcu.Tx is not itself tainted — only the working copy
+	// it holds is.)
 	if recv := sig.Recv(); recv != nil && c.isSnapType(recv.Type()) {
 		c.tainted[recv] = true
 	}
@@ -223,7 +216,7 @@ func (c *checker) findWrites(body ast.Node) {
 
 // checkWrite flags a store whose target dereferences (map/slice element,
 // field through pointer, explicit *) a snapshot-reachable base.
-// Replacing a field of the working value wholesale (`s.w.users = next`)
+// Replacing a field of the working copy wholesale (`tx.W.users = next`)
 // is the legal copy-on-write swap and is not a dereference of the shared
 // container, so it passes.
 func (c *checker) checkWrite(lhs ast.Expr) {
@@ -320,9 +313,9 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 			t := c.pass.TypesInfo.TypeOf(ast.Expr(x))
 			return t != nil && (c.refLike(t) || c.isSnapType(t))
 		}
-		// A snapshot-typed value read from anywhere else — the owner's
-		// working value, a global — shares its containers with published
-		// snapshots.
+		// A snapshot-typed value read from anywhere else — the working
+		// copy a *rcu.Tx holds, a global — shares its containers with
+		// published snapshots.
 		if t := c.pass.TypesInfo.TypeOf(ast.Expr(x)); t != nil && c.isSnapType(t) {
 			return true
 		}
@@ -338,7 +331,7 @@ func (c *checker) taintedExpr(e ast.Expr) bool {
 		if callee != nil && isCloneName(callee.Name()) {
 			return false // clone-shaped calls return fresh memory
 		}
-		// A call handing back the snapshot type (atomic pointer Load,
+		// A call handing back the snapshot type (the cell's Load, an
 		// accessor) yields published memory.
 		t := c.pass.TypesInfo.TypeOf(ast.Expr(x))
 		return t != nil && c.isSnapType(t)

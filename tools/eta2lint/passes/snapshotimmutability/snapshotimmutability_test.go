@@ -17,7 +17,7 @@ func TestCrossPackage(t *testing.T) {
 	analysistest.RunDeps(t, "testdata", Analyzer, "snapshot/storage", "snapshot/cross")
 }
 
-// TestHelperAloneIsClean: a package without publishLocked only
+// TestHelperAloneIsClean: a package without a state cell only
 // contributes facts and reports nothing.
 func TestHelperAloneIsClean(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer, "snapshot/storage")

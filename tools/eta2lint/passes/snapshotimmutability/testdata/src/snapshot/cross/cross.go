@@ -5,8 +5,7 @@
 package cross
 
 import (
-	"sync/atomic"
-
+	"eta2/internal/rcu"
 	"snapshot/storage"
 )
 
@@ -15,28 +14,25 @@ type serverState struct {
 }
 
 type Server struct {
-	w     serverState
-	state atomic.Pointer[serverState]
+	st rcu.Cell[serverState]
 }
 
-func (s *Server) publishLocked() {
-	st := s.w
-	s.state.Store(&st)
+func (s *Server) badCrossPackage(tx *rcu.Tx[serverState], k string, sink storage.Sink) {
+	storage.Bump(tx.W.truths, k)         // want `passes snapshot-reachable tx\.W\.truths to snapshot/storage\.Bump`
+	storage.Touch(tx.W.truths, k)        // want `passes snapshot-reachable tx\.W\.truths to snapshot/storage\.Touch`
+	sink.Put(tx.W.truths, k)             // want `passes snapshot-reachable tx\.W\.truths to \(snapshot/storage\.Writer\)\.Put`
+	_ = storage.ReadOnly(tx.W.truths, k) // reads are the whole point of snapshots
+	storage.Bump(s.st.Load().truths, k)  // want `passes snapshot-reachable s\.st\.Load\(\)\.truths to snapshot/storage\.Bump`
 }
 
-func (s *Server) badCrossPackage(k string, sink storage.Sink) {
-	storage.Bump(s.w.truths, k)         // want `passes snapshot-reachable s\.w\.truths to snapshot/storage\.Bump`
-	storage.Touch(s.w.truths, k)        // want `passes snapshot-reachable s\.w\.truths to snapshot/storage\.Touch`
-	sink.Put(s.w.truths, k)             // want `passes snapshot-reachable s\.w\.truths to \(snapshot/storage\.Writer\)\.Put`
-	_ = storage.ReadOnly(s.w.truths, k) // reads are the whole point of snapshots
-}
-
-func (s *Server) goodCrossPackage(k string) {
-	next := make(map[string]float64, len(s.w.truths))
-	for key, v := range s.w.truths {
-		next[key] = v
-	}
-	storage.Bump(next, k) // fresh map: fine
-	s.w.truths = next
-	s.publishLocked()
+func (s *Server) goodCrossPackage(k string) error {
+	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
+		next := make(map[string]float64, len(tx.W.truths))
+		for key, v := range tx.W.truths {
+			next[key] = v
+		}
+		storage.Bump(next, k) // fresh map: fine
+		tx.W.truths = next
+		return nil
+	})
 }

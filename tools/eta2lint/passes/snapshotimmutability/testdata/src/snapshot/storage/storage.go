@@ -1,5 +1,5 @@
 // Package storage holds helpers that write through their parameters.
-// Analyzed alone it is clean — it has no publishLocked — but its
+// Analyzed alone it is clean — it has no state cell — but its
 // write-through-parameter facts travel to dependents.
 package storage
 
