@@ -62,6 +62,7 @@ import (
 	"eta2/internal/embedding"
 	"eta2/internal/httpapi"
 	"eta2/internal/obs"
+	"eta2/internal/wal"
 )
 
 func main() {
@@ -272,12 +273,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(f.Name())
 		return err
 	}
-	// Best-effort, as in the data directory: the rename is what readers see.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+	return wal.SyncDir(dir)
 }
 
 // serve runs the HTTP server until ctx is cancelled, then shuts down

@@ -49,6 +49,9 @@ func run() error {
 		}
 	}()
 	defer func() {
+		// The clients' idle keep-alive connections would otherwise hold
+		// Shutdown until its deadline.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_ = httpServer.Shutdown(ctx)

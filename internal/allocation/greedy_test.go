@@ -197,10 +197,6 @@ func TestExpertiseEvaluatedOncePerPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("MaxQuality")
-		if _, err := MaxQualityBudgeted(in, 25, opts); err != nil {
-			t.Fatal(err)
-		}
-		check("MaxQualityBudgeted")
 	}
 	for _, budget := range []float64{5, 40} {
 		env := &fakeEnv{expertise: inner}

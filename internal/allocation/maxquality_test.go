@@ -252,62 +252,3 @@ func TestAccuracyProbMatchesEq11(t *testing.T) {
 		t.Errorf("AccuracyProb = %g, want %g", got, want)
 	}
 }
-
-func TestMaxQualityBudgeted(t *testing.T) {
-	in := randomInput(7, 5, 10)
-	full, err := MaxQuality(in, MaxQualityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := float64(full.Allocation.Len()) / 2 // unit costs: half the pairs
-	capped, err := MaxQualityBudgeted(in, budget, MaxQualityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost := capped.Allocation.Cost(func(core.TaskID) float64 { return 1 }); cost > budget {
-		t.Errorf("budgeted allocation cost %.0f exceeds budget %.0f", cost, budget)
-	}
-	if capped.Objective > full.Objective+1e-9 {
-		t.Error("budgeted objective exceeds unbudgeted")
-	}
-	if capped.Objective <= 0 {
-		t.Error("budgeted allocation achieved nothing")
-	}
-	// Capacity still respected under the budget.
-	load := capped.Allocation.Load(func(id core.TaskID) float64 { return in.Tasks[int(id)].ProcTime })
-	for _, u := range in.Users {
-		if load[u.ID] > u.Capacity+1e-9 {
-			t.Errorf("user %d over capacity", u.ID)
-		}
-	}
-	// Errors.
-	if _, err := MaxQualityBudgeted(in, 0, MaxQualityOptions{}); err == nil {
-		t.Error("zero budget accepted")
-	}
-	if _, err := MaxQualityBudgeted(Input{}, 5, MaxQualityOptions{}); err == nil {
-		t.Error("empty input accepted")
-	}
-	// Second-pass disable path.
-	plain, err := MaxQualityBudgeted(in, budget, MaxQualityOptions{DisableSecondPass: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.UsedSecondPass {
-		t.Error("second pass reported despite being disabled")
-	}
-}
-
-func TestMaxQualityBudgetedMonotoneInBudget(t *testing.T) {
-	in := randomInput(8, 4, 8)
-	prev := 0.0
-	for _, budget := range []float64{2, 4, 8, 16, 32} {
-		res, err := MaxQualityBudgeted(in, budget, MaxQualityOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Objective < prev-1e-9 {
-			t.Fatalf("objective decreased as budget grew: %.4f < %.4f at budget %.0f", res.Objective, prev, budget)
-		}
-		prev = res.Objective
-	}
-}

@@ -2,7 +2,7 @@ package allocation
 
 import "eta2/internal/obs"
 
-// Allocation metrics. The `algorithm` label distinguishes the three
+// Allocation metrics. The `algorithm` label distinguishes the two
 // solvers; the expected-quality gauge carries the objective value
 // Σ_j q_j of the most recent max-quality round.
 var (
@@ -17,10 +17,8 @@ var (
 		"Allocate-collect-evaluate rounds per min-cost solve.",
 		obs.ExpBuckets(1, 2, 8))
 
-	mMaxQualityDur         = mAllocDur.With("max_quality")
-	mMaxQualityBudgetedDur = mAllocDur.With("max_quality_budgeted")
-	mMinCostDur            = mAllocDur.With("min_cost")
-	mMaxQualityPairs       = mAllocPairs.With("max_quality")
-	mMaxQualityBudgetedP   = mAllocPairs.With("max_quality_budgeted")
-	mMinCostPairs          = mAllocPairs.With("min_cost")
+	mMaxQualityDur   = mAllocDur.With("max_quality")
+	mMinCostDur      = mAllocDur.With("min_cost")
+	mMaxQualityPairs = mAllocPairs.With("max_quality")
+	mMinCostPairs    = mAllocPairs.With("min_cost")
 )

@@ -97,30 +97,6 @@ func (d *DenseIndex) TaskID(t int) TaskID { return d.taskIDs[t] }
 // UserID returns the sparse ID of dense user u.
 func (d *DenseIndex) UserID(u int) UserID { return d.userIDs[u] }
 
-// TaskIDs returns all task IDs in dense order (ascending). The slice is
-// owned by the index and must not be mutated.
-func (d *DenseIndex) TaskIDs() []TaskID { return d.taskIDs }
-
-// UserIDs returns all user IDs in dense order (ascending). The slice is
-// owned by the index and must not be mutated.
-func (d *DenseIndex) UserIDs() []UserID { return d.userIDs }
-
-// TaskIndex returns the dense index of a task ID, or -1 if absent.
-func (d *DenseIndex) TaskIndex(id TaskID) int {
-	if i, ok := d.taskIdx[id]; ok {
-		return int(i)
-	}
-	return -1
-}
-
-// UserIndex returns the dense index of a user ID, or -1 if absent.
-func (d *DenseIndex) UserIndex(id UserID) int {
-	if i, ok := d.userIdx[id]; ok {
-		return int(i)
-	}
-	return -1
-}
-
 // TaskObs returns the bucket of dense task t, in insertion order. The slice
 // is owned by the index and must not be mutated.
 func (d *DenseIndex) TaskObs(t int) []DenseObs {
@@ -137,9 +113,4 @@ func (d *DenseIndex) UserObs(u int) []UserDenseObs {
 // materializing the bucket.
 func (d *DenseIndex) TaskLen(t int) int {
 	return int(d.taskStart[t+1] - d.taskStart[t])
-}
-
-// UserLen returns the observation count of dense user u.
-func (d *DenseIndex) UserLen(u int) int {
-	return int(d.userStart[u+1] - d.userStart[u])
 }

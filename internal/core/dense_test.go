@@ -138,3 +138,35 @@ func TestParallelFor(t *testing.T) {
 		t.Error("explicit worker count not honored")
 	}
 }
+
+// The lookups below read the index back for the tests; the estimators
+// never need them.
+
+// TaskIDs returns all task IDs in dense order (ascending). The slice is
+// owned by the index and must not be mutated.
+func (d *DenseIndex) TaskIDs() []TaskID { return d.taskIDs }
+
+// UserIDs returns all user IDs in dense order (ascending). The slice is
+// owned by the index and must not be mutated.
+func (d *DenseIndex) UserIDs() []UserID { return d.userIDs }
+
+// TaskIndex returns the dense index of a task ID, or -1 if absent.
+func (d *DenseIndex) TaskIndex(id TaskID) int {
+	if i, ok := d.taskIdx[id]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// UserIndex returns the dense index of a user ID, or -1 if absent.
+func (d *DenseIndex) UserIndex(id UserID) int {
+	if i, ok := d.userIdx[id]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// UserLen returns the observation count of dense user u.
+func (d *DenseIndex) UserLen(u int) int {
+	return int(d.userStart[u+1] - d.userStart[u])
+}

@@ -44,13 +44,6 @@ func (in *Interner) Lookup(name string) (int, bool) {
 	return id, ok
 }
 
-// Bind binds name to id, or verifies an existing binding. Binding the same
-// name to a different id is an error: names are aliases for dense ids and
-// must stay stable for the lifetime of the table.
-func (in *Interner) Bind(name string, id int) error {
-	return in.BindAll([]string{name}, []int{id})
-}
-
 // BindAll binds names[i] to ids[i] for all i in one copy-on-write step,
 // so batch inserts pay one table copy instead of one per name. Either the
 // whole batch is published or none of it: any conflicting rebinding (or a

@@ -176,3 +176,10 @@ func TestInternerConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", in.Len(), want)
 	}
 }
+
+// Bind binds name to id, or verifies an existing binding. Binding the same
+// name to a different id is an error: names are aliases for dense ids and
+// must stay stable for the lifetime of the table.
+func (in *Interner) Bind(name string, id int) error {
+	return in.BindAll([]string{name}, []int{id})
+}

@@ -257,37 +257,11 @@ func TestAdversarialObservations(t *testing.T) {
 	}
 }
 
-func TestTierConfigs(t *testing.T) {
-	if _, err := Tier("galactic", 1); err == nil {
-		t.Error("unknown tier accepted")
-	}
-	paper, err := Tier("paper", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := Synthetic(paper)
-	if len(ds.Users) != 100 || len(ds.Tasks) != 1000 {
-		t.Errorf("paper tier generated %d users / %d tasks, want 100/1000", len(ds.Users), len(ds.Tasks))
-	}
-	for _, name := range []string{"100k", "1m"} {
-		cfg, err := Tier(name, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.NumUsers < 100_000 {
-			t.Errorf("tier %s: only %d users", name, cfg.NumUsers)
-		}
-	}
-}
-
 // TestSyntheticLargeTierAllocShape: the expertise matrix must be carved
 // from one flat backing array (rows contiguous), so large tiers cost a
 // few big allocations instead of one per user.
 func TestSyntheticLargeTierAllocShape(t *testing.T) {
-	cfg, err := Tier("100k", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := SyntheticConfig{Seed: 11, NumUsers: 100_000, NumTasks: 10_000, NumDomains: 16}
 	if testing.Short() {
 		cfg.NumUsers = 1000
 		cfg.NumTasks = 100

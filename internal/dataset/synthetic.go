@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"fmt"
-
 	"eta2/internal/core"
 	"eta2/internal/stats"
 )
@@ -63,31 +61,6 @@ func (c *SyntheticConfig) applyDefaults() {
 	if c.Cost <= 0 {
 		c.Cost = 1
 	}
-}
-
-// Tier returns the generator config for a named capacity tier. "paper"
-// is the evaluation setting of Sec. 6 (100 users, 1000 tasks); "100k"
-// and "1m" are the production-scale tiers the ROADMAP's capacity work
-// benchmarks against. Tier configs stay cheap to generate at full size:
-// Synthetic allocates per-user expertise as one flat backing array, so a
-// 1M-user dataset costs a handful of large allocations, not millions of
-// small ones.
-func Tier(name string, seed int64) (SyntheticConfig, error) {
-	cfg := SyntheticConfig{Seed: seed}
-	switch name {
-	case "paper":
-	case "100k":
-		cfg.NumUsers = 100_000
-		cfg.NumTasks = 10_000
-		cfg.NumDomains = 16
-	case "1m":
-		cfg.NumUsers = 1_000_000
-		cfg.NumTasks = 100_000
-		cfg.NumDomains = 32
-	default:
-		return SyntheticConfig{}, fmt.Errorf("dataset: unknown tier %q (have: paper, 100k, 1m)", name)
-	}
-	return cfg, nil
 }
 
 // Synthetic generates the paper's synthetic dataset: expertise domains are

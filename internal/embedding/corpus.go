@@ -161,13 +161,3 @@ func domainWordPool(d Domain) []string {
 	pool = append(pool, d.Context...)
 	return pool
 }
-
-// DomainByName returns the builtin domain with the given name.
-func DomainByName(name string) (Domain, bool) {
-	for _, d := range BuiltinDomains {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Domain{}, false
-}

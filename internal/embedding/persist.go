@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // modelState is the serialized form of a trained Model. Only the input
@@ -74,8 +73,8 @@ func Load(r io.Reader) (*Model, error) {
 		if _, exists := m.vocab.ID(w); exists {
 			return nil, fmt.Errorf("%w: duplicate word %q", ErrBadModel, w)
 		}
-		// Rebuild the vocabulary with the original counts so frequency
-		// queries (TopWords etc.) keep working.
+		// Rebuild the vocabulary with the original counts, so a restored
+		// model saves the bytes it was loaded from.
 		m.vocab.addWithCount(w, st.Counts[id])
 		m.in[id] = Vector(st.Vectors[id])
 	}
@@ -89,37 +88,4 @@ func (v *Vocabulary) addWithCount(word string, count int) {
 	v.words = append(v.words, word)
 	v.counts = append(v.counts, count)
 	v.total += count
-}
-
-// Neighbor is one nearest-neighbor query result.
-type Neighbor struct {
-	Word       string
-	Similarity float64
-}
-
-// Nearest returns the n words most cosine-similar to word, excluding the
-// word itself. It returns an error for out-of-vocabulary words.
-func (m *Model) Nearest(word string, n int) ([]Neighbor, error) {
-	qv, ok := m.Vector(word)
-	if !ok {
-		return nil, fmt.Errorf("embedding: unknown word %q", word)
-	}
-	out := make([]Neighbor, 0, m.vocab.Size())
-	for id := 0; id < m.vocab.Size(); id++ {
-		w := m.vocab.Word(id)
-		if w == word {
-			continue
-		}
-		out = append(out, Neighbor{Word: w, Similarity: qv.Cosine(m.in[id])})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Similarity != out[j].Similarity { //eta2:floatcmp-ok sort tie-break: exact comparison on the key keeps the order total and deterministic
-			return out[i].Similarity > out[j].Similarity
-		}
-		return out[i].Word < out[j].Word
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
 }

@@ -69,45 +69,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Error("zero dim accepted")
 	}
 }
-
-func TestNearest(t *testing.T) {
-	m, err := Train(tinyCorpus(), TrainConfig{Dim: 16, Epochs: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbrs, err := m.Nearest("cat", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbrs) != 3 {
-		t.Fatalf("got %d neighbors", len(nbrs))
-	}
-	// The nearest neighbors of "cat" must come from its own topic.
-	topic := map[string]bool{"dog": true, "pet": true, "fur": true}
-	if !topic[nbrs[0].Word] {
-		t.Errorf("nearest neighbor of cat is %q (sim %.3f)", nbrs[0].Word, nbrs[0].Similarity)
-	}
-	// Sorted descending.
-	for i := 1; i < len(nbrs); i++ {
-		if nbrs[i].Similarity > nbrs[i-1].Similarity {
-			t.Error("neighbors not sorted")
-		}
-	}
-	// Self excluded.
-	for _, n := range nbrs {
-		if n.Word == "cat" {
-			t.Error("query word in its own neighbors")
-		}
-	}
-	if _, err := m.Nearest("unicorn", 3); err == nil {
-		t.Error("OOV query accepted")
-	}
-	// n larger than vocabulary: all words except the query.
-	all, err := m.Nearest("cat", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != m.VocabSize()-1 {
-		t.Errorf("got %d, want %d", len(all), m.VocabSize()-1)
-	}
-}

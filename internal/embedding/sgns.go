@@ -2,7 +2,6 @@ package embedding
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"eta2/internal/stats"
@@ -285,17 +284,3 @@ func (m *Model) Vector(word string) (Vector, bool) {
 
 // VocabSize returns the number of words in the model's vocabulary.
 func (m *Model) VocabSize() int { return m.vocab.Size() }
-
-// Similarity returns the cosine similarity between two words, or an error
-// if either is out of vocabulary.
-func (m *Model) Similarity(a, b string) (float64, error) {
-	va, ok := m.Vector(a)
-	if !ok {
-		return 0, fmt.Errorf("embedding: unknown word %q", a)
-	}
-	vb, ok := m.Vector(b)
-	if !ok {
-		return 0, fmt.Errorf("embedding: unknown word %q", b)
-	}
-	return va.Cosine(vb), nil
-}

@@ -3,6 +3,7 @@ package embedding
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -357,15 +358,6 @@ func TestGenerateCorpusDeterministic(t *testing.T) {
 	}
 }
 
-func TestDomainByName(t *testing.T) {
-	if d, ok := DomainByName("noise"); !ok || d.Name != "noise" {
-		t.Error("builtin domain lookup failed")
-	}
-	if _, ok := DomainByName("nonexistent"); ok {
-		t.Error("unknown domain reported found")
-	}
-}
-
 func TestBuiltinDomainsWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range BuiltinDomains {
@@ -377,4 +369,18 @@ func TestBuiltinDomainsWellFormed(t *testing.T) {
 			t.Errorf("domain %s too sparse", d.Name)
 		}
 	}
+}
+
+// Similarity returns the cosine similarity between two words, or an error
+// if either is out of vocabulary.
+func (m *Model) Similarity(a, b string) (float64, error) {
+	va, ok := m.Vector(a)
+	if !ok {
+		return 0, fmt.Errorf("embedding: unknown word %q", a)
+	}
+	vb, ok := m.Vector(b)
+	if !ok {
+		return 0, fmt.Errorf("embedding: unknown word %q", b)
+	}
+	return va.Cosine(vb), nil
 }

@@ -46,15 +46,6 @@ func (v Vector) AddInPlace(w Vector) error {
 	return nil
 }
 
-// Scale returns c·v.
-func (v Vector) Scale(c float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = c * v[i]
-	}
-	return out
-}
-
 // Dot returns the inner product ⟨v, w⟩, or 0 for mismatched dimensions.
 func (v Vector) Dot(w Vector) float64 {
 	if len(v) != len(w) {
@@ -95,14 +86,4 @@ func (v Vector) SquaredDistance(w Vector) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Cosine returns the cosine similarity of v and w in [-1, 1], or 0 if either
-// is a zero vector or the dimensions differ.
-func (v Vector) Cosine(w Vector) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv <= 0 || nw <= 0 || len(v) != len(w) { // norms are non-negative
-		return 0
-	}
-	return v.Dot(w) / (nv * nw)
 }

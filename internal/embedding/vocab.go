@@ -2,7 +2,6 @@ package embedding
 
 import (
 	"math"
-	"sort"
 )
 
 // Vocabulary maps words to dense integer IDs and tracks corpus frequencies.
@@ -126,31 +125,4 @@ func (v *Vocabulary) SampleNegative(u float64) int {
 		idx = len(v.negTable) - 1
 	}
 	return v.negTable[idx]
-}
-
-// TopWords returns up to n of the most frequent words, useful for
-// diagnostics and tests.
-func (v *Vocabulary) TopWords(n int) []string {
-	type wc struct {
-		w string
-		c int
-	}
-	all := make([]wc, v.Size())
-	for i, w := range v.words {
-		all[i] = wc{w: w, c: v.counts[i]}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].w < all[j].w
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := range n {
-		out[i] = all[i].w
-	}
-	return out
 }

@@ -82,15 +82,3 @@ func TestSampleNegativeEmptyTable(t *testing.T) {
 		t.Errorf("empty table sample = %d, want 0", got)
 	}
 }
-
-func TestTopWords(t *testing.T) {
-	v := NewVocabulary()
-	v.AddSentence([]string{"x", "y", "y", "z", "z", "z"})
-	top := v.TopWords(2)
-	if len(top) != 2 || top[0] != "z" || top[1] != "y" {
-		t.Errorf("TopWords = %v", top)
-	}
-	if got := v.TopWords(10); len(got) != 3 {
-		t.Errorf("TopWords(10) returned %d words", len(got))
-	}
-}

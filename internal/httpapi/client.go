@@ -150,16 +150,6 @@ func (c *Client) Durability(ctx context.Context) (DurabilityJSON, error) {
 	return resp, nil
 }
 
-// Replication fetches the node's replication status (role, LSN
-// frontiers, lag).
-func (c *Client) Replication(ctx context.Context) (ReplicationJSON, error) {
-	var resp ReplicationJSON
-	if err := c.get(ctx, "/v1/admin/replication", &resp); err != nil {
-		return ReplicationJSON{}, err
-	}
-	return resp, nil
-}
-
 // Promote asks a follower node to become a writable primary, returning
 // its post-promotion replication status.
 func (c *Client) Promote(ctx context.Context) (ReplicationJSON, error) {

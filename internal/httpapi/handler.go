@@ -274,11 +274,7 @@ func (h *Handler) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, err := h.server.CreateTasks(specs...)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, eta2.ErrNoEmbedder) {
-			status = http.StatusUnprocessableEntity
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	out := make([]int, len(ids))
@@ -295,11 +291,7 @@ func (h *Handler) handleAllocateMaxQuality(w http.ResponseWriter, r *http.Reques
 	}
 	alloc, err := h.server.AllocateMaxQuality()
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, eta2.ErrNothingToAllocate) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	pairs := make([]PairJSON, 0, alloc.Len())
@@ -352,11 +344,7 @@ func (h *Handler) handleCloseStep(w http.ResponseWriter, r *http.Request) {
 	}
 	report, err := h.server.CloseTimeStepContext(r.Context())
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, eta2.ErrNoObservations) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, stepReportJSON(report))
@@ -432,11 +420,7 @@ func (h *Handler) handleCompact(w http.ResponseWriter, r *http.Request) {
 	err := h.server.Compact()
 	st := h.server.DurabilityStats()
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, eta2.ErrNotDurable) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, durabilityJSON(st))
@@ -514,14 +498,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes the JSON error envelope. A *eta2.FollowerWriteError
-// overrides the caller's status with 503 Service Unavailable — the
-// mutation reached a read replica; the message names the primary to
-// write to instead.
+// writeError writes the JSON error envelope. It is the one table from a
+// server error to a status:
+//   - 503 when the node cannot take a well-formed request: it is a read
+//     replica (the message names the primary to write to instead), its
+//     journal failed, or it is closing;
+//   - 409 when the state cannot serve the request yet: nothing to allocate,
+//     no observations to close, no data directory to compact;
+//   - 422 for a task description with no embedder to read it.
+//
+// Any other error keeps the caller's status.
 func writeError(w http.ResponseWriter, status int, err error) {
 	var fw *eta2.FollowerWriteError
-	if errors.As(err, &fw) {
+	switch {
+	case errors.As(err, &fw), errors.Is(err, eta2.ErrJournalFailed), errors.Is(err, eta2.ErrClosed):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, eta2.ErrNothingToAllocate), errors.Is(err, eta2.ErrNoObservations), errors.Is(err, eta2.ErrNotDurable):
+		status = http.StatusConflict
+	case errors.Is(err, eta2.ErrNoEmbedder):
+		status = http.StatusUnprocessableEntity
 	}
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }

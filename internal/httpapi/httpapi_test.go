@@ -1,11 +1,13 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -362,6 +364,87 @@ func TestDurabilityEndpoints(t *testing.T) {
 			t.Errorf("GET %s on a follower: status %d, want 503", path, resp.StatusCode)
 		}
 	}
+}
+
+// TestFailedJournalAnswers503: a write the disk could not journal is the
+// node's failure, not the request's. Every write route answers 503 and
+// leaves the state as it was, and a request the server refuses as invalid
+// still answers 400. A write to a closed server answers 503 too.
+func TestFailedJournalAnswers503(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := eta2.NewServer(eta2.WithDurability(dir, eta2.DurabilityPolicy{SegmentSize: 256, CompactAt: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(New(srv))
+	t.Cleanup(ts.Close)
+	client, ctx := NewClient(ts.URL, ts.Client()), context.Background()
+	if err := client.AddUsers(ctx, []UserJSON{{ID: 0, Capacity: 8}, {ID: 1, Capacity: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := client.CreateTasks(ctx, []TaskSpecJSON{{ProcTime: 1, DomainHint: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.SubmitObservations(ctx, []ObservationJSON{{Task: ids[0], User: 0, Value: 1}, {Task: ids[0], User: 1, Value: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := srv.SaveStateBinary(&before); err != nil {
+		t.Fatal(err)
+	}
+
+	// With the directory gone, the next append that opens a segment fails,
+	// and the log refuses every append after it. The first request's record
+	// is larger than a segment, so it is that append.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	many := make([]UserJSON, 40)
+	for i := range many {
+		many[i] = UserJSON{ID: 2 + i, Capacity: 8}
+	}
+	for _, w := range []struct {
+		route string
+		call  func() error
+	}{
+		{"users", func() error { return client.AddUsers(ctx, many) }},
+		{"tasks", func() error {
+			_, err := client.CreateTasks(ctx, []TaskSpecJSON{{ProcTime: 1, DomainHint: 1}})
+			return err
+		}},
+		{"observations", func() error {
+			return client.SubmitObservations(ctx, []ObservationJSON{{Task: ids[0], User: 0, Value: 3}})
+		}},
+		{"allocate", func() error {
+			_, err := client.AllocateMaxQuality(ctx)
+			return err
+		}},
+		{"close", func() error {
+			_, err := client.CloseStep(ctx)
+			return err
+		}},
+	} {
+		t.Run(w.route, func(t *testing.T) { wantStatus(t, w.call(), http.StatusServiceUnavailable) })
+	}
+	var after bytes.Buffer
+	if err := srv.SaveStateBinary(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("state changed by writes the journal refused")
+	}
+
+	// Validation runs before the journal, so these stay 400.
+	wantStatus(t, client.AddUsers(ctx, []UserJSON{{ID: -1, Capacity: 1}}), http.StatusBadRequest)
+	_, err = client.CreateTasks(ctx, []TaskSpecJSON{{ProcTime: -1, DomainHint: 1}})
+	wantStatus(t, err, http.StatusBadRequest)
+	wantStatus(t, client.SubmitObservations(ctx, []ObservationJSON{{Task: 42, User: 0, Value: 1}}), http.StatusBadRequest)
+
+	// A closed server is no more writable than a failed one.
+	_ = srv.Close()
+	wantStatus(t, client.AddUsers(ctx, []UserJSON{{ID: 2, Capacity: 8}}), http.StatusServiceUnavailable)
 }
 
 func wantStatus(t *testing.T, err error, status int) {

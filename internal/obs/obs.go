@@ -374,20 +374,6 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	return out
 }
 
-// LinearBuckets returns count buckets starting at start, spaced width
-// apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("obs: LinearBuckets needs width > 0, count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -281,13 +281,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v, want %v", exp, want)
 		}
 	}
-	lin := LinearBuckets(0, 5, 3)
-	want = []float64{0, 5, 10}
-	for i := range want {
-		if lin[i] != want[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", lin, want)
-		}
-	}
 }
 
 func TestVersionNonEmpty(t *testing.T) {

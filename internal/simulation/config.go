@@ -49,12 +49,6 @@ func (m Method) String() string {
 	}
 }
 
-// AllMethods lists every simulatable method.
-var AllMethods = []Method{
-	MethodETA2, MethodETA2MC, MethodHubsAuthorities,
-	MethodAverageLog, MethodTruthFinder, MethodBaseline,
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Method is the approach under test.

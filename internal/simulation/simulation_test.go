@@ -274,3 +274,9 @@ func TestPartitionTasksEven(t *testing.T) {
 		t.Errorf("days cover %d tasks, want 103", total)
 	}
 }
+
+// AllMethods lists every simulatable method.
+var AllMethods = []Method{
+	MethodETA2, MethodETA2MC, MethodHubsAuthorities,
+	MethodAverageLog, MethodTruthFinder, MethodBaseline,
+}

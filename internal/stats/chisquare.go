@@ -33,18 +33,6 @@ func (r GOFResult) String() string {
 // ErrTooFewSamples is returned when a sample is too small to bin meaningfully.
 var ErrTooFewSamples = errors.New("stats: too few samples for chi-square test")
 
-// ChiSquareNormalityTest tests the null hypothesis that sample is drawn from
-// a normal distribution with unknown mean and variance (both estimated from
-// the sample, costing two degrees of freedom).
-//
-// Bins are equiprobable under the fitted normal (so expected counts are
-// equal), with the bin count chosen so the expected count per bin is at
-// least 5 where possible. This is the test the paper applies per task in
-// Table 1.
-func ChiSquareNormalityTest(sample []float64) (GOFResult, error) {
-	return chiSquareNormality(sample, 2)
-}
-
 // ChiSquareNormalityTestRaw is the k−1-degrees-of-freedom variant that does
 // NOT charge for the two estimated parameters. This makes the test
 // conservative (p-values biased high), but it is the convention the paper's
@@ -55,6 +43,10 @@ func ChiSquareNormalityTestRaw(sample []float64) (GOFResult, error) {
 	return chiSquareNormality(sample, 0)
 }
 
+// chiSquareNormality bins sample equiprobably under the fitted normal (so
+// expected counts are equal), with the bin count chosen so the expected count
+// per bin is at least 5 where possible, and charges estimatedParams degrees of
+// freedom for the fit.
 func chiSquareNormality(sample []float64, estimatedParams int) (GOFResult, error) {
 	n := len(sample)
 	if n < 8 {

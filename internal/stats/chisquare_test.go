@@ -16,6 +16,14 @@ func normalSample(n int, mu, sigma float64, seed int64) []float64 {
 	return out
 }
 
+// ChiSquareNormalityTest tests the null hypothesis that sample is drawn from
+// a normal distribution with unknown mean and variance (both estimated from
+// the sample, costing two degrees of freedom): the calibrated test that
+// ChiSquareNormalityTestRaw is held against.
+func ChiSquareNormalityTest(sample []float64) (GOFResult, error) {
+	return chiSquareNormality(sample, 2)
+}
+
 func TestChiSquareNormalityAcceptsNormal(t *testing.T) {
 	rejected := 0
 	const trials = 200

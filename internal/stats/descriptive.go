@@ -17,24 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// WeightedMean returns Σ w·x / Σ w. It returns 0 when the total weight is 0.
-// The two slices must have equal length; extra elements of the longer slice
-// are ignored.
-func WeightedMean(xs, ws []float64) float64 {
-	n := min(len(xs), len(ws))
-	num, den := 0.0, 0.0
-	for i := range n {
-		num += ws[i] * xs[i]
-		den += ws[i]
-	}
-	// Weights are non-negative by contract, so <= avoids an exact float
-	// equality while still guarding the division.
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}
-
 // Variance returns the population variance of xs (denominator n), or 0 for
 // fewer than two samples.
 func Variance(xs []float64) float64 {
@@ -49,16 +31,6 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(n)
-}
-
-// SampleVariance returns the unbiased sample variance (denominator n−1), or
-// 0 for fewer than two samples.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(n) / float64(n-1)
 }
 
 // StdDev returns the population standard deviation of xs.
@@ -144,16 +116,4 @@ func ECDF(xs []float64, ats []float64) []float64 {
 		out[i] = float64(k) / float64(len(sorted))
 	}
 	return out
-}
-
-// MeanAbs returns the mean of |x| over xs, or 0 for an empty slice.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
 }

@@ -25,21 +25,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 3}, []float64{1, 1}); got != 2 {
-		t.Errorf("uniform weights: %g, want 2", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 1}); got != 3 {
-		t.Errorf("one-hot weight: %g, want 3", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 0}); got != 0 {
-		t.Errorf("zero weights: %g, want 0", got)
-	}
-	if got := WeightedMean([]float64{1, 2, 3}, []float64{1}); got != 1 {
-		t.Errorf("length mismatch uses shorter: %g, want 1", got)
-	}
-}
-
 func TestVarianceAndStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); math.Abs(got-4) > 1e-12 {
@@ -50,9 +35,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 	if Variance([]float64{3}) != 0 {
 		t.Error("single-element variance should be 0")
-	}
-	if got := SampleVariance(xs); math.Abs(got-32.0/7.0) > 1e-12 {
-		t.Errorf("SampleVariance = %g, want %g", got, 32.0/7.0)
 	}
 }
 
@@ -171,14 +153,5 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeanAbs(t *testing.T) {
-	if got := MeanAbs([]float64{-1, 1, -3}); math.Abs(got-5.0/3.0) > 1e-12 {
-		t.Errorf("MeanAbs = %g, want 5/3", got)
-	}
-	if MeanAbs(nil) != 0 {
-		t.Error("empty MeanAbs should be 0")
 	}
 }

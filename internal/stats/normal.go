@@ -35,18 +35,6 @@ func Phi(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// NormalCDF returns P(X <= x) for X ~ N(mu, sigma²).
-// For sigma <= 0 it degenerates to a step function at mu.
-func NormalCDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x < mu {
-			return 0
-		}
-		return 1
-	}
-	return Phi((x - mu) / sigma)
-}
-
 // AccurateInterval returns Φ(eps·u) − Φ(−eps·u): the probability that a
 // N(0, 1/u²) observation has absolute normalized error below eps. This is
 // the p_ij of Eq. 11 in the paper. For u <= 0 the variance is unbounded and

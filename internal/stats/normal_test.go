@@ -46,15 +46,6 @@ func TestPhiKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalCDFDegenerate(t *testing.T) {
-	if got := NormalCDF(1, 2, 0); got != 0 {
-		t.Errorf("NormalCDF below degenerate mean = %g, want 0", got)
-	}
-	if got := NormalCDF(3, 2, 0); got != 1 {
-		t.Errorf("NormalCDF above degenerate mean = %g, want 1", got)
-	}
-}
-
 func TestAccurateInterval(t *testing.T) {
 	// Φ(eps·u) − Φ(−eps·u) for eps=0.1, u=10 → Φ(1)−Φ(−1) ≈ 0.6827.
 	got := AccurateInterval(0.1, 10)

@@ -182,14 +182,3 @@ func Contributions(obs *core.ObservationTable, domainOf func(core.TaskID) core.D
 	st.accumulateResiduals()
 	return st.contributions()
 }
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

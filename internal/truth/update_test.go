@@ -123,17 +123,6 @@ func TestUpdateStepBeatsMeanEveryDay(t *testing.T) {
 	}
 }
 
-func TestCIHalfWidth(t *testing.T) {
-	// z=1.96, sigma=2, sumU2=4 → 1.96*2/2 = 1.96.
-	got := CIHalfWidth(2, 4, 0.05)
-	if math.Abs(got-1.959963984540054) > 1e-9 {
-		t.Errorf("CIHalfWidth = %g", got)
-	}
-	if !math.IsInf(CIHalfWidth(2, 0, 0.05), 1) {
-		t.Error("no information should give infinite CI")
-	}
-}
-
 func TestSumSquaredExpertise(t *testing.T) {
 	e := make(Expertise)
 	e.Set(1, 1, 2)

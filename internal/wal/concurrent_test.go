@@ -477,3 +477,41 @@ func TestFailedSyncIsSticky(t *testing.T) {
 		t.Errorf("later TruncateThrough = %v, want EIO", err)
 	}
 }
+
+// TestFailedDirSyncIsSticky: a segment whose creation the directory never
+// synced may vanish in a crash with every record in it, and a truncation whose
+// unlinks were never synced may come back. Either failure is the log's sticky
+// error, like a failed data sync, so no record is acknowledged after it.
+func TestFailedDirSyncIsSticky(t *testing.T) {
+	for _, at := range []string{"segment creation", "truncation"} {
+		t.Run(at, func(t *testing.T) {
+			// SegmentSize 1 gives every record its own segment.
+			l, err := Open(t.TempDir(), Options{Sync: SyncAlways, SegmentSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			appendAll(t, l, "first")
+			if at == "truncation" {
+				appendAll(t, l, "second")
+			}
+			l.mu.Lock()
+			l.dirsync = func() error { return syscall.EIO }
+			l.mu.Unlock()
+
+			if at == "truncation" {
+				if err := l.TruncateThrough(1); !errors.Is(err, syscall.EIO) {
+					t.Errorf("TruncateThrough = %v, want EIO", err)
+				}
+			} else if _, err := l.Append([]byte("second")); !errors.Is(err, syscall.EIO) {
+				t.Errorf("rotating Append = %v, want EIO", err)
+			}
+			if _, err := l.AppendBuffered([]byte("later")); !errors.Is(err, syscall.EIO) {
+				t.Errorf("later AppendBuffered = %v, want EIO", err)
+			}
+			if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+				t.Errorf("later Sync = %v, want EIO", err)
+			}
+		})
+	}
+}

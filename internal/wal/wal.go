@@ -46,6 +46,8 @@
 // A failed sync is sticky: the kernel may have dropped the pages it could
 // not write and will not report them again, so no later sync can vouch for
 // them. Every later append, commit, sync and truncation returns the error.
+// So is a failed segment creation or directory sync (SyncDir): a segment the
+// directory does not durably name may vanish in a crash with its records.
 package wal
 
 import (
@@ -61,6 +63,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -175,13 +178,14 @@ type Log struct {
 	segs     []segment // all live segments in LSN order; last is active
 	active   *os.File
 	datasync func() error // active's commit sync (newDataSync)
+	dirsync  func() error // the directory's sync (SyncDir)
 	filled   int64        // physical size of active: its records, then zeros
 	next     uint64       // next LSN to assign
 	first    uint64       // first LSN present, 0 if none
 	closed   bool
-	// writeErr is sticky: a partial record write we could not rewind, or a
-	// failed sync. Set only by failLocked, with mu and syncMu both held, so
-	// either lock reads it.
+	// writeErr is sticky: a partial record write we could not rewind, a
+	// failed sync, or a failed segment creation or directory sync. Set only
+	// by failLocked, with mu and syncMu both held, so either lock reads it.
 	writeErr error
 	// frame is appendAt's scratch, grown to the largest record seen: one
 	// write per record (a torn record is a prefix of it), no allocation.
@@ -242,6 +246,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, next: 1}
+	l.dirsync = func() error { return SyncDir(dir) }
 	l.syncCond = sync.NewCond(&l.syncMu)
 	// One timer per log, reset by each gather, so a commit allocates nothing.
 	l.gatherTimer = time.AfterFunc(time.Hour, func() {
@@ -313,7 +318,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if l.tornBytes > 0 || l.droppedSegs > 0 {
 		mTornBytes.Add(uint64(l.tornBytes))
-		l.syncDir()
+		if err := l.dirsync(); err != nil {
+			l.active.Close()
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -466,11 +474,15 @@ func (l *Log) openSegment() error {
 	// Always a fresh file: a recycled one holds stale, valid records.
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
+		l.failLocked(fmt.Errorf("wal: create segment: %w", err))
+		return l.writeErr
 	}
 	l.active, l.datasync, l.filled = f, newDataSync(f), 0
 	l.segs = append(l.segs, segment{path: path, firstLSN: l.next})
-	l.syncDir()
+	if err := l.dirsync(); err != nil {
+		l.failLocked(err)
+		return l.writeErr
+	}
 	return nil
 }
 
@@ -839,14 +851,17 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 		kept = append(kept, s)
 	}
 	l.segs = kept
-	if removed {
-		l.syncDir()
-	}
 	l.first = 0
 	for _, s := range l.segs {
 		if s.records > 0 {
 			l.first = s.firstLSN
 			break
+		}
+	}
+	if removed {
+		if err := l.dirsync(); err != nil {
+			l.failLocked(err)
+			return l.writeErr
 		}
 	}
 	return nil
@@ -869,13 +884,6 @@ func (l *Log) Stats() Stats {
 		st.Bytes += s.size
 	}
 	return st
-}
-
-// NextLSN returns the LSN the next Append will be assigned.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
 }
 
 // Close syncs and closes the log. Further operations return ErrClosed.
@@ -912,12 +920,18 @@ func (l *Log) Close() error {
 	return err
 }
 
-// syncDir fsyncs the log directory so segment creation/removal survives a
-// crash. Best-effort: some filesystems reject directory fsync, and losing
-// it only re-exposes already-handled torn state.
-func (l *Log) syncDir() {
-	if d, err := os.Open(l.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+// SyncDir fsyncs directory dir, so that a file created, renamed or removed
+// in it survives a crash. A filesystem that cannot sync a directory at all
+// (EINVAL, ENOTSUP) is not an error: its directory operations are as durable
+// as it makes them.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close() // opened read-only: nothing to flush
 	}
+	if err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("wal: sync directory: %w", err)
+	}
+	return nil
 }

@@ -418,3 +418,10 @@ func TestForeignFilesIgnored(t *testing.T) {
 	defer l.Close()
 	appendAll(t, l, "works")
 }
+
+// NextLSN returns the LSN the next Append will be assigned.
+func (l *Log) NextLSN() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.next
+}

@@ -277,7 +277,7 @@ func (s *Server) applyEvent(tx *rcu.Tx[serverState], lsn uint64, ev walEvent) er
 	case eventAllocate:
 		s.replayed(tx, lsn) // audit-only: allocation does not mutate server state
 	case eventCloseStep:
-		step, err := tx.W.estimateStep(s.cfg.truthCfg)
+		step, err := tx.W.estimateStep(s.cfg.truthConfig())
 		if err != nil {
 			return err
 		}
@@ -326,14 +326,19 @@ func (eb *obsEventBuf) encode(obs []Observation, day int) {
 // for durability and returns its apply's token. It is the one way a record
 // the server writes enters the journal. The caller's Write orders it (so LSN
 // order equals apply order), and journalCommit waits on the token's LSN after
-// the Write returns. An in-memory server writes nothing.
+// the Write returns. An in-memory server writes nothing; a server whose
+// journal Close detached refuses, or a mutation that passed writable before
+// Close began would be acknowledged without a record.
 func (s *Server) journalBuffered(tx *rcu.Tx[serverState], payload []byte) (journaled, error) {
 	if tx.W.journal == nil {
+		if s.closing.Load() {
+			return journaled{}, ErrClosed
+		}
 		return journaled{}, nil
 	}
 	lsn, err := tx.W.journal.AppendBuffered(payload)
 	if err != nil {
-		return journaled{}, fmt.Errorf("eta2: journal append: %w", err)
+		return journaled{}, fmt.Errorf("%w: append: %w", ErrJournalFailed, err)
 	}
 	tx.W.lastLSN = lsn
 	return journaled{lsn: lsn}, nil
@@ -377,7 +382,7 @@ func (s *Server) journalCommit(lsn uint64, sp *trace.Span) error {
 		sp.Annotate("role=follower")
 	}
 	if err != nil {
-		return fmt.Errorf("eta2: journal commit: %w", err)
+		return fmt.Errorf("%w: commit: %w", ErrJournalFailed, err)
 	}
 	return nil
 }
@@ -400,6 +405,14 @@ func (s *Server) compactIfOwed(tx *rcu.Tx[serverState]) {
 // without WithDurability.
 var ErrNotDurable = errors.New("eta2: server has no durable data directory")
 
+// ErrJournalFailed wraps a failed journal append, commit or sync: the disk,
+// not the request, is at fault, and the mutation was not acknowledged.
+var ErrJournalFailed = errors.New("eta2: journal failed")
+
+// ErrClosed is returned by every mutation once Close has begun: its records
+// could no longer reach the journal.
+var ErrClosed = errors.New("eta2: server is closed")
+
 // installSnapshot makes whatever write produces the newest snapshot in
 // dir, covering every record through lsn — the one path a snapshot file
 // reaches a data directory by (compaction encodes the published state
@@ -407,7 +420,8 @@ var ErrNotDurable = errors.New("eta2: server has no durable data directory")
 // Crash-safe at every point: the file lands via write-temp + fsync +
 // rename + directory fsync, and only then are the snapshots it supersedes
 // and the WAL prefix it covers removed. A failed write leaves the
-// directory as it was.
+// directory as it was; a failed directory fsync removes nothing, so the
+// new snapshot may sit beside those it supersedes, as after a crash.
 func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Writer) error) error {
 	tmp := filepath.Join(dir, fmt.Sprintf("snapshot-%020d.tmp", lsn))
 	f, err := os.Create(tmp)
@@ -424,11 +438,13 @@ func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Wri
 	if err == nil {
 		err = os.Rename(tmp, filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", lsn)))
 	}
+	if err == nil {
+		err = wal.SyncDir(dir)
+	}
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("eta2: install snapshot: %w", err)
 	}
-	syncDir(dir)
 
 	if snaps, err := listSnapshots(dir); err == nil {
 		for _, sn := range snaps {
@@ -493,7 +509,7 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 	ws := t.StartSpan("write snapshot")
 	err := st.journal.Sync()
 	if err != nil {
-		err = fmt.Errorf("eta2: journal sync: %w", err)
+		err = fmt.Errorf("%w: sync: %w", ErrJournalFailed, err)
 	} else {
 		err = installSnapshot(st.journalDir, st.journal, st.lastLSN, func(w io.Writer) error {
 			return encodeStateBinary(w, st)
@@ -546,9 +562,10 @@ func (s *Server) compactionOwed(st *serverState) bool {
 // Close writes a final snapshot (so the next start recovers without
 // replaying anything that did not race the Close) and detaches the
 // journal; on a follower, Follower.Close stops the pull loop first. Any
-// in-flight background compaction is drained first. The server itself
-// stays usable as a purely in-memory instance; Close is idempotent and a
-// no-op for servers built without WithDurability.
+// in-flight background compaction is drained first. Once Close has begun,
+// every mutation is refused with ErrClosed; queries keep serving the last
+// state. Close is idempotent, and for servers built without WithDurability
+// it only refuses later mutations.
 func (s *Server) Close() error {
 	s.closing.Store(true)
 	err := s.compactCycle(mCompactionForeground)
@@ -591,13 +608,5 @@ func (s *Server) DurabilityStats() DurabilityStats {
 		SnapshotLSN:    st.snapLSN,
 		Compactions:    st.compactions,
 		LastCompaction: st.lastCompaction,
-	}
-}
-
-// syncDir fsyncs a directory (best-effort; see wal.syncDir).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
 	}
 }

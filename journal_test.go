@@ -420,8 +420,8 @@ func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 	if s.DurabilityStats().Enabled {
 		t.Error("durability still reported enabled after Close")
 	}
-	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 3}); err != nil {
-		t.Errorf("closed server no longer usable in memory: %v", err)
+	if err := s.SubmitObservations(Observation{Task: 0, User: 0, Value: 3}); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit after Close: %v, want ErrClosed", err)
 	}
 	if n := countSnapshots(t, dir); n != 1 {
 		t.Fatalf("%d snapshots after Close, want 1", n)
@@ -437,6 +437,46 @@ func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 	}
 	if rst := r.DurabilityStats(); rst.SnapshotLSN != lastLSN {
 		t.Errorf("reopen snapshot covers %d, want %d (replay-free recovery)", rst.SnapshotLSN, lastLSN)
+	}
+}
+
+// TestClosedServerRefusesWrites: once Close has detached the journal, a
+// mutation could only be applied in memory and lost at the next start, so it
+// is refused with ErrClosed and leaves the state as Close found it.
+func TestClosedServerRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewServer(WithDurability(dir, DurabilityPolicy{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddUsers(User{ID: 1, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddUsers(User{ID: 2, Capacity: 5}); !errors.Is(err, ErrClosed) {
+		t.Errorf("AddUsers after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.CreateTasks(TaskSpec{DomainHint: 1, ProcTime: 1}); !errors.Is(err, ErrClosed) {
+		t.Errorf("CreateTasks after Close: %v, want ErrClosed", err)
+	}
+	if n := s.NumUsers(); n != 1 {
+		t.Errorf("%d users after a refused AddUsers, want 1", n)
+	}
+	r, err := NewServer(WithDurability(dir, DurabilityPolicy{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := r.NumUsers(); n != 1 {
+		t.Errorf("reopened with %d users, want 1", n)
+	}
+
+	m, _ := NewServer()
+	_ = m.Close()
+	if err := m.AddUsers(User{ID: 1, Capacity: 5}); !errors.Is(err, ErrClosed) {
+		t.Errorf("in-memory AddUsers after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -41,11 +41,15 @@ func (e *FollowerWriteError) Error() string {
 	return fmt.Sprintf("eta2: node is a replication follower; write to the primary at %s", e.Primary)
 }
 
-// writable is the lock-free follower write gate, checked at the top of
-// every public mutation. It reads the published snapshot: role only ever
-// transitions follower → primary, so a mutation that passed the gate can
-// never race its way onto a node that is still a follower.
+// writable is the lock-free write gate, checked at the top of every public
+// mutation. It refuses once Close has begun, and on a follower. It reads the
+// published snapshot: role only ever transitions follower → primary, so a
+// mutation that passed the gate can never race its way onto a node that is
+// still a follower.
 func (s *Server) writable() error {
+	if s.closing.Load() {
+		return ErrClosed
+	}
 	st := s.st.Load()
 	if st.role == roleFollower {
 		return &FollowerWriteError{Primary: st.primaryAddr}

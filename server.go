@@ -68,8 +68,6 @@ type config struct {
 	gamma       float64
 	epsilon     float64
 	parallelism int
-	traceEvery  int
-	truthCfg    truth.Config
 	embedder    Embedder
 	durable     *durabilityConfig
 }
@@ -125,40 +123,17 @@ func WithEmbedder(e Embedder) Option {
 	}
 }
 
-// WithTruthConfig overrides the MLE tuning knobs.
-func WithTruthConfig(tc truth.Config) Option {
-	return func(c *config) error {
-		c.truthCfg = tc
-		return nil
-	}
-}
-
 // WithParallelism sets the worker count for the server's hot loops: the
 // truth-analysis fixed-point iteration and the allocation p_ij precompute.
 // The default (0) uses one worker per available CPU; 1 runs the exact
 // sequential paths with no goroutines. Results are bit-identical for every
 // value — see the "Performance & concurrency model" section of DESIGN.md.
-// A Parallelism already set via WithTruthConfig takes precedence for the
-// truth module.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
 			return fmt.Errorf("eta2: parallelism must be >= 0, got %d", n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithTraceSampling enables write-path tracing, sampling one request in
-// every (0, the default, disables sampling; requests carrying an
-// X-Eta2-Trace header are always traced). See DESIGN.md §13.
-func WithTraceSampling(every int) Option {
-	return func(c *config) error {
-		if every < 0 {
-			return fmt.Errorf("eta2: trace sampling interval must be >= 0, got %d", every)
-		}
-		c.traceEvery = every
 		return nil
 	}
 }
@@ -185,10 +160,13 @@ func buildConfig(opts ...Option) (config, error) {
 			return config{}, err
 		}
 	}
-	if cfg.truthCfg.Parallelism == 0 {
-		cfg.truthCfg.Parallelism = cfg.parallelism
-	}
 	return cfg, nil
+}
+
+// truthConfig is the MLE configuration: the truth module's defaults, run on
+// the server's worker count.
+func (c config) truthConfig() truth.Config {
+	return truth.Config{Parallelism: c.parallelism}
 }
 
 // newPersisted returns the containers every state holds non-nil, empty.
@@ -205,7 +183,7 @@ func newServer(cfg config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		interner: core.NewInterner(),
-		tracer:   trace.New(cfg.traceEvery, traceRecorderCapacity),
+		tracer:   trace.New(0, traceRecorderCapacity),
 	}
 	w := serverState{persisted: newPersisted()}
 	w.alpha, w.gamma, w.epsilon, w.store = cfg.alpha, cfg.gamma, cfg.epsilon, truth.NewStore(cfg.alpha)
@@ -581,29 +559,12 @@ var ErrNothingToAllocate = errors.New("eta2: no pending tasks or no users to all
 // tasks: maximize the probability that each task receives accurate data,
 // subject to user capacities (Sec. 5.1 of the paper).
 func (s *Server) AllocateMaxQuality() (*Allocation, error) {
-	return s.allocateMaxQuality(func(in allocation.Input) (allocation.MaxQualityResult, error) {
-		return allocation.MaxQuality(in, allocation.MaxQualityOptions{})
-	})
-}
-
-// AllocateMaxQualityBudgeted solves the max-quality problem for the pending
-// tasks under an additional total recruiting budget Σ s_ij·c_j ≤ budget —
-// the allocation for a server with a fixed per-step payroll.
-func (s *Server) AllocateMaxQualityBudgeted(budget float64) (*Allocation, error) {
-	return s.allocateMaxQuality(func(in allocation.Input) (allocation.MaxQualityResult, error) {
-		return allocation.MaxQualityBudgeted(in, budget, allocation.MaxQualityOptions{})
-	})
-}
-
-// allocateMaxQuality runs one max-quality solver over the pending tasks
-// inside one Write and journals the resulting pairs.
-func (s *Server) allocateMaxQuality(solve func(allocation.Input) (allocation.MaxQualityResult, error)) (*Allocation, error) {
 	var a *Allocation
 	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
 		if len(tx.W.pending) == 0 || len(tx.W.users) == 0 {
 			return 0, nil, ErrNothingToAllocate
 		}
-		res, err := solve(tx.W.allocationInput(s.cfg.parallelism))
+		res, err := allocation.MaxQuality(tx.W.allocationInput(s.cfg.parallelism), allocation.MaxQualityOptions{})
 		if err != nil {
 			return 0, nil, fmt.Errorf("eta2: %w", err)
 		}
@@ -663,7 +624,7 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 		EpsBar:     params.EpsBar,
 		Alpha:      params.ConfAlpha,
 		IterBudget: params.IterBudget,
-	}, st.store, st.domainOf, s.cfg.truthCfg, func(pairs []Pair) ([]Observation, error) {
+	}, st.store, st.domainOf, s.cfg.truthConfig(), func(pairs []Pair) ([]Observation, error) {
 		obs, err := collect(pairs)
 		if err == nil {
 			err = s.SubmitObservations(obs...)
@@ -789,7 +750,7 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	var report StepReport
 	lsn, fsync, err := s.writeBuffered(t, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
 		est := t.StartSpan(trace.SpanTruthEstimate)
-		step, err := tx.W.estimateStep(s.cfg.truthCfg)
+		step, err := tx.W.estimateStep(s.cfg.truthConfig())
 		est.End()
 		if err != nil {
 			return 0, nil, err
@@ -816,7 +777,7 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	if wl := s.st.Load().journal; wl != nil && lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
 		if err := wl.Sync(); err != nil {
 			fsync.End()
-			return StepReport{}, fmt.Errorf("eta2: journal sync: %w", err)
+			return StepReport{}, fmt.Errorf("%w: sync: %w", ErrJournalFailed, err)
 		}
 	}
 	if err := s.journalCommit(lsn, fsync); err != nil {

@@ -520,7 +520,7 @@ func TestServerSemanticClustering(t *testing.T) {
 }
 
 func TestTrainEmbedderAndBuiltinCorpus(t *testing.T) {
-	corpus := BuiltinCorpus(1)
+	corpus := embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{Seed: 1})
 	if len(corpus) == 0 {
 		t.Fatal("empty builtin corpus")
 	}
@@ -530,33 +530,6 @@ func TestTrainEmbedderAndBuiltinCorpus(t *testing.T) {
 	}
 	if emb.Dim() <= 0 {
 		t.Error("bad embedder dimensionality")
-	}
-}
-
-func TestAllocateMaxQualityBudgeted(t *testing.T) {
-	s, _ := NewServer()
-	if _, err := s.AllocateMaxQualityBudgeted(10); !errors.Is(err, ErrNothingToAllocate) {
-		t.Errorf("empty server: %v", err)
-	}
-	for u := 0; u < 5; u++ {
-		_ = s.AddUsers(User{ID: UserID(u), Capacity: 10})
-	}
-	var specs []TaskSpec
-	for j := 0; j < 10; j++ {
-		specs = append(specs, TaskSpec{Description: "t", ProcTime: 1, Cost: 1, DomainHint: 1})
-	}
-	if _, err := s.CreateTasks(specs...); err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := s.AllocateMaxQualityBudgeted(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc.Len() == 0 || alloc.Len() > 12 {
-		t.Errorf("allocated %d pairs under budget 12", alloc.Len())
-	}
-	if _, err := s.AllocateMaxQualityBudgeted(-1); err == nil {
-		t.Error("negative budget accepted")
 	}
 }
 

@@ -161,15 +161,8 @@ func (p *Pass) fileDirectives(f *ast.File) map[int][]string {
 	return d
 }
 
-// RunAnalyzers executes each analyzer over the package and returns the
-// surviving diagnostics sorted by position. Facts-less: analyzers see
-// nil ReadFact results and exports vanish.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunAnalyzersFacts(analyzers, fset, files, pkg, info, nil)
-}
-
-// RunAnalyzersFacts is RunAnalyzers with an inter-procedural facts
+// RunAnalyzersFacts executes each analyzer over the package and returns the
+// surviving diagnostics sorted by position. facts is the inter-procedural
 // channel: each analyzer reads the blobs it exported for the package's
 // dependencies and exports one for this package.
 func RunAnalyzersFacts(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,

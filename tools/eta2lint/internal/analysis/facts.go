@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // Facts is the inter-procedural side channel of the analysis framework:
@@ -106,15 +105,4 @@ func DecodeVetx(path string) (map[string][]byte, error) {
 		return nil, fmt.Errorf("parse facts %s: %w", path, err)
 	}
 	return byAnalyzer, nil
-}
-
-// AnalyzerNames returns the sorted analyzer names present in a decoded
-// vetx map — handy for deterministic debugging output.
-func AnalyzerNames(byAnalyzer map[string][]byte) []string {
-	names := make([]string, 0, len(byAnalyzer))
-	for k := range byAnalyzer {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

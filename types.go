@@ -29,7 +29,6 @@
 package eta2
 
 import (
-	"io"
 	"time"
 
 	"eta2/internal/allocation"
@@ -217,13 +216,12 @@ type ReplicationStatus struct {
 }
 
 // EmbeddingModel is a trained skip-gram model. Beyond the Embedder
-// interface it supports Save/Load (train once, reload at startup) and
-// nearest-neighbor queries.
+// interface it supports Save, whose bytes eta2server -model reloads.
 type EmbeddingModel = embedding.Model
 
 // TrainEmbedder trains a skip-gram embedding model on the provided
 // tokenized corpus. For quick starts, BuiltinEmbedder is this model trained
-// on BuiltinCorpus(1) at seed 2, shipped in the binary.
+// on the builtin synthetic corpus at seed 2, shipped in the binary.
 func TrainEmbedder(corpus [][]string, seed int64) (*EmbeddingModel, error) {
 	return embedding.Train(corpus, embedding.TrainConfig{Seed: seed})
 }
@@ -231,17 +229,6 @@ func TrainEmbedder(corpus [][]string, seed int64) (*EmbeddingModel, error) {
 // BuiltinEmbedder loads the builtin skip-gram model, which covers common
 // mobile-sensing domains; eta2server -semantic runs the same one.
 func BuiltinEmbedder() (*EmbeddingModel, error) { return embedding.Builtin() }
-
-// LoadEmbedder restores a model previously written with
-// (*EmbeddingModel).Save.
-func LoadEmbedder(r io.Reader) (*EmbeddingModel, error) {
-	return embedding.Load(r)
-}
-
-// BuiltinCorpus generates the builtin synthetic multi-domain corpus.
-func BuiltinCorpus(seed int64) [][]string {
-	return embedding.GenerateCorpus(embedding.BuiltinDomains, embedding.CorpusConfig{Seed: seed})
-}
 
 // DefaultExpertise is the prior expertise assumed before any evidence.
 const DefaultExpertise = truth.DefaultExpertise
