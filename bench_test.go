@@ -410,9 +410,9 @@ func BenchmarkStepWithTaskHistory(b *testing.B) {
 			b.Fatal(err)
 		}
 		tr.End()
-		for _, sp := range tr.Spans() {
+		for _, sp := range tr.Export().Spans {
 			if sp.Name == trace.SpanTruthEstimate {
-				overhead -= sp.Dur
+				overhead -= time.Duration(sp.DurNS)
 			}
 		}
 		return create, overhead
@@ -528,7 +528,7 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 			}
 			step(past) // day 0 is the warm-up MLE: the steps timed are dynamic updates
 			if err := past.st.Write(func(tx *rcu.Tx[serverState]) (err error) {
-				tx.W.store, err = truth.RestoreStore(truth.StoreState{Alpha: tx.W.store.Alpha(), Prior: truth.DefaultStorePrior, Entries: entries})
+				tx.W.store, err = truth.RestoreStore(truth.StoreState{Alpha: tx.W.store.State().Alpha, Prior: truth.DefaultStorePrior, Entries: entries})
 				return err
 			}); err != nil {
 				b.Fatal(err)

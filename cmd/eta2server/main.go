@@ -242,6 +242,10 @@ func loadModel(path string) (*embedding.Model, error) {
 	return model, nil
 }
 
+// syncDir is writeFileAtomic's directory sync; tests swap it to inject a
+// failure.
+var syncDir = wal.SyncDir
+
 // writeFileAtomic makes what write produces the file at path by the
 // sequence installSnapshot uses — temp file in the same directory, fsync,
 // close, rename, directory fsync — so a process that opens path at any
@@ -273,7 +277,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(f.Name())
 		return err
 	}
-	return wal.SyncDir(dir)
+	return syncDir(dir)
 }
 
 // serve runs the HTTP server until ctx is cancelled, then shuts down

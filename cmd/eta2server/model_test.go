@@ -7,9 +7,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"eta2/internal/embedding"
+	"eta2/internal/wal"
 )
 
 // failAfter passes n bytes through and then fails every write: a disk that
@@ -42,6 +44,18 @@ func dirNames(t *testing.T, dir string) []string {
 		names = append(names, e.Name())
 	}
 	return names
+}
+
+// TestFailedDirSyncFailsModelWrite: a rename the directory never synced may
+// vanish in a crash, so writeFileAtomic reports a failed directory sync.
+func TestFailedDirSyncFailsModelWrite(t *testing.T) {
+	syncDir = func(string) error { return syscall.EIO }
+	defer func() { syncDir = wal.SyncDir }()
+	path := filepath.Join(t.TempDir(), "model.json")
+	write := func(w io.Writer) error { _, err := io.WriteString(w, "{}"); return err }
+	if err := writeFileAtomic(path, write); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("writeFileAtomic with a failing directory sync = %v, want EIO", err)
+	}
 }
 
 // A fresh path gets the builtin model and is then loaded from; a write that

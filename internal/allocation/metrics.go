@@ -8,9 +8,9 @@ import "eta2/internal/obs"
 var (
 	mAllocDur = obs.Default().HistogramVec("eta2_allocation_duration_seconds",
 		"Wall time of one allocation solve (greedy passes included).",
-		obs.DefBuckets, "algorithm")
+		obs.DefBuckets, obs.Label("algorithm", "max_quality", "min_cost"))
 	mAllocPairs = obs.Default().CounterVec("eta2_allocation_allocated_pairs_total",
-		"User-task pairs allocated, summed over rounds.", "algorithm")
+		"User-task pairs allocated, summed over rounds.", obs.Label("algorithm", "max_quality", "min_cost"))
 	mAllocQuality = obs.Default().Gauge("eta2_allocation_expected_quality",
 		"Objective sum of per-task accuracy probabilities of the last max-quality round.")
 	mMinCostIters = obs.Default().Histogram("eta2_allocation_mincost_iterations",

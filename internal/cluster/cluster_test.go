@@ -390,3 +390,11 @@ func TestSilhouette(t *testing.T) {
 		t.Error("empty engine silhouette should be 0")
 	}
 }
+
+// Domain returns the domain of item i, or DomainNone for out-of-range i.
+func (e *Engine) Domain(i int) core.DomainID {
+	if i < 0 || i >= len(e.itemCluster) {
+		return core.DomainNone
+	}
+	return e.clusters[e.itemCluster[i]].domain
+}

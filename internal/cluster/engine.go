@@ -93,14 +93,6 @@ func (e *Engine) NumDomains() int { return len(e.clusters) }
 // DStar returns the longest pairwise item distance observed so far.
 func (e *Engine) DStar() float64 { return e.dstar }
 
-// Domain returns the domain of item i, or DomainNone for out-of-range i.
-func (e *Engine) Domain(i int) core.DomainID {
-	if i < 0 || i >= len(e.itemCluster) {
-		return core.DomainNone
-	}
-	return e.clusters[e.itemCluster[i]].domain
-}
-
 // Members returns the item members of every current domain.
 func (e *Engine) Members() map[core.DomainID][]int {
 	out := make(map[core.DomainID][]int, len(e.clusters))

@@ -176,13 +176,3 @@ func (a *Allocation) Load(procTimeOf func(TaskID) float64) map[UserID]float64 {
 	}
 	return out
 }
-
-// Merge appends all pairs of other into a, skipping duplicates.
-func (a *Allocation) Merge(other *Allocation) {
-	if other == nil {
-		return
-	}
-	for _, p := range other.Pairs {
-		_ = a.Add(p.User, p.Task) // duplicate pairs are silently kept once
-	}
-}

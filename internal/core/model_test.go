@@ -110,3 +110,13 @@ func TestAllocationMerge(t *testing.T) {
 		t.Error("nil merge changed allocation")
 	}
 }
+
+// Merge appends all pairs of other into a, skipping duplicates.
+func (a *Allocation) Merge(other *Allocation) {
+	if other == nil {
+		return
+	}
+	for _, p := range other.Pairs {
+		_ = a.Add(p.User, p.Task) // duplicate pairs are silently kept once
+	}
+}

@@ -16,25 +16,6 @@ type Vector []float64
 // ErrDimMismatch is returned when combining vectors of unequal length.
 var ErrDimMismatch = errors.New("embedding: vector dimensions differ")
 
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Add returns v + w. It returns an error for mismatched dimensions.
-func (v Vector) Add(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, ErrDimMismatch
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out, nil
-}
-
 // AddInPlace accumulates w into v; both must have equal length.
 func (v Vector) AddInPlace(w Vector) error {
 	if len(v) != len(w) {

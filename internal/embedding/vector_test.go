@@ -136,3 +136,22 @@ func (v Vector) Cosine(w Vector) float64 {
 	}
 	return v.Dot(w) / (nv * nw)
 }
+
+// Clone returns a copy of v.
+func (v Vector) Clone() Vector {
+	out := make(Vector, len(v))
+	copy(out, v)
+	return out
+}
+
+// Add returns v + w. It returns an error for mismatched dimensions.
+func (v Vector) Add(w Vector) (Vector, error) {
+	if len(v) != len(w) {
+		return nil, ErrDimMismatch
+	}
+	out := make(Vector, len(v))
+	for i := range v {
+		out[i] = v[i] + w[i]
+	}
+	return out, nil
+}

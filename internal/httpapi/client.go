@@ -42,41 +42,6 @@ func (c *Client) AddUsers(ctx context.Context, users []UserJSON) error {
 	return c.post(ctx, "/v1/users", map[string]any{"users": users}, nil)
 }
 
-// AddUsersByName registers users by external string name; the server
-// assigns dense ids (interning each name once) and returns them in name
-// order.
-func (c *Client) AddUsersByName(ctx context.Context, capacity float64, names []string) ([]int, error) {
-	var resp struct {
-		IDs []int `json:"ids"`
-	}
-	body := map[string]any{"capacity": capacity, "names": names}
-	if err := c.post(ctx, "/v1/users/named", body, &resp); err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
-}
-
-// ResolveUser resolves an external user name to its dense id.
-func (c *Client) ResolveUser(ctx context.Context, name string) (int, error) {
-	var resp UserJSON
-	q := url.Values{"name": {name}}
-	if err := c.get(ctx, "/v1/users?"+q.Encode(), &resp); err != nil {
-		return 0, err
-	}
-	return resp.ID, nil
-}
-
-// UserName recovers the external name bound to a dense user id ("" if the
-// user is unnamed).
-func (c *Client) UserName(ctx context.Context, id int) (string, error) {
-	var resp UserJSON
-	q := url.Values{"user": {fmt.Sprint(id)}}
-	if err := c.get(ctx, "/v1/users?"+q.Encode(), &resp); err != nil {
-		return "", err
-	}
-	return resp.Name, nil
-}
-
 // CreateTasks registers tasks and returns their IDs.
 func (c *Client) CreateTasks(ctx context.Context, tasks []TaskSpecJSON) ([]int, error) {
 	var resp struct {
@@ -113,16 +78,6 @@ func (c *Client) CloseStep(ctx context.Context) (StepReportJSON, error) {
 	return resp, nil
 }
 
-// Truth fetches the latest estimate for a task.
-func (c *Client) Truth(ctx context.Context, task int) (TruthJSON, error) {
-	var resp TruthJSON
-	q := url.Values{"task": {fmt.Sprint(task)}}
-	if err := c.get(ctx, "/v1/truth?"+q.Encode(), &resp); err != nil {
-		return TruthJSON{}, err
-	}
-	return resp, nil
-}
-
 // Expertise fetches the learned expertise of a user in a domain.
 func (c *Client) Expertise(ctx context.Context, user, domain int) (float64, error) {
 	var resp struct {
@@ -145,26 +100,6 @@ func (c *Client) Health(ctx context.Context) error {
 func (c *Client) Durability(ctx context.Context) (DurabilityJSON, error) {
 	var resp DurabilityJSON
 	if err := c.get(ctx, "/v1/admin/durability", &resp); err != nil {
-		return DurabilityJSON{}, err
-	}
-	return resp, nil
-}
-
-// Promote asks a follower node to become a writable primary, returning
-// its post-promotion replication status.
-func (c *Client) Promote(ctx context.Context) (ReplicationJSON, error) {
-	var resp ReplicationJSON
-	if err := c.post(ctx, "/v1/admin/promote", struct{}{}, &resp); err != nil {
-		return ReplicationJSON{}, err
-	}
-	return resp, nil
-}
-
-// Compact asks the server to snapshot its state and truncate the
-// write-ahead log, returning the post-compaction durability state.
-func (c *Client) Compact(ctx context.Context) (DurabilityJSON, error) {
-	var resp DurabilityJSON
-	if err := c.post(ctx, "/v1/admin/compact", struct{}{}, &resp); err != nil {
 		return DurabilityJSON{}, err
 	}
 	return resp, nil

@@ -42,32 +42,41 @@ type Handler struct {
 
 var _ http.Handler = (*Handler)(nil)
 
+// routes is the API: each pattern New mounts and its handler. The patterns,
+// plus "unmatched", are also the declared values of the eta2_http_* route
+// label (metrics.go), so the route list is written once.
+var routes = []struct {
+	pattern string
+	handle  func(*Handler, http.ResponseWriter, *http.Request)
+}{
+	{"/v1/healthz", (*Handler).handleHealth},
+	{"/v1/users", (*Handler).handleUsers},
+	{"/v1/users/named", (*Handler).handleNamedUsers},
+	{"/v1/tasks", (*Handler).handleTasks},
+	{"/v1/allocate/max-quality", (*Handler).handleAllocateMaxQuality},
+	{"/v1/observations", (*Handler).handleObservations},
+	{"/v1/step/close", (*Handler).handleCloseStep},
+	{"/v1/truth", (*Handler).handleTruth},
+	{"/v1/expertise", (*Handler).handleExpertise},
+	{"/v1/admin/durability", (*Handler).handleDurability},
+	{"/v1/admin/compact", (*Handler).handleCompact},
+	{"/v1/admin/replication", (*Handler).handleReplication},
+	{"/v1/admin/promote", (*Handler).handlePromote},
+	{"/v1/admin/traces", (*Handler).handleTraces},
+	{repl.LogPath, (*Handler).handleReplLog},
+	{repl.SnapshotPath, (*Handler).handleReplSnapshot},
+}
+
 // New wraps an eta2.Server in the HTTP API. Every route is instrumented
 // with the eta2_http_* metrics (see metrics.go); unmatched paths get a
 // JSON 404 under the synthetic route "unmatched" instead of the
 // ServeMux's plain-text default.
 func New(server *eta2.Server) *Handler {
 	h := &Handler{server: server, mux: http.NewServeMux()}
-	routes := map[string]http.HandlerFunc{
-		"/v1/healthz":              h.handleHealth,
-		"/v1/users":                h.handleUsers,
-		"/v1/users/named":          h.handleNamedUsers,
-		"/v1/tasks":                h.handleTasks,
-		"/v1/allocate/max-quality": h.handleAllocateMaxQuality,
-		"/v1/observations":         h.handleObservations,
-		"/v1/step/close":           h.handleCloseStep,
-		"/v1/truth":                h.handleTruth,
-		"/v1/expertise":            h.handleExpertise,
-		"/v1/admin/durability":     h.handleDurability,
-		"/v1/admin/compact":        h.handleCompact,
-		"/v1/admin/replication":    h.handleReplication,
-		"/v1/admin/promote":        h.handlePromote,
-		"/v1/admin/traces":         h.handleTraces,
-		repl.LogPath:               h.handleReplLog,
-		repl.SnapshotPath:          h.handleReplSnapshot,
-	}
-	for pattern, fn := range routes {
-		h.mux.HandleFunc(pattern, h.instrument(pattern, fn))
+	for _, rt := range routes {
+		h.mux.HandleFunc(rt.pattern, h.instrument(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			rt.handle(h, w, r)
+		}))
 	}
 	h.mux.HandleFunc("/", h.instrument("unmatched", handleNotFound))
 	return h
@@ -151,6 +160,9 @@ type DurabilityJSON struct {
 	Compactions  int    `json:"compactions"`
 	// LastCompaction is RFC 3339, empty if no compaction ran this process.
 	LastCompaction string `json:"last_compaction,omitempty"`
+	// JournalError is set once the journal failed; see
+	// eta2.DurabilityStats.
+	JournalError string `json:"journal_error,omitempty"`
 }
 
 // errorJSON is the error envelope every failure returns.
@@ -163,6 +175,10 @@ type errorJSON struct {
 func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		methodNotAllowed(w, http.MethodGet)
+		return
+	}
+	if failed := h.server.DurabilityStats().JournalError; failed != "" {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("%w: %s", eta2.ErrJournalFailed, failed))
 		return
 	}
 	day := h.server.Day()
@@ -438,6 +454,7 @@ func durabilityJSON(st eta2.DurabilityStats) DurabilityJSON {
 		SnapshotLSN:  st.SnapshotLSN,
 		CommittedLSN: st.CommittedLSN,
 		Compactions:  st.Compactions,
+		JournalError: st.JournalError,
 	}
 	if !st.LastCompaction.IsZero() {
 		out.LastCompaction = st.LastCompaction.Format(time.RFC3339)

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -127,29 +132,86 @@ func TestFullCrowdsourcingFlow(t *testing.T) {
 		t.Errorf("expert expertise %.2f not above noise user %.2f", e0, e1)
 	}
 
-	// The steps above crossed every subsystem: each must have a sample in
-	// the registry cmd/eta2server mounts at /metrics, and histograms must
-	// carry their cumulative +Inf bucket.
+	// The steps above crossed every subsystem, so the registry
+	// cmd/eta2server mounts at /metrics now serves every family: its
+	// names, types and label names must be the committed surface, and
+	// histograms must carry their cumulative +Inf bucket.
 	obs.RegisterBuildInfo(obs.Default())
 	rec := httptest.NewRecorder()
 	obs.Default().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	scrape := "\n" + rec.Body.String()
-	for _, sample := range []string{
-		"eta2_http_requests_total",
-		"eta2_wal_fsyncs_total",
-		"eta2_truth_mle_iterations",
-		"eta2_cluster_domains",
-		"eta2_allocation_expected_quality",
-		"eta2_server_day",
-		"eta2_build_info",
-	} {
-		if !strings.Contains(scrape, "\n"+sample) {
-			t.Errorf("/metrics has no sample of family %s", sample)
-		}
-	}
-	if !strings.Contains(scrape, `le="+Inf"`) {
+	checkMetricSurface(t, rec.Body.String())
+	if !strings.Contains(rec.Body.String(), `le="+Inf"`) {
 		t.Error("/metrics has no +Inf histogram bucket")
 	}
+}
+
+// metricSurface is the served metric surface, one line per family: its
+// name, its type and its label names. It is the reviewed list of what
+// /metrics holds, so a family added, renamed or relabeled anywhere shows
+// up as a diff of this file (go test -run TestFullCrowdsourcingFlow
+// ./internal/httpapi/ -update rewrites it).
+const metricSurface = "testdata/metric_surface.golden"
+
+var update = flag.Bool("update", false, "rewrite "+metricSurface)
+
+// checkMetricSurface diffs a Prometheus text scrape's families against
+// metricSurface. A family's label names are read off its first sample;
+// a histogram's synthetic le label is not one of them.
+func checkMetricSurface(t *testing.T, scrape string) {
+	t.Helper()
+	var got []string
+	lines := strings.Split(scrape, "\n")
+	for i, line := range lines {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" || i+1 >= len(lines) {
+			continue
+		}
+		entry := f[2] + " " + f[3]
+		if labels := sampleLabelNames(lines[i+1]); len(labels) > 0 {
+			entry += " " + strings.Join(labels, ",")
+		}
+		got = append(got, entry)
+	}
+	body := strings.Join(got, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(metricSurface, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(metricSurface)
+	if err != nil {
+		t.Fatalf("read %s (run with -update to write it): %v", metricSurface, err)
+	}
+	if body == string(want) {
+		return
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	for _, l := range got {
+		if !slices.Contains(wantLines, l) {
+			t.Errorf("/metrics serves %q, which %s does not hold", l, metricSurface)
+		}
+	}
+	for _, l := range wantLines {
+		if !slices.Contains(got, l) {
+			t.Errorf("%s holds %q, which /metrics does not serve", metricSurface, l)
+		}
+	}
+	t.Errorf("/metrics surface differs from %s (%d families served, %d held)", metricSurface, len(got), len(wantLines))
+}
+
+// labelRE matches one label of a sample line: its name, then its quoted
+// value, in which a backslash escapes the byte after it.
+var labelRE = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\]|\\.)*"`)
+
+// sampleLabelNames returns the label names of one sample line, le excepted.
+func sampleLabelNames(sample string) []string {
+	var names []string
+	for _, m := range labelRE.FindAllStringSubmatch(sample, -1) {
+		if m[1] != "le" {
+			names = append(names, m[1])
+		}
+	}
+	return names
 }
 
 func TestErrorStatuses(t *testing.T) {
@@ -447,6 +509,76 @@ func TestFailedJournalAnswers503(t *testing.T) {
 	wantStatus(t, client.AddUsers(ctx, []UserJSON{{ID: 2, Capacity: 8}}), http.StatusServiceUnavailable)
 }
 
+// TestFailedJournalFailsNode: once a failed append leaves the journal
+// refusing every later write, the failure is the node's state, not one
+// request's answer. Health answers 503 naming the error, the durability
+// report carries it, eta2_server_journal_failed reads 1, and reads keep
+// answering 200 from the acknowledged state.
+func TestFailedJournalFailsNode(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := eta2.NewServer(eta2.WithDurability(dir, eta2.DurabilityPolicy{SegmentSize: 256, CompactAt: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(New(srv))
+	t.Cleanup(ts.Close)
+	client, ctx := NewClient(ts.URL, ts.Client()), context.Background()
+	if err := client.AddUsers(ctx, []UserJSON{{ID: 0, Capacity: 8}, {ID: 1, Capacity: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := client.CreateTasks(ctx, []TaskSpecJSON{{ProcTime: 1, DomainHint: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.SubmitObservations(ctx, []ObservationJSON{{Task: ids[0], User: 0, Value: 1}, {Task: ids[0], User: 1, Value: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.CloseStep(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Health(ctx); err != nil {
+		t.Fatalf("healthy node: %v", err)
+	}
+
+	// The record of 40 users is larger than a segment, so its append opens
+	// one in the removed directory.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	many := make([]UserJSON, 40)
+	for i := range many {
+		many[i] = UserJSON{ID: 2 + i, Capacity: 8}
+	}
+	wantStatus(t, client.AddUsers(ctx, many), http.StatusServiceUnavailable)
+
+	err = client.Health(ctx)
+	wantStatus(t, err, http.StatusServiceUnavailable)
+	if err == nil || !strings.Contains(err.Error(), "journal failed") || !strings.Contains(err.Error(), "create segment") {
+		t.Errorf("health error %v does not name the journal failure", err)
+	}
+	dur, err := client.Durability(ctx)
+	if err != nil {
+		t.Fatalf("durability read on a failed node: %v", err)
+	}
+	if !strings.Contains(dur.JournalError, "create segment") {
+		t.Errorf("durability journal_error = %q, want the failed segment creation", dur.JournalError)
+	}
+	var scrape bytes.Buffer
+	if err := obs.Default().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "\neta2_server_journal_failed 1\n") {
+		t.Error("eta2_server_journal_failed does not read 1")
+	}
+	if est, err := client.Truth(ctx, ids[0]); err != nil || est.Task != ids[0] {
+		t.Errorf("truth read on a failed node: %+v, %v", est, err)
+	}
+	if _, err := client.Expertise(ctx, 0, 1); err != nil {
+		t.Errorf("expertise read on a failed node: %v", err)
+	}
+}
+
 func wantStatus(t *testing.T, err error, status int) {
 	t.Helper()
 	var apiErr *APIError
@@ -488,4 +620,24 @@ func TestConcurrentObservations(t *testing.T) {
 	if report.Estimates[0].Observations != workers {
 		t.Errorf("observations = %d, want %d", report.Estimates[0].Observations, workers)
 	}
+}
+
+// Truth fetches the latest estimate for a task.
+func (c *Client) Truth(ctx context.Context, task int) (TruthJSON, error) {
+	var resp TruthJSON
+	q := url.Values{"task": {fmt.Sprint(task)}}
+	if err := c.get(ctx, "/v1/truth?"+q.Encode(), &resp); err != nil {
+		return TruthJSON{}, err
+	}
+	return resp, nil
+}
+
+// Compact asks the server to snapshot its state and truncate the
+// write-ahead log, returning the post-compaction durability state.
+func (c *Client) Compact(ctx context.Context) (DurabilityJSON, error) {
+	var resp DurabilityJSON
+	if err := c.post(ctx, "/v1/admin/compact", struct{}{}, &resp); err != nil {
+		return DurabilityJSON{}, err
+	}
+	return resp, nil
 }

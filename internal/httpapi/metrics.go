@@ -3,6 +3,7 @@ package httpapi
 import (
 	"log/slog"
 	"net/http"
+	"slices"
 	"time"
 
 	"eta2/internal/obs"
@@ -10,18 +11,19 @@ import (
 	"eta2/internal/trace"
 )
 
-// HTTP-layer metrics. Route labels are the registered /v1 patterns plus
-// the synthetic "unmatched" for 404s, so cardinality is fixed by the
-// route table. Per-route histograms are resolved once at Handler
-// construction; the request path performs only atomic updates plus one
-// lock-free counter lookup for the (method, code-class) pair.
+// HTTP-layer metrics. The route label declares the route table's patterns
+// plus the synthetic "unmatched" for 404s, the method label methodLabels,
+// and the code label the five classes codeClass returns. Per-route
+// histograms are resolved once at Handler construction; the request path
+// performs only atomic updates plus one counter lookup for the (method,
+// code-class) pair.
 var (
 	mHTTPRequests = obs.Default().CounterVec("eta2_http_requests_total",
 		"HTTP requests served, by route, method, and status class.",
-		"route", "method", "code")
+		routeLabel, obs.Label("method", methodLabels...), obs.Label("code", codeLabels...))
 	mHTTPDur = obs.Default().HistogramVec("eta2_http_request_duration_seconds",
 		"HTTP request latency, fsync waits and truth analysis included.",
-		obs.DefBuckets, "route")
+		obs.DefBuckets, routeLabel)
 	mHTTPInFlight = obs.Default().Gauge("eta2_http_in_flight_requests",
 		"Requests currently being served.")
 )
@@ -46,53 +48,39 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// normalizeMethod maps a request's method — arbitrary client-controlled
-// bytes — onto the fixed label set of the standard methods, so a client
-// sending garbage verbs cannot mint unbounded time series.
-func normalizeMethod(m string) string {
-	switch m {
-	case http.MethodGet:
-		return "GET"
-	case http.MethodHead:
-		return "HEAD"
-	case http.MethodPost:
-		return "POST"
-	case http.MethodPut:
-		return "PUT"
-	case http.MethodPatch:
-		return "PATCH"
-	case http.MethodDelete:
-		return "DELETE"
-	case http.MethodConnect:
-		return "CONNECT"
-	case http.MethodOptions:
-		return "OPTIONS"
-	case http.MethodTrace:
-		return "TRACE"
-	default:
-		return "other"
+// routeLabel declares the route label: every pattern of the route table,
+// then "unmatched".
+var routeLabel = func() obs.LabelDecl {
+	names := make([]string, 0, len(routes)+1)
+	for _, rt := range routes {
+		names = append(names, rt.pattern)
 	}
-}
+	return obs.Label("route", append(names, "unmatched")...)
+}()
 
-// codeClass buckets a status code into 1xx..5xx.
-func codeClass(status int) string {
-	switch {
-	case status >= 500:
-		return "5xx"
-	case status >= 400:
-		return "4xx"
-	case status >= 300:
-		return "3xx"
-	case status >= 200:
-		return "2xx"
-	default:
-		return "1xx"
-	}
-}
-
-// methodLabels is the closed set normalizeMethod maps onto.
+// methodLabels is the closed set normalizeMethod maps onto: the standard
+// methods, then "other".
 var methodLabels = []string{"GET", "HEAD", "POST", "PUT", "PATCH", "DELETE",
 	"CONNECT", "OPTIONS", "TRACE", "other"}
+
+// normalizeMethod maps a request's method — arbitrary client-controlled
+// bytes — onto methodLabels, so a client sending garbage verbs cannot
+// mint unbounded time series.
+func normalizeMethod(m string) string {
+	if i := slices.Index(methodLabels, m); i >= 0 {
+		return methodLabels[i]
+	}
+	return "other"
+}
+
+// codeLabels are the status classes codeClass returns.
+var codeLabels = []string{"1xx", "2xx", "3xx", "4xx", "5xx"}
+
+// codeClass buckets a status code into 1xx..5xx: below 200 is 1xx, 500 and
+// above is 5xx.
+func codeClass(status int) string {
+	return codeLabels[min(max(status/100, 1), 5)-1]
+}
 
 // instrument wraps one route handler with the in-flight gauge, the
 // per-route latency histogram, the request counter, and — when the

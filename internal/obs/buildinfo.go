@@ -42,7 +42,7 @@ func Version() string {
 // the build metadata lives in the labels, the Prometheus idiom for
 // joining version info onto other series). Idempotent.
 func RegisterBuildInfo(r *Registry) {
-	r.GaugeVec("eta2_build_info",
-		"Build metadata; the value is always 1.",
-		"version", "goversion").With(Version(), runtime.Version()).Set(1)
+	v, gv := Version(), runtime.Version()
+	r.GaugeVec("eta2_build_info", "Build metadata; the value is always 1.",
+		Label("version", v), Label("goversion", gv)).With(v, gv).Set(1)
 }

@@ -74,15 +74,17 @@ func (f *family) write(w *bufio.Writer) error {
 	return nil
 }
 
-// sortedChildren snapshots the family's series in label-value order.
+// sortedChildren snapshots the family's used series in label-value order:
+// their values joined by \xff, which valid UTF-8 values cannot contain.
 func (f *family) sortedChildren() []*child {
 	var out []*child
-	f.children.Range(func(_, v any) bool {
-		out = append(out, v.(*child))
-		return true
-	})
+	for i := range f.slots {
+		if c := f.slots[i].Load(); c != nil {
+			out = append(out, c)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
-		return labelKey(out[i].values) < labelKey(out[j].values)
+		return strings.Join(out[i].values, "\xff") < strings.Join(out[j].values, "\xff")
 	})
 	return out
 }

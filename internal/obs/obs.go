@@ -6,21 +6,24 @@
 // Design constraints, in order:
 //
 //   - Hot paths are lock-free. Counter.Inc / Gauge.Set / Histogram.Observe
-//     are one or two atomic operations; labeled lookups (Vec.With) are a
-//     sync.Map read after first use. No instrumented code path ever blocks
-//     on a mutex held by a scrape.
+//     are one or two atomic operations; Vec.With finds each value in its
+//     label's declared set and loads one slot of a fixed table. No
+//     instrumented code path ever blocks on a mutex held by a scrape.
+//   - Label values are declared: a family registers each label's closed
+//     value set (Label), so its cardinality is fixed, and any other value
+//     panics at With, naming the family, the label and the value.
 //   - Zero third-party dependencies: the standard library only.
 //   - Registration is idempotent so package-level `var m = obs.Default().
 //     Counter(...)` works across repeated test binaries and multiple
 //     servers in one process. Re-registering a name with a different
-//     type, label set, or bucket layout panics: that is a programming
-//     error, caught at init time.
+//     type, label declaration, or bucket layout panics: that is a
+//     programming error, caught at init time.
 //
 // Metric values are process-wide (the registry is shared by every server
 // instance in the process), matching the Prometheus model where one
 // scrape target is one process. Gauges published by multiple concurrent
-// instances are last-writer-wins; see DESIGN.md §13 for the taxonomy and
-// cardinality budget.
+// instances are last-writer-wins. The families a server serves are the
+// golden list DESIGN.md §13 points to.
 //
 // A scrape observes each atomic independently, so a histogram's sum and
 // bucket counts may be skewed by updates racing the scrape — the standard
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,8 +54,7 @@ func SetDisabled(d bool) { disabled.Store(d) }
 // metricNameRE enforces the project naming convention, a strict subset
 // of the Prometheus charset: every family lives under the eta2_
 // namespace in lowercase snake_case. Rejecting everything else at
-// registration time keeps the scrape output greppable by prefix and is
-// the runtime twin of the metrichygiene static check.
+// registration time keeps the scrape output greppable by prefix.
 var metricNameRE = regexp.MustCompile(`^eta2_[a-z0-9_]+$`)
 
 // nameRE is the Prometheus label name charset.
@@ -65,16 +68,7 @@ const (
 	kindHistogram
 )
 
-func (k kind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
+func (k kind) String() string { return [...]string{"counter", "gauge", "histogram"}[k] }
 
 // Registry holds metric families by name. The zero value is not usable;
 // use NewRegistry or the process-wide Default.
@@ -95,16 +89,31 @@ var defaultRegistry = NewRegistry()
 // registers into.
 func Default() *Registry { return defaultRegistry }
 
+// LabelDecl is one label of a family: its name and every value it may take.
+type LabelDecl struct {
+	name   string
+	values []string
+}
+
+// Label declares a label and its closed value set, in the order the
+// family's Vec.With takes them.
+func Label(name string, values ...string) LabelDecl {
+	return LabelDecl{name: name, values: slices.Clone(values)}
+}
+
 // family is one named metric family with a fixed type and label schema.
 type family struct {
 	name    string
 	help    string
 	kind    kind
-	labels  []string
-	buckets []float64 // histogram upper bounds, ascending, +Inf implicit
+	labels  []string   // label names, in declaration order
+	values  [][]string // values[i] is labels[i]'s declared value set
+	buckets []float64  // histogram upper bounds, ascending, +Inf implicit
 
-	mu       sync.Mutex // guards child creation (reads go through children)
-	children sync.Map   // label-values key -> *child
+	// slots holds one series per tuple of declared values, row-major in
+	// declaration order; a nil slot is a series not used yet, so only
+	// used series are exposed.
+	slots []atomic.Pointer[child]
 }
 
 // child is one (family, label values) time series.
@@ -113,21 +122,29 @@ type child struct {
 	metric any // *Counter, *Gauge, or *Histogram
 }
 
-// labelKey joins label values into a map key. \xff cannot appear in
-// valid UTF-8 label values at a position that makes two distinct value
-// tuples collide.
-func labelKey(values []string) string { return strings.Join(values, "\xff") }
-
 // register returns the family for name, creating it on first use and
 // validating that repeated registrations agree on type and schema.
-func (r *Registry) register(name, help string, k kind, labels []string, buckets []float64) *family {
+func (r *Registry) register(name, help string, k kind, decls []LabelDecl, buckets []float64) *family {
 	if !metricNameRE.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q (must match ^eta2_[a-z0-9_]+$)", name))
 	}
-	for _, l := range labels {
-		if !nameRE.MatchString(l) || strings.HasPrefix(l, "__") {
-			panic(fmt.Sprintf("obs: invalid label name %q for metric %q", l, name))
+	f := &family{name: name, help: help, kind: k, buckets: buckets}
+	n := 1
+	for _, d := range decls {
+		if !nameRE.MatchString(d.name) || strings.HasPrefix(d.name, "__") {
+			panic(fmt.Sprintf("obs: invalid label name %q for metric %q", d.name, name))
 		}
+		if len(d.values) == 0 {
+			panic(fmt.Sprintf("obs: metric %q label %q declares no values", name, d.name))
+		}
+		for i, v := range d.values {
+			if slices.Contains(d.values[:i], v) {
+				panic(fmt.Sprintf("obs: metric %q label %q declares value %q twice", name, d.name, v))
+			}
+		}
+		f.labels = append(f.labels, d.name)
+		f.values = append(f.values, d.values)
+		n *= len(d.values)
 	}
 	if k == kindHistogram {
 		if len(buckets) == 0 {
@@ -139,47 +156,65 @@ func (r *Registry) register(name, help string, k kind, labels []string, buckets 
 			}
 		}
 		if math.IsInf(buckets[len(buckets)-1], +1) {
-			buckets = buckets[:len(buckets)-1] // +Inf is implicit
+			f.buckets = buckets[:len(buckets)-1] // +Inf is implicit
 		}
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		if f.kind != k {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, k, f.kind))
+	if old, ok := r.families[name]; ok {
+		if old.kind != k {
+			panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, k, old.kind))
 		}
-		if !equalStrings(f.labels, labels) {
-			panic(fmt.Sprintf("obs: metric %q re-registered with labels %v, was %v", name, labels, f.labels))
+		if !slices.Equal(old.labels, f.labels) || !slices.EqualFunc(old.values, f.values, slices.Equal) {
+			panic(fmt.Sprintf("obs: metric %q re-registered with labels %v %v, was %v %v", name, f.labels, f.values, old.labels, old.values))
 		}
-		if k == kindHistogram && !equalFloats(f.buckets, buckets) {
+		if !slices.Equal(old.buckets, f.buckets) {
 			panic(fmt.Sprintf("obs: histogram %q re-registered with different buckets", name))
 		}
-		return f
+		return old
 	}
-	f := &family{name: name, help: help, kind: k, labels: labels, buckets: buckets}
+	f.slots = make([]atomic.Pointer[child], n)
 	r.families[name] = f
 	return f
 }
 
-// with returns the child for the given label values, creating it with
-// mk on first use. The fast path is a single lock-free sync.Map read.
-func (f *family) with(values []string, mk func() any) *child {
+// with returns the series for the given label values, creating it on first
+// use. Each value is looked up in its label's declared set; the tuple's
+// slot is then one atomic load, and a racing first use keeps one child.
+func (f *family) with(values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelKey(values)
-	if c, ok := f.children.Load(key); ok {
-		return c.(*child)
+	slot := 0
+	for i, v := range values {
+		j := slices.Index(f.values[i], v)
+		if j < 0 {
+			panic(fmt.Sprintf("obs: metric %q label %q: undeclared value %q", f.name, f.labels[i], v))
+		}
+		slot = slot*len(f.values[i]) + j
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.children.Load(key); ok {
-		return c.(*child)
+	if c := f.slots[slot].Load(); c != nil {
+		return c
 	}
-	c := &child{values: append([]string(nil), values...), metric: mk()}
-	f.children.Store(key, c)
-	return c
+	// The child keeps the declared strings, decoded from the slot.
+	c := &child{values: make([]string, len(values))}
+	for i, rest := len(values)-1, slot; i >= 0; i-- {
+		n := len(f.values[i])
+		c.values[i], rest = f.values[i][rest%n], rest/n
+	}
+	switch f.kind {
+	case kindCounter:
+		c.metric = new(Counter)
+	case kindGauge:
+		c.metric = new(Gauge)
+	default:
+		c.metric = &Histogram{upper: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
+	}
+	if f.slots[slot].CompareAndSwap(nil, c) {
+		return c
+	}
+	return f.slots[slot].Load()
 }
 
 // ---- counter ----
@@ -204,11 +239,10 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // CounterVec is a counter family with labels.
 type CounterVec struct{ fam *family }
 
-// With returns the counter for the given label values, creating it on
-// first use. Resolve once and cache in hot paths when possible; the
-// lookup itself is a lock-free map read.
+// With returns the counter for the given declared label values, creating
+// it on first use. Resolve once and cache in hot paths when possible.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.fam.with(values, func() any { return new(Counter) }).metric.(*Counter)
+	return v.fam.with(values).metric.(*Counter)
 }
 
 // Counter registers (or fetches) an unlabeled counter.
@@ -217,21 +251,21 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterVec registers (or fetches) a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+func (r *Registry) CounterVec(name, help string, labels ...LabelDecl) *CounterVec {
 	return &CounterVec{fam: r.register(name, help, kindCounter, labels, nil)}
 }
 
 // ---- gauge ----
 
 // Gauge is a value that can go up and down, stored as float64 bits.
-type Gauge struct{ bits atomic.Uint64 }
+type Gauge struct{ v atomicFloat }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) {
 	if disabled.Load() {
 		return
 	}
-	g.bits.Store(math.Float64bits(v))
+	g.v.bits.Store(math.Float64bits(v))
 }
 
 // Add adds delta (negative to subtract) with a CAS loop.
@@ -239,13 +273,7 @@ func (g *Gauge) Add(delta float64) {
 	if disabled.Load() {
 		return
 	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	g.v.Add(delta)
 }
 
 // SetToCurrentTime sets the gauge to the wall clock in Unix seconds — a
@@ -257,14 +285,14 @@ func (g *Gauge) SetToCurrentTime() {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 { return g.v.Load() }
 
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ fam *family }
 
-// With returns the gauge for the given label values.
+// With returns the gauge for the given declared label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.fam.with(values, func() any { return new(Gauge) }).metric.(*Gauge)
+	return v.fam.with(values).metric.(*Gauge)
 }
 
 // Gauge registers (or fetches) an unlabeled gauge.
@@ -273,7 +301,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+func (r *Registry) GaugeVec(name, help string, labels ...LabelDecl) *GaugeVec {
 	return &GaugeVec{fam: r.register(name, help, kindGauge, labels, nil)}
 }
 
@@ -318,13 +346,9 @@ func (t Timer) ObserveTo(h *Histogram) {
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ fam *family }
 
-// With returns the histogram for the given label values.
+// With returns the histogram for the given declared label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.fam.with(values, func() any { return newHistogram(v.fam.buckets) }).metric.(*Histogram)
-}
-
-func newHistogram(upper []float64) *Histogram {
-	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
+	return v.fam.with(values).metric.(*Histogram)
 }
 
 // Histogram registers (or fetches) an unlabeled histogram with the given
@@ -334,7 +358,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // HistogramVec registers (or fetches) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...LabelDecl) *HistogramVec {
 	return &HistogramVec{fam: r.register(name, help, kindHistogram, labels, buckets)}
 }
 
@@ -353,8 +377,6 @@ func (f *atomicFloat) Add(v float64) {
 
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-// ---- bucket helpers ----
-
 // DefBuckets is the default latency bucket layout, in seconds: 500µs to
 // 10s, the span of an HTTP request against this server (sub-millisecond
 // reads through multi-second MLE close-step calls).
@@ -372,28 +394,4 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 		start *= factor
 	}
 	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] { //eta2:floatcmp-ok schema identity check: re-registration must supply bit-identical bucket bounds
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -20,7 +21,8 @@ func newTestRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("eta2_test_requests_total", "Requests served.").Add(42)
 
-	rv := r.CounterVec("eta2_test_routed_total", "Requests by route and code.", "route", "code")
+	rv := r.CounterVec("eta2_test_routed_total", "Requests by route and code.",
+		Label("route", "/v1/truth", "/v1/users"), Label("code", "2xx", "4xx"))
 	rv.With("/v1/truth", "2xx").Add(7)
 	rv.With("/v1/truth", "4xx").Inc()
 	rv.With("/v1/users", "2xx").Add(3)
@@ -29,14 +31,15 @@ func newTestRegistry() *Registry {
 	g.Add(5)
 	g.Add(-2)
 	r.Gauge("eta2_test_temperature", "Signed gauge.").Set(-3.25)
-	r.GaugeVec("eta2_test_build_info", "Escaping test; value 1.", "version").
-		With("v1+\"quo\\te\"\nline2").Set(1)
+	version := "v1+\"quo\\te\"\nline2"
+	r.GaugeVec("eta2_test_build_info", "Escaping test; value 1.", Label("version", version)).
+		With(version).Set(1)
 
 	h := r.Histogram("eta2_test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2.5} {
 		h.Observe(v)
 	}
-	hv := r.HistogramVec("eta2_test_sizes", "Sizes by kind.", []float64{1, 2, 4}, "kind")
+	hv := r.HistogramVec("eta2_test_sizes", "Sizes by kind.", []float64{1, 2, 4}, Label("kind", "read", "write"))
 	hv.With("write").Observe(3)
 	return r
 }
@@ -139,8 +142,8 @@ func TestRegistrationIdempotent(t *testing.T) {
 	if a != b {
 		t.Error("re-registering the same counter returned a different instance")
 	}
-	h1 := r.HistogramVec("eta2_hv", "x", []float64{1, 2}, "l")
-	h2 := r.HistogramVec("eta2_hv", "x", []float64{1, 2}, "l")
+	h1 := r.HistogramVec("eta2_hv", "x", []float64{1, 2}, Label("l", "v"))
+	h2 := r.HistogramVec("eta2_hv", "x", []float64{1, 2}, Label("l", "v"))
 	if h1.With("v") != h2.With("v") {
 		t.Error("re-registered histogram vec returned different children")
 	}
@@ -159,15 +162,71 @@ func TestRegistrationMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("eta2_c", "x")
 	mustPanic("kind mismatch", func() { r.Gauge("eta2_c", "x") })
-	r.CounterVec("eta2_cv", "x", "a")
-	mustPanic("label mismatch", func() { r.CounterVec("eta2_cv", "x", "b") })
+	r.CounterVec("eta2_cv", "x", Label("a", "v"))
+	mustPanic("label mismatch", func() { r.CounterVec("eta2_cv", "x", Label("b", "v")) })
+	mustPanic("value set mismatch", func() { r.CounterVec("eta2_cv", "x", Label("a", "v", "w")) })
 	r.Histogram("eta2_h", "x", []float64{1})
 	mustPanic("bucket mismatch", func() { r.Histogram("eta2_h", "x", []float64{2}) })
 	mustPanic("bad name", func() { r.Counter("bad name", "x") })
 	mustPanic("missing prefix", func() { r.Counter("requests_total", "x") })
-	mustPanic("bad label", func() { r.CounterVec("eta2_ok", "x", "bad-label") })
+	mustPanic("bad label", func() { r.CounterVec("eta2_ok", "x", Label("bad-label", "v")) })
 	mustPanic("descending buckets", func() { r.Histogram("eta2_h2", "x", []float64{2, 1}) })
-	mustPanic("wrong arity", func() { r.CounterVec("eta2_cv2", "x", "a", "b").With("only-one") })
+	mustPanic("wrong arity", func() { r.CounterVec("eta2_cv2", "x", Label("a", "v"), Label("b", "v")).With("v") })
+}
+
+// TestMalformedLabelDeclarationPanics: a label that declares no value, or
+// one value twice, is refused at registration, before any series exists.
+func TestMalformedLabelDeclarationPanics(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		decls      []LabelDecl
+	}{
+		{"no values", `label "outcome" declares no values`, []LabelDecl{Label("outcome")}},
+		{"duplicate value", `label "outcome" declares value "joined" twice`, []LabelDecl{Label("outcome", "joined", "expired", "joined")}},
+		{"second label empty", `label "mode" declares no values`, []LabelDecl{Label("outcome", "joined"), Label("mode")}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			msg := panicMessage(func() { r.CounterVec("eta2_gathers_total", "x", c.decls...) })
+			if !strings.Contains(msg, c.want) {
+				t.Errorf("panic %q, want it to contain %q", msg, c.want)
+			}
+			if _, ok := r.families["eta2_gathers_total"]; ok {
+				t.Error("a malformed family was registered")
+			}
+		})
+	}
+}
+
+// TestUndeclaredValuePanics: With takes only declared values, and the
+// panic names the family, the label and the value. A declared tuple
+// resolves to the same series every time, and only used series render.
+func TestUndeclaredValuePanics(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("eta2_requests_total", "x",
+		Label("route", "/v1/truth", "unmatched"), Label("method", "GET", "other"))
+	if cv.With("/v1/truth", "GET") != cv.With("/v1/truth", "GET") {
+		t.Error("one tuple resolved to two series")
+	}
+	msg := panicMessage(func() { cv.With("/v1/truth", "BREW") })
+	for _, want := range []string{`"eta2_requests_total"`, `"method"`, `"BREW"`} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not name %s", msg, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "eta2_requests_total{"); got != 1 {
+		t.Errorf("%d series rendered, want the 1 used:\n%s", got, buf.String())
+	}
+}
+
+func panicMessage(fn func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	fn()
+	return "<no panic>"
 }
 
 // TestMetricNamePrefixEnforced pins the registration-time naming rule:

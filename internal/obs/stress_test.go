@@ -13,7 +13,7 @@ import (
 func TestConcurrentUpdatesDuringGather(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("eta2_stress_counter", "x")
-	cv := r.CounterVec("eta2_stress_counter_vec", "x", "shard")
+	cv := r.CounterVec("eta2_stress_counter_vec", "x", Label("shard", "a", "b", "c"))
 	g := r.Gauge("eta2_stress_gauge", "x")
 	h := r.Histogram("eta2_stress_hist", "x", ExpBuckets(0.001, 10, 4))
 

@@ -38,12 +38,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Median returns the median of xs, or 0 for an empty slice.
-// It does not modify xs.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics. It returns 0 for an empty slice
 // and clamps q into [0,1]. It does not modify xs.

@@ -39,10 +39,10 @@ func TestVarianceAndStdDev(t *testing.T) {
 }
 
 func TestMedianAndQuantile(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
+	if got := Quantile([]float64{3, 1, 2}, 0.5); got != 2 {
 		t.Errorf("odd median = %g, want 2", got)
 	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
+	if got := Quantile([]float64{4, 1, 2, 3}, 0.5); got != 2.5 {
 		t.Errorf("even median = %g, want 2.5", got)
 	}
 	xs := []float64{0, 10}

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "errors"
 
 // Histogram is a fixed-width binned summary of a sample.
 type Histogram struct {
@@ -43,13 +39,6 @@ func (h *Histogram) Add(x float64) {
 	h.Total++
 }
 
-// AddAll accumulates every sample of xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 {
 	return (h.Hi - h.Lo) / float64(len(h.Counts))
@@ -73,28 +62,4 @@ func (h *Histogram) Density() []float64 {
 		out[i] = float64(c) * norm
 	}
 	return out
-}
-
-// Render draws a text bar chart of the histogram density, one row per bin,
-// for human inspection in CLI output.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	dens := h.Density()
-	maxD := 0.0
-	for _, d := range dens {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	var b strings.Builder
-	for i, d := range dens {
-		bar := 0
-		if maxD > 0 {
-			bar = int(d / maxD * float64(width))
-		}
-		fmt.Fprintf(&b, "%8.3f | %-*s %.4f\n", h.BinCenter(i), width, strings.Repeat("#", bar), d)
-	}
-	return b.String()
 }

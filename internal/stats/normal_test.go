@@ -146,3 +146,13 @@ func TestPDFIntegratesToCDF(t *testing.T) {
 		t.Errorf("∫pdf = %g, Φ(2)−Φ(−6) = %g", sum, want)
 	}
 }
+
+// NormalPDF returns the probability density of N(mu, sigma²) at x.
+// It returns 0 for sigma <= 0.
+func NormalPDF(x, mu, sigma float64) float64 {
+	if sigma <= 0 {
+		return 0
+	}
+	z := (x - mu) / sigma
+	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
+}

@@ -14,13 +14,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Split derives an independent child generator. The child's stream is a
-// deterministic function of the parent's state, so splitting N children in
-// a fixed order is reproducible.
-func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Int63())
-}
-
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -37,9 +30,6 @@ func (g *RNG) Normal(mu, sigma float64) float64 {
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -224,15 +224,6 @@ func (t *Trace) End() {
 	t.tr.record(t)
 }
 
-// Spans returns the recorded spans in start order. Only call on a
-// completed (or single-goroutine-owned) trace.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	return t.spans[:t.n]
-}
-
 // Tracer owns the sampling decision, the flight recorder, and the
 // replication ship table for one server. Per-server (not process-global)
 // so an in-process primary + follower pair — the replication tests —

@@ -24,9 +24,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	tc.SetLSN(7)
 	tc.AddRemoteSpan("r", time.Now(), time.Millisecond, "")
 	tc.End()
-	if got := tc.Spans(); got != nil {
-		t.Fatalf("nil trace spans = %v", got)
-	}
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context carried a trace")
 	}
@@ -175,7 +172,7 @@ func TestShipRoundTrip(t *testing.T) {
 		t.Fatalf("follower recorder has %d traces", len(recs))
 	}
 	names := make([]string, 0, 8)
-	for _, sp := range recs[0].Spans() {
+	for _, sp := range recs[0].spans[:recs[0].n] {
 		names = append(names, sp.Name)
 	}
 	joined := strings.Join(names, ",")

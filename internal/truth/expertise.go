@@ -11,7 +11,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"eta2/internal/core"
 )
@@ -53,16 +52,6 @@ func (e Expertise) Clone() Expertise {
 	for u, m := range e { //eta2:nondeterministic-ok map-to-map copy, independent per-key write: order-independent
 		out[u] = maps.Clone(m)
 	}
-	return out
-}
-
-// Users returns the user IDs present in the snapshot, sorted.
-func (e Expertise) Users() []core.UserID {
-	out := make([]core.UserID, 0, len(e))
-	for u := range e { //eta2:nondeterministic-ok collect-then-sort: the sort below fixes the order
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -124,9 +113,6 @@ const (
 	MinExpertise = 0.05
 	MaxExpertise = 20.0
 )
-
-// Alpha returns the store's decay factor.
-func (s *Store) Alpha() float64 { return s.alpha }
 
 // row returns the (u, d) row and its index: zero accumulators and -1 when the
 // table holds no such row.

@@ -9,13 +9,13 @@ import "eta2/internal/obs"
 var (
 	mEstimateDur = obs.Default().HistogramVec("eta2_truth_estimate_duration_seconds",
 		"Wall time of one truth-analysis run (MLE fixed point to convergence).",
-		obs.DefBuckets, "phase")
+		obs.DefBuckets, obs.Label("phase", "batch", "incremental"))
 	mIterations = obs.Default().Histogram("eta2_truth_mle_iterations",
 		"Fixed-point iterations until the truth deltas fell below RelTol (or MaxIter).",
 		[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 200})
 	mRuns = obs.Default().CounterVec("eta2_truth_runs_total",
 		"Truth-analysis runs by phase and whether they converged before MaxIter.",
-		"phase", "converged")
+		obs.Label("phase", "batch", "incremental"), obs.Label("converged", "true", "false"))
 	mTasks = obs.Default().Counter("eta2_truth_tasks_total",
 		"Tasks whose truth was (re)estimated, summed over runs.")
 	mObservations = obs.Default().Counter("eta2_truth_observations_total",

@@ -33,7 +33,7 @@ func TestStoreStateRoundTrip(t *testing.T) {
 			t.Errorf("evidence(%d,%d) differs after restore", e.User, e.Domain)
 		}
 	}
-	if restored.Alpha() != s.Alpha() {
+	if restored.State().Alpha != s.State().Alpha {
 		t.Error("alpha lost")
 	}
 }

@@ -2,8 +2,11 @@ package truth
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"eta2/internal/core"
 )
 
 func TestExpertiseGetSetDefault(t *testing.T) {
@@ -97,10 +100,10 @@ func TestStoreDecayForgetsFasterWithSmallAlpha(t *testing.T) {
 }
 
 func TestStoreAlphaClamped(t *testing.T) {
-	if NewStore(-1).Alpha() != 0 || NewStore(2).Alpha() != 1 {
+	if NewStore(-1).State().Alpha != 0 || NewStore(2).State().Alpha != 1 {
 		t.Error("alpha not clamped into [0, 1]")
 	}
-	if NewStore(0.3).Alpha() != 0.3 {
+	if NewStore(0.3).State().Alpha != 0.3 {
 		t.Error("valid alpha modified")
 	}
 }
@@ -169,4 +172,14 @@ func TestExpertiseClamping(t *testing.T) {
 	if got := s.Expertise(2, 1); got != MinExpertise {
 		t.Errorf("expertise %g not clamped at %g", got, MinExpertise)
 	}
+}
+
+// Users returns the user IDs present in the snapshot, sorted.
+func (e Expertise) Users() []core.UserID {
+	out := make([]core.UserID, 0, len(e))
+	for u := range e { //eta2:nondeterministic-ok collect-then-sort: the sort below fixes the order
+		out = append(out, u)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -495,9 +495,8 @@ func TestFailedDirSyncIsSticky(t *testing.T) {
 			if at == "truncation" {
 				appendAll(t, l, "second")
 			}
-			l.mu.Lock()
-			l.dirsync = func() error { return syscall.EIO }
-			l.mu.Unlock()
+			syncDir = func(string) error { return syscall.EIO }
+			defer func() { syncDir = SyncDir }()
 
 			if at == "truncation" {
 				if err := l.TruncateThrough(1); !errors.Is(err, syscall.EIO) {

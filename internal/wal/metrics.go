@@ -15,7 +15,7 @@ var (
 		obs.ExpBuckets(1, 2, 10))
 	mGathers = obs.Default().CounterVec("eta2_wal_commit_gathers_total",
 		"SyncAlways commit leaders that waited for the last sync's crowd of committers before syncing: joined when it came, expired when half the last sync's duration ran out first.",
-		"outcome")
+		obs.Label("outcome", "joined", "expired"))
 	mGathersJoined  = mGathers.With("joined")
 	mGathersExpired = mGathers.With("expired")
 

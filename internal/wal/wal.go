@@ -178,7 +178,6 @@ type Log struct {
 	segs     []segment // all live segments in LSN order; last is active
 	active   *os.File
 	datasync func() error // active's commit sync (newDataSync)
-	dirsync  func() error // the directory's sync (SyncDir)
 	filled   int64        // physical size of active: its records, then zeros
 	next     uint64       // next LSN to assign
 	first    uint64       // first LSN present, 0 if none
@@ -246,7 +245,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, next: 1}
-	l.dirsync = func() error { return SyncDir(dir) }
 	l.syncCond = sync.NewCond(&l.syncMu)
 	// One timer per log, reset by each gather, so a commit allocates nothing.
 	l.gatherTimer = time.AfterFunc(time.Hour, func() {
@@ -318,7 +316,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if l.tornBytes > 0 || l.droppedSegs > 0 {
 		mTornBytes.Add(uint64(l.tornBytes))
-		if err := l.dirsync(); err != nil {
+		if err := syncDir(dir); err != nil {
 			l.active.Close()
 			return nil, err
 		}
@@ -479,7 +477,7 @@ func (l *Log) openSegment() error {
 	}
 	l.active, l.datasync, l.filled = f, newDataSync(f), 0
 	l.segs = append(l.segs, segment{path: path, firstLSN: l.next})
-	if err := l.dirsync(); err != nil {
+	if err := syncDir(l.dir); err != nil {
 		l.failLocked(err)
 		return l.writeErr
 	}
@@ -859,12 +857,21 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 		}
 	}
 	if removed {
-		if err := l.dirsync(); err != nil {
+		if err := syncDir(l.dir); err != nil {
 			l.failLocked(err)
 			return l.writeErr
 		}
 	}
 	return nil
+}
+
+// Err returns the log's sticky error: nil while it can write, and after a
+// failure that refuses every later append, commit, sync and truncation,
+// that failure.
+func (l *Log) Err() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	return l.writeErr
 }
 
 // Stats reports the log's current shape.
@@ -919,6 +926,10 @@ func (l *Log) Close() error {
 	l.syncMu.Unlock()
 	return err
 }
+
+// syncDir is every directory sync of the log; tests swap it to inject a
+// failure.
+var syncDir = SyncDir
 
 // SyncDir fsyncs directory dir, so that a file created, renamed or removed
 // in it survives a crash. A filesystem that cannot sync a directory at all

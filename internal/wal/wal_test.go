@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -279,6 +280,35 @@ func TestTornTailDropsLaterSegments(t *testing.T) {
 	_, payloads := replayAll(t, l2)
 	if len(payloads) != 0 {
 		t.Errorf("recovered %q past a corrupt first segment", payloads)
+	}
+}
+
+// TestFailedTornTailDirSyncFailsOpen: the segments dropped past a torn
+// tail may come back in a crash unless the directory is synced, so Open
+// fails when that sync does instead of appending after them.
+func TestFailedTornTailDirSyncFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "record-one", "record-two", "record-three")
+	l.Close()
+	matches, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	sort.Strings(matches)
+	data, _ := os.ReadFile(matches[0])
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(matches[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	syncDir = func(string) error { return syscall.EIO }
+	defer func() { syncDir = SyncDir }()
+	if l2, err := Open(dir, Options{Sync: SyncNever, SegmentSize: 32}); !errors.Is(err, syscall.EIO) {
+		if err == nil {
+			l2.Close()
+		}
+		t.Fatalf("Open after torn-tail repair with a failing directory sync = %v, want EIO", err)
 	}
 }
 

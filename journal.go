@@ -338,7 +338,7 @@ func (s *Server) journalBuffered(tx *rcu.Tx[serverState], payload []byte) (journ
 	}
 	lsn, err := tx.W.journal.AppendBuffered(payload)
 	if err != nil {
-		return journaled{}, fmt.Errorf("%w: append: %w", ErrJournalFailed, err)
+		return journaled{}, journalFailed(tx.W.journal, "append", err)
 	}
 	tx.W.lastLSN = lsn
 	return journaled{lsn: lsn}, nil
@@ -382,7 +382,7 @@ func (s *Server) journalCommit(lsn uint64, sp *trace.Span) error {
 		sp.Annotate("role=follower")
 	}
 	if err != nil {
-		return fmt.Errorf("%w: commit: %w", ErrJournalFailed, err)
+		return journalFailed(j, "commit", err)
 	}
 	return nil
 }
@@ -409,9 +409,24 @@ var ErrNotDurable = errors.New("eta2: server has no durable data directory")
 // not the request, is at fault, and the mutation was not acknowledged.
 var ErrJournalFailed = errors.New("eta2: journal failed")
 
+// journalFailed wraps err, the failure of journal operation op, in
+// ErrJournalFailed. When it left j refusing every later write (the WAL's
+// sticky error), the node has failed: eta2_server_journal_failed reads 1,
+// and DurabilityStats carries the error, until the process restarts.
+func journalFailed(j *wal.Log, op string, err error) error {
+	if j.Err() != nil {
+		mJournalFailed.Set(1)
+	}
+	return fmt.Errorf("%w: %s: %w", ErrJournalFailed, op, err)
+}
+
 // ErrClosed is returned by every mutation once Close has begun: its records
 // could no longer reach the journal.
 var ErrClosed = errors.New("eta2: server is closed")
+
+// syncDir is installSnapshot's directory sync; tests swap it to inject a
+// failure.
+var syncDir = wal.SyncDir
 
 // installSnapshot makes whatever write produces the newest snapshot in
 // dir, covering every record through lsn — the one path a snapshot file
@@ -439,7 +454,7 @@ func installSnapshot(dir string, journal *wal.Log, lsn uint64, write func(io.Wri
 		err = os.Rename(tmp, filepath.Join(dir, fmt.Sprintf("snapshot-%020d.bin", lsn)))
 	}
 	if err == nil {
-		err = wal.SyncDir(dir)
+		err = syncDir(dir)
 	}
 	if err != nil {
 		os.Remove(tmp)
@@ -509,11 +524,14 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 	ws := t.StartSpan("write snapshot")
 	err := st.journal.Sync()
 	if err != nil {
-		err = fmt.Errorf("%w: sync: %w", ErrJournalFailed, err)
+		err = journalFailed(st.journal, "sync", err)
 	} else {
 		err = installSnapshot(st.journalDir, st.journal, st.lastLSN, func(w io.Writer) error {
 			return encodeStateBinary(w, st)
 		})
+		if err != nil && st.journal.Err() != nil { // the WAL truncation failed for good
+			err = journalFailed(st.journal, "truncate", err)
+		}
 	}
 	ws.End()
 	if err != nil {
@@ -598,8 +616,13 @@ func (s *Server) DurabilityStats() DurabilityStats {
 		return DurabilityStats{}
 	}
 	wst := st.journal.Stats()
+	var failed string
+	if err := st.journal.Err(); err != nil {
+		failed = err.Error()
+	}
 	return DurabilityStats{
 		Enabled:        true,
+		JournalError:   failed,
 		Dir:            st.journalDir,
 		Segments:       wst.Segments,
 		WALBytes:       wst.Bytes,

@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -437,6 +439,52 @@ func TestServerCloseWritesFinalSnapshot(t *testing.T) {
 	}
 	if rst := r.DurabilityStats(); rst.SnapshotLSN != lastLSN {
 		t.Errorf("reopen snapshot covers %d, want %d (replay-free recovery)", rst.SnapshotLSN, lastLSN)
+	}
+}
+
+// TestFailedSnapshotDirSyncRemovesNothing: a snapshot whose rename the
+// directory never synced may vanish in a crash, so a failed directory sync
+// fails the compaction before it deletes the snapshot it supersedes or the
+// WAL prefix it covers.
+func TestFailedSnapshotDirSyncRemovesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewServer(WithDurability(dir, DurabilityPolicy{CompactAt: -1, SegmentSize: 256}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddUsers(User{ID: 0, Capacity: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 40; i++ {
+		if err := s.AddUsers(User{ID: UserID(i), Capacity: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.st.Load().journal.Stats()
+	if before.Segments < 2 {
+		t.Fatalf("%d WAL segments, want several for a truncation to remove", before.Segments)
+	}
+
+	syncDir = func(string) error { return syscall.EIO }
+	err = s.Compact()
+	syncDir = wal.SyncDir
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Compact with a failing directory sync = %v, want EIO", err)
+	}
+	snaps, err := listSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(snaps, func(sn snapshotFile) bool { return sn.lsn == 1 }) {
+		t.Errorf("snapshots after the failed compaction: %+v, want the one at LSN 1 kept", snaps)
+	}
+	if after := s.st.Load().journal.Stats(); after.FirstLSN != before.FirstLSN || after.Segments != before.Segments {
+		t.Errorf("WAL went from first LSN %d in %d segments to %d in %d: truncated after a failed directory sync",
+			before.FirstLSN, before.Segments, after.FirstLSN, after.Segments)
 	}
 }
 

@@ -41,16 +41,18 @@ var (
 		"Unix time of the newest published read-state snapshot; time() minus this is the snapshot age.")
 	mSnapshotBytes = obs.Default().HistogramVec("eta2_server_snapshot_bytes",
 		"Encoded size of persisted state snapshots, by codec.",
-		obs.ExpBuckets(4096, 4, 10), "codec")
+		obs.ExpBuckets(4096, 4, 10), obs.Label("codec", "binary"))
 	mSnapshotBytesBinary = mSnapshotBytes.With("binary")
 
 	mCompactionDuration = obs.Default().HistogramVec("eta2_server_compaction_duration_seconds",
 		"Wall time of one snapshot+truncate compaction cycle, by where it ran.",
-		obs.ExpBuckets(0.001, 2, 14), "mode")
+		obs.ExpBuckets(0.001, 2, 14), obs.Label("mode", "background", "foreground"))
 	mCompactionBackground = mCompactionDuration.With("background")
 	mCompactionForeground = mCompactionDuration.With("foreground")
 	mCompactionsFailed    = obs.Default().Counter("eta2_server_compactions_failed_total",
 		"Compaction cycles that aborted on an error (the size threshold retries at the next closed step).")
+	mJournalFailed = obs.Default().Gauge("eta2_server_journal_failed",
+		"1 once the journal failed: a failed append, commit or sync left the WAL refusing every later write.")
 )
 
 // Follower-side replication metrics (the primary-side shipping counters

@@ -539,13 +539,6 @@ func (s *Server) NumDomains() int {
 	return s.st.Load().numDomains()
 }
 
-// Expertise returns the learned expertise of user u for task t (via the
-// task's domain). Unobserved pairs return DefaultExpertise.
-func (s *Server) Expertise(u UserID, t TaskID) float64 {
-	st := s.st.Load()
-	return st.store.Expertise(u, st.domain(t))
-}
-
 // ExpertiseInDomain returns the learned expertise of user u in a domain.
 func (s *Server) ExpertiseInDomain(u UserID, d DomainID) float64 {
 	return s.st.Load().store.Expertise(u, d)
@@ -777,7 +770,7 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	if wl := s.st.Load().journal; wl != nil && lsn != 0 && s.journalPolicy.Fsync == FsyncInterval {
 		if err := wl.Sync(); err != nil {
 			fsync.End()
-			return StepReport{}, fmt.Errorf("%w: sync: %w", ErrJournalFailed, err)
+			return StepReport{}, journalFailed(wl, "sync", err)
 		}
 	}
 	if err := s.journalCommit(lsn, fsync); err != nil {

@@ -393,3 +393,10 @@ func TestPublishedColumnsStayFrozen(t *testing.T) {
 		t.Errorf("held states never differ (domain moved: %v, truth re-estimated: %v, store rows folded by a create: %v, registered user changed: %v): nothing was at stake", moved, reestimated, folded, updated)
 	}
 }
+
+// Expertise returns the learned expertise of user u for task t (via the
+// task's domain); unobserved pairs read truth.DefaultExpertise.
+func (s *Server) Expertise(u UserID, t TaskID) float64 {
+	st := s.st.Load()
+	return st.store.Expertise(u, st.domain(t))
+}

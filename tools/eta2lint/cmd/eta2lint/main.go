@@ -11,7 +11,6 @@ import (
 	"eta2lint/passes/journalfirst"
 	"eta2lint/passes/lockdiscipline"
 	"eta2lint/passes/maprange"
-	"eta2lint/passes/metrichygiene"
 	"eta2lint/passes/replaypurity"
 	"eta2lint/passes/snapshotimmutability"
 	"eta2lint/passes/spandiscipline"
@@ -23,7 +22,6 @@ func main() {
 		lockdiscipline.Analyzer,
 		journalfirst.Analyzer,
 		floatcmp.Analyzer,
-		metrichygiene.Analyzer,
 		allocdiscipline.Analyzer,
 		spandiscipline.Analyzer,
 		replaypurity.Analyzer,

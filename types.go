@@ -34,7 +34,6 @@ import (
 	"eta2/internal/allocation"
 	"eta2/internal/core"
 	"eta2/internal/embedding"
-	"eta2/internal/truth"
 )
 
 // Re-exported identifier types. Aliases keep values interchangeable with
@@ -181,6 +180,12 @@ type DurabilityStats struct {
 	// this process).
 	Compactions    int
 	LastCompaction time.Time
+	// JournalError is the journal's failure, empty while it is healthy. Once
+	// a failed append, commit or sync leaves the log refusing every later
+	// write, the node has failed: every mutation answers ErrJournalFailed
+	// until a restart recovers from what reached the disk, and reads keep
+	// serving the acknowledged state.
+	JournalError string
 }
 
 // ReplicationStatus describes a node's position in a replication
@@ -229,6 +234,3 @@ func TrainEmbedder(corpus [][]string, seed int64) (*EmbeddingModel, error) {
 // BuiltinEmbedder loads the builtin skip-gram model, which covers common
 // mobile-sensing domains; eta2server -semantic runs the same one.
 func BuiltinEmbedder() (*EmbeddingModel, error) { return embedding.Builtin() }
-
-// DefaultExpertise is the prior expertise assumed before any evidence.
-const DefaultExpertise = truth.DefaultExpertise
