@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"eta2/internal/core"
 	"eta2/internal/loop"
@@ -242,9 +241,8 @@ func decodeStateBinary(r io.Reader) (*serverState, error) {
 	st.gamma = d.f64()
 	st.epsilon = d.f64()
 
-	// The user column and its index, held to what AddUsers would have let in:
-	// every id once, every name on one id.
-	var names []string
+	// The user column and its indexes, held to what AddUsers would have let
+	// in: every id once, every name on one id.
 	if n := d.count(10); n > 0 { // varint id, float capacity, name length
 		st.users = make([]core.User, n)
 		for i := range st.users {
@@ -257,15 +255,15 @@ func decodeStateBinary(r io.Reader) (*serverState, error) {
 				refuse("users", "user %d listed twice", u.ID)
 			}
 			st.userPos[u.ID] = int32(i)
-			if u.Name != "" {
-				names = append(names, u.Name)
+			st.nextUserID = max(st.nextUserID, u.ID+1)
+			if u.Name == "" {
+				continue
 			}
-		}
-	}
-	slices.Sort(names)
-	for i := 1; i < len(names); i++ {
-		if names[i] == names[i-1] {
-			refuse("users", "name %q bound to two users", names[i])
+			if _, dup := st.userByName[u.Name]; dup {
+				refuse("users", "name %q bound to two users", u.Name)
+			}
+			st.userByName[u.Name] = u.ID
+			st.nameBytes += int64(len(u.Name))
 		}
 	}
 

@@ -440,15 +440,13 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 // adoptRestored swaps a restored snapshot server's state into s as of lsn,
 // as it is: nothing in it refers back to the server it was restored into.
 // What is the node's own — its journal, its role, its compaction counters —
-// stays; the intern table, which lookups read with no lock, adopts r's
-// bindings in place. One publish makes the swap atomic for readers.
+// stays. One publish makes the swap atomic for readers.
 func (s *Server) adoptRestored(r *Server, lsn uint64) {
 	from := r.st.Load()
 	_ = s.update(func(tx *rcu.Tx[serverState]) error { // cannot fail: fn returns nil
-		s.interner.Adopt(r.interner)
 		s.domains = r.domains
 		tx.W.persisted = from.persisted
-		tx.W.nextUserID, tx.W.lastNewDomains, tx.W.lastMerges = from.nextUserID, nil, 0
+		tx.W.lastNewDomains, tx.W.lastMerges = nil, 0
 		tx.W.lastLSN, tx.W.snapLSN = lsn, lsn
 		return nil
 	})

@@ -82,9 +82,6 @@ func NewDenseIndex(t *ObservationTable) *DenseIndex {
 	return d
 }
 
-// Len returns the total number of indexed observations.
-func (d *DenseIndex) Len() int { return len(d.taskObs) }
-
 // NumTasks returns the number of distinct tasks.
 func (d *DenseIndex) NumTasks() int { return len(d.taskIDs) }
 

@@ -7,8 +7,8 @@ import (
 
 func TestDenseIndexEmpty(t *testing.T) {
 	for _, d := range []*DenseIndex{NewDenseIndex(nil), NewDenseIndex(NewObservationTable(nil))} {
-		if d.Len() != 0 || d.NumTasks() != 0 || d.NumUsers() != 0 {
-			t.Error("empty index should have no tasks, users or observations")
+		if d.NumTasks() != 0 || d.NumUsers() != 0 {
+			t.Error("empty index should have no tasks or users")
 		}
 		if d.TaskIndex(1) != -1 || d.UserIndex(1) != -1 {
 			t.Error("lookups on an empty index should miss")
@@ -18,8 +18,8 @@ func TestDenseIndexEmpty(t *testing.T) {
 
 func TestDenseIndexLayout(t *testing.T) {
 	d := NewDenseIndex(NewObservationTable(sampleObs()))
-	if d.Len() != 3 || d.NumTasks() != 2 || d.NumUsers() != 2 {
-		t.Fatalf("Len/NumTasks/NumUsers = %d/%d/%d", d.Len(), d.NumTasks(), d.NumUsers())
+	if d.NumTasks() != 2 || d.NumUsers() != 2 {
+		t.Fatalf("NumTasks/NumUsers = %d/%d", d.NumTasks(), d.NumUsers())
 	}
 	// Dense order is ascending ID order.
 	if d.TaskID(0) != 1 || d.TaskID(1) != 2 || d.UserID(0) != 10 || d.UserID(1) != 11 {
@@ -56,9 +56,6 @@ func TestDenseIndexMatchesTable(t *testing.T) {
 		}
 		tbl := NewObservationTable(obs)
 		d := NewDenseIndex(tbl)
-		if d.Len() != tbl.Len() {
-			return false
-		}
 		for ti, id := range d.TaskIDs() {
 			want := tbl.ForTask(id)
 			got := d.TaskObs(ti)

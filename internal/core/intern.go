@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// Interner is a server-wide string → dense-int table. It binds external
-// string identifiers (user names at the HTTP boundary) to the dense integer
-// ids every downstream map keys on, so the string form is resolved exactly
-// once at decode time and recovered only at the response-encoding edge.
+// Interner is a string → dense-int table. The server does not use it: its
+// name index is a field of its published state (DESIGN.md §15). The type is
+// kept only for benchmark/shadow.go, which times NewInterner, BindAll and
+// Lookup for its core.intern_* metrics, until ROADMAP 10(b) deletes that file.
 //
 // The read path is lock-free: Lookup loads an immutable table through an
 // atomic pointer and never blocks behind writers, matching the server's
@@ -24,8 +24,7 @@ type Interner struct {
 
 // internTable is one immutable generation of the intern table.
 type internTable struct {
-	ids   map[string]int
-	bytes int64 // total bytes of interned string data
+	ids map[string]int
 }
 
 var emptyInternTable = &internTable{ids: map[string]int{}}
@@ -71,27 +70,12 @@ func (in *Interner) BindAll(names []string, ids []int) error {
 			continue
 		}
 		if next == nil {
-			next = &internTable{ids: maps.Clone(cur.ids), bytes: cur.bytes}
+			next = &internTable{ids: maps.Clone(cur.ids)}
 		}
 		next.ids[name] = ids[i]
-		next.bytes += int64(len(name))
 	}
 	if next != nil {
 		in.p.Store(next)
 	}
 	return nil
 }
-
-// Adopt replaces in's bindings with other's table in one atomic step.
-func (in *Interner) Adopt(other *Interner) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.p.Store(other.p.Load())
-}
-
-// Len returns the number of interned names.
-func (in *Interner) Len() int { return len(in.p.Load().ids) }
-
-// Bytes returns the total bytes of interned string data (names only; map
-// bookkeeping overhead is excluded).
-func (in *Interner) Bytes() int64 { return in.p.Load().bytes }

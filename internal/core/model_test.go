@@ -95,28 +95,3 @@ func TestAllocationCostAndLoad(t *testing.T) {
 		t.Errorf("Load = %v", load)
 	}
 }
-
-func TestAllocationMerge(t *testing.T) {
-	var a, b Allocation
-	_ = a.Add(1, 10)
-	_ = b.Add(1, 10) // duplicate across allocations
-	_ = b.Add(2, 20)
-	a.Merge(&b)
-	if a.Len() != 2 {
-		t.Errorf("merged Len = %d, want 2 (duplicate dropped)", a.Len())
-	}
-	a.Merge(nil) // no-op
-	if a.Len() != 2 {
-		t.Error("nil merge changed allocation")
-	}
-}
-
-// Merge appends all pairs of other into a, skipping duplicates.
-func (a *Allocation) Merge(other *Allocation) {
-	if other == nil {
-		return
-	}
-	for _, p := range other.Pairs {
-		_ = a.Add(p.User, p.Task) // duplicate pairs are silently kept once
-	}
-}

@@ -7,19 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestVectorAdd(t *testing.T) {
-	got, err := Vector{1, 2}.Add(Vector{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 4 || got[1] != 6 {
-		t.Errorf("Add = %v, want [4 6]", got)
-	}
-	if _, err := (Vector{1}).Add(Vector{1, 2}); !errors.Is(err, ErrDimMismatch) {
-		t.Error("dim mismatch not reported")
-	}
-}
-
 func TestVectorAddInPlace(t *testing.T) {
 	v := Vector{1, 1}
 	if err := v.AddInPlace(Vector{2, 3}); err != nil {
@@ -118,15 +105,6 @@ func TestVectorProperties(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	v := Vector{1, 2}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != 1 {
-		t.Error("clone aliases original")
-	}
-}
-
 // Cosine returns the cosine similarity of v and w in [-1, 1], or 0 if either
 // is a zero vector or the dimensions differ.
 func (v Vector) Cosine(w Vector) float64 {
@@ -135,23 +113,4 @@ func (v Vector) Cosine(w Vector) float64 {
 		return 0
 	}
 	return v.Dot(w) / (nv * nw)
-}
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Add returns v + w. It returns an error for mismatched dimensions.
-func (v Vector) Add(w Vector) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, ErrDimMismatch
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out, nil
 }

@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,20 +90,6 @@ func TestHistogramBinCenter(t *testing.T) {
 	}
 }
 
-func TestHistogramRender(t *testing.T) {
-	h, _ := NewHistogram(0, 4, 2)
-	for _, x := range []float64{0.5, 0.7, 3} {
-		h.Add(x)
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Errorf("render has no bars:\n%s", out)
-	}
-	if lines := strings.Count(out, "\n"); lines != 2 {
-		t.Errorf("render has %d lines, want 2", lines)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -115,15 +99,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if NewRNG(1).Float64() == NewRNG(2).Float64() {
 		t.Error("different seeds should differ (extremely unlikely collision)")
-	}
-}
-
-func TestRNGSplitIndependence(t *testing.T) {
-	parent := NewRNG(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Float64() == c2.Float64() {
-		t.Error("split children should differ")
 	}
 }
 
@@ -161,35 +136,4 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		}
 		seen[v] = true
 	}
-}
-
-// Split derives an independent child generator. The child's stream is a
-// deterministic function of the parent's state, so splitting N children in
-// a fixed order is reproducible.
-func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Int63())
-}
-
-// Render draws a text bar chart of the histogram density, one row per bin,
-// for human inspection in CLI output.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	dens := h.Density()
-	maxD := 0.0
-	for _, d := range dens {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	var b strings.Builder
-	for i, d := range dens {
-		bar := 0
-		if maxD > 0 {
-			bar = int(d / maxD * float64(width))
-		}
-		fmt.Fprintf(&b, "%8.3f | %-*s %.4f\n", h.BinCenter(i), width, strings.Repeat("#", bar), d)
-	}
-	return b.String()
 }

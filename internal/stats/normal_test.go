@@ -6,28 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNormalPDF(t *testing.T) {
-	tests := []struct {
-		name          string
-		x, mu, sigma  float64
-		want, withinE float64
-	}{
-		{"standard peak", 0, 0, 1, 0.3989422804014327, 1e-12},
-		{"standard at 1", 1, 0, 1, 0.24197072451914337, 1e-12},
-		{"shifted", 5, 5, 2, 0.19947114020071635, 1e-12},
-		{"zero sigma", 1, 0, 0, 0, 0},
-		{"negative sigma", 1, 0, -1, 0, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := NormalPDF(tt.x, tt.mu, tt.sigma)
-			if math.Abs(got-tt.want) > tt.withinE {
-				t.Errorf("NormalPDF(%g,%g,%g) = %g, want %g", tt.x, tt.mu, tt.sigma, got, tt.want)
-			}
-		})
-	}
-}
-
 func TestPhiKnownValues(t *testing.T) {
 	tests := []struct {
 		z, want float64
@@ -145,14 +123,4 @@ func TestPDFIntegratesToCDF(t *testing.T) {
 	if math.Abs(sum-want) > 1e-6 {
 		t.Errorf("∫pdf = %g, Φ(2)−Φ(−6) = %g", sum, want)
 	}
-}
-
-// NormalPDF returns the probability density of N(mu, sigma²) at x.
-// It returns 0 for sigma <= 0.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
 }

@@ -255,7 +255,8 @@ func (s *Server) applyEvent(tx *rcu.Tx[serverState], lsn uint64, ev walEvent) er
 		if err := s.prepareAddUsers(tx, ev.Users); err != nil {
 			return err
 		}
-		return s.applyAddUsers(tx, s.replayed(tx, lsn), ev.Users)
+		s.applyAddUsers(tx, s.replayed(tx, lsn), ev.Users)
+		return nil
 	case eventCreateTasks:
 		b, err := s.prepareCreateTasks(tx, ev.Specs)
 		if err == nil {

@@ -78,7 +78,7 @@ var (
 )
 
 // Memory-model metrics (DESIGN.md §15): the intern-table gauges track the
-// server-wide name→id table, and the ingest sampler estimates allocations
+// published state's name index, and the ingest sampler estimates allocations
 // per SubmitObservations by differencing runtime.MemStats once every
 // ingestSampleEvery submits — cheap enough for steady state (ReadMemStats
 // briefly stops the world, so it must never run per-op).
@@ -132,7 +132,7 @@ func ingestAllocSample() {
 // publishMetrics counts the publish the Write holding tx is about to make
 // and refreshes the server-shape gauges from the state it publishes: a
 // handful of atomic stores.
-func (s *Server) publishMetrics(tx *rcu.Tx[serverState]) {
+func publishMetrics(tx *rcu.Tx[serverState]) {
 	mSnapshotPublishes.Inc()
 	mSnapshotPublishTS.SetToCurrentTime()
 	mDay.Set(float64(tx.W.day))
@@ -140,6 +140,6 @@ func (s *Server) publishMetrics(tx *rcu.Tx[serverState]) {
 	mTasks.Set(float64(len(tx.W.tasks)))
 	mPendingTasks.Set(float64(len(tx.W.pending)))
 	mBufferedObs.Set(float64(len(tx.W.observations)))
-	mInternStrings.Set(float64(s.interner.Len()))
-	mInternBytes.Set(float64(s.interner.Bytes()))
+	mInternStrings.Set(float64(len(tx.W.userByName)))
+	mInternBytes.Set(float64(tx.W.nameBytes))
 }

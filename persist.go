@@ -47,10 +47,10 @@ func LoadServer(r io.Reader, opts ...Option) (*Server, error) {
 
 // restoreServer materializes a decoded snapshot: its persistable part becomes
 // the new server's working state as it is — the decoder has already held every
-// section to what this build writes — and what is derived from it is rebuilt:
-// the intern table from the users' names, AddUsersByName's next id, the
-// clustering engine from its capture. The snapshot's own alpha/gamma/epsilon
-// are the base configuration; the caller's options are applied on top and win.
+// section to what this build writes and built the user indexes — and the
+// clustering engine is rebuilt from its capture. The snapshot's own
+// alpha/gamma/epsilon are the base configuration; the caller's options are
+// applied on top and win.
 func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 	allOpts := append([]Option{
 		WithAlpha(st.alpha),
@@ -67,9 +67,6 @@ func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bindNames(s.interner, st.users); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadState, err)
-	}
 	// RestoreDomains copies what its engine goes on to write, so the decoded
 	// value stays the immutable capture of it.
 	if st.cluster != nil {
@@ -84,9 +81,6 @@ func restoreServer(st *serverState, opts ...Option) (*Server, error) {
 			p.cluster = tx.W.cluster // newServer's identifier's, which stands when the snapshot brought none
 		}
 		tx.W.persisted = p
-		for _, u := range p.users {
-			tx.W.nextUserID = max(tx.W.nextUserID, u.ID+1)
-		}
 		return nil
 	})
 }

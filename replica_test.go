@@ -221,7 +221,6 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 		t.Error("adopted state diverged from primary")
 	}
 	after.persisted, after.lastLSN, after.snapLSN = before.persisted, before.lastLSN, before.snapLSN
-	after.nextUserID = before.nextUserID // derived from the adopted users
 	if before.journal == nil || before.role != roleFollower || before.primaryAddr == "" || before.compactions != 1 || before.lastCompaction.IsZero() {
 		t.Fatalf("fixture: node-local state before the bootstrap is %+v", before)
 	}
@@ -255,11 +254,10 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 }
 
 // TestBootstrapAdoptsInternTable: a bootstrap adopts the snapshot's name
-// bindings into the node's own intern table, which name lookups read with no
-// lock, instead of swapping the table's pointer on the server. Lookups running
-// beside the adoption are race-clean (run under -race), and afterwards every
-// name resolves as the snapshot binds it — also one the node bound to another
-// id, as the wholesale adoption always did.
+// bindings with the rest of its state, in the one publish name lookups load.
+// Lookups running beside the adoption are race-clean (run under -race), and
+// afterwards every name resolves as the snapshot binds it — also one the node
+// bound to another id, as the wholesale adoption always did.
 func TestBootstrapAdoptsInternTable(t *testing.T) {
 	restored := func(users ...User) *Server {
 		t.Helper()

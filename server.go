@@ -34,12 +34,6 @@ type Server struct {
 
 	cfg config // immutable after newServer
 
-	// interner binds external string names to dense user ids (DESIGN.md
-	// §15). It is derived state: rebuilt by replay/restore from the Name
-	// fields carried in add_users events and snapshots, never serialized
-	// itself. Lookups are lock-free; binds happen inside a Write.
-	interner *core.Interner
-
 	// domains identifies described tasks' domains; nil without an embedder
 	// (unless a snapshot brought its own clustering state). It is the one
 	// object behind the state written in place (inside a Write), so the
@@ -173,7 +167,7 @@ func (c config) truthConfig() truth.Config {
 //
 //eta2:allocdiscipline-ok constructor: runs once per server or restore, not per request
 func newPersisted() persisted {
-	return persisted{userPos: make(map[UserID]int32), domainCount: new(atomic.Int64)}
+	return persisted{userPos: make(map[UserID]int32), userByName: make(map[string]UserID), domainCount: new(atomic.Int64)}
 }
 
 // newServer builds a bare in-memory server from a resolved config (no
@@ -181,9 +175,8 @@ func newPersisted() persisted {
 // empty state: the query surface relies on a published state.
 func newServer(cfg config) (*Server, error) {
 	s := &Server{
-		cfg:      cfg,
-		interner: core.NewInterner(),
-		tracer:   trace.New(0, traceRecorderCapacity),
+		cfg:    cfg,
+		tracer: trace.New(0, traceRecorderCapacity),
 	}
 	w := serverState{persisted: newPersisted()}
 	w.alpha, w.gamma, w.epsilon, w.store = cfg.alpha, cfg.gamma, cfg.epsilon, truth.NewStore(cfg.alpha)
@@ -207,7 +200,7 @@ func (s *Server) update(fn func(tx *rcu.Tx[serverState]) error) error {
 	return s.st.Write(func(tx *rcu.Tx[serverState]) error {
 		err := fn(tx)
 		if err == nil {
-			s.publishMetrics(tx)
+			publishMetrics(tx)
 		}
 		return err
 	})
@@ -281,7 +274,8 @@ func (s *Server) addUsers(tx *rcu.Tx[serverState], users []User) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	return j.lsn, s.applyAddUsers(tx, j, users)
+	s.applyAddUsers(tx, j, users)
+	return j.lsn, nil
 }
 
 // prepareAddUsers validates the batch and its name bindings against the
@@ -289,6 +283,7 @@ func (s *Server) addUsers(tx *rcu.Tx[serverState], users []User) (uint64, error)
 // record that could not re-apply on replay must never reach the WAL.
 func (s *Server) prepareAddUsers(tx *rcu.Tx[serverState], users []User) error {
 	var batchName map[UserID]string // lazily built: unnamed batches skip all of this
+	var batchID map[string]UserID
 	for _, u := range users {
 		if err := u.Validate(); err != nil {
 			return fmt.Errorf("eta2: %w", err)
@@ -296,7 +291,7 @@ func (s *Server) prepareAddUsers(tx *rcu.Tx[serverState], users []User) error {
 		if u.Name == "" {
 			continue
 		}
-		if id, ok := s.interner.Lookup(u.Name); ok && id != int(u.ID) {
+		if id, ok := tx.W.userByName[u.Name]; ok && id != u.ID {
 			return fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
 		}
 		if i, ok := tx.W.userPos[u.ID]; ok {
@@ -305,12 +300,15 @@ func (s *Server) prepareAddUsers(tx *rcu.Tx[serverState], users []User) error {
 			}
 		}
 		if batchName == nil {
-			batchName = make(map[UserID]string, len(users)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
+			batchName, batchID = make(map[UserID]string, len(users)), make(map[string]UserID, len(users)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
 		}
 		if prev, ok := batchName[u.ID]; ok && prev != u.Name {
 			return fmt.Errorf("eta2: user %d named both %q and %q in one batch", u.ID, prev, u.Name)
 		}
-		batchName[u.ID] = u.Name
+		if prev, ok := batchID[u.Name]; ok && prev != u.ID {
+			return fmt.Errorf("eta2: user name %q given to both %d and %d in one batch", u.Name, prev, u.ID)
+		}
+		batchName[u.ID], batchID[u.Name] = u.Name, u.ID
 	}
 	return nil
 }
@@ -318,37 +316,16 @@ func (s *Server) prepareAddUsers(tx *rcu.Tx[serverState], users []User) error {
 // applyAddUsers registers a journaled batch. Names are write-once (renames
 // were refused by prepareAddUsers) and replay applies the same merge, so
 // live and recovered state agree.
-func (s *Server) applyAddUsers(tx *rcu.Tx[serverState], _ journaled, users []User) error {
-	tx.W.users, tx.W.userPos = cloneUsersWith(tx.W.users, tx.W.userPos, users)
-	for _, u := range users {
-		tx.W.nextUserID = max(tx.W.nextUserID, u.ID+1)
-	}
-	// Cannot conflict: every binding was validated, and BindAll treats
-	// same-name-same-id rebinds (intra-batch duplicates) as no-ops.
-	if err := bindNames(s.interner, users); err != nil {
-		return fmt.Errorf("eta2: intern: %w", err)
-	}
-	return nil
-}
-
-// bindNames binds users' names to their ids: all of them or, on a conflict, none.
-func bindNames(in *core.Interner, users []User) error {
-	var names []string
-	var ids []int
-	for _, u := range users {
-		if u.Name != "" {
-			names, ids = append(names, u.Name), append(ids, int(u.ID))
-		}
-	}
-	return in.BindAll(names, ids)
+func (s *Server) applyAddUsers(tx *rcu.Tx[serverState], _ journaled, users []User) {
+	tx.W.persisted = cloneUsersWith(tx.W.persisted, users)
 }
 
 // AddUsersByName registers users by external string name, assigning dense
 // ids server-side: a new name gets the next unused id, an existing name
 // updates that user's capacity. It returns the ids in name order. The
 // batch is atomic (see AddUsers) and the name→id bindings land in the
-// server-wide intern table, so every later request that carries a name
-// resolves it to a dense int once, at the decode edge.
+// state's name index, so every later request that carries a name resolves
+// it to a dense int once, at the decode edge.
 func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, error) {
 	if len(names) == 0 {
 		return nil, s.writable()
@@ -362,8 +339,8 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 			if name == "" {
 				return 0, nil, errors.New("eta2: empty user name")
 			}
-			if id, ok := s.interner.Lookup(name); ok {
-				ids[i] = UserID(id)
+			if id, ok := tx.W.userByName[name]; ok {
+				ids[i] = id
 			} else if id, dup := fresh[name]; dup {
 				ids[i] = id
 			} else {
@@ -386,15 +363,16 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 }
 
 // ResolveUser returns the dense user id bound to an external name (via
-// AddUsersByName or a named AddUsers batch). It is lock-free.
+// AddUsersByName or a named AddUsers batch) in the published state, so a
+// name resolves only once its user is registered there. It is lock-free.
 func (s *Server) ResolveUser(name string) (UserID, bool) {
-	id, ok := s.interner.Lookup(name)
-	return UserID(id), ok
+	id, ok := s.st.Load().userByName[name]
+	return id, ok
 }
 
 // UserName returns the external name bound to a user id, or "" when the
 // user is unnamed or unknown. This is the response-encoding edge of the
-// intern table: downstream state keys on dense ids only, and the string
+// name index: downstream state keys on dense ids only, and the string
 // form is recovered here. Lock-free.
 func (s *Server) UserName(id UserID) string {
 	st := s.st.Load()

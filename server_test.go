@@ -12,6 +12,7 @@ import (
 
 	"eta2/internal/dataset"
 	"eta2/internal/embedding"
+	"eta2/internal/rcu"
 )
 
 func TestNewServerOptionValidation(t *testing.T) {
@@ -112,6 +113,82 @@ func TestAddUsersByNameAssignsNextID(t *testing.T) {
 	adopted.adoptRestored(restored, 0)
 	for _, srv := range []*Server{s, replayed, loaded, adopted} {
 		byName(srv, []UserID{41, 1, 42}, "g", "b", "h")
+	}
+}
+
+// TestOneNameOnTwoIDsIsRefused: a batch that gives one name to two ids is
+// refused before its record is journaled. The working state is left as it
+// was, so the next write publishes only its own user, and the directory
+// reopens — from the snapshot Close writes, or from the log alone.
+func TestOneNameOnTwoIDsIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}
+	s, err := NewServer(WithDurability(dir, pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddUsers(User{ID: 0, Capacity: 1, Name: "x"}, User{ID: 1, Capacity: 1, Name: "x"}); err == nil {
+		t.Fatal("a batch naming ids 0 and 1 both x was accepted")
+	}
+	if err := s.AddUsers(User{ID: 2, Capacity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(srv *Server, what string) {
+		t.Helper()
+		if n := srv.NumUsers(); n != 1 {
+			t.Errorf("%s: %d users registered, want 1", what, n)
+		}
+		if id, ok := srv.ResolveUser("x"); ok {
+			t.Errorf("%s: x resolves to %d", what, id)
+		}
+	}
+	check(s, "live")
+	replayOnly := copyDataDir(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for what, d := range map[string]string{"reopened after Close": dir, "replayed from the log": replayOnly} {
+		r, err := NewServer(WithDurability(d, pol))
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
+			continue
+		}
+		check(r, what)
+		r.st.Load().journal.Close()
+	}
+}
+
+// TestNameResolvesOnlyOncePublished: ResolveUser answers from the published
+// state, so during a Write parked after its users were applied a name of the
+// batch does not resolve while its user is not registered either.
+func TestNameResolvesOnlyOncePublished(t *testing.T) {
+	s, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release, written := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		written <- s.st.Write(func(tx *rcu.Tx[serverState]) error {
+			if _, err := s.addUsers(tx, []User{{ID: 0, Capacity: 1, Name: "sensor-17"}}); err != nil {
+				return err
+			}
+			close(parked)
+			<-release
+			return nil
+		})
+	}()
+	<-parked
+	id, ok := s.ResolveUser("sensor-17")
+	n := s.NumUsers()
+	close(release)
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	if ok || n != 0 {
+		t.Errorf("during the parked Write sensor-17 resolves to %d (%v) with %d users registered", id, ok, n)
+	}
+	if id, ok := s.ResolveUser("sensor-17"); !ok || id != 0 || s.NumUsers() != 1 {
+		t.Errorf("once published sensor-17 resolves to %d (%v) with %d users", id, ok, s.NumUsers())
 	}
 }
 

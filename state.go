@@ -29,8 +29,8 @@ import (
 //     it, and the writers that change an entry below it — a capacity update
 //     of a registered user, a described create whose clustering moves old
 //     tasks, every CloseTimeStep — write into a copy and swap the header.
-//   - userPos, the id → position index of users, is replaced, never written,
-//     by a batch that registers a new id.
+//   - userPos and userByName, the id and name indexes of users, are
+//     replaced, never written, by a batch that registers a new id or name.
 //   - store is replace-on-write by one flat copy: CloseTimeStep commits
 //     into a Clone and swaps the pointer, and CreateTasks clones before
 //     folding domain merges. The published *truth.Store, and the rows its
@@ -64,8 +64,6 @@ type serverState struct {
 	role        serverRole
 	primaryAddr string
 
-	nextUserID UserID // one past the highest id in users: AddUsersByName's next
-
 	// What the open day's creates did to the domains, for its StepReport.
 	lastNewDomains []DomainID
 	lastMerges     int
@@ -79,8 +77,11 @@ type serverState struct {
 type persisted struct {
 	alpha, gamma, epsilon float64
 
-	users   []User           // in registration order
-	userPos map[UserID]int32 // id → position in users
+	users      []User            // in registration order
+	userPos    map[UserID]int32  // id → position in users
+	userByName map[string]UserID // name → id of every named user
+	nameBytes  int64             // bytes of the names in userByName
+	nextUserID UserID            // one past the highest id in users: AddUsersByName's next
 
 	tasks []core.Task
 	// domainOf and truths are per-task columns indexed by the dense TaskID
@@ -101,34 +102,43 @@ type persisted struct {
 	domainCount *atomic.Int64
 }
 
-// cloneUsersWith returns the user column and its index with batch applied in
-// order: a new id is appended — in place, past every published header — and
-// indexed in a copy of the index; a registered user's entry changes in a copy
-// of the column. Each copy is made at most once per batch, and a batch that
-// needs neither hands back the containers it was given. A capacity update
-// without a name keeps the user's name.
-func cloneUsersWith(col []User, pos map[UserID]int32, batch []User) ([]User, map[UserID]int32) {
-	published := len(col)
-	colCopied, posCopied := false, false
+// cloneUsersWith returns p with batch applied to the user column in order: a
+// new id is appended — in place, past every published header — and indexed in
+// a copy of the id index; a registered user's entry changes in a copy of the
+// column; a name not yet bound is indexed in a copy of the name index. Each
+// copy is made at most once per batch, and a batch that needs none hands back
+// the containers it was given. A capacity update without a name keeps the
+// user's name. The batch was validated against p: no name lands on two ids.
+func cloneUsersWith(p persisted, batch []User) persisted {
+	published := len(p.users)
+	colCopied, posCopied, namesCopied := false, false, false
 	for _, u := range batch {
-		i, registered := pos[u.ID]
-		if !registered {
+		if i, registered := p.userPos[u.ID]; !registered {
 			if !posCopied {
-				pos, posCopied = maps.Clone(pos), true
+				p.userPos, posCopied = maps.Clone(p.userPos), true
 			}
-			pos[u.ID] = int32(len(col))
-			col = append(col, u)
+			p.userPos[u.ID] = int32(len(p.users))
+			p.users = append(p.users, u)
+			p.nextUserID = max(p.nextUserID, u.ID+1)
+		} else {
+			if int(i) < published && !colCopied {
+				p.users, colCopied = slices.Clone(p.users), true
+			}
+			if u.Name == "" {
+				u.Name = p.users[i].Name
+			}
+			p.users[i] = u
+		}
+		if _, bound := p.userByName[u.Name]; u.Name == "" || bound {
 			continue
 		}
-		if int(i) < published && !colCopied {
-			col, colCopied = slices.Clone(col), true
+		if !namesCopied {
+			p.userByName, namesCopied = maps.Clone(p.userByName), true
 		}
-		if u.Name == "" {
-			u.Name = col[i].Name
-		}
-		col[i] = u
+		p.userByName[u.Name] = u.ID
+		p.nameBytes += int64(len(u.Name))
 	}
-	return col, pos
+	return p
 }
 
 // domain returns the domain of a task, DomainNone for one the snapshot
