@@ -36,7 +36,6 @@ import (
 	"eta2/internal/experiments"
 	"eta2/internal/loop"
 	"eta2/internal/obs"
-	"eta2/internal/rcu"
 	"eta2/internal/semantic"
 	"eta2/internal/simulation"
 	"eta2/internal/stats"
@@ -441,7 +440,7 @@ func BenchmarkStepWithTaskHistory(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for cap(s.st.Load().tasks)-len(s.st.Load().tasks) < day {
+				for s.st.Load().Counts().TaskRoom < day {
 					step(s, 2)
 				}
 				runtime.GC()
@@ -527,16 +526,11 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 				b.Fatal(err)
 			}
 			step(past) // day 0 is the warm-up MLE: the steps timed are dynamic updates
-			if err := past.st.Write(func(tx *rcu.Tx[serverState]) (err error) {
-				tx.W.store, err = truth.RestoreStore(truth.StoreState{Alpha: tx.W.store.State().Alpha, Prior: truth.DefaultStorePrior, Entries: entries})
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-			var snap bytes.Buffer
-			if err := past.SaveStateBinary(&snap); err != nil {
-				b.Fatal(err)
-			}
+			// The snapshot restored for every iteration is past's with its
+			// store replaced by entries.
+			sections := splitCheckedSections(b, saveBytes(b, past))
+			sections.store = truth.StoreState{Alpha: sections.store.Alpha, Prior: truth.DefaultStorePrior, Entries: entries}
+			snap := bytes.NewBuffer(sections.file())
 			var overhead, capture time.Duration
 			for i := 0; i < b.N; i++ {
 				s, err := LoadServer(bytes.NewReader(snap.Bytes()))
@@ -548,7 +542,7 @@ func BenchmarkStepWithExpertiseHistory(b *testing.B) {
 				start := time.Now()
 				st := s.st.Load()
 				capture += time.Since(start)
-				if n := len(st.store.State().Entries); n != users*domains {
+				if n := st.Counts().ExpertiseRows; n != users*domains {
 					b.Fatalf("captured %d store entries, want %d", n, users*domains)
 				}
 			}
@@ -951,10 +945,9 @@ func BenchmarkSubmitObservations(b *testing.B) {
 					// Cap the in-memory backlog so long -benchtime runs
 					// measure ingest, not backlog growth.
 					b.StopTimer()
-					_ = s.st.Write(func(tx *rcu.Tx[serverState]) error {
-						tx.W.observations = tx.W.observations[:0]
-						return nil
-					})
+					if _, err := s.CloseTimeStep(); err != nil {
+						b.Fatal(err)
+					}
 					b.StartTimer()
 				}
 			}

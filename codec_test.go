@@ -1,10 +1,10 @@
 package eta2
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
@@ -13,8 +13,77 @@ import (
 	"testing"
 
 	"eta2/internal/core"
+	"eta2/internal/state"
 	"eta2/internal/truth"
 )
+
+// The snapshot format as these tests read it, apart from the codec's own
+// primitives: its framing constants, and a writer and a reader of the
+// primitives of its body.
+const (
+	snapshotMagic        = "ETA2SNAP"
+	snapshotCodecVersion = 2
+	stateVersion         = 1
+)
+
+var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+type snapEncoder struct{ buf []byte }
+
+func (e *snapEncoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *snapEncoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *snapEncoder) f64(v float64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
+func (e *snapEncoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
+
+// snapReader reads body primitives off p, latching the first error.
+type snapReader struct {
+	p   []byte
+	err error
+}
+
+func (d *snapReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.p)
+	if n <= 0 {
+		d.err = fmt.Errorf("bad varint at %d bytes from the end", len(d.p))
+		d.p = nil
+		return 0
+	}
+	d.p = d.p[n:]
+	return v
+}
+
+func (d *snapReader) varint() int64 {
+	ux := d.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+func (d *snapReader) count(int) int { return int(d.uvarint()) }
+
+func (d *snapReader) f64() float64 {
+	if len(d.p) < 8 {
+		d.err, d.p = fmt.Errorf("truncated float"), nil
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.p))
+	d.p = d.p[8:]
+	return v
+}
+
+func (d *snapReader) str() string {
+	n := d.count(1)
+	if n > len(d.p) {
+		d.err, d.p = fmt.Errorf("truncated string"), nil
+		return ""
+	}
+	s := string(d.p[:n])
+	d.p = d.p[n:]
+	return s
+}
 
 // richServer builds an in-memory server with every persistable feature
 // populated: users, described (clustered) tasks, hinted tasks, buffered
@@ -47,7 +116,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if got := saveBytes(t, r); !bytes.Equal(got, want) {
 		t.Errorf("binary round trip diverged (%d vs %d bytes)", len(got), len(want))
 	}
-	for id := TaskID(-1); int(id) <= len(s.st.Load().tasks); id++ {
+	for id := TaskID(-1); int(id) <= s.st.Load().Counts().Tasks; id++ {
 		gotEst, gotOK := r.Truth(id)
 		wantEst, wantOK := s.Truth(id)
 		if gotEst != wantEst || gotOK != wantOK || r.Domain(id) != s.Domain(id) {
@@ -230,13 +299,13 @@ type checkedSections struct {
 	store        truth.StoreState
 }
 
-func splitCheckedSections(t *testing.T, file []byte) checkedSections {
+func splitCheckedSections(t testing.TB, file []byte) checkedSections {
 	t.Helper()
 	_, n1 := binary.Uvarint(file[len(snapshotMagic):])
 	bodyLen, n2 := binary.Uvarint(file[len(snapshotMagic)+n1:])
 	body := file[len(snapshotMagic)+n1+n2:][:bodyLen]
-	d := &snapDecoder{r: bufio.NewReader(bytes.NewReader(body)), remaining: bodyLen}
-	at := func() int { return len(body) - int(d.remaining) }
+	d := &snapReader{p: body}
+	at := func() int { return len(body) - len(d.p) }
 
 	d.uvarint() // state version
 	d.f64()
@@ -363,22 +432,18 @@ func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
 	body := good[len(snapshotMagic)+n1+n2:][:bodyLen]
 
 	// Re-encode the sections ahead of the tasks to find their count prefix.
-	st := s.st.Load()
-	e := &snapEncoder{}
-	e.uvarint(stateVersion)
-	e.f64(st.alpha)
-	e.f64(st.gamma)
-	e.f64(st.epsilon)
-	e.uvarint(uint64(len(st.users)))
-	for _, u := range st.users {
+	sections := splitCheckedSections(t, good)
+	e := &snapEncoder{buf: bytes.Clone(sections.head)}
+	e.uvarint(uint64(len(sections.users)))
+	for _, u := range sections.users {
 		e.varint(int64(u.ID))
 		e.f64(u.Capacity)
 		e.str(u.Name)
 	}
 	at := len(e.buf)
 	count, width := binary.Uvarint(body[at:])
-	if !bytes.Equal(body[:at], e.buf) || int(count) != len(st.tasks) {
-		t.Fatalf("did not find the task count at body offset %d (read %d, want %d)", at, count, len(st.tasks))
+	if !bytes.Equal(body[:at], e.buf) || int(count) != len(sections.tasks) || len(sections.tasks) == 0 {
+		t.Fatalf("did not find the task count at body offset %d (read %d, want %d)", at, count, len(sections.tasks))
 	}
 
 	rest := body[at+width:]
@@ -391,7 +456,7 @@ func TestBinaryCodecCorruptLengthPrefix(t *testing.T) {
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	_, err := decodeStateBinary(bytes.NewReader(file))
+	_, err := state.Decode(bytes.NewReader(file))
 	runtime.ReadMemStats(&m1)
 	if err == nil || errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "length prefix") {
 		t.Fatalf("err = %v, want a plain length-prefix decode error", err)

@@ -8,7 +8,20 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"eta2/internal/state"
 )
+
+// eventMagic opens every journal record.
+const eventMagic byte = 0xE2
+
+// The journal record codec under the names the recovery tests plant records
+// with.
+var encodeEvent = state.EncodeEvent
+
+type walEvent = state.Event
+
+const eventObservations = state.EventObservations
 
 func TestObservationsEventRoundTrip(t *testing.T) {
 	obs := []Observation{
@@ -21,12 +34,12 @@ func TestObservationsEventRoundTrip(t *testing.T) {
 		{Task: 9, User: 3, Value: math.Inf(-1), Day: 4},
 		{Task: 10, User: 4, Value: math.NaN(), Day: 4},
 	}
-	payload := encodeEvent(nil, walEvent{Kind: eventObservations, Observations: obs})
-	ev, err := decodeEvent(payload)
+	payload := state.EncodeEvent(nil, state.Event{Kind: state.EventObservations, Observations: obs})
+	ev, err := state.DecodeEvent(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if ev.Kind != eventObservations {
+	if ev.Kind != state.EventObservations {
 		t.Fatalf("kind = %s", ev.Kind)
 	}
 	if len(ev.Observations) != len(obs) {
@@ -46,7 +59,7 @@ func TestObservationsEventRoundTrip(t *testing.T) {
 func TestObservationsRecordBytesUnchanged(t *testing.T) {
 	obs := []Observation{{Task: 3, User: 17, Value: 42.5, Day: 2}, {Task: 1 << 20, User: 999999, Value: -1e300, Day: 365}}
 	const want = "e20102062200000000004045400480808001fe887a9c7500883ce437feda05"
-	if got := hex.EncodeToString(encodeEvent(nil, walEvent{Kind: eventObservations, Observations: obs})); got != want {
+	if got := hex.EncodeToString(state.EncodeEvent(nil, state.Event{Kind: state.EventObservations, Observations: obs})); got != want {
 		t.Errorf("observations record = %s, want %s", got, want)
 	}
 }
@@ -59,11 +72,11 @@ func TestEventRoundTripEveryKind(t *testing.T) {
 		return a.Task == b.Task && a.User == b.User && a.Day == b.Day && math.Float64bits(a.Value) == math.Float64bits(b.Value)
 	}
 	for _, ev := range recordSeeds() {
-		payload := encodeEvent(nil, ev)
+		payload := state.EncodeEvent(nil, ev)
 		if payload[0] != eventMagic || payload[1] != byte(ev.Kind) {
 			t.Fatalf("%s: record starts % x", ev.Kind, payload[:2])
 		}
-		got, err := decodeEvent(payload)
+		got, err := state.DecodeEvent(payload)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", ev.Kind, err)
 		}
@@ -75,13 +88,13 @@ func TestEventRoundTripEveryKind(t *testing.T) {
 }
 
 // recordSeeds is one record of each kind.
-func recordSeeds() []walEvent {
-	return []walEvent{
-		{Kind: eventObservations, Observations: []Observation{{Task: 1, User: 2, Value: math.NaN(), Day: 3}, {Task: 0, User: 5, Value: math.Inf(1)}, {Task: 4, User: 0, Value: math.Inf(-1), Day: 1}}},
-		{Kind: eventAddUsers, Users: []User{{ID: 0, Capacity: 5}, {ID: 7, Capacity: 2.5, Name: "sensor-α"}, {ID: 3, Capacity: 0, Name: ""}}},
-		{Kind: eventCreateTasks, Specs: []TaskSpec{{Description: "What is the noise level at the station?", ProcTime: 1}, {ProcTime: 0.5, Cost: 3, DomainHint: 40}}},
-		{Kind: eventAllocate, Pairs: []Pair{{User: 7, Task: 1}, {User: 0, Task: 0}}},
-		{Kind: eventCloseStep},
+func recordSeeds() []state.Event {
+	return []state.Event{
+		{Kind: state.EventObservations, Observations: []Observation{{Task: 1, User: 2, Value: math.NaN(), Day: 3}, {Task: 0, User: 5, Value: math.Inf(1)}, {Task: 4, User: 0, Value: math.Inf(-1), Day: 1}}},
+		{Kind: state.EventAddUsers, Users: []User{{ID: 0, Capacity: 5}, {ID: 7, Capacity: 2.5, Name: "sensor-α"}, {ID: 3, Capacity: 0, Name: ""}}},
+		{Kind: state.EventCreateTasks, Specs: []TaskSpec{{Description: "What is the noise level at the station?", ProcTime: 1}, {ProcTime: 0.5, Cost: 3, DomainHint: 40}}},
+		{Kind: state.EventAllocate, Pairs: []Pair{{User: 7, Task: 1}, {User: 0, Task: 0}}},
+		{Kind: state.EventCloseStep},
 	}
 }
 
@@ -89,7 +102,7 @@ func TestObservationsEventDayStamp(t *testing.T) {
 	obs := []Observation{{Task: 1, User: 2, Value: 3, Day: 9}, {Task: 4, User: 5, Value: 6, Day: 10}}
 	var eb obsEventBuf
 	eb.encode(obs, 7)
-	ev, err := decodeEvent(eb.b)
+	ev, err := state.DecodeEvent(eb.b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -131,7 +144,7 @@ func TestDecodeEventRefusesJSON(t *testing.T) {
 		`{"t":"observations","obs":[{"Task":0,"User":1,"Value":2.5,"Day":0}]}`,
 		`{}`,
 	} {
-		ev, err := decodeEvent([]byte(payload))
+		ev, err := state.DecodeEvent([]byte(payload))
 		if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), "JSON record") || !strings.Contains(err.Error(), "/v1/admin/compact") {
 			t.Errorf("%s: decoded %+v, err = %v; want ErrBadState naming the JSON record and the upgrade", payload, ev, err)
 		}
@@ -139,24 +152,24 @@ func TestDecodeEventRefusesJSON(t *testing.T) {
 }
 
 func TestDecodeBinaryEventErrors(t *testing.T) {
-	good := encodeEvent(nil, walEvent{Kind: eventObservations, Observations: []Observation{{Task: 1, User: 2, Value: 3, Day: 4}}})
-	users := encodeEvent(nil, walEvent{Kind: eventAddUsers, Users: []User{{ID: 1, Capacity: 2, Name: "ann"}}})
+	good := state.EncodeEvent(nil, state.Event{Kind: state.EventObservations, Observations: []Observation{{Task: 1, User: 2, Value: 3, Day: 4}}})
+	users := state.EncodeEvent(nil, state.Event{Kind: state.EventAddUsers, Users: []User{{ID: 1, Capacity: 2, Name: "ann"}}})
 	cases := map[string][]byte{
 		"empty":                 {},
 		"empty magic":           {eventMagic},
-		"wrong magic":           {0x00, byte(eventObservations), 0x00},
+		"wrong magic":           {0x00, byte(state.EventObservations), 0x00},
 		"unknown kind":          {eventMagic, 0x7f},
 		"kind zero":             {eventMagic, 0x00},
-		"missing count":         {eventMagic, byte(eventObservations)},
-		"huge count":            {eventMagic, byte(eventObservations), 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"missing count":         {eventMagic, byte(state.EventObservations)},
+		"huge count":            {eventMagic, byte(state.EventObservations), 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"truncated body":        good[:len(good)-3],
 		"trailing bytes":        append(append([]byte(nil), good...), 0x00),
 		"truncated name":        users[:len(users)-1],
-		"close with a body":     {eventMagic, byte(eventCloseStep), 0x00},
-		"allocate missing task": {eventMagic, byte(eventAllocate), 0x01, 0x02},
+		"close with a body":     {eventMagic, byte(state.EventCloseStep), 0x00},
+		"allocate missing task": {eventMagic, byte(state.EventAllocate), 0x01, 0x02},
 	}
 	for name, payload := range cases {
-		if _, err := decodeEvent(payload); err == nil {
+		if _, err := state.DecodeEvent(payload); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
@@ -166,20 +179,20 @@ func TestDecodeBinaryEventErrors(t *testing.T) {
 // payload re-encodes to a record that decodes to the same event.
 func FuzzDecodeEvent(f *testing.F) {
 	for _, ev := range recordSeeds() {
-		f.Add(encodeEvent(nil, ev))
+		f.Add(state.EncodeEvent(nil, ev))
 	}
 	f.Add([]byte(`{"t":"close_step"}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		ev, err := decodeEvent(payload)
+		ev, err := state.DecodeEvent(payload)
 		if err != nil {
 			return
 		}
-		again := encodeEvent(nil, ev)
-		ev2, err := decodeEvent(again)
+		again := state.EncodeEvent(nil, ev)
+		ev2, err := state.DecodeEvent(again)
 		if err != nil {
 			t.Fatalf("re-encoded %s record does not decode: %v", ev.Kind, err)
 		}
-		if ev2.Kind != ev.Kind || !bytes.Equal(encodeEvent(nil, ev2), again) {
+		if ev2.Kind != ev.Kind || !bytes.Equal(state.EncodeEvent(nil, ev2), again) {
 			t.Fatalf("decode(encode(decode(p))) = %+v, decode(p) = %+v", ev2, ev)
 		}
 	})

@@ -10,6 +10,7 @@ import (
 
 	"eta2/internal/rcu"
 	"eta2/internal/repl"
+	"eta2/internal/state"
 	"eta2/internal/trace"
 	"eta2/internal/wal"
 )
@@ -213,7 +214,7 @@ func (f *Follower) run(ctx context.Context) {
 // and memory disagree about the record, so it halts the loop permanently
 // rather than retrying into divergence.
 func (f *Follower) applyRecord(lsn uint64, payload []byte) error {
-	ev, err := decodeEvent(payload)
+	ev, err := state.DecodeEvent(payload)
 	if err != nil {
 		return f.fail(fmt.Errorf("eta2: decode shipped record %d: %w", lsn, err))
 	}
@@ -417,17 +418,17 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 	if lsn <= st.lastLSN {
 		return fmt.Errorf("eta2: bootstrap snapshot at LSN %d does not advance past applied %d", lsn, st.lastLSN)
 	}
-	var restored *Server
+	var restored state.State
 	err := installSnapshot(st.journalDir, st.journal, lsn, func(w io.Writer) error {
 		tee := io.TeeReader(body, w)
-		decoded, err := decodeStateBinary(tee)
+		decoded, err := state.Decode(tee)
 		if err != nil {
 			return err
 		}
 		if _, err := io.Copy(io.Discard, tee); err != nil { // whatever the decoder left unread
 			return err
 		}
-		restored, err = restoreServer(decoded, opts...)
+		_, restored, err = restoreState(decoded, opts)
 		return err
 	})
 	if err != nil {
@@ -437,16 +438,12 @@ func (s *Server) adoptSnapshot(lsn uint64, body io.Reader, opts []Option) error 
 	return nil
 }
 
-// adoptRestored swaps a restored snapshot server's state into s as of lsn,
-// as it is: nothing in it refers back to the server it was restored into.
+// adoptRestored swaps a restored snapshot's state into s as of lsn, as it is.
 // What is the node's own — its journal, its role, its compaction counters —
 // stays. One publish makes the swap atomic for readers.
-func (s *Server) adoptRestored(r *Server, lsn uint64) {
-	from := r.st.Load()
+func (s *Server) adoptRestored(st state.State, lsn uint64) {
 	_ = s.update(func(tx *rcu.Tx[serverState]) error { // cannot fail: fn returns nil
-		s.domains = r.domains
-		tx.W.persisted = from.persisted
-		tx.W.lastNewDomains, tx.W.lastMerges = nil, 0
+		tx.W.State = st
 		tx.W.lastLSN, tx.W.snapLSN = lsn, lsn
 		return nil
 	})

@@ -15,6 +15,7 @@ import (
 
 	"eta2/internal/obs"
 	"eta2/internal/rcu"
+	"eta2/internal/state"
 	"eta2/internal/trace"
 	"eta2/internal/wal"
 )
@@ -204,7 +205,7 @@ func openDurable(cfg config, opts []Option, dir string, policy DurabilityPolicy,
 		if lsn != last+1 {
 			return fmt.Errorf("%w: journal record %d does not follow recovered state at %d", ErrBadState, lsn, last)
 		}
-		ev, err := decodeEvent(payload)
+		ev, err := state.DecodeEvent(payload)
 		if err != nil {
 			return fmt.Errorf("eta2: decode journal record %d: %w", lsn, err)
 		}
@@ -243,64 +244,24 @@ func loadSnapshotFile(path string, opts []Option) (*Server, error) {
 }
 
 // applyEvent is the single replay entry, for startup recovery and for every
-// record a follower applies: decode → prepare → apply, through the methods the
-// public mutations run (minus their follower write gate), with the token
-// minted from the record's LSN where a live mutation journals. Its caller
-// runs it as one Write, which publishes the record's state; the token stamps
-// the LSN first, so a published state — what Compact, SaveStateBinary and a
-// replication snapshot encode — is labelled with exactly the LSN it contains.
-func (s *Server) applyEvent(tx *rcu.Tx[serverState], lsn uint64, ev walEvent) error {
-	switch ev.Kind {
-	case eventAddUsers:
-		if err := s.prepareAddUsers(tx, ev.Users); err != nil {
-			return err
-		}
-		s.applyAddUsers(tx, s.replayed(tx, lsn), ev.Users)
-		return nil
-	case eventCreateTasks:
-		b, err := s.prepareCreateTasks(tx, ev.Specs)
-		if err == nil {
-			_, err = s.applyCreateTasks(tx, s.replayed(tx, lsn), b)
-		}
+// record a follower applies: the State replays the record through the methods
+// the public mutations run (minus their follower write gate). Its caller runs
+// it as one Write, which publishes the record's state labelled with its LSN,
+// so a published state — what Compact, SaveStateBinary and a replication
+// snapshot encode — is labelled with exactly the LSN it contains.
+func (s *Server) applyEvent(tx *rcu.Tx[serverState], lsn uint64, ev state.Event) error {
+	if err := tx.W.Replay(lsn, ev, s.cfg.parallelism); err != nil {
 		return err
-	case eventObservations:
-		// Verbatim: re-validating or re-stamping could diverge from the
-		// original run. A task this state does not hold is refused here, by
-		// LSN, rather than by an index out of range in the close that would
-		// estimate it.
-		for _, o := range ev.Observations {
-			if int(o.Task) < 0 || int(o.Task) >= len(tx.W.tasks) {
-				return fmt.Errorf("%w: journal record %d holds an observation for task %d, but the state it applies to holds %d tasks",
-					ErrBadState, lsn, o.Task, len(tx.W.tasks))
-			}
-		}
-		s.applyObservations(tx, s.replayed(tx, lsn), ev.Observations)
-	case eventAllocate:
-		s.replayed(tx, lsn) // audit-only: allocation does not mutate server state
-	case eventCloseStep:
-		step, err := tx.W.estimateStep(s.cfg.truthConfig())
-		if err != nil {
-			return err
-		}
-		s.applyClose(tx, s.replayed(tx, lsn), step)
-	default:
-		return fmt.Errorf("unknown event kind %d", ev.Kind)
+	}
+	tx.W.lastLSN = lsn
+	switch ev.Kind {
+	case state.EventObservations:
+		mObsAccepted.Add(uint64(len(ev.Observations)))
+	case state.EventCloseStep:
+		mStepsClosed.Inc()
+		s.compactIfOwed(tx)
 	}
 	return nil
-}
-
-// journaled proves a mutation's record is in the journal under lsn (0 on an
-// in-memory server). Only journalBuffered and replayed mint it and every
-// apply method takes one, so no apply runs before its record is journaled;
-// journalfirst requires it of every Server method that assigns a persisted
-// field or calls Identify, and refuses a literal in another file.
-type journaled struct{ lsn uint64 }
-
-// replayed mints the token of a record already in the journal under lsn,
-// stamping the frontier as journalBuffered does for one it writes.
-func (s *Server) replayed(tx *rcu.Tx[serverState], lsn uint64) journaled {
-	tx.W.lastLSN = lsn
-	return journaled{lsn: lsn}
 }
 
 // obsEventPool recycles the SubmitObservations hot path's scratch: the
@@ -320,29 +281,22 @@ func (eb *obsEventBuf) encode(obs []Observation, day int) {
 	for i := range eb.obs {
 		eb.obs[i].Day = day
 	}
-	eb.b = encodeEvent(eb.b[:0], walEvent{Kind: eventObservations, Observations: eb.obs})
+	eb.b = state.EncodeEvent(eb.b[:0], state.Event{Kind: state.EventObservations, Observations: eb.obs})
 }
 
-// journalBuffered journals one encoded record (encodeEvent) without waiting
-// for durability and returns its apply's token. It is the one way a record
-// the server writes enters the journal. The caller's Write orders it (so LSN
-// order equals apply order), and journalCommit waits on the token's LSN after
-// the Write returns. An in-memory server writes nothing; a server whose
-// journal Close detached refuses, or a mutation that passed writable before
-// Close began would be acknowledged without a record.
-func (s *Server) journalBuffered(tx *rcu.Tx[serverState], payload []byte) (journaled, error) {
-	if tx.W.journal == nil {
-		if s.closing.Load() {
-			return journaled{}, ErrClosed
-		}
-		return journaled{}, nil
-	}
-	lsn, err := tx.W.journal.AppendBuffered(payload)
+// journaled finishes a live mutation's state.Append: a failed append fails
+// the node (journalFailed), and a record the journal took under lsn stamps the
+// frontier, so the state the caller's Write publishes is labelled with it.
+// The Write orders the append (so LSN order equals apply order), and
+// journalCommit waits on lsn after the Write returns.
+func journaled(tx *rcu.Tx[serverState], lsn uint64, err error) error {
 	if err != nil {
-		return journaled{}, journalFailed(tx.W.journal, "append", err)
+		return journalFailed(tx.W.journal, "append", err)
 	}
-	tx.W.lastLSN = lsn
-	return journaled{lsn: lsn}, nil
+	if tx.W.journal != nil {
+		tx.W.lastLSN = lsn
+	}
+	return nil
 }
 
 // journalShipped is a follower's half of journal-before-apply: the record
@@ -350,7 +304,7 @@ func (s *Server) journalBuffered(tx *rcu.Tx[serverState], payload []byte) (journ
 // — same LSN, same bytes — and applyEvent(tx, lsn, ...) follows in the same
 // Write. The record must extend the applied frontier by exactly one;
 // anything else is a hole in the stream (errLSNGap), answered by a snapshot
-// bootstrap.
+// bootstrap. A failed append fails the node as a live mutation's does.
 func (s *Server) journalShipped(tx *rcu.Tx[serverState], lsn uint64, payload []byte) error {
 	if tx.W.journal == nil || tx.W.role != roleFollower {
 		return ErrNotDurable
@@ -358,7 +312,10 @@ func (s *Server) journalShipped(tx *rcu.Tx[serverState], lsn uint64, payload []b
 	if lsn != tx.W.lastLSN+1 {
 		return errLSNGap
 	}
-	return tx.W.journal.AppendBufferedAt(lsn, payload)
+	if err := tx.W.journal.AppendBufferedAt(lsn, payload); err != nil {
+		return journalFailed(tx.W.journal, "append", err)
+	}
+	return nil
 }
 
 // journalCommit blocks until the record at lsn is durable per the fsync
@@ -527,9 +484,7 @@ func (s *Server) compactCycle(mode *obs.Histogram) error {
 	if err != nil {
 		err = journalFailed(st.journal, "sync", err)
 	} else {
-		err = installSnapshot(st.journalDir, st.journal, st.lastLSN, func(w io.Writer) error {
-			return encodeStateBinary(w, st)
-		})
+		err = installSnapshot(st.journalDir, st.journal, st.lastLSN, st.Encode)
 		if err != nil && st.journal.Err() != nil { // the WAL truncation failed for good
 			err = journalFailed(st.journal, "truncate", err)
 		}

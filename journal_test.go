@@ -21,7 +21,7 @@ import (
 
 // saveBytes captures the state of s in the server's one encoding: the
 // bytes the bit-identity checks compare.
-func saveBytes(t *testing.T, s *Server) []byte {
+func saveBytes(t testing.TB, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.SaveStateBinary(&buf); err != nil {
@@ -778,7 +778,7 @@ func TestRecoveryRefusesJSONRecord(t *testing.T) {
 // TestReplayedObservationsAreCounted: eta2_server_observations_accepted_total
 // counts replay, as its help text says. Recovering a directory that holds n
 // journaled observations grows it by n, and so does a follower applying the
-// same log: both run the applyObservations a live submit runs.
+// same log: both run the ApplyObservations a live submit runs.
 func TestReplayedObservationsAreCounted(t *testing.T) {
 	dir := t.TempDir()
 	pol := DurabilityPolicy{Fsync: FsyncNever, CompactAt: -1}

@@ -39,11 +39,6 @@ var (
 		"Immutable read-state snapshots published (one per committed mutation batch).")
 	mSnapshotPublishTS = obs.Default().Gauge("eta2_server_snapshot_publish_timestamp_seconds",
 		"Unix time of the newest published read-state snapshot; time() minus this is the snapshot age.")
-	mSnapshotBytes = obs.Default().HistogramVec("eta2_server_snapshot_bytes",
-		"Encoded size of persisted state snapshots, by codec.",
-		obs.ExpBuckets(4096, 4, 10), obs.Label("codec", "binary"))
-	mSnapshotBytesBinary = mSnapshotBytes.With("binary")
-
 	mCompactionDuration = obs.Default().HistogramVec("eta2_server_compaction_duration_seconds",
 		"Wall time of one snapshot+truncate compaction cycle, by where it ran.",
 		obs.ExpBuckets(0.001, 2, 14), obs.Label("mode", "background", "foreground"))
@@ -135,11 +130,12 @@ func ingestAllocSample() {
 func publishMetrics(tx *rcu.Tx[serverState]) {
 	mSnapshotPublishes.Inc()
 	mSnapshotPublishTS.SetToCurrentTime()
-	mDay.Set(float64(tx.W.day))
-	mUsers.Set(float64(len(tx.W.users)))
-	mTasks.Set(float64(len(tx.W.tasks)))
-	mPendingTasks.Set(float64(len(tx.W.pending)))
-	mBufferedObs.Set(float64(len(tx.W.observations)))
-	mInternStrings.Set(float64(len(tx.W.userByName)))
-	mInternBytes.Set(float64(tx.W.nameBytes))
+	n := tx.W.Counts()
+	mDay.Set(float64(tx.W.Day()))
+	mUsers.Set(float64(n.Users))
+	mTasks.Set(float64(n.Tasks))
+	mPendingTasks.Set(float64(n.Pending))
+	mBufferedObs.Set(float64(n.Observations))
+	mInternStrings.Set(float64(n.Names))
+	mInternBytes.Set(float64(n.NameBytes))
 }

@@ -9,11 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"eta2/internal/cluster"
-	"eta2/internal/core"
 	"eta2/internal/embedding"
-	"eta2/internal/loop"
-	"eta2/internal/truth"
 )
 
 // buildBusyServer runs a couple of time steps so every state component is
@@ -195,8 +191,8 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.st.Load().pending) == 0 || len(s.st.Load().observations) == 0 {
-		t.Fatalf("fixture not mid-step: %d pending, %d observations", len(s.st.Load().pending), len(s.st.Load().observations))
+	if s.st.Load().Counts().Pending == 0 || s.st.Load().Counts().Observations == 0 {
+		t.Fatalf("fixture not mid-step: %d pending, %d observations", s.st.Load().Counts().Pending, s.st.Load().Counts().Observations)
 	}
 
 	var buf bytes.Buffer
@@ -207,10 +203,10 @@ func TestSaveLoadRoundTripMidStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(restored.st.Load().pending), len(s.st.Load().pending); got != want {
+	if got, want := restored.st.Load().Counts().Pending, s.st.Load().Counts().Pending; got != want {
 		t.Errorf("pending tasks: %d vs %d", got, want)
 	}
-	if got, want := len(restored.st.Load().observations), len(s.st.Load().observations); got != want {
+	if got, want := restored.st.Load().Counts().Observations, s.st.Load().Counts().Observations; got != want {
 		t.Errorf("observations: %d vs %d", got, want)
 	}
 	var buf2 bytes.Buffer
@@ -260,12 +256,12 @@ func TestLoadServerRefusesEmbedderOfAnotherDimension(t *testing.T) {
 	}
 }
 
-// encodeSnapshot frames st exactly as SaveStateBinary would, but as state
-// version version, so a test can hand LoadServer a well-formed file whose
-// only fault is what st and version say.
-func encodeSnapshot(t *testing.T, version byte, st *serverState) []byte {
+// encodeSnapshot reframes a snapshot file as state version version, so a
+// test can hand LoadServer a well-formed file whose only fault is what file
+// and version say.
+func encodeSnapshot(t *testing.T, version byte, file []byte) []byte {
 	t.Helper()
-	file := encodedState(st)
+	file = bytes.Clone(file)
 	_, n1 := binary.Uvarint(file[len(snapshotMagic):])
 	_, n2 := binary.Uvarint(file[len(snapshotMagic)+n1:])
 	body := file[len(snapshotMagic)+n1+n2 : len(file)-4]
@@ -279,12 +275,17 @@ func encodeSnapshot(t *testing.T, version byte, st *serverState) []byte {
 
 // emptyState is the least a snapshot encodes: no users, no tasks, an empty
 // expertise store.
-func emptyState() *serverState {
-	return &serverState{persisted: persisted{alpha: 0.5, gamma: 0.5, epsilon: 0.1, store: truth.NewStore(0.5)}}
+func emptyState(t *testing.T) []byte {
+	t.Helper()
+	s, err := NewServer(WithAlpha(0.5), WithGamma(0.5), WithEpsilon(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return saveBytes(t, s)
 }
 
 func TestLoadServerFutureVersion(t *testing.T) {
-	_, err := LoadServer(bytes.NewReader(encodeSnapshot(t, 2, emptyState())))
+	_, err := LoadServer(bytes.NewReader(encodeSnapshot(t, 2, emptyState(t))))
 	if !errors.Is(err, ErrBadState) {
 		t.Fatalf("err = %v, want ErrBadState", err)
 	}
@@ -301,23 +302,39 @@ func TestLoadServerRejectsGarbage(t *testing.T) {
 	if _, err := LoadServer(strings.NewReader(snapshotMagic)); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
-	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, 99, emptyState()))); err == nil {
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, 99, emptyState(t)))); err == nil {
 		t.Error("wrong version accepted")
 	}
 	// The binary codec is the one encoding: a JSON document is not a snapshot.
 	if _, err := LoadServer(strings.NewReader(`{"version":1,"alpha":0.5,"gamma":0.5,"epsilon":0.1}`)); err == nil {
 		t.Error("JSON document accepted as a snapshot")
 	}
-	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, stateVersion, emptyState()))); err != nil {
+	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, stateVersion, emptyState(t)))); err != nil {
 		t.Errorf("the empty state, the base of the two bad ones here, refused: %v", err)
 	}
 	// Inconsistent cluster state.
-	bad := emptyState()
-	bad.cluster = &loop.DomainsState{Cluster: cluster.EngineState{
-		Gamma: 0.5, NItems: 2, Domains: []core.DomainID{1},
-		Members: [][]int{{0}}, DMat: [][]float64{{0}}, ItemSlot: []int{0},
-	}}
-	if _, err := LoadServer(bytes.NewReader(encodeSnapshot(t, stateVersion, bad))); err == nil {
+	// Inconsistent cluster state: an engine of two items, one of them
+	// placed, and no vector or task id for either.
+	bad := splitCheckedSections(t, emptyState(t))
+	e := &snapEncoder{buf: []byte{1}}
+	e.f64(0.5) // gamma
+	e.f64(0)   // d*
+	e.varint(2)
+	e.varint(0)
+	e.uvarint(1) // domains
+	e.varint(1)
+	e.uvarint(1) // members
+	e.uvarint(1)
+	e.varint(0)
+	e.uvarint(1) // the distance matrix
+	e.uvarint(1)
+	e.f64(0)
+	e.uvarint(1) // item slots
+	e.varint(0)
+	e.uvarint(0) // vectors
+	e.uvarint(0) // task ids
+	bad.tail = e.buf
+	if _, err := LoadServer(bytes.NewReader(bad.file())); err == nil {
 		t.Error("inconsistent cluster state accepted")
 	}
 }

@@ -151,7 +151,7 @@ func TestRecoveryMemoryBounded(t *testing.T) {
 	// Referenced after the measurement, so the recovered state is live
 	// heap when ReadMemStats runs above (otherwise the GC is free to
 	// collect r and "final" measures nothing).
-	n := len(r.st.Load().observations)
+	n := r.st.Load().Counts().Observations
 	if n != tailBatches*batch {
 		t.Errorf("recovered backlog %d observations, want %d", n, tailBatches*batch)
 	}

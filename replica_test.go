@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -220,7 +221,7 @@ func TestFollowerBootstrapAfterCompaction(t *testing.T) {
 	if got, want := saveBytes(t, node), saveBytes(t, primary); string(got) != string(want) {
 		t.Error("adopted state diverged from primary")
 	}
-	after.persisted, after.lastLSN, after.snapLSN = before.persisted, before.lastLSN, before.snapLSN
+	after.State, after.lastLSN, after.snapLSN = before.State, before.lastLSN, before.snapLSN
 	if before.journal == nil || before.role != roleFollower || before.primaryAddr == "" || before.compactions != 1 || before.lastCompaction.IsZero() {
 		t.Fatalf("fixture: node-local state before the bootstrap is %+v", before)
 	}
@@ -300,7 +301,7 @@ func TestBootstrapAdoptsInternTable(t *testing.T) {
 		}
 	}()
 	<-started
-	node.adoptRestored(later, 7)
+	node.adoptRestored(later.st.Load().State, 7)
 	close(stop)
 	<-stopped
 	for name, want := range map[string]UserID{"ann": 0, "bob": 1} {
@@ -309,7 +310,7 @@ func TestBootstrapAdoptsInternTable(t *testing.T) {
 		}
 	}
 
-	node.adoptRestored(restored(User{ID: 5, Capacity: 1, Name: "ann"}), 9)
+	node.adoptRestored(restored(User{ID: 5, Capacity: 1, Name: "ann"}).st.Load().State, 9)
 	if id, ok := node.ResolveUser("ann"); !ok || id != 5 {
 		t.Errorf("after a bootstrap binding ann to 5, ann resolves to %d (%v)", id, ok)
 	}
@@ -489,14 +490,15 @@ func TestFollowerHaltsOnJSONRecord(t *testing.T) {
 	primary := hintedPrimary(t)
 	streamObservations(t, primary, 0, 5)
 	want, before := saveBytes(t, primary), primary.DurabilityStats().LastLSN
-	var j journaled
+	var lsn uint64
 	if err := primary.st.Write(func(tx *rcu.Tx[serverState]) (err error) {
-		j, err = primary.journalBuffered(tx, []byte(`{"t":"add_users","users":[{"ID":9,"Capacity":2}]}`))
+		lsn, err = tx.W.journal.AppendBuffered([]byte(`{"t":"add_users","users":[{"ID":9,"Capacity":2}]}`))
+		tx.W.lastLSN = lsn
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.journalCommit(j.lsn, nil); err != nil {
+	if err := primary.journalCommit(lsn, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -511,8 +513,8 @@ func TestFollowerHaltsOnJSONRecord(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := f.Err(); !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", j.lsn)) {
-		t.Errorf("follower halted with %v, want ErrBadState naming record %d", err, j.lsn)
+	if err := f.Err(); !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", lsn)) {
+		t.Errorf("follower halted with %v, want ErrBadState naming record %d", err, lsn)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -522,6 +524,47 @@ func TestFollowerHaltsOnJSONRecord(t *testing.T) {
 	}
 	if got := saveBytes(t, f.Server()); !bytes.Equal(got, want) {
 		t.Error("halted follower diverged from the primary's state before the JSON record")
+	}
+}
+
+// TestFollowerFailedAppendFailsNode: a follower whose own journal refuses a
+// shipped record has failed as a primary whose append fails has. The pull
+// loop halts with an error wrapping ErrJournalFailed, and
+// eta2_server_journal_failed reads 1. The follower's directory is removed
+// and the primary ships a record larger than the follower's segment, so the
+// append that opens the next segment is the one that fails.
+func TestFollowerFailedAppendFailsNode(t *testing.T) {
+	mJournalFailed.Set(0) // process-global: another test may have set it
+	primary := hintedPrimary(t)
+	dir := t.TempDir()
+	f, err := OpenFollower(replTestServer(t, primary).URL, fastFollowerOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitApplied(t, f, primary.DurabilityStats().LastLSN)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	many := make([]User, 100)
+	for i := range many {
+		many[i] = User{ID: UserID(100 + i), Capacity: 4}
+	}
+	if err := primary.AddUsers(many...); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for f.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower did not halt on a failed append (status %+v)", f.ReplicationStatus())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := f.Err(); !errors.Is(err, ErrJournalFailed) {
+		t.Errorf("follower halted with %v, want an error wrapping ErrJournalFailed", err)
+	}
+	if v := mJournalFailed.Value(); v != 1 {
+		t.Errorf("eta2_server_journal_failed = %v after the follower's append failed, want 1", v)
 	}
 }
 

@@ -118,7 +118,7 @@ func (s *Server) CaptureReplicationSnapshot() (uint64, func(io.Writer) error, er
 		return 0, nil, err
 	}
 	st := s.st.Load()
-	return st.lastLSN, func(w io.Writer) error { return encodeStateBinary(w, st) }, nil
+	return st.lastLSN, st.Encode, nil
 }
 
 // ReplicationStatus reports this server's replication position. For a

@@ -47,8 +47,8 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	}
 	publishWorking()
 	snapshotUsers := s.NumUsers()
-	snapshotTasks := len(s.st.Load().tasks)
-	snapshotObs := len(s.st.Load().observations)
+	snapshotTasks := s.st.Load().Counts().Tasks
+	snapshotObs := s.st.Load().Counts().Observations
 	snapshotDay := s.Day()
 
 	if err := s.AddUsers(User{ID: 2, Capacity: 3}); err == nil {
@@ -91,10 +91,10 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	if got := s.NumUsers(); got != snapshotUsers {
 		t.Errorf("users leaked through failed journal: %d -> %d", snapshotUsers, got)
 	}
-	if got := len(s.st.Load().tasks); got != snapshotTasks {
+	if got := s.st.Load().Counts().Tasks; got != snapshotTasks {
 		t.Errorf("tasks leaked through failed journal: %d -> %d", snapshotTasks, got)
 	}
-	if got := len(s.st.Load().observations); got != snapshotObs {
+	if got := s.st.Load().Counts().Observations; got != snapshotObs {
 		t.Errorf("observations leaked through failed journal: %d -> %d", snapshotObs, got)
 	}
 	if got := s.Day(); got != snapshotDay {
@@ -114,10 +114,10 @@ func TestJournalFailureLeavesStateUntouched(t *testing.T) {
 	if got := r.NumUsers(); got != snapshotUsers {
 		t.Errorf("recovered %d users, want %d", got, snapshotUsers)
 	}
-	if got := len(r.st.Load().tasks); got != snapshotTasks {
+	if got := r.st.Load().Counts().Tasks; got != snapshotTasks {
 		t.Errorf("recovered %d tasks, want %d", got, snapshotTasks)
 	}
-	if got := len(r.st.Load().observations); got != snapshotObs {
+	if got := r.st.Load().Counts().Observations; got != snapshotObs {
 		t.Errorf("recovered %d observations, want %d", got, snapshotObs)
 	}
 	if got := r.Day(); got != snapshotDay {

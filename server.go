@@ -4,17 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"eta2/internal/allocation"
-	"eta2/internal/core"
-	"eta2/internal/loop"
 	"eta2/internal/rcu"
-	"eta2/internal/semantic"
+	"eta2/internal/state"
 	"eta2/internal/trace"
-	"eta2/internal/truth"
 )
 
 // Server is the crowdsourcing server: it owns task/domain state, learned
@@ -33,12 +29,6 @@ type Server struct {
 	st rcu.Cell[serverState]
 
 	cfg config // immutable after newServer
-
-	// domains identifies described tasks' domains; nil without an embedder
-	// (unless a snapshot brought its own clustering state). It is the one
-	// object behind the state written in place (inside a Write), so the
-	// state's cluster field holds its state as of the last change.
-	domains *loop.Domains
 
 	journalPolicy DurabilityPolicy // the state's journal's (journal.go); immutable after open
 
@@ -157,39 +147,22 @@ func buildConfig(opts ...Option) (config, error) {
 	return cfg, nil
 }
 
-// truthConfig is the MLE configuration: the truth module's defaults, run on
-// the server's worker count.
-func (c config) truthConfig() truth.Config {
-	return truth.Config{Parallelism: c.parallelism}
-}
-
-// newPersisted returns the containers every state holds non-nil, empty.
-//
-//eta2:allocdiscipline-ok constructor: runs once per server or restore, not per request
-func newPersisted() persisted {
-	return persisted{userPos: make(map[UserID]int32), userByName: make(map[string]UserID), domainCount: new(atomic.Int64)}
-}
-
 // newServer builds a bare in-memory server from a resolved config (no
-// recovery, no journal — openDurable layers those on top) and publishes its
-// empty state: the query surface relies on a published state.
+// recovery, no journal — openDurable layers those on top).
 func newServer(cfg config) (*Server, error) {
-	s := &Server{
-		cfg:    cfg,
-		tracer: trace.New(0, traceRecorderCapacity),
+	st, err := state.New(cfg.alpha, cfg.gamma, cfg.epsilon, cfg.embedder)
+	if err != nil {
+		return nil, err
 	}
-	w := serverState{persisted: newPersisted()}
-	w.alpha, w.gamma, w.epsilon, w.store = cfg.alpha, cfg.gamma, cfg.epsilon, truth.NewStore(cfg.alpha)
-	if cfg.embedder != nil {
-		var err error
-		if s.domains, err = loop.NewDomains(cfg.embedder, cfg.gamma); err != nil {
-			return nil, fmt.Errorf("eta2: %w", err)
-		}
-		ds := s.domains.State()
-		w.cluster = &ds
-	}
+	return publishServer(cfg, st)
+}
+
+// publishServer builds the server of cfg around st and publishes st: the
+// query surface relies on a published state.
+func publishServer(cfg config, st state.State) (*Server, error) {
+	s := &Server{cfg: cfg, tracer: trace.New(0, traceRecorderCapacity)}
 	return s, s.update(func(tx *rcu.Tx[serverState]) error {
-		tx.W = w
+		tx.W.State = st
 		return nil
 	})
 }
@@ -219,9 +192,15 @@ func (s *Server) write(t *trace.Trace, fn func(tx *rcu.Tx[serverState]) (uint64,
 // writeBuffered is the follower write gate, then fn as one update. fn prepares,
 // journals and applies; it returns the record's LSN (0 if none), which labels
 // t, and the fsync-wait span it opened at the append for the commit wait to end.
+// A server whose journal Close detached refuses inside the Write, or a
+// mutation that passed the gate before Close began would be acknowledged
+// without a record.
 func (s *Server) writeBuffered(t *trace.Trace, fn func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error)) (lsn uint64, fsync *trace.Span, err error) {
 	if err = s.writable(); err == nil {
 		err = s.update(func(tx *rcu.Tx[serverState]) (err error) {
+			if tx.W.journal == nil && s.closing.Load() {
+				return ErrClosed
+			}
 			lsn, fsync, err = fn(tx)
 			return err
 		})
@@ -267,57 +246,15 @@ func (s *Server) AddUsersContext(ctx context.Context, users ...User) error {
 // addUsers prepares, journals and applies one non-empty batch for the
 // public gates, which own the fsync (journalCommit) after the Write.
 func (s *Server) addUsers(tx *rcu.Tx[serverState], users []User) (uint64, error) {
-	if err := s.prepareAddUsers(tx, users); err != nil {
+	if err := tx.W.CheckUsers(users); err != nil {
 		return 0, err
 	}
-	j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventAddUsers, Users: users}))
-	if err != nil {
+	j, err := state.Append(tx.W.journal, state.EncodeEvent(nil, state.Event{Kind: state.EventAddUsers, Users: users}))
+	if err = journaled(tx, j.LSN(), err); err != nil {
 		return 0, err
 	}
-	s.applyAddUsers(tx, j, users)
-	return j.lsn, nil
-}
-
-// prepareAddUsers validates the batch and its name bindings against the
-// working state without changing it. Every check runs before journaling: a
-// record that could not re-apply on replay must never reach the WAL.
-func (s *Server) prepareAddUsers(tx *rcu.Tx[serverState], users []User) error {
-	var batchName map[UserID]string // lazily built: unnamed batches skip all of this
-	var batchID map[string]UserID
-	for _, u := range users {
-		if err := u.Validate(); err != nil {
-			return fmt.Errorf("eta2: %w", err)
-		}
-		if u.Name == "" {
-			continue
-		}
-		if id, ok := tx.W.userByName[u.Name]; ok && id != u.ID {
-			return fmt.Errorf("eta2: user name %q already bound to id %d", u.Name, id)
-		}
-		if i, ok := tx.W.userPos[u.ID]; ok {
-			if prev := tx.W.users[i].Name; prev != "" && prev != u.Name {
-				return fmt.Errorf("eta2: user %d already named %q, cannot rename to %q", u.ID, prev, u.Name)
-			}
-		}
-		if batchName == nil {
-			batchName, batchID = make(map[UserID]string, len(users)), make(map[string]UserID, len(users)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
-		}
-		if prev, ok := batchName[u.ID]; ok && prev != u.Name {
-			return fmt.Errorf("eta2: user %d named both %q and %q in one batch", u.ID, prev, u.Name)
-		}
-		if prev, ok := batchID[u.Name]; ok && prev != u.ID {
-			return fmt.Errorf("eta2: user name %q given to both %d and %d in one batch", u.Name, prev, u.ID)
-		}
-		batchName[u.ID], batchID[u.Name] = u.Name, u.ID
-	}
-	return nil
-}
-
-// applyAddUsers registers a journaled batch. Names are write-once (renames
-// were refused by prepareAddUsers) and replay applies the same merge, so
-// live and recovered state agree.
-func (s *Server) applyAddUsers(tx *rcu.Tx[serverState], _ journaled, users []User) {
-	tx.W.persisted = cloneUsersWith(tx.W.persisted, users)
+	tx.W.ApplyAddUsers(j, users)
+	return j.LSN(), nil
 }
 
 // AddUsersByName registers users by external string name, assigning dense
@@ -330,34 +267,21 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 	if len(names) == 0 {
 		return nil, s.writable()
 	}
-	ids := make([]UserID, len(names))
+	var batch []User
 	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
-		nextID := tx.W.nextUserID
-		batch := make([]User, len(names))
-		var fresh map[string]UserID // names first seen in this batch
-		for i, name := range names {
-			if name == "" {
-				return 0, nil, errors.New("eta2: empty user name")
-			}
-			if id, ok := tx.W.userByName[name]; ok {
-				ids[i] = id
-			} else if id, dup := fresh[name]; dup {
-				ids[i] = id
-			} else {
-				if fresh == nil {
-					fresh = make(map[string]UserID, len(names)) //eta2:allocdiscipline-ok registration path, not per-observation ingest
-				}
-				ids[i] = nextID
-				fresh[name] = nextID
-				nextID++
-			}
-			batch[i] = User{ID: ids[i], Capacity: capacity, Name: name}
+		var err error
+		if batch, err = tx.W.NameUsers(capacity, names); err != nil {
+			return 0, nil, err
 		}
 		lsn, err := s.addUsers(tx, batch)
 		return lsn, nil, err
 	})
 	if err != nil {
 		return nil, err
+	}
+	ids := make([]UserID, len(batch))
+	for i, u := range batch {
+		ids[i] = u.ID
 	}
 	return ids, nil
 }
@@ -366,8 +290,7 @@ func (s *Server) AddUsersByName(capacity float64, names ...string) ([]UserID, er
 // AddUsersByName or a named AddUsers batch) in the published state, so a
 // name resolves only once its user is registered there. It is lock-free.
 func (s *Server) ResolveUser(name string) (UserID, bool) {
-	id, ok := s.st.Load().userByName[name]
-	return id, ok
+	return s.st.Load().ResolveUser(name)
 }
 
 // UserName returns the external name bound to a user id, or "" when the
@@ -375,21 +298,17 @@ func (s *Server) ResolveUser(name string) (UserID, bool) {
 // name index: downstream state keys on dense ids only, and the string
 // form is recovered here. Lock-free.
 func (s *Server) UserName(id UserID) string {
-	st := s.st.Load()
-	if i, ok := st.userPos[id]; ok {
-		return st.users[i].Name
-	}
-	return ""
+	return s.st.Load().UserName(id)
 }
 
 // NumUsers returns the number of registered users.
 func (s *Server) NumUsers() int {
-	return len(s.st.Load().users)
+	return s.st.Load().Counts().Users
 }
 
 // ErrNoEmbedder is returned when a described task is created on a server
 // built without WithEmbedder.
-var ErrNoEmbedder = errors.New("eta2: described tasks require WithEmbedder; set DomainHint otherwise")
+var ErrNoEmbedder = state.ErrNoEmbedder
 
 // CreateTasks registers new tasks and identifies their expertise domains:
 // hinted tasks adopt their hint, described tasks are vectorized with the
@@ -401,16 +320,16 @@ func (s *Server) CreateTasks(specs ...TaskSpec) ([]TaskID, error) {
 	}
 	var ids []TaskID
 	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
-		b, err := s.prepareCreateTasks(tx, specs)
+		b, err := tx.W.PrepareCreateTasks(specs)
 		if err != nil {
 			return 0, nil, err
 		}
-		j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventCreateTasks, Specs: specs}))
-		if err != nil {
+		j, err := state.Append(tx.W.journal, state.EncodeEvent(nil, state.Event{Kind: state.EventCreateTasks, Specs: specs}))
+		if err = journaled(tx, j.LSN(), err); err != nil {
 			return 0, nil, err
 		}
-		ids, err = s.applyCreateTasks(tx, j, b)
-		return j.lsn, nil, err
+		ids, err = tx.W.ApplyCreateTasks(j, b)
+		return j.LSN(), nil, err
 	})
 	if err != nil {
 		return nil, err
@@ -418,95 +337,9 @@ func (s *Server) CreateTasks(specs ...TaskSpec) ([]TaskID, error) {
 	return ids, nil
 }
 
-// taskBatch is a prepared create_tasks batch and its described tasks' vectors.
-type taskBatch struct {
-	tasks     []core.Task
-	described []TaskID
-	vectors   []semantic.TaskVector
-}
-
-// prepareCreateTasks validates every spec and vectorizes the described ones
-// without touching server state, numbering the tasks from the working task
-// count: the batch is applied in the same Write.
-func (s *Server) prepareCreateTasks(tx *rcu.Tx[serverState], specs []TaskSpec) (taskBatch, error) {
-	b := taskBatch{tasks: make([]core.Task, 0, len(specs))}
-	for i, spec := range specs {
-		t := core.Task{
-			ID:          TaskID(len(tx.W.tasks) + i),
-			Description: spec.Description,
-			Domain:      spec.DomainHint,
-			ProcTime:    spec.ProcTime,
-			Cost:        spec.Cost,
-			Day:         tx.W.day,
-		}
-		if t.Cost == 0 { //eta2:floatcmp-ok exact zero is the unset-field sentinel, never a computed value
-			t.Cost = 1
-		}
-		if err := t.Validate(); err != nil {
-			return b, fmt.Errorf("eta2: %w", err)
-		}
-		if spec.DomainHint == DomainNone {
-			tv, err := s.domains.Vectorize(spec.Description)
-			if errors.Is(err, loop.ErrNoEmbedder) {
-				return b, ErrNoEmbedder
-			}
-			if err != nil {
-				return b, fmt.Errorf("eta2: %w", err)
-			}
-			b.described, b.vectors = append(b.described, t.ID), append(b.vectors, tv)
-		}
-		b.tasks = append(b.tasks, t)
-	}
-	return b, nil
-}
-
-// applyCreateTasks appends a journaled batch and identifies its described
-// tasks' domains. Identify cannot fail here: every vector came from this
-// identifier's own embedder, whose dimension RestoreDomains held saved ones to.
-func (s *Server) applyCreateTasks(tx *rcu.Tx[serverState], _ journaled, b taskBatch) ([]TaskID, error) {
-	// domainOf is an append-only column: readers hold a published header
-	// that ends before this batch, so the batch's hints (DomainNone for a
-	// described task, until Identify below) are appended in place.
-	ids := make([]TaskID, len(b.tasks))
-	for i, t := range b.tasks {
-		tx.W.domainOf = append(tx.W.domainOf, t.Domain)
-		ids[i] = t.ID
-	}
-	tx.W.domainCount = new(atomic.Int64) // of the column as this batch leaves it
-	tx.W.tasks = append(tx.W.tasks, b.tasks...)
-	tx.W.pending = append(tx.W.pending, ids...)
-
-	if len(b.described) > 0 {
-		// Identify writes every described task's domain, and a merge moves
-		// OLD tasks, whose entries are published: it works on a copy of the
-		// column. The published state shares the store too: merges fold
-		// into a clone. Both are swapped in below.
-		domainOf := slices.Clone(tx.W.domainOf)
-		var merged *truth.Store
-		up, err := s.domains.Identify(b.described, b.vectors, domainOf, func(into, from DomainID) {
-			if merged == nil {
-				merged = tx.W.store.Clone()
-			}
-			merged.MergeDomains(into, from)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("eta2: clustering: %w", err)
-		}
-		tx.W.domainOf = domainOf
-		if merged != nil {
-			tx.W.store = merged
-		}
-		ds := s.domains.State()
-		tx.W.cluster = &ds
-		tx.W.lastNewDomains = append(tx.W.lastNewDomains, up.NewDomains...)
-		tx.W.lastMerges += len(up.Merges)
-	}
-	return ids, nil
-}
-
 // Domain returns the expertise domain assigned to a task.
 func (s *Server) Domain(id TaskID) DomainID {
-	return s.st.Load().domain(id)
+	return s.st.Load().Domain(id)
 }
 
 // NumDomains returns the number of discovered domains (clustered servers
@@ -514,17 +347,17 @@ func (s *Server) Domain(id TaskID) DomainID {
 // computed at most once per published snapshot — repeat reads against the
 // same snapshot are allocation-free.
 func (s *Server) NumDomains() int {
-	return s.st.Load().numDomains()
+	return s.st.Load().NumDomains()
 }
 
 // ExpertiseInDomain returns the learned expertise of user u in a domain.
 func (s *Server) ExpertiseInDomain(u UserID, d DomainID) float64 {
-	return s.st.Load().store.Expertise(u, d)
+	return s.st.Load().Expertise(u, d)
 }
 
 // ErrNothingToAllocate is returned when allocation is requested with no
 // pending tasks or no users.
-var ErrNothingToAllocate = errors.New("eta2: no pending tasks or no users to allocate")
+var ErrNothingToAllocate = state.ErrNothingToAllocate
 
 // AllocateMaxQuality solves the max-quality allocation problem for the pending
 // tasks: maximize the probability that each task receives accurate data,
@@ -532,14 +365,10 @@ var ErrNothingToAllocate = errors.New("eta2: no pending tasks or no users to all
 func (s *Server) AllocateMaxQuality() (*Allocation, error) {
 	var a *Allocation
 	err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
-		if len(tx.W.pending) == 0 || len(tx.W.users) == 0 {
-			return 0, nil, ErrNothingToAllocate
+		var err error
+		if a, err = tx.W.AllocateMaxQuality(s.cfg.parallelism); err != nil {
+			return 0, nil, err
 		}
-		res, err := allocation.MaxQuality(tx.W.allocationInput(s.cfg.parallelism), allocation.MaxQualityOptions{})
-		if err != nil {
-			return 0, nil, fmt.Errorf("eta2: %w", err)
-		}
-		a = res.Allocation
 		return s.journalAllocation(tx, a)
 	})
 	if err != nil {
@@ -551,8 +380,8 @@ func (s *Server) AllocateMaxQuality() (*Allocation, error) {
 // journalAllocation journals an allocation's pairs, an audit record:
 // allocation itself does not mutate the server.
 func (s *Server) journalAllocation(tx *rcu.Tx[serverState], a *Allocation) (uint64, *trace.Span, error) {
-	j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventAllocate, Pairs: a.Pairs}))
-	return j.lsn, nil, err
+	j, err := state.Append(tx.W.journal, state.EncodeEvent(nil, state.Event{Kind: state.EventAllocate, Pairs: a.Pairs}))
+	return j.LSN(), nil, journaled(tx, j.LSN(), err)
 }
 
 // MinCostParams parameterizes AllocateMinCost.
@@ -584,26 +413,23 @@ func (s *Server) AllocateMinCost(params MinCostParams, collect Collector) (MinCo
 	if err := s.writable(); err != nil {
 		return MinCostOutcome{}, err
 	}
-	st := s.st.Load()
-	if len(st.pending) == 0 || len(st.users) == 0 {
-		return MinCostOutcome{}, ErrNothingToAllocate
+	var submit func(pairs []Pair) ([]Observation, error)
+	if collect != nil {
+		submit = func(pairs []Pair) ([]Observation, error) {
+			obs, err := collect(pairs)
+			if err == nil {
+				err = s.SubmitObservations(obs...)
+			}
+			return obs, err
+		}
 	}
-	if collect == nil {
-		return MinCostOutcome{}, errors.New("eta2: nil collector")
-	}
-	res, err := loop.MinCost(st.allocationInput(s.cfg.parallelism), allocation.MinCostConfig{
+	res, err := s.st.Load().MinCost(allocation.MinCostConfig{
 		EpsBar:     params.EpsBar,
 		Alpha:      params.ConfAlpha,
 		IterBudget: params.IterBudget,
-	}, st.store, st.domainOf, s.cfg.truthConfig(), func(pairs []Pair) ([]Observation, error) {
-		obs, err := collect(pairs)
-		if err == nil {
-			err = s.SubmitObservations(obs...)
-		}
-		return obs, err
-	})
+	}, s.cfg.parallelism, submit)
 	if err != nil {
-		return MinCostOutcome{}, fmt.Errorf("eta2: %w", err)
+		return MinCostOutcome{}, err
 	}
 	if err := s.write(nil, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
 		return s.journalAllocation(tx, res.Allocation)
@@ -635,14 +461,15 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	t := trace.FromContext(ctx)
 	st := s.st.Load()
 	enc := t.StartSpan(trace.SpanEncode)
-	if err := checkObservations(obs, len(st.tasks), st.userPos); err != nil {
+	if err := st.CheckObservations(obs); err != nil {
 		enc.End()
 		return err
 	}
 	// Stamp and encode into pooled scratch before the Write: zero-alloc at
 	// steady state (TestIngestJournalPathZeroAlloc).
+	day := st.Day()
 	eb := obsEventPool.Get().(*obsEventBuf)
-	eb.encode(obs, st.day)
+	eb.encode(obs, day)
 	enc.End()
 
 	app := t.StartSpan(trace.SpanJournalAppend)
@@ -651,10 +478,11 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 		defer obsEventPool.Put(eb)
 		// Tasks and users only grow, so the validation above still holds,
 		// but a concurrent CloseTimeStep may have advanced the clock.
-		if tx.W.day != st.day {
-			eb.encode(obs, tx.W.day)
+		if now := tx.W.Day(); now != day {
+			eb.encode(obs, now)
 		}
-		j, err := s.journalBuffered(tx, eb.b)
+		j, err := state.Append(tx.W.journal, eb.b)
+		err = journaled(tx, j.LSN(), err)
 		app.End()
 		if err != nil {
 			return 0, nil, err
@@ -663,9 +491,10 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 		// span (ended in journalCommit) opens before the publish.
 		fsync := t.StartSpan(trace.SpanFsyncWait)
 		pub := t.StartSpan(trace.SpanPublish)
-		s.applyObservations(tx, j, eb.obs)
+		tx.W.ApplyObservations(j, eb.obs)
+		mObsAccepted.Add(uint64(len(eb.obs)))
 		pub.End()
-		return j.lsn, fsync, nil
+		return j.LSN(), fsync, nil
 	}); err != nil {
 		return err
 	}
@@ -673,36 +502,9 @@ func (s *Server) SubmitObservationsContext(ctx context.Context, obs ...Observati
 	return nil
 }
 
-// applyObservations appends a journaled batch to the open day as it was
-// journaled, day stamps included.
-func (s *Server) applyObservations(tx *rcu.Tx[serverState], _ journaled, obs []Observation) {
-	tx.W.observations = append(tx.W.observations, obs...)
-	mObsAccepted.Add(uint64(len(obs)))
-}
-
-// checkObservations refuses a batch that names a task or a user the server
-// does not hold, or reports a value that is not a finite number. Every
-// observation passes it before it is journaled, so the close that estimates
-// it can index the per-task columns by its task id, and one NaN cannot
-// become the truth of its task and the expertise of everyone who reported it.
-func checkObservations(obs []Observation, numTasks int, users map[UserID]int32) error {
-	for _, o := range obs {
-		if int(o.Task) < 0 || int(o.Task) >= numTasks {
-			return fmt.Errorf("eta2: observation for unknown task %d", o.Task)
-		}
-		if _, ok := users[o.User]; !ok {
-			return fmt.Errorf("eta2: observation from unknown user %d", o.User)
-		}
-		if !core.Finite(o.Value) {
-			return fmt.Errorf("eta2: observation of task %d by user %d is not a finite value: %g", o.Task, o.User, o.Value)
-		}
-	}
-	return nil
-}
-
 // ErrNoObservations is returned by CloseTimeStep when nothing was
 // submitted.
-var ErrNoObservations = errors.New("eta2: no observations submitted this time step")
+var ErrNoObservations = state.ErrNoObservations
 
 // CloseTimeStep runs expertise-aware truth analysis over the observations
 // submitted since the previous step, commits the expertise update, clears
@@ -721,22 +523,25 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	var report StepReport
 	lsn, fsync, err := s.writeBuffered(t, func(tx *rcu.Tx[serverState]) (uint64, *trace.Span, error) {
 		est := t.StartSpan(trace.SpanTruthEstimate)
-		step, err := tx.W.estimateStep(s.cfg.truthConfig())
+		step, err := tx.W.EstimateStep(s.cfg.parallelism)
 		est.End()
 		if err != nil {
 			return 0, nil, err
 		}
 		app := t.StartSpan(trace.SpanJournalAppend)
-		j, err := s.journalBuffered(tx, encodeEvent(nil, walEvent{Kind: eventCloseStep}))
+		j, err := state.Append(tx.W.journal, state.EncodeEvent(nil, state.Event{Kind: state.EventCloseStep}))
+		err = journaled(tx, j.LSN(), err)
 		app.End()
 		if err != nil {
 			return 0, nil, err
 		}
 		fsync := t.StartSpan(trace.SpanFsyncWait) // the wait begins at the append; ended by journalCommit
 		pub := t.StartSpan(trace.SpanPublish)
-		report = s.applyClose(tx, j, step)
+		report = tx.W.ApplyClose(j, step)
+		mStepsClosed.Inc()
+		s.compactIfOwed(tx)
 		pub.End()
-		return j.lsn, fsync, nil
+		return j.LSN(), fsync, nil
 	})
 	if err != nil {
 		return StepReport{}, err
@@ -757,49 +562,12 @@ func (s *Server) CloseTimeStepContext(ctx context.Context) (StepReport, error) {
 	return report, nil
 }
 
-// applyClose commits a journaled close: the estimate's store and truths are
-// swapped in, the day's pending state is cleared and the clock advances.
-func (s *Server) applyClose(tx *rcu.Tx[serverState], _ journaled, step stepEstimate) StepReport {
-	tx.W.store = step.store
-	report := StepReport{
-		Day:           tx.W.day,
-		MLEIterations: step.res.Iterations,
-		Converged:     step.res.Converged,
-		NewDomains:    tx.W.lastNewDomains,
-		MergedDomains: tx.W.lastMerges,
-	}
-	tx.W.lastNewDomains, tx.W.lastMerges = nil, 0
-	// Readers hold the published truths column and a close may re-estimate
-	// an old task, so the step's estimates land in a copy that reaches
-	// every task, swapped in with the cloned store.
-	truths := make([]TruthEstimate, len(tx.W.tasks))
-	copy(truths, tx.W.truths)
-	for _, tid := range step.table.Tasks() {
-		est := TruthEstimate{
-			Task:         tid,
-			Value:        step.res.Mu[tid],
-			Base:         step.res.Sigma[tid],
-			Observations: len(step.table.ForTask(tid)),
-		}
-		truths[tid] = est
-		report.Estimates = append(report.Estimates, est)
-	}
-	tx.W.truths = truths
-
-	tx.W.observations = nil
-	tx.W.pending = nil
-	tx.W.day++
-	mStepsClosed.Inc()
-	s.compactIfOwed(tx)
-	return report
-}
-
 // Truth returns the latest truth estimate for a task.
 func (s *Server) Truth(id TaskID) (TruthEstimate, bool) {
-	return s.st.Load().truth(id)
+	return s.st.Load().Truth(id)
 }
 
 // Day returns the server's current time-step index.
 func (s *Server) Day() int {
-	return s.st.Load().day
+	return s.st.Load().Day()
 }

@@ -110,7 +110,7 @@ func TestAddUsersByNameAssignsNextID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopted.adoptRestored(restored, 0)
+	adopted.adoptRestored(restored.st.Load().State, 0)
 	for _, srv := range []*Server{s, replayed, loaded, adopted} {
 		byName(srv, []UserID{41, 1, 42}, "g", "b", "h")
 	}
@@ -476,7 +476,7 @@ func TestMinCostCollectorDoesNotStallWriters(t *testing.T) {
 	if got := s.NumUsers(); got != 4 {
 		t.Errorf("%d users after the round, want 4", got)
 	}
-	if got := len(s.st.Load().observations); got != collected+1 {
+	if got := s.st.Load().Counts().Observations; got != collected+1 {
 		t.Errorf("%d observations in the open day, want the %d collected and the concurrent one", got, collected)
 	}
 	want := saveBytes(t, s)

@@ -3,18 +3,11 @@ package eta2
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"eta2/internal/dataset"
-	"eta2/internal/embedding"
-	"eta2/internal/rcu"
-	"eta2/internal/truth"
 )
 
 // TestLockFreeReadsDuringDurableStorm is the acceptance test for the
@@ -190,213 +183,18 @@ func TestServerDeclaresNoStateField(t *testing.T) {
 	}
 }
 
-// frozenView is what one published serverState answered, for every task it
-// holds, the first time it was asked, a copy of the rows its expertise
-// store had then, and the snapshot it encoded to then — which reads every
-// container the state shares with the writer.
-type frozenView struct {
-	st      *serverState
-	domains []DomainID
-	truths  []TruthEstimate
-	known   []bool
-	store   []truth.StoreEntry
-	encoded []byte
-}
-
+// encodedState is the snapshot st encodes to.
 func encodedState(st *serverState) []byte {
 	var buf bytes.Buffer
-	if err := encodeStateBinary(&buf, st); err != nil {
+	if err := st.Encode(&buf); err != nil {
 		panic(err) // a bytes.Buffer does not fail
 	}
 	return buf.Bytes()
-}
-
-func viewOf(st *serverState) frozenView {
-	v := frozenView{st: st, store: slices.Clone(st.store.State().Entries), encoded: encodedState(st)}
-	for id := range st.tasks {
-		est, ok := st.truth(TaskID(id))
-		v.domains, v.truths, v.known = append(v.domains, st.domain(TaskID(id))), append(v.truths, est), append(v.known, ok)
-	}
-	return v
-}
-
-// check re-reads the state and reports the first answer that moved.
-func (v frozenView) check() error {
-	where := fmt.Sprintf("state at LSN %d, day %d, with %d users and %d tasks", v.st.lastLSN, v.st.day, len(v.st.users), len(v.st.tasks))
-	for i := range v.domains {
-		id := TaskID(i)
-		if d := v.st.domain(id); d != v.domains[i] {
-			return fmt.Errorf("%s: domain of task %d was %d, now reads %d", where, id, v.domains[i], d)
-		}
-		if est, ok := v.st.truth(id); est != v.truths[i] || ok != v.known[i] {
-			return fmt.Errorf("%s: truth of task %d was %+v/%v, now reads %+v/%v", where, id, v.truths[i], v.known[i], est, ok)
-		}
-	}
-	if now := v.st.store.State().Entries; !slices.Equal(now, v.store) {
-		return fmt.Errorf("%s: its expertise store held %v, now holds %v", where, v.store, now)
-	}
-	if !bytes.Equal(encodedState(v.st), v.encoded) {
-		return fmt.Errorf("%s: it no longer encodes to the snapshot it encoded to first", where)
-	}
-	return nil
-}
-
-// TestPublishedColumnsStayFrozen holds the published state to DESIGN §11
-// rule 2 from the reader's side: a reader that loaded a serverState keeps
-// getting the answers it got first, for every task it holds, and the
-// snapshot it encoded first, byte for byte, while the writer registers users
-// (new ids, ids out of order, a new capacity for a registered one), appends
-// hinted tasks in place, runs described creates whose clustering moves old
-// tasks (the golden server's script merges two established domains in its
-// third batch), takes submits, and closes steps that re-estimate a task of
-// an earlier day — and the same for the rows of the
-// state's expertise store, which those closes decay and add to and those
-// merges fold. The writer's own goroutine also holds the state published
-// after every mutation, so the check does not depend on how the readers
-// were scheduled; under -race, a writer that stored below a published
-// header is a reported race as well.
-func TestPublishedColumnsStayFrozen(t *testing.T) {
-	s, err := NewServer(WithEmbedder(embedding.NewHashEmbedder(16, 7)), WithAlpha(0.7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := make([]User, 10)
-	for i := range users {
-		users[i] = User{ID: UserID(i), Capacity: 8}
-	}
-	if err := s.AddUsers(users...); err != nil {
-		t.Fatal(err)
-	}
-
-	// Spare capacity, so that no append of the script reallocates a
-	// column: only the copy a writer makes keeps a published prefix frozen.
-	_ = s.st.Write(func(tx *rcu.Tx[serverState]) error {
-		tx.W.domainOf = slices.Grow(tx.W.domainOf, 256)
-		tx.W.users = slices.Grow(tx.W.users, 64)
-		return nil
-	})
-
-	done := make(chan struct{})
-	errc := make(chan error, 4)
-	var wg sync.WaitGroup
-	var ready sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func() {
-			defer wg.Done()
-			var held []frozenView
-			verify := func() error {
-				for _, v := range held {
-					if err := v.check(); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			for running := true; running; {
-				select {
-				case <-done:
-					running = false
-				default:
-				}
-				if st := s.st.Load(); len(held) == 0 || held[len(held)-1].st != st {
-					held = append(held, viewOf(st))
-					if len(held) == 1 {
-						ready.Done()
-					}
-				}
-				if err := verify(); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	ready.Wait()
-
-	var held []frozenView
-	hold := func() { held = append(held, viewOf(s.st.Load())) }
-	described := dataset.SurveyLike(11).Tasks
-	rng := rand.New(rand.NewSource(9))
-	merges := 0
-	for day := 0; day < 3; day++ {
-		// Ids descending from day to day, one of them named, then a batch
-		// that registers nobody and changes user 0.
-		if err := s.AddUsers(User{ID: UserID(40 - day), Capacity: 4}, User{ID: UserID(30 - day), Capacity: 4, Name: fmt.Sprint("u", 30-day)}); err != nil {
-			t.Fatal(err)
-		}
-		hold()
-		if err := s.AddUsers(User{ID: 0, Capacity: 9 + float64(day)}); err != nil {
-			t.Fatal(err)
-		}
-		hold()
-		if _, err := s.CreateTasks(TaskSpec{ProcTime: 1, DomainHint: 40}, TaskSpec{ProcTime: 1, DomainHint: 41}); err != nil {
-			t.Fatal(err)
-		}
-		hold()
-		var specs []TaskSpec
-		for _, task := range described[day*20 : (day+1)*20] {
-			specs = append(specs, TaskSpec{Description: task.Description, ProcTime: 1})
-		}
-		if _, err := s.CreateTasks(specs...); err != nil {
-			t.Fatal(err)
-		}
-		hold()
-		alloc, err := s.AllocateMaxQuality()
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs := []Observation{{Task: 0, User: UserID(day), Value: 3}, {Task: 2, User: UserID(day), Value: 6}} // tasks of day 0, every day
-		for _, p := range alloc.Pairs {
-			obs = append(obs, Observation{Task: p.Task, User: p.User, Value: float64(p.Task%7)*3 + rng.NormFloat64()/(1+float64(p.User))})
-		}
-		if err := s.SubmitObservations(obs...); err != nil {
-			t.Fatal(err)
-		}
-		hold()
-		rep, err := s.CloseTimeStep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		merges += rep.MergedDomains
-		hold()
-	}
-	close(done)
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	for _, v := range held {
-		if err := v.check(); err != nil {
-			t.Error(err)
-		}
-	}
-
-	// The script must have reached the paths that change old entries.
-	if merges == 0 {
-		t.Error("no established domains merged: no described create moved an old task")
-	}
-	moved, reestimated, folded, updated := false, false, false, false
-	final := viewOf(s.st.Load())
-	for i, v := range held {
-		for k := range v.domains {
-			moved = moved || v.domains[k] != DomainNone && v.domains[k] != final.domains[k]
-			reestimated = reestimated || v.known[k] && v.truths[k] != final.truths[k]
-		}
-		// A create publishes a store of its own only when it merged domains.
-		folded = folded || i > 0 && v.st.day == held[i-1].st.day && len(v.store) < len(held[i-1].store)
-		updated = updated || v.st.users[0] != final.st.users[0]
-	}
-	if !moved || !reestimated || !folded || !updated {
-		t.Errorf("held states never differ (domain moved: %v, truth re-estimated: %v, store rows folded by a create: %v, registered user changed: %v): nothing was at stake", moved, reestimated, folded, updated)
-	}
 }
 
 // Expertise returns the learned expertise of user u for task t (via the
 // task's domain); unobserved pairs read truth.DefaultExpertise.
 func (s *Server) Expertise(u UserID, t TaskID) float64 {
 	st := s.st.Load()
-	return st.store.Expertise(u, st.domain(t))
+	return st.Expertise(u, st.Domain(t))
 }

@@ -8,11 +8,9 @@ import (
 	"eta2lint/internal/multichecker"
 	"eta2lint/passes/allocdiscipline"
 	"eta2lint/passes/floatcmp"
-	"eta2lint/passes/journalfirst"
 	"eta2lint/passes/lockdiscipline"
 	"eta2lint/passes/maprange"
 	"eta2lint/passes/replaypurity"
-	"eta2lint/passes/snapshotimmutability"
 	"eta2lint/passes/spandiscipline"
 )
 
@@ -20,11 +18,9 @@ func main() {
 	os.Exit(multichecker.Main(
 		maprange.Analyzer,
 		lockdiscipline.Analyzer,
-		journalfirst.Analyzer,
 		floatcmp.Analyzer,
 		allocdiscipline.Analyzer,
 		spandiscipline.Analyzer,
 		replaypurity.Analyzer,
-		snapshotimmutability.Analyzer,
 	))
 }

@@ -25,27 +25,3 @@ func RCUArg(t types.Type, name string) types.Type {
 	}
 	return n.TypeArgs().At(0)
 }
-
-// PublishedType finds the type of pkg that holds an rcu.Cell of a struct
-// type — the server — and that struct type, the server's one declaration of
-// its state, where the passes that know the state's shape read it. Both are
-// nil if no type of pkg holds one.
-func PublishedType(pkg *types.Package) (owner, state *types.Named) {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, _ := scope.Lookup(name).(*types.TypeName)
-		if tn == nil {
-			continue
-		}
-		o, _ := tn.Type().(*types.Named)
-		fields, ok := tn.Type().Underlying().(*types.Struct)
-		for i := 0; o != nil && ok && i < fields.NumFields(); i++ {
-			if t, _ := RCUArg(fields.Field(i).Type(), "Cell").(*types.Named); t != nil {
-				if _, isStruct := t.Underlying().(*types.Struct); isStruct {
-					return o, t
-				}
-			}
-		}
-	}
-	return nil, nil
-}

@@ -1,13 +1,12 @@
 // Package callgraph builds per-function effect summaries and a
-// cross-package call graph for the inter-procedural analyzers
-// (replaypurity, snapshotimmutability).
+// cross-package call graph for replaypurity, the inter-procedural analyzer.
 //
 // Each package's analysis produces a Summary: for every function declared
-// in the package, the nondeterministic effects it performs directly, the
+// in the package, the nondeterministic effects it performs directly and the
 // calls it makes (keyed by types.Func.FullName, so names are stable
-// across compilation units), and the parameter positions it writes
-// through. The Summary is exported as an analysis fact; when a dependent
-// package is analyzed, the summaries of its imports are merged back in —
+// across compilation units). The Summary is exported as an analysis fact;
+// when a dependent package is analyzed, the summaries of its imports are
+// merged back in —
 // and re-exported — so every package's fact blob is self-contained for
 // its whole transitive dependency cone. That is what lets `go vet
 // -vettool` runs, which analyze one compilation unit at a time, compose
@@ -67,34 +66,15 @@ type Effect struct {
 
 // Call is one (potential) call edge out of a function.
 type Call struct {
-	Callee string `json:"callee"` // types.Func.FullName of the target
-	Pos    string `json:"pos"`
-	// ArgParams maps callee parameter index -> caller parameter index for
-	// arguments rooted at the caller's own parameters (index 0 is the
-	// receiver when the function is a method; plain parameters follow).
-	// It is how write-through-parameter facts propagate up call chains.
-	ArgParams map[int]int `json:"arg_params,omitempty"`
-	TokPos    token.Pos   `json:"-"`
+	Callee string    `json:"callee"` // types.Func.FullName of the target
+	Pos    string    `json:"pos"`
+	TokPos token.Pos `json:"-"`
 }
 
 // FuncSummary is the per-function analysis fact.
 type FuncSummary struct {
 	Effects []Effect `json:"effects,omitempty"`
 	Calls   []Call   `json:"calls,omitempty"`
-	// ParamWrites lists the parameter indices (0 = receiver) the function
-	// writes through — a store to a map element, slice element, or field
-	// reachable by dereferencing that parameter, directly or via a callee.
-	ParamWrites []int `json:"param_writes,omitempty"`
-}
-
-// WritesParam reports whether the summary writes through parameter i.
-func (fs *FuncSummary) WritesParam(i int) bool {
-	for _, p := range fs.ParamWrites {
-		if p == i {
-			return true
-		}
-	}
-	return false
 }
 
 // Summary is one package's exported fact: the merged summaries of the
@@ -118,8 +98,8 @@ type Graph struct {
 }
 
 // Analyze builds the package's call graph, merges the summaries of every
-// import (read from analysis facts), runs the write-through-parameter
-// fixpoint, and exports the merged summary as this package's fact.
+// import (read from analysis facts), and exports the merged summary as this
+// package's fact.
 func Analyze(pass *analysis.Pass) (*Graph, error) {
 	merged := &Summary{
 		Funcs: make(map[string]*FuncSummary),
@@ -164,16 +144,11 @@ func Analyze(pass *analysis.Pass) (*Graph, error) {
 				merged.Funcs[name] = &FuncSummary{}
 				continue
 			}
-			merged.Funcs[name] = buildSummary(pass, fd, obj)
+			merged.Funcs[name] = buildSummary(pass, fd)
 		}
 	}
 
 	bindLocalTypes(pass, merged)
-	propagateParamWrites(merged, g.LocalDecls)
-
-	for _, fs := range merged.Funcs {
-		sort.Ints(fs.ParamWrites)
-	}
 	for iface := range merged.Binds {
 		sort.Strings(merged.Binds[iface])
 	}
@@ -199,35 +174,18 @@ type builder struct {
 	pass    *analysis.Pass
 	fs      *FuncSummary
 	fnName  string              // bare function name, for the sortedKeys exemption
-	params  map[*types.Var]int  // receiver/parameter object -> index (0 = receiver)
 	callees map[*ast.Ident]bool // idents already consumed as direct callees
 }
 
-func buildSummary(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func) *FuncSummary {
+func buildSummary(pass *analysis.Pass, fd *ast.FuncDecl) *FuncSummary {
 	b := &builder{
 		pass:    pass,
 		fs:      &FuncSummary{},
 		fnName:  fd.Name.Name,
-		params:  paramIndex(obj),
 		callees: make(map[*ast.Ident]bool),
 	}
 	b.walk(fd.Body)
 	return b.fs
-}
-
-// paramIndex assigns each receiver/parameter object its summary index.
-func paramIndex(obj *types.Func) map[*types.Var]int {
-	sig := obj.Type().(*types.Signature)
-	idx := make(map[*types.Var]int)
-	n := 0
-	if recv := sig.Recv(); recv != nil {
-		idx[recv] = 0
-		n = 1
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		idx[sig.Params().At(i)] = n + i
-	}
-	return idx
 }
 
 func (b *builder) walk(body ast.Node) {
@@ -248,12 +206,6 @@ func (b *builder) walk(body ast.Node) {
 			b.rangeStmt(n)
 		case *ast.CallExpr:
 			b.call(n)
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				b.paramWrite(lhs)
-			}
-		case *ast.IncDecStmt:
-			b.paramWrite(n.X)
 		case *ast.Ident:
 			b.reference(n)
 		}
@@ -291,20 +243,8 @@ func (b *builder) rangeStmt(rs *ast.RangeStmt) {
 }
 
 // call handles a call expression: a known nondeterminism source becomes
-// an effect, anything else a call edge with its argument-to-parameter
-// aliasing recorded.
+// an effect, anything else a call edge.
 func (b *builder) call(call *ast.CallExpr) {
-	// delete/copy are the builtins that mutate their first argument.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := b.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-			if (id.Name == "delete" || id.Name == "copy") && len(call.Args) > 0 {
-				if idx, ok := b.paramRoot(call.Args[0]); ok {
-					b.addParamWrite(idx)
-				}
-			}
-			return
-		}
-	}
 	callee := Callee(b.pass.TypesInfo, call)
 	if callee == nil {
 		return // dynamic call through a function value; the reference edge covers named targets
@@ -322,7 +262,7 @@ func (b *builder) call(call *ast.CallExpr) {
 	if callee.Pkg() == nil {
 		return // error.Error and friends from the universe scope
 	}
-	b.edge(callee, call.Pos(), b.argParams(call, callee))
+	b.edge(callee, call.Pos())
 }
 
 // reference records a potential call edge for a function or method used
@@ -342,141 +282,15 @@ func (b *builder) reference(id *ast.Ident) {
 		b.effect(kind, detail+" (via function value)", id.Pos())
 		return
 	}
-	b.edge(fn, id.Pos(), nil)
+	b.edge(fn, id.Pos())
 }
 
-func (b *builder) edge(callee *types.Func, pos token.Pos, argParams map[int]int) {
+func (b *builder) edge(callee *types.Func, pos token.Pos) {
 	b.fs.Calls = append(b.fs.Calls, Call{
-		Callee:    callee.FullName(),
-		Pos:       shortPos(b.pass.Fset, pos),
-		ArgParams: argParams,
-		TokPos:    pos,
+		Callee: callee.FullName(),
+		Pos:    shortPos(b.pass.Fset, pos),
+		TokPos: pos,
 	})
-}
-
-// argParams maps callee parameter indices to caller parameter indices
-// for arguments rooted at the caller's own parameters.
-func (b *builder) argParams(call *ast.CallExpr, callee *types.Func) map[int]int {
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var out map[int]int
-	record := func(calleeIdx int, arg ast.Expr) {
-		if callerIdx, ok := b.paramRoot(arg); ok {
-			if out == nil {
-				out = make(map[int]int)
-			}
-			out[calleeIdx] = callerIdx
-		}
-	}
-	n := 0
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			record(0, sel.X)
-		}
-		n = 1
-	}
-	for i, arg := range call.Args {
-		calleeIdx := i
-		if last := sig.Params().Len() - 1; calleeIdx > last {
-			if last < 0 {
-				break
-			}
-			calleeIdx = last // variadic tail folds onto the last parameter
-		}
-		record(n+calleeIdx, arg)
-	}
-	return out
-}
-
-// paramWrite records a write through one of the function's own
-// parameters: the left-hand side dereferences (map/slice index, pointer
-// field, explicit *p) a chain rooted at a parameter. Rebinding the
-// parameter variable itself is not a write-through.
-func (b *builder) paramWrite(lhs ast.Expr) {
-	root, derefs := derefRoot(b.pass.TypesInfo, lhs)
-	if root == nil || derefs == 0 {
-		return
-	}
-	if idx, ok := b.lookupParam(root); ok {
-		b.addParamWrite(idx)
-	}
-}
-
-func (b *builder) addParamWrite(idx int) {
-	if !b.fs.WritesParam(idx) {
-		b.fs.ParamWrites = append(b.fs.ParamWrites, idx)
-	}
-}
-
-// paramRoot resolves an expression to the caller parameter it is rooted
-// at, peeling selectors, indexes, derefs, and address-of.
-func (b *builder) paramRoot(e ast.Expr) (int, bool) {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return 0, false
-			}
-			e = x.X
-		case *ast.Ident:
-			return b.lookupParam(x)
-		default:
-			return 0, false
-		}
-	}
-}
-
-func (b *builder) lookupParam(id *ast.Ident) (int, bool) {
-	v, ok := b.pass.TypesInfo.Uses[id].(*types.Var)
-	if !ok {
-		return 0, false
-	}
-	idx, ok := b.params[v]
-	return idx, ok
-}
-
-// derefRoot walks an assignable expression down to its root identifier,
-// counting the dereference steps (map/slice element, field through
-// pointer, explicit *) along the way. Zero derefs means the write lands
-// in the local variable itself.
-func derefRoot(info *types.Info, e ast.Expr) (*ast.Ident, int) {
-	derefs := 0
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			derefs++
-			e = x.X
-		case *ast.IndexExpr:
-			switch info.TypeOf(x.X).Underlying().(type) {
-			case *types.Map, *types.Slice, *types.Pointer:
-				derefs++
-			}
-			e = x.X
-		case *ast.SelectorExpr:
-			if t := info.TypeOf(x.X); t != nil {
-				if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-					derefs++
-				}
-			}
-			e = x.X
-		case *ast.Ident:
-			return x, derefs
-		default:
-			return nil, 0
-		}
-	}
 }
 
 // specialEffect classifies calls that ARE the nondeterminism, rather
@@ -524,37 +338,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// CallArgs returns the call's argument expressions keyed by the callee's
-// parameter convention (0 = receiver for methods), the same indexing
-// ParamWrites uses.
-func CallArgs(info *types.Info, call *ast.CallExpr, callee *types.Func) map[int]ast.Expr {
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	out := make(map[int]ast.Expr)
-	n := 0
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			out[0] = sel.X
-		}
-		n = 1
-	}
-	for i, arg := range call.Args {
-		calleeIdx := i
-		if last := sig.Params().Len() - 1; calleeIdx > last {
-			if last < 0 {
-				break
-			}
-			calleeIdx = last
-		}
-		if _, taken := out[n+calleeIdx]; !taken {
-			out[n+calleeIdx] = arg
-		}
-	}
-	return out
 }
 
 func calleeIdent(fun ast.Expr) *ast.Ident {
@@ -625,51 +408,6 @@ func bindLocalTypes(pass *analysis.Pass, s *Summary) {
 			}
 		}
 	}
-}
-
-// ---- write-through-parameter fixpoint -----------------------------------
-
-// propagateParamWrites closes ParamWrites over call edges: if f passes
-// its parameter i as callee parameter j and the callee writes through j,
-// then f writes through i. Interface calls fan out through Binds. Only
-// local functions can change — imported summaries arrived already
-// closed over their own dependency cones.
-func propagateParamWrites(s *Summary, local map[string]*ast.FuncDecl) {
-	for changed := true; changed; {
-		changed = false
-		for name := range local {
-			fs := s.Funcs[name]
-			if fs == nil {
-				continue
-			}
-			for _, c := range fs.Calls {
-				for _, target := range resolveTargets(s, c.Callee) {
-					callee := s.Funcs[target]
-					if callee == nil {
-						continue
-					}
-					for calleeIdx, callerIdx := range c.ArgParams {
-						if callee.WritesParam(calleeIdx) && !fs.WritesParam(callerIdx) {
-							fs.ParamWrites = append(fs.ParamWrites, callerIdx)
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// resolveTargets expands an interface method through Binds; a concrete
-// name resolves to itself.
-func resolveTargets(s *Summary, callee string) []string {
-	if impls := s.Binds[callee]; len(impls) > 0 {
-		if s.Funcs[callee] == nil {
-			return impls
-		}
-		return append([]string{callee}, impls...)
-	}
-	return []string{callee}
 }
 
 func mergeStrings(dst []string, src []string) []string {

@@ -1,6 +1,7 @@
 // Package allocdiscipline guards the zero-alloc ingest discipline (PR 8)
 // in the packages the observation hot path crosses: the root eta2 server,
-// internal/wal, and internal/httpapi. Two allocation patterns defeat the
+// internal/state (its apply and its record decoders), internal/wal, and
+// internal/httpapi. Two allocation patterns defeat the
 // pooled-buffer work silently and are therefore banned by default:
 //
 //   - string([]byte) conversions: each one copies the bytes onto the
@@ -31,8 +32,8 @@ import (
 )
 
 // ingestPackages are the import paths the observation ingest path
-// traverses: HTTP decode -> server apply -> WAL append.
-var ingestPackages = regexp.MustCompile(`^eta2(/internal/(wal|httpapi))?$`)
+// traverses: HTTP decode -> server -> state apply -> WAL append.
+var ingestPackages = regexp.MustCompile(`^eta2(/internal/(wal|httpapi|state))?$`)
 
 var Analyzer = &analysis.Analyzer{
 	Name: "allocdiscipline",

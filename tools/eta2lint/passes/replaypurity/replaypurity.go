@@ -7,12 +7,12 @@
 // follower convergence (PR 7) — one time.Now or map-order dependency in
 // the apply path silently forks replicas.
 //
-// Roots are recognized by name (applyEvent, decodeEvent, restoreServer,
-// decodeState*, applyRecord) or by an
-// explicit `//eta2:replay-root` directive on the function. In the
-// serving package itself every name-keyed root must resolve to a
-// declaration: a refactor that renames a root fails the gate instead of
-// passing it vacuously. The analysis
+// Roots are recognized by name, per package (rootNames: the serving
+// package's record handlers, the state package's decoders and Replay), or by
+// an explicit `//eta2:replay-root` directive on the function. In each of
+// those packages every name-keyed root must resolve to a declaration: a
+// refactor that renames a root fails the gate instead of passing it
+// vacuously. The analysis
 // is inter-procedural across packages: effect summaries travel as
 // analysis facts (see internal/callgraph), so a violation buried two
 // modules deep is reported at the local call edge that reaches it, with
@@ -31,6 +31,7 @@ package replaypurity
 
 import (
 	"go/ast"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,20 +46,15 @@ var Analyzer = &analysis.Analyzer{
 	Run:         run,
 }
 
-// rootPkg is the package whose replay path the name-keyed roots describe.
-const rootPkg = "eta2"
-
-// rootNames are the replay/apply entry points recognized by name.
-var rootNames = map[string]bool{
-	"applyEvent":    true,
-	"decodeEvent":   true,
-	"restoreServer": true,
-	"applyRecord":   true,
+// rootNames are the replay/apply entry points recognized by name, keyed by
+// the package that declares them.
+var rootNames = map[string][]string{
+	"eta2":                {"applyEvent", "applyRecord", "restoreServer"},
+	"eta2/internal/state": {"Decode", "DecodeEvent", "Replay"},
 }
 
-func isRoot(decl *ast.FuncDecl) bool {
-	name := decl.Name.Name
-	if rootNames[name] || strings.HasPrefix(name, "decodeState") {
+func isRoot(pkg string, decl *ast.FuncDecl) bool {
+	if slices.Contains(rootNames[pkg], decl.Name.Name) {
 		return true
 	}
 	if decl.Doc != nil {
@@ -77,12 +73,10 @@ func run(pass *analysis.Pass) error {
 		return err
 	}
 
-	if pass.Pkg.Path() == rootPkg {
-		reportMissingRoots(pass, g)
-	}
+	reportMissingRoots(pass, g)
 	var roots []string
 	for name, decl := range g.LocalDecls {
-		if isRoot(decl) && g.Func(name) != nil {
+		if isRoot(pass.Pkg.Path(), decl) && g.Func(name) != nil {
 			roots = append(roots, name)
 		}
 	}
@@ -147,15 +141,10 @@ func reportMissingRoots(pass *analysis.Pass, g *callgraph.Graph) {
 	if anchor == nil {
 		return
 	}
-	var missing []string
-	for name := range rootNames {
+	for _, name := range rootNames[pass.Pkg.Path()] {
 		if !declared[name] {
-			missing = append(missing, name)
+			pass.Reportf(anchor.Package, "replay determinism: replay root %s is not declared in package %s; update replaypurity.rootNames with the rename, or the replay path goes unchecked", name, pass.Pkg.Path())
 		}
-	}
-	sort.Strings(missing)
-	for _, name := range missing {
-		pass.Reportf(anchor.Package, "replay determinism: replay root %s is not declared in package %s; update replaypurity.rootNames with the rename, or the replay path goes unchecked", name, rootPkg)
 	}
 }
 

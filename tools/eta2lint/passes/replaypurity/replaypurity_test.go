@@ -6,6 +6,13 @@ import (
 	"eta2lint/internal/analysistest"
 )
 
+// The fixture packages name their replay roots the way the serving packages
+// do, keyed by their own import paths.
+func init() {
+	rootNames["replay/single"] = []string{"applyEvent", "decodeEvent", "decodeStateFrames", "restoreServer"}
+	rootNames["replay/cross"] = []string{"applyEvent"}
+}
+
 func TestSinglePackage(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer, "replay/single")
 }

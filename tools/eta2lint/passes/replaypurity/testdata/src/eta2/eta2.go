@@ -4,7 +4,6 @@
 package eta2 // want `replay root applyRecord is not declared in package eta2`
 
 func applyEvent()    {}
-func decodeEvent()   {}
 func restoreServer() {}
 
 // applyShippedRecord is what applyRecord was renamed to.

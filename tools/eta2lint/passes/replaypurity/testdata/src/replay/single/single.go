@@ -109,7 +109,7 @@ func (s *Server) audited() {
 	_ = rand.Int()
 }
 
-// decodeStateFrames is a replay root by its decodeState prefix. Function
+// decodeStateFrames is a replay root by name. Function
 // literals belong to their enclosing function: the first spawn reports
 // both the spawn and the clock read inside the literal; the annotated
 // spawn prunes both.

@@ -34,6 +34,7 @@ import (
 	"eta2/internal/allocation"
 	"eta2/internal/core"
 	"eta2/internal/embedding"
+	"eta2/internal/state"
 )
 
 // Re-exported identifier types. Aliases keep values interchangeable with
@@ -63,52 +64,15 @@ type (
 // DomainNone marks a task whose expertise domain is not yet known.
 const DomainNone = core.DomainNone
 
-// TaskSpec describes a task being created at the server.
-type TaskSpec struct {
-	// Description is the natural-language task description ("What is the
-	// noise level around the municipal building?"). Required unless
-	// DomainHint is set.
-	Description string
-	// ProcTime is the processing time t_j in hours a user needs to
-	// complete the task. Must be positive.
-	ProcTime float64
-	// Cost is the recruiting cost c_j paid per user allocated to the task
-	// (only used by min-cost allocation). Defaults to 1.
-	Cost float64
-	// DomainHint pre-assigns an expertise domain, bypassing semantic
-	// clustering for this task (useful when domains are known a priori,
-	// as in the paper's synthetic evaluation).
-	DomainHint DomainID
-}
+// TaskSpec describes a task being created at the server: its description
+// or domain hint, processing time and recruiting cost.
+type TaskSpec = state.TaskSpec
 
 // TruthEstimate is the server's estimate for one task after a time step.
-type TruthEstimate struct {
-	Task TaskID
-	// Value is the estimated truth μ̂_j.
-	Value float64
-	// Base is the estimated base number σ̂_j (the task's value scale).
-	Base float64
-	// Observations is the number of data points backing the estimate.
-	Observations int
-}
+type TruthEstimate = state.TruthEstimate
 
 // StepReport summarizes a closed time step.
-type StepReport struct {
-	// Day is the index of the closed time step.
-	Day int
-	// Estimates holds the truth estimates for the tasks that received
-	// observations this step.
-	Estimates []TruthEstimate
-	// MLEIterations is the number of fixed-point iterations the truth
-	// analysis needed.
-	MLEIterations int
-	// Converged reports whether the estimates met the convergence
-	// tolerance.
-	Converged bool
-	// NewDomains and MergedDomains report clustering activity of the step.
-	NewDomains    []DomainID
-	MergedDomains int
-}
+type StepReport = state.StepReport
 
 // FsyncPolicy selects when the durable server's write-ahead log is
 // flushed to stable storage.
